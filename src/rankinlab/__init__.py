@@ -13,10 +13,9 @@ from .degenerate import (CorrectionReport, DegenerateReport, GlobalZetaData, HFu
                          correction_term, degenerate_limit, symmetry_residuals,
                          taylor_bound_report)
 from .exactalg import (PoleError, Poly2, RationalFunction2, poly_div_exact, poly_gcd,
-                       power_of_p, rf_add, rf_div, rf_equal, rf_eval, rf_mul)
-from .laurent import (CubicPolynomial, LambdaPoly, LaurentSeries2, ls_add, ls_constant_term,
-                      ls_flip, ls_from_rational, ls_inverse_regular, ls_mul,
-                      ls_singular_part, ls_sub)
+                       power_of_p, rf_equal)
+from .laurent import (CubicPolynomial, LambdaPoly, LaurentSeries2, ls_from_rational,
+                      ls_inverse_regular)
 from .localdata import (IdealFactorization, PlaceData, Shift, inv_volume_Kq, is_prime_power,
                         norm, omega, volume_K, zeta_local, zeta_q, zeta_scalar)
 from .scalars import Scalar, format_scalar, parse_exact

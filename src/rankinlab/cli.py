@@ -155,7 +155,8 @@ def cmd_degenerate(args) -> int:
 def cmd_verify(args) -> int:
     if args.break_symmetry:
         # expected-failure control: run only the sharpness half of the fuzz
-        res = suite_residue_cancellation(fuzz=0, broken=args.fuzz or 50, seed=args.seed)
+        broken = 50 if args.fuzz is None else args.fuzz
+        res = suite_residue_cancellation(fuzz=0, broken=broken, seed=args.seed)
         detected = res.details["missed_breaks"] == 0
         report = {"command": "verify", "suite": "lemma44-break-symmetry",
                   "breaks_injected": res.details["broken"],
@@ -166,7 +167,8 @@ def cmd_verify(args) -> int:
         return 0 if detected else VERIFY_ERROR
     names = [args.suite] if args.suite else None
     try:
-        results = run_suites(names, fuzz=args.fuzz or 500, seed=args.seed)
+        results = run_suites(names, fuzz=500 if args.fuzz is None else args.fuzz,
+                             seed=args.seed)
     except KeyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
@@ -190,6 +192,13 @@ def _jsonable(obj):
     if isinstance(obj, complex):
         return {"re": obj.real, "im": obj.imag}
     return str(obj)
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -228,7 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", parents=[common], help="run the acceptance suites")
     p_ver.add_argument("--suite", choices=sorted(SUITES), default=None)
-    p_ver.add_argument("--fuzz", type=int, default=None)
+    p_ver.add_argument("--fuzz", type=positive_int, default=None,
+                       help="random draws to certify (default 500; 50 with --break-symmetry)")
     p_ver.add_argument("--break-symmetry", action="store_true",
                        help="run only the expected-failure sharpness controls")
     p_ver.set_defaults(func=cmd_verify)

@@ -470,7 +470,7 @@ class RationalFunction2:
         if isinstance(other, (int, Fraction, Scalar)):
             other = RationalFunction2.const(other, self.p)
         self._check(other)
-        keys = set(self.fac) | set(other.fac)
+        keys = dict.fromkeys([*self.fac, *other.fac])
         n1, n2 = self.num.scale(other.scale), other.num.scale(self.scale)
         fac: dict[tuple, tuple[Poly2, int]] = {}
         for key in keys:
@@ -515,7 +515,7 @@ class RationalFunction2:
         self._check(other)
         extra1 = Poly2.const(other.scale)
         extra2 = Poly2.const(self.scale)
-        keys = set(self.fac) | set(other.fac)
+        keys = dict.fromkeys([*self.fac, *other.fac])
         for key in keys:
             p1 = self.fac.get(key)
             p2 = other.fac.get(key)
@@ -595,24 +595,6 @@ def power_of_p(p: int, exponent: ScalarLike, sign: int = 1) -> Scalar:
                 return whole * Scalar.root(Fraction(p))
             return whole
     return Scalar.numeric(complex(p) ** (sign * e.to_complex()))
-
-
-# -- module-level operation aliases ------------------------------------------
-
-def rf_add(a: RationalFunction2, b: RationalFunction2) -> RationalFunction2:
-    return a + b
-
-
-def rf_mul(a: RationalFunction2, b: RationalFunction2) -> RationalFunction2:
-    return a * b
-
-
-def rf_div(a: RationalFunction2, b: RationalFunction2) -> RationalFunction2:
-    return a / b
-
-
-def rf_eval(f: RationalFunction2, z: ScalarLike, w: ScalarLike, tol: float = 1e-12) -> Scalar:
-    return f.eval_zw(z, w, tol)
 
 
 def rf_equal(a: RationalFunction2, b: RationalFunction2) -> bool:

@@ -12,6 +12,21 @@ exponents are restored by :meth:`LaurentSeries2.normalized`, which exactly
 divides the numerator by each divisor while possible.  Division remainders
 certify singular behaviour: a value is pole-free iff every remainder in the
 chain vanishes (the divisors are coprime primes of the power-series ring).
+
+Numerator products run over flat ``(i, j, k, value)`` terms, ``k`` being the
+power of ``lam``, in one coefficient ring chosen per product from what the
+operands hold:
+
+* every coefficient a plain rational: Python integers over each operand's
+  common denominator (FLINT's ``fmpq_poly`` layout); the result's denominator
+  is the product of the two, reduced once per output term;
+* either operand entirely numeric: complex doubles, the other operand
+  converted through :meth:`Scalar.to_complex` as :class:`Scalar` would;
+* otherwise :class:`Scalar`.  Root-extension data needs the ``sqrt`` part,
+  and operands mixing exact and numeric coefficients need per-term types, so
+  that exact-by-exact terms stay exact.
+
+Series numerators stay ``dict[(i, j)] -> LambdaPoly`` between operations.
 """
 
 from __future__ import annotations
@@ -28,6 +43,8 @@ EXACT_DEPTH = 10 ** 9  # sentinel depth for untruncated numerators
 DEFAULT_DEPTH = 8
 
 DIVISORS = ("z", "w", "zw_plus", "zw_minus")
+
+_FRACTION_ZERO = Fraction(0)
 
 
 class LambdaPoly:
@@ -146,21 +163,62 @@ def _num_add(a: SeriesNum, b: SeriesNum) -> SeriesNum:
     return out
 
 
+Term = tuple[int, int, int, Scalar]  # (i, j, k, coefficient of z**i w**j lam**k)
+
+
+def _terms(num: SeriesNum) -> list[Term]:
+    return [(i, j, k, v) for (i, j), lp in num.items() for k, v in lp.c.items()]
+
+
+def _common_denominator(terms: list[Term]) -> int:
+    den = 1
+    for *_, v in terms:
+        den = math.lcm(den, v.a.denominator)
+    return den
+
+
 def _num_mul(a: SeriesNum, b: SeriesNum, depth: int) -> SeriesNum:
-    out: SeriesNum = {}
-    for (i1, j1), v1 in a.items():
-        for (i2, j2), v2 in b.items():
-            i, j = i1 + i2, j1 + j2
-            if i + j > depth:
-                continue
-            prod = v1 * v2
-            cur = out.get((i, j))
-            s = prod if cur is None else cur + prod
-            if s.is_zero():
-                out.pop((i, j), None)
-            else:
-                out[(i, j)] = s
-    return out
+    """Product of two numerators up to total degree depth, in the coefficient
+    ring the module docstring describes."""
+    if not a or not b:
+        return {}
+    ta, tb = _terms(a), _terms(b)
+    if all(v.is_rational() for *_, v in ta) and all(v.is_rational() for *_, v in tb):
+        da, db = _common_denominator(ta), _common_denominator(tb)
+        xa = [(i, j, k, v.a.numerator * (da // v.a.denominator)) for i, j, k, v in ta]
+        xb = [(i, j, k, v.a.numerator * (db // v.a.denominator)) for i, j, k, v in tb]
+        den = da * db
+        zero, nonzero = 0, bool
+
+        def to_scalar(n: int) -> Scalar:
+            return Scalar(Fraction(n, den), _FRACTION_ZERO, None, None)
+    elif all(not v.is_exact for *_, v in ta) or all(not v.is_exact for *_, v in tb):
+        xa = [(i, j, k, v.to_complex()) for i, j, k, v in ta]
+        xb = [(i, j, k, v.to_complex()) for i, j, k, v in tb]
+        zero, nonzero, to_scalar = 0j, bool, Scalar.numeric
+    else:
+        xa, xb = ta, tb
+        zero, nonzero, to_scalar = SC_ZERO, lambda v: not v.is_zero(), None
+    # b's terms by total degree, so the truncation ends each inner loop early;
+    # each output term still receives its products in the order of a's terms
+    xb = sorted((i + j, i, j, k, v) for i, j, k, v in xb)
+    acc: dict[tuple[int, int, int], object] = {}
+    get = acc.get
+    for i1, j1, k1, v1 in xa:
+        room = depth - i1 - j1
+        for d2, i2, j2, k2, v2 in xb:
+            if d2 > room:
+                break
+            key = (i1 + i2, j1 + j2, k1 + k2)
+            acc[key] = get(key, zero) + v1 * v2
+    out: dict[tuple[int, int], dict[int, Scalar]] = {}
+    for (i, j, k), v in acc.items():
+        if nonzero(v):
+            coeffs = out.get((i, j))
+            if coeffs is None:
+                coeffs = out[(i, j)] = {}
+            coeffs[k] = v if to_scalar is None else to_scalar(v)
+    return {m: LambdaPoly(coeffs) for m, coeffs in out.items()}
 
 
 def _num_val(a: SeriesNum) -> int:
@@ -445,32 +503,6 @@ class LaurentSeries2:
                       for _ in range(e)) or "1"
         terms = ", ".join(f"z^{i} w^{j}: {v!r}" for (i, j), v in sorted(self.num.items())[:8])
         return f"LaurentSeries2[depth={self.depth}]({terms} ...)/{den}"
-
-
-# -- operation aliases matching the module surface ---------------------------
-
-def ls_add(a: LaurentSeries2, b: LaurentSeries2) -> LaurentSeries2:
-    return a + b
-
-
-def ls_sub(a: LaurentSeries2, b: LaurentSeries2) -> LaurentSeries2:
-    return a - b
-
-
-def ls_mul(a: LaurentSeries2, b: LaurentSeries2) -> LaurentSeries2:
-    return a * b
-
-
-def ls_flip(a: LaurentSeries2, flip_z: bool, flip_w: bool) -> LaurentSeries2:
-    return a.flip(flip_z, flip_w)
-
-
-def ls_singular_part(a: LaurentSeries2, tol: float = 0.0) -> LaurentSeries2:
-    return a.singular_part(tol)
-
-
-def ls_constant_term(a: LaurentSeries2, tol: float = 0.0) -> LambdaPoly:
-    return a.constant_term(tol)
 
 
 def ls_inverse_regular(a: LaurentSeries2) -> LaurentSeries2:

@@ -150,10 +150,6 @@ def zeta_local(place: PlaceData, shift: Shift) -> RationalFunction2:
     return out
 
 
-def zeta_local_inv(place: PlaceData, shift: Shift) -> RationalFunction2:
-    return zeta_local(place, shift).inverse()
-
-
 def zeta_q(q: IdealFactorization, shift: Shift) -> RationalFunction2:
     """prod over places of q of zeta_v(shift).
 

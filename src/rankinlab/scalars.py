@@ -291,6 +291,8 @@ def parse_exact(text: str) -> Scalar:
     text = text.strip()
     if "/" in text:
         num, den = text.split("/")
+        if int(den) == 0:
+            raise ValueError(f"zero denominator in {text!r}")
         return Scalar.exact(Fraction(int(num), int(den)))
     if any(ch in text for ch in ".eE") and not text.lstrip("+-").isdigit():
         return Scalar.numeric(complex(float(text)))

@@ -46,6 +46,11 @@ def test_psi_bad_satake_is_usage_error():
     assert main(["psi", "--kind", "i", "--p", "2", "--r", "1", "--pi0", "2,3"]) == 2
 
 
+def test_psi_zero_denominator_is_usage_error(capsys):
+    assert main(["psi", "--kind", "i", "--p", "2", "--r", "1", "--at", "1/0,0"]) == 2
+    assert "zero denominator" in capsys.readouterr().err
+
+
 def test_json_reports_round_trip(capsys):
     main(["psi", "--kind", "ii", "--p", "2", "--r", "1"])
     raw = capsys.readouterr().out
@@ -104,6 +109,14 @@ def test_verify_lemma44_fuzz_and_break(capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["all_detected"] is True
     assert report["breaks_injected"] == 12
+
+
+@pytest.mark.parametrize("extra", [[], ["--break-symmetry"]])
+@pytest.mark.parametrize("fuzz", ["0", "-1"])
+def test_verify_fuzz_below_one_is_usage_error(fuzz, extra):
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "--suite", "lemma44", "--fuzz", fuzz, *extra])
+    assert err.value.code == 2
 
 
 def test_verify_unknown_suite(capsys):

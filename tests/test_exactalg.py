@@ -125,3 +125,15 @@ def test_rf_eval_homomorphism_on_rational_functions():
     lhs = (an * bn).eval_zw(zn, wn).to_complex()
     rhs = (an.eval_zw(zn, wn) * bn.eval_zw(zn, wn)).to_complex()
     assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
+
+
+def test_sum_keeps_denominator_factor_order():
+    # factor keys hold None (hashed by address), so a set union would order
+    # them differently from one process to the next
+    f1, f2, f3 = (Poly2.const(1) - Poly2.monomial(i, j) for i, j in ((1, 0), (0, 1), (1, 1)))
+    a = RationalFunction2.from_poly(Poly2.const(1), 2).with_factor(f2).with_factor(f1)
+    b = RationalFunction2.from_poly(Poly2.const(3), 2).with_factor(f3).with_factor(f1)
+    k2, k1 = a.fac
+    k3, _ = b.fac
+    assert list((a + b).fac) == [k2, k1, k3]
+    assert list((b + a).fac) == [k3, k1, k2]

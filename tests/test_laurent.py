@@ -3,11 +3,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rankinlab.laurent import (SYMMETRY_BREAKERS, CubicPolynomial, LambdaPoly,
-                               LaurentSeries2, break_one_symmetry, four_term_combination,
-                               ls_from_rational, ls_inverse_regular, pole_factor_series,
-                               random_simple_pole_coeffs, random_symmetric_quadruple)
+from rankinlab.laurent import (EXACT_DEPTH, SYMMETRY_BREAKERS, CubicPolynomial, LambdaPoly,
+                               LaurentSeries2, _num_mul, break_one_symmetry,
+                               four_term_combination, ls_from_rational, ls_inverse_regular,
+                               pole_factor_series, random_simple_pole_coeffs,
+                               random_symmetric_quadruple)
 from rankinlab.localdata import PlaceData, Shift, zeta_local
 from rankinlab.scalars import Scalar
 
@@ -192,3 +195,120 @@ def test_insufficient_depth_is_an_error():
         {(0, 0): Fraction(1), (1, 1): Fraction(1)}, (1, 1, 1, 0), depth=2)
     with pytest.raises(ValueError, match="insufficient truncation depth"):
         shallow.split_singular()
+
+
+# -- the numerator product kernel against the LambdaPoly pair loop ---------------
+
+
+def _pair_loop_mul(a, b, depth):
+    """Reference: one LambdaPoly product per pair of monomials."""
+    out = {}
+    for (i1, j1), v1 in a.items():
+        for (i2, j2), v2 in b.items():
+            i, j = i1 + i2, j1 + j2
+            if i + j > depth:
+                continue
+            prod = v1 * v2
+            cur = out.get((i, j))
+            s = prod if cur is None else cur + prod
+            if s.is_zero():
+                out.pop((i, j), None)
+            else:
+                out[(i, j)] = s
+    return out
+
+
+def _abs_bound(a, b, depth):
+    """Per (i, j, k): the sum of |products| feeding it, the scale of its rounding error."""
+    bound = {}
+    for (i1, j1), v1 in a.items():
+        for (i2, j2), v2 in b.items():
+            if i1 + i2 + j1 + j2 > depth:
+                continue
+            for k1, c1 in v1.c.items():
+                for k2, c2 in v2.c.items():
+                    key = (i1 + i2, j1 + j2, k1 + k2)
+                    bound[key] = bound.get(key, 0.0) + abs(c1.to_complex() * c2.to_complex())
+    return bound
+
+
+_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6).filter(bool)
+_floats = st.floats(min_value=-4, max_value=4, allow_nan=False, allow_infinity=False)
+_exact = _rationals.map(Scalar.exact)
+_numeric = st.builds(complex, _floats, _floats).filter(bool).map(Scalar.numeric)
+_root3 = st.builds(lambda a, b: Scalar.exact(a) + Scalar.root(3, b),
+                   st.fractions(min_value=-4, max_value=4, max_denominator=6), _rationals)
+_KINDS = {
+    "exact": (_exact, _exact),
+    "numeric": (_numeric, st.one_of(_exact, _numeric)),
+    "mixed": (st.one_of(_exact, _numeric), _exact),
+    "root": (st.one_of(_exact, _root3), st.one_of(_exact, _root3)),
+}
+
+
+@st.composite
+def _numerators(draw, coeffs):
+    num = {}
+    for _ in range(draw(st.integers(0, 6))):
+        m = (draw(st.integers(0, 3)), draw(st.integers(0, 3)))
+        lp = LambdaPoly({draw(st.integers(0, 3)): draw(coeffs)
+                         for _ in range(draw(st.integers(1, 3)))})
+        num[m] = lp
+    return num
+
+
+@st.composite
+def _operand_pairs(draw):
+    kind = draw(st.sampled_from(sorted(_KINDS)))
+    first, second = _KINDS[kind]
+    a, b = draw(_numerators(first)), draw(_numerators(second))
+    if draw(st.booleans()):
+        a, b = b, a
+    return kind, a, b, draw(st.sampled_from((0, 2, 4, 6, EXACT_DEPTH)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_operand_pairs())
+def test_num_mul_matches_pair_loop(case):
+    kind, a, b, depth = case
+    ref = _pair_loop_mul(a, b, depth)
+    got = _num_mul(a, b, depth)
+    bound = _abs_bound(a, b, depth)
+    keys = {(i, j, k) for num in (ref, got) for (i, j), lp in num.items() for k in lp.c}
+    for i, j, k in keys:
+        want = ref.get((i, j), LambdaPoly()).c.get(k)
+        have = got.get((i, j), LambdaPoly()).c.get(k)
+        if want is not None and have is not None:
+            assert have.is_exact == want.is_exact, (kind, (i, j, k), want, have)
+        if all(x is None or x.is_exact for x in (want, have)):
+            assert have == want, (kind, (i, j, k), want, have)
+        else:
+            diff = abs((have or Scalar.exact(0)).to_complex()
+                       - (want or Scalar.exact(0)).to_complex())
+            assert diff <= 1e-12 * bound[(i, j, k)], (kind, (i, j, k), want, have)
+
+
+@st.composite
+def _exact_series(draw):
+    num = draw(_numerators(_exact))
+    poles = tuple(draw(st.integers(0, 2)) for _ in range(4))
+    return LaurentSeries2(num, poles, draw(st.sampled_from((4, 8, EXACT_DEPTH))))
+
+
+def _same_series(x, y):
+    return x.poles == y.poles and x.depth == y.depth and x.num == y.num
+
+
+_FLIPS = st.sampled_from([(True, False), (False, True), (True, True)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(_exact_series(), _FLIPS)
+def test_flip_is_an_involution(s, flips):
+    assert _same_series(s.flip(*flips).flip(*flips), s)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_exact_series(), _exact_series(), _FLIPS)
+def test_flip_commutes_with_product(a, b, flips):
+    assert _same_series((a * b).flip(*flips), a.flip(*flips) * b.flip(*flips))
