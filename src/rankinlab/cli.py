@@ -87,6 +87,14 @@ def parse_point(text: str) -> tuple[Scalar, Scalar]:
     return parse_exact(parts[0]), parse_exact(parts[1])
 
 
+def _eval_or_pole(value, z: Scalar, w: Scalar) -> Scalar | None:
+    """The rational function at (z, w), or None at a pole."""
+    try:
+        return value.eval_zw(z, w)
+    except PoleError:
+        return None
+
+
 def cmd_psi(args) -> int:
     place = PlaceData(args.p, args.r)
     pi0 = parse_satake(args.pi0)
@@ -101,21 +109,19 @@ def cmd_psi(args) -> int:
     for kind in kinds:
         closed = psi_closed(kind, place, pi0)
         oracle = psi_oracle(kind, place, pi0, cutoff=args.cutoff)
-        entry = {}
         z, w = parse_point(args.at)
-        try:
-            cv = closed.value.eval_zw(z, w)
-            ov = oracle.value.eval_zw(z, w)
-            entry["closed_at"] = format_scalar(cv)
-            entry["oracle_at"] = format_scalar(ov)
-        except PoleError:
-            cv = ov = None
-            entry["closed_at"] = entry["oracle_at"] = "pole"
+        cv = _eval_or_pole(closed.value, z, w)
+        ov = _eval_or_pole(oracle.value, z, w)
+        entry = {"closed_at": "pole" if cv is None else format_scalar(cv),
+                 "oracle_at": "pole" if ov is None else format_scalar(ov)}
         if exact_mode:
             # tolerance is ignored: the two rational functions must coincide
             match = rf_equal(closed.value, oracle.value)
+        elif cv is None or ov is None:
+            # a pole matches only a pole
+            match = cv is None and ov is None
         else:
-            match = cv is not None and cv.close(ov, rel_tol=args.tolerance)
+            match = cv.close(ov, rel_tol=args.tolerance)
         all_match &= match
         entry["verdict"] = "MATCH" if match else "MISMATCH"
         report[f"kind_{kind}"] = entry

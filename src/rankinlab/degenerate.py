@@ -133,7 +133,8 @@ def _log_scalar(p: int, log_map: LogMap = None) -> Scalar:
 
 def _local_zeta_inverse_series(place: PlaceData, direction: str, sign: int,
                                depth: int, log_map: LogMap = None) -> LaurentSeries2:
-    """zeta_v**(-1)(1 + 2*sign*u) = 1 - p**(-1) exp(-2*sign*u*log p) along u."""
+    """zeta_v**(-1)(1 + 2*sign*u) = 1 - p**(-1) exp(-2*sign*u*log p) along u
+    (u is z, w or z+w for the directions "z", "w", "zw_plus")."""
     p = place.p
     logp = _log_scalar(p, log_map)
     coeffs: list[Scalar] = []
@@ -144,23 +145,6 @@ def _local_zeta_inverse_series(place: PlaceData, direction: str, sign: int,
             term = term + SC_ONE
         coeffs.append(term)
     return LaurentSeries2.from_direction(coeffs, 0, direction, depth)
-
-
-def _local_ratio_series(place: PlaceData, depth: int,
-                        log_map: LogMap = None) -> LaurentSeries2:
-    """zeta_v(1-2z-2w)/zeta_v(1) along the z+w direction."""
-    p = place.p
-    logp = _log_scalar(p, log_map)
-    coeffs: list[Scalar] = []
-    for k in range(depth + 1):
-        term = Scalar.exact(Fraction(-1, p)) * (Scalar.exact(2) * logp) ** k \
-            / Scalar.exact(math.factorial(k))
-        if k == 0:
-            term = term + SC_ONE
-        coeffs.append(term)
-    den = LaurentSeries2.from_direction(coeffs, 0, "zw_plus", depth)
-    inv = ls_inverse_regular(den)
-    return inv.scale(Scalar.exact(Fraction(place.p - 1, place.p)))
 
 
 def build_h(which: int, q: IdealFactorization, depth: int = DEFAULT_DEPTH,
@@ -185,9 +169,12 @@ def build_h(which: int, q: IdealFactorization, depth: int = DEFAULT_DEPTH,
         elif which == 3:
             local = _local_zeta_inverse_series(place, "z", 1, depth, log_map).scale(unit)
         else:
+            # zeta_v(1-2z-2w)/zeta_v(1): the inverse of the z+w factor, times unit
+            ratio = ls_inverse_regular(
+                _local_zeta_inverse_series(place, "zw_plus", -1, depth, log_map)).scale(unit)
             local = (_local_zeta_inverse_series(place, "z", -1, depth, log_map)
                      * _local_zeta_inverse_series(place, "w", -1, depth, log_map)
-                     * _local_ratio_series(place, depth, log_map))
+                     * ratio)
         out = out * local
     if out.depth > depth:
         out = LaurentSeries2(out.num, out.poles, depth)
@@ -325,11 +312,16 @@ def correction_term(data: GlobalZetaData, q: IdealFactorization,
 def correction_report(data: GlobalZetaData, q: IdealFactorization,
                       depth: int = DEFAULT_DEPTH, tol: float = 1e-9,
                       log_map: LogMap = None) -> CorrectionReport:
+    return _correction(data, q, build_G(data, q, -1, -1, depth),
+                       build_h(4, q, depth, log_map), tol, log_map)
+
+
+def _correction(data: GlobalZetaData, q: IdealFactorization, g_mm: LaurentSeries2,
+                h4: HFunction, tol: float, log_map: LogMap) -> CorrectionReport:
+    """The correction limit from given G(-z,-w) and h4 series."""
     sum_factor = correction_sum_factor(q, log_map)
     if not q.places:
         return CorrectionReport(SC_ZERO, SC_ZERO, None, data.xi_residue ** 3)
-    g_mm = build_G(data, q, -1, -1, depth)
-    h4 = build_h(4, q, depth, log_map)
     clearing = LaurentSeries2.from_coeffs({(2, 1): Scalar.exact(8), (1, 2): Scalar.exact(8)})
     product = g_mm * h4.series * clearing
     abs_tol = tol * max(1.0, product.max_abs())
@@ -397,7 +389,7 @@ def degenerate_limit(data: GlobalZetaData, q: IdealFactorization,
             f"(max coefficient {singular_mag:.3e}); this signals an implementation bug"
         )
     const = regular.num.get((0, 0), LambdaPoly())
-    correction = correction_term(data, q, depth, tol, log_map)
+    correction = _correction(data, q, g.flip(True, True), hs[3], tol, log_map).value
     const = const - LambdaPoly.const(correction)
     # degree > 3 must die by itself; record how close to zero it is
     lambda_excess = max((v.to_complex().__abs__() for k, v in const.c.items() if k > 3),

@@ -597,6 +597,14 @@ def power_of_p(p: int, exponent: ScalarLike, sign: int = 1) -> Scalar:
     return Scalar.numeric(complex(p) ** (sign * e.to_complex()))
 
 
+def nonzero_factor(factor: Scalar, what: str) -> Scalar:
+    """``factor`` itself, or :class:`PoleError` naming ``what`` when it is an
+    exact zero or a numeric value of modulus below 1e-13."""
+    if factor.is_zero() if factor.is_exact else abs(factor.to_complex()) < 1e-13:
+        raise PoleError(f"{what} pole")
+    return factor
+
+
 def rf_equal(a: RationalFunction2, b: RationalFunction2) -> bool:
     return a.equals(b)
 

@@ -9,14 +9,18 @@ The weighted integral ``integral of |W|**2(y) |y|**s  d*y`` has the closed
 form ``(1 - |alpha1*alpha2|**2 x**2) / prod_{i,j}(1 - alpha_i*conj(alpha_j)*x)``
 with ``x = p**(-1-s)`` (the two-variable Cauchy identity for complete
 homogeneous sums); a truncated-sum oracle provides the independent check.
+Every truncated-sum oracle, here and in :mod:`zetaint`, reads the complex
+Hecke recursion through :func:`hecke_stream`.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
-from .exactalg import PoleError, power_of_p
+from .exactalg import nonzero_factor, power_of_p
 from .localdata import PlaceData, zeta_scalar
 from .scalars import SC_ONE, SC_ZERO, Scalar, ScalarLike
 
@@ -60,6 +64,13 @@ class SatakeParams:
         return SatakeParams(self.alpha1.conjugate(), self.alpha2.conjugate(),
                             self.ramified, self.theta)
 
+    def confluent(self) -> bool:
+        """alpha1 == alpha2: exactly, or within DEGENERACY_TOL relative to alpha1."""
+        diff = self.alpha1 - self.alpha2
+        if diff.is_exact:
+            return diff.is_zero()
+        return abs(diff.to_complex()) <= DEGENERACY_TOL * max(1.0, abs(self.alpha1.to_complex()))
+
 
 def satake_sum(params: SatakeParams, n: int) -> Scalar:
     """S(n) = (alpha1**n - alpha2**n)/(alpha1 - alpha2).
@@ -75,12 +86,9 @@ def satake_sum(params: SatakeParams, n: int) -> Scalar:
         return -satake_sum(params, -n) / delta ** (-n)
     if n == 0:
         return SC_ZERO
-    diff = a1 - a2
-    degenerate = (diff.is_zero() if diff.is_exact
-                  else abs(diff.to_complex()) <= DEGENERACY_TOL * max(1.0, abs(a1.to_complex())))
-    if degenerate:
+    if params.confluent():
         return Scalar.wrap(n) * a1 ** (n - 1)
-    return (a1 ** n - a2 ** n) / diff
+    return (a1 ** n - a2 ** n) / (a1 - a2)
 
 
 def whittaker_value(params: SatakeParams, place: PlaceData, n: int) -> Scalar:
@@ -88,6 +96,22 @@ def whittaker_value(params: SatakeParams, place: PlaceData, n: int) -> Scalar:
     if n < 0:
         return SC_ZERO
     return power_of_p(place.p, Fraction(n, 2), -1) * satake_sum(params, n + 1)
+
+
+def hecke_stream(params: SatakeParams, step: complex = 1.0) -> Iterator[complex]:
+    """step**n * S(n+1) for n = 0, 1, 2, ... as complex numbers, from the
+    three-term recursion u(n+1) = step (a1+a2) u(n) - step**2 a1 a2 u(n-1).
+
+    The decay is folded into the recursion, so a step below one keeps the
+    terms of non-tempered parameters from overflowing; with step = p**(-1/2)
+    the stream is W(diag(pi**n)).
+    """
+    a1, a2 = params.alpha1.to_complex(), params.alpha2.to_complex()
+    t, delta = step * (a1 + a2), step * step * (a1 * a2)
+    u_prev, u = 0j, 1 + 0j  # S(0), S(1)
+    while True:
+        yield u
+        u_prev, u = u, t * u - delta * u_prev
 
 
 def l_factor_product(a: SatakeParams, b: SatakeParams, x: Scalar) -> Scalar:
@@ -99,10 +123,7 @@ def l_factor_product(a: SatakeParams, b: SatakeParams, x: Scalar) -> Scalar:
         for bj in (b.alpha1, b.alpha2):
             if bj.is_zero():
                 continue
-            factor = SC_ONE - ai * bj * x
-            if factor.is_zero() if factor.is_exact else abs(factor.to_complex()) < 1e-13:
-                raise PoleError("local L-factor pole")
-            value = value / factor
+            value = value / nonzero_factor(SC_ONE - ai * bj * x, "local L-factor")
     return value
 
 
@@ -116,7 +137,7 @@ def weighted_integral_closed(params: SatakeParams, place: PlaceData,
     """Closed form of the weighted square integral:
     (1 - |alpha1*alpha2|**2 x**2) * L-product at x = p**(-1-s)."""
     s = Scalar.wrap(s)
-    x = _p_power_scalar(place.p, SC_ONE + s)
+    x = power_of_p(place.p, SC_ONE + s, -1)
     delta2 = (params.alpha1 * params.alpha2).abs2()
     numerator = SC_ONE - delta2 * x ** 2
     return numerator * rankin_selberg_self_l(params, x)
@@ -125,27 +146,13 @@ def weighted_integral_closed(params: SatakeParams, place: PlaceData,
 def weighted_integral_oracle(params: SatakeParams, place: PlaceData,
                              s: ScalarLike, terms: int = 10_000) -> Scalar:
     """Truncated sum over n of |S(n+1)|**2 * p**(-n(1+s)); numeric, independent
-    of the closed form (three-term Satake recursion, no geometric resummation)."""
-    s = Scalar.wrap(s).to_complex()
-    p = place.p
-    a1, a2 = params.alpha1.to_complex(), params.alpha2.to_complex()
-    t, delta = a1 + a2, a1 * a2
-    x = complex(p) ** (-(1 + s))
-    total = 0j
-    u_prev, u = 0j, 1j * 0 + 1.0  # S(0), S(1)
-    xn = 1.0 + 0j
-    for _ in range(terms):
+    of the closed form (Hecke recursion, no geometric resummation)."""
+    x = complex(place.p) ** (-(1 + Scalar.wrap(s).to_complex()))
+    total, xn = 0j, 1 + 0j
+    for u in islice(hecke_stream(params), terms):
         total += (u * u.conjugate()) * xn
-        u_prev, u = u, t * u - delta * u_prev
         xn *= x
     return Scalar.numeric(total)
-
-
-def _p_power_scalar(p: int, exponent: Scalar) -> Scalar:
-    """p**(-exponent), exact when the exponent is a rational with denominator 1 or 2."""
-    if exponent.is_rational():
-        return power_of_p(p, exponent.as_fraction(), -1)
-    return Scalar.numeric(complex(p) ** (-exponent.to_complex()))
 
 
 def whittaker_norm_sq(params: SatakeParams, place: PlaceData) -> Scalar:
@@ -174,12 +181,8 @@ def whittaker_norm_sq(params: SatakeParams, place: PlaceData) -> Scalar:
 
 def whittaker_norm_sq_oracle(params: SatakeParams, place: PlaceData,
                              terms: int = 10_000) -> Scalar:
-    """Truncated-sum version of the normalised norm."""
-    p = place.p
-    total = 0j
-    for n in range(terms):
-        w = whittaker_value(params, place, n).to_complex()
-        total += w * w.conjugate()
-    pinv = Scalar.exact(Fraction(1, p))
-    l_value = rankin_selberg_self_l(params, pinv)
+    """Truncated-sum version of the normalised norm: sum of |W(diag(pi**n))|**2."""
+    stream = islice(hecke_stream(params, place.p ** -0.5), terms)
+    total = sum((w * w.conjugate() for w in stream), 0j)
+    l_value = rankin_selberg_self_l(params, Scalar.exact(Fraction(1, place.p)))
     return zeta_scalar(place, 2) / l_value * Scalar.numeric(total)

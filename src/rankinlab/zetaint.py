@@ -15,11 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
-from .exactalg import Poly2, PoleError, RationalFunction2, power_of_p
+from .exactalg import Poly2, RationalFunction2, nonzero_factor, power_of_p
 from .localdata import PlaceData, Shift, zeta_local, zeta_scalar
 from .scalars import SC_ONE, Scalar, ScalarLike
-from .whittaker import SatakeParams, satake_sum, whittaker_value
+from .whittaker import SatakeParams, hecke_stream, l_factor_product, satake_sum
 
 KINDS = ("i", "ii", "iii", "iv")
 
@@ -173,7 +174,7 @@ def whittaker_square_sum(pi0: SatakeParams, place: PlaceData, a: int, b: int,
     """sum_{n>=0} |W|**2(pi**n) * |pi**n|**(a z + b w) as an exact rational function.
 
     Writes the sum as sum A_n x**n with A_n = S(n+1)**2 and x = p**(-1) T1**a T2**b,
-    adds ``cutoff`` explicit terms from whittaker_value, and resums the tail in
+    adds ``cutoff`` explicit terms from satake_sum, and resums the tail in
     closed form through the three-term recursion of A_n (characteristic roots
     alpha1**2, alpha1*alpha2, alpha2**2).
     """
@@ -182,8 +183,8 @@ def whittaker_square_sum(pi0: SatakeParams, place: PlaceData, a: int, b: int,
     x = RationalFunction2.monomial(a, b, Fraction(1, p), p)
     a_seq: list[Scalar] = []
     for n in range(cutoff):
-        w_n = whittaker_value(pi0, place, n) * power_of_p(p, Fraction(n, 2))
-        a_seq.append(w_n * w_n)
+        s_n = satake_sum(pi0, n + 1)
+        a_seq.append(s_n * s_n)
     partial = RationalFunction2.const(0, p)
     xpow = RationalFunction2.const(1, p)
     xpows = []
@@ -281,47 +282,18 @@ def rs_local_value(pi: SatakeParams, pi0: SatakeParams, place: PlaceData) -> Sca
     """(1 - p**(-1) a1 a2 b1 b2) / prod_{i,j}(1 - p**(-1/2) a_i b_j)
     for parameter families a (of the varying contragredient) and b (fixed)."""
     p = place.p
-    sqrt_inv = power_of_p(p, Fraction(1, 2), -1)
     num = SC_ONE - (pi.alpha1 * pi.alpha2 * pi0.alpha1 * pi0.alpha2) * Fraction(1, p)
-    value = num
-    for ai in (pi.alpha1, pi.alpha2):
-        for bj in (pi0.alpha1, pi0.alpha2):
-            factor = SC_ONE - ai * bj * sqrt_inv
-            if factor.is_exact and factor.is_zero():
-                raise PoleError("Rankin-Selberg local factor pole")
-            if not factor.is_exact and abs(factor.to_complex()) < 1e-13:
-                raise PoleError("Rankin-Selberg local factor pole")
-            value = value / factor
-    return value
+    return num * l_factor_product(pi, pi0, power_of_p(p, Fraction(1, 2), -1))
 
 
 def rs_local_oracle(pi: SatakeParams, pi0: SatakeParams, place: PlaceData,
                     terms: int = 10_000) -> Scalar:
     """Truncated sum over n of p**(-n/2) S_pi(n+1) S_pi0(n+1)."""
-    p = place.p
-    x = complex(p) ** -0.5
-    total = 0j
-    xn = 1 + 0j
-    a1, a2 = pi.alpha1.to_complex(), pi.alpha2.to_complex()
-    b1, b2 = pi0.alpha1.to_complex(), pi0.alpha2.to_complex()
-    ua_prev, ua = 0j, 1 + 0j
-    ub_prev, ub = 0j, 1 + 0j
-    for _ in range(terms):
-        total += ua * ub * xn
-        ua_prev, ua = ua, (a1 + a2) * ua - a1 * a2 * ua_prev
-        ub_prev, ub = ub, (b1 + b2) * ub - b1 * b2 * ub_prev
-        xn *= x
-    return Scalar.numeric(total)
+    stream = islice(zip(hecke_stream(pi, place.p ** -0.5), hecke_stream(pi0)), terms)
+    return Scalar.numeric(sum((ua * ub for ua, ub in stream), 0j))
 
 
 # -- the regularised-term local integral ---------------------------------------
-
-def _p_pow(p: int, expo: Scalar) -> Scalar:
-    """p**expo, exact for rational expo with denominator dividing 2."""
-    if expo.is_rational():
-        return power_of_p(p, expo.as_fraction())
-    return Scalar.numeric(complex(p) ** expo.to_complex())
-
 
 def _delta_weighted_s(pi: SatakeParams, k: int, m: int) -> Scalar:
     """delta**k * S(m) where delta = alpha1*alpha2, valid for m possibly negative.
@@ -345,22 +317,15 @@ def reg_local_closed(pi: SatakeParams, place: PlaceData, z: ScalarLike) -> Scala
     """
     z = Scalar.wrap(z)
     p, r = place.p, place.r
-    beta = _p_pow(p, z - Scalar.exact(Fraction(1, 2)))
-    gamma = _p_pow(p, -z - Scalar.exact(Fraction(1, 2)))
+    beta, gamma = power_of_p(p, z - Fraction(1, 2)), power_of_p(p, -z - Fraction(1, 2))
     a1, a2 = pi.alpha1, pi.alpha2
     for ai in (a1, a2):
-        factor = SC_ONE - ai * gamma
-        if (factor.is_exact and factor.is_zero()) or (
-                not factor.is_exact and abs(factor.to_complex()) < 1e-13):
-            raise PoleError("regularised local integral pole")
+        nonzero_factor(SC_ONE - ai * gamma, "regularised local integral")
     pref = power_of_p(p, Fraction(r, 2), -1)
-    diff = a1 - a2
-    degenerate = (diff.is_zero() if diff.is_exact
-                  else abs(diff.to_complex()) <= 1e-12 * max(1.0, abs(a1.to_complex())))
-    if not degenerate:
+    if not pi.confluent():
         f1 = (beta - a1) * a1 ** r / (SC_ONE - gamma * a1) ** 2
         f2 = (beta - a2) * a2 ** r / (SC_ONE - gamma * a2) ** 2
-        return -pref * (f1 - f2) / diff
+        return -pref * (f1 - f2) / (a1 - a2)
     # confluent case: derivative of f(a) = (beta-a) a**r (1-gamma*a)**(-2)
     a = a1
     inv2 = (SC_ONE - gamma * a) ** (-2)
@@ -381,14 +346,10 @@ def reg_local_closed_s_form(pi: SatakeParams, place: PlaceData, z: ScalarLike) -
     """
     z = Scalar.wrap(z)
     p, r = place.p, place.r
-    beta = _p_pow(p, z - Scalar.exact(Fraction(1, 2)))
-    gamma = _p_pow(p, -z - Scalar.exact(Fraction(1, 2)))
+    beta, gamma = power_of_p(p, z - Fraction(1, 2)), power_of_p(p, -z - Fraction(1, 2))
     l_sq = SC_ONE
     for ai in (pi.alpha1, pi.alpha2):
-        factor = SC_ONE - ai * gamma
-        if (factor.is_exact and factor.is_zero()) or (
-                not factor.is_exact and abs(factor.to_complex()) < 1e-13):
-            raise PoleError("regularised local integral pole")
+        factor = nonzero_factor(SC_ONE - ai * gamma, "regularised local integral")
         l_sq = l_sq / (factor * factor)
     bracket = (_delta_weighted_s(pi, 0, r + 1)
                - beta * _delta_weighted_s(pi, 0, r)
@@ -405,17 +366,8 @@ def reg_local_oracle(pi: SatakeParams, place: PlaceData, z: ScalarLike,
     + sum_n p**(-n z) (-1/p + (n+1)(1-1/p)) W(pi**(n+r)); plain complex sums."""
     z = Scalar.wrap(z).to_complex()
     p, r = place.p, place.r
-    a1, a2 = pi.alpha1.to_complex(), pi.alpha2.to_complex()
-    sqrt_p_inv = p ** -0.5
-
-    # W(pi**m) = p**(-m/2) S(m+1) via the Hecke recursion
-    # W(m+1) = p**(-1/2)(a1+a2) W(m) - p**(-1) a1 a2 W(m-1); keeping the decay
-    # folded in avoids overflow for non-tempered parameters
-    w_vals = [0j] * (terms + r + 1)
-    w_prev, w_cur = 0j, 1 + 0j
-    for m in range(terms + r + 1):
-        w_vals[m] = w_cur
-        w_prev, w_cur = w_cur, sqrt_p_inv * (a1 + a2) * w_cur - (a1 * a2 / p) * w_prev
+    # W(pi**m) = p**(-m/2) S(m+1), decay folded into the Hecke recursion
+    w_vals = list(islice(hecke_stream(pi, p ** -0.5), terms + r + 1))
     total = -(1.0 / p) * complex(p) ** z * (w_vals[r - 1] if r >= 1 else 0j)
     unit = 1.0 - 1.0 / p
     pz_step = complex(p) ** (-z)
@@ -428,9 +380,8 @@ def reg_local_oracle(pi: SatakeParams, place: PlaceData, z: ScalarLike,
 
 def reg_local_bound(pi: SatakeParams, place: PlaceData, z: ScalarLike) -> float:
     """|p**(-r/2) L**2(1/2+z)| (r+1) max(|alpha_i|**r), the comparison envelope."""
-    z = Scalar.wrap(z)
     p, r = place.p, place.r
-    gamma = _p_pow(p, -z - Scalar.exact(Fraction(1, 2))).to_complex()
+    gamma = power_of_p(p, -Scalar.wrap(z) - Fraction(1, 2)).to_complex()
     a1, a2 = pi.alpha1.to_complex(), pi.alpha2.to_complex()
     l_sq = 1.0 / abs((1 - a1 * gamma) * (1 - a2 * gamma)) ** 2
     return p ** (-r / 2) * l_sq * (r + 1) * max(abs(a1), abs(a2)) ** r

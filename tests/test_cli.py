@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from rankinlab import cli
 from rankinlab.cli import canonical_json, main
 
 
@@ -49,6 +50,29 @@ def test_psi_bad_satake_is_usage_error():
 def test_psi_zero_denominator_is_usage_error(capsys):
     assert main(["psi", "--kind", "i", "--p", "2", "--r", "1", "--at", "1/0,0"]) == 2
     assert "zero denominator" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("pi0, mode", [("0.6+0.8j,0.6-0.8j", "numeric"),
+                                        ("3/5,5/3", "exact")])
+def test_psi_pole_on_both_sides_matches(capsys, pi0, mode):
+    code = main(["psi", "--p", "2", "--r", "1", "--at", "1/2,1/2", "--pi0", pi0])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0 and report["mode"] == mode
+    for kind in ("ii", "iii", "iv"):
+        assert report[f"kind_{kind}"] == {"closed_at": "pole", "oracle_at": "pole",
+                                          "verdict": "MATCH"}
+
+
+def test_psi_pole_on_one_side_mismatches(capsys, monkeypatch):
+    # an oracle without the pole of the closed form at (1/2, 1/2)
+    monkeypatch.setattr(cli, "psi_oracle",
+                        lambda kind, place, pi0, cutoff: cli.psi_closed("i", place, pi0))
+    code = main(["psi", "--kind", "ii", "--p", "2", "--r", "1", "--at", "1/2,1/2",
+                 "--pi0", "0.6+0.8j,0.6-0.8j"])
+    entry = json.loads(capsys.readouterr().out)["kind_ii"]
+    assert code == 1
+    assert entry["closed_at"] == "pole" and entry["oracle_at"] != "pole"
+    assert entry["verdict"] == "MISMATCH"
 
 
 def test_json_reports_round_trip(capsys):

@@ -147,3 +147,11 @@ def test_taylor_report_violation_flag():
     rep = taylor_bound_report(h, 1, 2)
     assert rep.violates(1.0)
     assert not rep.violates(6.5)
+
+
+def test_limit_correction_is_correction_term():
+    # degenerate_limit reuses its own G(-z,-w) and h4 for the correction
+    data = model_data()
+    rep = degenerate_limit(data, Q23, log_map=LOG_SURROGATES)
+    assert rep.correction.is_exact
+    assert rep.correction == correction_term(data, Q23, log_map=LOG_SURROGATES)

@@ -312,3 +312,48 @@ def test_flip_is_an_involution(s, flips):
 @given(_exact_series(), _exact_series(), _FLIPS)
 def test_flip_commutes_with_product(a, b, flips):
     assert _same_series((a * b).flip(*flips), a.flip(*flips) * b.flip(*flips))
+
+
+# -- pole structure: split_singular and normalized ---------------------------------
+
+_DIVISOR_SERIES = tuple(
+    LaurentSeries2.from_coeffs({m: Scalar.exact(c) for m, c in coeffs.items()})
+    for coeffs in ({(1, 0): 1}, {(0, 1): 1}, {(1, 0): 1, (0, 1): 1}, {(1, 0): 1, (0, 1): -1}))
+
+# each division by a divisor costs one degree of depth, so a split needs at
+# least as much depth as the total pole order (less is a ValueError by design)
+_splittable = _exact_series().filter(lambda s: sum(s.poles) <= s.depth)
+
+
+@st.composite
+def _removable_or_not(draw):
+    """A splittable exact series; half the time its numerator is a multiple of
+    every divisor it is divided by, so the origin is removable (with a nonzero
+    value there)."""
+    s = draw(_splittable)
+    if draw(st.booleans()):
+        num = {**s.num, (0, 0): LambdaPoly({0: draw(_exact)})}
+        cleared = LaurentSeries2(num, (0, 0, 0, 0), s.depth)
+        for divisor, e in zip(_DIVISOR_SERIES, s.poles):
+            for _ in range(e):
+                cleared = cleared * divisor
+        s = LaurentSeries2(cleared.num, s.poles, cleared.depth)
+    return s
+
+
+@settings(max_examples=200, deadline=None)
+@given(_splittable)
+def test_split_singular_parts_add_back(s):
+    regular, singular, _ = s.split_singular()
+    assert ((regular + singular) - s).is_zero()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_removable_or_not())
+def test_normalized_keeps_constant_term(s):
+    normal = s.normalized()
+    assert sum(normal.poles) <= sum(s.poles)
+    if not s.singular_part().is_zero():
+        assert not normal.singular_part().is_zero()
+        return
+    assert normal.constant_term() == s.constant_term()

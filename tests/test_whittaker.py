@@ -7,9 +7,9 @@ import pytest
 from rankinlab.exactalg import power_of_p
 from rankinlab.localdata import PlaceData
 from rankinlab.scalars import Scalar
-from rankinlab.whittaker import (SatakeParams, satake_sum, weighted_integral_closed,
-                                 weighted_integral_oracle, whittaker_norm_sq,
-                                 whittaker_norm_sq_oracle, whittaker_value)
+from rankinlab.whittaker import (SatakeParams, hecke_stream, satake_sum,
+                                 weighted_integral_closed, weighted_integral_oracle,
+                                 whittaker_norm_sq, whittaker_norm_sq_oracle, whittaker_value)
 
 
 def unitary(a) -> SatakeParams:
@@ -52,6 +52,20 @@ def test_hecke_recursion_exact():
             rhs = half * t * whittaker_value(pi, place, n) \
                 - pinv * delta * whittaker_value(pi, place, n - 1)
             assert lhs == rhs
+
+
+@pytest.mark.parametrize("params, p", [
+    (SatakeParams.unramified_unitary(Scalar.exact(Fraction(3, 2))), 5),
+    (SatakeParams.unramified_unitary(Scalar.exact(Fraction(3, 2))), 2),
+    (SatakeParams.make_ramified(Scalar.exact(Fraction(-1, 2))), 3),
+    (SatakeParams.unramified_unitary(Scalar.exact(1), Scalar.exact(1)), 2),
+], ids=["unramified", "unramified-growing", "ramified", "confluent"])
+def test_hecke_stream_is_whittaker_value(params, p):
+    place = PlaceData(p, 1)
+    stream = hecke_stream(params, p ** -0.5)
+    for n in range(40):
+        want = whittaker_value(params, place, n).to_complex()
+        assert abs(next(stream) - want) <= 1e-12 * max(1.0, abs(want)), n
 
 
 def test_negative_index_satake_continuation():
