@@ -12,10 +12,11 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from fractions import Fraction
 
-from .degenerate import GlobalZetaData, build_h, correction_report, degenerate_limit
+from .degenerate import GlobalZetaData, degenerate_limit
 from .exactalg import PoleError, rf_equal
 from .laurent import ls_from_rational
 from .localdata import IdealFactorization, PlaceData
@@ -29,7 +30,19 @@ VERIFY_ERROR = 1
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    """Standard JSON: non-finite floats are written as "nan", "inf", "-inf"."""
+    return json.dumps(_finite(obj), sort_keys=True, separators=(",", ":"),
+                      allow_nan=False) + "\n"
+
+
+def _finite(obj):
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return repr(obj)
+    if isinstance(obj, dict):
+        return {key: _finite(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(value) for value in obj]
+    return obj
 
 
 def emit(report: dict, fmt: str, out=None) -> None:
@@ -144,15 +157,15 @@ def cmd_degenerate(args) -> int:
     data = GlobalZetaData.from_document(args.data)
     q = IdealFactorization.parse(args.q)
     rep = degenerate_limit(data, q, depth=args.depth)
-    corr = correction_report(data, q, depth=args.depth)
+    corr = rep.correction_detail
     report = {
         "command": "degenerate", "data": str(args.data), "depth": args.depth,
         **rep.as_dict(),
         "correction_sum_factor": format_scalar(corr.sum_factor),
         "correction_implied_c_cubed": (format_scalar(corr.implied_c_cubed)
                                        if corr.implied_c_cubed is not None else None),
-        "h_origin_values": {f"h{which}": format_scalar(build_h(which, q, args.depth).coeff(0, 0))
-                            for which in (1, 2, 3, 4)},
+        "h_origin_values": {f"h{which}": format_scalar(value)
+                            for which, value in enumerate(rep.h_origin, 1)},
     }
     emit(report, args.format)
     return 0 if rep.c3_residual <= args.tolerance else VERIFY_ERROR

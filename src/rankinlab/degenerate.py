@@ -339,6 +339,10 @@ def _correction(data: GlobalZetaData, q: IdealFactorization, g_mm: LaurentSeries
 
 @dataclass(frozen=True)
 class DegenerateReport:
+    """The limit and the pieces it was built from.  ``correction_detail`` and
+    ``h_origin`` (h1..h4 at the origin) stay out of :meth:`as_dict`; the CLI
+    reads them instead of rebuilding G and h."""
+
     q: IdealFactorization
     coefficients: CubicPolynomial
     formula_c3: Scalar
@@ -346,6 +350,8 @@ class DegenerateReport:
     singular_residual: float
     lambda_excess: float
     correction: Scalar
+    correction_detail: CorrectionReport
+    h_origin: tuple[Scalar, Scalar, Scalar, Scalar]
 
     def as_dict(self) -> dict:
         from .scalars import format_scalar
@@ -389,8 +395,8 @@ def degenerate_limit(data: GlobalZetaData, q: IdealFactorization,
             f"(max coefficient {singular_mag:.3e}); this signals an implementation bug"
         )
     const = regular.num.get((0, 0), LambdaPoly())
-    correction = _correction(data, q, g.flip(True, True), hs[3], tol, log_map).value
-    const = const - LambdaPoly.const(correction)
+    corr = _correction(data, q, g.flip(True, True), hs[3], tol, log_map)
+    const = const - LambdaPoly.const(corr.value)
     # degree > 3 must die by itself; record how close to zero it is
     lambda_excess = max((v.to_complex().__abs__() for k, v in const.c.items() if k > 3),
                         default=0.0)
@@ -405,4 +411,5 @@ def degenerate_limit(data: GlobalZetaData, q: IdealFactorization,
                   * data.adjoint_l_value / (Scalar.exact(3) * data.xi_at_2))
     c3_res = abs(cubic.c3.to_complex() - formula_c3.to_complex())
     return DegenerateReport(q, cubic, formula_c3, c3_res, singular_mag,
-                            lambda_excess, correction)
+                            lambda_excess, corr.value, corr,
+                            tuple(h.coeff(0, 0) for h in hs))

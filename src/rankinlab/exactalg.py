@@ -8,6 +8,22 @@ factors.  A fully reduced ``num/den`` pair (common factors removed by exact
 bivariate gcd, content-normalised) is available through
 :meth:`RationalFunction2.canonical`.
 
+Polynomial products run in one coefficient ring chosen per product, the rule
+:mod:`rankinlab.laurent` uses for series numerators:
+
+* every coefficient of both operands a plain rational: Python integers over
+  each operand's common denominator (FLINT's ``fmpq_poly`` layout), reduced
+  once per output term;
+* otherwise (root-extension, numeric or mixed data) :class:`Scalar`.
+
+Both loops visit the term pairs in the same order and drop a monomial whose
+running sum reaches zero, so it re-enters at the end; the key order of a
+product, and with it the float summation order of a later numeric
+:meth:`Poly2.eval`, does not depend on the ring.  Sums and scalings of plain
+rationals build their :class:`Scalar` results straight from ``Fraction``
+arithmetic.  Coefficient dictionaries stay ``dict[Monomial, Scalar]`` between
+operations.
+
 Everything is immutable in practice: operations return new objects and no
 function mutates its arguments, so values can be shared freely across
 threads.
@@ -15,10 +31,23 @@ threads.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from .scalars import SC_ONE, SC_ZERO, Scalar, ScalarLike
+from typing import Iterable
+
+from .scalars import SC_ONE, SC_ZERO, Scalar, ScalarLike, rational
 
 Monomial = tuple[int, int]
+
+
+def all_rational(values: Iterable[Scalar]) -> bool:
+    """True when every value is a plain rational (no root part, not numeric)."""
+    return all(v.z is None and not v.b for v in values)
+
+
+def common_denominator(values: Iterable[Scalar]) -> int:
+    """Least common multiple of the denominators of plain-rational values."""
+    return math.lcm(*[v.a.denominator for v in values])
 
 
 class PoleError(ZeroDivisionError):
@@ -79,12 +108,18 @@ class Poly2:
         return hash(self.key())
 
     def key(self) -> tuple:
-        """Hashable canonical form for factor bookkeeping."""
+        """Hashable canonical form for factor bookkeeping: per monomial, in
+        sorted order, ``(m, a.num, a.den, b.num, b.den, base or 0)`` for an
+        exact coefficient ``a + b*sqrt(base)`` (squarefree integer base) and
+        ``(m, z)`` for a numeric one.  Integers only, so hashing is cheap and
+        does not depend on object addresses."""
         items = []
         for m in sorted(self.c):
             s = self.c[m]
-            if s.is_exact:
-                items.append((m, (s.a, s.b, s.base)))
+            if s.z is None:
+                a, b = s.a, s.b
+                items.append((m, a.numerator, a.denominator, b.numerator, b.denominator,
+                              s.base.numerator if b else 0))
             else:
                 items.append((m, s.z))
         return tuple(items)
@@ -95,7 +130,12 @@ class Poly2:
         out = dict(self.c)
         for m, v in other.c.items():
             cur = out.get(m)
-            s = v if cur is None else cur + v
+            if cur is None:
+                s = v
+            elif cur.z is None and v.z is None and not cur.b and not v.b:
+                s = rational(cur.a + v.a)
+            else:
+                s = cur + v
             if s.is_zero():
                 out.pop(m, None)
             else:
@@ -109,8 +149,11 @@ class Poly2:
         return self + (-other)
 
     def __mul__(self, other: "Poly2") -> "Poly2":
+        """Product in the coefficient ring the module docstring describes."""
         if not self.c or not other.c:
             return Poly2()
+        if all_rational(self.c.values()) and all_rational(other.c.values()):
+            return self._rational_mul(other)
         out: dict[Monomial, Scalar] = {}
         for (i1, j1), v1 in self.c.items():
             for (i2, j2), v2 in other.c.items():
@@ -124,10 +167,34 @@ class Poly2:
                     out[m] = s
         return Poly2(out)
 
+    def _rational_mul(self, other: "Poly2") -> "Poly2":
+        """Product of two plain-rational polynomials: integer numerators over
+        each operand's common denominator, the pair order and pop-on-zero of
+        the Scalar loop, one Fraction per output term."""
+        da, db = common_denominator(self.c.values()), common_denominator(other.c.values())
+        xb = [(i, j, v.a.numerator * (db // v.a.denominator)) for (i, j), v in other.c.items()]
+        acc: dict[Monomial, int] = {}
+        get, pop = acc.get, acc.pop
+        for (i1, j1), v1 in self.c.items():
+            n1 = v1.a.numerator * (da // v1.a.denominator)
+            for i2, j2, n2 in xb:
+                m = (i1 + i2, j1 + j2)
+                s = get(m, 0) + n1 * n2
+                if s:
+                    acc[m] = s
+                else:
+                    pop(m, None)
+        den = da * db
+        return Poly2({m: rational(Fraction(n, den)) for m, n in acc.items()})
+
     def scale(self, factor: ScalarLike) -> "Poly2":
         f = Scalar.wrap(factor)
         if f.is_zero():
             return Poly2()
+        if f.is_rational():
+            fa = f.a
+            return Poly2({m: rational(v.a * fa) if v.z is None and not v.b else v * f
+                          for m, v in self.c.items()})
         return Poly2({m: v * f for m, v in self.c.items()})
 
     def shift(self, di: int, dj: int) -> "Poly2":
@@ -153,10 +220,25 @@ class Poly2:
         return result
 
     def eval(self, t1: Scalar, t2: Scalar) -> Scalar:
+        """Sum of ``v * t1**i * t2**j`` in key order, each power computed once."""
+        pow1: dict[int, Scalar] = {}
+        pow2: dict[int, Scalar] = {}
         total = SC_ZERO
         for (i, j), v in self.c.items():
-            total = total + v * t1 ** i * t2 ** j
+            x1 = pow1.get(i)
+            if x1 is None:
+                x1 = pow1[i] = t1 ** i
+            x2 = pow2.get(j)
+            if x2 is None:
+                x2 = pow2[j] = t2 ** j
+            total = total + v * x1 * x2
         return total
+
+    def magnitude(self, t1: Scalar, t2: Scalar) -> float:
+        """Sum of ``|v * t1**i * t2**j|`` over the terms: the size against which
+        a numeric value of the polynomial counts as zero."""
+        a1, a2 = abs(t1.to_complex()), abs(t2.to_complex())
+        return sum(abs(v.to_complex()) * a1 ** i * a2 ** j for (i, j), v in self.c.items())
 
     def to_numeric(self) -> "Poly2":
         return Poly2({m: Scalar.numeric(v.to_complex()) for m, v in self.c.items()})
@@ -545,7 +627,9 @@ class RationalFunction2:
 
     def eval_t(self, t1: ScalarLike, t2: ScalarLike, tol: float = 1e-12) -> Scalar:
         """Evaluate at given T-values.  Exact factor zeros are cancelled against
-        the numerator when removable; otherwise :class:`PoleError`."""
+        the numerator when removable; otherwise :class:`PoleError`.  A numeric
+        factor value is a pole when it is at most ``tol`` times the factor's
+        own :meth:`Poly2.magnitude` there; the scale never is."""
         t1, t2 = Scalar.wrap(t1), Scalar.wrap(t2)
         num = self.num
         den_val = self.scale
@@ -557,14 +641,11 @@ class RationalFunction2:
                     if q is None:
                         raise PoleError("evaluation at a non-removable pole")
                     num = q
-            else:
-                den_val = den_val * val ** exp
-        num_val = num.eval(t1, t2)
-        if not den_val.is_exact:
-            scale = max(1.0, abs(num_val.to_complex()))
-            if abs(den_val.to_complex()) <= tol * scale:
-                raise PoleError("denominator vanishes within tolerance")
-        return num_val / den_val
+                continue
+            if not val.is_exact and abs(val.to_complex()) <= tol * poly.magnitude(t1, t2):
+                raise PoleError("denominator factor vanishes within tolerance")
+            den_val = den_val * val ** exp
+        return num.eval(t1, t2) / den_val
 
     def eval_zw(self, z: ScalarLike, w: ScalarLike, tol: float = 1e-12) -> Scalar:
         """Evaluate after substituting T1 = p**(-z), T2 = p**(-w)."""

@@ -36,15 +36,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .exactalg import Poly2, RationalFunction2
-from .scalars import SC_ZERO, Scalar, ScalarLike
+from .exactalg import Poly2, RationalFunction2, all_rational, common_denominator
+from .scalars import SC_ZERO, Scalar, ScalarLike, rational
 
 EXACT_DEPTH = 10 ** 9  # sentinel depth for untruncated numerators
 DEFAULT_DEPTH = 8
 
 DIVISORS = ("z", "w", "zw_plus", "zw_minus")
-
-_FRACTION_ZERO = Fraction(0)
 
 
 class LambdaPoly:
@@ -170,28 +168,22 @@ def _terms(num: SeriesNum) -> list[Term]:
     return [(i, j, k, v) for (i, j), lp in num.items() for k, v in lp.c.items()]
 
 
-def _common_denominator(terms: list[Term]) -> int:
-    den = 1
-    for *_, v in terms:
-        den = math.lcm(den, v.a.denominator)
-    return den
-
-
 def _num_mul(a: SeriesNum, b: SeriesNum, depth: int) -> SeriesNum:
     """Product of two numerators up to total degree depth, in the coefficient
     ring the module docstring describes."""
     if not a or not b:
         return {}
     ta, tb = _terms(a), _terms(b)
-    if all(v.is_rational() for *_, v in ta) and all(v.is_rational() for *_, v in tb):
-        da, db = _common_denominator(ta), _common_denominator(tb)
+    if all_rational(v for *_, v in ta) and all_rational(v for *_, v in tb):
+        da = common_denominator(v for *_, v in ta)
+        db = common_denominator(v for *_, v in tb)
         xa = [(i, j, k, v.a.numerator * (da // v.a.denominator)) for i, j, k, v in ta]
         xb = [(i, j, k, v.a.numerator * (db // v.a.denominator)) for i, j, k, v in tb]
         den = da * db
         zero, nonzero = 0, bool
 
         def to_scalar(n: int) -> Scalar:
-            return Scalar(Fraction(n, den), _FRACTION_ZERO, None, None)
+            return rational(Fraction(n, den))
     elif all(not v.is_exact for *_, v in ta) or all(not v.is_exact for *_, v in tb):
         xa = [(i, j, k, v.to_complex()) for i, j, k, v in ta]
         xb = [(i, j, k, v.to_complex()) for i, j, k, v in tb]

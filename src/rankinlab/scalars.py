@@ -266,6 +266,12 @@ class Scalar:
         return format_scalar(self)
 
 
+def rational(q: Fraction) -> Scalar:
+    """The exact Scalar ``q`` for a Fraction ``q``, without converting it again
+    as :meth:`Scalar.exact` does; the fast path of the integer kernels."""
+    return Scalar(q, _ZERO, None, None)
+
+
 def format_scalar(s: Scalar) -> str:
     """Serialise a scalar: exact values as ``num/den`` (with an explicit
     ``num/den*sqrt(m)`` part in the root extension), numeric values as

@@ -1,9 +1,12 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from rankinlab import cli
+from rankinlab import cli, degenerate
 from rankinlab.cli import canonical_json, main
+
+GOLDEN_PSI = Path(__file__).parent / "data" / "psi_golden.jsonl"
 
 
 @pytest.fixture()
@@ -166,3 +169,61 @@ def test_complex_satake_input(capsys):
     assert code == 0
     report = json.loads(capsys.readouterr().out)
     assert report["kind_i"]["verdict"] == "MATCH"
+
+
+def test_psi_reports_match_golden(capsys):
+    # exact-mode reports recorded before the integer product kernel; each line
+    # holds the arguments that produced it
+    lines = GOLDEN_PSI.read_text().splitlines(keepends=True)
+    assert len(lines) == 48
+    differ = []
+    for line in lines:
+        report = json.loads(line)
+        argv = ["psi", "--p", str(report["p"]), "--r", str(report["r"]),
+                "--pi0", report["pi0"], "--at", report["at"]]
+        code = main(argv)
+        if code != 0 or capsys.readouterr().out != line:
+            differ.append(" ".join(argv))
+    assert differ == []
+
+
+@pytest.mark.parametrize("p, r", [(5, 3), (9, 1)])
+def test_psi_small_denominator_product_is_not_a_pole(capsys, p, r):
+    # at this point every denominator factor is at least 3% of the sum of its
+    # terms' moduli, but on one side the product of the factors with their
+    # multiplicities is below 1e-12 (9.6e-15 for p=5, 7.4e-13 for p=9)
+    code = main(["psi", "--kind", "iv", "--p", str(p), "--r", str(r), "--pi0", "1,1",
+                 "--at", "1/3,1/4"])
+    entry = json.loads(capsys.readouterr().out)["kind_iv"]
+    assert code == 0
+    closed, oracle = complex(entry["closed_at"]), complex(entry["oracle_at"])
+    assert abs(closed - oracle) <= 1e-9 * abs(oracle)
+
+
+def test_canonical_json_is_standard_json():
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    report = {"worst": float("nan"), "bounds": [float("inf"), -float("inf"), 0.5],
+              "nested": {"ratio": (1, float("nan"))}}
+    text = canonical_json(report)
+    assert json.loads(text, parse_constant=reject) == {
+        "worst": "nan", "bounds": ["inf", "-inf", 0.5], "nested": {"ratio": [1, "nan"]}}
+
+
+def test_degenerate_builds_G_once_and_each_h_once(capsys, model_doc, monkeypatch):
+    calls = {"G": 0, "h": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(degenerate, "build_G", counted("G", degenerate.build_G))
+    monkeypatch.setattr(degenerate, "build_h", counted("h", degenerate.build_h))
+    assert main(["degenerate", "--q", "2^1*3^1", "--data", model_doc]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert calls == {"G": 1, "h": 4}
+    assert set(report["h_origin_values"]) == {"h1", "h2", "h3", "h4"}
+    assert "correction_sum_factor" in report

@@ -128,8 +128,7 @@ def test_rf_eval_homomorphism_on_rational_functions():
 
 
 def test_sum_keeps_denominator_factor_order():
-    # factor keys hold None (hashed by address), so a set union would order
-    # them differently from one process to the next
+    # a set union of factor keys would order them by hash, not by first use
     f1, f2, f3 = (Poly2.const(1) - Poly2.monomial(i, j) for i, j in ((1, 0), (0, 1), (1, 1)))
     a = RationalFunction2.from_poly(Poly2.const(1), 2).with_factor(f2).with_factor(f1)
     b = RationalFunction2.from_poly(Poly2.const(3), 2).with_factor(f3).with_factor(f1)
@@ -137,3 +136,112 @@ def test_sum_keeps_denominator_factor_order():
     k3, _ = b.fac
     assert list((a + b).fac) == [k2, k1, k3]
     assert list((b + a).fac) == [k3, k1, k2]
+
+
+# -- the product kernel against the Scalar pair loop ---------------------------------
+
+def _pair_loop_mul(a: Poly2, b: Poly2) -> dict:
+    """The Scalar pair loop every product ran before the integer kernel."""
+    out = {}
+    for (i1, j1), v1 in a.c.items():
+        for (i2, j2), v2 in b.c.items():
+            m = (i1 + i2, j1 + j2)
+            prod = v1 * v2
+            cur = out.get(m)
+            s = prod if cur is None else cur + prod
+            if s.is_zero():
+                out.pop(m, None)
+            else:
+                out[m] = s
+    return out
+
+
+_exact_coeffs = rationals.filter(bool).map(Scalar.exact)
+_root_coeffs = st.builds(lambda a, b: Scalar.exact(a) + Scalar.root(3, b),
+                         rationals, rationals.filter(bool))
+_numeric_coeffs = st.builds(complex, st.floats(-2, 2), st.floats(-2, 2)).filter(bool).map(
+    Scalar.numeric)
+_COEFF_KINDS = {
+    "rational": (_exact_coeffs, _exact_coeffs),
+    "root": (st.one_of(_exact_coeffs, _root_coeffs), _exact_coeffs),
+    "numeric": (_numeric_coeffs, st.one_of(_exact_coeffs, _numeric_coeffs)),
+    "mixed": (st.one_of(_exact_coeffs, _numeric_coeffs), _exact_coeffs),
+}
+
+
+@st.composite
+def _polys_of(draw, coeffs):
+    """Up to ten terms of degree at most 2 in each variable, each +-1 times one
+    of at most two units, so running sums of a product often reach zero and a
+    cancelled monomial often comes back after others."""
+    units = draw(st.lists(coeffs, min_size=1, max_size=2))
+    return Poly2({(draw(st.integers(0, 2)), draw(st.integers(0, 2))):
+                  draw(st.sampled_from(units)) * draw(st.sampled_from((1, -1)))
+                  for _ in range(draw(st.integers(0, 10)))})
+
+
+@st.composite
+def _product_operands(draw):
+    kind = draw(st.sampled_from(sorted(_COEFF_KINDS)))
+    first, second = _COEFF_KINDS[kind]
+    a, b = draw(_polys_of(first)), draw(_polys_of(second))
+    return (b, a) if draw(st.booleans()) else (a, b)
+
+
+def _same_coeffs(got: dict, want: dict) -> bool:
+    if list(got) != list(want):  # key order fixes later float summation order
+        return False
+    for m, w in want.items():
+        g = got[m]
+        if g.is_exact != w.is_exact:
+            return False
+        if g.is_exact and not (g == w and g.is_rational() == w.is_rational()):
+            return False
+        if not g.is_exact and g.z != w.z:
+            return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(_product_operands())
+def test_poly_mul_matches_pair_loop(operands):
+    a, b = operands
+    assert _same_coeffs((a * b).c, _pair_loop_mul(a, b))
+
+
+def test_poly_mul_reinserts_a_cancelled_monomial_last():
+    # T1**2 cancels at the second pair that reaches it and re-enters after T1*T2
+    a = Poly2({(0, 0): Scalar.exact(1), (1, 0): Scalar.exact(1), (2, 0): Scalar.exact(1)})
+    b = Poly2({(0, 0): Scalar.exact(1), (1, 0): Scalar.exact(-1), (2, 0): Scalar.exact(1),
+               (0, 1): Scalar.exact(1)})
+    want = _pair_loop_mul(a, b)
+    keys = list(want)
+    assert keys.index((2, 0)) > keys.index((1, 1))
+    assert _same_coeffs((a * b).c, want)
+
+
+def _flat(obj):
+    if isinstance(obj, tuple):
+        for item in obj:
+            yield from _flat(item)
+    else:
+        yield obj
+
+
+@settings(max_examples=100, deadline=None)
+@given(_product_operands())
+def test_key_is_none_free_and_equal_for_equal_polys(operands):
+    a, b = operands
+    for poly in (a, b, a * b):
+        assert None not in _flat(poly.key())
+    if a.is_exact():
+        # the same polynomial built in reverse insertion order, coefficients rebuilt
+        again = Poly2({m: v + Scalar.exact(0) for m, v in reversed(list(a.c.items()))})
+        assert again == a and again.key() == a.key() and hash(again) == hash(a)
+
+
+def test_key_uses_canonical_root_base():
+    twice_root3 = Poly2({(1, 0): Scalar.root(12)})
+    assert twice_root3.key() == Poly2({(1, 0): Scalar.root(3, 2)}).key()
+    assert twice_root3.key() != Poly2({(1, 0): Scalar.exact(2)}).key()
+    assert Poly2({(1, 0): Scalar.root(3)}).key() != Poly2({(1, 0): Scalar.root(5)}).key()

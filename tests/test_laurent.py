@@ -357,3 +357,49 @@ def test_normalized_keeps_constant_term(s):
         assert not normal.singular_part().is_zero()
         return
     assert normal.constant_term() == s.constant_term()
+
+
+# -- ls_from_rational is a ring homomorphism --------------------------------------
+
+_LOG_SURROGATE = Scalar.exact(Fraction(7, 10))
+_small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def _poly_nonzero_at_origin(draw):
+    """A rational polynomial in T1, T2 that is nonzero at T1 = T2 = 1 (z = w = 0)."""
+    from rankinlab.exactalg import Poly2
+    coeffs = {(draw(st.integers(0, 2)), draw(st.integers(0, 2))): draw(_small_rationals)
+              for _ in range(draw(st.integers(1, 3)))}
+    poly = Poly2({m: Scalar.exact(c) for m, c in coeffs.items() if c})
+    if poly.eval(Scalar.exact(1), Scalar.exact(1)).is_zero():
+        poly = poly + Poly2.const(1)
+    return poly
+
+
+@st.composite
+def _exact_rfs(draw, p):
+    """num / prod(factor**e) with every factor nonzero at the origin."""
+    from rankinlab.exactalg import RationalFunction2
+    rf = RationalFunction2.from_poly(draw(_poly_nonzero_at_origin()), p)
+    for _ in range(draw(st.integers(0, 2))):
+        rf = rf.with_factor(draw(_poly_nonzero_at_origin()), draw(st.integers(1, 2)))
+    return rf
+
+
+@st.composite
+def _rf_pairs(draw):
+    p = draw(st.sampled_from((2, 3)))
+    return draw(_exact_rfs(p)), draw(_exact_rfs(p))
+
+
+def _ls(f):
+    return ls_from_rational(f, 8, log_p=_LOG_SURROGATE)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_rf_pairs())
+def test_ls_from_rational_is_a_ring_homomorphism(pair):
+    f, g = pair
+    assert _same_series(_ls(f * g), _ls(f) * _ls(g))
+    assert _same_series(_ls(f + g), _ls(f) + _ls(g))
