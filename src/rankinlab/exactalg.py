@@ -8,8 +8,9 @@ factors.  A fully reduced ``num/den`` pair (common factors removed by exact
 bivariate gcd, content-normalised) is available through
 :meth:`RationalFunction2.canonical`.
 
-Polynomial products run in one coefficient ring chosen per product, the rule
-:mod:`rankinlab.laurent` uses for series numerators:
+Polynomial products run in one coefficient ring chosen per product, as
+:mod:`rankinlab.laurent` series products do (which add a kernel for mixed
+exact and numeric data):
 
 * every coefficient of both operands a plain rational: Python integers over
   each operand's common denominator (FLINT's ``fmpq_poly`` layout), reduced
@@ -31,23 +32,12 @@ threads.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-from typing import Iterable
 
-from .scalars import SC_ONE, SC_ZERO, Scalar, ScalarLike, rational
+from .scalars import (SC_ONE, SC_ZERO, Scalar, ScalarLike, all_rational, common_denominator,
+                      rational)
 
 Monomial = tuple[int, int]
-
-
-def all_rational(values: Iterable[Scalar]) -> bool:
-    """True when every value is a plain rational (no root part, not numeric)."""
-    return all(v.z is None and not v.b for v in values)
-
-
-def common_denominator(values: Iterable[Scalar]) -> int:
-    """Least common multiple of the denominators of plain-rational values."""
-    return math.lcm(*[v.a.denominator for v in values])
 
 
 class PoleError(ZeroDivisionError):

@@ -14,17 +14,24 @@ certify singular behaviour: a value is pole-free iff every remainder in the
 chain vanishes (the divisors are coprime primes of the power-series ring).
 
 Numerator products run over flat ``(i, j, k, value)`` terms, ``k`` being the
-power of ``lam``, in one coefficient ring chosen per product from what the
-operands hold:
+power of ``lam``, in a kernel chosen per product from what the operands hold:
 
 * every coefficient a plain rational: Python integers over each operand's
   common denominator (FLINT's ``fmpq_poly`` layout); the result's denominator
   is the product of the two, reduced once per output term;
-* either operand entirely numeric: complex doubles, the other operand
-  converted through :meth:`Scalar.to_complex` as :class:`Scalar` would;
-* otherwise :class:`Scalar`.  Root-extension data needs the ``sqrt`` part,
-  and operands mixing exact and numeric coefficients need per-term types, so
-  that exact-by-exact terms stay exact.
+* no coefficient with a square-root part: one kernel over per-term values,
+  an exact term as its integer numerator over its operand's common
+  denominator, a numeric term as a complex double.  Exact-by-exact products
+  add as integers; a product with a numeric factor is complex, the exact
+  factor converted as :meth:`Scalar.to_complex` does; a sum turns complex at
+  its first numeric product, as :class:`Scalar` addition promotes it;
+* otherwise (root-extension data) :class:`Scalar`.
+
+The series inverse runs on the coefficients as plain Python numbers
+(``Fraction``, ``complex``, and :class:`Scalar` only for root-extension
+values).  Every kernel adds the same products in the same order as
+:class:`Scalar` arithmetic would, so exact values, exactness, key order and
+every float bit are the ones :class:`Scalar` gives.
 
 Series numerators stay ``dict[(i, j)] -> LambdaPoly`` between operations.
 """
@@ -36,8 +43,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .exactalg import Poly2, RationalFunction2, all_rational, common_denominator
-from .scalars import SC_ZERO, Scalar, ScalarLike, rational
+from .exactalg import Poly2, RationalFunction2
+from .scalars import (SC_ZERO, Scalar, ScalarLike, all_rational, common_denominator, rational,
+                      root_free)
 
 EXACT_DEPTH = 10 ** 9  # sentinel depth for untruncated numerators
 DEFAULT_DEPTH = 8
@@ -168,6 +176,21 @@ def _terms(num: SeriesNum) -> list[Term]:
     return [(i, j, k, v) for (i, j), lp in num.items() for k, v in lp.c.items()]
 
 
+def _lowered(terms: list[Term]) -> tuple[int, list[tuple[int, int, int, int | complex]]]:
+    """Root-free terms with each exact value as an integer numerator over the
+    common denominator of the exact values, each numeric value as its complex
+    double; returns (that denominator, the terms)."""
+    den = common_denominator(v for *_, v in terms if v.z is None)
+    return den, [(i, j, k, v.a.numerator * (den // v.a.denominator) if v.z is None else v.z)
+                 for i, j, k, v in terms]
+
+
+def _by_degree(terms: list) -> list:
+    """Terms led by their total degree and sorted, so the truncation can end
+    each inner product loop early."""
+    return sorted((i + j, i, j, k, v) for i, j, k, v in terms)
+
+
 def _num_mul(a: SeriesNum, b: SeriesNum, depth: int) -> SeriesNum:
     """Product of two numerators up to total degree depth, in the coefficient
     ring the module docstring describes."""
@@ -175,25 +198,20 @@ def _num_mul(a: SeriesNum, b: SeriesNum, depth: int) -> SeriesNum:
         return {}
     ta, tb = _terms(a), _terms(b)
     if all_rational(v for *_, v in ta) and all_rational(v for *_, v in tb):
-        da = common_denominator(v for *_, v in ta)
-        db = common_denominator(v for *_, v in tb)
-        xa = [(i, j, k, v.a.numerator * (da // v.a.denominator)) for i, j, k, v in ta]
-        xb = [(i, j, k, v.a.numerator * (db // v.a.denominator)) for i, j, k, v in tb]
+        da, xa = _lowered(ta)
+        db, xb = _lowered(tb)
         den = da * db
         zero, nonzero = 0, bool
 
         def to_scalar(n: int) -> Scalar:
             return rational(Fraction(n, den))
-    elif all(not v.is_exact for *_, v in ta) or all(not v.is_exact for *_, v in tb):
-        xa = [(i, j, k, v.to_complex()) for i, j, k, v in ta]
-        xb = [(i, j, k, v.to_complex()) for i, j, k, v in tb]
-        zero, nonzero, to_scalar = 0j, bool, Scalar.numeric
+    elif root_free(v for *_, v in ta) and root_free(v for *_, v in tb):
+        return _per_term_mul(ta, tb, depth)
     else:
         xa, xb = ta, tb
         zero, nonzero, to_scalar = SC_ZERO, lambda v: not v.is_zero(), None
-    # b's terms by total degree, so the truncation ends each inner loop early;
-    # each output term still receives its products in the order of a's terms
-    xb = sorted((i + j, i, j, k, v) for i, j, k, v in xb)
+    xb = _by_degree(xb)
+    # each output term receives its products in the order of a's terms
     acc: dict[tuple[int, int, int], object] = {}
     get = acc.get
     for i1, j1, k1, v1 in xa:
@@ -203,6 +221,46 @@ def _num_mul(a: SeriesNum, b: SeriesNum, depth: int) -> SeriesNum:
                 break
             key = (i1 + i2, j1 + j2, k1 + k2)
             acc[key] = get(key, zero) + v1 * v2
+    return _collect(acc, nonzero, to_scalar)
+
+
+def _per_term_mul(ta: list[Term], tb: list[Term], depth: int) -> SeriesNum:
+    """Product of root-free numerators, term by term as the module docstring
+    describes.  Python's integer true division rounds correctly, so an
+    unreduced ``n / den`` is the ``float`` of the reduced fraction that
+    :meth:`Scalar.to_complex` and :class:`Scalar` addition use."""
+    da, xa = _lowered(ta)
+    db, xb = _lowered(tb)
+    den = da * db
+    # (..., integer numerator or None, complex value)
+    ya = [(i, j, k, x, complex(x / da)) if x.__class__ is int else (i, j, k, None, x)
+          for i, j, k, x in xa]
+    yb = [(d, i, j, k, x, complex(x / db)) if x.__class__ is int else (d, i, j, k, None, x)
+          for d, i, j, k, x in _by_degree(xb)]
+    acc: dict[tuple[int, int, int], int | complex] = {}
+    get = acc.get
+    for i1, j1, k1, n1, c1 in ya:
+        room = depth - i1 - j1
+        for d2, i2, j2, k2, n2, c2 in yb:
+            if d2 > room:
+                break
+            key = (i1 + i2, j1 + j2, k1 + k2)
+            if n1 is None or n2 is None:
+                s = get(key, 0j)
+                acc[key] = (s if s.__class__ is complex else complex(s / den)) + c1 * c2
+            else:
+                s = get(key, 0)
+                acc[key] = (s + n1 * n2 if s.__class__ is int
+                            else s + complex(n1 * n2 / den))
+
+    def to_scalar(v: int | complex) -> Scalar:
+        return rational(Fraction(v, den)) if v.__class__ is int else Scalar.numeric(v)
+    return _collect(acc, bool, to_scalar)
+
+
+def _collect(acc: dict[tuple[int, int, int], object], nonzero, to_scalar) -> SeriesNum:
+    """Series numerator from (i, j, k) sums in the order the keys first
+    appeared, dropping sums that vanished."""
     out: dict[tuple[int, int], dict[int, Scalar]] = {}
     for (i, j, k), v in acc.items():
         if nonzero(v):
@@ -507,27 +565,71 @@ def ls_inverse_regular(a: LaurentSeries2) -> LaurentSeries2:
 # -- expansion of rational functions -----------------------------------------
 
 def _series_inverse(num: SeriesNum, depth: int) -> SeriesNum:
+    """Inverse of a unit numerator up to total degree depth.
+
+    Runs on the coefficients as plain numbers (see :func:`_plain`), in the
+    pair order and with the pop-on-zero of :class:`LambdaPoly` products and
+    sums, so every value equals the one :class:`Scalar` arithmetic gives:
+    Python promotes a ``Fraction`` meeting a ``complex`` through
+    ``complex(float(q))``, as :class:`Scalar` does."""
     u0 = num.get((0, 0), LP_ZERO)
     if u0.is_zero():
         raise ZeroDivisionError("series inverse of a non-unit")
     if u0.degree() > 0:
         raise ValueError("cannot invert a unit whose constant term involves lam")
     inv0 = u0.coeff(0).inverse()
-    out: SeriesNum = {(0, 0): LambdaPoly.const(inv0)}
+    neg_inv0 = _plain(-inv0)
+    coeffs = {m: [(k, _plain(v)) for k, v in lp.c.items()] for m, lp in num.items()}
     monomials = sorted((m for m in num if m != (0, 0)), key=lambda m: m[0] + m[1])
+    out: dict[tuple[int, int], dict[int, object]] = {(0, 0): {0: _plain(inv0)}}
     for d in range(1, depth + 1):
         for i in range(d + 1):
-            m = (i, d - i)
-            acc = LP_ZERO
-            for (i1, j1) in monomials:
-                if i1 > i or j1 > d - i or i1 + j1 > d:
+            acc: dict[int, object] = {}
+            for i1, j1 in monomials:
+                if i1 + j1 > d:
+                    break
+                if i1 > i or j1 > d - i:
                     continue
                 prev = out.get((i - i1, d - i - j1))
-                if prev is not None:
-                    acc = acc + num[(i1, j1)] * prev
-            if not acc.is_zero():
-                out[m] = acc.scale(-inv0)
-    return out
+                if prev is None:
+                    continue
+                # the LambdaPoly product num[(i1, j1)] * prev, then its sum into acc
+                prod: dict[int, object] = {}
+                for k1, v1 in coeffs[(i1, j1)]:
+                    for k2, v2 in prev.items():
+                        _add_term(prod, k1 + k2, v1 * v2)
+                for k, v in prod.items():
+                    _add_term(acc, k, v)
+            if acc:
+                out[(i, d - i)] = {k: v * neg_inv0 for k, v in acc.items()}
+    return {m: LambdaPoly({k: _scalar(v) for k, v in c.items()}) for m, c in out.items()}
+
+
+def _add_term(coeffs: dict[int, object], k: int, v) -> None:
+    """coeffs[k] += v, dropping k when the sum is zero, as LambdaPoly sums do."""
+    cur = coeffs.get(k)
+    s = v if cur is None else cur + v
+    if s.is_zero() if s.__class__ is Scalar else not s:
+        coeffs.pop(k, None)
+    else:
+        coeffs[k] = s
+
+
+def _plain(v: Scalar) -> Fraction | complex | Scalar:
+    """A coefficient as a plain Python number: a ``Fraction`` for a rational,
+    a ``complex`` for a numeric value; a root-extension value stays a Scalar."""
+    if v.z is not None:
+        return v.z
+    return v if v.b else v.a
+
+
+def _scalar(x: Fraction | complex | Scalar) -> Scalar:
+    """Inverse of :func:`_plain`."""
+    if x.__class__ is Fraction:
+        return rational(x)
+    if x.__class__ is complex:
+        return Scalar.numeric(x)
+    return x
 
 
 def _expand_poly(poly: Poly2, depth: int, log_p: LambdaPoly) -> SeriesNum:

@@ -186,6 +186,7 @@ def suite_degenerate(data: GlobalZetaData | None = None):
     worst_residual = 0.0
     worst_lambda = 0.0
     envelope_ok = True
+    envelope_margin = 0.0  # largest |coefficient| / envelope
     for spec in qs:
         q = IdealFactorization.parse(spec)
         rep = degenerate_limit(data, q)
@@ -193,15 +194,18 @@ def suite_degenerate(data: GlobalZetaData | None = None):
         worst_residual = max(worst_residual, rep.c3_residual)
         worst_lambda = max(worst_lambda, rep.lambda_excess)
         om = max(omega(q), 1)
-        envelope_ok &= abs(rep.coefficients.c2.to_complex()) <= DEGEN_ENVELOPES[0] * om ** 3
-        envelope_ok &= abs(rep.coefficients.c1.to_complex()) <= DEGEN_ENVELOPES[1] * om ** 4
-        envelope_ok &= abs(rep.coefficients.c0.to_complex()) <= DEGEN_ENVELOPES[2] * om ** 5
+        cubic = rep.coefficients
+        for coeff, mult, power in zip((cubic.c2, cubic.c1, cubic.c0), DEGEN_ENVELOPES, (3, 4, 5)):
+            size, envelope = abs(coeff.to_complex()), mult * om ** power
+            envelope_ok &= size <= envelope
+            envelope_margin = max(envelope_margin, size / envelope)
     spread = max(abs(a - b) for a in c3s for b in c3s)
     passed = worst_residual <= tol and spread <= tol and worst_lambda <= tol and envelope_ok
     return "degenerate-limit", passed, {
         "q_values": list(qs), "c3": c3s[0].real, "c3_formula_residual": worst_residual,
         "c3_spread": spread, "lambda4_excess": worst_lambda, "tolerance": tol,
         "coefficient_envelopes_ok": envelope_ok,
+        "coefficient_envelope_margin": envelope_margin,
     }
 
 

@@ -7,6 +7,7 @@ from rankinlab import cli, degenerate
 from rankinlab.cli import canonical_json, main
 
 GOLDEN_PSI = Path(__file__).parent / "data" / "psi_golden.jsonl"
+GOLDEN_DEGENERATE = Path(__file__).parent / "data" / "degenerate_golden.jsonl"
 
 
 @pytest.fixture()
@@ -185,6 +186,33 @@ def test_psi_reports_match_golden(capsys):
         if code != 0 or capsys.readouterr().out != line:
             differ.append(" ".join(argv))
     assert differ == []
+
+
+def test_degenerate_reports_match_golden(capsys, monkeypatch):
+    # reports recorded before the per-term Laurent kernel and the plain-number
+    # series inverse: every digit of c2, c1, c0 and the correction is pinned.
+    # The shipped documents are named relative to the package's data directory,
+    # as the "data" field of each line records them.
+    lines = GOLDEN_DEGENERATE.read_text().splitlines(keepends=True)
+    assert len(lines) == 16
+    monkeypatch.chdir(Path(degenerate.__file__).parent / "data")
+    differ = []
+    for line in lines:
+        report = json.loads(line)
+        argv = ["degenerate", "--q", report["q"], "--data", report["data"],
+                "--depth", str(report["depth"])]
+        code = main(argv)
+        if code != 0 or capsys.readouterr().out != line:
+            differ.append(" ".join(argv))
+    assert differ == []
+
+
+def test_verify_degenerate_reports_envelope_margin(capsys):
+    assert main(["verify", "--suite", "degenerate"]) == 0
+    suite = json.loads(capsys.readouterr().out)["suites"]["degenerate"]
+    # c0 at q = 2^1 is the closest coefficient to its envelope
+    assert 0.8 < suite["coefficient_envelope_margin"] <= 1
+    assert suite["coefficient_envelopes_ok"] is True
 
 
 @pytest.mark.parametrize("p, r", [(5, 3), (9, 1)])

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from rankinlab import laurent
 from rankinlab.degenerate import (GlobalZetaData, build_G, build_h, correction_report,
                                   correction_sum_factor, correction_term, degenerate_limit,
                                   symmetry_residuals, taylor_bound_report)
@@ -155,3 +156,35 @@ def test_limit_correction_is_correction_term():
     rep = degenerate_limit(data, Q23, log_map=LOG_SURROGATES)
     assert rep.correction.is_exact
     assert rep.correction == correction_term(data, Q23, log_map=LOG_SURROGATES)
+
+
+def test_laurent_kernels_make_no_scalar_arithmetic(monkeypatch):
+    # root-free data runs _num_mul and _series_inverse on ints, Fractions and
+    # complex doubles; a Scalar sum or product inside them means the slow
+    # per-term Scalar fallback came back
+    inside = [0]
+    scalar_ops = [0]
+
+    def kernel(fn):
+        def wrapper(*args, **kwargs):
+            inside[0] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                inside[0] -= 1
+        return wrapper
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            if inside[0]:
+                scalar_ops[0] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(laurent, "_num_mul", kernel(laurent._num_mul))
+    monkeypatch.setattr(laurent, "_series_inverse", kernel(laurent._series_inverse))
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+        monkeypatch.setattr(Scalar, name, counted(getattr(Scalar, name)))
+    rep = degenerate_limit(default_data(), Q23, depth=8)
+    assert rep.singular_residual == 0.0
+    assert scalar_ops[0] == 0

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankinlab.laurent import (EXACT_DEPTH, SYMMETRY_BREAKERS, CubicPolynomial, LambdaPoly,
-                               LaurentSeries2, _num_mul, break_one_symmetry,
+                               LaurentSeries2, _num_mul, _series_inverse, break_one_symmetry,
                                four_term_combination, ls_from_rational, ls_inverse_regular,
                                pole_factor_series, random_simple_pole_coeffs,
                                random_symmetric_quadruple)
@@ -286,6 +286,108 @@ def test_num_mul_matches_pair_loop(case):
             diff = abs((have or Scalar.exact(0)).to_complex()
                        - (want or Scalar.exact(0)).to_complex())
             assert diff <= 1e-12 * bound[(i, j, k)], (kind, (i, j, k), want, have)
+
+
+# -- bitwise references: the Scalar pair loop of _num_mul and the LambdaPoly loop
+#    of _series_inverse, as they were before the per-term and plain-number kernels
+
+
+def _scalar_loop_mul(a, b, depth):
+    """Reference: the flat product loop in Scalar arithmetic, b's terms led by
+    their total degree, sums kept in the order their keys first appear."""
+    if not a or not b:
+        return {}
+    ta = [(i, j, k, v) for (i, j), lp in a.items() for k, v in lp.c.items()]
+    tb = [(i, j, k, v) for (i, j), lp in b.items() for k, v in lp.c.items()]
+    xb = sorted(((i + j, i, j, k, v) for i, j, k, v in tb), key=lambda t: t[:4])
+    acc = {}
+    for i1, j1, k1, v1 in ta:
+        room = depth - i1 - j1
+        for d2, i2, j2, k2, v2 in xb:
+            if d2 > room:
+                break
+            key = (i1 + i2, j1 + j2, k1 + k2)
+            acc[key] = acc.get(key, Scalar.exact(0)) + v1 * v2
+    out = {}
+    for (i, j, k), v in acc.items():
+        if not v.is_zero():
+            out.setdefault((i, j), {})[k] = v
+    return {m: LambdaPoly(coeffs) for m, coeffs in out.items()}
+
+
+def _lambda_poly_inverse(num, depth):
+    """Reference: the series inverse as a loop of LambdaPoly products and sums."""
+    inv0 = num[(0, 0)].coeff(0).inverse()
+    out = {(0, 0): LambdaPoly.const(inv0)}
+    monomials = sorted((m for m in num if m != (0, 0)), key=lambda m: m[0] + m[1])
+    for d in range(1, depth + 1):
+        for i in range(d + 1):
+            acc = LambdaPoly()
+            for (i1, j1) in monomials:
+                if i1 > i or j1 > d - i or i1 + j1 > d:
+                    continue
+                prev = out.get((i - i1, d - i - j1))
+                if prev is not None:
+                    acc = acc + num[(i1, j1)] * prev
+            if not acc.is_zero():
+                out[(i, d - i)] = acc.scale(-inv0)
+    return out
+
+
+def _assert_same_bits(got, want):
+    """Same keys in the same order at both levels, same exactness, equal exact
+    values and repr-equal complex values."""
+    assert list(got) == list(want)
+    for m, lp in want.items():
+        assert list(got[m].c) == list(lp.c), m
+        for k, w in lp.c.items():
+            h = got[m].c[k]
+            assert h.is_exact == w.is_exact, (m, k, h, w)
+            if w.is_exact:
+                assert (h.a, h.b, h.base) == (w.a, w.b, w.base), (m, k, h, w)
+            else:
+                assert repr(h.z) == repr(w.z), (m, k, h, w)
+
+
+# large denominators put common denominators past 2**53; units make sums cancel
+_wide_exact = st.builds(Fraction, st.integers(-10 ** 12, 10 ** 12).filter(bool),
+                        st.integers(10 ** 8, 10 ** 9)).map(Scalar.exact)
+_signs = st.sampled_from((-1, 1))
+_any_exact = st.one_of(_exact, _wide_exact, _signs.map(Scalar.exact))
+_any_numeric = st.one_of(_numeric, _signs.map(lambda s: Scalar.numeric(float(s))))
+_COEFF_KINDS = {
+    "exact": _any_exact,
+    "numeric": _any_numeric,
+    "mixed": st.one_of(_any_exact, _any_numeric),
+    "root": st.one_of(_any_exact, _root3, _any_numeric),
+}
+_any_kind = st.sampled_from(sorted(_COEFF_KINDS)).flatmap(
+    lambda kind: _numerators(_COEFF_KINDS[kind]))
+
+
+@settings(max_examples=250, deadline=None)
+@given(_any_kind, _any_kind, st.one_of(st.integers(0, 6), st.just(EXACT_DEPTH)))
+def test_num_mul_is_bitwise_the_scalar_loop(a, b, depth):
+    _assert_same_bits(_num_mul(a, b, depth), _scalar_loop_mul(a, b, depth))
+
+
+@st.composite
+def _units(draw):
+    """A numerator with a rational unit constant term and lam powers up to 3."""
+    coeffs = _COEFF_KINDS[draw(st.sampled_from(sorted(_COEFF_KINDS)))]
+    num = {(0, 0): LambdaPoly({0: draw(_any_exact)})}
+    for _ in range(draw(st.integers(0, 6))):
+        m = (draw(st.integers(0, 3)), draw(st.integers(0, 3)))
+        if m != (0, 0):
+            num[m] = LambdaPoly({draw(st.integers(0, 3)): draw(coeffs)
+                                 for _ in range(draw(st.integers(1, 3)))})
+    return num
+
+
+@settings(max_examples=250, deadline=None)
+@given(_units(), st.integers(0, 6))
+def test_series_inverse_is_bitwise_the_lambda_poly_loop(num, depth):
+    _assert_same_bits(_series_inverse(num, depth), _lambda_poly_inverse(num, depth))
 
 
 @st.composite
