@@ -177,7 +177,7 @@ def build_h(which: int, q: IdealFactorization, depth: int = DEFAULT_DEPTH,
                      * ratio)
         out = out * local
     if out.depth > depth:
-        out = LaurentSeries2(out.num, out.poles, depth)
+        out = out.truncated(depth)
     return HFunction(which, q, out)
 
 
@@ -187,35 +187,17 @@ def symmetry_residuals(h1: HFunction, h2: HFunction, h3: HFunction,
     s1, s2, s3, s4 = (h.series for h in (h1, h2, h3, h4))
     depth = min(s.depth for s in (s1, s2, s3, s4))
 
-    def z_axis(s):
-        return {i: v for (i, j), v in s.num.items() if j == 0 and i <= depth}
-
-    def w_axis(s):
-        return {j: v for (i, j), v in s.num.items() if i == 0 and j <= depth}
-
-    def diag(s, sign):
-        out: dict[int, LambdaPoly] = {}
-        for (i, j), v in sorted(s.num.items()):
-            if i + j > depth:
-                continue
-            term = v if sign == 1 or i % 2 == 0 else -v
-            out[i + j] = out[i + j] + term if i + j in out else term
-        return out
-
-    def residual(a: dict, b: dict) -> float:
-        worst = 0.0
-        for k in set(a) | set(b):
-            diff = a.get(k, LambdaPoly()) - b.get(k, LambdaPoly())
-            worst = max(worst, diff.max_abs())
-        return worst
+    def residual(a: LaurentSeries2, b: LaurentSeries2, sz: int, sw: int) -> float:
+        """Max |coefficient| of a(sz*t, sw*t) - b(sz*t, sw*t) up to t**depth."""
+        return (a.along_line(sz, sw, depth) - b.along_line(sz, sw, depth)).max_abs()
 
     return {
-        "h1(z,0)=h3(z,0)": residual(z_axis(s1), z_axis(s3)),
-        "h2(z,0)=h4(z,0)": residual(z_axis(s2), z_axis(s4)),
-        "h1(0,w)=h2(0,w)": residual(w_axis(s1), w_axis(s2)),
-        "h3(0,w)=h4(0,w)": residual(w_axis(s3), w_axis(s4)),
-        "h1(-z,z)=h4(-z,z)": residual(diag(s1, -1), diag(s4, -1)),
-        "h2(z,z)=h3(z,z)": residual(diag(s2, 1), diag(s3, 1)),
+        "h1(z,0)=h3(z,0)": residual(s1, s3, 1, 0),
+        "h2(z,0)=h4(z,0)": residual(s2, s4, 1, 0),
+        "h1(0,w)=h2(0,w)": residual(s1, s2, 0, 1),
+        "h3(0,w)=h4(0,w)": residual(s3, s4, 0, 1),
+        "h1(-z,z)=h4(-z,z)": residual(s1, s4, -1, 1),
+        "h2(z,z)=h3(z,z)": residual(s2, s3, 1, 1),
     }
 
 
@@ -394,7 +376,7 @@ def degenerate_limit(data: GlobalZetaData, q: IdealFactorization,
             f"four-term combination has a nonzero singular part "
             f"(max coefficient {singular_mag:.3e}); this signals an implementation bug"
         )
-    const = regular.num.get((0, 0), LambdaPoly())
+    const = regular.coeff(0, 0)
     corr = _correction(data, q, g.flip(True, True), hs[3], tol, log_map)
     const = const - LambdaPoly.const(corr.value)
     # degree > 3 must die by itself; record how close to zero it is

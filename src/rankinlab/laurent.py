@@ -2,9 +2,9 @@
 
 A :class:`LaurentSeries2` is ``N(z,w) / (z**a * w**b * (z+w)**c * (z-w)**d)``
 where the numerator is a total-degree-truncated power series whose
-coefficients are polynomials in a formal symbol ``lam`` (:class:`LambdaPoly`).
-``lam`` stands for ``log N(q)`` in the degenerate-term pipeline and is never a
-float there; coefficients of each power of ``lam`` are extracted exactly.
+coefficients are polynomials in a formal symbol ``lam``.  ``lam`` stands for
+``log N(q)`` in the degenerate-term pipeline and is never a float there;
+coefficients of each power of ``lam`` are extracted exactly.
 
 The four divisors are the only singularities this module knows about; any
 other vanishing denominator direction is a hard error.  Minimal pole
@@ -13,27 +13,17 @@ divides the numerator by each divisor while possible.  Division remainders
 certify singular behaviour: a value is pole-free iff every remainder in the
 chain vanishes (the divisors are coprime primes of the power-series ring).
 
-Numerator products run over flat ``(i, j, k, value)`` terms, ``k`` being the
-power of ``lam``, in a kernel chosen per product from what the operands hold:
-
-* every coefficient a plain rational: Python integers over each operand's
-  common denominator (FLINT's ``fmpq_poly`` layout); the result's denominator
-  is the product of the two, reduced once per output term;
-* no coefficient with a square-root part: one kernel over per-term values,
-  an exact term as its integer numerator over its operand's common
-  denominator, a numeric term as a complex double.  Exact-by-exact products
-  add as integers; a product with a numeric factor is complex, the exact
-  factor converted as :meth:`Scalar.to_complex` does; a sum turns complex at
-  its first numeric product, as :class:`Scalar` addition promotes it;
-* otherwise (root-extension data) :class:`Scalar`.
-
-The series inverse runs on the coefficients as plain Python numbers
-(``Fraction``, ``complex``, and :class:`Scalar` only for root-extension
-values).  Every kernel adds the same products in the same order as
-:class:`Scalar` arithmetic would, so exact values, exactness, key order and
-every float bit are the ones :class:`Scalar` gives.
-
-Series numerators stay ``dict[(i, j)] -> LambdaPoly`` between operations.
+The numerator is kept in the kernel form of :mod:`rankinlab.numerator`: one
+integer denominator and a nested dict ``(i, j) -> {lam power: value}`` of
+``int`` numerators (exact), ``complex`` values (numeric), or :class:`Scalar`
+values for square-root data only.  Every operation here (product, sum with
+pole raising, negation, flip, scaling, divisor peeling, inverse, expansion of
+rational functions) runs on that form and gives the values, exactness, key
+order and float bits of :class:`Scalar` arithmetic (the ring rule of that
+module).  :attr:`LaurentSeries2.num` is a read-only view, built on each read:
+``dict[(i, j)] -> LambdaPoly`` of :class:`Scalar` values in the kernel's key
+order.  :meth:`~LaurentSeries2.coeff` and :meth:`~LaurentSeries2.constant_term`
+build only the coefficient asked for.
 """
 
 from __future__ import annotations
@@ -43,9 +33,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
+from . import numerator as nm
 from .exactalg import Poly2, RationalFunction2
-from .scalars import (SC_ZERO, Scalar, ScalarLike, all_rational, common_denominator, rational,
-                      root_free)
+from .numerator import LP_ZERO, Flat, LambdaPoly, Plain, SeriesNum, Terms  # noqa: F401
+from .scalars import Scalar, ScalarLike
 
 EXACT_DEPTH = 10 ** 9  # sentinel depth for untruncated numerators
 DEFAULT_DEPTH = 8
@@ -53,339 +44,88 @@ DEFAULT_DEPTH = 8
 DIVISORS = ("z", "w", "zw_plus", "zw_minus")
 
 
-class LambdaPoly:
-    """Polynomial in the formal symbol lam with Scalar coefficients."""
-
-    __slots__ = ("c",)
-
-    def __init__(self, coeffs: dict[int, Scalar] | None = None):
-        self.c = coeffs if coeffs is not None else {}
-
-    @classmethod
-    def const(cls, value: ScalarLike) -> "LambdaPoly":
-        v = Scalar.wrap(value)
-        return cls({} if v.is_zero() else {0: v})
-
-    @classmethod
-    def lam(cls, coeff: ScalarLike = 1, power: int = 1) -> "LambdaPoly":
-        v = Scalar.wrap(coeff)
-        return cls({} if v.is_zero() else {power: v})
-
-    def is_zero(self) -> bool:
-        return not self.c
-
-    def degree(self) -> int:
-        return max(self.c, default=-1)
-
-    def __add__(self, other: "LambdaPoly") -> "LambdaPoly":
-        out = dict(self.c)
-        for k, v in other.c.items():
-            cur = out.get(k)
-            s = v if cur is None else cur + v
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return LambdaPoly(out)
-
-    def __neg__(self) -> "LambdaPoly":
-        return LambdaPoly({k: -v for k, v in self.c.items()})
-
-    def __sub__(self, other: "LambdaPoly") -> "LambdaPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "LambdaPoly") -> "LambdaPoly":
-        if not self.c or not other.c:
-            return LambdaPoly()
-        out: dict[int, Scalar] = {}
-        for k1, v1 in self.c.items():
-            for k2, v2 in other.c.items():
-                k = k1 + k2
-                prod = v1 * v2
-                cur = out.get(k)
-                s = prod if cur is None else cur + prod
-                if s.is_zero():
-                    out.pop(k, None)
-                else:
-                    out[k] = s
-        return LambdaPoly(out)
-
-    def scale(self, factor: ScalarLike) -> "LambdaPoly":
-        f = Scalar.wrap(factor)
-        if f.is_zero():
-            return LambdaPoly()
-        return LambdaPoly({k: v * f for k, v in self.c.items()})
-
-    def coeff(self, k: int) -> Scalar:
-        return self.c.get(k, SC_ZERO)
-
-    def eval(self, lam: ScalarLike) -> Scalar:
-        lam = Scalar.wrap(lam)
-        total = SC_ZERO
-        for k, v in self.c.items():
-            total = total + v * lam ** k
-        return total
-
-    def max_abs(self) -> float:
-        return max((abs(v.to_complex()) for v in self.c.values()), default=0.0)
-
-    def negligible(self, tol: float) -> bool:
-        if tol == 0.0:
-            return self.is_zero()
-        return self.max_abs() <= tol
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LambdaPoly):
-            return NotImplemented
-        return set(self.c) == set(other.c) and all(self.c[k] == other.c[k] for k in self.c)
-
-    def __hash__(self):
-        raise TypeError("LambdaPoly is unhashable")
-
-    def __repr__(self):
-        if not self.c:
-            return "0"
-        return " + ".join(
-            f"({v})" + ("" if k == 0 else f"*lam^{k}" if k > 1 else "*lam")
-            for k, v in sorted(self.c.items())
-        )
+def _truncated(terms: Terms, depth: int) -> Terms:
+    """Stored terms beyond the validity window are meaningless; keeping them
+    would corrupt later divisibility certificates."""
+    if depth >= EXACT_DEPTH:
+        return terms
+    return {m: c for m, c in terms.items() if m[0] + m[1] <= depth}
 
 
-LP_ZERO = LambdaPoly()
-LP_ONE = LambdaPoly.const(1)
-
-SeriesNum = dict[tuple[int, int], LambdaPoly]
-
-
-def _num_add(a: SeriesNum, b: SeriesNum) -> SeriesNum:
-    out = dict(a)
-    for m, v in b.items():
-        cur = out.get(m)
-        s = v if cur is None else cur + v
-        if s.is_zero():
-            out.pop(m, None)
-        else:
-            out[m] = s
-    return out
+def _num_val(terms: Terms) -> int:
+    """Lowest total degree present (0 for the zero numerator)."""
+    return min((i + j for i, j in terms), default=0)
 
 
-Term = tuple[int, int, int, Scalar]  # (i, j, k, coefficient of z**i w**j lam**k)
+# -- the LambdaPoly-dict entry points of the kernels ------------------------------
 
-
-def _terms(num: SeriesNum) -> list[Term]:
-    return [(i, j, k, v) for (i, j), lp in num.items() for k, v in lp.c.items()]
-
-
-def _lowered(terms: list[Term]) -> tuple[int, list[tuple[int, int, int, int | complex]]]:
-    """Root-free terms with each exact value as an integer numerator over the
-    common denominator of the exact values, each numeric value as its complex
-    double; returns (that denominator, the terms)."""
-    den = common_denominator(v for *_, v in terms if v.z is None)
-    return den, [(i, j, k, v.a.numerator * (den // v.a.denominator) if v.z is None else v.z)
-                 for i, j, k, v in terms]
-
-
-def _by_degree(terms: list) -> list:
-    """Terms led by their total degree and sorted, so the truncation can end
-    each inner product loop early."""
-    return sorted((i + j, i, j, k, v) for i, j, k, v in terms)
+def _lower_num(num: dict) -> Flat:
+    """Kernel form of a numerator given as (i, j) -> LambdaPoly, Scalar or
+    Python number; zero entries are left out."""
+    return nm.lower({m: c for m, v in num.items() if (c := nm.plain_coeffs(v))})
 
 
 def _num_mul(a: SeriesNum, b: SeriesNum, depth: int) -> SeriesNum:
-    """Product of two numerators up to total degree depth, in the coefficient
-    ring the module docstring describes."""
-    if not a or not b:
-        return {}
-    ta, tb = _terms(a), _terms(b)
-    if all_rational(v for *_, v in ta) and all_rational(v for *_, v in tb):
-        da, xa = _lowered(ta)
-        db, xb = _lowered(tb)
-        den = da * db
-        zero, nonzero = 0, bool
-
-        def to_scalar(n: int) -> Scalar:
-            return rational(Fraction(n, den))
-    elif root_free(v for *_, v in ta) and root_free(v for *_, v in tb):
-        return _per_term_mul(ta, tb, depth)
-    else:
-        xa, xb = ta, tb
-        zero, nonzero, to_scalar = SC_ZERO, lambda v: not v.is_zero(), None
-    xb = _by_degree(xb)
-    # each output term receives its products in the order of a's terms
-    acc: dict[tuple[int, int, int], object] = {}
-    get = acc.get
-    for i1, j1, k1, v1 in xa:
-        room = depth - i1 - j1
-        for d2, i2, j2, k2, v2 in xb:
-            if d2 > room:
-                break
-            key = (i1 + i2, j1 + j2, k1 + k2)
-            acc[key] = get(key, zero) + v1 * v2
-    return _collect(acc, nonzero, to_scalar)
+    """Product of two ``dict[(i, j)] -> LambdaPoly`` numerators up to total
+    degree depth, through the kernel form."""
+    return nm.view(*nm.mul(_lower_num(a), _lower_num(b), depth))
 
 
-def _per_term_mul(ta: list[Term], tb: list[Term], depth: int) -> SeriesNum:
-    """Product of root-free numerators, term by term as the module docstring
-    describes.  Python's integer true division rounds correctly, so an
-    unreduced ``n / den`` is the ``float`` of the reduced fraction that
-    :meth:`Scalar.to_complex` and :class:`Scalar` addition use."""
-    da, xa = _lowered(ta)
-    db, xb = _lowered(tb)
-    den = da * db
-    # (..., integer numerator or None, complex value)
-    ya = [(i, j, k, x, complex(x / da)) if x.__class__ is int else (i, j, k, None, x)
-          for i, j, k, x in xa]
-    yb = [(d, i, j, k, x, complex(x / db)) if x.__class__ is int else (d, i, j, k, None, x)
-          for d, i, j, k, x in _by_degree(xb)]
-    acc: dict[tuple[int, int, int], int | complex] = {}
-    get = acc.get
-    for i1, j1, k1, n1, c1 in ya:
-        room = depth - i1 - j1
-        for d2, i2, j2, k2, n2, c2 in yb:
-            if d2 > room:
-                break
-            key = (i1 + i2, j1 + j2, k1 + k2)
-            if n1 is None or n2 is None:
-                s = get(key, 0j)
-                acc[key] = (s if s.__class__ is complex else complex(s / den)) + c1 * c2
-            else:
-                s = get(key, 0)
-                acc[key] = (s + n1 * n2 if s.__class__ is int
-                            else s + complex(n1 * n2 / den))
-
-    def to_scalar(v: int | complex) -> Scalar:
-        return rational(Fraction(v, den)) if v.__class__ is int else Scalar.numeric(v)
-    return _collect(acc, bool, to_scalar)
-
-
-def _collect(acc: dict[tuple[int, int, int], object], nonzero, to_scalar) -> SeriesNum:
-    """Series numerator from (i, j, k) sums in the order the keys first
-    appeared, dropping sums that vanished."""
-    out: dict[tuple[int, int], dict[int, Scalar]] = {}
-    for (i, j, k), v in acc.items():
-        if nonzero(v):
-            coeffs = out.get((i, j))
-            if coeffs is None:
-                coeffs = out[(i, j)] = {}
-            coeffs[k] = v if to_scalar is None else to_scalar(v)
-    return {m: LambdaPoly(coeffs) for m, coeffs in out.items()}
-
-
-def _num_val(a: SeriesNum) -> int:
-    """Lowest total degree present (0 for the zero numerator)."""
-    return min((i + j for i, j in a), default=0)
-
-
-def _direction_power(direction: str, k: int) -> SeriesNum:
-    """(z, w, z+w or z-w)**k as an exact numerator."""
-    if direction == "z":
-        return {(k, 0): LP_ONE}
-    if direction == "w":
-        return {(0, k): LP_ONE}
-    sign = 1 if direction == "zw_plus" else -1
-    out: SeriesNum = {}
-    for m in range(k + 1):
-        coeff = Fraction(math.comb(k, m)) * (sign ** (k - m))
-        out[(m, k - m)] = LambdaPoly.const(coeff)
-    return out
-
-
-def _div_linear(num: SeriesNum, direction: str, depth: int,
-                tol: float) -> tuple[SeriesNum, SeriesNum, float]:
-    """Divide a numerator by z, w, z+w or z-w.
-
-    Returns (quotient valid to depth-1, remainder, max remainder magnitude).
-    The remainder per homogeneous degree d is canonically supported on w**d
-    for directions z, z+w, z-w and on z**d for direction w.
-    """
-    quot: SeriesNum = {}
-    rem: SeriesNum = {}
-    max_rem = 0.0
-    if direction == "z":
-        for (i, j), v in num.items():
-            if i == 0:
-                if not v.negligible(tol):
-                    rem[(0, j)] = v
-                    max_rem = max(max_rem, v.max_abs())
-            else:
-                quot[(i - 1, j)] = v
-        return quot, rem, max_rem
-    if direction == "w":
-        for (i, j), v in num.items():
-            if j == 0:
-                if not v.negligible(tol):
-                    rem[(i, 0)] = v
-                    max_rem = max(max_rem, v.max_abs())
-            else:
-                quot[(i, j - 1)] = v
-        return quot, rem, max_rem
-    sign = 1 if direction == "zw_plus" else -1
-    by_degree: dict[int, dict[int, LambdaPoly]] = {}
-    for (i, j), v in num.items():
-        by_degree.setdefault(i + j, {})[i] = v
-    for d, comp in by_degree.items():
-        if d == 0:
-            v = comp.get(0, LP_ZERO)
-            if not v.negligible(tol):
-                rem[(0, 0)] = v
-                max_rem = max(max_rem, v.max_abs())
-            continue
-        # synthetic division of the homogeneous component by z + sign*w
-        q: dict[int, LambdaPoly] = {}
-        carry = comp.get(d, LP_ZERO)
-        q[d - 1] = carry
-        for k in range(d - 1, 0, -1):
-            carry = comp.get(k, LP_ZERO) - (carry.scale(sign) if sign == -1 else carry)
-            q[k - 1] = carry
-        rho = comp.get(0, LP_ZERO) - (q[0].scale(sign) if sign == -1 else q[0])
-        if not rho.negligible(tol):
-            rem[(0, d)] = rho
-            max_rem = max(max_rem, rho.max_abs())
-        for k, v in q.items():
-            if not v.is_zero():
-                quot[(k, d - 1 - k)] = v
-    return quot, rem, max_rem
+def _series_inverse(num: SeriesNum, depth: int) -> SeriesNum:
+    """Inverse of a unit ``dict[(i, j)] -> LambdaPoly`` numerator up to total
+    degree depth, through the kernel form."""
+    return nm.view(*nm.inverse(_lower_num(num), depth))
 
 
 class LaurentSeries2:
-    """Truncated bivariate Laurent value N/(z**a w**b (z+w)**c (z-w)**d)."""
+    """Truncated bivariate Laurent value N/(z**a w**b (z+w)**c (z-w)**d), the
+    numerator N in kernel form: ``den`` and ``terms`` (see :mod:`rankinlab.numerator`)."""
 
-    __slots__ = ("num", "poles", "depth")
+    __slots__ = ("den", "terms", "poles", "depth")
 
-    def __init__(self, num: SeriesNum, poles: tuple[int, int, int, int],
+    def __init__(self, num: dict, poles: tuple[int, int, int, int],
                  depth: int = EXACT_DEPTH):
-        if any(e < 0 for e in poles):
+        """num maps (i, j) to a LambdaPoly, a Scalar or a Python number."""
+        den, terms = _lower_num(num)
+        self._set(den, _truncated(terms, depth), poles, depth)
+
+    @classmethod
+    def _make(cls, den: int | None, terms: Terms, poles: tuple[int, int, int, int],
+              depth: int) -> "LaurentSeries2":
+        self = object.__new__(cls)
+        self._set(den, terms, poles, depth)
+        return self
+
+    def _set(self, den, terms, poles, depth) -> None:
+        if min(poles) < 0:
             raise ValueError("pole exponents must be nonnegative")
         if depth < 0:
             raise ValueError("insufficient truncation depth for the requested operation")
-        if depth < EXACT_DEPTH:
-            # stored terms beyond the validity window are meaningless; keeping
-            # them would corrupt later divisibility certificates
-            num = {m: v for m, v in num.items() if m[0] + m[1] <= depth}
-        self.num = num
+        self.den = den
+        self.terms = terms
         self.poles = poles
         self.depth = depth
+
+    @property
+    def num(self) -> SeriesNum:
+        """The numerator as ``dict[(i, j)] -> LambdaPoly``, built on each read."""
+        return nm.view(self.den, self.terms)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls) -> "LaurentSeries2":
-        return cls({}, (0, 0, 0, 0))
+        return cls._make(1, {}, (0, 0, 0, 0), EXACT_DEPTH)
 
     @classmethod
     def one(cls) -> "LaurentSeries2":
-        return cls({(0, 0): LP_ONE}, (0, 0, 0, 0))
+        return cls._make(1, {(0, 0): {0: 1}}, (0, 0, 0, 0), EXACT_DEPTH)
 
     @classmethod
-    def from_coeffs(cls, coeffs: dict[tuple[int, int], ScalarLike],
+    def from_coeffs(cls, coeffs: dict[tuple[int, int], ScalarLike | LambdaPoly],
                     poles: tuple[int, int, int, int] = (0, 0, 0, 0),
                     depth: int = EXACT_DEPTH) -> "LaurentSeries2":
-        num = {}
-        for m, v in coeffs.items():
-            lp = v if isinstance(v, LambdaPoly) else LambdaPoly.const(v)
-            if not lp.is_zero():
-                num[m] = lp
-        return cls(num, poles, depth)
+        return cls(coeffs, poles, depth)
 
     @classmethod
     def from_direction(cls, coeffs: list, pole_order: int, direction: str,
@@ -393,67 +133,65 @@ class LaurentSeries2:
         """sum_k coeffs[k] * dir**(k - pole_order), coefficients low to high."""
         if direction not in DIVISORS:
             raise ValueError(f"unknown direction {direction}")
-        num: SeriesNum = {}
-        for k, coeff in enumerate(coeffs):
-            lp = coeff if isinstance(coeff, LambdaPoly) else LambdaPoly.const(coeff)
-            if lp.is_zero() or k > depth:
-                continue
-            num = _num_add(num, {m: v * lp for m, v in _direction_power(direction, k).items()})
         poles = [0, 0, 0, 0]
         if pole_order:
             poles[DIVISORS.index(direction)] = pole_order
-        return cls(num, tuple(poles), depth)
+        den, terms = nm.along(direction, [nm.plain_coeffs(x) for x in coeffs], depth)
+        return cls._make(den, terms, tuple(poles), depth)
 
     @classmethod
     def exp_direction(cls, rate: LambdaPoly, direction: str, depth: int) -> "LaurentSeries2":
         """exp(rate * dir) truncated to the requested depth."""
-        coeffs = []
-        term = LP_ONE
-        for k in range(depth + 1):
-            if k:
-                term = term * rate.scale(Fraction(1, k))
-            coeffs.append(term)
-        return cls.from_direction(coeffs, 0, direction, depth)
+        if direction not in DIVISORS:
+            raise ValueError(f"unknown direction {direction}")
+        den, terms = nm.along(direction, nm.exp_coeffs(nm.plain_coeffs(rate), depth), depth)
+        return cls._make(den, terms, (0, 0, 0, 0), depth)
 
     # -- basic operations ----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.num
+        return not self.terms
+
+    def truncated(self, depth: int) -> "LaurentSeries2":
+        """The same value with its numerator valid to total degree depth."""
+        return LaurentSeries2._make(self.den, _truncated(self.terms, depth), self.poles, depth)
 
     def scale(self, factor) -> "LaurentSeries2":
-        lp = factor if isinstance(factor, LambdaPoly) else LambdaPoly.const(factor)
-        if lp.is_zero():
-            return LaurentSeries2({}, self.poles, self.depth)
-        if lp.degree() == 0:
-            s = lp.coeff(0)
-            return LaurentSeries2({m: v.scale(s) for m, v in self.num.items()},
-                                  self.poles, self.depth)
-        return LaurentSeries2({m: v * lp for m, v in self.num.items()},
-                              self.poles, self.depth)
+        f = nm.plain_coeffs(factor)
+        if not f:
+            return LaurentSeries2._make(1, {}, self.poles, self.depth)
+        if max(f) == 0:
+            den, terms = nm.scaled((self.den, self.terms), f[0])
+        else:
+            den, terms = nm.lower({m: p for m, c in self.terms.items()
+                                   if (p := nm.lam_mul(nm.plain_values(c, self.den), f))})
+        return LaurentSeries2._make(den, terms, self.poles, self.depth)
 
     def __neg__(self) -> "LaurentSeries2":
-        return LaurentSeries2({m: -v for m, v in self.num.items()}, self.poles, self.depth)
+        return LaurentSeries2._make(self.den, nm.negated(self.terms), self.poles, self.depth)
 
     def __mul__(self, other: "LaurentSeries2") -> "LaurentSeries2":
-        depth = min(self.depth + _num_val(other.num), other.depth + _num_val(self.num))
-        num = _num_mul(self.num, other.num, depth)
+        depth = min(self.depth + _num_val(other.terms), other.depth + _num_val(self.terms))
+        den, terms = nm.mul((self.den, self.terms), (other.den, other.terms), depth)
         poles = tuple(x + y for x, y in zip(self.poles, other.poles))
-        return LaurentSeries2(num, poles, depth)
+        return LaurentSeries2._make(den, terms, poles, depth)
 
     def __add__(self, other: "LaurentSeries2") -> "LaurentSeries2":
         poles = tuple(max(x, y) for x, y in zip(self.poles, other.poles))
-        n1, d1 = self.num, self.depth
-        n2, d2 = other.num, other.depth
+        a, d1 = (self.den, self.terms), self.depth
+        b, d2 = (other.den, other.terms), other.depth
         for idx, direction in enumerate(DIVISORS):
             e1 = poles[idx] - self.poles[idx]
             e2 = poles[idx] - other.poles[idx]
             if e1:
-                n1 = _num_mul(n1, _direction_power(direction, e1), d1 + e1)
+                a = nm.mul(a, nm.direction_power(direction, e1), d1 + e1)
                 d1 += e1
             if e2:
-                n2 = _num_mul(n2, _direction_power(direction, e2), d2 + e2)
+                b = nm.mul(b, nm.direction_power(direction, e2), d2 + e2)
                 d2 += e2
-        return LaurentSeries2(_num_add(n1, n2), poles, min(d1, d2))
+        den, terms = nm.num_add(a, b)
+        depth = min(d1, d2)
+        return LaurentSeries2._make(den, _truncated(terms, depth), poles, depth)
 
     def __sub__(self, other: "LaurentSeries2") -> "LaurentSeries2":
         return self + (-other)
@@ -466,22 +204,34 @@ class LaurentSeries2:
         if not flip_z and not flip_w:
             return self
         a, b, c, d = self.poles
-        num: SeriesNum = {}
-        for (i, j), v in self.num.items():
-            sign = (-1) ** ((i if flip_z else 0) + (j if flip_w else 0))
-            num[(i, j)] = v if sign == 1 else -v
         if flip_z and flip_w:
-            extra = (-1) ** (a + b + c + d)
+            extra = (a + b + c + d) % 2
             poles = (a, b, c, d)
         elif flip_z:
-            extra = (-1) ** (a + c + d)
+            extra = (a + c + d) % 2
             poles = (a, b, d, c)
         else:
-            extra = (-1) ** b
+            extra = b % 2
             poles = (a, b, d, c)
-        if extra == -1:
-            num = {m: -v for m, v in num.items()}
-        return LaurentSeries2(num, poles, self.depth)
+        terms: Terms = {}
+        for (i, j), cc in self.terms.items():
+            odd = ((i if flip_z else 0) + (j if flip_w else 0) + extra) % 2
+            terms[(i, j)] = {k: -v for k, v in cc.items()} if odd else cc
+        return LaurentSeries2._make(self.den, terms, poles, self.depth)
+
+    def along_line(self, sz: int, sw: int, depth: int) -> "LaurentSeries2":
+        """Taylor coefficients of t -> N(sz*t, sw*t) up to degree depth, the one
+        of t**d stored at (d, 0), for sz and sw in {-1, 0, 1}; the pole
+        exponents are not applied.  Monomials are summed in sorted order."""
+        out: Terms = {}
+        for (i, j), c in sorted(self.terms.items()):
+            if i + j > depth or (i and not sz) or (j and not sw):
+                continue
+            term = c if sz ** i * sw ** j == 1 else {k: -v for k, v in c.items()}
+            cur = out.get((i + j, 0))
+            out[(i + j, 0)] = term if cur is None else nm.lam_add(cur, term, self.den)
+        return LaurentSeries2._make(self.den, {m: c for m, c in out.items() if c},
+                                    (0, 0, 0, 0), EXACT_DEPTH)
 
     # -- pole structure ------------------------------------------------------
 
@@ -500,23 +250,23 @@ class LaurentSeries2:
         return self._split(tol, want_singular=True)
 
     def _split(self, tol: float, want_singular: bool):
-        num = dict(self.num)
+        den, terms = self.den, self.terms
         depth = self.depth
         poles = list(self.poles)
         singular = LaurentSeries2.zero()
         max_res = 0.0
         for idx, direction in enumerate(DIVISORS):
             while poles[idx] > 0:
-                quot, rem, mag = _div_linear(num, direction, depth, tol)
+                quot, rem, mag = nm.div_linear(den, terms, direction, tol)
                 if rem and not want_singular:
                     break  # not divisible: this exponent is already minimal
                 if rem:
                     max_res = max(max_res, mag)
-                    singular = singular + LaurentSeries2(rem, tuple(poles), depth)
-                num = quot
+                    singular = singular + LaurentSeries2._make(den, rem, tuple(poles), depth)
+                terms = quot
                 depth -= 1
                 poles[idx] -= 1
-        result = LaurentSeries2(num, tuple(poles), depth)
+        result = LaurentSeries2._make(den, terms, tuple(poles), depth)
         return (result, singular, max_res)
 
     def singular_part(self, tol: float = 0.0) -> "LaurentSeries2":
@@ -530,7 +280,7 @@ class LaurentSeries2:
                 f"nonzero singular part (max obstruction {max_res:.3e}); "
                 "the origin is not removable"
             )
-        return regular.num.get((0, 0), LP_ZERO)
+        return regular.coeff(0, 0)
 
     # -- evaluation ----------------------------------------------------------
 
@@ -542,10 +292,11 @@ class LaurentSeries2:
         return total / (z ** a * w ** b * (z + w) ** c * (z - w) ** d)
 
     def coeff(self, i: int, j: int) -> LambdaPoly:
-        return self.num.get((i, j), LP_ZERO)
+        c = self.terms.get((i, j))
+        return LambdaPoly(nm.lifted(c, self.den)) if c else LambdaPoly()
 
     def max_abs(self) -> float:
-        return max((v.max_abs() for v in self.num.values()), default=0.0)
+        return max((nm.max_abs(c, self.den) for c in self.terms.values()), default=0.0)
 
     def __repr__(self):
         a, b, c, d = self.poles
@@ -559,102 +310,35 @@ def ls_inverse_regular(a: LaurentSeries2) -> LaurentSeries2:
     """Multiplicative inverse of a pole-free series with invertible constant term."""
     if any(a.poles):
         raise ValueError("only pole-free series can be inverted")
-    return LaurentSeries2(_series_inverse(a.num, a.depth), (0, 0, 0, 0), a.depth)
+    den, terms = nm.inverse((a.den, a.terms), a.depth)
+    return LaurentSeries2._make(den, terms, (0, 0, 0, 0), a.depth)
 
 
 # -- expansion of rational functions -----------------------------------------
 
-def _series_inverse(num: SeriesNum, depth: int) -> SeriesNum:
-    """Inverse of a unit numerator up to total degree depth.
-
-    Runs on the coefficients as plain numbers (see :func:`_plain`), in the
-    pair order and with the pop-on-zero of :class:`LambdaPoly` products and
-    sums, so every value equals the one :class:`Scalar` arithmetic gives:
-    Python promotes a ``Fraction`` meeting a ``complex`` through
-    ``complex(float(q))``, as :class:`Scalar` does."""
-    u0 = num.get((0, 0), LP_ZERO)
-    if u0.is_zero():
-        raise ZeroDivisionError("series inverse of a non-unit")
-    if u0.degree() > 0:
-        raise ValueError("cannot invert a unit whose constant term involves lam")
-    inv0 = u0.coeff(0).inverse()
-    neg_inv0 = _plain(-inv0)
-    coeffs = {m: [(k, _plain(v)) for k, v in lp.c.items()] for m, lp in num.items()}
-    monomials = sorted((m for m in num if m != (0, 0)), key=lambda m: m[0] + m[1])
-    out: dict[tuple[int, int], dict[int, object]] = {(0, 0): {0: _plain(inv0)}}
-    for d in range(1, depth + 1):
-        for i in range(d + 1):
-            acc: dict[int, object] = {}
-            for i1, j1 in monomials:
-                if i1 + j1 > d:
-                    break
-                if i1 > i or j1 > d - i:
-                    continue
-                prev = out.get((i - i1, d - i - j1))
-                if prev is None:
-                    continue
-                # the LambdaPoly product num[(i1, j1)] * prev, then its sum into acc
-                prod: dict[int, object] = {}
-                for k1, v1 in coeffs[(i1, j1)]:
-                    for k2, v2 in prev.items():
-                        _add_term(prod, k1 + k2, v1 * v2)
-                for k, v in prod.items():
-                    _add_term(acc, k, v)
-            if acc:
-                out[(i, d - i)] = {k: v * neg_inv0 for k, v in acc.items()}
-    return {m: LambdaPoly({k: _scalar(v) for k, v in c.items()}) for m, c in out.items()}
-
-
-def _add_term(coeffs: dict[int, object], k: int, v) -> None:
-    """coeffs[k] += v, dropping k when the sum is zero, as LambdaPoly sums do."""
-    cur = coeffs.get(k)
-    s = v if cur is None else cur + v
-    if s.is_zero() if s.__class__ is Scalar else not s:
-        coeffs.pop(k, None)
-    else:
-        coeffs[k] = s
-
-
-def _plain(v: Scalar) -> Fraction | complex | Scalar:
-    """A coefficient as a plain Python number: a ``Fraction`` for a rational,
-    a ``complex`` for a numeric value; a root-extension value stays a Scalar."""
-    if v.z is not None:
-        return v.z
-    return v if v.b else v.a
-
-
-def _scalar(x: Fraction | complex | Scalar) -> Scalar:
-    """Inverse of :func:`_plain`."""
-    if x.__class__ is Fraction:
-        return rational(x)
-    if x.__class__ is complex:
-        return Scalar.numeric(x)
-    return x
-
-
-def _expand_poly(poly: Poly2, depth: int, log_p: LambdaPoly) -> SeriesNum:
+def _expand_poly(poly: Poly2, depth: int, log_p: dict[int, Plain]) -> Flat:
     """Substitute T1 = exp(-z*log_p), T2 = exp(-w*log_p) into a polynomial."""
-    out: SeriesNum = {}
+    out: Flat = (1, {})
+    one: Flat = (1, {(0, 0): {0: 1}})
     for (i, j), coeff in poly.c.items():
         # exp(-(i*z + j*w)*log_p) truncated by total degree
-        term: SeriesNum = {(0, 0): LambdaPoly.const(coeff)}
+        term = _lower_num({(0, 0): coeff})
         if i or j:
-            rate = -log_p  # multiplied by (i*z + j*w)
-            lin: SeriesNum = {}
+            rate = {k: -v for k, v in log_p.items()}  # multiplied by (i*z + j*w)
+            lin = {}
             if i:
-                lin[(1, 0)] = rate.scale(i)
+                lin[(1, 0)] = {k: v * Fraction(i) for k, v in rate.items()}
             if j:
-                lin[(0, 1)] = rate.scale(j)
-            expf: SeriesNum = {(0, 0): LP_ONE}
-            power: SeriesNum = {(0, 0): LP_ONE}
+                lin[(0, 1)] = {k: v * Fraction(j) for k, v in rate.items()}
+            lin = nm.lower(lin)
+            expf = power = one
             for k in range(1, depth + 1):
-                power = _num_mul(power, lin, depth)
-                if not power:
+                power = nm.mul(power, lin, depth)
+                if not power[1]:
                     break
-                expf = _num_add(expf, {m: v.scale(Fraction(1, math.factorial(k)))
-                                       for m, v in power.items()})
-            term = _num_mul(term, expf, depth)
-        out = _num_add(out, term)
+                expf = nm.num_add(expf, nm.scaled(power, Fraction(1, math.factorial(k))))
+            term = nm.mul(term, expf, depth)
+        out = nm.num_add(out, term)
     return out
 
 
@@ -684,7 +368,7 @@ def _peel_divisors(poly: Poly2) -> tuple[Poly2, list[int]]:
     return poly, counts
 
 
-def _peeled_unit_series(idx: int, lp: LambdaPoly, depth: int) -> SeriesNum:
+def _peeled_unit_series(idx: int, lp: dict[int, Plain], depth: int) -> Flat:
     """Series of (divisor polynomial)/(divisor form), a unit at the origin:
 
     (1 - exp(-u*L))/u = L - L**2 u/2 + ...  along u = z, w or z+w, and
@@ -694,15 +378,15 @@ def _peeled_unit_series(idx: int, lp: LambdaPoly, depth: int) -> SeriesNum:
     sign = 1
     power = lp
     for k in range(depth + 1):
-        coeffs.append(power.scale(Fraction(sign, math.factorial(k + 1))))
-        power = power * lp
+        f = Fraction(sign, math.factorial(k + 1))
+        coeffs.append({kk: v * f for kk, v in power.items()})
+        power = nm.lam_mul(power, lp)
         sign = -sign
     if idx < 3:
-        direction = ("z", "w", "zw_plus")[idx]
-        return LaurentSeries2.from_direction(coeffs, 0, direction, depth).num
-    base = LaurentSeries2.from_direction(coeffs, 0, "zw_minus", depth).num
-    envelope = LaurentSeries2.exp_direction(-lp, "w", depth).num
-    return _num_mul({m: -v for m, v in base.items()}, envelope, depth)
+        return nm.along(("z", "w", "zw_plus")[idx], coeffs, depth)
+    base_den, base = nm.along("zw_minus", coeffs, depth)
+    envelope = nm.along("w", nm.exp_coeffs({k: -v for k, v in lp.items()}, depth), depth)
+    return nm.mul((base_den, nm.negated(base)), envelope, depth)
 
 
 def ls_from_rational(f: RationalFunction2, depth: int = DEFAULT_DEPTH,
@@ -718,15 +402,13 @@ def ls_from_rational(f: RationalFunction2, depth: int = DEFAULT_DEPTH,
     """
     if isinstance(log_p, str):
         if log_p == "numeric":
-            lp = LambdaPoly.const(Scalar.numeric(math.log(f.p)))
+            lp = nm.plain_coeffs(complex(math.log(f.p)))
         elif log_p == "lambda":
-            lp = LambdaPoly.lam()
+            lp = {1: Fraction(1)}
         else:
             raise ValueError(f"unknown log_p mode {log_p!r}")
-    elif isinstance(log_p, LambdaPoly):
-        lp = log_p
     else:
-        lp = LambdaPoly.const(Scalar.wrap(log_p))
+        lp = nm.plain_coeffs(log_p)
 
     num_red, num_counts = _peel_divisors(f.num)
     den_counts = [0, 0, 0, 0]
@@ -743,15 +425,14 @@ def ls_from_rational(f: RationalFunction2, depth: int = DEFAULT_DEPTH,
         )
 
     num = _expand_poly(num_red, depth, lp)
-    den: SeriesNum = {(0, 0): LambdaPoly.const(f.scale)}
+    denominator = _lower_num({(0, 0): f.scale})
     for red, exp in den_units:
         factor = _expand_poly(red, depth, lp)
         for _ in range(exp):
-            den = _num_mul(den, factor, depth)
-    unit = den.get((0, 0), LP_ZERO)
-    if unit.is_zero():
+            denominator = nm.mul(denominator, factor, depth)
+    if (0, 0) not in denominator[1]:
         raise ValueError("denominator vanishes at the origin in a non-divisor direction")
-    series = _num_mul(num, _series_inverse(den, depth), depth)
+    series = nm.mul(num, nm.inverse(denominator, depth), depth)
 
     poles = [0, 0, 0, 0]
     for idx in range(4):
@@ -759,16 +440,16 @@ def ls_from_rational(f: RationalFunction2, depth: int = DEFAULT_DEPTH,
         if num_counts[idx]:
             upow = _peeled_unit_series(idx, lp, depth)
             for _ in range(num_counts[idx]):
-                series = _num_mul(series, upow, depth)
+                series = nm.mul(series, upow, depth)
         if den_counts[idx]:
-            uinv = _series_inverse(_peeled_unit_series(idx, lp, depth), depth)
+            uinv = nm.inverse(_peeled_unit_series(idx, lp, depth), depth)
             for _ in range(den_counts[idx]):
-                series = _num_mul(series, uinv, depth)
+                series = nm.mul(series, uinv, depth)
         if net >= 0:
             poles[idx] = net
         else:
-            series = _num_mul(series, _direction_power(DIVISORS[idx], -net), depth)
-    return LaurentSeries2(series, tuple(poles), depth)
+            series = nm.mul(series, nm.direction_power(DIVISORS[idx], -net), depth)
+    return LaurentSeries2._make(*series, tuple(poles), depth)
 
 
 # -- cubic output -------------------------------------------------------------
@@ -942,10 +623,6 @@ def pole_factor_series(h1_coeffs: list[Fraction], h2_coeffs: list[Fraction],
 def four_term_combination(g: LaurentSeries2, quadruple: Iterable[Coeffs],
                           depth: int) -> LaurentSeries2:
     """G(z,w)h1 + G(-z,w)h2 + G(z,-w)h3 + G(-z,-w)h4."""
-    h1, h2, h3, h4 = [
-        LaurentSeries2.from_coeffs({m: Scalar.exact(v) for m, v in h.items()},
-                                   depth=EXACT_DEPTH)
-        for h in quadruple
-    ]
+    h1, h2, h3, h4 = [LaurentSeries2.from_coeffs(h, depth=EXACT_DEPTH) for h in quadruple]
     return (g * h1 + g.flip(True, False) * h2
             + g.flip(False, True) * h3 + g.flip(True, True) * h4)

@@ -1,0 +1,579 @@
+"""Numerators of bivariate Laurent series in kernel form, and their arithmetic.
+
+A numerator is a total-degree-truncated power series in z, w whose
+coefficients are polynomials in a formal symbol ``lam``.  Between and during
+operations it is kept as ``(den, terms)``: one denominator ``den`` and a
+nested dict ``terms: (i, j) -> {k: value}``, ``k`` being the power of
+``lam``.  A value is
+
+* an ``int``, an exact rational: the numerator over ``den``;
+* a ``complex``, a numeric coefficient;
+* a :class:`Scalar`, only in a numerator holding square-root data, which has
+  ``den = None`` and a :class:`Scalar` for every value.
+
+The dict is nested rather than keyed by ``(i, j, k)``: a monomial keeps its
+place while one of its ``lam`` powers cancels and comes back, so later float
+sums run in the same order.  No dict of the form is ever empty, and none is
+mutated once built.
+
+**Ring rule.**  Every operation computes what :class:`Scalar` arithmetic on
+the coefficients computes.  Exact values add as integers over the lcm of the
+two denominators, and multiply as integers over the product of the two,
+reduced by one gcd per result.  An exact value meeting a numeric one enters
+as ``complex(n / den)``, which is :meth:`Scalar.to_complex` of the reduced
+fraction: Python's integer true division rounds correctly.  A product sum
+turns complex at its first numeric product.  A ``lam`` coefficient whose sum
+reaches zero leaves its dict, and a monomial whose dict empties leaves the
+numerator, as :class:`LambdaPoly` sums drop them.  Products run in one of
+three loops: integers only; int or complex per term; :class:`Scalar` for
+square-root data.  The series inverse and the ``lam`` polynomials of
+``exp`` expansions run on ``Fraction``/``complex`` values.  So exact values,
+exactness, key order and every float bit are the ones :class:`Scalar`
+arithmetic gives.
+
+**View rule.**  :func:`view` builds the ``dict[(i, j)] -> LambdaPoly`` of
+:class:`Scalar` values a caller reads, in the kernel's key order; nothing in
+the arithmetic reads it.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+from .scalars import SC_ZERO, Scalar, ScalarLike, rational
+
+
+class LambdaPoly:
+    """Polynomial in the formal symbol lam with Scalar coefficients."""
+
+    __slots__ = ("c",)
+
+    def __init__(self, coeffs: dict[int, Scalar] | None = None):
+        self.c = coeffs if coeffs is not None else {}
+
+    @classmethod
+    def const(cls, value: ScalarLike) -> "LambdaPoly":
+        v = Scalar.wrap(value)
+        return cls({} if v.is_zero() else {0: v})
+
+    @classmethod
+    def lam(cls, coeff: ScalarLike = 1, power: int = 1) -> "LambdaPoly":
+        v = Scalar.wrap(coeff)
+        return cls({} if v.is_zero() else {power: v})
+
+    def is_zero(self) -> bool:
+        return not self.c
+
+    def degree(self) -> int:
+        return max(self.c, default=-1)
+
+    def __add__(self, other: "LambdaPoly") -> "LambdaPoly":
+        out = dict(self.c)
+        for k, v in other.c.items():
+            cur = out.get(k)
+            s = v if cur is None else cur + v
+            if s.is_zero():
+                out.pop(k, None)
+            else:
+                out[k] = s
+        return LambdaPoly(out)
+
+    def __neg__(self) -> "LambdaPoly":
+        return LambdaPoly({k: -v for k, v in self.c.items()})
+
+    def __sub__(self, other: "LambdaPoly") -> "LambdaPoly":
+        return self + (-other)
+
+    def __mul__(self, other: "LambdaPoly") -> "LambdaPoly":
+        if not self.c or not other.c:
+            return LambdaPoly()
+        out: dict[int, Scalar] = {}
+        for k1, v1 in self.c.items():
+            for k2, v2 in other.c.items():
+                k = k1 + k2
+                prod = v1 * v2
+                cur = out.get(k)
+                s = prod if cur is None else cur + prod
+                if s.is_zero():
+                    out.pop(k, None)
+                else:
+                    out[k] = s
+        return LambdaPoly(out)
+
+    def scale(self, factor: ScalarLike) -> "LambdaPoly":
+        f = Scalar.wrap(factor)
+        if f.is_zero():
+            return LambdaPoly()
+        return LambdaPoly({k: v * f for k, v in self.c.items()})
+
+    def coeff(self, k: int) -> Scalar:
+        return self.c.get(k, SC_ZERO)
+
+    def eval(self, lam: ScalarLike) -> Scalar:
+        lam = Scalar.wrap(lam)
+        total = SC_ZERO
+        for k, v in self.c.items():
+            total = total + v * lam ** k
+        return total
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, LambdaPoly):
+            return NotImplemented
+        return set(self.c) == set(other.c) and all(self.c[k] == other.c[k] for k in self.c)
+
+    def __hash__(self):
+        raise TypeError("LambdaPoly is unhashable")
+
+    def __repr__(self):
+        if not self.c:
+            return "0"
+        return " + ".join(
+            f"({v})" + ("" if k == 0 else f"*lam^{k}" if k > 1 else "*lam")
+            for k, v in sorted(self.c.items())
+        )
+
+
+LP_ZERO = LambdaPoly()
+
+SeriesNum = dict[tuple[int, int], LambdaPoly]
+Value = int | complex | Scalar                     # a kernel-form coefficient
+Terms = dict[tuple[int, int], dict[int, Value]]    # (i, j) -> {k: value}
+Flat = tuple[int | None, Terms]                    # (den, terms)
+Plain = Fraction | int | complex | Scalar          # a coefficient as a Python number
+
+_C_MINUS_ONE = complex(-1.0)
+_SC_MINUS_ONE = Scalar.exact(-1)
+_EMPTY: dict = {}
+
+
+# -- between Scalar values and the kernel form ---------------------------------
+
+def plain(v: Scalar) -> Fraction | complex | Scalar:
+    """A coefficient as a plain Python number: a ``Fraction`` for a rational,
+    a ``complex`` for a numeric value; a root-extension value stays a Scalar."""
+    if v.z is not None:
+        return v.z
+    return v if v.b else v.a
+
+
+def plain_coeffs(x) -> dict[int, Plain]:
+    """The lam coefficients of a LambdaPoly, or of a constant given as a
+    Scalar or a Python number, as plain numbers; zero constants give {}."""
+    if isinstance(x, LambdaPoly):
+        return {k: plain(v) for k, v in x.c.items()}
+    if isinstance(x, (int, Fraction, complex)):
+        return {0: x} if x else {}
+    v = Scalar.wrap(x)
+    return {} if v.is_zero() else {0: plain(v)}
+
+
+def plain_values(c: dict[int, Value], den: int | None) -> dict[int, Plain]:
+    """One monomial's kernel values as plain numbers."""
+    return {k: Fraction(v, den) if v.__class__ is int else v if v.__class__ is complex
+            else plain(v) for k, v in c.items()}
+
+
+def _scalar(x: Plain, den: int = 1) -> Scalar:
+    """The Scalar of a plain number, or of a kernel value over den."""
+    cls = x.__class__
+    if cls is int:
+        return rational(Fraction(x, den))
+    if cls is Fraction:
+        return rational(x)
+    if cls is complex:
+        return Scalar.numeric(x)
+    return x
+
+
+def lower(terms: dict) -> Flat:
+    """Kernel form of ``{key: {k: x}}`` with every x a plain number."""
+    dens = set()
+    for c in terms.values():
+        for x in c.values():
+            if x.__class__ is Scalar:
+                return None, {m: {k: _scalar(x) for k, x in c.items()} for m, c in terms.items()}
+            if x.__class__ is not complex:
+                dens.add(x.denominator)
+    den = math.lcm(*dens)
+    return den, {m: {k: x if x.__class__ is complex else x.numerator * (den // x.denominator)
+                     for k, x in c.items()} for m, c in terms.items()}
+
+
+def lifted(c: dict[int, Value], den: int | None) -> dict[int, Scalar]:
+    """One monomial's kernel values as Scalars."""
+    return {k: _scalar(v, den) for k, v in c.items()}
+
+
+def _lift(den: int | None, terms: Terms) -> Terms:
+    """The same terms with every value a Scalar (the square-root ring)."""
+    return {m: lifted(c, den) for m, c in terms.items()}
+
+
+def view(den: int | None, terms: Terms) -> SeriesNum:
+    return {m: LambdaPoly(lifted(c, den)) for m, c in terms.items()}
+
+
+def _is_zero(v: Value) -> bool:
+    return v.is_zero() if v.__class__ is Scalar else not v
+
+
+def max_abs(c: dict[int, Value], den: int | None) -> float:
+    """Largest modulus among one monomial's coefficients (0.0 for none)."""
+    return max((abs(v / den) if v.__class__ is int else abs(v) if v.__class__ is complex
+                else abs(v.to_complex()) for v in c.values()), default=0.0)
+
+
+def _negligible(c: dict[int, Value], den: int | None, tol: float) -> bool:
+    return not c if tol == 0.0 else max_abs(c, den) <= tol
+
+
+def negated(terms: Terms) -> Terms:
+    return {m: {k: -v for k, v in c.items()} for m, c in terms.items()}
+
+
+# -- sums ---------------------------------------------------------------------
+
+def lam_add(x: dict[int, Value], y: dict[int, Value], den: int | None) -> dict[int, Value]:
+    """x + y for the lam coefficients of one monomial over one denominator:
+    x's powers first, a power dropped when its sum is zero."""
+    out = dict(x)
+    for k, v in y.items():
+        cur = out.get(k)
+        if cur is not None:
+            if cur.__class__ is int:
+                v = cur + v if v.__class__ is int else complex(cur / den) + v
+            elif v.__class__ is int:
+                v = cur + complex(v / den)
+            else:
+                v = cur + v
+        if v.is_zero() if v.__class__ is Scalar else not v:
+            out.pop(k, None)
+        else:
+            out[k] = v
+    return out
+
+
+def _rescaled(terms: Terms, f: int) -> Terms:
+    if f == 1:
+        return terms
+    return {m: {k: v * f if v.__class__ is int else v for k, v in c.items()}
+            for m, c in terms.items()}
+
+
+def num_add(a: Flat, b: Flat) -> Flat:
+    """a + b: a's monomials first, then b's new ones; exact values over the
+    lcm of the two denominators."""
+    (da, ta), (db, tb) = a, b
+    if not tb:
+        return a
+    if not ta:
+        return b
+    if da is None or db is None:
+        den = None
+        ta, tb = _lift(da, ta), _lift(db, tb)
+    else:
+        den = math.lcm(da, db)
+        ta, tb = _rescaled(ta, den // da), _rescaled(tb, den // db)
+    out = dict(ta)
+    for m, cb in tb.items():
+        ca = out.get(m)
+        if ca is None:
+            out[m] = cb
+            continue
+        c = lam_add(ca, cb, den)
+        if c:
+            out[m] = c
+        else:
+            del out[m]
+    return den, out
+
+
+# -- products -----------------------------------------------------------------
+
+def _by_degree(terms: Terms) -> list:
+    """(i + j, i, j, k, value) for every term, sorted, so the truncation can
+    end each inner product loop early."""
+    return sorted((i + j, i, j, k, v) for (i, j), c in terms.items() for k, v in c.items())
+
+
+def mul(a: Flat, b: Flat, depth: int) -> Flat:
+    """Product of two numerators up to total degree depth.  Each output term
+    receives its products in the order of a's terms, and the keys keep the
+    order in which they first appear."""
+    (da, ta), (db, tb) = a, b
+    if not ta or not tb:
+        return 1, {}
+    if da is None or db is None:
+        return None, _scalar_mul(_lift(da, ta), _lift(db, tb), depth)
+    xa = [(i, j, k, v) for (i, j), c in ta.items() for k, v in c.items()]
+    xb = _by_degree(tb)
+    if any(t[3].__class__ is not int for t in xa) or any(t[4].__class__ is not int for t in xb):
+        return _collect(_per_term_mul(xa, da, xb, db, depth), da * db)
+    acc: dict[tuple[int, int, int], int] = {}
+    get = acc.get
+    for i1, j1, k1, v1 in xa:
+        room = depth - i1 - j1
+        for d2, i2, j2, k2, v2 in xb:
+            if d2 > room:
+                break
+            key = (i1 + i2, j1 + j2, k1 + k2)
+            acc[key] = get(key, 0) + v1 * v2
+    return _collect(acc, da * db)
+
+
+def _per_term_mul(xa: list, da: int, xb: list, db: int, depth: int) -> dict:
+    """Product sums of int/complex terms as :class:`Scalar` forms them: an
+    exact factor of a numeric product enters as ``complex(n / den)``, a sum
+    turns complex at its first numeric product (``complex(acc / den) + p``),
+    later exact products add as ``complex(p / den)``, and a sum that starts
+    numeric starts as ``0j + p``."""
+    den = da * db
+    # (..., integer numerator or None, complex value)
+    ya = [(i, j, k, x, complex(x / da)) if x.__class__ is int else (i, j, k, None, x)
+          for i, j, k, x in xa]
+    yb = [(d, i, j, k, x, complex(x / db)) if x.__class__ is int else (d, i, j, k, None, x)
+          for d, i, j, k, x in xb]
+    acc: dict[tuple[int, int, int], int | complex] = {}
+    get = acc.get
+    for i1, j1, k1, n1, c1 in ya:
+        room = depth - i1 - j1
+        for d2, i2, j2, k2, n2, c2 in yb:
+            if d2 > room:
+                break
+            key = (i1 + i2, j1 + j2, k1 + k2)
+            if n1 is None or n2 is None:
+                s = get(key, 0j)
+                acc[key] = (s if s.__class__ is complex else complex(s / den)) + c1 * c2
+            else:
+                s = get(key, 0)
+                acc[key] = (s + n1 * n2 if s.__class__ is int
+                            else s + complex(n1 * n2 / den))
+    return acc
+
+
+def _collect(acc: dict[tuple[int, int, int], int | complex], den: int) -> Flat:
+    """Kernel form of (i, j, k) sums over den, in the order the keys first
+    appeared, dropping sums that vanished; den is reduced by one gcd."""
+    g = math.gcd(den, *[v for v in acc.values() if v.__class__ is int])
+    out: Terms = {}
+    for (i, j, k), v in acc.items():
+        if v:
+            c = out.get((i, j))
+            if c is None:
+                c = out[(i, j)] = {}
+            c[k] = v // g if g != 1 and v.__class__ is int else v
+    return den // g, out
+
+
+def _scalar_mul(ta: Terms, tb: Terms, depth: int) -> Terms:
+    """The product loop in Scalar arithmetic, for square-root data."""
+    xb = _by_degree(tb)
+    acc: dict[tuple[int, int, int], Scalar] = {}
+    get = acc.get
+    for (i1, j1), c in ta.items():
+        room = depth - i1 - j1
+        for k1, v1 in c.items():
+            for d2, i2, j2, k2, v2 in xb:
+                if d2 > room:
+                    break
+                key = (i1 + i2, j1 + j2, k1 + k2)
+                acc[key] = get(key, SC_ZERO) + v1 * v2
+    out: Terms = {}
+    for (i, j, k), v in acc.items():
+        if not v.is_zero():
+            out.setdefault((i, j), {})[k] = v
+    return out
+
+
+def _reduced(den: int, terms: Terms) -> Flat:
+    g = math.gcd(den, *[v for c in terms.values() for v in c.values() if v.__class__ is int])
+    if g == 1:
+        return den, terms
+    return den // g, {m: {k: v // g if v.__class__ is int else v for k, v in c.items()}
+                      for m, c in terms.items()}
+
+
+def scaled(a: Flat, f: Plain) -> Flat:
+    """Every value times the nonzero constant f, as ``value * f`` in Scalar
+    arithmetic; nothing is dropped."""
+    den, terms = a
+    if den is None or f.__class__ is Scalar:
+        fs = _scalar(f)
+        return None, {m: {k: v * fs for k, v in c.items()} for m, c in _lift(den, terms).items()}
+    if f.__class__ is complex:
+        return den, {m: {k: (complex(v / den) if v.__class__ is int else v) * f
+                         for k, v in c.items()} for m, c in terms.items()}
+    n, fc = f.numerator, complex(f.numerator / f.denominator)
+    return _reduced(den * f.denominator,
+                    {m: {k: v * n if v.__class__ is int else v * fc for k, v in c.items()}
+                     for m, c in terms.items()})
+
+
+def _add_term(coeffs: dict[int, object], k: int, v) -> None:
+    """coeffs[k] += v, dropping k when the sum is zero, as LambdaPoly sums do."""
+    cur = coeffs.get(k)
+    s = v if cur is None else cur + v
+    if s.is_zero() if s.__class__ is Scalar else not s:
+        coeffs.pop(k, None)
+    else:
+        coeffs[k] = s
+
+
+def lam_mul(x: dict[int, Plain], y: dict[int, Plain]) -> dict[int, Plain]:
+    """The LambdaPoly product of two plain-valued lam coefficient dicts: Python
+    promotes a ``Fraction`` meeting a ``complex`` through ``complex(float(q))``,
+    as :class:`Scalar` does."""
+    out: dict[int, Plain] = {}
+    for k1, v1 in x.items():
+        for k2, v2 in y.items():
+            _add_term(out, k1 + k2, v1 * v2)
+    return out
+
+
+# -- the divisor directions ---------------------------------------------------
+
+def _power_terms(direction: str, k: int) -> list[tuple[tuple[int, int], int]]:
+    """The monomials of (z, w, z+w or z-w)**k with their integer coefficients."""
+    if direction == "z":
+        return [((k, 0), 1)]
+    if direction == "w":
+        return [((0, k), 1)]
+    sign = 1 if direction == "zw_plus" else -1
+    return [((m, k - m), math.comb(k, m) * sign ** (k - m)) for m in range(k + 1)]
+
+
+def direction_power(direction: str, k: int) -> Flat:
+    return 1, {m: {0: b} for m, b in _power_terms(direction, k)}
+
+
+def along(direction: str, coeffs: list[dict[int, Plain]], depth: int) -> Flat:
+    """sum_k coeffs[k] * dir**k for the k <= depth with nonzero coefficients.
+    Each power of dir brings its own monomials, so nothing is summed: a value
+    is the binomial times the coefficient, as a Scalar product."""
+    den, lowered = lower({k: c for k, c in enumerate(coeffs) if c and k <= depth})
+    terms: Terms = {}
+    for k, c in lowered.items():
+        for m, b in _power_terms(direction, k):
+            prod = {}
+            for kk, v in c.items():
+                cls = v.__class__
+                p = v * b if cls is int else v * complex(b) if cls is complex else _scalar(b) * v
+                if not _is_zero(p):
+                    prod[kk] = p
+            if prod:
+                terms[m] = prod
+    return den, terms
+
+
+def exp_coeffs(rate: dict[int, Plain], depth: int) -> list[dict[int, Plain]]:
+    """rate**k / k! for k = 0..depth as lam coefficient dicts, each from the
+    last by one LambdaPoly product with rate / k."""
+    coeffs = []
+    term: dict[int, Plain] = {0: Fraction(1)}
+    for k in range(depth + 1):
+        if k:
+            term = lam_mul(term, {kk: v * Fraction(1, k) for kk, v in rate.items()})
+        coeffs.append(term)
+    return coeffs
+
+
+def _carried(c: dict[int, Value], sign: int) -> dict[int, Value]:
+    """What synthetic division subtracts from the next coefficient, negated:
+    ``-carry`` for z+w and ``-(carry * -1)`` for z-w (numeric values are
+    multiplied by ``-1+0j``, as LambdaPoly.scale does)."""
+    if sign == 1:
+        return {k: -v for k, v in c.items()}
+    return {k: v if v.__class__ is int
+            else -(v * (_C_MINUS_ONE if v.__class__ is complex else _SC_MINUS_ONE))
+            for k, v in c.items()}
+
+
+def div_linear(den: int | None, terms: Terms, direction: str,
+               tol: float) -> tuple[Terms, Terms, float]:
+    """Divide a numerator by z, w, z+w or z-w.
+
+    Returns (quotient valid to one degree less, remainder, max remainder
+    magnitude), both over den.  The remainder per homogeneous degree d is
+    canonically supported on w**d for directions z, z+w, z-w and on z**d for
+    direction w.
+    """
+    quot: Terms = {}
+    rem: Terms = {}
+    max_rem = 0.0
+    if direction in ("z", "w"):
+        along_z = direction == "z"
+        for (i, j), c in terms.items():
+            if (i if along_z else j) == 0:
+                if not _negligible(c, den, tol):
+                    rem[(i, j)] = c
+                    max_rem = max(max_rem, max_abs(c, den))
+            else:
+                quot[(i - 1, j) if along_z else (i, j - 1)] = c
+        return quot, rem, max_rem
+    sign = 1 if direction == "zw_plus" else -1
+    by_degree: dict[int, dict[int, dict[int, Value]]] = {}
+    for (i, j), c in terms.items():
+        by_degree.setdefault(i + j, {})[i] = c
+    for d, comp in by_degree.items():
+        if d == 0:
+            c = comp.get(0, _EMPTY)
+            if not _negligible(c, den, tol):
+                rem[(0, 0)] = c
+                max_rem = max(max_rem, max_abs(c, den))
+            continue
+        # synthetic division of the homogeneous component by z + sign*w
+        q: dict[int, dict[int, Value]] = {}
+        carry = comp.get(d, _EMPTY)
+        q[d - 1] = carry
+        for k in range(d - 1, 0, -1):
+            carry = lam_add(comp.get(k, _EMPTY), _carried(carry, sign), den)
+            q[k - 1] = carry
+        rho = lam_add(comp.get(0, _EMPTY), _carried(q[0], sign), den)
+        if not _negligible(rho, den, tol):
+            rem[(0, d)] = rho
+            max_rem = max(max_rem, max_abs(rho, den))
+        for k, c in q.items():
+            if c:
+                quot[(k, d - 1 - k)] = c
+    return quot, rem, max_rem
+
+
+# -- the series inverse ---------------------------------------------------------
+
+def inverse(a: Flat, depth: int) -> Flat:
+    """Inverse of a unit numerator up to total degree depth.
+
+    Runs on the coefficients as plain numbers (see :func:`plain`), in the
+    pair order and with the pop-on-zero of :class:`LambdaPoly` products and
+    sums, so every value equals the one :class:`Scalar` arithmetic gives:
+    Python promotes a ``Fraction`` meeting a ``complex`` through
+    ``complex(float(q))``, as :class:`Scalar` does."""
+    den, terms = a
+    u0 = terms.get((0, 0))
+    if not u0:
+        raise ZeroDivisionError("series inverse of a non-unit")
+    if max(u0) > 0:
+        raise ValueError("cannot invert a unit whose constant term involves lam")
+    coeffs = {m: plain_values(c, den) for m, c in terms.items()}
+    u = coeffs[(0, 0)][0]
+    inv0 = 1 / u if u.__class__ is Fraction else 1.0 / u if u.__class__ is complex else u.inverse()
+    neg_inv0 = -inv0
+    monomials = sorted((m for m in terms if m != (0, 0)), key=lambda m: m[0] + m[1])
+    out: dict[tuple[int, int], dict[int, object]] = {(0, 0): {0: inv0}}
+    for d in range(1, depth + 1):
+        for i in range(d + 1):
+            acc: dict[int, object] = {}
+            for i1, j1 in monomials:
+                if i1 + j1 > d:
+                    break
+                if i1 > i or j1 > d - i:
+                    continue
+                prev = out.get((i - i1, d - i - j1))
+                if prev is None:
+                    continue
+                for k, v in lam_mul(coeffs[(i1, j1)], prev).items():
+                    _add_term(acc, k, v)
+            if acc:
+                out[(i, d - i)] = {k: v * neg_inv0 for k, v in acc.items()}
+    return lower(out)

@@ -277,11 +277,6 @@ def all_rational(values: Iterable[Scalar]) -> bool:
     return all(v.z is None and not v.b for v in values)
 
 
-def root_free(values: Iterable[Scalar]) -> bool:
-    """True when no value has a square-root part (each is rational or numeric)."""
-    return all(v.z is not None or not v.b for v in values)
-
-
 def common_denominator(values: Iterable[Scalar]) -> int:
     """Least common multiple of the denominators of plain-rational values."""
     return math.lcm(*[v.a.denominator for v in values])

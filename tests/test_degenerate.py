@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -159,14 +160,17 @@ def test_limit_correction_is_correction_term():
 
 
 def test_laurent_kernels_make_no_scalar_arithmetic(monkeypatch):
-    # root-free data runs _num_mul and _series_inverse on ints, Fractions and
-    # complex doubles; a Scalar sum or product inside them means the slow
+    # root-free data runs the product and inverse kernels on ints, Fractions
+    # and complex doubles; a Scalar sum or product inside them means the slow
     # per-term Scalar fallback came back
+    from rankinlab import numerator
+    entered = [0]
     inside = [0]
     scalar_ops = [0]
 
     def kernel(fn):
         def wrapper(*args, **kwargs):
+            entered[0] += 1
             inside[0] += 1
             try:
                 return fn(*args, **kwargs)
@@ -181,10 +185,36 @@ def test_laurent_kernels_make_no_scalar_arithmetic(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(laurent, "_num_mul", kernel(laurent._num_mul))
-    monkeypatch.setattr(laurent, "_series_inverse", kernel(laurent._series_inverse))
+    monkeypatch.setattr(numerator, "mul", kernel(numerator.mul))
+    monkeypatch.setattr(numerator, "inverse", kernel(numerator.inverse))
     for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
         monkeypatch.setattr(Scalar, name, counted(getattr(Scalar, name)))
     rep = degenerate_limit(default_data(), Q23, depth=8)
     assert rep.singular_residual == 0.0
+    assert entered[0] > 0
     assert scalar_ops[0] == 0
+
+
+def test_degenerate_limit_builds_scalars_only_for_read_coefficients(monkeypatch):
+    # Scalar.numeric calls made with laurent or numerator code on the stack:
+    # only the coefficients degenerate_limit reads (the constant term, h1..h4
+    # at the origin, the correction limit) become Scalars.  With numerators
+    # kept as dict[(i, j)] -> LambdaPoly this run made 8,842.
+    from rankinlab import numerator
+    files = {laurent.__file__, numerator.__file__}
+    numeric = Scalar.numeric.__func__
+    calls = [0]
+
+    def counted(cls, value):
+        frame = sys._getframe(1)
+        while frame is not None:
+            if frame.f_code.co_filename in files:
+                calls[0] += 1
+                break
+            frame = frame.f_back
+        return numeric(cls, value)
+
+    monkeypatch.setattr(Scalar, "numeric", classmethod(counted))
+    rep = degenerate_limit(default_data(), Q23, depth=8)
+    assert rep.singular_residual == 0.0
+    assert calls[0] == 7
