@@ -10,6 +10,7 @@ parts in the root extension); JSON reports are emitted in a canonical form
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import json
 import math
@@ -97,7 +98,39 @@ def parse_point(text: str) -> tuple[Scalar, Scalar]:
     parts = text.split(",")
     if len(parts) != 2:
         raise ValueError(f"expected 'z,w', got {text!r}")
-    return parse_exact(parts[0]), parse_exact(parts[1])
+    point = parse_exact(parts[0]), parse_exact(parts[1])
+    if not all(v.is_exact or cmath.isfinite(v.z) for v in point):
+        raise ValueError(f"non-finite coordinate in point {text!r}")
+    return point
+
+
+def _check_point_size(p: int, z: Scalar, w: Scalar, text: str) -> None:
+    """Refuse a point where p**(-z) or p**(-w) cannot be formed: exact (2z an
+    integer) with more digits than Python converts to a string
+    (``sys.get_int_max_str_digits()``, 0 for no limit), where evaluating
+    would take long and print nothing; or a float beyond the double range."""
+    limit = sys.get_int_max_str_digits()
+    for t in (z, w):
+        x = t.a if t.is_exact else t.z.real
+        if t.is_exact and (2 * x).denominator == 1:
+            if limit and abs(x) > limit / math.log10(p):
+                raise ValueError(f"point {text!r} is too large: {p}**{-x} alone has more "
+                                 f"than {limit} digits, the limit of "
+                                 "sys.get_int_max_str_digits()")
+        elif x < -math.log(sys.float_info.max) / math.log(p):
+            raise ValueError(f"point {text!r} is too large: {p}**{-t} overflows a double")
+
+
+def _format_at(value: Scalar | None, text: str) -> str:
+    """A value at the point as printed, or "pole"."""
+    if value is None:
+        return "pole"
+    try:
+        return format_scalar(value)
+    except ValueError:
+        raise ValueError(f"the exact value at point {text!r} has more than "
+                         f"{sys.get_int_max_str_digits()} digits, the limit of "
+                         "sys.get_int_max_str_digits()") from None
 
 
 def _eval_or_pole(value, z: Scalar, w: Scalar) -> Scalar | None:
@@ -118,15 +151,15 @@ def cmd_psi(args) -> int:
         "kinds": list(kinds), "at": args.at, "seed": args.seed,
         "mode": "exact" if exact_mode else "numeric",
     }
+    z, w = parse_point(args.at)
+    _check_point_size(args.p, z, w, args.at)
     all_match = True
     for kind in kinds:
         closed = psi_closed(kind, place, pi0)
         oracle = psi_oracle(kind, place, pi0, cutoff=args.cutoff)
-        z, w = parse_point(args.at)
         cv = _eval_or_pole(closed.value, z, w)
         ov = _eval_or_pole(oracle.value, z, w)
-        entry = {"closed_at": "pole" if cv is None else format_scalar(cv),
-                 "oracle_at": "pole" if ov is None else format_scalar(ov)}
+        entry = {"closed_at": _format_at(cv, args.at), "oracle_at": _format_at(ov, args.at)}
         if exact_mode:
             # tolerance is ignored: the two rational functions must coincide
             match = rf_equal(closed.value, oracle.value)
@@ -193,7 +226,8 @@ def cmd_verify(args) -> int:
         return USAGE_ERROR
     # runtimes go to stderr only; the JSON report stays deterministic per seed
     report = {"command": "verify", "seed": args.seed,
-              "suites": {key: {"passed": res.passed, **_jsonable(res.details)}
+              "suites": {key: {"passed": res.passed, "correct": res.correct,
+                               "within_budget": res.within_budget, **_jsonable(res.details)}
                          for key, res in results}}
     for _, res in results:
         print(res.line(), file=sys.stderr)

@@ -1,29 +1,32 @@
 """Exact arithmetic for bivariate rational functions in T1 = p**(-z), T2 = p**(-w).
 
-Polynomials are sparse dictionaries mapping exponent pairs to :class:`Scalar`
-coefficients.  A :class:`RationalFunction2` keeps its denominator as a
-multiset of normalised factors; arithmetic therefore never needs polynomial
-gcds, while equality uses cross-multiplication after cancelling shared
-factors.  A fully reduced ``num/den`` pair (common factors removed by exact
-bivariate gcd, content-normalised) is available through
-:meth:`RationalFunction2.canonical`.
+A :class:`Poly2` whose coefficients are all plain rationals is kept, between
+and during operations, as one positive ``int`` denominator ``den`` and a dict
+``terms: (i, j) -> int`` of numerators over it (FLINT's ``fmpq_poly``
+layout).  The denominator is divided by its gcd with every numerator, so
+equal polynomials have equal forms.  A polynomial with any square-root or
+numeric coefficient has ``den = None`` and a :class:`Scalar` for every value;
+an operation whose result is all rational returns the integer form.
 
-Polynomial products run in one coefficient ring chosen per product, as
-:mod:`rankinlab.laurent` series products do (which add a kernel for mixed
-exact and numeric data):
+**Ring rule.**  Products, sums, negation, :meth:`Poly2.scale`,
+:meth:`Poly2.shift`, powers, equality, :meth:`Poly2.key` and exact division
+run on the integers when both operands are in integer form, and in
+:class:`Scalar` arithmetic otherwise.  Both visit the term pairs in the same
+order and drop a monomial whose running sum reaches zero, so it re-enters at
+the end: exact values, key order, and with them the float summation order of
+a later numeric :meth:`Poly2.eval`, do not depend on the form.  At an exact
+point in Q or Q(sqrt(s)) :meth:`Poly2.eval` of the integer form sums the
+rational and the root part as integers and builds one :class:`Scalar`;
+numeric points keep the :class:`Scalar` loop.
 
-* every coefficient of both operands a plain rational: Python integers over
-  each operand's common denominator (FLINT's ``fmpq_poly`` layout), reduced
-  once per output term;
-* otherwise (root-extension, numeric or mixed data) :class:`Scalar`.
+:attr:`Poly2.c` is a read-only ``dict[Monomial, Scalar]`` view, built on each
+read in the form's key order; nothing in the arithmetic reads it.
 
-Both loops visit the term pairs in the same order and drop a monomial whose
-running sum reaches zero, so it re-enters at the end; the key order of a
-product, and with it the float summation order of a later numeric
-:meth:`Poly2.eval`, does not depend on the ring.  Sums and scalings of plain
-rationals build their :class:`Scalar` results straight from ``Fraction``
-arithmetic.  Coefficient dictionaries stay ``dict[Monomial, Scalar]`` between
-operations.
+A :class:`RationalFunction2` keeps its denominator as a multiset of
+normalised factors; arithmetic therefore never needs polynomial gcds, while
+equality uses cross-multiplication after cancelling shared factors.  A fully
+reduced ``num/den`` pair (common factors removed by exact bivariate gcd,
+content-normalised) is available through :meth:`RationalFunction2.canonical`.
 
 Everything is immutable in practice: operations return new objects and no
 function mutates its arguments, so values can be shared freely across
@@ -32,10 +35,10 @@ threads.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-from .scalars import (SC_ONE, SC_ZERO, Scalar, ScalarLike, all_rational, common_denominator,
-                      rational)
+from .scalars import SC_ONE, SC_ZERO, Scalar, ScalarLike, rational
 
 Monomial = tuple[int, int]
 
@@ -45,67 +48,93 @@ class PoleError(ZeroDivisionError):
 
 
 class Poly2:
-    """Sparse bivariate polynomial with Scalar coefficients."""
+    """Sparse bivariate polynomial: ``terms`` maps (i, j) to an integer
+    numerator over ``den``, or to a Scalar when ``den`` is None."""
 
-    __slots__ = ("c",)
+    __slots__ = ("den", "terms")
 
     def __init__(self, coeffs: dict[Monomial, Scalar] | None = None):
-        self.c: dict[Monomial, Scalar] = coeffs if coeffs is not None else {}
+        self.den, self.terms = _lowered(dict(coeffs) if coeffs else {})
+
+    @classmethod
+    def _make(cls, den: int | None, terms: dict) -> "Poly2":
+        self = object.__new__(cls)
+        self.den = den
+        self.terms = terms
+        return self
+
+    @property
+    def c(self) -> dict[Monomial, Scalar]:
+        """The coefficients as ``dict[Monomial, Scalar]``, built on each read."""
+        den = self.den
+        if den is None:
+            return dict(self.terms)
+        return {m: rational(Fraction(n, den)) for m, n in self.terms.items()}
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def const(cls, value: ScalarLike) -> "Poly2":
-        v = Scalar.wrap(value)
-        return cls({} if v.is_zero() else {(0, 0): v})
+        return cls.monomial(0, 0, value)
 
     @classmethod
     def monomial(cls, i: int, j: int, coeff: ScalarLike = 1) -> "Poly2":
-        v = Scalar.wrap(coeff)
         if i < 0 or j < 0:
             raise ValueError("Poly2 exponents must be nonnegative")
-        return cls({} if v.is_zero() else {(i, j): v})
+        q = coeff
+        if q.__class__ not in (int, Fraction):
+            v = Scalar.wrap(coeff)
+            if not v.is_rational():
+                return cls._make(1, {}) if v.is_zero() else cls._make(None, {(i, j): v})
+            q = v.a
+        return cls._make(q.denominator, {(i, j): q.numerator}) if q else cls._make(1, {})
 
     # -- basic queries -----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.c
+        return not self.terms
 
     def is_exact(self) -> bool:
-        return all(v.is_exact for v in self.c.values())
+        return self.den is not None or all(v.is_exact for v in self.terms.values())
 
     def deg1(self) -> int:
-        return max((i for i, _ in self.c), default=-1)
+        return max((i for i, _ in self.terms), default=-1)
 
     def deg2(self) -> int:
-        return max((j for _, j in self.c), default=-1)
+        return max((j for _, j in self.terms), default=-1)
 
     def total_degree(self) -> int:
-        return max((i + j for i, j in self.c), default=-1)
+        return max((i + j for i, j in self.terms), default=-1)
 
     def lead_monomial(self) -> Monomial:
         """Lexicographically largest monomial (T1 first)."""
-        return max(self.c)
+        return max(self.terms)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly2):
             return NotImplemented
-        if set(self.c) != set(other.c):
+        if self.den is not None and other.den is not None:
+            return self.den == other.den and self.terms == other.terms
+        a, b = self.c, other.c
+        if set(a) != set(b):
             return False
-        return all(self.c[m] == other.c[m] for m in self.c)
+        return all(a[m] == b[m] for m in a)
 
     def __hash__(self):
         return hash(self.key())
 
     def key(self) -> tuple:
-        """Hashable canonical form for factor bookkeeping: per monomial, in
-        sorted order, ``(m, a.num, a.den, b.num, b.den, base or 0)`` for an
-        exact coefficient ``a + b*sqrt(base)`` (squarefree integer base) and
-        ``(m, z)`` for a numeric one.  Integers only, so hashing is cheap and
-        does not depend on object addresses."""
+        """Hashable canonical form for factor bookkeeping, integers only, so
+        hashing is cheap and does not depend on object addresses: ``(den,
+        ((i, j), n), ...)`` in sorted monomial order for the integer form;
+        otherwise per monomial, in sorted order, ``(m, a.num, a.den, b.num,
+        b.den, base or 0)`` for an exact coefficient ``a + b*sqrt(base)``
+        (squarefree integer base) and ``(m, z)`` for a numeric one."""
+        if self.den is not None:
+            return (self.den, *sorted(self.terms.items()))
         items = []
-        for m in sorted(self.c):
-            s = self.c[m]
+        for m in sorted(self.terms):
+            s = self.terms[m]
             if s.z is None:
                 a, b = s.a, s.b
                 items.append((m, a.numerator, a.denominator, b.numerator, b.denominator,
@@ -117,89 +146,61 @@ class Poly2:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "Poly2") -> "Poly2":
-        out = dict(self.c)
-        for m, v in other.c.items():
-            cur = out.get(m)
-            if cur is None:
-                s = v
-            elif cur.z is None and v.z is None and not cur.b and not v.b:
-                s = rational(cur.a + v.a)
-            else:
-                s = cur + v
-            if s.is_zero():
-                out.pop(m, None)
-            else:
+        da, db = self.den, other.den
+        if da is None or db is None:
+            return _scalar_add(self.c, other.c)
+        den = math.lcm(da, db)
+        fa, fb = den // da, den // db
+        out = dict(self.terms) if fa == 1 else {m: n * fa for m, n in self.terms.items()}
+        get, pop = out.get, out.pop
+        for m, n in other.terms.items():
+            s = get(m, 0) + n * fb
+            if s:
                 out[m] = s
-        return Poly2(out)
+            else:
+                pop(m, None)
+        return _reduced(den, out)
 
     def __neg__(self) -> "Poly2":
-        return Poly2({m: -v for m, v in self.c.items()})
+        return Poly2._make(self.den, {m: -v for m, v in self.terms.items()})
 
     def __sub__(self, other: "Poly2") -> "Poly2":
         return self + (-other)
 
     def __mul__(self, other: "Poly2") -> "Poly2":
-        """Product in the coefficient ring the module docstring describes."""
-        if not self.c or not other.c:
-            return Poly2()
-        if all_rational(self.c.values()) and all_rational(other.c.values()):
-            return self._rational_mul(other)
-        out: dict[Monomial, Scalar] = {}
-        for (i1, j1), v1 in self.c.items():
-            for (i2, j2), v2 in other.c.items():
-                m = (i1 + i2, j1 + j2)
-                prod = v1 * v2
-                cur = out.get(m)
-                s = prod if cur is None else cur + prod
-                if s.is_zero():
-                    out.pop(m, None)
-                else:
-                    out[m] = s
-        return Poly2(out)
-
-    def _rational_mul(self, other: "Poly2") -> "Poly2":
-        """Product of two plain-rational polynomials: integer numerators over
-        each operand's common denominator, the pair order and pop-on-zero of
-        the Scalar loop, one Fraction per output term."""
-        da, db = common_denominator(self.c.values()), common_denominator(other.c.values())
-        xb = [(i, j, v.a.numerator * (db // v.a.denominator)) for (i, j), v in other.c.items()]
-        acc: dict[Monomial, int] = {}
-        get, pop = acc.get, acc.pop
-        for (i1, j1), v1 in self.c.items():
-            n1 = v1.a.numerator * (da // v1.a.denominator)
-            for i2, j2, n2 in xb:
-                m = (i1 + i2, j1 + j2)
-                s = get(m, 0) + n1 * n2
-                if s:
-                    acc[m] = s
-                else:
-                    pop(m, None)
-        den = da * db
-        return Poly2({m: rational(Fraction(n, den)) for m, n in acc.items()})
+        """Product in the ring the module docstring describes."""
+        if not self.terms or not other.terms:
+            return Poly2._make(1, {})
+        if self.den is None or other.den is None:
+            return _scalar_mul(self.c, other.c)
+        return _int_mul(self.den, self.terms, other.den, other.terms)
 
     def scale(self, factor: ScalarLike) -> "Poly2":
         f = Scalar.wrap(factor)
         if f.is_zero():
-            return Poly2()
-        if f.is_rational():
-            fa = f.a
-            return Poly2({m: rational(v.a * fa) if v.z is None and not v.b else v * f
-                          for m, v in self.c.items()})
-        return Poly2({m: v * f for m, v in self.c.items()})
+            return Poly2._make(1, {})
+        if self.den is not None and f.is_rational():
+            return self._times(f.a)
+        return _from_scalars({m: v * f for m, v in self.c.items()})
+
+    def _times(self, q: Fraction) -> "Poly2":
+        """The integer form times the nonzero rational q."""
+        n = q.numerator
+        return _reduced(self.den * q.denominator, {m: v * n for m, v in self.terms.items()})
 
     def shift(self, di: int, dj: int) -> "Poly2":
         """Multiply by the monomial T1**di * T2**dj (exponents must stay >= 0)."""
         out = {}
-        for (i, j), v in self.c.items():
+        for (i, j), v in self.terms.items():
             if i + di < 0 or j + dj < 0:
                 raise ValueError("negative exponent after shift")
             out[(i + di, j + dj)] = v
-        return Poly2(out)
+        return Poly2._make(self.den, out)
 
     def __pow__(self, n: int) -> "Poly2":
         if n < 0:
             raise ValueError("use RationalFunction2 for negative powers")
-        result = Poly2.const(1)
+        result = Poly2._make(1, {(0, 0): 1})
         square = self
         while n:
             if n & 1:
@@ -210,7 +211,13 @@ class Poly2:
         return result
 
     def eval(self, t1: Scalar, t2: Scalar) -> Scalar:
-        """Sum of ``v * t1**i * t2**j`` in key order, each power computed once."""
+        """Sum of ``v * t1**i * t2**j``: on integers at exact points of one
+        quadratic field, else in key order, each power computed once."""
+        if not self.terms:
+            return SC_ZERO
+        if (self.den is not None and t1.z is None and t2.z is None
+                and not (t1.b and t2.b and t1.base != t2.base)):
+            return _eval_exact(self.den, self.terms, t1, t2)
         pow1: dict[int, Scalar] = {}
         pow2: dict[int, Scalar] = {}
         total = SC_ZERO
@@ -231,20 +238,136 @@ class Poly2:
         return sum(abs(v.to_complex()) * a1 ** i * a2 ** j for (i, j), v in self.c.items())
 
     def to_numeric(self) -> "Poly2":
-        return Poly2({m: Scalar.numeric(v.to_complex()) for m, v in self.c.items()})
+        return _from_scalars({m: Scalar.numeric(v.to_complex()) for m, v in self.c.items()})
 
     def __repr__(self):
-        if not self.c:
+        c = self.c
+        if not c:
             return "0"
         terms = []
-        for (i, j) in sorted(self.c, reverse=True):
-            coeff = self.c[(i, j)]
+        for (i, j) in sorted(c, reverse=True):
+            coeff = c[(i, j)]
             mono = "".join(
                 (f"*T1^{e}" if e > 1 else "*T1") if k == 0 else (f"*T2^{e}" if e > 1 else "*T2")
                 for k, e in enumerate((i, j)) if e
             )
             terms.append(f"({coeff}){mono}")
         return " + ".join(terms)
+
+
+# -- the two forms ---------------------------------------------------------------
+
+def _over_lcm(coeffs: dict[Monomial, Fraction]) -> tuple[int, dict[Monomial, int]]:
+    """The integer form of Fraction coefficients: numerators over the lcm of
+    the denominators, which leaves them coprime to it."""
+    den = math.lcm(*[q.denominator for q in coeffs.values()])
+    return den, {m: q.numerator * (den // q.denominator) for m, q in coeffs.items()}
+
+
+def _lowered(coeffs: dict[Monomial, Scalar]) -> tuple[int | None, dict]:
+    """(den, terms) of Scalar coefficients: the integer form when every value
+    is a plain rational, else (None, coeffs)."""
+    if all(v.z is None and not v.b for v in coeffs.values()):
+        return _over_lcm({m: v.a for m, v in coeffs.items()})
+    return None, coeffs
+
+
+def _from_scalars(coeffs: dict[Monomial, Scalar]) -> Poly2:
+    return Poly2._make(*_lowered(coeffs))
+
+
+def _reduced(den: int, terms: dict[Monomial, int]) -> Poly2:
+    """The integer form of terms over den, both divided by their gcd."""
+    g = math.gcd(den, *terms.values())
+    if g == 1:
+        return Poly2._make(den, terms)
+    return Poly2._make(den // g, {m: n // g for m, n in terms.items()})
+
+
+def _int_mul(da: int, ta: dict[Monomial, int], db: int, tb: dict[Monomial, int]) -> Poly2:
+    """Product of two integer forms: the pair order and pop-on-zero of the
+    Scalar loop, one gcd for the result."""
+    xb = [(i, j, n) for (i, j), n in tb.items()]
+    acc: dict[Monomial, int] = {}
+    get, pop = acc.get, acc.pop
+    for (i1, j1), n1 in ta.items():
+        for i2, j2, n2 in xb:
+            m = (i1 + i2, j1 + j2)
+            s = get(m, 0) + n1 * n2
+            if s:
+                acc[m] = s
+            else:
+                pop(m, None)
+    return _reduced(da * db, acc)
+
+
+def _scalar_add(a: dict[Monomial, Scalar], b: dict[Monomial, Scalar]) -> Poly2:
+    out = dict(a)
+    for m, v in b.items():
+        cur = out.get(m)
+        s = v if cur is None else cur + v
+        if s.is_zero():
+            out.pop(m, None)
+        else:
+            out[m] = s
+    return _from_scalars(out)
+
+
+def _scalar_mul(a: dict[Monomial, Scalar], b: dict[Monomial, Scalar]) -> Poly2:
+    out: dict[Monomial, Scalar] = {}
+    for (i1, j1), v1 in a.items():
+        for (i2, j2), v2 in b.items():
+            m = (i1 + i2, j1 + j2)
+            prod = v1 * v2
+            cur = out.get(m)
+            s = prod if cur is None else cur + prod
+            if s.is_zero():
+                out.pop(m, None)
+            else:
+                out[m] = s
+    return _from_scalars(out)
+
+
+def _powers(t: Scalar, top: int, base: int) -> tuple[list[tuple[int, int]], int]:
+    """For t = (x + y*sqrt(base)) / e: the pairs (u_k, v_k) with
+    t**k = (u_k + v_k*sqrt(base)) / e**top for k = 0..top, and e**top."""
+    a, b = t.a, t.b
+    e = math.lcm(a.denominator, b.denominator)
+    x, y = a.numerator * (e // a.denominator), b.numerator * (e // b.denominator)
+    out = []
+    u, v = 1, 0
+    for _ in range(top):
+        out.append((u, v))
+        u, v = u * x + v * y * base, u * y + v * x
+    out.append((u, v))
+    f = 1
+    for k in range(top - 1, -1, -1):
+        f *= e
+        u, v = out[k]
+        out[k] = (u * f, v * f)
+    return out, f
+
+
+def _eval_exact(den: int, terms: dict[Monomial, int], t1: Scalar, t2: Scalar) -> Scalar:
+    """The integer form at exact t1, t2 sharing at most one root base: the
+    rational and root parts summed as integers over one denominator."""
+    root = t1.base if t1.b else t2.base if t2.b else None
+    base = int(root) if root is not None else 0
+    p1, e1 = _powers(t1, max(i for i, _ in terms), base)
+    p2, e2 = _powers(t2, max(j for _, j in terms), base)
+    re = im = 0
+    if root is None:
+        for (i, j), n in terms.items():
+            re += n * p1[i][0] * p2[j][0]
+    else:
+        for (i, j), n in terms.items():
+            u1, v1 = p1[i]
+            u2, v2 = p2[j]
+            re += n * (u1 * u2 + base * v1 * v2)
+            im += n * (u1 * v2 + v1 * u2)
+    d = den * e1 * e2
+    b = Fraction(im, d)
+    return Scalar(Fraction(re, d), b, root if b else None, None)
 
 
 # -- exact division and gcd -------------------------------------------------
@@ -255,175 +378,34 @@ def poly_div_exact(f: Poly2, g: Poly2) -> Poly2 | None:
         raise ZeroDivisionError("division by zero polynomial")
     if f.is_zero():
         return Poly2()
-    rem = Poly2(dict(f.c))
+    exact = f.den is not None and g.den is not None
     glead = g.lead_monomial()
-    ginv = g.c[glead].inverse()
-    q: dict[Monomial, Scalar] = {}
+    ginv = Fraction(g.den, g.terms[glead]) if exact else g.c[glead].inverse()
+    rem = f
+    q: dict[Monomial, Fraction | Scalar] = {}
     while not rem.is_zero():
         rlead = rem.lead_monomial()
         di, dj = rlead[0] - glead[0], rlead[1] - glead[1]
         if di < 0 or dj < 0:
             return None
-        coeff = rem.c[rlead] * ginv
-        q[(di, dj)] = coeff
-        rem = rem - g.shift(di, dj).scale(coeff)
-    return Poly2(q)
-
-
-def _as_uni_in_t1(f: Poly2) -> dict[int, dict[int, Scalar]]:
-    """View f as a polynomial in T1 whose coefficients are T2-polynomials."""
-    out: dict[int, dict[int, Scalar]] = {}
-    for (i, j), v in f.c.items():
-        out.setdefault(i, {})[j] = v
-    return out
-
-
-def _uni_gcd(a: dict[int, Scalar], b: dict[int, Scalar]) -> dict[int, Scalar]:
-    """Monic gcd of univariate polynomials over the exact scalar field."""
-
-    def degree(p):
-        return max(p, default=-1)
-
-    def rem(p, q):
-        p = dict(p)
-        dq = degree(q)
-        inv = q[dq].inverse()
-        while p and degree(p) >= dq:
-            dp = degree(p)
-            coeff = p[dp] * inv
-            for e, v in q.items():
-                m = dp - dq + e
-                cur = p.get(m, SC_ZERO)
-                s = cur - coeff * v
-                if s.is_zero():
-                    p.pop(m, None)
-                else:
-                    p[m] = s
-        return p
-
-    while b:
-        a, b = b, rem(a, b)
-    if not a:
-        return {}
-    lead = a[degree(a)].inverse()
-    return {e: v * lead for e, v in a.items()}
-
-
-def _t2_poly_mul(a: dict[int, Scalar], b: dict[int, Scalar]) -> dict[int, Scalar]:
-    out: dict[int, Scalar] = {}
-    for e1, v1 in a.items():
-        for e2, v2 in b.items():
-            m = e1 + e2
-            prod = v1 * v2
-            cur = out.get(m)
-            s = prod if cur is None else cur + prod
-            if s.is_zero():
-                out.pop(m, None)
-            else:
-                out[m] = s
-    return out
-
-
-def _content_primitive(f: Poly2) -> tuple[dict[int, Scalar], Poly2]:
-    """Split f = content(T2) * primitive, content monic in T2."""
-    uni = _as_uni_in_t1(f)
-    content: dict[int, Scalar] = {}
-    for coeff in uni.values():
-        content = _uni_gcd(content, coeff)
-        if max(content, default=-1) == 0:
-            break
-    if not content:
-        return {}, Poly2()
-    prim: dict[Monomial, Scalar] = {}
-    for i, coeff in uni.items():
-        q = _uni_div_exact(coeff, content)
-        for j, v in q.items():
-            prim[(i, j)] = v
-    return content, Poly2(prim)
-
-
-def _uni_div_exact(a: dict[int, Scalar], b: dict[int, Scalar]) -> dict[int, Scalar]:
-    a = dict(a)
-    db = max(b)
-    inv = b[db].inverse()
-    q: dict[int, Scalar] = {}
-    while a:
-        da = max(a)
-        if da < db:
-            raise ArithmeticError("inexact univariate division")
-        coeff = a[da] * inv
-        q[da - db] = coeff
-        for e, v in b.items():
-            m = da - db + e
-            cur = a.get(m, SC_ZERO)
-            s = cur - coeff * v
-            if s.is_zero():
-                a.pop(m, None)
-            else:
-                a[m] = s
-    return q
+        if exact:
+            coeff = q[(di, dj)] = Fraction(rem.terms[rlead], rem.den) * ginv
+            rem = rem + g.shift(di, dj)._times(-coeff)
+        else:
+            coeff = q[(di, dj)] = rem.c[rlead] * ginv
+            rem = rem - g.shift(di, dj).scale(coeff)
+    return Poly2._make(*_over_lcm(q)) if exact else Poly2(q)
 
 
 def poly_gcd(f: Poly2, g: Poly2) -> Poly2:
     """Exact bivariate gcd via content/primitive-part recursion.
 
     Result is normalised so its lex-leading coefficient is 1.  Exact
-    coefficients only.
+    coefficients only.  The algorithm is :func:`rankinlab.polygcd.gcd`,
+    imported here on first use (see that module).
     """
-    if f.is_zero():
-        return monic_lex(g)
-    if g.is_zero():
-        return monic_lex(f)
-    if not (f.is_exact() and g.is_exact()):
-        raise ValueError("gcd is defined only for exact polynomials")
-    cf, pf = _content_primitive(f)
-    cg, pg = _content_primitive(g)
-    c = _uni_gcd(cf, cg)
-    # Euclid on primitive parts, viewed in T1 over the rational functions of T2.
-    while not pg.is_zero():
-        r = _pseudo_rem_t1(pf, pg)
-        pf, pg = pg, _content_primitive(r)[1] if not r.is_zero() else Poly2()
-    result = Poly2({(0, j): v for j, v in c.items()}) * pf
-    return monic_lex(result)
-
-
-def _pseudo_rem_t1(f: Poly2, g: Poly2) -> Poly2:
-    fu = _as_uni_in_t1(f)
-    gu = _as_uni_in_t1(g)
-    dg = max(gu)
-    glead = gu[dg]
-    fu = {i: dict(cs) for i, cs in fu.items()}
-    while fu and max(fu) >= dg:
-        df = max(fu)
-        flead = fu[df]
-        # multiply remainder through by glead, then cancel the top term
-        new: dict[int, dict[int, Scalar]] = {}
-        for i, cs in fu.items():
-            if i == df:
-                continue
-            new[i] = _t2_poly_mul(cs, glead)
-        for e, cs in gu.items():
-            m = df - dg + e
-            if e == dg:
-                continue
-            prod = _t2_poly_mul(cs, flead)
-            cur = new.get(m, {})
-            for j, v in prod.items():
-                s = cur.get(j, SC_ZERO) - v
-                if s.is_zero():
-                    cur.pop(j, None)
-                else:
-                    cur[j] = s
-            if cur:
-                new[m] = cur
-            else:
-                new.pop(m, None)
-        fu = {i: cs for i, cs in new.items() if cs}
-    out: dict[Monomial, Scalar] = {}
-    for i, cs in fu.items():
-        for j, v in cs.items():
-            out[(i, j)] = v
-    return Poly2(out)
+    from .polygcd import gcd
+    return gcd(f, g)
 
 
 def monic_lex(f: Poly2) -> Poly2:
@@ -490,12 +472,21 @@ class RationalFunction2:
         if poly.is_zero():
             raise ZeroDivisionError("zero denominator factor")
         scale = self.scale
-        lead = poly.c[poly.lead_monomial()]
-        if not (lead.is_exact and lead == SC_ONE):
-            poly = poly.scale(lead.inverse())
-            scale = scale * lead ** exp
-        if len(poly.c) == 1 and poly.lead_monomial() == (0, 0):
-            return RationalFunction2(self.num, scale * poly.c[(0, 0)] ** exp, dict(self.fac), self.p)
+        lm = poly.lead_monomial()
+        if poly.den is not None:
+            if poly.terms[lm] != poly.den:
+                lead = Fraction(poly.terms[lm], poly.den)
+                poly = poly._times(1 / lead)
+                scale = scale * rational(lead ** exp)
+        else:
+            lead = poly.terms[lm]
+            if not (lead.is_exact and lead == SC_ONE):
+                poly = poly.scale(lead.inverse())
+                scale = scale * lead ** exp
+        if len(poly.terms) == 1 and lm == (0, 0):
+            if poly.den is None:
+                scale = scale * poly.terms[lm] ** exp
+            return RationalFunction2(self.num, scale, dict(self.fac), self.p)
         key = poly.key()
         fac = dict(self.fac)
         cur = fac.get(key)

@@ -320,9 +320,14 @@ def _expand_poly(poly: Poly2, depth: int, log_p: dict[int, Plain]) -> Flat:
     """Substitute T1 = exp(-z*log_p), T2 = exp(-w*log_p) into a polynomial."""
     out: Flat = (1, {})
     one: Flat = (1, {(0, 0): {0: 1}})
-    for (i, j), coeff in poly.c.items():
+    den = poly.den
+    for (i, j), coeff in poly.terms.items():
         # exp(-(i*z + j*w)*log_p) truncated by total degree
-        term = _lower_num({(0, 0): coeff})
+        if den is None:
+            term = _lower_num({(0, 0): coeff})
+        else:
+            g = math.gcd(coeff, den)
+            term = (den // g, {(0, 0): {0: coeff // g}})
         if i or j:
             rate = {k: -v for k, v in log_p.items()}  # multiplied by (i*z + j*w)
             lin = {}
@@ -487,99 +492,107 @@ class CubicPolynomial:
 
 Coeffs = dict[tuple[int, int], Fraction]
 
+# Every random coefficient has a denominator dividing 12, and the quadruple is
+# built from them with integer multipliers only, so it is generated as integer
+# numerators over _RAND_DEN and turned into Fractions once at the end.  The
+# helpers below are generic in the coefficient type: they add into a running
+# dict without dropping a key whose sum passes through zero, and remove the
+# zero keys at the end.
+_RAND_DEN = 12
 
-def _rand_poly(rng, terms: int, max_deg: int) -> Coeffs:
-    out: Coeffs = {}
+
+def _rand_poly(rng, terms: int, max_deg: int) -> dict[tuple[int, int], int]:
+    """Numerators over _RAND_DEN of terms random coefficients num/den."""
+    out: dict[tuple[int, int], int] = {}
     for _ in range(terms):
         i = rng.randrange(max_deg + 1)
         j = rng.randrange(max_deg + 1 - i)
-        val = Fraction(rng.randrange(-9, 10), rng.randrange(1, 5))
-        if val:
-            out[(i, j)] = out.get((i, j), Fraction(0)) + val
+        num = rng.randrange(-9, 10)
+        den = rng.randrange(1, 5)
+        if num:
+            out[(i, j)] = out.get((i, j), 0) + num * (_RAND_DEN // den)
     return {m: v for m, v in out.items() if v}
 
 
-def _restrict_z_axis(h: Coeffs) -> dict[int, Fraction]:
+def _restrict_z_axis(h: dict) -> dict:
     """Coefficients of h(z, 0)."""
     return {i: v for (i, j), v in h.items() if j == 0}
 
 
-def _restrict_w_axis(h: Coeffs) -> dict[int, Fraction]:
+def _restrict_w_axis(h: dict) -> dict:
     return {j: v for (i, j), v in h.items() if i == 0}
 
 
-def _restrict_antidiag(h: Coeffs) -> dict[int, Fraction]:
+def _restrict_antidiag(h: dict) -> dict:
     """Coefficients of h(-t, t)."""
-    out: dict[int, Fraction] = {}
+    out: dict = {}
     for (i, j), v in h.items():
-        out[i + j] = out.get(i + j, Fraction(0)) + v * (-1) ** i
+        out[i + j] = out.get(i + j, 0) + v * (-1) ** i
     return {k: v for k, v in out.items() if v}
 
 
-def _embed_in_w(u: dict[int, Fraction]) -> Coeffs:
+def _embed_in_w(u: dict) -> dict:
     return {(0, k): v for k, v in u.items()}
 
 
-def _embed_in_z(u: dict[int, Fraction]) -> Coeffs:
+def _embed_in_z(u: dict) -> dict:
     return {(k, 0): v for k, v in u.items()}
 
 
-def _poly_add(*parts: Coeffs) -> Coeffs:
-    out: Coeffs = {}
+def _poly_add(*parts: dict) -> dict:
+    out: dict = {}
     for part in parts:
         for m, v in part.items():
-            out[m] = out.get(m, Fraction(0)) + v
+            out[m] = out.get(m, 0) + v
     return {m: v for m, v in out.items() if v}
 
 
-def _poly_shift(h: Coeffs, di: int, dj: int) -> Coeffs:
+def _poly_shift(h: dict, di: int, dj: int) -> dict:
     return {(i + di, j + dj): v for (i, j), v in h.items()}
 
 
-def _poly_mul(a: Coeffs, b: Coeffs) -> Coeffs:
-    out: Coeffs = {}
+def _poly_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
     for (i1, j1), v1 in a.items():
         for (i2, j2), v2 in b.items():
             m = (i1 + i2, j1 + j2)
-            out[m] = out.get(m, Fraction(0)) + v1 * v2
+            out[m] = out.get(m, 0) + v1 * v2
     return {m: v for m, v in out.items() if v}
 
 
 def random_symmetric_quadruple(rng, terms: int = 5, max_deg: int = 4
                                ) -> tuple[Coeffs, Coeffs, Coeffs, Coeffs]:
     """Random (h1,h2,h3,h4) satisfying all six cancellation constraints exactly."""
-    h1 = _poly_add({(0, 0): Fraction(rng.randrange(1, 6))}, _rand_poly(rng, terms, max_deg))
+    h1 = _poly_add({(0, 0): rng.randrange(1, 6) * _RAND_DEN}, _rand_poly(rng, terms, max_deg))
     r2 = _rand_poly(rng, terms, max_deg)
     h2 = _poly_add(_embed_in_w(_restrict_w_axis(h1)), _poly_shift(r2, 1, 0))
 
     # delta(t) = (h1(0,t) - h1(t,0)) / t
     w_axis = _restrict_w_axis(h1)
     z_axis = _restrict_z_axis(h1)
-    delta = {k - 1: w_axis.get(k, Fraction(0)) - z_axis.get(k, Fraction(0))
+    delta = {k - 1: w_axis.get(k, 0) - z_axis.get(k, 0)
              for k in set(w_axis) | set(z_axis) if k >= 1}
     delta = {k: v for k, v in delta.items() if v}
     r3 = _poly_add(r2, _embed_in_w(delta),
-                   _poly_mul({(1, 0): Fraction(1), (0, 1): Fraction(-1)},
-                             _rand_poly(rng, terms, max_deg)))
+                   _poly_mul({(1, 0): 1, (0, 1): -1}, _rand_poly(rng, terms, max_deg)))
     h3 = _poly_add(_embed_in_z(z_axis), _poly_shift(r3, 0, 1))
 
     base = _poly_add(_embed_in_z(_restrict_z_axis(h2)), _embed_in_w(_restrict_w_axis(h3)),
-                     {(0, 0): -h1.get((0, 0), Fraction(0))})
+                     {(0, 0): -h1.get((0, 0), 0)})
     # eta(t) = (base(-t,t) - h1(-t,t)) / t**2
     anti_base = _restrict_antidiag(base)
     anti_h1 = _restrict_antidiag(h1)
-    diff = {k: anti_base.get(k, Fraction(0)) - anti_h1.get(k, Fraction(0))
-            for k in set(anti_base) | set(anti_h1)}
+    diff = {k: anti_base.get(k, 0) - anti_h1.get(k, 0) for k in set(anti_base) | set(anti_h1)}
     diff = {k: v for k, v in diff.items() if v}
     if any(k < 2 for k in diff):
         raise AssertionError("constraint bookkeeping failed: antidiagonal not divisible by t^2")
     eta = {k - 2: v for k, v in diff.items()}
     h4 = _poly_add(base,
-                   _poly_mul({(1, 1): Fraction(1)},
+                   _poly_mul({(1, 1): 1},
                              _poly_add(_embed_in_w(eta),
-                                       _poly_mul({(1, 0): Fraction(1), (0, 1): Fraction(1)},
+                                       _poly_mul({(1, 0): 1, (0, 1): 1},
                                                  _rand_poly(rng, terms, max_deg)))))
-    return h1, h2, h3, h4
+    return tuple({m: Fraction(n, _RAND_DEN) for m, n in h.items()} for h in (h1, h2, h3, h4))
 
 
 # perturbations that violate exactly one constraint: (target h index, polynomial)

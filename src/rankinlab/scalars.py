@@ -20,7 +20,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Union
 
 RatLike = Union[int, Fraction]
 ScalarLike = Union["Scalar", int, Fraction, float, complex]
@@ -270,16 +270,6 @@ def rational(q: Fraction) -> Scalar:
     """The exact Scalar ``q`` for a Fraction ``q``, without converting it again
     as :meth:`Scalar.exact` does; the fast path of the integer kernels."""
     return Scalar(q, _ZERO, None, None)
-
-
-def all_rational(values: Iterable[Scalar]) -> bool:
-    """True when every value is a plain rational (no root part, not numeric)."""
-    return all(v.z is None and not v.b for v in values)
-
-
-def common_denominator(values: Iterable[Scalar]) -> int:
-    """Least common multiple of the denominators of plain-rational values."""
-    return math.lcm(*[v.a.denominator for v in values])
 
 
 def format_scalar(s: Scalar) -> str:

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from rankinlab import cli, degenerate
+from rankinlab import cli, degenerate, verify
 from rankinlab.cli import canonical_json, main
 
 GOLDEN_PSI = Path(__file__).parent / "data" / "psi_golden.jsonl"
@@ -54,6 +54,39 @@ def test_psi_bad_satake_is_usage_error():
 def test_psi_zero_denominator_is_usage_error(capsys):
     assert main(["psi", "--kind", "i", "--p", "2", "--r", "1", "--at", "1/0,0"]) == 2
     assert "zero denominator" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("pi0", ["3/5,5/3", "0.6+0.8j,0.6-0.8j"])    # exact, numeric mode
+@pytest.mark.parametrize("at", ["1e400,0", "0,-1e400"])
+def test_psi_non_finite_point_is_usage_error(pi0, at, capsys):
+    assert main(["psi", "--kind", "iv", "--p", "2", "--r", "1", "--pi0", pi0,
+                 f"--at={at}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "non-finite coordinate" in captured.err
+
+
+@pytest.mark.parametrize("at", ["100000,0", "3000000,0", "0,-14285", "14284,0"])
+def test_psi_huge_exact_point_is_usage_error(at, capsys):
+    # p**(-z) alone would print past sys.get_int_max_str_digits() (4300 digits
+    # by default), or the value at the point would
+    assert main(["psi", "--kind", "iv", "--p", "2", "--r", "1", f"--at={at}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "sys.get_int_max_str_digits()" in captured.err
+    assert "Exceeds the limit" not in captured.err
+
+
+@pytest.mark.parametrize("at", ["-5000.5,0", "0,-1000000/3"])
+def test_psi_point_overflowing_a_double_is_usage_error(at, capsys):
+    assert main(["psi", "--kind", "i", "--p", "2", "--r", "1", f"--at={at}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "overflows a double" in captured.err
+
+
+def test_psi_point_below_the_digit_limit_still_evaluates(capsys):
+    assert main(["psi", "--kind", "iv", "--p", "2", "--r", "1", "--at", "2000,0"]) == 0
+    entry = json.loads(capsys.readouterr().out)["kind_iv"]
+    assert entry["verdict"] == "MATCH" and entry["closed_at"] == entry["oracle_at"]
+    assert len(entry["closed_at"]) > 2000
 
 
 @pytest.mark.parametrize("pi0, mode", [("0.6+0.8j,0.6-0.8j", "numeric"),
@@ -128,6 +161,22 @@ def test_verify_single_suite(capsys):
     report = json.loads(captured.out)
     assert report["suites"]["specweight"]["passed"] is True
     assert "[PASS] spectral-weight" in captured.err
+
+
+def test_verify_separates_correctness_from_runtime_budget(capsys, monkeypatch):
+    monkeypatch.setitem(verify.RUNTIME_BUDGETS, "whittaker", 0.0)
+    outs = []
+    for _ in range(2):
+        assert main(["verify", "--suite", "whittaker"]) == 1
+        captured = capsys.readouterr()
+        outs.append(captured.out)
+        assert "[FAIL] whittaker-integral" in captured.err
+        assert "over its 0.0s runtime budget" in captured.err
+    assert outs[0] == outs[1]          # the seconds go to stderr only
+    suite = json.loads(outs[0])["suites"]["whittaker"]
+    assert suite["correct"] is True and suite["within_budget"] is False
+    assert suite["passed"] is False and suite["runtime_budget_seconds"] == 0.0
+    assert "runtime_exceeded" not in suite
 
 
 def test_verify_lemma44_fuzz_and_break(capsys):

@@ -1,13 +1,18 @@
+import math
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rankinlab import exactalg, zetaint
 from rankinlab.exactalg import (PoleError, Poly2, RationalFunction2, poly_div_exact,
                                 poly_gcd, rf_equal)
 from rankinlab.localdata import PlaceData, Shift, zeta_local
-from rankinlab.scalars import Scalar
+from rankinlab.scalars import Scalar, format_scalar
+from rankinlab.whittaker import SatakeParams
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 
@@ -245,3 +250,230 @@ def test_key_uses_canonical_root_base():
     assert twice_root3.key() == Poly2({(1, 0): Scalar.root(3, 2)}).key()
     assert twice_root3.key() != Poly2({(1, 0): Scalar.exact(2)}).key()
     assert Poly2({(1, 0): Scalar.root(3)}).key() != Poly2({(1, 0): Scalar.root(5)}).key()
+
+
+# -- the integer form against the Scalar-dict loops it replaced ------------------------
+#
+# The functions below are the Scalar-dict arithmetic every Poly2 ran before its
+# coefficients moved to integer numerators over one denominator.  They work on
+# and return ``dict[Monomial, Scalar]`` (the ``.c`` view).
+
+def _ref_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for m, v in b.items():
+        cur = out.get(m)
+        if cur is None:
+            s = v
+        elif cur.z is None and v.z is None and not cur.b and not v.b:
+            s = Scalar.exact(cur.a + v.a)
+        else:
+            s = cur + v
+        if s.is_zero():
+            out.pop(m, None)
+        else:
+            out[m] = s
+    return out
+
+
+def _ref_neg(a: dict) -> dict:
+    return {m: -v for m, v in a.items()}
+
+
+def _ref_scale(a: dict, f: Scalar) -> dict:
+    if f.is_zero():
+        return {}
+    return {m: v * f for m, v in a.items()}
+
+
+def _ref_eval(a: dict, t1: Scalar, t2: Scalar) -> Scalar:
+    pow1, pow2 = {}, {}
+    total = Scalar.exact(0)
+    for (i, j), v in a.items():
+        x1 = pow1.get(i)
+        if x1 is None:
+            x1 = pow1[i] = t1 ** i
+        x2 = pow2.get(j)
+        if x2 is None:
+            x2 = pow2[j] = t2 ** j
+        total = total + v * x1 * x2
+    return total
+
+
+def _ref_key(a: dict) -> tuple:
+    items = []
+    for m in sorted(a):
+        s = a[m]
+        if s.z is None:
+            items.append((m, s.a.numerator, s.a.denominator, s.b.numerator, s.b.denominator,
+                          s.base.numerator if s.b else 0))
+        else:
+            items.append((m, s.z))
+    return tuple(items)
+
+
+def _same_scalar(got: Scalar, want: Scalar) -> bool:
+    """Exactness, exact value and root base, or the repr of the complex value."""
+    if got.is_exact != want.is_exact:
+        return False
+    if not got.is_exact:
+        return repr(got.z) == repr(want.z)
+    return (got.a, got.b, got.base) == (want.a, want.b, want.base)
+
+
+def _same_view(got: Poly2, want: dict) -> bool:
+    c = got.c
+    return list(c) == list(want) and all(_same_scalar(c[m], want[m]) for m in want)
+
+
+def _well_formed(p: Poly2) -> bool:
+    """The integer form exactly when every coefficient is a plain rational,
+    with numerators and a positive denominator that share no factor."""
+    rational = all(v.is_rational() for v in p.c.values())
+    if p.den is None:
+        return not rational
+    return rational and p.den > 0 and math.gcd(p.den, *p.terms.values()) == 1
+
+
+_big_rationals = st.builds(Fraction, st.integers(-2 ** 70, 2 ** 70).filter(bool),
+                           st.integers(2 ** 53 + 1, 2 ** 64))
+_unit_rationals = st.one_of(rationals.filter(bool), _big_rationals)
+_unit_coeffs = {
+    "rational": _unit_rationals.map(Scalar.exact),
+    "root": st.builds(lambda a, b: Scalar.exact(a) + Scalar.root(3, b),
+                      st.one_of(st.just(Fraction(0)), _unit_rationals), _unit_rationals),
+    "numeric": _numeric_coeffs,
+}
+_KIND_PAIRS = {
+    "rational": ("rational", "rational"),
+    "root": ("root", "rational"),
+    "numeric": ("numeric", "numeric"),
+    "mixed-root": ("rational", "root"),
+    "mixed-numeric": ("rational", "numeric"),
+}
+
+
+@st.composite
+def _flat_operands(draw):
+    """Two polynomials of up to ten terms, each term +-1 times one of at most
+    two units of its kind, so sums and products often cancel a monomial; a
+    polynomial of a mixed kind takes units of both kinds."""
+    kind = draw(st.sampled_from(sorted(_KIND_PAIRS)))
+    first, second = (_unit_coeffs[k] for k in _KIND_PAIRS[kind])
+    mixed = kind.startswith("mixed")
+    units_a = draw(st.lists(first, min_size=1, max_size=2))
+    units_b = draw(st.lists(st.one_of(first, second) if mixed else second,
+                            min_size=1, max_size=2))
+    if mixed:
+        units_a.append(draw(second))
+
+    def poly(units):
+        return Poly2({(draw(st.integers(0, 2)), draw(st.integers(0, 2))):
+                      draw(st.sampled_from(units)) * draw(st.sampled_from((1, -1)))
+                      for _ in range(draw(st.integers(0, 10)))})
+
+    a, b = poly(units_a), poly(units_b)
+    return (b, a) if draw(st.booleans()) else (a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_flat_operands(), st.one_of(_unit_coeffs["rational"], _unit_coeffs["root"],
+                                   _unit_coeffs["numeric"], st.just(Scalar.exact(0))))
+def test_flat_arithmetic_matches_scalar_loops(operands, factor):
+    a, b = operands
+    ca, cb = a.c, b.c
+    cases = [(a * b, _pair_loop_mul(a, b)), (b * a, _pair_loop_mul(b, a)),
+             (a + b, _ref_add(ca, cb)), (b + a, _ref_add(cb, ca)), (-a, _ref_neg(ca)),
+             (a - b, _ref_add(ca, _ref_neg(cb))), (a.scale(factor), _ref_scale(ca, factor)),
+             (a ** 2, _pair_loop_mul(Poly2.const(1), Poly2(_pair_loop_mul(a, a)))),
+             (a.shift(1, 2), {(i + 1, j + 2): v for (i, j), v in ca.items()})]
+    for got, want in cases:
+        assert _same_view(got, want)
+        assert _well_formed(got)
+
+
+_points = st.one_of(
+    _unit_rationals.map(Scalar.exact),
+    st.builds(lambda a, b: Scalar.exact(a) + Scalar.root(3, b), rationals, _unit_rationals),
+    st.builds(complex, st.floats(-2, 2), st.floats(-2, 2)).map(Scalar.numeric),
+    st.just(Scalar.exact(0)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_flat_operands(), _points, _points)
+def test_flat_eval_matches_scalar_loop(operands, t1, t2):
+    for poly in operands:
+        got, want = poly.eval(t1, t2), _ref_eval(poly.c, t1, t2)
+        assert _same_scalar(got, want)
+        assert format_scalar(got) == format_scalar(want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_flat_operands())
+def test_flat_key_and_equality_match_scalar_keys(operands):
+    a, b = operands
+    polys = [a, b, a * b, b * a, a + b, b + a, (a + b) - b, -(-a)]
+    exact = a.is_exact() and b.is_exact()
+    for x in polys:
+        assert None not in _flat(x.key())
+        for y in polys:
+            same = _ref_key(x.c) == _ref_key(y.c)
+            assert (x.key() == y.key()) == same
+            if same:
+                assert hash(x) == hash(y)
+            if exact:
+                assert (x == y) == same
+
+
+def test_view_is_rebuilt_per_read_and_constructs_back():
+    p = Poly2({(1, 0): Scalar.exact(Fraction(1, 6)), (0, 2): Scalar.exact(Fraction(-3, 4))})
+    assert (p.den, p.terms) == (12, {(1, 0): 2, (0, 2): -9})
+    view = p.c
+    view[(5, 5)] = Scalar.exact(1)
+    assert (5, 5) not in p.c
+    assert Poly2(p.c) == p and Poly2(p.c).key() == p.key()
+    assert list(p.c) == [(1, 0), (0, 2)]
+
+
+def _poly_arithmetic(frame) -> bool:
+    """True when the innermost exactalg frame on the stack is Poly2
+    arithmetic rather than RationalFunction2 bookkeeping."""
+    while frame is not None:
+        code = frame.f_code
+        if code.co_filename == exactalg.__file__:
+            return code.co_qualname.startswith("Poly2.") or code.co_qualname.startswith("_") \
+                or code.co_qualname == "poly_div_exact"
+        frame = frame.f_back
+    return False
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="needs code.co_qualname")
+def test_exact_psi_makes_no_scalar_arithmetic_inside_poly2(monkeypatch):
+    counts = Counter()
+
+    def counting(name, original):
+        def op(self, other):
+            if _poly_arithmetic(sys._getframe(1)):
+                counts[name] += 1
+            return original(self, other)
+        return op
+
+    for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+        monkeypatch.setattr(Scalar, name, counting(name, Scalar.__dict__[name]))
+    for name in ("_int_mul", "_eval_exact", "poly_div_exact"):
+        def kernel(*args, _name=name, _original=getattr(exactalg, name)):
+            counts[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(exactalg, name, kernel)
+
+    place = PlaceData(2, 2)
+    pi0 = SatakeParams.unramified_unitary(Scalar.exact(2), Scalar.exact(Fraction(1, 2)))
+    closed = zetaint.psi_closed("iv", place, pi0).value
+    oracle = zetaint.psi_oracle("iv", place, pi0).value
+    assert exactalg.rf_equal(closed, oracle)
+    # a rational point, a point in Q(sqrt 2), and a removable zero of a closed-form factor
+    for z, w in ((0, 0), (Fraction(3, 2), 0), (Fraction(-1, 2), 1)):
+        at = Scalar.exact(z), Scalar.exact(w)
+        assert closed.eval_zw(*at) == oracle.eval_zw(*at)
+    assert counts["_int_mul"] > 100 and counts["_eval_exact"] > 20
+    assert counts["poly_div_exact"] >= 1
+    assert sum(counts[name] for name in ("__add__", "__radd__", "__mul__", "__rmul__")) == 0

@@ -858,3 +858,100 @@ def test_cancellation_chain_builds_no_scalar(monkeypatch):
     assert built[0] == 0
     assert singular.is_zero() and regular.coeff(0, 0).c
     assert built[0] > 0
+
+
+# -- the quadruple generator against the Fraction-dict version it replaced ----------
+
+def _old_rand_poly(rng, terms, max_deg):
+    out = {}
+    for _ in range(terms):
+        i = rng.randrange(max_deg + 1)
+        j = rng.randrange(max_deg + 1 - i)
+        val = Fraction(rng.randrange(-9, 10), rng.randrange(1, 5))
+        if val:
+            out[(i, j)] = out.get((i, j), Fraction(0)) + val
+    return {m: v for m, v in out.items() if v}
+
+
+def _old_poly_add(*parts):
+    out = {}
+    for part in parts:
+        for m, v in part.items():
+            out[m] = out.get(m, Fraction(0)) + v
+    return {m: v for m, v in out.items() if v}
+
+
+def _old_poly_mul(a, b):
+    out = {}
+    for (i1, j1), v1 in a.items():
+        for (i2, j2), v2 in b.items():
+            m = (i1 + i2, j1 + j2)
+            out[m] = out.get(m, Fraction(0)) + v1 * v2
+    return {m: v for m, v in out.items() if v}
+
+
+def _old_antidiag(h):
+    out = {}
+    for (i, j), v in h.items():
+        out[i + j] = out.get(i + j, Fraction(0)) + v * (-1) ** i
+    return {k: v for k, v in out.items() if v}
+
+
+def _old_random_symmetric_quadruple(rng, terms=5, max_deg=4):
+    """The Fraction-dict generator, as it was before it moved to integer numerators."""
+    def z_axis_of(h):
+        return {i: v for (i, j), v in h.items() if j == 0}
+
+    def w_axis_of(h):
+        return {j: v for (i, j), v in h.items() if i == 0}
+
+    def in_w(u):
+        return {(0, k): v for k, v in u.items()}
+
+    def in_z(u):
+        return {(k, 0): v for k, v in u.items()}
+
+    def shift(h, di, dj):
+        return {(i + di, j + dj): v for (i, j), v in h.items()}
+
+    h1 = _old_poly_add({(0, 0): Fraction(rng.randrange(1, 6))}, _old_rand_poly(rng, terms, max_deg))
+    r2 = _old_rand_poly(rng, terms, max_deg)
+    h2 = _old_poly_add(in_w(w_axis_of(h1)), shift(r2, 1, 0))
+    w_axis, z_axis = w_axis_of(h1), z_axis_of(h1)
+    delta = {k - 1: w_axis.get(k, Fraction(0)) - z_axis.get(k, Fraction(0))
+             for k in set(w_axis) | set(z_axis) if k >= 1}
+    delta = {k: v for k, v in delta.items() if v}
+    r3 = _old_poly_add(r2, in_w(delta),
+                       _old_poly_mul({(1, 0): Fraction(1), (0, 1): Fraction(-1)},
+                                     _old_rand_poly(rng, terms, max_deg)))
+    h3 = _old_poly_add(in_z(z_axis), shift(r3, 0, 1))
+    base = _old_poly_add(in_z(z_axis_of(h2)), in_w(w_axis_of(h3)),
+                         {(0, 0): -h1.get((0, 0), Fraction(0))})
+    anti_base, anti_h1 = _old_antidiag(base), _old_antidiag(h1)
+    diff = {k: anti_base.get(k, Fraction(0)) - anti_h1.get(k, Fraction(0))
+            for k in set(anti_base) | set(anti_h1)}
+    eta = {k - 2: v for k, v in diff.items() if v}
+    h4 = _old_poly_add(base, _old_poly_mul(
+        {(1, 1): Fraction(1)},
+        _old_poly_add(in_w(eta), _old_poly_mul({(1, 0): Fraction(1), (0, 1): Fraction(1)},
+                                               _old_rand_poly(rng, terms, max_deg)))))
+    return h1, h2, h3, h4
+
+
+@pytest.mark.parametrize("terms, max_deg", [(5, 4), (2, 1), (8, 6)])
+def test_quadruple_generator_matches_fraction_version(terms, max_deg):
+    names = sorted(SYMMETRY_BREAKERS)
+    for seed in range(400):
+        old_rng, new_rng = random.Random(seed), random.Random(seed)
+        want = _old_random_symmetric_quadruple(old_rng, terms, max_deg)
+        got = random_symmetric_quadruple(new_rng, terms, max_deg)
+        # same values, same key order, Fractions only, and the same draws
+        assert [list(h.items()) for h in got] == [list(h.items()) for h in want]
+        assert all(type(v) is Fraction for h in got for v in h.values())
+        assert new_rng.getstate() == old_rng.getstate()
+        # the generic helpers still add Fraction perturbations as before
+        target, pattern = SYMMETRY_BREAKERS[names[seed % 6]]
+        broken = break_one_symmetry(got, names[seed % 6], new_rng)
+        eps = Fraction(old_rng.randrange(1, 9), old_rng.randrange(1, 4))
+        old_broken = _old_poly_add(want[target - 1], {m: eps * v for m, v in pattern.items()})
+        assert list(broken[target - 1].items()) == list(old_broken.items())
