@@ -104,15 +104,15 @@ def parse_point(text: str) -> tuple[Scalar, Scalar]:
     return point
 
 
-def _check_point_size(p: int, z: Scalar, w: Scalar, text: str) -> None:
-    """Refuse a point where p**(-z) or p**(-w) cannot be formed: exact (2z an
-    integer) with more digits than Python converts to a string
+def _check_point_size(p: int, z: Scalar, w: Scalar, text: str, exact_mode: bool) -> None:
+    """Refuse a point where p**(-z) or p**(-w) cannot be formed: in exact mode,
+    exact (2z an integer) with more digits than Python converts to a string
     (``sys.get_int_max_str_digits()``, 0 for no limit), where evaluating
-    would take long and print nothing; or a float beyond the double range."""
+    would take long and print nothing; otherwise beyond the double range."""
     limit = sys.get_int_max_str_digits()
     for t in (z, w):
         x = t.a if t.is_exact else t.z.real
-        if t.is_exact and (2 * x).denominator == 1:
+        if exact_mode and t.is_exact and (2 * x).denominator == 1:
             if limit and abs(x) > limit / math.log10(p):
                 raise ValueError(f"point {text!r} is too large: {p}**{-x} alone has more "
                                  f"than {limit} digits, the limit of "
@@ -152,7 +152,7 @@ def cmd_psi(args) -> int:
         "mode": "exact" if exact_mode else "numeric",
     }
     z, w = parse_point(args.at)
-    _check_point_size(args.p, z, w, args.at)
+    _check_point_size(args.p, z, w, args.at, exact_mode)
     all_match = True
     for kind in kinds:
         closed = psi_closed(kind, place, pi0)

@@ -397,15 +397,70 @@ def poly_div_exact(f: Poly2, g: Poly2) -> Poly2 | None:
     return Poly2._make(*_over_lcm(q)) if exact else Poly2(q)
 
 
+def _t1_coeffs(f: Poly2) -> dict[int, Poly2]:
+    """f as a polynomial in T1: the coefficient of each T1**i, a polynomial
+    in T2 alone (monomials (0, j))."""
+    parts: dict[int, dict] = {}
+    for (i, j), v in f.terms.items():
+        parts.setdefault(i, {})[(0, j)] = v
+    if f.den is None:
+        return {i: _from_scalars(t) for i, t in parts.items()}
+    return {i: _reduced(f.den, t) for i, t in parts.items()}
+
+
+def _t2_gcd(a: Poly2, b: Poly2) -> Poly2:
+    """Monic gcd of two polynomials in T2 alone, by Euclid."""
+    while not b.is_zero():
+        db = b.deg2()
+        inv = b.c[(0, db)].inverse()
+        while not a.is_zero() and a.deg2() >= db:
+            da = a.deg2()
+            a = a - b.shift(0, da - db).scale(a.c[(0, da)] * inv)
+        a, b = b, a
+    return monic_lex(a)
+
+
+def _content_primitive(f: Poly2) -> tuple[Poly2, Poly2]:
+    """Split f = content(T2) * primitive, content monic in T2."""
+    content = Poly2()
+    for coeff in _t1_coeffs(f).values():
+        content = _t2_gcd(content, coeff)
+        if content.deg2() == 0:
+            break
+    if content.is_zero():
+        return content, content
+    return content, poly_div_exact(f, content)
+
+
+def _pseudo_rem_t1(f: Poly2, g: Poly2) -> Poly2:
+    """Pseudo-remainder of f by g in T1, over the polynomials in T2."""
+    dg = g.deg1()
+    glead = _t1_coeffs(g)[dg]
+    while not f.is_zero() and f.deg1() >= dg:
+        df = f.deg1()
+        # multiply the remainder through by glead, then cancel its top term
+        f = f * glead - g.shift(df - dg, 0) * _t1_coeffs(f)[df]
+    return f
+
+
 def poly_gcd(f: Poly2, g: Poly2) -> Poly2:
     """Exact bivariate gcd via content/primitive-part recursion.
 
     Result is normalised so its lex-leading coefficient is 1.  Exact
-    coefficients only.  The algorithm is :func:`rankinlab.polygcd.gcd`,
-    imported here on first use (see that module).
+    coefficients only.
     """
-    from .polygcd import gcd
-    return gcd(f, g)
+    if f.is_zero():
+        return monic_lex(g)
+    if g.is_zero():
+        return monic_lex(f)
+    if not (f.is_exact() and g.is_exact()):
+        raise ValueError("gcd is defined only for exact polynomials")
+    cf, pf = _content_primitive(f)
+    cg, pg = _content_primitive(g)
+    # Euclid on primitive parts, viewed in T1 over the rational functions of T2.
+    while not pg.is_zero():
+        pf, pg = pg, _content_primitive(_pseudo_rem_t1(pf, pg))[1]
+    return monic_lex(_t2_gcd(cf, cg) * pf)
 
 
 def monic_lex(f: Poly2) -> Poly2:

@@ -82,6 +82,18 @@ def test_psi_point_overflowing_a_double_is_usage_error(at, capsys):
     assert captured.out == "" and "overflows a double" in captured.err
 
 
+@pytest.mark.parametrize("at", ["-2000,0", "-20000,0"])
+def test_psi_numeric_mode_checks_exact_points_against_the_double_range(at, capsys):
+    # numeric mode turns p**(-z) into a double, so the digit limit of exact
+    # mode does not apply there: an exact coordinate is refused only when the
+    # double power overflows
+    assert main(["psi", "--kind", "iv", "--p", "2", "--r", "1",
+                 "--pi0", "0.6+0.8j,0.6-0.8j", f"--at={at}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "overflows a double" in captured.err
+    assert "sys.get_int_max_str_digits()" not in captured.err
+
+
 def test_psi_point_below_the_digit_limit_still_evaluates(capsys):
     assert main(["psi", "--kind", "iv", "--p", "2", "--r", "1", "--at", "2000,0"]) == 0
     entry = json.loads(capsys.readouterr().out)["kind_iv"]

@@ -1,6 +1,6 @@
 """Paired certification benchmark: the parent revision against the working tree.
 
-    python3 tools/bench_pairs.py --out BENCH_7.json --seconds 20 \\
+    python3 tools/bench_pairs.py --out BENCH_7.json \\
         --pairs psi-exact=1017,20260809,801-808 --pairs cancel-fuzz=1017,20260809,801 \\
         --traced 20260809 --verify-rounds 2
 
@@ -8,8 +8,9 @@ The parent is a ``git archive`` of ``--parent`` (default ``HEAD``) and the
 change a copy of the working tree's ``src/``, ``certbench/`` and
 ``BENCHMARK.json``, both unpacked under one temporary directory, so edits made
 while the campaign runs do not reach it.  Each pair runs the unmodified
-``certbench/run.py`` of each side once, one run at a time; even pairs start
-with the parent and odd ones with the change.  ``--traced SEED`` adds one
+``certbench/run.py`` of each side once, one run at a time, for the
+``run_seconds`` that ``BENCHMARK.json`` sets; even pairs start with the parent
+and odd ones with the change.  ``--traced SEED`` adds one
 traced pair (``--trace 1``) per workload, and ``--verify-rounds N`` times ``N``
 alternating fresh-process runs of ``verify`` and ``verify --suite lemma44``
 per side.  The output file is rewritten after every run, in the layout of
@@ -77,9 +78,9 @@ def unpack_trees(parent_rev: str, base: Path) -> dict[str, Path]:
     return trees
 
 
-def bench_run(tree: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
+def bench_run(tree: Path, workload: str, seed: int, trace: int) -> dict:
     done = subprocess.run([sys.executable, "certbench/run.py", "--workload", workload,
-                           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
+                           "--seed", str(seed), "--trace", str(trace)],
                           cwd=tree, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
@@ -144,13 +145,13 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--parent", default="HEAD", help="git revision of the parent side")
-    parser.add_argument("--seconds", type=int, default=20)
     parser.add_argument("--pairs", type=pair_spec, action="append", default=[],
                         metavar="WORKLOAD=SEEDS", help="e.g. psi-exact=1017,20260809,801-808")
     parser.add_argument("--traced", type=int, default=0, metavar="SEED",
                         help="one traced pair per workload at this seed (0: none)")
     parser.add_argument("--verify-rounds", type=int, default=0)
     args = parser.parse_args(argv)
+    run_seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
 
     parent_sha = subprocess.run(["git", "-C", str(ROOT), "rev-parse", args.parent], check=True,
                                 capture_output=True, text=True).stdout.strip()
@@ -160,8 +161,9 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         trees = unpack_trees(args.parent, Path(tmp))
         report = {
-            "description": (f"Certification benchmark (certbench/run.py, unmodified, --seconds "
-                            f"{args.seconds}) run on the parent commit and on this change in "
+            "description": (f"Certification benchmark (certbench/run.py, unmodified, "
+                            f"run_seconds {run_seconds} from BENCHMARK.json) run on the parent "
+                            "commit and on this change in "
                             "alternating order by tools/bench_pairs.py; every run made is "
                             "listed in run order. Times are certbench's scaled times; medians "
                             "and quartiles are per side over the listed runs."),
@@ -185,7 +187,7 @@ def main(argv=None) -> int:
         for index, (workload, seed, trace) in enumerate(plan):
             for side in (SIDES if index % 2 == 0 else SIDES[::-1]):
                 started = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-                out = bench_run(trees[side], workload, seed, args.seconds, trace)
+                out = bench_run(trees[side], workload, seed, trace)
                 record({"pair": f"{workload}/{seed}/{trace}/{index}", "side": side,
                         "workload": workload, "seed": seed, "trace": trace,
                         "started_utc": started, **out})
