@@ -133,12 +133,16 @@ def _format_at(value: Scalar | None, text: str) -> str:
                          "sys.get_int_max_str_digits()") from None
 
 
-def _eval_or_pole(value, z: Scalar, w: Scalar) -> Scalar | None:
-    """The rational function at (z, w), or None at a pole."""
+def _eval_or_pole(value, z: Scalar, w: Scalar, text: str) -> Scalar | None:
+    """The rational function at (z, w), or None at a pole.  A numeric
+    denominator that underflows to 0.0 there is a usage error."""
     try:
         return value.eval_zw(z, w)
     except PoleError:
         return None
+    except ZeroDivisionError:
+        raise ValueError(f"point {text!r} is too large: the denominator of psi "
+                         "there underflows a double to 0.0") from None
 
 
 def cmd_psi(args) -> int:
@@ -157,8 +161,8 @@ def cmd_psi(args) -> int:
     for kind in kinds:
         closed = psi_closed(kind, place, pi0)
         oracle = psi_oracle(kind, place, pi0, cutoff=args.cutoff)
-        cv = _eval_or_pole(closed.value, z, w)
-        ov = _eval_or_pole(oracle.value, z, w)
+        cv = _eval_or_pole(closed.value, z, w, args.at)
+        ov = _eval_or_pole(oracle.value, z, w, args.at)
         entry = {"closed_at": _format_at(cv, args.at), "oracle_at": _format_at(ov, args.at)}
         if exact_mode:
             # tolerance is ignored: the two rational functions must coincide

@@ -24,7 +24,7 @@ from pathlib import Path
 
 from .laurent import (CubicPolynomial, LambdaPoly, LaurentSeries2, ls_inverse_regular)
 from .localdata import IdealFactorization, PlaceData, omega, zeta_q_scalar, zeta_scalar
-from .scalars import SC_ONE, SC_ZERO, Scalar, parse_exact
+from .scalars import SC_ZERO, Scalar, parse_exact
 
 DEFAULT_DEPTH = 8
 
@@ -131,19 +131,44 @@ def _log_scalar(p: int, log_map: LogMap = None) -> Scalar:
     return Scalar.numeric(math.log(p))
 
 
+def _complex_power(x: complex, n: int) -> complex:
+    """x**n for n >= 1 by the binary-power loop of :meth:`Scalar.__pow__`,
+    started from 1+0j as a numeric power is."""
+    result = 1 + 0j
+    while n:
+        if n & 1:
+            result = result * x
+        n >>= 1
+        if n:
+            x = x * x
+    return result
+
+
 def _local_zeta_inverse_series(place: PlaceData, direction: str, sign: int,
                                depth: int, log_map: LogMap = None) -> LaurentSeries2:
     """zeta_v**(-1)(1 + 2*sign*u) = 1 - p**(-1) exp(-2*sign*u*log p) along u
-    (u is z, w or z+w for the directions "z", "w", "zw_plus")."""
+    (u is z, w or z+w for the directions "z", "w", "zw_plus").
+
+    The k-th coefficient is what ``Scalar(-1/p) * (Scalar(-2*sign) * log p)**k
+    / Scalar(k!)``, plus 1 at k = 0, gives, formed without :class:`Scalar`
+    where it can be.  An exact log p (a rational surrogate, as a ``Fraction``,
+    or a square-root one) runs ``term * rate / k`` from ``-1/p``: exact
+    arithmetic gives the same value in any order.  A numeric log p takes the
+    order Scalar performs the operations in: the exact ``(p-1)/p`` at k = 0,
+    then ``complex(-1/p) * x**k * complex(1/k!)`` with ``x = complex(-2*sign)
+    * log p`` raised by :func:`_complex_power`."""
     p = place.p
     logp = _log_scalar(p, log_map)
-    coeffs: list[Scalar] = []
-    for k in range(depth + 1):
-        term = Scalar.exact(Fraction(-1, p)) * (Scalar.exact(-2 * sign) * logp) ** k \
-            / Scalar.exact(math.factorial(k))
-        if k == 0:
-            term = term + SC_ONE
-        coeffs.append(term)
+    coeffs: list = [Fraction(p - 1, p)]
+    if logp.z is not None:
+        rate = complex(-2 * sign) * logp.z
+        coeffs += [complex(-1 / p) * _complex_power(rate, k) * complex(1 / math.factorial(k))
+                   for k in range(1, depth + 1)]
+    else:
+        rate, term = (logp if logp.b else logp.a) * (-2 * sign), Fraction(-1, p)
+        for k in range(1, depth + 1):
+            term = term * rate / k
+            coeffs.append(term)
     return LaurentSeries2.from_direction(coeffs, 0, direction, depth)
 
 
@@ -294,18 +319,18 @@ def correction_term(data: GlobalZetaData, q: IdealFactorization,
 def correction_report(data: GlobalZetaData, q: IdealFactorization,
                       depth: int = DEFAULT_DEPTH, tol: float = 1e-9,
                       log_map: LogMap = None) -> CorrectionReport:
-    return _correction(data, q, build_G(data, q, -1, -1, depth),
-                       build_h(4, q, depth, log_map), tol, log_map)
+    return _correction(data, q, build_G(data, q, -1, -1, depth)
+                       * build_h(4, q, depth, log_map).series, tol, log_map)
 
 
-def _correction(data: GlobalZetaData, q: IdealFactorization, g_mm: LaurentSeries2,
-                h4: HFunction, tol: float, log_map: LogMap) -> CorrectionReport:
-    """The correction limit from given G(-z,-w) and h4 series."""
+def _correction(data: GlobalZetaData, q: IdealFactorization, g_mm_h4: LaurentSeries2,
+                tol: float, log_map: LogMap) -> CorrectionReport:
+    """The correction limit from a given product G(-z,-w) h4(z,w)."""
     sum_factor = correction_sum_factor(q, log_map)
     if not q.places:
         return CorrectionReport(SC_ZERO, SC_ZERO, None, data.xi_residue ** 3)
     clearing = LaurentSeries2.from_coeffs({(2, 1): Scalar.exact(8), (1, 2): Scalar.exact(8)})
-    product = g_mm * h4.series * clearing
+    product = g_mm_h4 * clearing
     abs_tol = tol * max(1.0, product.max_abs())
     const = product.constant_term(abs_tol)
     if const.degree() > 0:
@@ -365,10 +390,11 @@ def degenerate_limit(data: GlobalZetaData, q: IdealFactorization,
     """
     g = build_G(data, q, 1, 1, depth)
     hs = [build_h(which, q, depth, log_map) for which in (1, 2, 3, 4)]
+    g_mm_h4 = g.flip(True, True) * hs[3].series  # also the correction's input
     combo = (g * hs[0].series
              + g.flip(True, False) * hs[1].series
              + g.flip(False, True) * hs[2].series
-             + g.flip(True, True) * hs[3].series)
+             + g_mm_h4)
     abs_tol = tol * max(1.0, combo.max_abs())
     regular, singular, singular_mag = combo.split_singular(abs_tol)
     if not singular.is_zero():
@@ -377,7 +403,7 @@ def degenerate_limit(data: GlobalZetaData, q: IdealFactorization,
             f"(max coefficient {singular_mag:.3e}); this signals an implementation bug"
         )
     const = regular.coeff(0, 0)
-    corr = _correction(data, q, g.flip(True, True), hs[3], tol, log_map)
+    corr = _correction(data, q, g_mm_h4, tol, log_map)
     const = const - LambdaPoly.const(corr.value)
     # degree > 3 must die by itself; record how close to zero it is
     lambda_excess = max((v.to_complex().__abs__() for k, v in const.c.items() if k > 3),

@@ -548,7 +548,11 @@ def inverse(a: Flat, depth: int) -> Flat:
     pair order and with the pop-on-zero of :class:`LambdaPoly` products and
     sums, so every value equals the one :class:`Scalar` arithmetic gives:
     Python promotes a ``Fraction`` meeting a ``complex`` through
-    ``complex(float(q))``, as :class:`Scalar` does."""
+    ``complex(float(q))``, as :class:`Scalar` does.  A lam-free unit (every
+    coefficient at lam power 0 only) runs :func:`_lam_free_inverse`, one
+    value per monomial in the same order: a zero product adds nothing, a sum
+    reaching zero is dropped and the next product restarts it, and each
+    nonzero sum is multiplied by ``-inv0`` last."""
     den, terms = a
     u0 = terms.get((0, 0))
     if not u0:
@@ -558,8 +562,11 @@ def inverse(a: Flat, depth: int) -> Flat:
     coeffs = {m: plain_values(c, den) for m, c in terms.items()}
     u = coeffs[(0, 0)][0]
     inv0 = 1 / u if u.__class__ is Fraction else 1.0 / u if u.__class__ is complex else u.inverse()
-    neg_inv0 = -inv0
     monomials = sorted((m for m in terms if m != (0, 0)), key=lambda m: m[0] + m[1])
+    if not any(max(c) for c in terms.values()):
+        values = _lam_free_inverse({m: c[0] for m, c in coeffs.items()}, monomials, inv0, depth)
+        return lower({m: {0: v} for m, v in values.items()})
+    neg_inv0 = -inv0
     out: dict[tuple[int, int], dict[int, object]] = {(0, 0): {0: inv0}}
     for d in range(1, depth + 1):
         for i in range(d + 1):
@@ -577,3 +584,30 @@ def inverse(a: Flat, depth: int) -> Flat:
             if acc:
                 out[(i, d - i)] = {k: v * neg_inv0 for k, v in acc.items()}
     return lower(out)
+
+
+def _lam_free_inverse(coeffs: dict[tuple[int, int], Plain], monomials: list,
+                      inv0: Plain, depth: int) -> dict[tuple[int, int], Plain]:
+    """The loop of :func:`inverse` for a lam-free unit, on one plain value per
+    monomial instead of a ``{0: value}`` dict."""
+    neg_inv0 = -inv0
+    out: dict[tuple[int, int], Plain] = {(0, 0): inv0}
+    for d in range(1, depth + 1):
+        for i in range(d + 1):
+            acc = None
+            for i1, j1 in monomials:
+                if i1 + j1 > d:
+                    break
+                if i1 > i or j1 > d - i:
+                    continue
+                prev = out.get((i - i1, d - i - j1))
+                if prev is None:
+                    continue
+                v = coeffs[(i1, j1)] * prev
+                if not _is_zero(v):
+                    acc = v if acc is None else acc + v
+                    if _is_zero(acc):
+                        acc = None
+            if acc is not None:
+                out[(i, d - i)] = acc * neg_inv0
+    return out

@@ -94,6 +94,23 @@ def test_psi_numeric_mode_checks_exact_points_against_the_double_range(at, capsy
     assert "sys.get_int_max_str_digits()" not in captured.err
 
 
+@pytest.mark.parametrize("kind, at", [("iv", "500,0"), ("all", "1000,0")])
+def test_psi_numeric_denominator_underflow_is_usage_error(kind, at, capsys):
+    # p**(-z) is still a double here, but the denominator of psi underflows
+    # to 0.0 before the division
+    assert main(["psi", "--kind", kind, "--p", "2", "--r", "1",
+                 "--pi0", "0.6+0.8j,0.6-0.8j", f"--at={at}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"point '{at}'" in captured.err and "underflows a double" in captured.err
+
+
+def test_psi_exact_point_where_doubles_underflow_still_matches(capsys):
+    assert main(["psi", "--p", "2", "--r", "1", "--pi0", "1,1", "--at=500,0"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert all(report[f"kind_{kind}"]["verdict"] == "MATCH" for kind in ("i", "ii", "iii", "iv"))
+
+
 def test_psi_point_below_the_digit_limit_still_evaluates(capsys):
     assert main(["psi", "--kind", "iv", "--p", "2", "--r", "1", "--at", "2000,0"]) == 0
     entry = json.loads(capsys.readouterr().out)["kind_iv"]

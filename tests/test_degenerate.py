@@ -4,11 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from rankinlab import laurent
-from rankinlab.degenerate import (GlobalZetaData, build_G, build_h, correction_report,
-                                  correction_sum_factor, correction_term, degenerate_limit,
-                                  symmetry_residuals, taylor_bound_report)
-from rankinlab.localdata import IdealFactorization
+from test_laurent import _assert_same_bits
+
+from rankinlab import degenerate, laurent
+from rankinlab.degenerate import (GlobalZetaData, _local_zeta_inverse_series, build_G, build_h,
+                                  correction_report, correction_sum_factor, correction_term,
+                                  degenerate_limit, symmetry_residuals, taylor_bound_report)
+from rankinlab.localdata import IdealFactorization, PlaceData
 from rankinlab.scalars import Scalar
 from rankinlab.verify import default_data, model_data
 
@@ -218,3 +220,90 @@ def test_degenerate_limit_builds_scalars_only_for_read_coefficients(monkeypatch)
     rep = degenerate_limit(default_data(), Q23, depth=8)
     assert rep.singular_residual == 0.0
     assert calls[0] == 7
+
+
+# -- the local factors and the flipped product, against the Scalar forms ---------
+
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
+LOG_MODES = {
+    "numeric": None,
+    "rational": {p: Scalar.exact(Fraction(round(math.log(p) * 10 ** 4), 10 ** 4))
+                 for p in PRIMES},
+    "numeric map": {p: Scalar.numeric(complex(math.log(p), (-1) ** p * 0.25)) for p in PRIMES[:4]}
+                   | {p: Scalar.numeric(complex(-math.log(p), -0.0)) for p in PRIMES[4:]},
+    # one root base for every prime, so products of factors stay in one field
+    "root": {p: Scalar.exact(Fraction(p, 3)) + Scalar.root(3, Fraction(1, p)) for p in PRIMES},
+}
+
+
+def _scalar_local_zeta_inverse_series(place, direction, sign, depth, log_map=None):
+    """Reference: each coefficient as the Scalar expression
+    -p**-1 (-2*sign*log p)**k / k!, plus 1 at k = 0."""
+    p = place.p
+    logp = log_map[p] if log_map and p in log_map else Scalar.numeric(math.log(p))
+    coeffs = []
+    for k in range(depth + 1):
+        term = Scalar.exact(Fraction(-1, p)) * (Scalar.exact(-2 * sign) * logp) ** k \
+            / Scalar.exact(math.factorial(k))
+        if k == 0:
+            term = term + Scalar.exact(1)
+        coeffs.append(term)
+    return laurent.LaurentSeries2.from_direction(coeffs, 0, direction, depth)
+
+
+def _assert_same_series(got, want):
+    assert (got.poles, got.depth) == (want.poles, want.depth)
+    _assert_same_bits(got.num, want.num)
+
+
+@pytest.mark.parametrize("mode", sorted(LOG_MODES))
+def test_local_zeta_factors_are_bitwise_the_scalar_expression(mode):
+    log_map = LOG_MODES[mode]
+    for p in PRIMES:
+        place = PlaceData(p, 1)
+        for sign in (1, -1):
+            for depth in range(13):
+                for direction in ("z", "w", "zw_plus"):
+                    args = (place, direction, sign, depth, log_map)
+                    _assert_same_series(_local_zeta_inverse_series(*args),
+                                        _scalar_local_zeta_inverse_series(*args))
+
+
+@pytest.mark.parametrize("mode", sorted(LOG_MODES))
+def test_build_h_is_bitwise_the_scalar_local_factors(mode, monkeypatch):
+    log_map = LOG_MODES[mode]
+    depths = (0, 3) if mode == "root" else (0, 4, 8)
+    ideals = [IdealFactorization.parse(spec) for spec in ("2^1", "3^2*5^1", "7^1*11^1*13^1")]
+    got = [build_h(which, q, depth, log_map) for q in ideals for depth in depths
+           for which in (1, 2, 3, 4)]
+    monkeypatch.setattr(degenerate, "_local_zeta_inverse_series",
+                        _scalar_local_zeta_inverse_series)
+    want = [build_h(which, q, depth, log_map) for q in ideals for depth in depths
+            for which in (1, 2, 3, 4)]
+    for h, ref in zip(got, want):
+        assert h.which == ref.which
+        _assert_same_series(h.series, ref.series)
+
+
+def test_degenerate_limit_flips_for_the_correction_once(monkeypatch):
+    # the fourth term of the combination, G(-z,-w) h4, is also the input of
+    # the correction limit; it is formed once
+    calls = []
+    flip = laurent.LaurentSeries2.flip
+
+    def counted(self, flip_z, flip_w):
+        calls.append((flip_z, flip_w))
+        return flip(self, flip_z, flip_w)
+
+    monkeypatch.setattr(laurent.LaurentSeries2, "flip", counted)
+    degenerate_limit(default_data(), Q23)
+    assert calls.count((True, True)) == 1
+
+
+@pytest.mark.parametrize("log_map", [None, LOG_SURROGATES])
+@pytest.mark.parametrize("spec", ["1", "2^1", "2^1*3^1", "5^2"])
+def test_correction_report_is_bitwise_the_limit_correction(spec, log_map):
+    q = IdealFactorization.parse(spec)
+    for data in (default_data(), model_data()):
+        assert (repr(correction_report(data, q, log_map=log_map))
+                == repr(degenerate_limit(data, q, log_map=log_map).correction_detail))

@@ -1,11 +1,13 @@
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rankinlab import numerator
 from rankinlab.laurent import (EXACT_DEPTH, SYMMETRY_BREAKERS, CubicPolynomial, LambdaPoly,
                                LaurentSeries2, _num_mul, _series_inverse, break_one_symmetry,
                                four_term_combination, ls_from_rational, ls_inverse_regular,
@@ -388,6 +390,47 @@ def _units(draw):
 @given(_units(), st.integers(0, 6))
 def test_series_inverse_is_bitwise_the_lambda_poly_loop(num, depth):
     _assert_same_bits(_series_inverse(num, depth), _lambda_poly_inverse(num, depth))
+
+
+# imaginary parts of either sign of zero, so a sum's signed zeros show
+_signed_zero_numeric = st.builds(complex, _floats, st.sampled_from((0.0, -0.0))) \
+    .filter(bool).map(Scalar.numeric)
+_LAM_FREE_KINDS = {
+    "exact": _exact,
+    "wide exact": _wide_exact,
+    "units": st.one_of(_signs.map(Scalar.exact), _signs.map(lambda s: Scalar.numeric(float(s)))),
+    "numeric": st.one_of(_numeric, _signed_zero_numeric),
+    "mixed": st.one_of(_any_exact, _any_numeric, _signed_zero_numeric),
+    "root": st.one_of(_any_exact, _root3, _signed_zero_numeric),
+}
+
+
+@st.composite
+def _lam_free_units(draw):
+    """A unit numerator whose every coefficient has lam power 0 only."""
+    coeffs = _LAM_FREE_KINDS[draw(st.sampled_from(sorted(_LAM_FREE_KINDS)))]
+    num = {(0, 0): LambdaPoly.const(draw(coeffs))}
+    for _ in range(draw(st.integers(0, 6))):
+        m = (draw(st.integers(0, 3)), draw(st.integers(0, 3)))
+        if m != (0, 0):
+            num[m] = LambdaPoly.const(draw(coeffs))
+    return num
+
+
+@settings(max_examples=250, deadline=None)
+@given(_lam_free_units(), st.integers(0, 8))
+def test_lam_free_series_inverse_is_bitwise_the_lambda_poly_loop(num, depth):
+    calls = []
+    branch = numerator._lam_free_inverse
+
+    def spy(*args):
+        calls.append(args)
+        return branch(*args)
+
+    with mock.patch.object(numerator, "_lam_free_inverse", spy):
+        got = _series_inverse(num, depth)
+    assert len(calls) == 1
+    _assert_same_bits(got, _lambda_poly_inverse(num, depth))
 
 
 @st.composite
