@@ -98,6 +98,14 @@ def parse_point(text: str) -> tuple[Scalar, Scalar]:
     parts = text.split(",")
     if len(parts) != 2:
         raise ValueError(f"expected 'z,w', got {text!r}")
+    # parse_exact reads a fraction, or a coordinate without a decimal point or
+    # exponent, with int(), which refuses more digits than this limit
+    limit = sys.get_int_max_str_digits()
+    if limit and any(sum(ch.isdigit() for ch in piece) > limit
+                     for part in parts if "/" in part or not any(ch in part for ch in ".eE")
+                     for piece in part.split("/")):
+        raise ValueError(f"point {text!r} has a coordinate of more than {limit} digits, "
+                         "the limit of sys.get_int_max_str_digits()")
     point = parse_exact(parts[0]), parse_exact(parts[1])
     if not all(v.is_exact or cmath.isfinite(v.z) for v in point):
         raise ValueError(f"non-finite coordinate in point {text!r}")

@@ -24,6 +24,7 @@ from pathlib import Path
 
 from .laurent import (CubicPolynomial, LambdaPoly, LaurentSeries2, ls_inverse_regular)
 from .localdata import IdealFactorization, PlaceData, omega, zeta_q_scalar, zeta_scalar
+from .numerator import plain
 from .scalars import SC_ZERO, Scalar, parse_exact
 
 DEFAULT_DEPTH = 8
@@ -124,8 +125,9 @@ LogMap = dict[int, Scalar] | None
 
 
 def _log_scalar(p: int, log_map: LogMap = None) -> Scalar:
-    """log p as a Scalar; a log_map entry (e.g. an exact rational surrogate,
-    under which every structural identity still holds) takes precedence."""
+    """log p as a Scalar; a log_map entry (an exact rational surrogate, under
+    which every structural identity still holds, or a numeric value) takes
+    precedence.  A square-root entry is refused where a series is built."""
     if log_map and p in log_map:
         return log_map[p]
     return Scalar.numeric(math.log(p))
@@ -151,21 +153,21 @@ def _local_zeta_inverse_series(place: PlaceData, direction: str, sign: int,
 
     The k-th coefficient is what ``Scalar(-1/p) * (Scalar(-2*sign) * log p)**k
     / Scalar(k!)``, plus 1 at k = 0, gives, formed without :class:`Scalar`
-    where it can be.  An exact log p (a rational surrogate, as a ``Fraction``,
-    or a square-root one) runs ``term * rate / k`` from ``-1/p``: exact
-    arithmetic gives the same value in any order.  A numeric log p takes the
+    where it can be.  An exact log p (a rational surrogate, as a ``Fraction``)
+    runs ``term * rate / k`` from ``-1/p``: exact arithmetic gives the same
+    value in any order.  A numeric log p (a ``complex``) takes the
     order Scalar performs the operations in: the exact ``(p-1)/p`` at k = 0,
     then ``complex(-1/p) * x**k * complex(1/k!)`` with ``x = complex(-2*sign)
     * log p`` raised by :func:`_complex_power`."""
     p = place.p
-    logp = _log_scalar(p, log_map)
+    logp = plain(_log_scalar(p, log_map))
     coeffs: list = [Fraction(p - 1, p)]
-    if logp.z is not None:
-        rate = complex(-2 * sign) * logp.z
+    if logp.__class__ is complex:
+        rate = complex(-2 * sign) * logp
         coeffs += [complex(-1 / p) * _complex_power(rate, k) * complex(1 / math.factorial(k))
                    for k in range(1, depth + 1)]
     else:
-        rate, term = (logp if logp.b else logp.a) * (-2 * sign), Fraction(-1, p)
+        rate, term = logp * (-2 * sign), Fraction(-1, p)
         for k in range(1, depth + 1):
             term = term * rate / k
             coeffs.append(term)

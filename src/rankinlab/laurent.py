@@ -15,12 +15,14 @@ chain vanishes (the divisors are coprime primes of the power-series ring).
 
 The numerator is kept in the kernel form of :mod:`rankinlab.numerator`: one
 integer denominator and a nested dict ``(i, j) -> {lam power: value}`` of
-``int`` numerators (exact), ``complex`` values (numeric), or :class:`Scalar`
-values for square-root data only.  Every operation here (product, sum with
-pole raising, negation, flip, scaling, divisor peeling, inverse, expansion of
-rational functions) runs on that form and gives the values, exactness, key
-order and float bits of :class:`Scalar` arithmetic (the ring rule of that
-module).  :attr:`LaurentSeries2.num` is a read-only view, built on each read:
+``int`` numerators (exact) or ``complex`` values (numeric).  A square-root
+coefficient is refused with ``ValueError`` wherever one would enter: the
+constructors, :meth:`~LaurentSeries2.scale` and :func:`ls_from_rational`.
+Every operation here (product, sum with pole raising, negation, flip,
+scaling, divisor peeling, inverse, expansion of rational functions) runs on
+that form and gives the values, exactness, key order and float bits of
+:class:`Scalar` arithmetic (the ring rule of that module).
+:attr:`LaurentSeries2.num` is a read-only view, built on each read:
 ``dict[(i, j)] -> LambdaPoly`` of :class:`Scalar` values in the kernel's key
 order.  :meth:`~LaurentSeries2.coeff` and :meth:`~LaurentSeries2.constant_term`
 build only the coefficient asked for.
@@ -90,7 +92,7 @@ class LaurentSeries2:
         self._set(den, _truncated(terms, depth), poles, depth)
 
     @classmethod
-    def _make(cls, den: int | None, terms: Terms, poles: tuple[int, int, int, int],
+    def _make(cls, den: int, terms: Terms, poles: tuple[int, int, int, int],
               depth: int) -> "LaurentSeries2":
         self = object.__new__(cls)
         self._set(den, terms, poles, depth)
@@ -307,9 +309,13 @@ class LaurentSeries2:
 
 
 def ls_inverse_regular(a: LaurentSeries2) -> LaurentSeries2:
-    """Multiplicative inverse of a pole-free series with invertible constant term."""
+    """Multiplicative inverse of a pole-free series with invertible constant
+    term, valid to the series' own depth, which must be finite."""
     if any(a.poles):
         raise ValueError("only pole-free series can be inverted")
+    if a.depth >= EXACT_DEPTH:
+        raise ValueError("cannot invert an untruncated series: its inverse has no "
+                         "last degree; truncate it first with .truncated(depth)")
     den, terms = nm.inverse((a.den, a.terms), a.depth)
     return LaurentSeries2._make(den, terms, (0, 0, 0, 0), a.depth)
 
@@ -399,7 +405,9 @@ def ls_from_rational(f: RationalFunction2, depth: int = DEFAULT_DEPTH,
     """Laurent-expand a rational function in T1 = p**(-z), T2 = p**(-w).
 
     ``log_p`` selects how log p enters: "numeric" (a float), "lambda" (the
-    formal symbol, for exact symbolic certificates), or any Scalar surrogate.
+    formal symbol, for exact symbolic certificates), or a rational or numeric
+    Scalar surrogate.  A square-root surrogate, or a square-root coefficient
+    of ``f``, is refused with ``ValueError``.
     Vanishing of numerator and denominator along the four divisors is peeled
     off exactly at the polynomial level, so pole exponents are minimal by
     construction; a denominator vanishing at the origin in any other

@@ -7,9 +7,11 @@ nested dict ``terms: (i, j) -> {k: value}``, ``k`` being the power of
 ``lam``.  A value is
 
 * an ``int``, an exact rational: the numerator over ``den``;
-* a ``complex``, a numeric coefficient;
-* a :class:`Scalar`, only in a numerator holding square-root data, which has
-  ``den = None`` and a :class:`Scalar` for every value.
+* a ``complex``, a numeric coefficient.
+
+Those are the two rings a series lives in.  A square-root value of
+:class:`Scalar` has no kernel form: :func:`plain`, where every coefficient
+enters, refuses it with ``ValueError`` (:data:`ROOT_REFUSAL`).
 
 The dict is nested rather than keyed by ``(i, j, k)``: a monomial keeps its
 place while one of its ``lam`` powers cancels and comes back, so later float
@@ -25,9 +27,9 @@ fraction: Python's integer true division rounds correctly.  A product sum
 turns complex at its first numeric product.  A ``lam`` coefficient whose sum
 reaches zero leaves its dict, and a monomial whose dict empties leaves the
 numerator, as :class:`LambdaPoly` sums drop them.  Products run in one of
-three loops: integers only; int or complex per term; :class:`Scalar` for
-square-root data.  The series inverse and the ``lam`` polynomials of
-``exp`` expansions run on ``Fraction``/``complex`` values.  So exact values,
+two loops: integers only, or int or complex per term.  The series inverse
+and the ``lam`` polynomials of ``exp`` expansions run on
+``Fraction``/``complex`` values.  So exact values,
 exactness, key order and every float bit are the ones :class:`Scalar`
 arithmetic gives.
 
@@ -137,24 +139,28 @@ class LambdaPoly:
 LP_ZERO = LambdaPoly()
 
 SeriesNum = dict[tuple[int, int], LambdaPoly]
-Value = int | complex | Scalar                     # a kernel-form coefficient
+Value = int | complex                              # a kernel-form coefficient
 Terms = dict[tuple[int, int], dict[int, Value]]    # (i, j) -> {k: value}
-Flat = tuple[int | None, Terms]                    # (den, terms)
-Plain = Fraction | int | complex | Scalar          # a coefficient as a Python number
+Flat = tuple[int, Terms]                           # (den, terms)
+Plain = Fraction | int | complex                   # a coefficient as a Python number
+
+ROOT_REFUSAL = ("a Laurent series holds rational or numeric coefficients only: "
+                "square-root values stay in Poly2 and RationalFunction2")
 
 _C_MINUS_ONE = complex(-1.0)
-_SC_MINUS_ONE = Scalar.exact(-1)
 _EMPTY: dict = {}
 
 
 # -- between Scalar values and the kernel form ---------------------------------
 
-def plain(v: Scalar) -> Fraction | complex | Scalar:
+def plain(v: Scalar) -> Fraction | complex:
     """A coefficient as a plain Python number: a ``Fraction`` for a rational,
-    a ``complex`` for a numeric value; a root-extension value stays a Scalar."""
+    a ``complex`` for a numeric value; a root-extension value is refused."""
     if v.z is not None:
         return v.z
-    return v if v.b else v.a
+    if v.b:
+        raise ValueError(ROOT_REFUSAL)
+    return v.a
 
 
 def plain_coeffs(x) -> dict[int, Plain]:
@@ -168,63 +174,36 @@ def plain_coeffs(x) -> dict[int, Plain]:
     return {} if v.is_zero() else {0: plain(v)}
 
 
-def plain_values(c: dict[int, Value], den: int | None) -> dict[int, Plain]:
+def plain_values(c: dict[int, Value], den: int) -> dict[int, Plain]:
     """One monomial's kernel values as plain numbers."""
-    return {k: Fraction(v, den) if v.__class__ is int else v if v.__class__ is complex
-            else plain(v) for k, v in c.items()}
-
-
-def _scalar(x: Plain, den: int = 1) -> Scalar:
-    """The Scalar of a plain number, or of a kernel value over den."""
-    cls = x.__class__
-    if cls is int:
-        return rational(Fraction(x, den))
-    if cls is Fraction:
-        return rational(x)
-    if cls is complex:
-        return Scalar.numeric(x)
-    return x
+    return {k: Fraction(v, den) if v.__class__ is int else v for k, v in c.items()}
 
 
 def lower(terms: dict) -> Flat:
     """Kernel form of ``{key: {k: x}}`` with every x a plain number."""
-    dens = set()
-    for c in terms.values():
-        for x in c.values():
-            if x.__class__ is Scalar:
-                return None, {m: {k: _scalar(x) for k, x in c.items()} for m, c in terms.items()}
-            if x.__class__ is not complex:
-                dens.add(x.denominator)
-    den = math.lcm(*dens)
+    den = math.lcm(*{x.denominator for c in terms.values() for x in c.values()
+                     if x.__class__ is not complex})
     return den, {m: {k: x if x.__class__ is complex else x.numerator * (den // x.denominator)
                      for k, x in c.items()} for m, c in terms.items()}
 
 
-def lifted(c: dict[int, Value], den: int | None) -> dict[int, Scalar]:
+def lifted(c: dict[int, Value], den: int) -> dict[int, Scalar]:
     """One monomial's kernel values as Scalars."""
-    return {k: _scalar(v, den) for k, v in c.items()}
+    return {k: rational(Fraction(v, den)) if v.__class__ is int else Scalar.numeric(v)
+            for k, v in c.items()}
 
 
-def _lift(den: int | None, terms: Terms) -> Terms:
-    """The same terms with every value a Scalar (the square-root ring)."""
-    return {m: lifted(c, den) for m, c in terms.items()}
-
-
-def view(den: int | None, terms: Terms) -> SeriesNum:
+def view(den: int, terms: Terms) -> SeriesNum:
     return {m: LambdaPoly(lifted(c, den)) for m, c in terms.items()}
 
 
-def _is_zero(v: Value) -> bool:
-    return v.is_zero() if v.__class__ is Scalar else not v
-
-
-def max_abs(c: dict[int, Value], den: int | None) -> float:
+def max_abs(c: dict[int, Value], den: int) -> float:
     """Largest modulus among one monomial's coefficients (0.0 for none)."""
-    return max((abs(v / den) if v.__class__ is int else abs(v) if v.__class__ is complex
-                else abs(v.to_complex()) for v in c.values()), default=0.0)
+    return max((abs(v / den) if v.__class__ is int else abs(v) for v in c.values()),
+               default=0.0)
 
 
-def _negligible(c: dict[int, Value], den: int | None, tol: float) -> bool:
+def _negligible(c: dict[int, Value], den: int, tol: float) -> bool:
     return not c if tol == 0.0 else max_abs(c, den) <= tol
 
 
@@ -234,7 +213,7 @@ def negated(terms: Terms) -> Terms:
 
 # -- sums ---------------------------------------------------------------------
 
-def lam_add(x: dict[int, Value], y: dict[int, Value], den: int | None) -> dict[int, Value]:
+def lam_add(x: dict[int, Value], y: dict[int, Value], den: int) -> dict[int, Value]:
     """x + y for the lam coefficients of one monomial over one denominator:
     x's powers first, a power dropped when its sum is zero."""
     out = dict(x)
@@ -247,7 +226,7 @@ def lam_add(x: dict[int, Value], y: dict[int, Value], den: int | None) -> dict[i
                 v = cur + complex(v / den)
             else:
                 v = cur + v
-        if v.is_zero() if v.__class__ is Scalar else not v:
+        if not v:
             out.pop(k, None)
         else:
             out[k] = v
@@ -269,12 +248,8 @@ def num_add(a: Flat, b: Flat) -> Flat:
         return a
     if not ta:
         return b
-    if da is None or db is None:
-        den = None
-        ta, tb = _lift(da, ta), _lift(db, tb)
-    else:
-        den = math.lcm(da, db)
-        ta, tb = _rescaled(ta, den // da), _rescaled(tb, den // db)
+    den = math.lcm(da, db)
+    ta, tb = _rescaled(ta, den // da), _rescaled(tb, den // db)
     out = dict(ta)
     for m, cb in tb.items():
         ca = out.get(m)
@@ -304,8 +279,6 @@ def mul(a: Flat, b: Flat, depth: int) -> Flat:
     (da, ta), (db, tb) = a, b
     if not ta or not tb:
         return 1, {}
-    if da is None or db is None:
-        return None, _scalar_mul(_lift(da, ta), _lift(db, tb), depth)
     xa = [(i, j, k, v) for (i, j), c in ta.items() for k, v in c.items()]
     xb = _by_degree(tb)
     if any(t[3].__class__ is not int for t in xa) or any(t[4].__class__ is not int for t in xb):
@@ -366,26 +339,6 @@ def _collect(acc: dict[tuple[int, int, int], int | complex], den: int) -> Flat:
     return den // g, out
 
 
-def _scalar_mul(ta: Terms, tb: Terms, depth: int) -> Terms:
-    """The product loop in Scalar arithmetic, for square-root data."""
-    xb = _by_degree(tb)
-    acc: dict[tuple[int, int, int], Scalar] = {}
-    get = acc.get
-    for (i1, j1), c in ta.items():
-        room = depth - i1 - j1
-        for k1, v1 in c.items():
-            for d2, i2, j2, k2, v2 in xb:
-                if d2 > room:
-                    break
-                key = (i1 + i2, j1 + j2, k1 + k2)
-                acc[key] = get(key, SC_ZERO) + v1 * v2
-    out: Terms = {}
-    for (i, j, k), v in acc.items():
-        if not v.is_zero():
-            out.setdefault((i, j), {})[k] = v
-    return out
-
-
 def _reduced(den: int, terms: Terms) -> Flat:
     g = math.gcd(den, *[v for c in terms.values() for v in c.values() if v.__class__ is int])
     if g == 1:
@@ -398,9 +351,6 @@ def scaled(a: Flat, f: Plain) -> Flat:
     """Every value times the nonzero constant f, as ``value * f`` in Scalar
     arithmetic; nothing is dropped."""
     den, terms = a
-    if den is None or f.__class__ is Scalar:
-        fs = _scalar(f)
-        return None, {m: {k: v * fs for k, v in c.items()} for m, c in _lift(den, terms).items()}
     if f.__class__ is complex:
         return den, {m: {k: (complex(v / den) if v.__class__ is int else v) * f
                          for k, v in c.items()} for m, c in terms.items()}
@@ -410,11 +360,11 @@ def scaled(a: Flat, f: Plain) -> Flat:
                      for m, c in terms.items()})
 
 
-def _add_term(coeffs: dict[int, object], k: int, v) -> None:
+def _add_term(coeffs: dict[int, Plain], k: int, v: Plain) -> None:
     """coeffs[k] += v, dropping k when the sum is zero, as LambdaPoly sums do."""
     cur = coeffs.get(k)
     s = v if cur is None else cur + v
-    if s.is_zero() if s.__class__ is Scalar else not s:
+    if not s:
         coeffs.pop(k, None)
     else:
         coeffs[k] = s
@@ -457,9 +407,8 @@ def along(direction: str, coeffs: list[dict[int, Plain]], depth: int) -> Flat:
         for m, b in _power_terms(direction, k):
             prod = {}
             for kk, v in c.items():
-                cls = v.__class__
-                p = v * b if cls is int else v * complex(b) if cls is complex else _scalar(b) * v
-                if not _is_zero(p):
+                p = v * b if v.__class__ is int else v * complex(b)
+                if p:
                     prod[kk] = p
             if prod:
                 terms[m] = prod
@@ -484,12 +433,10 @@ def _carried(c: dict[int, Value], sign: int) -> dict[int, Value]:
     multiplied by ``-1+0j``, as LambdaPoly.scale does)."""
     if sign == 1:
         return {k: -v for k, v in c.items()}
-    return {k: v if v.__class__ is int
-            else -(v * (_C_MINUS_ONE if v.__class__ is complex else _SC_MINUS_ONE))
-            for k, v in c.items()}
+    return {k: v if v.__class__ is int else -(v * _C_MINUS_ONE) for k, v in c.items()}
 
 
-def div_linear(den: int | None, terms: Terms, direction: str,
+def div_linear(den: int, terms: Terms, direction: str,
                tol: float) -> tuple[Terms, Terms, float]:
     """Divide a numerator by z, w, z+w or z-w.
 
@@ -561,16 +508,16 @@ def inverse(a: Flat, depth: int) -> Flat:
         raise ValueError("cannot invert a unit whose constant term involves lam")
     coeffs = {m: plain_values(c, den) for m, c in terms.items()}
     u = coeffs[(0, 0)][0]
-    inv0 = 1 / u if u.__class__ is Fraction else 1.0 / u if u.__class__ is complex else u.inverse()
+    inv0 = 1 / u if u.__class__ is Fraction else 1.0 / u
     monomials = sorted((m for m in terms if m != (0, 0)), key=lambda m: m[0] + m[1])
     if not any(max(c) for c in terms.values()):
         values = _lam_free_inverse({m: c[0] for m, c in coeffs.items()}, monomials, inv0, depth)
         return lower({m: {0: v} for m, v in values.items()})
     neg_inv0 = -inv0
-    out: dict[tuple[int, int], dict[int, object]] = {(0, 0): {0: inv0}}
+    out: dict[tuple[int, int], dict[int, Plain]] = {(0, 0): {0: inv0}}
     for d in range(1, depth + 1):
         for i in range(d + 1):
-            acc: dict[int, object] = {}
+            acc: dict[int, Plain] = {}
             for i1, j1 in monomials:
                 if i1 + j1 > d:
                     break
@@ -604,9 +551,9 @@ def _lam_free_inverse(coeffs: dict[tuple[int, int], Plain], monomials: list,
                 if prev is None:
                     continue
                 v = coeffs[(i1, j1)] * prev
-                if not _is_zero(v):
+                if v:
                     acc = v if acc is None else acc + v
-                    if _is_zero(acc):
+                    if not acc:
                         acc = None
             if acc is not None:
                 out[(i, d - i)] = acc * neg_inv0

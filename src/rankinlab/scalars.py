@@ -29,23 +29,6 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def _isqrt_exact(n: int) -> int | None:
-    """Integer square root of n if n is a perfect square, else None."""
-    if n < 0:
-        return None
-    r = math.isqrt(n)
-    return r if r * r == n else None
-
-
-def _rational_sqrt(q: Fraction) -> Fraction | None:
-    """Exact square root of a nonnegative rational, or None if irrational."""
-    rn = _isqrt_exact(q.numerator)
-    rd = _isqrt_exact(q.denominator)
-    if rn is None or rd is None:
-        return None
-    return Fraction(rn, rd)
-
-
 class Scalar:
     """Immutable field element, exact (``a + b*sqrt(base)``) or numeric (complex)."""
 

@@ -65,13 +65,18 @@ def test_psi_non_finite_point_is_usage_error(pi0, at, capsys):
     assert captured.out == "" and "non-finite coordinate" in captured.err
 
 
-@pytest.mark.parametrize("at", ["100000,0", "3000000,0", "0,-14285", "14284,0"])
+@pytest.mark.parametrize("at", [
+    "100000,0", "3000000,0", "0,-14285", "14284,0",
+    pytest.param("1" + "0" * 4400 + ",0", id="4401-digit-integer"),
+    pytest.param("0,1/1" + "0" * 4400, id="4401-digit-denominator")])
 def test_psi_huge_exact_point_is_usage_error(at, capsys):
     # p**(-z) alone would print past sys.get_int_max_str_digits() (4300 digits
-    # by default), or the value at the point would
+    # by default), or the value at the point would, or int() would refuse to
+    # read a coordinate of more digits than that with Python's own text
     assert main(["psi", "--kind", "iv", "--p", "2", "--r", "1", f"--at={at}"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "sys.get_int_max_str_digits()" in captured.err
+    assert f"point {at!r}" in captured.err
     assert "Exceeds the limit" not in captured.err
 
 

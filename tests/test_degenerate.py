@@ -162,9 +162,9 @@ def test_limit_correction_is_correction_term():
 
 
 def test_laurent_kernels_make_no_scalar_arithmetic(monkeypatch):
-    # root-free data runs the product and inverse kernels on ints, Fractions
-    # and complex doubles; a Scalar sum or product inside them means the slow
-    # per-term Scalar fallback came back
+    # the product and inverse kernels run on ints, Fractions and complex
+    # doubles; a Scalar sum or product inside them means the slow per-term
+    # Scalar arithmetic came back
     from rankinlab import numerator
     entered = [0]
     inside = [0]
@@ -231,8 +231,6 @@ LOG_MODES = {
                  for p in PRIMES},
     "numeric map": {p: Scalar.numeric(complex(math.log(p), (-1) ** p * 0.25)) for p in PRIMES[:4]}
                    | {p: Scalar.numeric(complex(-math.log(p), -0.0)) for p in PRIMES[4:]},
-    # one root base for every prime, so products of factors stay in one field
-    "root": {p: Scalar.exact(Fraction(p, 3)) + Scalar.root(3, Fraction(1, p)) for p in PRIMES},
 }
 
 
@@ -272,7 +270,7 @@ def test_local_zeta_factors_are_bitwise_the_scalar_expression(mode):
 @pytest.mark.parametrize("mode", sorted(LOG_MODES))
 def test_build_h_is_bitwise_the_scalar_local_factors(mode, monkeypatch):
     log_map = LOG_MODES[mode]
-    depths = (0, 3) if mode == "root" else (0, 4, 8)
+    depths = (0, 4, 8)
     ideals = [IdealFactorization.parse(spec) for spec in ("2^1", "3^2*5^1", "7^1*11^1*13^1")]
     got = [build_h(which, q, depth, log_map) for q in ideals for depth in depths
            for which in (1, 2, 3, 4)]

@@ -8,13 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankinlab import numerator
+from rankinlab.degenerate import build_h, degenerate_limit
+from rankinlab.exactalg import Poly2, RationalFunction2
 from rankinlab.laurent import (EXACT_DEPTH, SYMMETRY_BREAKERS, CubicPolynomial, LambdaPoly,
                                LaurentSeries2, _num_mul, _series_inverse, break_one_symmetry,
                                four_term_combination, ls_from_rational, ls_inverse_regular,
                                pole_factor_series, random_simple_pole_coeffs,
                                random_symmetric_quadruple)
-from rankinlab.localdata import PlaceData, Shift, zeta_local
+from rankinlab.localdata import IdealFactorization, PlaceData, Shift, zeta_local
 from rankinlab.scalars import Scalar
+from rankinlab.verify import model_data
 
 
 def _poly_series(coeffs, poles=(0, 0, 0, 0)):
@@ -55,7 +58,6 @@ def test_non_divisor_denominator_rejected():
     # denominator vanishing at T1 = 1 only through (1 - T1**2) factors is fine;
     # 2 - T1 - T2 vanishes at the origin along z+w... but (2 - 3*T1 + T2**2)
     # vanishes at the origin in a non-divisor direction
-    from rankinlab.exactalg import Poly2, RationalFunction2
     bad = RationalFunction2.from_poly(Poly2.const(1), 2).with_factor(
         Poly2.const(2) - Poly2.monomial(1, 0, 3) + Poly2.monomial(0, 2))
     with pytest.raises((ValueError, ZeroDivisionError)):
@@ -141,6 +143,17 @@ def test_series_inverse_round_trip():
     prod = s * inv
     assert prod.coeff(0, 0).coeff(0) == Scalar.exact(1)
     assert all(v.is_zero() for m, v in prod.num.items() if m != (0, 0))
+
+
+@pytest.mark.parametrize("series", [LaurentSeries2.from_coeffs({(0, 0): 2, (1, 0): 1}),
+                                    LaurentSeries2.one()], ids=["unit", "one"])
+def test_inverse_of_an_untruncated_series_is_refused(series):
+    # the inverse of a series valid to every degree has no last degree
+    assert series.depth == EXACT_DEPTH
+    with pytest.raises(ValueError, match="truncate it first"):
+        ls_inverse_regular(series)
+    short = series.truncated(4)
+    assert (short * ls_inverse_regular(short)).constant_term() == LambdaPoly.const(1)
 
 
 def test_random_quadruples_cancel():
@@ -238,13 +251,10 @@ _rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6).filter(b
 _floats = st.floats(min_value=-4, max_value=4, allow_nan=False, allow_infinity=False)
 _exact = _rationals.map(Scalar.exact)
 _numeric = st.builds(complex, _floats, _floats).filter(bool).map(Scalar.numeric)
-_root3 = st.builds(lambda a, b: Scalar.exact(a) + Scalar.root(3, b),
-                   st.fractions(min_value=-4, max_value=4, max_denominator=6), _rationals)
 _KINDS = {
     "exact": (_exact, _exact),
     "numeric": (_numeric, st.one_of(_exact, _numeric)),
     "mixed": (st.one_of(_exact, _numeric), _exact),
-    "root": (st.one_of(_exact, _root3), st.one_of(_exact, _root3)),
 }
 
 
@@ -361,7 +371,6 @@ _COEFF_KINDS = {
     "exact": _any_exact,
     "numeric": _any_numeric,
     "mixed": st.one_of(_any_exact, _any_numeric),
-    "root": st.one_of(_any_exact, _root3, _any_numeric),
 }
 _any_kind = st.sampled_from(sorted(_COEFF_KINDS)).flatmap(
     lambda kind: _numerators(_COEFF_KINDS[kind]))
@@ -401,7 +410,6 @@ _LAM_FREE_KINDS = {
     "units": st.one_of(_signs.map(Scalar.exact), _signs.map(lambda s: Scalar.numeric(float(s)))),
     "numeric": st.one_of(_numeric, _signed_zero_numeric),
     "mixed": st.one_of(_any_exact, _any_numeric, _signed_zero_numeric),
-    "root": st.one_of(_any_exact, _root3, _signed_zero_numeric),
 }
 
 
@@ -513,7 +521,6 @@ _small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 @st.composite
 def _poly_nonzero_at_origin(draw):
     """A rational polynomial in T1, T2 that is nonzero at T1 = T2 = 1 (z = w = 0)."""
-    from rankinlab.exactalg import Poly2
     coeffs = {(draw(st.integers(0, 2)), draw(st.integers(0, 2))): draw(_small_rationals)
               for _ in range(draw(st.integers(1, 3)))}
     poly = Poly2({m: Scalar.exact(c) for m, c in coeffs.items() if c})
@@ -525,7 +532,6 @@ def _poly_nonzero_at_origin(draw):
 @st.composite
 def _exact_rfs(draw, p):
     """num / prod(factor**e) with every factor nonzero at the origin."""
-    from rankinlab.exactalg import RationalFunction2
     rf = RationalFunction2.from_poly(draw(_poly_nonzero_at_origin()), p)
     for _ in range(draw(st.integers(0, 2))):
         rf = rf.with_factor(draw(_poly_nonzero_at_origin()), draw(st.integers(1, 2)))
@@ -548,6 +554,32 @@ def test_ls_from_rational_is_a_ring_homomorphism(pair):
     f, g = pair
     assert _same_series(_ls(f * g), _ls(f) * _ls(g))
     assert _same_series(_ls(f + g), _ls(f) + _ls(g))
+
+
+# -- square-root data has no kernel form: refused where coefficients enter --------
+
+_ROOT = Scalar.exact(1) + Scalar.root(3)
+_ROOT_ENTRIES = {
+    "constructor": lambda: LaurentSeries2({(0, 0): _ROOT}, (0, 0, 0, 0), 4),
+    "from_coeffs": lambda: LaurentSeries2.from_coeffs({(1, 0): LambdaPoly({1: _ROOT})}),
+    "from_direction": lambda: LaurentSeries2.from_direction([1, _ROOT], 1, "z", 4),
+    "exp_direction": lambda: LaurentSeries2.exp_direction(LambdaPoly.const(_ROOT), "w", 4),
+    "scale": lambda: LaurentSeries2.one().scale(_ROOT),
+    "ls_from_rational log_p": lambda: ls_from_rational(
+        zeta_local(PlaceData(3, 1), Shift.of(1, 2, 0)), 8, log_p=_ROOT),
+    "ls_from_rational coefficient": lambda: ls_from_rational(
+        RationalFunction2.from_poly(Poly2.const(_ROOT), 3), 8, log_p=_LOG_SURROGATE),
+    "build_h log_map": lambda: build_h(1, IdealFactorization.parse("3^1"), 4, {3: _ROOT}),
+    "degenerate_limit log_map": lambda: degenerate_limit(
+        model_data(), IdealFactorization.parse("2^1*3^1"), log_map={2: _ROOT}),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_ROOT_ENTRIES))
+def test_square_root_coefficients_are_refused(entry):
+    with pytest.raises(ValueError) as refused:
+        _ROOT_ENTRIES[entry]()
+    assert str(refused.value) == numerator.ROOT_REFUSAL
 
 
 # -- the kernel-form series operations against the LambdaPoly-dict code they replace
@@ -745,7 +777,6 @@ _FLAT_KINDS = {
     "rational_lam": (_any_exact, 3),
     "numeric": (st.one_of(_signed_numeric, _unit_numeric, _numeric), 3),
     "mixed": (st.one_of(_any_exact, _signed_numeric, _unit_numeric), 3),
-    "root": (st.one_of(_any_exact, _root3, _signed_numeric), 3),
 }
 
 
@@ -810,7 +841,7 @@ def test_negation_and_flip_are_bitwise_the_lambda_poly_ones(num, poles, depth, f
 
 
 _factors = st.one_of(
-    _any_exact, _signed_numeric, _root3, st.just(Scalar.exact(0)),
+    _any_exact, _signed_numeric, st.just(Scalar.exact(0)),
     _rationals, st.integers(-3, 3), _floats.map(float),
     st.builds(lambda v, k: LambdaPoly({k: v}), st.one_of(_any_exact, _signed_numeric),
               st.integers(0, 2)),
@@ -860,7 +891,7 @@ def test_divisor_peeling_is_bitwise_the_lambda_poly_division(case, want_singular
 
 
 _direction_coeffs = st.lists(st.one_of(
-    _any_exact, _signed_numeric, _root3, _rationals, st.integers(-2, 2), st.just(Scalar.exact(0)),
+    _any_exact, _signed_numeric, _rationals, st.integers(-2, 2), st.just(Scalar.exact(0)),
     _kind_numerators().map(lambda num: next(iter(num.values()), LambdaPoly()))), max_size=9)
 
 
