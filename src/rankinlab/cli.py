@@ -179,7 +179,8 @@ def cmd_psi(args) -> int:
             # a pole matches only a pole
             match = cv is None and ov is None
         else:
-            match = cv.close(ov, rel_tol=args.tolerance)
+            # relative only: an absolute floor would pass any two tiny values
+            match = cv.close(ov, rel_tol=args.tolerance, abs_tol=0.0)
         all_match &= match
         entry["verdict"] = "MATCH" if match else "MISMATCH"
         report[f"kind_{kind}"] = entry

@@ -566,11 +566,7 @@ class RationalFunction2:
     def inverse(self) -> "RationalFunction2":
         if self.num.is_zero():
             raise ZeroDivisionError("inverse of the zero function")
-        num = Poly2.const(self.scale)
-        for poly, exp in self.fac.values():
-            num = num * poly ** exp
-        out = RationalFunction2(num, SC_ONE, {}, self.p)
-        return out.with_factor(self.num)
+        return RationalFunction2(self.den_expanded(), SC_ONE, {}, self.p).with_factor(self.num)
 
     def __truediv__(self, other) -> "RationalFunction2":
         if isinstance(other, (int, Fraction, Scalar)):
@@ -701,17 +697,19 @@ class RationalFunction2:
 
 def power_of_p(p: int, exponent: ScalarLike, sign: int = 1) -> Scalar:
     """p**(sign*exponent); exact for integer and half-integer exponents."""
-    e = Scalar.wrap(exponent)
-    if e.is_rational():
-        q = e.as_fraction() * sign
-        if q.denominator == 1:
-            return Scalar.exact(Fraction(p) ** q.numerator)
-        if q.denominator == 2:
-            whole = Scalar.exact(Fraction(p) ** (q.numerator // 2))
-            if q.numerator % 2:
-                return whole * Scalar.root(Fraction(p))
-            return whole
-    return Scalar.numeric(complex(p) ** (sign * e.to_complex()))
+    e = exponent
+    if e.__class__ not in (int, Fraction):
+        e = Scalar.wrap(e)
+        if not e.is_rational():
+            return Scalar.numeric(complex(p) ** (sign * e.to_complex()))
+        e = e.a
+    q = e * sign
+    d = q.denominator
+    if d > 2:
+        return Scalar.numeric(complex(p) ** (sign * complex(float(e))))
+    k = q.numerator // d
+    whole = rational(Fraction(p ** k) if k >= 0 else Fraction(1, p ** -k))
+    return whole if d == 1 else whole * Scalar.root(p)
 
 
 def nonzero_factor(factor: Scalar, what: str) -> Scalar:

@@ -483,10 +483,6 @@ class CubicPolynomial:
             raise ValueError(f"polynomial has degree {lp.degree()} > 3 in lam")
         return cls(lp.coeff(3), lp.coeff(2), lp.coeff(1), lp.coeff(0))
 
-    def eval(self, lam: ScalarLike) -> Scalar:
-        lam = Scalar.wrap(lam)
-        return ((self.c3 * lam + self.c2) * lam + self.c1) * lam + self.c0
-
 
 # -- random quadruples for the cancellation property --------------------------
 #

@@ -7,8 +7,9 @@ intertwined partner ``ftilde`` against the square of the unramified Whittaker
 vector; ``psi_oracle`` recomputes them by exact summation over valuation
 strata of the Bruhat coordinates (the c-integrand is constant on each shell
 ``val(c) = -j`` of measure ``p**j (1-1/p)``, and the y-sum is a Whittaker
-power series whose tail is resummed through its three-term recursion).  The
-two must agree exactly as rational functions.
+power series in one variable X = p**(-1) T1**a T2**b, summed on plain numbers
+from the recursion of S(n) with its tail resummed through the three-term
+recursion of S(n)**2).  The two must agree exactly as rational functions.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from itertools import islice
 
 from .exactalg import Poly2, RationalFunction2, nonzero_factor, power_of_p
 from .localdata import PlaceData, Shift, zeta_local, zeta_scalar
+from .numerator import plain
 from .scalars import SC_ONE, Scalar, ScalarLike
 from .whittaker import SatakeParams, hecke_stream, l_factor_product, satake_sum
 
@@ -173,39 +175,56 @@ def whittaker_square_sum(pi0: SatakeParams, place: PlaceData, a: int, b: int,
                          cutoff: int = 6) -> RationalFunction2:
     """sum_{n>=0} |W|**2(pi**n) * |pi**n|**(a z + b w) as an exact rational function.
 
-    Writes the sum as sum A_n x**n with A_n = S(n+1)**2 and x = p**(-1) T1**a T2**b,
-    adds ``cutoff`` explicit terms from satake_sum, and resums the tail in
-    closed form through the three-term recursion of A_n (characteristic roots
-    alpha1**2, alpha1*alpha2, alpha2**2).
+    In the one variable X = p**(-1) T1**a T2**b the sum is sum A_n X**n with
+    A_n = S(n+1)**2: ``cutoff`` explicit terms, S from its recursion
+    S(n+1) = t S(n) - delta S(n-1), and the tail resummed in closed form
+    through the three-term recursion of A_n (characteristic roots alpha1**2,
+    alpha1*alpha2, alpha2**2).  N and D of N(X)/D(X) are worked out as lists of
+    plain numbers (``Fraction`` or ``complex``) and X is substituted once.
     """
     p = place.p
-    cutoff = max(3, cutoff)
-    x = RationalFunction2.monomial(a, b, Fraction(1, p), p)
-    a_seq: list[Scalar] = []
-    for n in range(cutoff):
-        s_n = satake_sum(pi0, n + 1)
-        a_seq.append(s_n * s_n)
-    partial = RationalFunction2.const(0, p)
-    xpow = RationalFunction2.const(1, p)
-    xpows = []
-    for n in range(cutoff):
-        xpows.append(xpow)
-        partial = partial + xpow * a_seq[n]
-        xpow = xpow * x
+    m = max(3, cutoff)
+    for alpha in (pi0.alpha1, pi0.alpha2):
+        if alpha.z is None and alpha.b:
+            raise ValueError(f"Satake parameter {alpha} has a square-root part: the Whittaker "
+                             "square sum takes rational or numeric parameters only")
+    a1, a2 = plain(pi0.alpha1), plain(pi0.alpha2)
+    t, delta = a1 + a2, a1 * a2
+    s_prev, s = 0, Fraction(1)  # S(0), S(1)
+    seq = []
+    for _ in range(m):
+        seq.append(s * s)
+        s_prev, s = s, t * s - delta * s_prev
     # recursion A_n = e1 A_{n-1} - e2 A_{n-2} + e3 A_{n-3}
-    t = pi0.alpha1 + pi0.alpha2
-    delta = pi0.alpha1 * pi0.alpha2
     e1 = t * t - delta
     e2 = delta * t * t - delta * delta
     e3 = delta ** 3
-    m = cutoff
-    rhs = (x * xpows[m - 1] * (a_seq[m - 1] * e1)
-           - x * x * (xpows[m - 1] * a_seq[m - 1] + xpows[m - 2] * a_seq[m - 2]) * e2
-           + x ** 3 * (xpows[m - 1] * a_seq[m - 1] + xpows[m - 2] * a_seq[m - 2]
-                       + xpows[m - 3] * a_seq[m - 3]) * e3)
-    denom = RationalFunction2.const(1, p) - x * e1 + x * x * e2 - x ** 3 * e3
-    tail = rhs / denom
-    return partial + tail
+    den = [Fraction(1), -e1, e2, -e3]
+    num = [0] * (m + 3)
+    for n, term in enumerate(seq):
+        for k, d in enumerate(den):
+            num[n + k] += term * d
+    # rhs = D * tail: the recursion leaves three terms past the partial sum
+    num[m] += seq[m - 1] * e1 - seq[m - 2] * e2 + seq[m - 3] * e3
+    num[m + 1] += seq[m - 2] * e3 - seq[m - 1] * e2
+    num[m + 2] += seq[m - 1] * e3
+    for coeffs in (num, den):
+        while not coeffs[-1]:
+            coeffs.pop()
+    value = RationalFunction2.from_poly(_at_x(num, a, b, p), p).with_factor(_at_x(den, a, b, p))
+    # _at_x lifted N and D by different powers of T where a or b is negative
+    shift = len(den) - len(num)
+    i, j = max(0, -a) * shift, max(0, -b) * shift
+    return value * RationalFunction2.monomial(i, j, 1, p) if i or j else value
+
+
+def _at_x(coeffs: list, a: int, b: int, p: int) -> Poly2:
+    """sum c_k X**k at X = p**(-1) T1**a T2**b, times the power of T1 and T2
+    that makes every exponent nonnegative."""
+    top = len(coeffs) - 1
+    i0, j0 = max(0, -a) * top, max(0, -b) * top
+    return Poly2({(i0 + a * k, j0 + b * k): Scalar.wrap(c * Fraction(1, p ** k))
+                  for k, c in enumerate(coeffs) if c})
 
 
 def _ftilde_pair(place: PlaceData, val_c: int | None) -> RationalFunction2:

@@ -146,6 +146,18 @@ def test_psi_pole_on_one_side_mismatches(capsys, monkeypatch):
     assert entry["verdict"] == "MISMATCH"
 
 
+def test_psi_numeric_values_compare_relatively_however_small(capsys):
+    # both values lie below 1e-15, so an absolute tolerance there would call
+    # them equal, yet they are dozens of orders of magnitude apart
+    code = main(["psi", "--kind", "iv", "--p", "2", "--r", "1",
+                 "--pi0", "0.6+0.8j,0.6-0.8j", "--at=60,0"])
+    entry = json.loads(capsys.readouterr().out)["kind_iv"]
+    closed, oracle = complex(entry["closed_at"]), complex(entry["oracle_at"])
+    assert abs(closed) < 1e-80 and abs(oracle) < 1e-15
+    assert abs(oracle - closed) > 1e-12 * abs(oracle)
+    assert code == 1 and entry["verdict"] == "MISMATCH"
+
+
 def test_json_reports_round_trip(capsys):
     main(["psi", "--kind", "ii", "--p", "2", "--r", "1"])
     raw = capsys.readouterr().out

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from rankinlab import exactalg, zetaint
 from rankinlab.exactalg import (PoleError, Poly2, RationalFunction2, poly_div_exact,
-                                poly_gcd, rf_equal)
+                                poly_gcd, power_of_p, rf_equal)
 from rankinlab.localdata import PlaceData, Shift, zeta_local
 from rankinlab.scalars import Scalar, format_scalar
 from rankinlab.whittaker import SatakeParams
@@ -477,3 +477,40 @@ def test_exact_psi_makes_no_scalar_arithmetic_inside_poly2(monkeypatch):
     assert counts["_int_mul"] > 100 and counts["_eval_exact"] > 20
     assert counts["poly_div_exact"] >= 1
     assert sum(counts[name] for name in ("__add__", "__radd__", "__mul__", "__rmul__")) == 0
+
+
+def _reference_power_of_p(p, exponent, sign=1):
+    """power_of_p as it was: every exponent through Scalar.wrap and Fraction powers."""
+    e = Scalar.wrap(exponent)
+    if e.is_rational():
+        q = e.as_fraction() * sign
+        if q.denominator == 1:
+            return Scalar.exact(Fraction(p) ** q.numerator)
+        if q.denominator == 2:
+            whole = Scalar.exact(Fraction(p) ** (q.numerator // 2))
+            if q.numerator % 2:
+                return whole * Scalar.root(Fraction(p))
+            return whole
+    return Scalar.numeric(complex(p) ** (sign * e.to_complex()))
+
+
+def _bits(s):
+    return tuple((type(v), v) for v in (s.a, s.b, s.base, s.z))
+
+
+def test_power_of_p_is_bitwise_the_reference():
+    checked = 0
+    for p in (2, 3, 4, 8, 9, 25):
+        for k in range(-12, 13):
+            for d in (1, 2, 3):
+                q = Fraction(k, d)
+                exponents = [q, Scalar.exact(q), float(q), Scalar.numeric(complex(q, 0.25))]
+                if d == 1:
+                    exponents.append(k)
+                for exponent in exponents:
+                    for sign in (1, -1):
+                        got = power_of_p(p, exponent, sign)
+                        want = _reference_power_of_p(p, exponent, sign)
+                        assert _bits(got) == _bits(want), (p, exponent, sign)
+                        checked += 1
+    assert checked == 6 * 25 * (3 * 4 + 1) * 2

@@ -7,11 +7,12 @@ import pytest
 from rankinlab.exactalg import PoleError, RationalFunction2, rf_equal
 from rankinlab.localdata import PlaceData, Shift, zeta_scalar
 from rankinlab.scalars import Scalar
-from rankinlab.whittaker import SatakeParams, rankin_selberg_self_l
+from rankinlab.whittaker import SatakeParams, rankin_selberg_self_l, satake_sum
 from rankinlab.zetaint import (BruhatPoint, correction_factor_rf, f_eval, ftilde_eval,
                                h_local, local_pole_factor, psi_closed, psi_oracle,
                                reg_local_bound, reg_local_closed, reg_local_closed_s_form,
-                               reg_local_oracle, rs_local_oracle, rs_local_value)
+                               reg_local_oracle, rs_local_oracle, rs_local_value,
+                               whittaker_square_sum)
 
 PLACE = PlaceData(2, 1)
 PI0_11 = SatakeParams.unramified_unitary(Scalar.exact(1), Scalar.exact(1))
@@ -198,3 +199,86 @@ def test_canonical_form_of_psi_round_trips():
     num, den = val.canonical()
     rebuilt = RationalFunction2.from_poly(num, 3).with_factor(den)
     assert rf_equal(rebuilt, val)
+
+
+def _reference_square_sum(pi0, place, a, b, cutoff=6):
+    """The Whittaker square sum as it was built on RationalFunction2 arithmetic
+    with Scalar coefficients and one satake_sum per explicit term."""
+    p = place.p
+    cutoff = max(3, cutoff)
+    x = RationalFunction2.monomial(a, b, Fraction(1, p), p)
+    a_seq = []
+    for n in range(cutoff):
+        s_n = satake_sum(pi0, n + 1)
+        a_seq.append(s_n * s_n)
+    partial = RationalFunction2.const(0, p)
+    xpow = RationalFunction2.const(1, p)
+    xpows = []
+    for n in range(cutoff):
+        xpows.append(xpow)
+        partial = partial + xpow * a_seq[n]
+        xpow = xpow * x
+    t = pi0.alpha1 + pi0.alpha2
+    delta = pi0.alpha1 * pi0.alpha2
+    e1 = t * t - delta
+    e2 = delta * t * t - delta * delta
+    e3 = delta ** 3
+    m = cutoff
+    rhs = (x * xpows[m - 1] * (a_seq[m - 1] * e1)
+           - x * x * (xpows[m - 1] * a_seq[m - 1] + xpows[m - 2] * a_seq[m - 2]) * e2
+           + x ** 3 * (xpows[m - 1] * a_seq[m - 1] + xpows[m - 2] * a_seq[m - 2]
+                       + xpows[m - 3] * a_seq[m - 3]) * e3)
+    denom = RationalFunction2.const(1, p) - x * e1 + x * x * e2 - x ** 3 * e3
+    return partial + rhs / denom
+
+
+SIGNS = ((1, 1), (-1, 1), (1, -1), (-1, -1))
+EXACT_PI0 = (
+    SatakeParams.unramified_unitary(Scalar.exact(Fraction(3, 5)), Scalar.exact(Fraction(5, 3))),
+    PI0_11,  # confluent
+    SatakeParams.unramified_unitary(Scalar.exact(2), Scalar.exact(Fraction(1, 2))),
+    SatakeParams(Scalar.exact(2), Scalar.exact(3)),  # not unitary: delta = 6
+)
+
+
+@pytest.mark.parametrize("p", (2, 3, 4, 5, 9))
+def test_square_sum_matches_reference_exactly(p):
+    for r in (1, 2):
+        place = PlaceData(p, r)
+        for pi0 in EXACT_PI0:
+            for a, b in SIGNS:
+                for cutoff in range(3, 10):
+                    got = whittaker_square_sum(pi0, place, a, b, cutoff)
+                    assert rf_equal(got, _reference_square_sum(pi0, place, a, b, cutoff)), \
+                        (p, r, pi0, a, b, cutoff)
+
+
+def test_square_sum_is_the_cauchy_closed_form():
+    # sum S(n+1)**2 X**n = (1 + delta X) / ((1 - a1**2 X)(1 - delta X)(1 - a2**2 X))
+    place = PlaceData(3, 1)
+    pi0 = EXACT_PI0[3]
+    x = RationalFunction2.monomial(-1, 1, Fraction(1, 3), 3)
+    one = RationalFunction2.const(1, 3)
+    closed = (one + x * 6) / ((one - x * 4) * (one - x * 6) * (one - x * 9))
+    assert rf_equal(whittaker_square_sum(pi0, place, -1, 1), closed)
+
+
+@pytest.mark.parametrize("alpha", (0.6 + 0.8j, cmath.exp(0.3j), 1.0 + 0j))
+def test_square_sum_numeric_parameters_match_reference(alpha):
+    pi0 = SatakeParams.unramified_unitary(Scalar.numeric(alpha))
+    for p in (2, 5):
+        place = PlaceData(p, 1)
+        for a, b in SIGNS:
+            got = whittaker_square_sum(pi0, place, a, b)
+            want = _reference_square_sum(pi0, place, a, b)
+            for z, w in ((0, 0), (Fraction(1, 3), Fraction(1, 4)), (Fraction(-1, 5), 1)):
+                g, v = got.eval_zw(z, w).to_complex(), want.eval_zw(z, w).to_complex()
+                assert abs(g - v) <= 1e-12 * abs(v), (alpha, p, a, b, z, w)
+
+
+def test_square_sum_refuses_a_square_root_satake_parameter():
+    pi0 = SatakeParams(Scalar.root(2), Scalar.root(Fraction(1, 2)))
+    with pytest.raises(ValueError, match="Satake parameter sqrt\\(2\\) has a square-root part"):
+        whittaker_square_sum(pi0, PLACE, 1, 1)
+    with pytest.raises(ValueError, match="Satake parameter"):
+        psi_oracle("i", PLACE, pi0)
