@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 
 from .degenerate import GlobalZetaData, degenerate_limit
-from .exactalg import PoleError, rf_equal
+from .exactalg import PoleError, power_of_p, rf_equal
 from .laurent import ls_from_rational
 from .localdata import IdealFactorization, PlaceData
 from .scalars import Scalar, format_scalar, parse_exact
@@ -153,6 +153,22 @@ def _eval_or_pole(value, z: Scalar, w: Scalar, text: str) -> Scalar | None:
                          "there underflows a double to 0.0") from None
 
 
+def _rounding_floor(value, z: Scalar, w: Scalar) -> float:
+    """Relative rounding error bound of the rational function ``value``
+    evaluated in doubles at (z, w): n * eps * kappa for the numerator and for
+    each denominator factor (counted with its exponent), where n is the
+    polynomial's number of terms and kappa its :meth:`Poly2.magnitude` over
+    the modulus of its value there."""
+    t1, t2 = power_of_p(value.p, z, -1), power_of_p(value.p, w, -1)
+    floor = 0.0
+    for poly, exp in ((value.num, 1), *value.fac.values()):
+        if poly.terms:
+            size = abs(poly.eval(t1, t2).to_complex())
+            kappa = poly.magnitude(t1, t2) / size if size else math.inf
+            floor += exp * len(poly.terms) * sys.float_info.epsilon * kappa
+    return floor
+
+
 def cmd_psi(args) -> int:
     place = PlaceData(args.p, args.r)
     pi0 = parse_satake(args.pi0)
@@ -181,6 +197,17 @@ def cmd_psi(args) -> int:
         else:
             # relative only: an absolute floor would pass any two tiny values
             match = cv.close(ov, rel_tol=args.tolerance, abs_tol=0.0)
+            # a verdict within rounding error of the doubles tested nothing
+            floor = (_rounding_floor(closed.value, z, w)
+                     + _rounding_floor(oracle.value, z, w))
+            if not floor < args.tolerance:
+                raise ValueError(
+                    f"point {args.at!r}: the rounding floor {floor:.3g} of kind {kind} in "
+                    f"doubles reaches the tolerance {args.tolerance:g}, so the numeric "
+                    "verdict certifies nothing there; exact Satake parameters certify it")
+            a, b = cv.to_complex(), ov.to_complex()
+            entry["precision_floor"] = floor
+            entry["margin"] = abs(a - b) / (args.tolerance * max(abs(a), abs(b)))
         all_match &= match
         entry["verdict"] = "MATCH" if match else "MISMATCH"
         report[f"kind_{kind}"] = entry

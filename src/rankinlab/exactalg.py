@@ -1,36 +1,24 @@
 """Exact arithmetic for bivariate rational functions in T1 = p**(-z), T2 = p**(-w).
 
-A :class:`Poly2` whose coefficients are all plain rationals is kept, between
-and during operations, as one positive ``int`` denominator ``den`` and a dict
-``terms: (i, j) -> int`` of numerators over it (FLINT's ``fmpq_poly``
-layout).  The denominator is divided by its gcd with every numerator, so
-equal polynomials have equal forms.  A polynomial with any square-root or
-numeric coefficient has ``den = None`` and a :class:`Scalar` for every value;
-an operation whose result is all rational returns the integer form.
+A :class:`Poly2` with all-rational coefficients keeps ``int`` numerators
+``terms: (i, j) -> int`` over one positive ``den``, reduced so equal
+polynomials have equal forms; any square-root or numeric coefficient gives
+``den = None`` and a :class:`Scalar` per term.  Zero coefficients are never
+stored, and :attr:`Poly2.c` is a ``dict[Monomial, Scalar]`` view built per read.
 
-**Ring rule.**  Products, sums, negation, :meth:`Poly2.scale`,
-:meth:`Poly2.shift`, powers, equality, :meth:`Poly2.key` and exact division
-run on the integers when both operands are in integer form, and in
-:class:`Scalar` arithmetic otherwise.  Both visit the term pairs in the same
-order and drop a monomial whose running sum reaches zero, so it re-enters at
-the end: exact values, key order, and with them the float summation order of
-a later numeric :meth:`Poly2.eval`, do not depend on the form.  At an exact
-point in Q or Q(sqrt(s)) :meth:`Poly2.eval` of the integer form sums the
-rational and the root part as integers and builds one :class:`Scalar`;
-numeric points keep the :class:`Scalar` loop.
+**Ring rule.**  Arithmetic, equality and :meth:`Poly2.key` run on the
+integers when both operands are in integer form, else on :class:`Scalar`;
+both visit term pairs in one order and drop a monomial whose running sum
+reaches zero, so key order, and the float order of a later numeric
+evaluation, do not depend on the form.  Exact division of integer forms is
+fraction-free long division.  At exact points of one field Q or Q(sqrt(s)),
+:meth:`Poly2.eval` and :meth:`RationalFunction2.eval_t` work on integer
+triples (x + y*sqrt(s)) / e and build one :class:`Scalar`.
 
-:attr:`Poly2.c` is a read-only ``dict[Monomial, Scalar]`` view, built on each
-read in the form's key order; nothing in the arithmetic reads it.
-
-A :class:`RationalFunction2` keeps its denominator as a multiset of
-normalised factors; arithmetic therefore never needs polynomial gcds, while
-equality uses cross-multiplication after cancelling shared factors.  A fully
-reduced ``num/den`` pair (common factors removed by exact bivariate gcd,
-content-normalised) is available through :meth:`RationalFunction2.canonical`.
-
-Everything is immutable in practice: operations return new objects and no
-function mutates its arguments, so values can be shared freely across
-threads.
+A :class:`RationalFunction2` keeps its denominator as a multiset of normalised
+factors, so arithmetic needs no gcd and equality cross-multiplies after
+cancelling shared factors; :meth:`RationalFunction2.canonical` reduces by
+exact bivariate gcd.  Operations mutate no argument.
 """
 
 from __future__ import annotations
@@ -48,13 +36,13 @@ class PoleError(ZeroDivisionError):
 
 
 class Poly2:
-    """Sparse bivariate polynomial: ``terms`` maps (i, j) to an integer
-    numerator over ``den``, or to a Scalar when ``den`` is None."""
+    """Sparse bivariate polynomial in one of the two forms above."""
 
     __slots__ = ("den", "terms")
 
-    def __init__(self, coeffs: dict[Monomial, Scalar] | None = None):
-        self.den, self.terms = _lowered(dict(coeffs) if coeffs else {})
+    def __init__(self, coeffs: dict[Monomial, ScalarLike] | None = None):
+        self.den, self.terms = _lowered({m: s for m, v in (coeffs or {}).items()
+                                         if not (s := Scalar.wrap(v)).is_zero()})
 
     @classmethod
     def _make(cls, den: int | None, terms: dict) -> "Poly2":
@@ -65,7 +53,7 @@ class Poly2:
 
     @property
     def c(self) -> dict[Monomial, Scalar]:
-        """The coefficients as ``dict[Monomial, Scalar]``, built on each read."""
+        """The coefficients as Scalars, built on each read."""
         den = self.den
         if den is None:
             return dict(self.terms)
@@ -103,9 +91,6 @@ class Poly2:
     def deg2(self) -> int:
         return max((j for _, j in self.terms), default=-1)
 
-    def total_degree(self) -> int:
-        return max((i + j for i, j in self.terms), default=-1)
-
     def lead_monomial(self) -> Monomial:
         """Lexicographically largest monomial (T1 first)."""
         return max(self.terms)
@@ -116,39 +101,27 @@ class Poly2:
         if self.den is not None and other.den is not None:
             return self.den == other.den and self.terms == other.terms
         a, b = self.c, other.c
-        if set(a) != set(b):
-            return False
-        return all(a[m] == b[m] for m in a)
+        return a.keys() == b.keys() and all(a[m] == b[m] for m in a)
 
     def __hash__(self):
         return hash(self.key())
 
     def key(self) -> tuple:
-        """Hashable canonical form for factor bookkeeping, integers only, so
-        hashing is cheap and does not depend on object addresses: ``(den,
-        ((i, j), n), ...)`` in sorted monomial order for the integer form;
-        otherwise per monomial, in sorted order, ``(m, a.num, a.den, b.num,
-        b.den, base or 0)`` for an exact coefficient ``a + b*sqrt(base)``
-        (squarefree integer base) and ``(m, z)`` for a numeric one."""
+        """Hashable canonical form in sorted monomial order: ``(den, ((i, j), n),
+        ...)``, else ``(m, a.num, a.den, b.num, b.den, base or 0)`` per exact
+        and ``(m, z)`` per numeric term."""
         if self.den is not None:
             return (self.den, *sorted(self.terms.items()))
-        items = []
-        for m in sorted(self.terms):
-            s = self.terms[m]
-            if s.z is None:
-                a, b = s.a, s.b
-                items.append((m, a.numerator, a.denominator, b.numerator, b.denominator,
-                              s.base.numerator if b else 0))
-            else:
-                items.append((m, s.z))
-        return tuple(items)
+        return tuple((m, s.a.numerator, s.a.denominator, s.b.numerator, s.b.denominator,
+                      s.base.numerator if s.b else 0) if s.z is None else (m, s.z)
+                     for m, s in sorted(self.terms.items()))
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "Poly2") -> "Poly2":
         da, db = self.den, other.den
         if da is None or db is None:
-            return _scalar_add(self.c, other.c)
+            return _scalar_sum(self.c, other.c.items())
         den = math.lcm(da, db)
         fa, fb = den // da, den // db
         out = dict(self.terms) if fa == 1 else {m: n * fa for m, n in self.terms.items()}
@@ -168,7 +141,6 @@ class Poly2:
         return self + (-other)
 
     def __mul__(self, other: "Poly2") -> "Poly2":
-        """Product in the ring the module docstring describes."""
         if not self.terms or not other.terms:
             return Poly2._make(1, {})
         if self.den is None or other.den is None:
@@ -200,24 +172,15 @@ class Poly2:
     def __pow__(self, n: int) -> "Poly2":
         if n < 0:
             raise ValueError("use RationalFunction2 for negative powers")
-        result = Poly2._make(1, {(0, 0): 1})
-        square = self
-        while n:
-            if n & 1:
-                result = result * square
-            n >>= 1
-            if n:
-                square = square * square
-        return result
+        return _power(self, n, Poly2._make(1, {(0, 0): 1}))
 
     def eval(self, t1: Scalar, t2: Scalar) -> Scalar:
-        """Sum of ``v * t1**i * t2**j``: on integers at exact points of one
-        quadratic field, else in key order, each power computed once."""
+        """Sum of ``v * t1**i * t2**j``: on integers as the ring rule says, else
+        in key order, each power computed once."""
         if not self.terms:
             return SC_ZERO
-        if (self.den is not None and t1.z is None and t2.z is None
-                and not (t1.b and t2.b and t1.base != t2.base)):
-            return _eval_exact(self.den, self.terms, t1, t2)
+        if self.den is not None and _one_field(t1, t2):
+            return _scalar(*_eval_exact(self.den, self.terms, t1, t2), _root(t1, t2))
         pow1: dict[int, Scalar] = {}
         pow2: dict[int, Scalar] = {}
         total = SC_ZERO
@@ -232,8 +195,7 @@ class Poly2:
         return total
 
     def magnitude(self, t1: Scalar, t2: Scalar) -> float:
-        """Sum of ``|v * t1**i * t2**j|`` over the terms: the size against which
-        a numeric value of the polynomial counts as zero."""
+        """Sum of ``|v * t1**i * t2**j|``: the size a numeric value is zero against."""
         a1, a2 = abs(t1.to_complex()), abs(t2.to_complex())
         return sum(abs(v.to_complex()) * a1 ** i * a2 ** j for (i, j), v in self.c.items())
 
@@ -241,34 +203,30 @@ class Poly2:
         return _from_scalars({m: Scalar.numeric(v.to_complex()) for m, v in self.c.items()})
 
     def __repr__(self):
-        c = self.c
-        if not c:
-            return "0"
-        terms = []
-        for (i, j) in sorted(c, reverse=True):
-            coeff = c[(i, j)]
-            mono = "".join(
-                (f"*T1^{e}" if e > 1 else "*T1") if k == 0 else (f"*T2^{e}" if e > 1 else "*T2")
-                for k, e in enumerate((i, j)) if e
-            )
-            terms.append(f"({coeff}){mono}")
-        return " + ".join(terms)
+        return " + ".join(f"({v})" + "".join(f"*T{k}^{e}" if e > 1 else f"*T{k}"
+                                             for k, e in ((1, i), (2, j)) if e)
+                          for (i, j), v in sorted(self.c.items(), reverse=True)) or "0"
+
+
+def _power(square, n: int, result):
+    """result * square**n by binary powering, n >= 0."""
+    while n:
+        if n & 1:
+            result = result * square
+        n >>= 1
+        if n:
+            square = square * square
+    return result
 
 
 # -- the two forms ---------------------------------------------------------------
 
-def _over_lcm(coeffs: dict[Monomial, Fraction]) -> tuple[int, dict[Monomial, int]]:
-    """The integer form of Fraction coefficients: numerators over the lcm of
-    the denominators, which leaves them coprime to it."""
-    den = math.lcm(*[q.denominator for q in coeffs.values()])
-    return den, {m: q.numerator * (den // q.denominator) for m, q in coeffs.items()}
-
-
 def _lowered(coeffs: dict[Monomial, Scalar]) -> tuple[int | None, dict]:
-    """(den, terms) of Scalar coefficients: the integer form when every value
+    """(den, terms): numerators over the lcm of the denominators if every value
     is a plain rational, else (None, coeffs)."""
     if all(v.z is None and not v.b for v in coeffs.values()):
-        return _over_lcm({m: v.a for m, v in coeffs.items()})
+        den = math.lcm(*[v.a.denominator for v in coeffs.values()])
+        return den, {m: v.a.numerator * (den // v.a.denominator) for m, v in coeffs.items()}
     return None, coeffs
 
 
@@ -285,8 +243,8 @@ def _reduced(den: int, terms: dict[Monomial, int]) -> Poly2:
 
 
 def _int_mul(da: int, ta: dict[Monomial, int], db: int, tb: dict[Monomial, int]) -> Poly2:
-    """Product of two integer forms: the pair order and pop-on-zero of the
-    Scalar loop, one gcd for the result."""
+    """Product of integer forms: the Scalar loop's pair order and pop-on-zero,
+    one gcd."""
     xb = [(i, j, n) for (i, j), n in tb.items()]
     acc: dict[Monomial, int] = {}
     get, pop = acc.get, acc.pop
@@ -301,9 +259,9 @@ def _int_mul(da: int, ta: dict[Monomial, int], db: int, tb: dict[Monomial, int])
     return _reduced(da * db, acc)
 
 
-def _scalar_add(a: dict[Monomial, Scalar], b: dict[Monomial, Scalar]) -> Poly2:
-    out = dict(a)
-    for m, v in b.items():
+def _scalar_sum(out: dict[Monomial, Scalar], items) -> Poly2:
+    """Add the (monomial, Scalar) items into out, in order, with pop-on-zero."""
+    for m, v in items:
         cur = out.get(m)
         s = v if cur is None else cur + v
         if s.is_zero():
@@ -314,18 +272,8 @@ def _scalar_add(a: dict[Monomial, Scalar], b: dict[Monomial, Scalar]) -> Poly2:
 
 
 def _scalar_mul(a: dict[Monomial, Scalar], b: dict[Monomial, Scalar]) -> Poly2:
-    out: dict[Monomial, Scalar] = {}
-    for (i1, j1), v1 in a.items():
-        for (i2, j2), v2 in b.items():
-            m = (i1 + i2, j1 + j2)
-            prod = v1 * v2
-            cur = out.get(m)
-            s = prod if cur is None else cur + prod
-            if s.is_zero():
-                out.pop(m, None)
-            else:
-                out[m] = s
-    return _from_scalars(out)
+    return _scalar_sum({}, (((i1 + i2, j1 + j2), v1 * v2)
+                            for (i1, j1), v1 in a.items() for (i2, j2), v2 in b.items()))
 
 
 def _powers(t: Scalar, top: int, base: int) -> tuple[list[tuple[int, int]], int]:
@@ -348,13 +296,23 @@ def _powers(t: Scalar, top: int, base: int) -> tuple[list[tuple[int, int]], int]
     return out, f
 
 
-def _eval_exact(den: int, terms: dict[Monomial, int], t1: Scalar, t2: Scalar) -> Scalar:
-    """The integer form at exact t1, t2 sharing at most one root base: the
-    rational and root parts summed as integers over one denominator."""
-    root = t1.base if t1.b else t2.base if t2.b else None
+def _one_field(t1: Scalar, t2: Scalar) -> bool:
+    """Both points exact, in one quadratic field."""
+    return t1.z is None and t2.z is None and not (t1.b and t2.b and t1.base != t2.base)
+
+
+def _root(t1: Scalar, t2: Scalar) -> Fraction | None:
+    return t1.base if t1.b else t2.base if t2.b else None
+
+
+def _eval_exact(den: int, terms: dict[Monomial, int], t1: Scalar,
+                t2: Scalar) -> tuple[int, int, int]:
+    """The integer form at points of one field Q(sqrt(root)), summed on
+    integers: (re, im, d) for the value (re + im*sqrt(root)) / d."""
+    root = _root(t1, t2)
     base = int(root) if root is not None else 0
-    p1, e1 = _powers(t1, max(i for i, _ in terms), base)
-    p2, e2 = _powers(t2, max(j for _, j in terms), base)
+    p1, e1 = _powers(t1, max((i for i, _ in terms), default=0), base)
+    p2, e2 = _powers(t2, max((j for _, j in terms), default=0), base)
     re = im = 0
     if root is None:
         for (i, j), n in terms.items():
@@ -365,7 +323,10 @@ def _eval_exact(den: int, terms: dict[Monomial, int], t1: Scalar, t2: Scalar) ->
             u2, v2 = p2[j]
             re += n * (u1 * u2 + base * v1 * v2)
             im += n * (u1 * v2 + v1 * u2)
-    d = den * e1 * e2
+    return re, im, den * e1 * e2
+
+
+def _scalar(re: int, im: int, d: int, root: Fraction | None) -> Scalar:
     b = Fraction(im, d)
     return Scalar(Fraction(re, d), b, root if b else None, None)
 
@@ -378,28 +339,59 @@ def poly_div_exact(f: Poly2, g: Poly2) -> Poly2 | None:
         raise ZeroDivisionError("division by zero polynomial")
     if f.is_zero():
         return Poly2()
-    exact = f.den is not None and g.den is not None
+    if f.den is not None and g.den is not None:
+        return _int_div(f, g)
     glead = g.lead_monomial()
-    ginv = Fraction(g.den, g.terms[glead]) if exact else g.c[glead].inverse()
+    ginv = g.c[glead].inverse()
     rem = f
-    q: dict[Monomial, Fraction | Scalar] = {}
+    q: dict[Monomial, Scalar] = {}
     while not rem.is_zero():
         rlead = rem.lead_monomial()
         di, dj = rlead[0] - glead[0], rlead[1] - glead[1]
         if di < 0 or dj < 0:
             return None
-        if exact:
-            coeff = q[(di, dj)] = Fraction(rem.terms[rlead], rem.den) * ginv
-            rem = rem + g.shift(di, dj)._times(-coeff)
-        else:
-            coeff = q[(di, dj)] = rem.c[rlead] * ginv
-            rem = rem - g.shift(di, dj).scale(coeff)
-    return Poly2._make(*_over_lcm(q)) if exact else Poly2(q)
+        coeff = q[(di, dj)] = rem.c[rlead] * ginv
+        rem = rem - g.shift(di, dj).scale(coeff)
+    return Poly2(q)
+
+
+def _int_div(f: Poly2, g: Poly2) -> Poly2 | None:
+    """poly_div_exact of integer forms: s*F = Q*G + R on the numerators, R and
+    Q scaled when a lead quotient is not an integer; one gcd at the end."""
+    gi, gj = glead = max(g.terms)
+    c = g.terms[glead]
+    gt = [(i, j, n) for (i, j), n in g.terms.items()]
+    rem = dict(f.terms)
+    get, pop = rem.get, rem.pop
+    q: dict[Monomial, int] = {}
+    s = 1
+    while rem:
+        ri, rj = rlead = max(rem)
+        di, dj = ri - gi, rj - gj
+        if di < 0 or dj < 0:
+            return None
+        n = rem[rlead]
+        k = math.gcd(n, c) if c > 0 else -math.gcd(n, c)
+        a, b = c // k, n // k  # a > 0 and a*n == b*c
+        if a != 1:
+            for m in rem:
+                rem[m] *= a
+            for m in q:
+                q[m] *= a
+            s *= a
+        q[(di, dj)] = b
+        for i, j, v in gt:
+            m = (di + i, dj + j)
+            t = get(m, 0) - b * v
+            if t:
+                rem[m] = t
+            else:
+                pop(m, None)
+    return _reduced(s * f.den, {m: v * g.den for m, v in q.items()})
 
 
 def _t1_coeffs(f: Poly2) -> dict[int, Poly2]:
-    """f as a polynomial in T1: the coefficient of each T1**i, a polynomial
-    in T2 alone (monomials (0, j))."""
+    """f as a polynomial in T1: {i: coefficient of T1**i, a polynomial in T2}."""
     parts: dict[int, dict] = {}
     for (i, j), v in f.terms.items():
         parts.setdefault(i, {})[(0, j)] = v
@@ -444,11 +436,7 @@ def _pseudo_rem_t1(f: Poly2, g: Poly2) -> Poly2:
 
 
 def poly_gcd(f: Poly2, g: Poly2) -> Poly2:
-    """Exact bivariate gcd via content/primitive-part recursion.
-
-    Result is normalised so its lex-leading coefficient is 1.  Exact
-    coefficients only.
-    """
+    """Exact bivariate gcd by content/primitive parts, lex-leading coefficient 1."""
     if f.is_zero():
         return monic_lex(g)
     if g.is_zero():
@@ -515,6 +503,12 @@ class RationalFunction2:
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
+
+    def _exponents(self, other: "RationalFunction2"):
+        """(key, factor, exponent here, exponent in other) over both sides' factors."""
+        for key in dict.fromkeys([*self.fac, *other.fac]):
+            p1, p2 = self.fac.get(key), other.fac.get(key)
+            yield key, (p1 or p2)[0], p1[1] if p1 else 0, p2[1] if p2 else 0
 
     def den_expanded(self) -> Poly2:
         den = Poly2.const(self.scale)
@@ -584,15 +578,9 @@ class RationalFunction2:
         if isinstance(other, (int, Fraction, Scalar)):
             other = RationalFunction2.const(other, self.p)
         self._check(other)
-        keys = dict.fromkeys([*self.fac, *other.fac])
         n1, n2 = self.num.scale(other.scale), other.num.scale(self.scale)
         fac: dict[tuple, tuple[Poly2, int]] = {}
-        for key in keys:
-            p1 = self.fac.get(key)
-            p2 = other.fac.get(key)
-            poly = (p1 or p2)[0]
-            e1 = p1[1] if p1 else 0
-            e2 = p2[1] if p2 else 0
+        for key, poly, e1, e2 in self._exponents(other):
             e = max(e1, e2)
             fac[key] = (poly, e)
             if e > e1:
@@ -611,31 +599,16 @@ class RationalFunction2:
     def __pow__(self, n: int) -> "RationalFunction2":
         if n < 0:
             return self.inverse() ** (-n)
-        result = RationalFunction2.const(1, self.p)
-        square = self
-        while n:
-            if n & 1:
-                result = result * square
-            n >>= 1
-            if n:
-                square = square * square
-        return result
+        return _power(self, n, RationalFunction2.const(1, self.p))
 
     # -- equality and canonical form ----------------------------------------
 
     def equals(self, other: "RationalFunction2") -> bool:
-        """Exact equality as rational functions (cross-multiplication after
-        cancelling shared denominator factors)."""
+        """Exact equality: cross-multiplication after cancelling shared factors."""
         self._check(other)
         extra1 = Poly2.const(other.scale)
         extra2 = Poly2.const(self.scale)
-        keys = dict.fromkeys([*self.fac, *other.fac])
-        for key in keys:
-            p1 = self.fac.get(key)
-            p2 = other.fac.get(key)
-            poly = (p1 or p2)[0]
-            e1 = p1[1] if p1 else 0
-            e2 = p2[1] if p2 else 0
+        for _, poly, e1, e2 in self._exponents(other):
             if e1 > e2:
                 extra2 = extra2 * poly ** (e1 - e2)
             elif e2 > e1:
@@ -649,7 +622,7 @@ class RationalFunction2:
         if num.is_zero():
             return Poly2(), Poly2.const(1)
         g = poly_gcd(num, den)
-        if g.total_degree() > 0:
+        if g.lead_monomial() != (0, 0):
             num = poly_div_exact(num, g)
             den = poly_div_exact(den, g)
         lead = den.c[den.lead_monomial()].inverse()
@@ -658,21 +631,33 @@ class RationalFunction2:
     # -- evaluation ----------------------------------------------------------
 
     def eval_t(self, t1: ScalarLike, t2: ScalarLike, tol: float = 1e-12) -> Scalar:
-        """Evaluate at given T-values.  Exact factor zeros are cancelled against
-        the numerator when removable; otherwise :class:`PoleError`.  A numeric
-        factor value is a pole when it is at most ``tol`` times the factor's
-        own :meth:`Poly2.magnitude` there; the scale never is."""
+        """Evaluate at given T-values (on integers as the ring rule says, for a
+        rational scale).  An exact factor zero is cancelled against the
+        numerator, or raises :class:`PoleError`; so does a numeric factor value
+        at most ``tol`` times its :meth:`Poly2.magnitude`."""
         t1, t2 = Scalar.wrap(t1), Scalar.wrap(t2)
         num = self.num
+        if (_one_field(t1, t2) and self.scale.is_rational() and num.den is not None
+                and all(poly.den is not None for poly, _ in self.fac.values())):
+            root = _root(t1, t2)
+            base = int(root) if root is not None else 0
+            x, y, e = self.scale.a.numerator, 0, self.scale.a.denominator
+            for poly, exp in self.fac.values():
+                fx, fy, fe = _eval_exact(poly.den, poly.terms, t1, t2)
+                if not (fx or fy):
+                    num = _cancel(num, poly, exp)
+                    continue
+                for _ in range(exp):
+                    x, y, e = x * fx + base * y * fy, x * fy + y * fx, e * fe
+            nx, ny, ne = _eval_exact(num.den, num.terms, t1, t2)
+            # divided by (x + y*r)/e: times e*(x - y*r) over the norm
+            return _scalar(e * (nx * x - base * ny * y), e * (ny * x - nx * y),
+                           ne * (x * x - base * y * y), root)
         den_val = self.scale
         for poly, exp in self.fac.values():
             val = poly.eval(t1, t2)
             if val.is_exact and val.is_zero():
-                for _ in range(exp):
-                    q = poly_div_exact(num, poly)
-                    if q is None:
-                        raise PoleError("evaluation at a non-removable pole")
-                    num = q
+                num = _cancel(num, poly, exp)
                 continue
             if not val.is_exact and abs(val.to_complex()) <= tol * poly.magnitude(t1, t2):
                 raise PoleError("denominator factor vanishes within tolerance")
@@ -695,6 +680,15 @@ class RationalFunction2:
         return f"({self.num!r}) / ({den!r})"
 
 
+def _cancel(num: Poly2, poly: Poly2, exp: int) -> Poly2:
+    """num / poly**exp for a factor vanishing at the point, or PoleError."""
+    for _ in range(exp):
+        num = poly_div_exact(num, poly)
+        if num is None:
+            raise PoleError("evaluation at a non-removable pole")
+    return num
+
+
 def power_of_p(p: int, exponent: ScalarLike, sign: int = 1) -> Scalar:
     """p**(sign*exponent); exact for integer and half-integer exponents."""
     e = exponent
@@ -713,8 +707,8 @@ def power_of_p(p: int, exponent: ScalarLike, sign: int = 1) -> Scalar:
 
 
 def nonzero_factor(factor: Scalar, what: str) -> Scalar:
-    """``factor`` itself, or :class:`PoleError` naming ``what`` when it is an
-    exact zero or a numeric value of modulus below 1e-13."""
+    """``factor``, or :class:`PoleError` naming ``what`` at an exact zero or a
+    numeric modulus below 1e-13."""
     if factor.is_zero() if factor.is_exact else abs(factor.to_complex()) < 1e-13:
         raise PoleError(f"{what} pole")
     return factor

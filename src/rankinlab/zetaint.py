@@ -115,21 +115,18 @@ def local_pole_factor(place: PlaceData, pi0: SatakeParams,
 
 def h_local(which: int, place: PlaceData) -> RationalFunction2:
     """Local factor of the four inverse-zeta products multiplying the pole factor."""
-    z1 = zeta_local(place, Shift.of(1, 2, 0))
-    w1 = zeta_local(place, Shift.of(1, 0, 2))
-    const1 = zeta_scalar(place, 1)
     one = RationalFunction2.const(1, place.p)
     if which == 1:
-        return one / z1 / w1
+        return one / zeta_local(place, Shift.of(1, 2, 0)) / zeta_local(place, Shift.of(1, 0, 2))
     if which == 2:
-        return (one / w1) / const1
+        return (one / zeta_local(place, Shift.of(1, 0, 2))) / zeta_scalar(place, 1)
     if which == 3:
-        return (one / z1) / const1
+        return (one / zeta_local(place, Shift.of(1, 2, 0))) / zeta_scalar(place, 1)
     if which == 4:
         zm = zeta_local(place, Shift.of(1, -2, 0))
         wm = zeta_local(place, Shift.of(1, 0, -2))
         mix = zeta_local(place, Shift.of(1, -2, -2))
-        return (one / zm / wm) * mix / const1
+        return (one / zm / wm) * mix / zeta_scalar(place, 1)
     raise ValueError(f"which must be 1..4, got {which}")
 
 
@@ -253,7 +250,6 @@ def psi_oracle(kind: str, place: PlaceData, pi0: SatakeParams,
         raise ValueError("psi is computed at places dividing the ideal (r >= 1)")
     p, r = place.p, place.r
     one = RationalFunction2.const(1, p)
-    shell = Scalar.exact(Fraction(p - 1, p))  # measure factor (1 - 1/p)
     s1 = Shift.of(Fraction(1, 2), 1, 0)
     s2 = Shift.of(Fraction(1, 2), 0, 1)
     origin = BruhatPoint(0, 0)
@@ -273,18 +269,24 @@ def psi_oracle(kind: str, place: PlaceData, pi0: SatakeParams,
     elif kind == "iv":
         pref = RationalFunction2.monomial(r, r, 1, p)  # |X|**(-z-w)
         y_inner = whittaker_square_sum(pi0, place, -1, -1, cutoff)
-        # c integral over the integers
-        total_c = _ftilde_pair(place, 0)
-        # shells -1 >= val(c) >= -r stay in the K-invariance range
-        for j in range(1, r + 1):
-            total_c = total_c + _ftilde_pair(place, -j) * shell * Scalar.exact(p ** j)
+        # shells val(c) = -j: the ftilde pair carries |c|**(2z+2w-2), so it is
+        # the pair at j = 1 times p**(-2(j-1)) (T1 T2)**(-2(j-1)); shells
+        # -1 >= val(c) >= -r (the K-invariance range) sum to that pair times
+        # sum_j (1-1/p) p**j p**(-2(j-1)) (T1 T2)**(-2(j-1)), put over (T1 T2)**(2r-2)
+        pair = _ftilde_pair(place, -1)
+        shells = Poly2({(2 * (r - j), 2 * (r - j)): Fraction((p - 1) * p ** j, p ** (2 * j - 1))
+                        for j in range(1, r + 1)})
+        shells_rf = RationalFunction2.from_poly(shells, p).with_factor(
+            Poly2.monomial(2 * r - 2, 2 * r - 2))
+        # c integral over the integers, then the shells
+        total_c = _ftilde_pair(place, 0) + pair * shells_rf
         value = pref * total_c * y_inner
         # shells val(c) = -j for j > r: the Whittaker argument is rescaled by
         # (c/X)**(-2), contributing |c/X|**(-2(z+w)).  Against the ftilde pair
         # |c|**(2z+2w-2) and the shell measure p**j (1-1/p) the j-dependence
         # cancels to p**(-j), so the geometric tail is the exact scalar
         # p**(-(r+1)).
-        pair_shape = _ftilde_pair(place, -1) * RationalFunction2.monomial(
+        pair_shape = pair * RationalFunction2.monomial(
             2, 2, p * p, p
         )  # divide out |c|**(2z+2w-2) at j=1 -> the j-free ftilde prefactor
         xr = RationalFunction2.monomial(-2 * r, -2 * r, 1, p)  # j-free |c/X| part

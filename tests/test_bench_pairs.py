@@ -1,0 +1,45 @@
+import importlib.util
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+_spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+metric_verdict, claim_rule = bench_pairs.metric_verdict, bench_pairs.claim_rule
+
+
+def test_metric_verdict_reads_each_metric_against_its_bound():
+    parent = [100.0, 101.0, 99.0, 100.5, 99.5]
+    # within the bound and inside the parent's spread
+    assert metric_verdict(parent, [100.2, 99.8, 100.1], "higher", 0.25) == "unchanged"
+    # every change run higher and the median gap beyond the parent's quartiles
+    assert metric_verdict(parent, [110.0, 111.0, 109.0], "higher", 0.25) == "better"
+    # the same numbers for a lower-is-better metric
+    assert metric_verdict(parent, [110.0, 111.0, 109.0], "lower", 0.25) == "unchanged"
+    assert metric_verdict(parent, [110.0, 111.0, 109.0], "lower", 0.05) == "worse"
+    # beyond the bound either way
+    assert metric_verdict(parent, [140.0, 138.0, 135.0], "higher", 0.25) == "better"
+    assert metric_verdict(parent, [70.0, 72.0, 71.0], "higher", 0.25) == "worse"
+    # a change spread wider than the bound cannot tell
+    assert metric_verdict(parent, [60.0, 100.0, 120.0, 150.0], "higher", 0.25) == "unresolved"
+    # a wide spread still reads better when every change run beats every parent run
+    assert metric_verdict([10.0, 20.0, 30.0], [40.0, 60.0, 80.0], "higher", 0.25) == "better"
+
+
+def test_claim_rule_needs_nine_tenths_of_ten_pairs_and_a_gap_past_the_spread():
+    parent = [100.0 + k for k in range(10)]
+    change = [130.0 + k for k in range(10)]
+    pairs = [{"parent": p, "change": c} for p, c in zip(parent, change)]
+    rule = claim_rule(pairs, parent, change)
+    assert rule["pairs_won"] == "10/10" and rule["met"]
+    assert rule["parent_quartile_spread"] == 4.5 and rule["median_gap"] == 30.0
+    # two lost pairs of ten break the pair rule; a tie wins nothing
+    lost = pairs[:8] + [{"parent": 120.0, "change": 110.0}, {"parent": 5.0, "change": 5.0}]
+    assert claim_rule(lost, parent, change)["pairs_won"] == "8/10"
+    assert not claim_rule(lost, parent, change)["pairs_rule_met"]
+    # three pairs are too few, however clear
+    assert not claim_rule(pairs[:3], parent[:3], change[:3])["met"]
+    # a gap inside the parent's spread fails the gap rule
+    close = [p + 1.0 for p in parent]
+    rule = claim_rule([{"parent": p, "change": c} for p, c in zip(parent, close)], parent, close)
+    assert rule["pairs_rule_met"] and not rule["gap_rule_met"] and not rule["met"]

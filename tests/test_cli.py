@@ -146,16 +146,44 @@ def test_psi_pole_on_one_side_mismatches(capsys, monkeypatch):
     assert entry["verdict"] == "MISMATCH"
 
 
-def test_psi_numeric_values_compare_relatively_however_small(capsys):
-    # both values lie below 1e-15, so an absolute tolerance there would call
-    # them equal, yet they are dozens of orders of magnitude apart
+def test_psi_numeric_verdict_below_the_rounding_floor_is_usage_error(capsys):
+    # both values lie below 1e-15 and dozens of orders of magnitude apart, but
+    # the oracle's numerator cancels terms near 1 far below their rounding
+    # error in doubles: no numeric verdict certifies anything there, while
+    # exact parameters give MATCH at the same point
     code = main(["psi", "--kind", "iv", "--p", "2", "--r", "1",
                  "--pi0", "0.6+0.8j,0.6-0.8j", "--at=60,0"])
-    entry = json.loads(capsys.readouterr().out)["kind_iv"]
-    closed, oracle = complex(entry["closed_at"]), complex(entry["oracle_at"])
-    assert abs(closed) < 1e-80 and abs(oracle) < 1e-15
-    assert abs(oracle - closed) > 1e-12 * abs(oracle)
-    assert code == 1 and entry["verdict"] == "MISMATCH"
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "point '60,0'" in captured.err and "rounding floor" in captured.err
+    assert main(["psi", "--kind", "iv", "--p", "2", "--r", "1", "--pi0", "3/5,5/3",
+                 "--at=60,0"]) == 0
+    assert json.loads(capsys.readouterr().out)["kind_iv"]["verdict"] == "MATCH"
+
+
+def test_psi_report_grid_keeps_verdicts_and_reports_the_floor(capsys):
+    # p 2, 3, 5, 9; r 1..3; two exact and two numeric pairs; three points:
+    # every report exits 0 with four MATCH verdicts (as before the floor), and
+    # only numeric reports carry precision_floor and margin, both below limits
+    reports = 0
+    for p in (2, 3, 5, 9):
+        for r in (1, 2, 3):
+            for pi0 in ("1,1", "3/5,5/3", "0.6+0.8j,0.6-0.8j", "0.28+0.96j,0.28-0.96j"):
+                for at in ("0,0", "1,1", "1/2,1/2"):
+                    code = main(["psi", "--p", str(p), "--r", str(r), "--pi0", pi0,
+                                 "--at", at])
+                    report = json.loads(capsys.readouterr().out)
+                    assert code == 0, (p, r, pi0, at)
+                    for kind in ("i", "ii", "iii", "iv"):
+                        entry = report[f"kind_{kind}"]
+                        assert entry["verdict"] == "MATCH"
+                        measured = report["mode"] == "numeric" and entry["closed_at"] != "pole"
+                        assert ("precision_floor" in entry) == measured
+                        if measured:
+                            assert entry["precision_floor"] < 1e-11
+                            assert entry["margin"] <= 1
+                    reports += 1
+    assert reports == 144
 
 
 def test_json_reports_round_trip(capsys):

@@ -474,7 +474,8 @@ def test_exact_psi_makes_no_scalar_arithmetic_inside_poly2(monkeypatch):
     for z, w in ((0, 0), (Fraction(3, 2), 0), (Fraction(-1, 2), 1)):
         at = Scalar.exact(z), Scalar.exact(w)
         assert closed.eval_zw(*at) == oracle.eval_zw(*at)
-    assert counts["_int_mul"] > 100 and counts["_eval_exact"] > 20
+    # floors about three quarters of the counts on this input (95 and 57)
+    assert counts["_int_mul"] > 70 and counts["_eval_exact"] > 20
     assert counts["poly_div_exact"] >= 1
     assert sum(counts[name] for name in ("__add__", "__radd__", "__mul__", "__rmul__")) == 0
 
@@ -514,3 +515,109 @@ def test_power_of_p_is_bitwise_the_reference():
                         assert _bits(got) == _bits(want), (p, exponent, sign)
                         checked += 1
     assert checked == 6 * 25 * (3 * 4 + 1) * 2
+
+
+# -- zero coefficients, exact division and exact evaluation on integers ---------------
+
+def test_zero_coefficients_are_dropped():
+    assert Poly2({(0, 0): Scalar.exact(0)}).is_zero()
+    assert Poly2({(0, 0): Scalar.exact(0)}) == Poly2()
+    g = Poly2({(0, 0): 1, (1, 0): 0})
+    assert g == Poly2.const(1) and g.terms == {(0, 0): 1}
+    assert poly_div_exact(Poly2.const(2), g) == Poly2.const(2)
+    rf = RationalFunction2.const(1, 2).with_factor(g)
+    assert rf_equal(rf, RationalFunction2.const(1, 2)) and rf.eval_t(0, 0) == Scalar.exact(1)
+
+
+def _reference_div_exact(f: Poly2, g: Poly2):
+    """poly_div_exact on integer forms as it was: a Fraction quotient term and
+    a Poly2 sum per step, the quotient put over the lcm of its denominators."""
+    if f.is_zero():
+        return Poly2()
+    glead = g.lead_monomial()
+    ginv = Fraction(g.den, g.terms[glead])
+    rem = f
+    q = {}
+    while not rem.is_zero():
+        rlead = rem.lead_monomial()
+        di, dj = rlead[0] - glead[0], rlead[1] - glead[1]
+        if di < 0 or dj < 0:
+            return None
+        coeff = q[(di, dj)] = Fraction(rem.terms[rlead], rem.den) * ginv
+        rem = rem + g.shift(di, dj)._times(-coeff)
+    den = math.lcm(*[c.denominator for c in q.values()])
+    return Poly2._make(den, {m: c.numerator * (den // c.denominator) for m, c in q.items()})
+
+
+_div_coeffs = st.one_of(rationals.filter(bool), _big_rationals)
+
+
+@st.composite
+def _exact_polys(draw, max_terms=5, max_deg=3):
+    return Poly2({(draw(st.integers(0, max_deg)), draw(st.integers(0, max_deg))):
+                  Scalar.exact(draw(_div_coeffs)) for _ in range(draw(st.integers(1, max_terms)))})
+
+
+@settings(max_examples=300, deadline=None)
+@given(_exact_polys(), _exact_polys(max_terms=3, max_deg=2), _exact_polys(max_terms=3),
+       st.sampled_from(("divisible", "remainder", "any")))
+def test_int_division_matches_the_fraction_loop(q, g, r, case):
+    if case == "divisible":
+        f = q * g
+    elif case == "remainder":
+        f = q * g + r
+    else:
+        f = q
+    got, want = poly_div_exact(f, g), _reference_div_exact(f, g)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert (got.den, list(got.terms.items())) == (want.den, list(want.terms.items()))
+        assert got * g == f
+    if case == "divisible":
+        assert got == q
+
+
+def _reference_eval_t(rf: RationalFunction2, t1: Scalar, t2: Scalar) -> Scalar:
+    """eval_t's Scalar loop: Scalar factor values and products, the quotient
+    by Scalar division, removable zeros cancelled by the reference division."""
+    num, den_val = rf.num, rf.scale
+    for poly, exp in rf.fac.values():
+        val = poly.eval(t1, t2)
+        if val.is_zero():
+            for _ in range(exp):
+                num = _reference_div_exact(num, poly)
+                if num is None:
+                    raise PoleError("non-removable")
+            continue
+        den_val = den_val * val ** exp
+    return num.eval(t1, t2) / den_val
+
+
+# points in Q and pure roots c*sqrt(p), so t**2 is rational and T**2 - t**2 vanishes there
+_eval_points = st.one_of(
+    rationals.map(Scalar.exact),
+    st.builds(lambda p, c: Scalar.root(p, c), st.sampled_from((2, 3)), rationals.filter(bool)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_eval_points, _eval_points, sparse_polys(max_terms=3, max_deg=2),
+       st.lists(_exact_polys(max_terms=3, max_deg=2), max_size=3), st.integers(0, 2),
+       st.integers(1, 2), _div_coeffs)
+def test_integer_eval_t_matches_the_scalar_loop(t1, t2, a, factors, k, exp, scale):
+    if t1.b and t2.b and t1.base != t2.base:
+        t2 = Scalar.root(t1.base, t2.b)
+    # V vanishes at the point: the numerator holds it k times, the denominator exp times
+    vanishing = Poly2({(2, 0): 1, (0, 0): -(t1 * t1).a}) if t1.b or t1.a else Poly2.monomial(2, 0)
+    rf = RationalFunction2.from_poly(a * vanishing ** k, 2) / scale
+    for poly in factors:
+        rf = rf.with_factor(poly)
+    rf = rf.with_factor(vanishing, exp)
+    try:
+        want = _reference_eval_t(rf, t1, t2)
+    except PoleError:
+        with pytest.raises(PoleError):
+            rf.eval_t(t1, t2)
+        return
+    got = rf.eval_t(t1, t2)
+    assert (got.a, got.b, got.base, got.z) == (want.a, want.b, want.base, want.z)
+    assert k >= exp or a.eval(t1, t2).is_zero()

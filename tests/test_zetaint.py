@@ -282,3 +282,32 @@ def test_square_sum_refuses_a_square_root_satake_parameter():
         whittaker_square_sum(pi0, PLACE, 1, 1)
     with pytest.raises(ValueError, match="Satake parameter"):
         psi_oracle("i", PLACE, pi0)
+
+
+@pytest.mark.parametrize("r", (1, 2, 4))
+def test_kind_iv_oracle_builds_the_ftilde_pair_once_and_no_closed_form(r, monkeypatch):
+    from rankinlab import zetaint
+    calls = []
+    pair = zetaint._ftilde_pair
+    monkeypatch.setattr(zetaint, "_ftilde_pair",
+                        lambda place, val_c: calls.append(val_c) or pair(place, val_c))
+    for name in ("psi_closed", "local_pole_factor", "h_local", "rs_l_rf",
+                 "correction_factor_rf", "inv_binomial_rf"):
+        monkeypatch.setattr(zetaint, name, lambda *args, _name=name: pytest.fail(_name))
+    place = PlaceData(3, r)
+    pi0 = SatakeParams.unramified_unitary(Scalar.exact(2), Scalar.exact(Fraction(1, 2)))
+    oracle = psi_oracle("iv", place, pi0).value
+    assert sorted(calls) == [-1, 0]
+    monkeypatch.undo()
+    assert rf_equal(oracle, psi_closed("iv", place, pi0).value)
+
+
+@pytest.mark.parametrize("which, built", ((1, 2), (2, 1), (3, 1), (4, 3)))
+def test_h_local_builds_only_the_zeta_factors_it_uses(which, built, monkeypatch):
+    from rankinlab import zetaint
+    shifts = []
+    zeta = zetaint.zeta_local
+    monkeypatch.setattr(zetaint, "zeta_local",
+                        lambda place, shift: shifts.append(shift) or zeta(place, shift))
+    h_local(which, PLACE)
+    assert len(shifts) == built

@@ -14,7 +14,12 @@ and odd ones with the change.  ``--traced SEED`` adds one
 traced pair (``--trace 1``) per workload, and ``--verify-rounds N`` times ``N``
 alternating fresh-process runs of ``verify`` and ``verify --suite lemma44``
 per side.  The output file is rewritten after every run, in the layout of
-``BENCH_6.json``: every run in run order, then per-workload quartiles.
+``BENCH_6.json``: every run in run order, then per-workload quartiles.  Each
+workload's summary also holds ``claim_rule`` (``certs_per_s`` pairs won by the
+change out of pairs run, at least 9/10 of at least 10, and the median gap
+against the parent's quartile spread) and ``verdicts``: every end-to-end
+metric of ``BENCHMARK.json`` read as better, unchanged, worse or unresolved
+against its bound (:func:`metric_verdict`).
 """
 
 from __future__ import annotations
@@ -108,7 +113,46 @@ def quartiles(values: list[float]) -> dict:
     return {"q1": q1, "median": med, "q3": q3, "n": len(values)}
 
 
-def summarize(runs: list[dict]) -> tuple[dict, dict]:
+def metric_verdict(parent: list[float], change: list[float], better: str,
+                   bound: float) -> str:
+    """One end-to-end metric of one workload against its relative ``bound``.
+
+    ``worse``: the change's median is worse than the parent's by more than
+    the bound.  ``unresolved``: otherwise, either side's quartile spread
+    exceeds the bound (relative to its median), unless every change run is
+    better than every parent run.  ``better``: the median gain exceeds the
+    bound, or every change run is better than every parent run and the median
+    gain exceeds the parent's quartile spread.  ``unchanged``: the rest.
+    """
+    sign = 1 if better == "higher" else -1
+    p, c = quartiles(parent), quartiles(change)
+    base = abs(p["median"]) or 1.0
+    gain = sign * (c["median"] - p["median"])
+    separated = min(sign * v for v in change) > max(sign * v for v in parent)
+    spread = max((q["q3"] - q["q1"]) / (abs(q["median"]) or 1.0) for q in (p, c))
+    if gain < -bound * base:
+        return "worse"
+    if spread > bound and not separated:
+        return "unresolved"
+    if gain > bound * base or (separated and gain > p["q3"] - p["q1"]):
+        return "better"
+    return "unchanged"
+
+
+def claim_rule(pairs: list[dict], parent: list[float], change: list[float]) -> dict:
+    """The rule for claiming a ``certs_per_s`` gain: the change wins at least
+    9/10 of at least 10 pairs (ties win nothing), and its median exceeds the
+    parent's by more than the parent's quartile spread."""
+    won = sum(p["change"] > p["parent"] for p in pairs)
+    p, c = quartiles(parent), quartiles(change)
+    gap, spread = c["median"] - p["median"], p["q3"] - p["q1"]
+    pairs_ok = len(pairs) >= 10 and 10 * won >= 9 * len(pairs)
+    return {"pairs_won": f"{won}/{len(pairs)}", "pairs_rule_met": pairs_ok,
+            "median_gap": gap, "parent_quartile_spread": spread,
+            "gap_rule_met": gap > spread, "met": pairs_ok and gap > spread}
+
+
+def summarize(runs: list[dict], end_to_end: list[dict]) -> tuple[dict, dict]:
     summary: dict = {}
     traced: dict = {}
     for run in runs:
@@ -119,12 +163,14 @@ def summarize(runs: list[dict]) -> tuple[dict, dict]:
     for workload in dict.fromkeys(run["workload"] for run in timed):
         mine = [run for run in timed if run["workload"] == workload]
         entry: dict = {}
+        values: dict = {}
         for metric in mine[0]["result"]["metrics"]:
-            values = {side: [r["result"]["metrics"][metric]["value"] for r in mine
-                             if r["side"] == side] for side in SIDES}
-            if not all(values.values()):
+            by_side = [[r["result"]["metrics"][metric]["value"] for r in mine
+                        if r["side"] == side] for side in SIDES]
+            if not all(by_side):
                 continue
-            entry[metric] = {side: quartiles(values[side]) for side in SIDES}
+            values[metric] = by_side
+            entry[metric] = {side: quartiles(v) for side, v in zip(SIDES, by_side)}
             entry[metric]["change_over_parent"] = (entry[metric]["change"]["median"]
                                                    / entry[metric]["parent"]["median"])
         pairs: dict = {}
@@ -132,8 +178,11 @@ def summarize(runs: list[dict]) -> tuple[dict, dict]:
             pairs.setdefault(run["pair"], {})[run["side"]] = \
                 run["result"]["metrics"]["certs_per_s"]["value"]
         complete = [p for p in pairs.values() if len(p) == 2]
-        won = sum(p["change"] > p["parent"] for p in complete)
-        entry["certs_per_s_pairs_won_by_change"] = f"{won}/{len(complete)}"
+        if complete:
+            entry["claim_rule"] = claim_rule(complete, *values["certs_per_s"])
+        entry["verdicts"] = {m["name"]: metric_verdict(*values[m["name"]], m["better"],
+                                                       m["bound"])
+                             for m in end_to_end if m["name"] in values}
         for key in ("failed", "attempted"):
             entry[key] = {side: sum(r["result"][key] for r in mine if r["side"] == side)
                           for side in SIDES}
@@ -151,7 +200,8 @@ def main(argv=None) -> int:
                         help="one traced pair per workload at this seed (0: none)")
     parser.add_argument("--verify-rounds", type=int, default=0)
     args = parser.parse_args(argv)
-    run_seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    run_seconds = benchmark["run_seconds"]
 
     parent_sha = subprocess.run(["git", "-C", str(ROOT), "rev-parse", args.parent], check=True,
                                 capture_output=True, text=True).stdout.strip()
@@ -179,7 +229,7 @@ def main(argv=None) -> int:
 
         def record(entry: dict) -> None:
             runs.append({"order": len(runs), **entry})
-            report["summary"], traced = summarize(runs)
+            report["summary"], traced = summarize(runs, benchmark["end_to_end"])
             if traced:
                 report[f"traced_seed_{args.traced}"] = traced
             args.out.write_text(json.dumps(report, indent=1) + "\n")
