@@ -10,7 +10,10 @@ form ``(1 - |alpha1*alpha2|**2 x**2) / prod_{i,j}(1 - alpha_i*conj(alpha_j)*x)``
 with ``x = p**(-1-s)`` (the two-variable Cauchy identity for complete
 homogeneous sums); a truncated-sum oracle provides the independent check.
 Every truncated-sum oracle, here and in :mod:`zetaint`, reads the complex
-Hecke recursion through :func:`hecke_stream`.
+Hecke recursion through :func:`hecke_stream`.  Their ``terms`` is a cap: a sum
+ends earlier where every term it has left is an exact zero (the stream has
+reached two exact zeros, or the weight ``x**n`` has underflowed to 0), so the
+result is the full ``terms``-term sum.
 """
 
 from __future__ import annotations
@@ -104,13 +107,16 @@ def hecke_stream(params: SatakeParams, step: complex = 1.0) -> Iterator[complex]
 
     The decay is folded into the recursion, so a step below one keeps the
     terms of non-tempered parameters from overflowing; with step = p**(-1/2)
-    the stream is W(diag(pi**n)).
+    the stream is W(diag(pi**n)).  The stream ends after two consecutive
+    values that are exactly zero: the recursion makes every later value zero.
     """
     a1, a2 = params.alpha1.to_complex(), params.alpha2.to_complex()
     t, delta = step * (a1 + a2), step * step * (a1 * a2)
     u_prev, u = 0j, 1 + 0j  # S(0), S(1)
     while True:
         yield u
+        if not (u or u_prev):
+            return
         u_prev, u = u, t * u - delta * u_prev
 
 
@@ -146,12 +152,16 @@ def weighted_integral_closed(params: SatakeParams, place: PlaceData,
 def weighted_integral_oracle(params: SatakeParams, place: PlaceData,
                              s: ScalarLike, terms: int = 10_000) -> Scalar:
     """Truncated sum over n of |S(n+1)|**2 * p**(-n(1+s)); numeric, independent
-    of the closed form (Hecke recursion, no geometric resummation)."""
+    of the closed form (Hecke recursion, no geometric resummation).  The sum
+    ends once x**n underflows to 0: every later term is a zero, or NaN where
+    |S(n+1)|**2 has overflowed."""
     x = complex(place.p) ** (-(1 + Scalar.wrap(s).to_complex()))
     total, xn = 0j, 1 + 0j
     for u in islice(hecke_stream(params), terms):
         total += (u * u.conjugate()) * xn
         xn *= x
+        if not xn:
+            break
     return Scalar.numeric(total)
 
 

@@ -14,6 +14,7 @@ recursion of S(n)**2).  The two must agree exactly as rational functions.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -309,9 +310,10 @@ def rs_local_value(pi: SatakeParams, pi0: SatakeParams, place: PlaceData) -> Sca
 
 def rs_local_oracle(pi: SatakeParams, pi0: SatakeParams, place: PlaceData,
                     terms: int = 10_000) -> Scalar:
-    """Truncated sum over n of p**(-n/2) S_pi(n+1) S_pi0(n+1)."""
-    stream = islice(zip(hecke_stream(pi, place.p ** -0.5), hecke_stream(pi0)), terms)
-    return Scalar.numeric(sum((ua * ub for ua, ub in stream), 0j))
+    """Truncated sum over n of p**(-n/2) S_pi(n+1) S_pi0(n+1); it ends with
+    the first stream that ends."""
+    products = map(operator.mul, hecke_stream(pi, place.p ** -0.5), hecke_stream(pi0))
+    return Scalar.numeric(sum(islice(products, terms), 0j))
 
 
 # -- the regularised-term local integral ---------------------------------------
@@ -384,18 +386,25 @@ def reg_local_closed_s_form(pi: SatakeParams, place: PlaceData, z: ScalarLike) -
 def reg_local_oracle(pi: SatakeParams, place: PlaceData, z: ScalarLike,
                      terms: int = 2_000) -> Scalar:
     """Direct series: -p**(-1+z) W(pi**(r-1))
-    + sum_n p**(-n z) (-1/p + (n+1)(1-1/p)) W(pi**(n+r)); plain complex sums."""
+    + sum_n p**(-n z) (-1/p + (n+1)(1-1/p)) W(pi**(n+r)); plain complex sums,
+    up to ``terms`` terms or the end of the W stream."""
     z = Scalar.wrap(z).to_complex()
     p, r = place.p, place.r
     # W(pi**m) = p**(-m/2) S(m+1), decay folded into the Hecke recursion
-    w_vals = list(islice(hecke_stream(pi, p ** -0.5), terms + r + 1))
-    total = -(1.0 / p) * complex(p) ** z * (w_vals[r - 1] if r >= 1 else 0j)
+    stream = hecke_stream(pi, p ** -0.5)
+    head = list(islice(stream, r))  # W(pi**m) for m < r, fewer where the stream ended
+    total = -(1.0 / p) * complex(p) ** z * (head[-1] if r >= 1 and len(head) == r else 0j)
     unit = 1.0 - 1.0 / p
     pz_step = complex(p) ** (-z)
     pzn = 1 + 0j
-    for n in range(terms):
-        total += pzn * (-1.0 / p + (n + 1) * unit) * w_vals[n + r]
+    n = 0
+    for n, w in enumerate(islice(stream, terms), 1):
+        total += pzn * (-1.0 / p + n * unit) * w
         pzn *= pz_step
+    if n < terms:
+        # the stream ended: every term left is a signed zero, and one 0j gives
+        # the total the zero signs of the full-length sum (tested bit for bit)
+        total += 0j
     return Scalar.numeric(total)
 
 

@@ -1,0 +1,266 @@
+"""The series oracles stop where every term they have left is an exact zero.
+
+Each oracle is checked against a copy of its full-length loop (``terms``
+terms, read from a Hecke stream that never ends): wherever that loop gives a
+finite value, the oracle gives the same value with the same ``repr``.  A
+counting stream shows that each oracle really does stop early somewhere on
+the grid, so the comparison covers the early exit.
+"""
+
+import cmath
+import math
+from fractions import Fraction
+from itertools import islice
+
+import pytest
+
+from rankinlab import whittaker, zetaint
+from rankinlab.localdata import PlaceData, zeta_scalar
+from rankinlab.scalars import Scalar
+from rankinlab.whittaker import (SatakeParams, hecke_stream, rankin_selberg_self_l,
+                                 weighted_integral_closed, weighted_integral_oracle,
+                                 whittaker_norm_sq_oracle, whittaker_value)
+from rankinlab.zetaint import reg_local_oracle, rs_local_oracle
+
+PRIMES = (2, 3, 5, 9, 11)
+PARAMS = {
+    "unitary": SatakeParams.unramified_unitary(Scalar.numeric(cmath.exp(0.9j))),
+    "exact-real": SatakeParams.unramified_unitary(Scalar.exact(Fraction(3, 2))),
+    "confluent": SatakeParams.unramified_unitary(Scalar.exact(1), Scalar.exact(1)),
+    "ramified-half": SatakeParams.make_ramified(Scalar.exact(Fraction(1, 2))),
+    "ramified-minus-half": SatakeParams.make_ramified(Scalar.exact(Fraction(-1, 2))),
+    "ramified-zero": SatakeParams.make_ramified(Scalar.exact(0)),
+    "non-tempered": SatakeParams.unramified_unitary(Scalar.numeric(2 ** (7 / 64))),
+    "non-tempered-complex": SatakeParams.unramified_unitary(
+        Scalar.numeric(1.05 * cmath.exp(0.4j))),
+}
+PI0S = ("unitary", "exact-real", "confluent", "non-tempered")
+
+
+# -- the full-length loops the oracles replace -----------------------------------
+
+def _endless_stream(params, step=1.0):
+    a1, a2 = params.alpha1.to_complex(), params.alpha2.to_complex()
+    t, delta = step * (a1 + a2), step * step * (a1 * a2)
+    u_prev, u = 0j, 1 + 0j
+    while True:
+        yield u
+        u_prev, u = u, t * u - delta * u_prev
+
+
+def _full_weighted(params, place, s, terms=10_000):
+    x = complex(place.p) ** (-(1 + Scalar.wrap(s).to_complex()))
+    total, xn = 0j, 1 + 0j
+    for u in islice(_endless_stream(params), terms):
+        total += (u * u.conjugate()) * xn
+        xn *= x
+    return total
+
+
+def _full_rs(pi, pi0, place, terms=10_000):
+    stream = islice(zip(_endless_stream(pi, place.p ** -0.5), _endless_stream(pi0)), terms)
+    return sum((ua * ub for ua, ub in stream), 0j)
+
+
+def _full_reg(pi, place, z, terms=2_000):
+    z = Scalar.wrap(z).to_complex()
+    p, r = place.p, place.r
+    w_vals = list(islice(_endless_stream(pi, p ** -0.5), terms + r + 1))
+    total = -(1.0 / p) * complex(p) ** z * (w_vals[r - 1] if r >= 1 else 0j)
+    unit = 1.0 - 1.0 / p
+    pz_step = complex(p) ** (-z)
+    pzn = 1 + 0j
+    for n in range(terms):
+        total += pzn * (-1.0 / p + (n + 1) * unit) * w_vals[n + r]
+        pzn *= pz_step
+    return total
+
+
+def _full_norm(params, place, terms=10_000):
+    stream = islice(_endless_stream(params, place.p ** -0.5), terms)
+    total = sum((w * w.conjugate() for w in stream), 0j)
+    l_value = rankin_selberg_self_l(params, Scalar.exact(Fraction(1, place.p)))
+    return (zeta_scalar(place, 2) / l_value * Scalar.numeric(total)).to_complex()
+
+
+# -- helpers ---------------------------------------------------------------------
+
+class CountingStream:
+    """Stands in for ``hecke_stream`` and records how many values each stream yields."""
+
+    def __init__(self):
+        self.counts = []
+
+    def __call__(self, params, step=1.0):
+        self.counts.append(0)
+        k = len(self.counts) - 1
+        for u in hecke_stream(params, step):
+            self.counts[k] += 1
+            yield u
+
+
+@pytest.fixture
+def counting(monkeypatch):
+    stream = CountingStream()
+    monkeypatch.setattr(whittaker, "hecke_stream", stream)
+    monkeypatch.setattr(zetaint, "hecke_stream", stream)
+    return stream
+
+
+def _stream_length(params, step=1.0, cap=10_000):
+    """How many values a stream that ends after two exact zeros yields, up to cap."""
+    previous = 1
+    for n, u in enumerate(islice(_endless_stream(params, step), cap), 1):
+        if not (u or previous):
+            return n
+        previous = u
+    return cap
+
+
+def _weight_length(p, s, cap=10_000):
+    """The number of weights x**n, n >= 0, before x**n underflows to 0, up to cap."""
+    x = complex(p) ** (-(1 + Scalar.wrap(s).to_complex()))
+    xn = x
+    for n in range(1, cap):
+        if not xn:
+            return n
+        xn *= x
+    return cap
+
+
+def _finite(value: complex) -> bool:
+    return math.isfinite(value.real) and math.isfinite(value.imag)
+
+
+def _assert_same(new: complex, full: complex, case) -> bool:
+    """new is the full-length value, bit for bit, wherever that is finite."""
+    if not _finite(full):
+        return False
+    assert new == full, case
+    assert repr(new) == repr(full), case
+    return True
+
+
+def _terms_kwargs(terms):
+    return {} if terms is None else {"terms": terms}
+
+
+# -- bitwise agreement with the full-length loops ----------------------------------
+
+@pytest.mark.parametrize("terms", [5, 100, None], ids=["5", "100", "default"])
+def test_weighted_oracle_is_the_full_sum(counting, terms):
+    compared = early = 0
+    for name, params in PARAMS.items():
+        for p in PRIMES:
+            for s in (0, Fraction(1, 2), 1):
+                place = PlaceData(p, 1)
+                kwargs = _terms_kwargs(terms)
+                new = weighted_integral_oracle(params, place, s, **kwargs).to_complex()
+                compared += _assert_same(new, _full_weighted(params, place, s, **kwargs),
+                                         (name, p, s, terms))
+                cap = kwargs.get("terms", 10_000)
+                assert counting.counts[-1] == min(_stream_length(params, cap=cap),
+                                                  _weight_length(p, s, cap))
+                early += counting.counts[-1] < cap
+    assert compared >= 75
+    assert early or terms is not None
+
+
+@pytest.mark.parametrize("terms", [5, 100, None], ids=["5", "100", "default"])
+def test_rs_oracle_is_the_full_sum(counting, terms):
+    compared = early = 0
+    for name, pi in PARAMS.items():
+        for name0 in PI0S:
+            for p in PRIMES:
+                place = PlaceData(p, 1)
+                kwargs = _terms_kwargs(terms)
+                new = rs_local_oracle(pi, PARAMS[name0], place, **kwargs).to_complex()
+                compared += _assert_same(new, _full_rs(pi, PARAMS[name0], place, **kwargs),
+                                         (name, name0, p, terms))
+                early += sum(counting.counts[-2:]) < 2 * kwargs.get("terms", 10_000)
+    assert compared >= 80
+    assert early or terms is not None
+
+
+@pytest.mark.parametrize("terms", [5, 100, None], ids=["5", "100", "default"])
+def test_reg_oracle_is_the_full_sum(counting, terms):
+    compared = early = 0
+    for name, pi in PARAMS.items():
+        for p in PRIMES:
+            for z in (0, 0.15, 0.3):
+                for r in range(7):
+                    place = PlaceData(p, r)
+                    kwargs = _terms_kwargs(terms)
+                    new = reg_local_oracle(pi, place, z, **kwargs).to_complex()
+                    compared += _assert_same(new, _full_reg(pi, place, z, **kwargs),
+                                             (name, p, z, r, terms))
+                    cap = kwargs.get("terms", 2_000) + r
+                    assert counting.counts[-1] == _stream_length(pi, p ** -0.5, cap)
+                    early += counting.counts[-1] < cap
+    assert compared >= 800
+    assert early or terms is not None
+
+
+@pytest.mark.parametrize("terms", [5, 100, None], ids=["5", "100", "default"])
+def test_norm_oracle_is_the_full_sum(counting, terms):
+    compared = early = 0
+    for name, params in PARAMS.items():
+        for p in PRIMES:
+            place = PlaceData(p, 1)
+            kwargs = _terms_kwargs(terms)
+            new = whittaker_norm_sq_oracle(params, place, **kwargs).to_complex()
+            compared += _assert_same(new, _full_norm(params, place, **kwargs),
+                                     (name, p, terms))
+            cap = kwargs.get("terms", 10_000)
+            assert counting.counts[-1] == _stream_length(params, p ** -0.5, cap)
+            early += counting.counts[-1] < cap
+    assert compared >= 35
+    assert early or terms is not None
+
+
+# -- the non-finite sums the early stop mends -----------------------------------------
+
+@pytest.mark.parametrize("alpha", [2 ** (7 / 64), 1.1, 1.2])
+def test_weighted_oracle_of_non_tempered_parameters_is_finite(alpha):
+    # |S(n+1)|**2 overflows after x**n has underflowed to 0: the full-length
+    # loop multiplies the two and returns NaN on a convergent series
+    params = SatakeParams.unramified_unitary(Scalar.numeric(alpha))
+    place = PlaceData(2, 1)
+    assert not _finite(_full_weighted(params, place, 0))
+    closed = weighted_integral_closed(params, place, 0).to_complex()
+    oracle = weighted_integral_oracle(params, place, 0).to_complex()
+    assert abs(closed - oracle) <= 1e-10 * abs(closed)
+
+
+# -- streams that end ------------------------------------------------------------
+
+@pytest.mark.parametrize("step", [1.0, 2 ** -0.5])
+def test_hecke_stream_of_zero_parameters_ends(step):
+    zero = SatakeParams.make_ramified(Scalar.exact(0))
+    values = list(islice(hecke_stream(zero, step), 50))
+    assert values == [1, 0, 0]
+    place = PlaceData(2, 1)
+    for n in range(10):
+        assert whittaker_value(zero, place, n).to_complex() == (1 if n == 0 else 0)
+
+
+def test_hecke_stream_passes_a_single_zero():
+    # alpha = (i, -i): S(n) = 1, 0, -1, 0, 1, ... never two zeros in a row
+    params = SatakeParams.unramified_unitary(Scalar.numeric(1j))
+    values = list(islice(hecke_stream(params), 50))
+    assert len(values) == 50
+    assert values[:5] == [1, 0, -1, 0, 1]
+
+
+@pytest.mark.parametrize("r", [2, 5])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_reg_oracle_with_a_stream_shorter_than_r(p, r, counting):
+    # alpha1 = 0: the stream is 1, 0, 0 and ends before index r (r = 5) or
+    # before the first term past it (r = 2); the sum is the full loop's 0j
+    zero = SatakeParams.make_ramified(Scalar.exact(0))
+    place = PlaceData(p, r)
+    for z in (0, 0.15, 0.3):
+        for terms in (5, 2_000):
+            new = reg_local_oracle(zero, place, z, terms=terms).to_complex()
+            assert counting.counts[-1] == 3
+            assert repr(new) == repr(_full_reg(zero, place, z, terms=terms)) == "0j"
