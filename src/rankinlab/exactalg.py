@@ -1,24 +1,25 @@
 """Exact arithmetic for bivariate rational functions in T1 = p**(-z), T2 = p**(-w).
 
-A :class:`Poly2` with all-rational coefficients keeps ``int`` numerators
-``terms: (i, j) -> int`` over one positive ``den``, reduced so equal
-polynomials have equal forms; any square-root or numeric coefficient gives
-``den = None`` and a :class:`Scalar` per term.  Zero coefficients are never
-stored, and :attr:`Poly2.c` is a ``dict[Monomial, Scalar]`` view built per read.
+A :class:`Poly2` lives in one of two rings: ``int`` numerators ``terms: (i, j)
+-> int`` over one positive ``den``, reduced so equal polynomials have equal
+forms, or, with any numeric coefficient, ``den = None`` and ``complex`` values.
+Coefficients enter through :func:`rankinlab.numerator.plain`: square roots
+enter only as evaluation points.  Zero coefficients are never stored, and
+:attr:`Poly2.c` is a ``Scalar`` view built per read.
 
-**Ring rule.**  Arithmetic, equality and :meth:`Poly2.key` run on the
-integers when both operands are in integer form, else on :class:`Scalar`;
-both visit term pairs in one order and drop a monomial whose running sum
-reaches zero, so key order, and the float order of a later numeric
-evaluation, do not depend on the form.  Exact division of integer forms is
-fraction-free long division.  At exact points of one field Q or Q(sqrt(s)),
-:meth:`Poly2.eval` and :meth:`RationalFunction2.eval_t` work on integer
-triples (x + y*sqrt(s)) / e and build one :class:`Scalar`.
+**Ring rule.**  Integer forms add, multiply, divide and compare on the
+integers, anything else on complex values as ``Scalar`` forms them: an
+exact value enters as ``complex(n / den)``, products are complex times
+complex, and a monomial whose sum reaches zero is dropped, so key order does
+not depend on the ring.  A sum whose numeric values all cancel stays integer.
+Numeric polynomials compare only at a point: ``==`` raises ``ValueError``.
+At exact points of one field Q or Q(sqrt(s)), :meth:`Poly2.eval` and
+:meth:`RationalFunction2.eval_t` sum on integers and build one Scalar.
 
-A :class:`RationalFunction2` keeps its denominator as a multiset of normalised
-factors, so arithmetic needs no gcd and equality cross-multiplies after
-cancelling shared factors; :meth:`RationalFunction2.canonical` reduces by
-exact bivariate gcd.  Operations mutate no argument.
+A :class:`RationalFunction2` keeps a :class:`Scalar` ``scale`` and its
+denominator as a multiset of normalised factors, so arithmetic needs no gcd
+and equality cross-multiplies after cancelling shared factors;
+:meth:`RationalFunction2.canonical` reduces by exact bivariate gcd.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .numerator import plain
 from .scalars import SC_ONE, SC_ZERO, Scalar, ScalarLike, rational
 
 Monomial = tuple[int, int]
@@ -36,28 +38,36 @@ class PoleError(ZeroDivisionError):
 
 
 class Poly2:
-    """Sparse bivariate polynomial in one of the two forms above."""
+    """Sparse bivariate polynomial in one of the two rings above."""
 
     __slots__ = ("den", "terms")
 
     def __init__(self, coeffs: dict[Monomial, ScalarLike] | None = None):
-        self.den, self.terms = _lowered({m: s for m, v in (coeffs or {}).items()
-                                         if not (s := Scalar.wrap(v)).is_zero()})
+        values = {m: q for m, v in (coeffs or {}).items() if (q := plain(v))}
+        if any(q.__class__ is complex for q in values.values()):
+            self.den, self.terms = None, {m: complex(q) for m, q in values.items()}
+        else:
+            den = math.lcm(*[q.denominator for q in values.values()])
+            self.den, self.terms = den, {m: q.numerator * (den // q.denominator)
+                                         for m, q in values.items()}
 
     @classmethod
     def _make(cls, den: int | None, terms: dict) -> "Poly2":
         self = object.__new__(cls)
-        self.den = den
-        self.terms = terms
+        self.den, self.terms = den if terms else 1, terms
         return self
 
     @property
     def c(self) -> dict[Monomial, Scalar]:
-        """The coefficients as Scalars, built on each read."""
+        """The coefficients as exact or numeric Scalars, built on each read."""
         den = self.den
         if den is None:
-            return dict(self.terms)
+            return {m: Scalar.numeric(z) for m, z in self.terms.items()}
         return {m: rational(Fraction(n, den)) for m, n in self.terms.items()}
+
+    def _complex(self) -> dict[Monomial, complex]:
+        d = self.den
+        return self.terms if d is None else {m: complex(n / d) for m, n in self.terms.items()}
 
     # -- constructors ------------------------------------------------------
 
@@ -69,13 +79,10 @@ class Poly2:
     def monomial(cls, i: int, j: int, coeff: ScalarLike = 1) -> "Poly2":
         if i < 0 or j < 0:
             raise ValueError("Poly2 exponents must be nonnegative")
-        q = coeff
-        if q.__class__ not in (int, Fraction):
-            v = Scalar.wrap(coeff)
-            if not v.is_rational():
-                return cls._make(1, {}) if v.is_zero() else cls._make(None, {(i, j): v})
-            q = v.a
-        return cls._make(q.denominator, {(i, j): q.numerator}) if q else cls._make(1, {})
+        q = plain(coeff)
+        if q.__class__ is complex:
+            return cls._make(None, {(i, j): q} if q else {})
+        return cls._make(q.denominator, {(i, j): q.numerator} if q else {})
 
     # -- basic queries -----------------------------------------------------
 
@@ -83,7 +90,7 @@ class Poly2:
         return not self.terms
 
     def is_exact(self) -> bool:
-        return self.den is not None or all(v.is_exact for v in self.terms.values())
+        return self.den is not None
 
     def deg1(self) -> int:
         return max((i for i, _ in self.terms), default=-1)
@@ -98,41 +105,29 @@ class Poly2:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly2):
             return NotImplemented
-        if self.den is not None and other.den is not None:
-            return self.den == other.den and self.terms == other.terms
-        a, b = self.c, other.c
-        return a.keys() == b.keys() and all(a[m] == b[m] for m in a)
+        if self.den is None or other.den is None:
+            raise ValueError("numeric polynomials compare only at a point")
+        return self.den == other.den and self.terms == other.terms
 
     def __hash__(self):
         return hash(self.key())
 
     def key(self) -> tuple:
-        """Hashable canonical form in sorted monomial order: ``(den, ((i, j), n),
-        ...)``, else ``(m, a.num, a.den, b.num, b.den, base or 0)`` per exact
-        and ``(m, z)`` per numeric term."""
+        """Sorted ``(den, ((i, j), n), ...)``, or ``(((i, j), z), ...)`` if complex."""
         if self.den is not None:
             return (self.den, *sorted(self.terms.items()))
-        return tuple((m, s.a.numerator, s.a.denominator, s.b.numerator, s.b.denominator,
-                      s.base.numerator if s.b else 0) if s.z is None else (m, s.z)
-                     for m, s in sorted(self.terms.items()))
+        return tuple(sorted(self.terms.items()))
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "Poly2") -> "Poly2":
         da, db = self.den, other.den
         if da is None or db is None:
-            return _scalar_sum(self.c, other.c.items())
+            return _complex_sum(self, other)
         den = math.lcm(da, db)
         fa, fb = den // da, den // db
         out = dict(self.terms) if fa == 1 else {m: n * fa for m, n in self.terms.items()}
-        get, pop = out.get, out.pop
-        for m, n in other.terms.items():
-            s = get(m, 0) + n * fb
-            if s:
-                out[m] = s
-            else:
-                pop(m, None)
-        return _reduced(den, out)
+        return _reduced(den, _accumulate(out, ((m, n * fb) for m, n in other.terms.items())))
 
     def __neg__(self) -> "Poly2":
         return Poly2._make(self.den, {m: -v for m, v in self.terms.items()})
@@ -141,21 +136,19 @@ class Poly2:
         return self + (-other)
 
     def __mul__(self, other: "Poly2") -> "Poly2":
-        if not self.terms or not other.terms:
-            return Poly2._make(1, {})
         if self.den is None or other.den is None:
-            return _scalar_mul(self.c, other.c)
+            return Poly2._make(None, _mul_terms(self._complex(), other._complex(), -0j))
         return _int_mul(self.den, self.terms, other.den, other.terms)
 
     def scale(self, factor: ScalarLike) -> "Poly2":
-        f = Scalar.wrap(factor)
-        if f.is_zero():
+        f = plain(factor)
+        if not f:
             return Poly2._make(1, {})
-        if self.den is not None and f.is_rational():
-            return self._times(f.a)
-        return _from_scalars({m: v * f for m, v in self.c.items()})
+        if self.den is not None and f.__class__ is not complex:
+            return self._times(f)
+        return Poly2._make(None, {m: v * complex(f) for m, v in self._complex().items()})
 
-    def _times(self, q: Fraction) -> "Poly2":
+    def _times(self, q: Fraction | int) -> "Poly2":
         """The integer form times the nonzero rational q."""
         n = q.numerator
         return _reduced(self.den * q.denominator, {m: v * n for m, v in self.terms.items()})
@@ -175,32 +168,35 @@ class Poly2:
         return _power(self, n, Poly2._make(1, {(0, 0): 1}))
 
     def eval(self, t1: Scalar, t2: Scalar) -> Scalar:
-        """Sum of ``v * t1**i * t2**j``: on integers as the ring rule says, else
-        in key order, each power computed once."""
+        """Sum of ``v * t1**i * t2**j`` in key order, each power computed once:
+        on integers at exact points of one field, else in complex or Scalar values."""
         if not self.terms:
             return SC_ZERO
-        if self.den is not None and _one_field(t1, t2):
-            return _scalar(*_eval_exact(self.den, self.terms, t1, t2), _root(t1, t2))
-        pow1: dict[int, Scalar] = {}
-        pow2: dict[int, Scalar] = {}
-        total = SC_ZERO
-        for (i, j), v in self.c.items():
+        den = self.den
+        if den is not None and _one_field(t1, t2):
+            return _scalar(*_eval_exact(den, self.terms, t1, t2), _root(t1, t2))
+        if den is None:
+            items, total, power = self.terms.items(), 0j, lambda t, k: (t ** k).to_complex()
+        else:
+            items, total, power = self.c.items(), SC_ZERO, pow
+        pow1, pow2 = {}, {}
+        for (i, j), v in items:
             x1 = pow1.get(i)
             if x1 is None:
-                x1 = pow1[i] = t1 ** i
+                x1 = pow1[i] = power(t1, i)
             x2 = pow2.get(j)
             if x2 is None:
-                x2 = pow2[j] = t2 ** j
+                x2 = pow2[j] = power(t2, j)
             total = total + v * x1 * x2
-        return total
+        return total if den is not None else Scalar.numeric(total)
 
     def magnitude(self, t1: Scalar, t2: Scalar) -> float:
         """Sum of ``|v * t1**i * t2**j|``: the size a numeric value is zero against."""
         a1, a2 = abs(t1.to_complex()), abs(t2.to_complex())
-        return sum(abs(v.to_complex()) * a1 ** i * a2 ** j for (i, j), v in self.c.items())
+        return sum(abs(v) * a1 ** i * a2 ** j for (i, j), v in self._complex().items())
 
     def to_numeric(self) -> "Poly2":
-        return _from_scalars({m: Scalar.numeric(v.to_complex()) for m, v in self.c.items()})
+        return Poly2._make(None, self._complex())
 
     def __repr__(self):
         return " + ".join(f"({v})" + "".join(f"*T{k}^{e}" if e > 1 else f"*T{k}"
@@ -219,20 +215,7 @@ def _power(square, n: int, result):
     return result
 
 
-# -- the two forms ---------------------------------------------------------------
-
-def _lowered(coeffs: dict[Monomial, Scalar]) -> tuple[int | None, dict]:
-    """(den, terms): numerators over the lcm of the denominators if every value
-    is a plain rational, else (None, coeffs)."""
-    if all(v.z is None and not v.b for v in coeffs.values()):
-        den = math.lcm(*[v.a.denominator for v in coeffs.values()])
-        return den, {m: v.a.numerator * (den // v.a.denominator) for m, v in coeffs.items()}
-    return None, coeffs
-
-
-def _from_scalars(coeffs: dict[Monomial, Scalar]) -> Poly2:
-    return Poly2._make(*_lowered(coeffs))
-
+# -- the two rings ---------------------------------------------------------------
 
 def _reduced(den: int, terms: dict[Monomial, int]) -> Poly2:
     """The integer form of terms over den, both divided by their gcd."""
@@ -242,38 +225,46 @@ def _reduced(den: int, terms: dict[Monomial, int]) -> Poly2:
     return Poly2._make(den // g, {m: n // g for m, n in terms.items()})
 
 
-def _int_mul(da: int, ta: dict[Monomial, int], db: int, tb: dict[Monomial, int]) -> Poly2:
-    """Product of integer forms: the Scalar loop's pair order and pop-on-zero,
-    one gcd."""
-    xb = [(i, j, n) for (i, j), n in tb.items()]
-    acc: dict[Monomial, int] = {}
+def _accumulate(out: dict, items, zero=0) -> dict:
+    """Add (monomial, value) items into out in order, dropping a monomial whose
+    sum reaches zero.  ``zero`` is 0, or -0j: unlike 0j, -0j + v is v bit for bit."""
+    get, pop = out.get, out.pop
+    for m, v in items:
+        s = get(m, zero) + v
+        if s:
+            out[m] = s
+        else:
+            pop(m, None)
+    return out
+
+
+def _mul_terms(ta: dict, tb: dict, zero=0) -> dict:
+    """The term products summed, ta's terms outer, as :func:`_accumulate` adds."""
+    xb = [(i, j, v) for (i, j), v in tb.items()]
+    acc = {}
     get, pop = acc.get, acc.pop
-    for (i1, j1), n1 in ta.items():
-        for i2, j2, n2 in xb:
+    for (i1, j1), v1 in ta.items():
+        for i2, j2, v2 in xb:
             m = (i1 + i2, j1 + j2)
-            s = get(m, 0) + n1 * n2
+            s = get(m, zero) + v1 * v2
             if s:
                 acc[m] = s
             else:
                 pop(m, None)
-    return _reduced(da * db, acc)
+    return acc
 
 
-def _scalar_sum(out: dict[Monomial, Scalar], items) -> Poly2:
-    """Add the (monomial, Scalar) items into out, in order, with pop-on-zero."""
-    for m, v in items:
-        cur = out.get(m)
-        s = v if cur is None else cur + v
-        if s.is_zero():
-            out.pop(m, None)
-        else:
-            out[m] = s
-    return _from_scalars(out)
+def _int_mul(da: int, ta: dict, db: int, tb: dict) -> Poly2:
+    return _reduced(da * db, _mul_terms(ta, tb))
 
 
-def _scalar_mul(a: dict[Monomial, Scalar], b: dict[Monomial, Scalar]) -> Poly2:
-    return _scalar_sum({}, (((i1 + i2, j1 + j2), v1 * v2)
-                            for (i1, j1), v1 in a.items() for (i2, j2), v2 in b.items()))
+def _complex_sum(a: Poly2, b: Poly2) -> Poly2:
+    """a + b, one of them complex (integer if the numeric values cancel)."""
+    out = _accumulate(dict(a._complex()), b._complex().items(), -0j)
+    for numeric, exact in ((a, b), (b, a)):
+        if exact.den is not None and not any(m in out for m in numeric.terms):
+            return _reduced(exact.den, {m: exact.terms[m] for m in out})
+    return Poly2._make(None, out)
 
 
 def _powers(t: Scalar, top: int, base: int) -> tuple[list[tuple[int, int]], int]:
@@ -341,18 +332,7 @@ def poly_div_exact(f: Poly2, g: Poly2) -> Poly2 | None:
         return Poly2()
     if f.den is not None and g.den is not None:
         return _int_div(f, g)
-    glead = g.lead_monomial()
-    ginv = g.c[glead].inverse()
-    rem = f
-    q: dict[Monomial, Scalar] = {}
-    while not rem.is_zero():
-        rlead = rem.lead_monomial()
-        di, dj = rlead[0] - glead[0], rlead[1] - glead[1]
-        if di < 0 or dj < 0:
-            return None
-        coeff = q[(di, dj)] = rem.c[rlead] * ginv
-        rem = rem - g.shift(di, dj).scale(coeff)
-    return Poly2(q)
+    return _complex_div(f, g)
 
 
 def _int_div(f: Poly2, g: Poly2) -> Poly2 | None:
@@ -390,13 +370,28 @@ def _int_div(f: Poly2, g: Poly2) -> Poly2 | None:
     return _reduced(s * f.den, {m: v * g.den for m, v in q.items()})
 
 
+def _complex_div(f: Poly2, g: Poly2) -> Poly2 | None:
+    """poly_div_exact on complex values, each step dropping the remainder's lead."""
+    gi, gj = glead = max(g.terms)
+    ginv = 1.0 / g.terms[glead] if g.den is None else complex(g.den / g.terms[glead])
+    gt = [(i, j, v) for (i, j), v in g._complex().items() if (i, j) != glead]
+    rem = dict(f._complex())
+    q = {}
+    while rem:
+        ri, rj = rlead = max(rem)
+        di, dj = ri - gi, rj - gj
+        if di < 0 or dj < 0:
+            return None
+        coeff = q[(di, dj)] = rem.pop(rlead) * ginv
+        _accumulate(rem, (((di + i, dj + j), -(v * coeff)) for i, j, v in gt), -0j)
+    return Poly2._make(None, {m: v for m, v in q.items() if v})
+
+
 def _t1_coeffs(f: Poly2) -> dict[int, Poly2]:
     """f as a polynomial in T1: {i: coefficient of T1**i, a polynomial in T2}."""
     parts: dict[int, dict] = {}
     for (i, j), v in f.terms.items():
         parts.setdefault(i, {})[(0, j)] = v
-    if f.den is None:
-        return {i: _from_scalars(t) for i, t in parts.items()}
     return {i: _reduced(f.den, t) for i, t in parts.items()}
 
 
@@ -528,13 +523,12 @@ class RationalFunction2:
                 poly = poly._times(1 / lead)
                 scale = scale * rational(lead ** exp)
         else:
-            lead = poly.terms[lm]
-            if not (lead.is_exact and lead == SC_ONE):
-                poly = poly.scale(lead.inverse())
-                scale = scale * lead ** exp
+            lead = Scalar.numeric(poly.terms[lm])
+            poly = poly.scale(lead.inverse())
+            scale = scale * lead ** exp
         if len(poly.terms) == 1 and lm == (0, 0):
             if poly.den is None:
-                scale = scale * poly.terms[lm] ** exp
+                scale = scale * Scalar.numeric(poly.terms[lm]) ** exp
             return RationalFunction2(self.num, scale, dict(self.fac), self.p)
         key = poly.key()
         fac = dict(self.fac)
@@ -546,8 +540,7 @@ class RationalFunction2:
 
     def __mul__(self, other) -> "RationalFunction2":
         if isinstance(other, (int, Fraction, Scalar)):
-            return RationalFunction2(self.num.scale(Scalar.wrap(other)), self.scale,
-                                     dict(self.fac), self.p)
+            return RationalFunction2(self.num.scale(other), self.scale, dict(self.fac), self.p)
         self._check(other)
         fac = dict(self.fac)
         for key, (poly, exp) in other.fac.items():
@@ -564,8 +557,7 @@ class RationalFunction2:
 
     def __truediv__(self, other) -> "RationalFunction2":
         if isinstance(other, (int, Fraction, Scalar)):
-            return RationalFunction2(self.num, self.scale * Scalar.wrap(other),
-                                     dict(self.fac), self.p)
+            return RationalFunction2(self.num, self.scale * plain(other), dict(self.fac), self.p)
         self._check(other)
         res = RationalFunction2(self.num * other.den_expanded(), self.scale,
                                 dict(self.fac), self.p)

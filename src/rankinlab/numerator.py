@@ -9,9 +9,9 @@ nested dict ``terms: (i, j) -> {k: value}``, ``k`` being the power of
 * an ``int``, an exact rational: the numerator over ``den``;
 * a ``complex``, a numeric coefficient.
 
-Those are the two rings a series lives in.  A square-root value of
-:class:`Scalar` has no kernel form: :func:`plain`, where every coefficient
-enters, refuses it with ``ValueError`` (:data:`ROOT_REFUSAL`).
+Those are the two rings a series (and a ``Poly2``) lives in.  A square-root
+value of :class:`Scalar` has no kernel form: :func:`plain`, where every
+coefficient of either enters, refuses it with ``ValueError`` (:data:`ROOT_REFUSAL`).
 
 The dict is nested rather than keyed by ``(i, j, k)``: a monomial keeps its
 place while one of its ``lam`` powers cancels and comes back, so later float
@@ -144,8 +144,8 @@ Terms = dict[tuple[int, int], dict[int, Value]]    # (i, j) -> {k: value}
 Flat = tuple[int, Terms]                           # (den, terms)
 Plain = Fraction | int | complex                   # a coefficient as a Python number
 
-ROOT_REFUSAL = ("a Laurent series holds rational or numeric coefficients only: "
-                "square-root values stay in Poly2 and RationalFunction2")
+ROOT_REFUSAL = ("polynomials and series hold rational or numeric coefficients only: "
+                "square roots enter only as evaluation points")
 
 _C_MINUS_ONE = complex(-1.0)
 _EMPTY: dict = {}
@@ -153,9 +153,13 @@ _EMPTY: dict = {}
 
 # -- between Scalar values and the kernel form ---------------------------------
 
-def plain(v: Scalar) -> Fraction | complex:
-    """A coefficient as a plain Python number: a ``Fraction`` for a rational,
-    a ``complex`` for a numeric value; a root-extension value is refused."""
+def plain(v: ScalarLike) -> Plain:
+    """A coefficient as a plain Python number: an int, Fraction or complex as
+    it is, else a ``Fraction`` for a rational, a ``complex`` for a numeric
+    value; a root-extension value is refused."""
+    if v.__class__ in (int, Fraction, complex):
+        return v
+    v = Scalar.wrap(v)
     if v.z is not None:
         return v.z
     if v.b:

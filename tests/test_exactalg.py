@@ -162,13 +162,10 @@ def _pair_loop_mul(a: Poly2, b: Poly2) -> dict:
 
 
 _exact_coeffs = rationals.filter(bool).map(Scalar.exact)
-_root_coeffs = st.builds(lambda a, b: Scalar.exact(a) + Scalar.root(3, b),
-                         rationals, rationals.filter(bool))
 _numeric_coeffs = st.builds(complex, st.floats(-2, 2), st.floats(-2, 2)).filter(bool).map(
     Scalar.numeric)
 _COEFF_KINDS = {
     "rational": (_exact_coeffs, _exact_coeffs),
-    "root": (st.one_of(_exact_coeffs, _root_coeffs), _exact_coeffs),
     "numeric": (_numeric_coeffs, st.one_of(_exact_coeffs, _numeric_coeffs)),
     "mixed": (st.one_of(_exact_coeffs, _numeric_coeffs), _exact_coeffs),
 }
@@ -243,13 +240,6 @@ def test_key_is_none_free_and_equal_for_equal_polys(operands):
         # the same polynomial built in reverse insertion order, coefficients rebuilt
         again = Poly2({m: v + Scalar.exact(0) for m, v in reversed(list(a.c.items()))})
         assert again == a and again.key() == a.key() and hash(again) == hash(a)
-
-
-def test_key_uses_canonical_root_base():
-    twice_root3 = Poly2({(1, 0): Scalar.root(12)})
-    assert twice_root3.key() == Poly2({(1, 0): Scalar.root(3, 2)}).key()
-    assert twice_root3.key() != Poly2({(1, 0): Scalar.exact(2)}).key()
-    assert Poly2({(1, 0): Scalar.root(3)}).key() != Poly2({(1, 0): Scalar.root(5)}).key()
 
 
 # -- the integer form against the Scalar-dict loops it replaced ------------------------
@@ -327,11 +317,21 @@ def _same_view(got: Poly2, want: dict) -> bool:
 
 def _well_formed(p: Poly2) -> bool:
     """The integer form exactly when every coefficient is a plain rational,
-    with numerators and a positive denominator that share no factor."""
+    with int numerators and a positive denominator that share no factor;
+    else complex values only."""
     rational = all(v.is_rational() for v in p.c.values())
     if p.den is None:
-        return not rational
-    return rational and p.den > 0 and math.gcd(p.den, *p.terms.values()) == 1
+        return not rational and all(v.__class__ is complex for v in p.terms.values())
+    return (rational and all(v.__class__ is int for v in p.terms.values()) and p.den > 0
+            and math.gcd(p.den, *p.terms.values()) == 1)
+
+
+def _one_ring(c: dict) -> dict:
+    """The per-polynomial ring rule on a Scalar dict: with any numeric value,
+    every exact value becomes numeric too."""
+    if all(v.is_exact for v in c.values()):
+        return c
+    return {m: Scalar.numeric(v.to_complex()) for m, v in c.items()}
 
 
 _big_rationals = st.builds(Fraction, st.integers(-2 ** 70, 2 ** 70).filter(bool),
@@ -339,15 +339,11 @@ _big_rationals = st.builds(Fraction, st.integers(-2 ** 70, 2 ** 70).filter(bool)
 _unit_rationals = st.one_of(rationals.filter(bool), _big_rationals)
 _unit_coeffs = {
     "rational": _unit_rationals.map(Scalar.exact),
-    "root": st.builds(lambda a, b: Scalar.exact(a) + Scalar.root(3, b),
-                      st.one_of(st.just(Fraction(0)), _unit_rationals), _unit_rationals),
     "numeric": _numeric_coeffs,
 }
 _KIND_PAIRS = {
     "rational": ("rational", "rational"),
-    "root": ("root", "rational"),
     "numeric": ("numeric", "numeric"),
-    "mixed-root": ("rational", "root"),
     "mixed-numeric": ("rational", "numeric"),
 }
 
@@ -376,14 +372,15 @@ def _flat_operands(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_flat_operands(), st.one_of(_unit_coeffs["rational"], _unit_coeffs["root"],
-                                   _unit_coeffs["numeric"], st.just(Scalar.exact(0))))
+@given(_flat_operands(), st.one_of(_unit_coeffs["rational"], _unit_coeffs["numeric"],
+                                   st.just(Scalar.exact(0))))
 def test_flat_arithmetic_matches_scalar_loops(operands, factor):
     a, b = operands
     ca, cb = a.c, b.c
     cases = [(a * b, _pair_loop_mul(a, b)), (b * a, _pair_loop_mul(b, a)),
-             (a + b, _ref_add(ca, cb)), (b + a, _ref_add(cb, ca)), (-a, _ref_neg(ca)),
-             (a - b, _ref_add(ca, _ref_neg(cb))), (a.scale(factor), _ref_scale(ca, factor)),
+             (a + b, _one_ring(_ref_add(ca, cb))), (b + a, _one_ring(_ref_add(cb, ca))),
+             (-a, _ref_neg(ca)), (a - b, _one_ring(_ref_add(ca, _ref_neg(cb)))),
+             (a.scale(factor), _ref_scale(ca, factor)),
              (a ** 2, _pair_loop_mul(Poly2.const(1), Poly2(_pair_loop_mul(a, a)))),
              (a.shift(1, 2), {(i + 1, j + 2): v for (i, j), v in ca.items()})]
     for got, want in cases:
@@ -621,3 +618,69 @@ def test_integer_eval_t_matches_the_scalar_loop(t1, t2, a, factors, k, exp, scal
     got = rf.eval_t(t1, t2)
     assert (got.a, got.b, got.base, got.z) == (want.a, want.b, want.base, want.z)
     assert k >= exp or a.eval(t1, t2).is_zero()
+
+
+# -- the complex ring: sums that cancel, division, equality ---------------------------
+
+def test_sum_stays_integer_when_every_numeric_value_cancels():
+    exact = Poly2({(0, 0): Fraction(1, 3), (1, 0): 2, (0, 1): Fraction(1, 2)})
+    numeric = Poly2({(1, 0): -2.0, (0, 1): -0.5})
+    for total in (exact + numeric, numeric + exact):
+        assert (total.den, total.terms) == (3, {(0, 0): 1})
+    assert (numeric - numeric).terms == {} and (numeric - numeric).den == 1
+    partly = exact + Poly2({(1, 0): -2.0, (0, 1): 0.25})
+    assert partly.den is None and list(partly.terms) == [(0, 0), (0, 1)]
+    assert partly.terms[(0, 0)] == complex(1 / 3)
+
+
+def _reference_numeric_div(f: dict, g: dict):
+    """poly_div_exact's Scalar loop as it was, on Scalar dicts.  It ends only
+    where each lead cancels to zero, as it does for a divisor lead of +-1."""
+    glead = max(g)
+    ginv = g[glead].inverse()
+    rem, q = dict(f), {}
+    while rem:
+        rlead = max(rem)
+        di, dj = rlead[0] - glead[0], rlead[1] - glead[1]
+        if di < 0 or dj < 0:
+            return None
+        coeff = q[(di, dj)] = rem[rlead] * ginv
+        shifted = {(i + di, j + dj): v for (i, j), v in g.items()}
+        rem = _ref_add(rem, _ref_neg(_ref_scale(shifted, coeff)))
+    return q
+
+
+@settings(max_examples=200, deadline=None)
+@given(_polys_of(_numeric_coeffs), _exact_polys(max_terms=3, max_deg=2),
+       _exact_polys(max_terms=3), st.sampled_from((1, -1, None)), st.booleans())
+def test_complex_division_matches_the_scalar_loop(q, g, r, lead, divisible):
+    if lead is not None:  # a lead of +-1, as in the factors of a RationalFunction2
+        g = g.scale(Fraction(lead * g.den, g.terms[g.lead_monomial()]))
+    f = q * g if divisible else q * g + r
+    if f.is_zero():
+        return
+    got = poly_div_exact(f, g)
+    if lead is not None:
+        want = _reference_numeric_div(f.c, g.c)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert _same_view(got, want) and _well_formed(got)
+    elif got is not None:  # any other lead cancels only to rounding, but ends
+        size = max(abs(v) for v in f.terms.values())
+        rest = (got * g - f).terms.values()
+        assert all(abs(v) <= 1e-12 * size for v in rest)
+
+
+def test_numeric_polynomials_compare_only_at_a_point():
+    place = PlaceData(3, 1)
+    pi0 = SatakeParams.unramified_unitary(Scalar.numeric(0.6 + 0.8j), Scalar.numeric(0.6 - 0.8j))
+    a = zetaint.psi_closed("i", place, pi0).value
+    b = zetaint.psi_closed("ii", place, pi0).value
+    for x, y in ((a, a), (a, b)):
+        with pytest.raises(ValueError, match="compare only at a point"):
+            rf_equal(x, y)
+    one = Poly2.const(1)
+    for x, y in ((one.to_numeric(), one), (one, one.to_numeric()),
+                 (one.to_numeric(), Poly2.monomial(1, 0, 1.0))):
+        with pytest.raises(ValueError, match="compare only at a point"):
+            x == y  # noqa: B015

@@ -18,6 +18,7 @@ from rankinlab.laurent import (EXACT_DEPTH, SYMMETRY_BREAKERS, CubicPolynomial, 
 from rankinlab.localdata import IdealFactorization, PlaceData, Shift, zeta_local
 from rankinlab.scalars import Scalar
 from rankinlab.verify import model_data
+from rankinlab.zetaint import BruhatPoint, f_eval
 
 
 def _poly_series(coeffs, poles=(0, 0, 0, 0)):
@@ -572,6 +573,14 @@ _ROOT_ENTRIES = {
     "build_h log_map": lambda: build_h(1, IdealFactorization.parse("3^1"), 4, {3: _ROOT}),
     "degenerate_limit log_map": lambda: degenerate_limit(
         model_data(), IdealFactorization.parse("2^1*3^1"), log_map={2: _ROOT}),
+    "Poly2": lambda: Poly2({(1, 0): 2, (0, 1): _ROOT}),
+    "Poly2.monomial": lambda: Poly2.monomial(1, 1, _ROOT),
+    "Poly2.scale": lambda: Poly2.monomial(1, 0).scale(_ROOT),
+    "RationalFunction2.const": lambda: RationalFunction2.const(_ROOT, 3),
+    "RationalFunction2 * root": lambda: RationalFunction2.const(2, 3) * Scalar.root(3),
+    "RationalFunction2 / root": lambda: RationalFunction2.const(2, 3) / Scalar.root(3),
+    # p**(-1/2) * T1: |y|**s at val_y = 1 for a half-integer constant shift
+    "f_eval": lambda: f_eval(PlaceData(3, 1), BruhatPoint(1, 0), Shift.of(Fraction(1, 2), 1, 0)),
 }
 
 
