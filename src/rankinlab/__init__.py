@@ -10,14 +10,13 @@ formula.
 
 from .degenerate import (CorrectionReport, DegenerateReport, GlobalZetaData, HFunction,
                          build_G, build_h, correction_report, correction_sum_factor,
-                         correction_term, degenerate_limit, symmetry_residuals,
-                         taylor_bound_report)
+                         degenerate_limit, symmetry_residuals, taylor_bound_report)
 from .exactalg import (PoleError, Poly2, RationalFunction2, poly_div_exact, poly_gcd,
                        power_of_p, rf_equal)
 from .laurent import (CubicPolynomial, LambdaPoly, LaurentSeries2, ls_from_rational,
                       ls_inverse_regular)
 from .localdata import (IdealFactorization, PlaceData, Shift, inv_volume_Kq, is_prime_power,
-                        norm, omega, volume_K, zeta_local, zeta_q, zeta_scalar)
+                        norm, omega, volume_K, zeta_local, zeta_scalar)
 from .scalars import Scalar, format_scalar, parse_exact
 from .specweight import JqLowerReport, WeightReport, jq_lower, local_weight_lower, plancherel_mass
 from .whittaker import (SatakeParams, satake_sum, weighted_integral_closed,

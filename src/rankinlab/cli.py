@@ -32,18 +32,8 @@ VERIFY_ERROR = 1
 
 def canonical_json(obj) -> str:
     """Standard JSON: non-finite floats are written as "nan", "inf", "-inf"."""
-    return json.dumps(_finite(obj), sort_keys=True, separators=(",", ":"),
+    return json.dumps(_jsonable(obj), sort_keys=True, separators=(",", ":"),
                       allow_nan=False) + "\n"
-
-
-def _finite(obj):
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return repr(obj)
-    if isinstance(obj, dict):
-        return {key: _finite(value) for key, value in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_finite(value) for value in obj]
-    return obj
 
 
 def emit(report: dict, fmt: str, out=None) -> None:
@@ -276,6 +266,9 @@ def cmd_verify(args) -> int:
 
 
 def _jsonable(obj):
+    """obj as JSON data: non-finite floats as "nan", "inf" or "-inf"."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return repr(obj)
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -291,6 +284,13 @@ def positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def tolerance(text: str) -> float:
+    """A finite tolerance >= 0: inf would pass every comparison, nan none."""
+    if not 0 <= (value := float(text)) < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and at least 0, got {text}")
     return value
 
 
@@ -314,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_psi.add_argument("--pi0", default="1,1", help="Satake pair 'a,b' (a*b = 1)")
     p_psi.add_argument("--at", default="0,0", help="evaluation point 'z,w'")
     p_psi.add_argument("--cutoff", type=int, default=6)
-    p_psi.add_argument("--tolerance", type=float, default=1e-10,
+    p_psi.add_argument("--tolerance", type=tolerance, default=1e-10,
                        help="numeric-mode comparison tolerance (ignored in exact mode)")
     p_psi.add_argument("--depth", type=int, default=8)
     p_psi.add_argument("--expand", action="store_true",
@@ -325,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_deg.add_argument("--q", required=True, help="ideal like 2^3*5^1")
     p_deg.add_argument("--data", required=True, help="path to the zeta data document")
     p_deg.add_argument("--depth", type=int, default=8)
-    p_deg.add_argument("--tolerance", type=float, default=1e-10)
+    p_deg.add_argument("--tolerance", type=tolerance, default=1e-10)
     p_deg.set_defaults(func=cmd_degenerate)
 
     p_ver = sub.add_parser("verify", parents=[common], help="run the acceptance suites")

@@ -22,12 +22,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .laurent import (CubicPolynomial, LambdaPoly, LaurentSeries2, ls_inverse_regular)
+from .laurent import DEFAULT_DEPTH, CubicPolynomial, LambdaPoly, LaurentSeries2, ls_inverse_regular
 from .localdata import IdealFactorization, PlaceData, omega, zeta_q_scalar, zeta_scalar
 from .numerator import plain
-from .scalars import SC_ZERO, Scalar, parse_exact
-
-DEFAULT_DEPTH = 8
+from .scalars import SC_ZERO, Scalar, binary_power, parse_exact
 
 
 @dataclass(frozen=True)
@@ -73,8 +71,9 @@ class GlobalZetaData:
 
     @classmethod
     def from_document(cls, source) -> "GlobalZetaData":
-        """Load from a JSON document (path or mapping); numbers may be decimal
-        strings or exact "num/den" strings."""
+        """Load from a JSON object (path or mapping).  Numbers are JSON numbers,
+        decimal strings or exact "num/den" strings; a malformed field is a
+        ValueError that names its key."""
         if isinstance(source, (str, Path)):
             with open(source, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
@@ -82,26 +81,40 @@ class GlobalZetaData:
             doc = dict(source)
         required = ("xi_residue", "xi_regular", "xi_at_2", "lambda_pi0_residue",
                     "lambda_pi0_regular", "adjoint_L_value", "norm_different")
-        missing = [key for key in required if key not in doc]
+        missing = [key for key in required if not isinstance(doc, dict) or key not in doc]
         if missing:
             raise ValueError(f"zeta data document is missing keys: {missing}")
 
-        def scal(v) -> Scalar:
-            if isinstance(v, str):
-                return parse_exact(v)
-            return Scalar.wrap(v if isinstance(v, (int, float)) else float(v))
+        def scal(key: str, v) -> Scalar:
+            try:
+                if type(v) not in (str, int, float):  # a bool is no number
+                    raise ValueError(f"must be a number or a number string, got {v!r}")
+                value = parse_exact(v) if isinstance(v, str) else Scalar.wrap(v)
+                if value.is_exact or math.isfinite(abs(value.z)):
+                    return value
+                raise ValueError(f"must be finite, got {v!r}")
+            except ValueError as exc:
+                raise ValueError(f"zeta data key {key!r}: {exc}") from None
 
+        def scals(key: str) -> tuple[Scalar, ...]:
+            if not isinstance(values := doc.get(key, []), list):
+                raise ValueError(f"zeta data key {key!r} must be a list, got {values!r}")
+            return tuple(scal(f"{key}[{k}]", v) for k, v in enumerate(values))
+
+        if type(nd := doc["norm_different"]) is not int or nd < 1:
+            raise ValueError(f"zeta data key 'norm_different' must be an integer >= 1, got {nd!r}")
         data = cls(
-            xi_residue=scal(doc["xi_residue"]),
-            xi_regular=tuple(scal(v) for v in doc["xi_regular"]),
-            xi_at_2=scal(doc["xi_at_2"]),
-            lambda_residue=scal(doc["lambda_pi0_residue"]),
-            lambda_regular=tuple(scal(v) for v in doc["lambda_pi0_regular"]),
-            adjoint_l_value=scal(doc["adjoint_L_value"]),
-            norm_different=int(doc["norm_different"]),
-            xi_at_2_regular=tuple(scal(v) for v in doc.get("xi_at_2_regular", ())),
+            xi_residue=scal("xi_residue", doc["xi_residue"]),
+            xi_regular=scals("xi_regular"),
+            xi_at_2=scal("xi_at_2", doc["xi_at_2"]),
+            lambda_residue=scal("lambda_pi0_residue", doc["lambda_pi0_residue"]),
+            lambda_regular=scals("lambda_pi0_regular"),
+            adjoint_l_value=scal("adjoint_L_value", doc["adjoint_L_value"]),
+            norm_different=nd,
+            xi_at_2_regular=scals("xi_at_2_regular"),
         )
-        data.validate(rel_tol=float(doc.get("residue_check_tolerance", 1e-9)))
+        tol = scal("residue_check_tolerance", doc.get("residue_check_tolerance", 1e-9))
+        data.validate(rel_tol=tol.to_complex().real)
         return data
 
 
@@ -133,19 +146,6 @@ def _log_scalar(p: int, log_map: LogMap = None) -> Scalar:
     return Scalar.numeric(math.log(p))
 
 
-def _complex_power(x: complex, n: int) -> complex:
-    """x**n for n >= 1 by the binary-power loop of :meth:`Scalar.__pow__`,
-    started from 1+0j as a numeric power is."""
-    result = 1 + 0j
-    while n:
-        if n & 1:
-            result = result * x
-        n >>= 1
-        if n:
-            x = x * x
-    return result
-
-
 def _local_zeta_inverse_series(place: PlaceData, direction: str, sign: int,
                                depth: int, log_map: LogMap = None) -> LaurentSeries2:
     """zeta_v**(-1)(1 + 2*sign*u) = 1 - p**(-1) exp(-2*sign*u*log p) along u
@@ -158,13 +158,13 @@ def _local_zeta_inverse_series(place: PlaceData, direction: str, sign: int,
     value in any order.  A numeric log p (a ``complex``) takes the
     order Scalar performs the operations in: the exact ``(p-1)/p`` at k = 0,
     then ``complex(-1/p) * x**k * complex(1/k!)`` with ``x = complex(-2*sign)
-    * log p`` raised by :func:`_complex_power`."""
+    * log p`` raised by :func:`binary_power` from 1+0j, as Scalar raises it."""
     p = place.p
     logp = plain(_log_scalar(p, log_map))
     coeffs: list = [Fraction(p - 1, p)]
     if logp.__class__ is complex:
         rate = complex(-2 * sign) * logp
-        coeffs += [complex(-1 / p) * _complex_power(rate, k) * complex(1 / math.factorial(k))
+        coeffs += [complex(-1 / p) * binary_power(rate, k, 1 + 0j) * complex(1 / math.factorial(k))
                    for k in range(1, depth + 1)]
     else:
         rate, term = logp * (-2 * sign), Fraction(-1, p)
@@ -236,9 +236,6 @@ class TaylorBoundReport:
     omega_power: float
     ratio: float
 
-    def violates(self, frozen_constant: float) -> bool:
-        return self.ratio > frozen_constant
-
 
 def taylor_bound_report(h: HFunction, m: int, n: int) -> TaylorBoundReport:
     """|a_{m,n}| against omega_F(q)**(m+n)."""
@@ -303,24 +300,15 @@ class CorrectionReport:
     value: Scalar
     sum_factor: Scalar
     implied_c_cubed: Scalar | None
-    xi_residue_cubed: Scalar
-
-
-def correction_term(data: GlobalZetaData, q: IdealFactorization,
-                    depth: int = DEFAULT_DEPTH, tol: float = 1e-9,
-                    log_map: LogMap = None) -> Scalar:
-    """Limit at the origin of  G(-z,-w) h4(z,w) * 8zw(z+w) * sum-factor.
-
-    The triple pole of the flipped pole factor is cleared by 8zw(z+w), so the
-    limit is finite (and lam-free); the proportionality constant comes out of
-    the series arithmetic rather than a hard-coded formula.
-    """
-    return correction_report(data, q, depth, tol, log_map).value
 
 
 def correction_report(data: GlobalZetaData, q: IdealFactorization,
                       depth: int = DEFAULT_DEPTH, tol: float = 1e-9,
                       log_map: LogMap = None) -> CorrectionReport:
+    """``value`` is the limit at the origin of G(-z,-w) h4(z,w) * 8zw(z+w) *
+    sum-factor: 8zw(z+w) clears the triple pole of the flipped pole factor, so
+    the limit is finite (and lam-free), and the proportionality constant comes
+    out of the series arithmetic rather than a hard-coded formula."""
     return _correction(data, q, build_G(data, q, -1, -1, depth)
                        * build_h(4, q, depth, log_map).series, tol, log_map)
 
@@ -330,8 +318,8 @@ def _correction(data: GlobalZetaData, q: IdealFactorization, g_mm_h4: LaurentSer
     """The correction limit from a given product G(-z,-w) h4(z,w)."""
     sum_factor = correction_sum_factor(q, log_map)
     if not q.places:
-        return CorrectionReport(SC_ZERO, SC_ZERO, None, data.xi_residue ** 3)
-    clearing = LaurentSeries2.from_coeffs({(2, 1): Scalar.exact(8), (1, 2): Scalar.exact(8)})
+        return CorrectionReport(SC_ZERO, SC_ZERO, None)
+    clearing = LaurentSeries2({(2, 1): Scalar.exact(8), (1, 2): Scalar.exact(8)})
     product = g_mm_h4 * clearing
     abs_tol = tol * max(1.0, product.max_abs())
     const = product.constant_term(abs_tol)
@@ -343,7 +331,7 @@ def _correction(data: GlobalZetaData, q: IdealFactorization, g_mm_h4: LaurentSer
     denom = Scalar.exact(-2) * data.adjoint_l_value * Scalar.exact(data.norm_different) \
         / data.xi_at_2 / zeta_q_scalar(q, 1)
     implied = (const.coeff(0) / denom) if not denom.is_zero() else None
-    return CorrectionReport(value, sum_factor, implied, data.xi_residue ** 3)
+    return CorrectionReport(value, sum_factor, implied)
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ import math
 from fractions import Fraction
 
 from .numerator import plain
-from .scalars import SC_ONE, SC_ZERO, Scalar, ScalarLike, rational
+from .scalars import SC_ONE, SC_ZERO, Scalar, ScalarLike, binary_power, rational
 
 Monomial = tuple[int, int]
 
@@ -165,7 +165,7 @@ class Poly2:
     def __pow__(self, n: int) -> "Poly2":
         if n < 0:
             raise ValueError("use RationalFunction2 for negative powers")
-        return _power(self, n, Poly2._make(1, {(0, 0): 1}))
+        return binary_power(self, n, Poly2._make(1, {(0, 0): 1}))
 
     def eval(self, t1: Scalar, t2: Scalar) -> Scalar:
         """Sum of ``v * t1**i * t2**j`` in key order, each power computed once:
@@ -202,17 +202,6 @@ class Poly2:
         return " + ".join(f"({v})" + "".join(f"*T{k}^{e}" if e > 1 else f"*T{k}"
                                              for k, e in ((1, i), (2, j)) if e)
                           for (i, j), v in sorted(self.c.items(), reverse=True)) or "0"
-
-
-def _power(square, n: int, result):
-    """result * square**n by binary powering, n >= 0."""
-    while n:
-        if n & 1:
-            result = result * square
-        n >>= 1
-        if n:
-            square = square * square
-    return result
 
 
 # -- the two rings ---------------------------------------------------------------
@@ -591,7 +580,7 @@ class RationalFunction2:
     def __pow__(self, n: int) -> "RationalFunction2":
         if n < 0:
             return self.inverse() ** (-n)
-        return _power(self, n, RationalFunction2.const(1, self.p))
+        return binary_power(self, n, RationalFunction2.const(1, self.p))
 
     # -- equality and canonical form ----------------------------------------
 

@@ -85,7 +85,7 @@ class LaurentSeries2:
 
     __slots__ = ("den", "terms", "poles", "depth")
 
-    def __init__(self, num: dict, poles: tuple[int, int, int, int],
+    def __init__(self, num: dict, poles: tuple[int, int, int, int] = (0, 0, 0, 0),
                  depth: int = EXACT_DEPTH):
         """num maps (i, j) to a LambdaPoly, a Scalar or a Python number."""
         den, terms = _lower_num(num)
@@ -122,12 +122,6 @@ class LaurentSeries2:
     @classmethod
     def one(cls) -> "LaurentSeries2":
         return cls._make(1, {(0, 0): {0: 1}}, (0, 0, 0, 0), EXACT_DEPTH)
-
-    @classmethod
-    def from_coeffs(cls, coeffs: dict[tuple[int, int], ScalarLike | LambdaPoly],
-                    poles: tuple[int, int, int, int] = (0, 0, 0, 0),
-                    depth: int = EXACT_DEPTH) -> "LaurentSeries2":
-        return cls(coeffs, poles, depth)
 
     @classmethod
     def from_direction(cls, coeffs: list, pole_order: int, direction: str,
@@ -477,12 +471,6 @@ class CubicPolynomial:
     c1: Scalar
     c0: Scalar
 
-    @classmethod
-    def from_lambda_poly(cls, lp: LambdaPoly) -> "CubicPolynomial":
-        if lp.degree() > 3:
-            raise ValueError(f"polynomial has degree {lp.degree()} > 3 in lam")
-        return cls(lp.coeff(3), lp.coeff(2), lp.coeff(1), lp.coeff(0))
-
 
 # -- random quadruples for the cancellation property --------------------------
 #
@@ -640,6 +628,6 @@ def pole_factor_series(h1_coeffs: list[Fraction], h2_coeffs: list[Fraction],
 def four_term_combination(g: LaurentSeries2, quadruple: Iterable[Coeffs],
                           depth: int) -> LaurentSeries2:
     """G(z,w)h1 + G(-z,w)h2 + G(z,-w)h3 + G(-z,-w)h4."""
-    h1, h2, h3, h4 = [LaurentSeries2.from_coeffs(h, depth=EXACT_DEPTH) for h in quadruple]
+    h1, h2, h3, h4 = [LaurentSeries2(h) for h in quadruple]
     return (g * h1 + g.flip(True, False) * h2
             + g.flip(False, True) * h3 + g.flip(True, True) * h4)

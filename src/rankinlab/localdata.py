@@ -1,8 +1,8 @@
 """Places, ideal factorizations, congruence-subgroup volumes, and local zeta factors.
 
 The local zeta factor at a place with residue cardinality ``p`` is
-``zeta_v(s) = (1 - p**(-s))**(-1)`` (times ``p**(d_exp*s/2)`` at places with a
-nontrivial different exponent).  Arguments of the form ``m + a*z + b*w`` are
+``zeta_v(s) = (1 - p**(-s))**(-1)``, with no factor from the different: the
+level ideal is coprime to it.  Arguments of the form ``m + a*z + b*w`` are
 represented by :class:`Shift` and produce rational functions in
 ``T1 = p**(-z)``, ``T2 = p**(-w)``.
 """
@@ -47,29 +47,20 @@ class Shift:
     def plus(self, c) -> "Shift":
         return Shift(self.m + Fraction(c), self.a, self.b)
 
-    def is_const(self) -> bool:
-        return self.a == 0 and self.b == 0
-
 
 @dataclass(frozen=True)
 class PlaceData:
-    """One non-archimedean place: residue cardinality p, exponent r of the
-    ideal at this place, and the different exponent d_exp."""
+    """One non-archimedean place: residue cardinality p and exponent r of the
+    ideal at this place."""
 
     p: int
     r: int = 0
-    d_exp: int = 0
 
     def __post_init__(self):
         if not is_prime_power(self.p):
             raise ValueError(f"residue cardinality {self.p} is not a prime power >= 2")
-        if self.r < 0 or self.d_exp < 0:
+        if self.r < 0:
             raise ValueError("exponents must be nonnegative")
-        if self.r > 0 and self.d_exp != 0:
-            raise ValueError(
-                f"place with p={self.p}: the ideal is required to be coprime to the "
-                f"different (r={self.r} > 0 forces d_exp=0, got d_exp={self.d_exp})"
-            )
 
 
 @dataclass(frozen=True)
@@ -124,11 +115,7 @@ def norm(q: IdealFactorization) -> int:
 
 def zeta_scalar(place: PlaceData, s) -> Scalar:
     """zeta_v(s) for a constant (half-)integral argument, as an exact Scalar."""
-    s = Fraction(s)
-    value = (Scalar.exact(1) - power_of_p(place.p, s, -1)).inverse()
-    if place.d_exp:
-        value = value * power_of_p(place.p, s * place.d_exp / 2)
-    return value
+    return (Scalar.exact(1) - power_of_p(place.p, Fraction(s), -1)).inverse()
 
 
 def zeta_local(place: PlaceData, shift: Shift) -> RationalFunction2:
@@ -138,34 +125,7 @@ def zeta_local(place: PlaceData, shift: Shift) -> RationalFunction2:
     j_lift = max(0, -shift.b)
     lift = Poly2.monomial(i_lift, j_lift)
     den = lift - Poly2.monomial(i_lift + shift.a, j_lift + shift.b, power_of_p(p, shift.m, -1))
-    out = RationalFunction2.from_poly(lift, p).with_factor(den)
-    if place.d_exp:
-        # N(d_v)**(s/2) with N(d_v) = p**d_exp
-        half = Fraction(place.d_exp, 2)
-        coeff = power_of_p(p, shift.m * half)
-        ia, jb = shift.a * half, shift.b * half
-        if ia.denominator != 1 or jb.denominator != 1:
-            raise ValueError("different-place factor needs even shift coefficients")
-        out = out * RationalFunction2.monomial(-int(ia), -int(jb), coeff, p)
-    return out
-
-
-def zeta_q(q: IdealFactorization, shift: Shift) -> RationalFunction2:
-    """prod over places of q of zeta_v(shift).
-
-    Multi-place products only make sense for constant shifts (each place has
-    its own T-variables); single-place ideals accept any shift.
-    """
-    if not q.places:
-        return RationalFunction2.const(1, 2)
-    if len(q.places) == 1:
-        return zeta_local(q.places[0], shift)
-    if not shift.is_const():
-        raise ValueError("zeta_q over several places needs a constant shift")
-    value = Scalar.exact(1)
-    for pl in q.places:
-        value = value * zeta_scalar(pl, shift.m)
-    return RationalFunction2.const(value, q.places[0].p)
+    return RationalFunction2.from_poly(lift, p).with_factor(den)
 
 
 def zeta_q_scalar(q: IdealFactorization, s) -> Scalar:

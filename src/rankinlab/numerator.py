@@ -124,9 +124,6 @@ class LambdaPoly:
             return NotImplemented
         return set(self.c) == set(other.c) and all(self.c[k] == other.c[k] for k in self.c)
 
-    def __hash__(self):
-        raise TypeError("LambdaPoly is unhashable")
-
     def __repr__(self):
         if not self.c:
             return "0"

@@ -112,11 +112,6 @@ class Scalar:
     def is_rational(self) -> bool:
         return self.z is None and self.b == 0
 
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"not a plain rational: {self}")
-        return self.a
-
     # -- conversions -------------------------------------------------------
 
     def to_complex(self) -> complex:
@@ -195,15 +190,7 @@ class Scalar:
             raise TypeError("Scalar powers must be integers")
         if n < 0:
             return self.inverse() ** (-n)
-        result = Scalar.exact(1)
-        square = self
-        while n:
-            if n & 1:
-                result = result * square
-            n >>= 1
-            if n:
-                square = square * square
-        return result
+        return binary_power(self, n, SC_ONE)
 
     def conjugate(self) -> "Scalar":
         """Complex conjugate; the identity on exact (real) scalars."""
@@ -247,6 +234,18 @@ class Scalar:
 
     def __str__(self) -> str:
         return format_scalar(self)
+
+
+def binary_power(square, n: int, result):
+    """result * square**n for n >= 0 by binary powering, the one power loop of
+    Scalar, Poly2, RationalFunction2 and complex values."""
+    while n:
+        if n & 1:
+            result = result * square
+        n >>= 1
+        if n:
+            square = square * square
+    return result
 
 
 def rational(q: Fraction) -> Scalar:

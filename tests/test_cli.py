@@ -228,6 +228,55 @@ def test_degenerate_malformed_document(tmp_path, capsys):
     assert "missing keys" in capsys.readouterr().err
 
 
+RATIONAL_FIELD = Path(degenerate.__file__).parent / "data" / "q_rationalfield.json"
+
+
+@pytest.mark.parametrize("key, value", [
+    ("xi_residue", [1]), ("xi_residue", {"a": 1}), ("xi_residue", True), ("xi_at_2", None),
+    ("xi_regular", 5), ("xi_regular", ["1", True]), ("lambda_pi0_regular", ["1", "abc"]),
+    ("xi_at_2_regular", "1"), ("norm_different", None), ("norm_different", 1.5),
+    ("norm_different", "1"), ("norm_different", 0), ("norm_different", -3),
+    ("norm_different", True), ("residue_check_tolerance", [1e-9]), ("xi_at_2", "1e999"),
+    ("lambda_pi0_regular", ["-1e999"]), ("lambda_pi0_residue", float("nan")),
+    ("residue_check_tolerance", "nan")])
+def test_malformed_zeta_data_is_a_usage_error_naming_its_key(tmp_path, capsys, key, value):
+    doc = json.loads(RATIONAL_FIELD.read_text())
+    doc[key] = value
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main(["degenerate", "--q", "2", "--data", str(path)]) == 2
+    assert f"zeta data key '{key}" in capsys.readouterr().err
+
+
+def test_zeta_data_takes_json_numbers(tmp_path, capsys):
+    doc = json.loads(RATIONAL_FIELD.read_text())
+    doc["xi_residue"], doc["xi_regular"][0] = 1, float(doc["xi_regular"][0])
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main(["degenerate", "--q", "2", "--data", str(path)]) == 0
+    with_numbers = json.loads(capsys.readouterr().out)
+    assert main(["degenerate", "--q", "2", "--data", str(RATIONAL_FIELD)]) == 0
+    assert json.loads(capsys.readouterr().out)["c3"] == with_numbers["c3"]
+
+
+@pytest.mark.parametrize("command", [
+    ["degenerate", "--q", "2", "--data", str(RATIONAL_FIELD)],
+    ["psi", "--p", "2", "--r", "1", "--pi0", "0.6+0.8j,0.6-0.8j"]], ids=["degenerate", "psi"])
+@pytest.mark.parametrize("tolerance", ["inf", "-inf", "1e400", "nan", "-1", "-1e-300", "x"])
+def test_tolerance_must_be_finite_and_nonnegative(command, tolerance, capsys):
+    # inf passed every comparison (exit 0 whatever c3 is), -1 and nan failed
+    # every one (exit 1): neither tested anything
+    with pytest.raises(SystemExit) as err:
+        main([*command, "--tolerance", tolerance])
+    assert err.value.code == 2
+    assert "--tolerance" in capsys.readouterr().err
+
+
+def test_zero_tolerance_is_a_tolerance(capsys):
+    assert main(["degenerate", "--q", "2", "--data", str(RATIONAL_FIELD),
+                 "--tolerance", "0"]) in (0, 1)
+
+
 def test_verify_single_suite(capsys):
     code = main(["verify", "--suite", "specweight"])
     captured = capsys.readouterr()

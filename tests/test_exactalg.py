@@ -481,7 +481,7 @@ def _reference_power_of_p(p, exponent, sign=1):
     """power_of_p as it was: every exponent through Scalar.wrap and Fraction powers."""
     e = Scalar.wrap(exponent)
     if e.is_rational():
-        q = e.as_fraction() * sign
+        q = e.a * sign
         if q.denominator == 1:
             return Scalar.exact(Fraction(p) ** q.numerator)
         if q.denominator == 2:

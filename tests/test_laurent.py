@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from rankinlab import numerator
 from rankinlab.degenerate import build_h, degenerate_limit
 from rankinlab.exactalg import Poly2, RationalFunction2
-from rankinlab.laurent import (EXACT_DEPTH, SYMMETRY_BREAKERS, CubicPolynomial, LambdaPoly,
-                               LaurentSeries2, _num_mul, _series_inverse, break_one_symmetry,
+from rankinlab.laurent import (EXACT_DEPTH, SYMMETRY_BREAKERS, LambdaPoly, LaurentSeries2,
+                               _num_mul, _series_inverse, break_one_symmetry,
                                four_term_combination, ls_from_rational, ls_inverse_regular,
                                pole_factor_series, random_simple_pole_coeffs,
                                random_symmetric_quadruple)
@@ -22,7 +22,7 @@ from rankinlab.zetaint import BruhatPoint, f_eval
 
 
 def _poly_series(coeffs, poles=(0, 0, 0, 0)):
-    return LaurentSeries2.from_coeffs(
+    return LaurentSeries2(
         {m: Scalar.exact(v) for m, v in coeffs.items()}, poles)
 
 
@@ -108,7 +108,7 @@ def test_model_four_term_combination_vanishes():
 def test_constant_term_and_cubic():
     assert LaurentSeries2.one().constant_term().coeff(0) == Scalar.exact(1)
     lam3 = LambdaPoly.lam(Fraction(1, 24), 3)
-    lone = LaurentSeries2.from_coeffs(
+    lone = LaurentSeries2(
         {(m, 3 - m): lam3.scale(math.comb(3, m)) for m in range(4)}, (1, 1, 1, 0))
     with pytest.raises(ValueError):
         lone.constant_term()
@@ -116,14 +116,12 @@ def test_constant_term_and_cubic():
            + lone.flip(True, True))
     ct = sym.constant_term()
     assert ct.coeff(3) == Scalar.exact(Fraction(1, 3))
-    cubic = CubicPolynomial.from_lambda_poly(ct)
-    assert cubic.c3 == Scalar.exact(Fraction(1, 3)) and cubic.c0.is_zero()
+    assert ct.degree() == 3 and ct.coeff(0).is_zero()
 
 
 def test_depth_truncation_guards_certificates():
     # terms beyond the declared validity window are dropped at construction
-    s = LaurentSeries2.from_coeffs({(0, 0): Fraction(1), (5, 5): Fraction(7)},
-                                   depth=4)
+    s = LaurentSeries2({(0, 0): Fraction(1), (5, 5): Fraction(7)}, depth=4)
     assert (5, 5) not in s.num
 
 
@@ -146,7 +144,7 @@ def test_series_inverse_round_trip():
     assert all(v.is_zero() for m, v in prod.num.items() if m != (0, 0))
 
 
-@pytest.mark.parametrize("series", [LaurentSeries2.from_coeffs({(0, 0): 2, (1, 0): 1}),
+@pytest.mark.parametrize("series", [LaurentSeries2({(0, 0): 2, (1, 0): 1}),
                                     LaurentSeries2.one()], ids=["unit", "one"])
 def test_inverse_of_an_untruncated_series_is_refused(series):
     # the inverse of a series valid to every degree has no last degree
@@ -207,7 +205,7 @@ def test_flip_agrees_with_argument_substitution():
 
 
 def test_insufficient_depth_is_an_error():
-    shallow = LaurentSeries2.from_coeffs(
+    shallow = LaurentSeries2(
         {(0, 0): Fraction(1), (1, 1): Fraction(1)}, (1, 1, 1, 0), depth=2)
     with pytest.raises(ValueError, match="insufficient truncation depth"):
         shallow.split_singular()
@@ -471,7 +469,7 @@ def test_flip_commutes_with_product(a, b, flips):
 # -- pole structure: split_singular and normalized ---------------------------------
 
 _DIVISOR_SERIES = tuple(
-    LaurentSeries2.from_coeffs({m: Scalar.exact(c) for m, c in coeffs.items()})
+    LaurentSeries2({m: Scalar.exact(c) for m, c in coeffs.items()})
     for coeffs in ({(1, 0): 1}, {(0, 1): 1}, {(1, 0): 1, (0, 1): 1}, {(1, 0): 1, (0, 1): -1}))
 
 # each division by a divisor costs one degree of depth, so a split needs at
@@ -562,7 +560,7 @@ def test_ls_from_rational_is_a_ring_homomorphism(pair):
 _ROOT = Scalar.exact(1) + Scalar.root(3)
 _ROOT_ENTRIES = {
     "constructor": lambda: LaurentSeries2({(0, 0): _ROOT}, (0, 0, 0, 0), 4),
-    "from_coeffs": lambda: LaurentSeries2.from_coeffs({(1, 0): LambdaPoly({1: _ROOT})}),
+    "constructor LambdaPoly": lambda: LaurentSeries2({(1, 0): LambdaPoly({1: _ROOT})}),
     "from_direction": lambda: LaurentSeries2.from_direction([1, _ROOT], 1, "z", 4),
     "exp_direction": lambda: LaurentSeries2.exp_direction(LambdaPoly.const(_ROOT), "w", 4),
     "scale": lambda: LaurentSeries2.one().scale(_ROOT),

@@ -4,9 +4,8 @@ import pytest
 
 from rankinlab.localdata import (IdealFactorization, PlaceData, Shift, inv_volume_Kq,
                                  is_prime_power, norm, omega, volume_K, zeta_local,
-                                 zeta_q, zeta_scalar)
+                                 zeta_scalar)
 from rankinlab.scalars import Scalar
-from rankinlab.exactalg import rf_equal
 
 
 def test_prime_power_detection():
@@ -17,9 +16,6 @@ def test_prime_power_detection():
 def test_place_validation():
     with pytest.raises(ValueError):
         PlaceData(6, 1)
-    with pytest.raises(ValueError):
-        PlaceData(2, 1, d_exp=1)  # ideal must be coprime to the different
-    PlaceData(2, 0, d_exp=3)  # fine away from the ideal
 
 
 def test_parse_and_invariants():
@@ -42,43 +38,6 @@ def test_zeta_local_values():
     # definition transcription: 1/(1 - T1^2/2)
     assert f.eval_zw(0, 0) == Scalar.exact(2)
     assert f.eval_zw(Fraction(1, 2), 0) == Scalar.exact(Fraction(4, 3))
-
-
-def test_zeta_q_products():
-    q = IdealFactorization.parse("2^1*3^1")
-    assert zeta_q(q, Shift.of(1)).eval_zw(0, 0) == Scalar.exact(3)
-    assert zeta_q(q, Shift.of(2)).eval_zw(0, 0) == Scalar.exact(Fraction(3, 2))
-    empty = zeta_q(IdealFactorization.parse("1"), Shift.of(1))
-    assert empty.eval_zw(0, 0) == Scalar.exact(1)
-
-
-def test_zeta_q_multiplicative():
-    qa = IdealFactorization.parse("2^1")
-    qb = IdealFactorization.parse("3^2")
-    qab = IdealFactorization.parse("2^1*3^2")
-    for s in (1, 2, 3):
-        prod = zeta_scalar(qa.places[0], s) * zeta_scalar(qb.places[0], s)
-        combined = zeta_q(qab, Shift.of(s)).eval_zw(0, 0)
-        assert prod == combined
-
-
-def test_zeta_q_mixed_places_needs_constant_shift():
-    q = IdealFactorization.parse("2^1*3^1")
-    with pytest.raises(ValueError):
-        zeta_q(q, Shift.of(1, 2, 0))
-    single = zeta_q(IdealFactorization.parse("2^2"), Shift.of(1, 2, 0))
-    assert rf_equal(single, zeta_local(PlaceData(2, 2), Shift.of(1, 2, 0)))
-
-
-def test_different_place_factor():
-    # N(d_v)**(s/2) prefactor at a place with d_exp = 2: at s = 2 the factor is
-    # N(d_v) = 9, so the value is 9 * (1 - 1/9)**(-1) = 81/8
-    place = PlaceData(3, 0, d_exp=2)
-    f = zeta_local(place, Shift.of(2, 0, 0))
-    assert f.eval_zw(0, 0) == Scalar.exact(Fraction(81, 8))
-    assert zeta_scalar(place, 2) == Scalar.exact(Fraction(81, 8))
-    # odd constant argument picks up the exact square root N(d_v)**(1/2) = 3
-    assert zeta_scalar(place, 1) == Scalar.exact(3) * Scalar.exact(Fraction(3, 2))
 
 
 def test_volumes():
