@@ -32,7 +32,7 @@ VERIFY_ERROR = 1
 
 def canonical_json(obj) -> str:
     """Standard JSON: non-finite floats are written as "nan", "inf", "-inf"."""
-    return json.dumps(_jsonable(obj), sort_keys=True, separators=(",", ":"),
+    return json.dumps(_jsonable(obj, strict=True), sort_keys=True, separators=(",", ":"),
                       allow_nan=False) + "\n"
 
 
@@ -265,19 +265,18 @@ def cmd_verify(args) -> int:
     return 0 if all(res.passed for _, res in results) else VERIFY_ERROR
 
 
-def _jsonable(obj):
-    """obj as JSON data: non-finite floats as "nan", "inf" or "-inf"."""
+def _jsonable(obj, strict: bool = False):
+    """obj as JSON data, non-finite floats as "nan", "inf" or "-inf"; other values
+    become {re, im} (complex) or str, unless ``strict`` leaves them to json.dumps."""
     if isinstance(obj, float) and not math.isfinite(obj):
         return repr(obj)
     if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
+        return {(k if strict else str(k)): _jsonable(v, strict) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (bool, int, float, str)) or obj is None:
+        return [_jsonable(v, strict) for v in obj]
+    if strict or isinstance(obj, (bool, int, float, str)) or obj is None:
         return obj
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
-    return str(obj)
+    return {"re": obj.real, "im": obj.imag} if isinstance(obj, complex) else str(obj)
 
 
 def positive_int(text: str) -> int:

@@ -25,7 +25,7 @@ from pathlib import Path
 from .laurent import DEFAULT_DEPTH, CubicPolynomial, LambdaPoly, LaurentSeries2, ls_inverse_regular
 from .localdata import IdealFactorization, PlaceData, omega, zeta_q_scalar, zeta_scalar
 from .numerator import plain
-from .scalars import SC_ZERO, Scalar, binary_power, parse_exact
+from .scalars import SC_ZERO, Scalar, _binary_power, parse_exact
 
 
 @dataclass(frozen=True)
@@ -101,7 +101,7 @@ class GlobalZetaData:
                 raise ValueError(f"zeta data key {key!r} must be a list, got {values!r}")
             return tuple(scal(f"{key}[{k}]", v) for k, v in enumerate(values))
 
-        if type(nd := doc["norm_different"]) is not int or nd < 1:
+        if not str(nd := doc["norm_different"]).strip().isdecimal() or int(nd) < 1:
             raise ValueError(f"zeta data key 'norm_different' must be an integer >= 1, got {nd!r}")
         data = cls(
             xi_residue=scal("xi_residue", doc["xi_residue"]),
@@ -110,7 +110,7 @@ class GlobalZetaData:
             lambda_residue=scal("lambda_pi0_residue", doc["lambda_pi0_residue"]),
             lambda_regular=scals("lambda_pi0_regular"),
             adjoint_l_value=scal("adjoint_L_value", doc["adjoint_L_value"]),
-            norm_different=nd,
+            norm_different=int(nd),
             xi_at_2_regular=scals("xi_at_2_regular"),
         )
         tol = scal("residue_check_tolerance", doc.get("residue_check_tolerance", 1e-9))
@@ -158,13 +158,13 @@ def _local_zeta_inverse_series(place: PlaceData, direction: str, sign: int,
     value in any order.  A numeric log p (a ``complex``) takes the
     order Scalar performs the operations in: the exact ``(p-1)/p`` at k = 0,
     then ``complex(-1/p) * x**k * complex(1/k!)`` with ``x = complex(-2*sign)
-    * log p`` raised by :func:`binary_power` from 1+0j, as Scalar raises it."""
+    * log p`` raised by :func:`_binary_power` from 1+0j, as Scalar raises it."""
     p = place.p
     logp = plain(_log_scalar(p, log_map))
     coeffs: list = [Fraction(p - 1, p)]
     if logp.__class__ is complex:
         rate = complex(-2 * sign) * logp
-        coeffs += [complex(-1 / p) * binary_power(rate, k, 1 + 0j) * complex(1 / math.factorial(k))
+        coeffs += [complex(-1 / p) * _binary_power(rate, k, 1 + 0j) * complex(1 / math.factorial(k))
                    for k in range(1, depth + 1)]
     else:
         rate, term = logp * (-2 * sign), Fraction(-1, p)

@@ -28,7 +28,7 @@ import math
 from fractions import Fraction
 
 from .numerator import plain
-from .scalars import SC_ONE, SC_ZERO, Scalar, ScalarLike, binary_power, rational
+from .scalars import SC_ONE, SC_ZERO, Scalar, ScalarLike, _binary_power, rational
 
 Monomial = tuple[int, int]
 
@@ -165,7 +165,7 @@ class Poly2:
     def __pow__(self, n: int) -> "Poly2":
         if n < 0:
             raise ValueError("use RationalFunction2 for negative powers")
-        return binary_power(self, n, Poly2._make(1, {(0, 0): 1}))
+        return _binary_power(self, n, Poly2._make(1, {(0, 0): 1}))
 
     def eval(self, t1: Scalar, t2: Scalar) -> Scalar:
         """Sum of ``v * t1**i * t2**j`` in key order, each power computed once:
@@ -580,7 +580,7 @@ class RationalFunction2:
     def __pow__(self, n: int) -> "RationalFunction2":
         if n < 0:
             return self.inverse() ** (-n)
-        return binary_power(self, n, RationalFunction2.const(1, self.p))
+        return _binary_power(self, n, RationalFunction2.const(1, self.p))
 
     # -- equality and canonical form ----------------------------------------
 

@@ -190,7 +190,7 @@ class Scalar:
             raise TypeError("Scalar powers must be integers")
         if n < 0:
             return self.inverse() ** (-n)
-        return binary_power(self, n, SC_ONE)
+        return _binary_power(self, n, SC_ONE)
 
     def conjugate(self) -> "Scalar":
         """Complex conjugate; the identity on exact (real) scalars."""
@@ -236,7 +236,7 @@ class Scalar:
         return format_scalar(self)
 
 
-def binary_power(square, n: int, result):
+def _binary_power(square, n: int, result):
     """result * square**n for n >= 0 by binary powering, the one power loop of
     Scalar, Poly2, RationalFunction2 and complex values."""
     while n:

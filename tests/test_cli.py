@@ -5,6 +5,7 @@ import pytest
 
 from rankinlab import cli, degenerate, verify
 from rankinlab.cli import canonical_json, main
+from rankinlab.scalars import Scalar
 
 GOLDEN_PSI = Path(__file__).parent / "data" / "psi_golden.jsonl"
 GOLDEN_DEGENERATE = Path(__file__).parent / "data" / "degenerate_golden.jsonl"
@@ -235,10 +236,10 @@ RATIONAL_FIELD = Path(degenerate.__file__).parent / "data" / "q_rationalfield.js
     ("xi_residue", [1]), ("xi_residue", {"a": 1}), ("xi_residue", True), ("xi_at_2", None),
     ("xi_regular", 5), ("xi_regular", ["1", True]), ("lambda_pi0_regular", ["1", "abc"]),
     ("xi_at_2_regular", "1"), ("norm_different", None), ("norm_different", 1.5),
-    ("norm_different", "1"), ("norm_different", 0), ("norm_different", -3),
-    ("norm_different", True), ("residue_check_tolerance", [1e-9]), ("xi_at_2", "1e999"),
-    ("lambda_pi0_regular", ["-1e999"]), ("lambda_pi0_residue", float("nan")),
-    ("residue_check_tolerance", "nan")])
+    ("norm_different", "1.5"), ("norm_different", "0"), ("norm_different", 0),
+    ("norm_different", -3), ("norm_different", True), ("residue_check_tolerance", [1e-9]),
+    ("xi_at_2", "1e999"), ("lambda_pi0_regular", ["-1e999"]),
+    ("lambda_pi0_residue", float("nan")), ("residue_check_tolerance", "nan")])
 def test_malformed_zeta_data_is_a_usage_error_naming_its_key(tmp_path, capsys, key, value):
     doc = json.loads(RATIONAL_FIELD.read_text())
     doc[key] = value
@@ -248,9 +249,10 @@ def test_malformed_zeta_data_is_a_usage_error_naming_its_key(tmp_path, capsys, k
     assert f"zeta data key '{key}" in capsys.readouterr().err
 
 
-def test_zeta_data_takes_json_numbers(tmp_path, capsys):
+def test_zeta_data_takes_numbers_and_number_strings(tmp_path, capsys):
     doc = json.loads(RATIONAL_FIELD.read_text())
     doc["xi_residue"], doc["xi_regular"][0] = 1, float(doc["xi_regular"][0])
+    doc["norm_different"] = " 1"
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
     assert main(["degenerate", "--q", "2", "--data", str(path)]) == 0
@@ -409,6 +411,14 @@ def test_canonical_json_is_standard_json():
     text = canonical_json(report)
     assert json.loads(text, parse_constant=reject) == {
         "worst": "nan", "bounds": ["inf", "-inf", 0.5], "nested": {"ratio": [1, "nan"]}}
+
+
+@pytest.mark.parametrize("leaked", [Scalar.exact(1), 1j, {1: 2, "1": 3}],
+                         ids=["Scalar", "complex", "clashing keys"])
+def test_canonical_json_refuses_what_a_report_must_not_hold(leaked):
+    # an unserialised value in a psi or degenerate report is a bug, not a string
+    with pytest.raises(TypeError):
+        canonical_json({"nested": [{"value": leaked}]})
 
 
 def test_degenerate_builds_G_once_and_each_h_once(capsys, model_doc, monkeypatch):

@@ -6,10 +6,11 @@
 Each positional argument is one command line of ``rankin-local-lab``; without
 any, the runs are the ``psi`` grid (p 2, 3, 5, 9; r 1..3; exact and numeric
 Satake pairs; three points), ``psi --expand``, ``degenerate`` on both shipped
-documents, ``verify`` and ``verify --break-symmetry``.  Then ``--rounds``
-rounds of each certbench workload in ``--workloads`` run at ``--seed``, with
-their judges, and one more round of each under the benchmark's tracer, which
-reads views (``Poly2.c``, ``LaurentSeries2.num``) that no command needs.
+documents, ``verify`` and ``verify --break-symmetry``.  Then two rounds of
+each certbench workload in ``--workloads`` run at the benchmark's reference
+seed 20260809, with their judges, and one more round of each under the
+benchmark's tracer, which reads views (``Poly2.c``, ``LaurentSeries2.num``)
+that no command needs.
 
 Every run goes under ``sys.setprofile``.  A function counts as reached when
 the profiler sees a call of its code object; the candidates are every named
@@ -37,7 +38,8 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "rankinlab"
 CERTBENCH = ROOT / "certbench"
 DATA = PACKAGE / "data"
-DEFAULT_SEED = 20260809
+SEED = 20260809
+ROUNDS = 2
 
 
 def default_commands() -> list[str]:
@@ -82,12 +84,12 @@ def _load(name: str):
     return module
 
 
-def run_workloads(names: list[str], rounds: int, seed: int) -> None:
+def run_workloads(names: list[str], rounds: int) -> None:
     workloads, tracing = _load("workloads"), _load("tracing")
     for name in names:
-        generated = workloads.WORKLOADS[name].generate(random.Random(seed))
-        chosen = [next(generated) for _ in range(max(rounds, 1))]
-        for items in chosen[:rounds]:
+        generated = workloads.WORKLOADS[name].generate(random.Random(SEED))
+        chosen = [next(generated) for _ in range(rounds)]
+        for items in chosen:
             _certify_and_judge(workloads, items)
         with tracing.Tracer():
             _certify_and_judge(workloads, chosen[0])
@@ -98,8 +100,8 @@ def _certify_and_judge(workloads, items) -> None:
         workloads.JUDGE[kind](args, workloads.CERTIFY[kind](*args))
 
 
-def reached_codes(commands: list[str], workloads: list[str], rounds: int,
-                  seed: int) -> set[tuple[str, int, str]]:
+def reached_codes(commands: list[str], workloads: list[str],
+                  rounds: int) -> set[tuple[str, int, str]]:
     if str(PACKAGE.parent) not in sys.path:
         sys.path.insert(0, str(PACKAGE.parent))
     from rankinlab.cli import main
@@ -120,17 +122,17 @@ def reached_codes(commands: list[str], workloads: list[str], rounds: int,
                     main(shlex.split(command))
                 except SystemExit:
                     pass
-        run_workloads(workloads, rounds, seed)
+        run_workloads(workloads, rounds)
     finally:
         sys.setprofile(previous)
     return {_key(code) for code in seen}
 
 
-def unreached(commands: list[str], workloads: list[str], rounds: int = 2,
-              seed: int = DEFAULT_SEED) -> list[str]:
-    """Printed names of the package functions that the runs never call."""
+def unreached(commands: list[str], workloads: list[str], rounds: int = ROUNDS) -> list[str]:
+    """Printed names of the package functions that the runs never call;
+    ``rounds`` (at least 1) untraced rounds of each workload."""
     found = candidates()
-    reached = reached_codes(commands, workloads, rounds, seed)
+    reached = reached_codes(commands, workloads, rounds)
     return [name for key, name in sorted(found.items()) if key not in reached]
 
 
@@ -139,11 +141,9 @@ def main(argv=None) -> int:
     parser.add_argument("commands", nargs="*", help="rankin-local-lab command lines")
     parser.add_argument("--workloads", default="cancel-fuzz,psi-exact,degenerate-limit,"
                         "oracle-series", help="comma-separated certbench workloads, or ''")
-    parser.add_argument("--rounds", type=int, default=2, help="untraced rounds per workload")
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     args = parser.parse_args(argv)
     names = [name for name in args.workloads.split(",") if name]
-    missed = unreached(args.commands or default_commands(), names, args.rounds, args.seed)
+    missed = unreached(args.commands or default_commands(), names)
     for name in missed:
         print(name)
     print(f"{len(missed)} of {len(candidates())} functions never called", file=sys.stderr)
