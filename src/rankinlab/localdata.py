@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactalg import Poly2, RationalFunction2, power_of_p
-from .scalars import Scalar
+from .numerator import plain
+from .scalars import SC_ONE, Scalar, ScalarLike, rational
 
 
 def is_prime_power(n: int) -> bool:
@@ -118,14 +119,30 @@ def zeta_scalar(place: PlaceData, s) -> Scalar:
     return (Scalar.exact(1) - power_of_p(place.p, Fraction(s), -1)).inverse()
 
 
-def zeta_local(place: PlaceData, shift: Shift) -> RationalFunction2:
-    """zeta_v(m + a*z + b*w) as a rational function in T1, T2."""
-    p = place.p
-    i_lift = max(0, -shift.a)
-    j_lift = max(0, -shift.b)
-    lift = Poly2.monomial(i_lift, j_lift)
-    den = lift - Poly2.monomial(i_lift + shift.a, j_lift + shift.b, power_of_p(p, shift.m, -1))
-    return RationalFunction2.from_poly(lift, p).with_factor(den)
+def zeta_local(place: PlaceData, shift: Shift, alpha: ScalarLike = 1) -> RationalFunction2:
+    """(1 - alpha * p**(-m) T1**a T2**b)**(-1), so zeta_v(m + a*z + b*w) for
+    alpha = 1, as lift / (lift - c*mono) with the lift monomial
+    T1**max(0,-a) T2**max(0,-b) making every exponent nonnegative.
+
+    For a nonzero rational c and (a, b) != (0, 0) the factor is built in the
+    form :meth:`RationalFunction2.with_factor` gives it: monic in its
+    lex-leading monomial, the lift monomial first, and scale -c when mono
+    leads.  Otherwise the generic ``with_factor`` builds it.
+    """
+    p, a, b = place.p, shift.a, shift.b
+    c = plain(power_of_p(p, shift.m, -1))
+    if not (alpha.__class__ is int and alpha == 1):  # zeta_v takes p**(-m) as it is
+        c = plain(alpha) * c
+    lift, mono = (max(0, -a), max(0, -b)), (max(0, a), max(0, b))
+    num = Poly2._make(1, {lift: 1})
+    if c.__class__ is complex or not c or lift == mono:
+        return RationalFunction2.from_poly(num, p).with_factor(num - Poly2.monomial(*mono, c))
+    n, d = c.numerator, c.denominator
+    if lift > mono:
+        factor, scale = Poly2._make(d, {lift: d, mono: -n}), SC_ONE
+    else:
+        factor, scale = Poly2._make(abs(n), {lift: -d if n > 0 else d, mono: abs(n)}), rational(-c)
+    return RationalFunction2(num, scale, {factor.key(): (factor, 1)}, p)
 
 
 def zeta_q_scalar(q: IdealFactorization, s) -> Scalar:

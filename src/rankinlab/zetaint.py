@@ -4,16 +4,20 @@ Everything here is a rational function in T1 = p**(-z), T2 = p**(-w) (z and w
 are the two spectral parameters).  ``psi_closed`` returns the closed forms of
 the four integrals pairing the principal-series vector ``f`` and its
 intertwined partner ``ftilde`` against the square of the unramified Whittaker
-vector; ``psi_oracle`` recomputes them by exact summation over valuation
-strata of the Bruhat coordinates (the c-integrand is constant on each shell
-``val(c) = -j`` of measure ``p**j (1-1/p)``, and the y-sum is a Whittaker
-power series in one variable X = p**(-1) T1**a T2**b, summed on plain numbers
-from the recursion of S(n) with its tail resummed through the three-term
-recursion of S(n)**2).  The two must agree exactly as rational functions.
+vector; every local factor in them, the Rankin-Selberg ones included, is a
+:func:`rankinlab.localdata.zeta_local`.  ``psi_oracle`` recomputes them by
+exact summation over valuation strata of the Bruhat coordinates (the
+c-integrand is constant on each shell ``val(c) = -j`` of measure
+``p**j (1-1/p)``, and the y-sum is a Whittaker power series in one variable
+X = p**(-1) T1**a T2**b, summed from the recursion of S(n) with its tail
+resummed through the three-term recursion of S(n)**2: on integers over
+powers of D = d1*d2 for rational Satake parameters n_i/d_i, on complex values
+otherwise).  The two must agree exactly as rational functions.
 """
 
 from __future__ import annotations
 
+import cmath
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,17 +50,6 @@ def _abs_power(place: PlaceData, val: int, shift: Shift) -> RationalFunction2:
     """|pi**val| ** (m + a z + b w) = p**(-val*m) T1**(val*a) T2**(val*b)."""
     coeff = power_of_p(place.p, shift.m * val, -1)
     return RationalFunction2.monomial(val * shift.a, val * shift.b, coeff, place.p)
-
-
-def inv_binomial_rf(place: PlaceData, coeff: ScalarLike, shift: Shift) -> RationalFunction2:
-    """(1 - coeff * p**(-m) T1**a T2**b)**(-1)."""
-    p = place.p
-    c = Scalar.wrap(coeff) * power_of_p(p, shift.m, -1)
-    i_lift = max(0, -shift.a)
-    j_lift = max(0, -shift.b)
-    lift = Poly2.monomial(i_lift, j_lift)
-    den = lift - Poly2.monomial(i_lift + shift.a, j_lift + shift.b, c)
-    return RationalFunction2.from_poly(lift, p).with_factor(den)
 
 
 # -- principal-series vectors on lower-triangular Bruhat coordinates ---------
@@ -96,7 +89,7 @@ def rs_l_rf(pi0: SatakeParams, place: PlaceData, shift: Shift) -> RationalFuncti
     out = RationalFunction2.const(1, place.p)
     for ai in alphas:
         for aj in alphas:
-            out = out * inv_binomial_rf(place, ai * aj, shift)
+            out = out * zeta_local(place, shift, ai * aj)
     return out
 
 
@@ -177,8 +170,13 @@ def whittaker_square_sum(pi0: SatakeParams, place: PlaceData, a: int, b: int,
     A_n = S(n+1)**2: ``cutoff`` explicit terms, S from its recursion
     S(n+1) = t S(n) - delta S(n-1), and the tail resummed in closed form
     through the three-term recursion of A_n (characteristic roots alpha1**2,
-    alpha1*alpha2, alpha2**2).  N and D of N(X)/D(X) are worked out as lists of
-    plain numbers (``Fraction`` or ``complex``) and X is substituted once.
+    alpha1*alpha2, alpha2**2).  For rational alpha_i = n_i/d_i the S(n) are
+    integers over D**(n-1), D = d1*d2: s_n = S(n) D**(n-1) runs on integers,
+    s_(n+1) = T s_n - Delta s_(n-1) with T = n1 d2 + n2 d1 and
+    Delta = n1 n2 d1 d2, and so do the numerator and denominator lists of the
+    sum in Y = X / D**2 and their recursion constants.  Complex parameters run
+    the same lines with D = 1.  Y = T1**a T2**b / (p D**2) is substituted
+    once, at the end.
     """
     p = place.p
     m = max(3, cutoff)
@@ -187,41 +185,50 @@ def whittaker_square_sum(pi0: SatakeParams, place: PlaceData, a: int, b: int,
             raise ValueError(f"Satake parameter {alpha} has a square-root part: the Whittaker "
                              "square sum takes rational or numeric parameters only")
     a1, a2 = plain(pi0.alpha1), plain(pi0.alpha2)
-    t, delta = a1 + a2, a1 * a2
-    s_prev, s = 0, Fraction(1)  # S(0), S(1)
+    if complex in (a1.__class__, a2.__class__):
+        n1, d1, n2, d2 = a1, 1, a2, 1
+    else:
+        n1, d1, n2, d2 = a1.numerator, a1.denominator, a2.numerator, a2.denominator
+    d = d1 * d2
+    # T and Delta; at D = 1 the unit factors stay out (a complex times 1 can
+    # flip the sign of a zero part)
+    t, delta = (n1 * d2 + n2 * d1, n1 * n2 * d) if d > 1 else (n1 + n2, n1 * n2)
+    s_prev, s = 0, 1  # s_0, s_1
     seq = []
     for _ in range(m):
         seq.append(s * s)
         s_prev, s = s, t * s - delta * s_prev
-    # recursion A_n = e1 A_{n-1} - e2 A_{n-2} + e3 A_{n-3}
+    # recursion of B_n = s_(n+1)**2 = A_n D**(2n): B_n = e1 B_{n-1} - e2 B_{n-2} + e3 B_{n-3}
     e1 = t * t - delta
     e2 = delta * t * t - delta * delta
     e3 = delta ** 3
-    den = [Fraction(1), -e1, e2, -e3]
+    den = [1, -e1, e2, -e3]
     num = [0] * (m + 3)
     for n, term in enumerate(seq):
-        for k, d in enumerate(den):
-            num[n + k] += term * d
-    # rhs = D * tail: the recursion leaves three terms past the partial sum
+        for k, c in enumerate(den):
+            num[n + k] += term * c
+    # rhs = den * tail: the recursion leaves three terms past the partial sum
     num[m] += seq[m - 1] * e1 - seq[m - 2] * e2 + seq[m - 3] * e3
     num[m + 1] += seq[m - 2] * e3 - seq[m - 1] * e2
     num[m + 2] += seq[m - 1] * e3
     for coeffs in (num, den):
         while not coeffs[-1]:
             coeffs.pop()
-    value = RationalFunction2.from_poly(_at_x(num, a, b, p), p).with_factor(_at_x(den, a, b, p))
-    # _at_x lifted N and D by different powers of T where a or b is negative
+    y_den = p * d * d
+    value = RationalFunction2.from_poly(_at_y(num, a, b, y_den), p).with_factor(
+        _at_y(den, a, b, y_den))
+    # _at_y lifted N and D by different powers of T where a or b is negative
     shift = len(den) - len(num)
     i, j = max(0, -a) * shift, max(0, -b) * shift
     return value * RationalFunction2.monomial(i, j, 1, p) if i or j else value
 
 
-def _at_x(coeffs: list, a: int, b: int, p: int) -> Poly2:
-    """sum c_k X**k at X = p**(-1) T1**a T2**b, times the power of T1 and T2
+def _at_y(coeffs: list, a: int, b: int, y_den: int) -> Poly2:
+    """sum c_k Y**k at Y = T1**a T2**b / y_den, times the power of T1 and T2
     that makes every exponent nonnegative."""
     top = len(coeffs) - 1
     i0, j0 = max(0, -a) * top, max(0, -b) * top
-    return Poly2({(i0 + a * k, j0 + b * k): Scalar.wrap(c * Fraction(1, p ** k))
+    return Poly2({(i0 + a * k, j0 + b * k): c * Fraction(1, y_den ** k)
                   for k, c in enumerate(coeffs) if c})
 
 
@@ -311,9 +318,15 @@ def rs_local_value(pi: SatakeParams, pi0: SatakeParams, place: PlaceData) -> Sca
 def rs_local_oracle(pi: SatakeParams, pi0: SatakeParams, place: PlaceData,
                     terms: int = 10_000) -> Scalar:
     """Truncated sum over n of p**(-n/2) S_pi(n+1) S_pi0(n+1); it ends with
-    the first stream that ends."""
+    the first stream that ends.  A sum that is not finite is a ValueError: the
+    pi0 stream is summed undecayed, and a non-tempered pi0 overflows its terms."""
     products = map(operator.mul, hecke_stream(pi, place.p ** -0.5), hecke_stream(pi0))
-    return Scalar.numeric(sum(islice(products, terms), 0j))
+    total = sum(islice(products, terms), 0j)
+    if not cmath.isfinite(total):
+        raise ValueError(f"Rankin-Selberg oracle sum is {total}: its terms overflow a double "
+                         f"on the undecayed Hecke stream of pi0 (alpha1 = {pi0.alpha1}, "
+                         f"alpha2 = {pi0.alpha2})")
+    return Scalar.numeric(total)
 
 
 # -- the regularised-term local integral ---------------------------------------

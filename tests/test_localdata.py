@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from rankinlab.exactalg import Poly2, RationalFunction2, power_of_p
 from rankinlab.localdata import (IdealFactorization, PlaceData, Shift, inv_volume_Kq,
                                  is_prime_power, norm, omega, volume_K, zeta_local,
                                  zeta_scalar)
@@ -38,6 +39,36 @@ def test_zeta_local_values():
     # definition transcription: 1/(1 - T1^2/2)
     assert f.eval_zw(0, 0) == Scalar.exact(2)
     assert f.eval_zw(Fraction(1, 2), 0) == Scalar.exact(Fraction(4, 3))
+
+
+def _generic_zeta_local(place, shift, alpha):
+    """(1 - alpha p**(-m) T1**a T2**b)**(-1) as from_poly(lift).with_factor(den)."""
+    lift = Poly2.monomial(max(0, -shift.a), max(0, -shift.b))
+    c = Scalar.wrap(alpha) * power_of_p(place.p, shift.m, -1)
+    den = lift - Poly2.monomial(max(0, shift.a), max(0, shift.b), c)
+    return RationalFunction2.from_poly(lift, place.p).with_factor(den)
+
+
+def _form(rf):
+    """Numerator key, scale, and each factor's key, terms in order and exponent."""
+    return repr((rf.num.key(), rf.scale, [(key, list(poly.terms.items()), poly.den, exp)
+                                          for key, (poly, exp) in rf.fac.items()]))
+
+
+@pytest.mark.parametrize("p", (2, 3, 4, 5, 9))
+def test_zeta_local_is_the_generic_with_factor_form(p):
+    place = PlaceData(p, 1)
+    for m in (0, 1, 2):
+        for a in range(-2, 3):
+            for b in range(-2, 3):
+                for alpha in (1, Fraction(3, 5), Fraction(5, 3), -2, Fraction(-1, 7), 0.6 + 0.8j):
+                    shift = Shift.of(m, a, b)
+                    if m == a == b == 0 and alpha == 1:
+                        with pytest.raises(ZeroDivisionError):
+                            zeta_local(place, shift, alpha)
+                        continue
+                    assert _form(zeta_local(place, shift, alpha)) == \
+                        _form(_generic_zeta_local(place, shift, alpha)), (p, m, a, b, alpha)
 
 
 def test_volumes():

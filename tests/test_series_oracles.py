@@ -168,18 +168,26 @@ def test_weighted_oracle_is_the_full_sum(counting, terms):
 
 @pytest.mark.parametrize("terms", [5, 100, None], ids=["5", "100", "default"])
 def test_rs_oracle_is_the_full_sum(counting, terms):
-    compared = early = 0
+    compared = early = refused = 0
     for name, pi in PARAMS.items():
         for name0 in PI0S:
             for p in PRIMES:
                 place = PlaceData(p, 1)
                 kwargs = _terms_kwargs(terms)
-                new = rs_local_oracle(pi, PARAMS[name0], place, **kwargs).to_complex()
-                compared += _assert_same(new, _full_rs(pi, PARAMS[name0], place, **kwargs),
-                                         (name, name0, p, terms))
+                full = _full_rs(pi, PARAMS[name0], place, **kwargs)
+                case = (name, name0, p, terms)
+                try:
+                    new = rs_local_oracle(pi, PARAMS[name0], place, **kwargs).to_complex()
+                except ValueError as exc:
+                    # a refused sum is a prefix of the full one, so that is not finite either
+                    assert "undecayed Hecke stream of pi0" in str(exc) and not _finite(full), case
+                    refused += 1
+                    continue
+                compared += _assert_same(new, full, case)
                 early += sum(counting.counts[-2:]) < 2 * kwargs.get("terms", 10_000)
     assert compared >= 80
     assert early or terms is not None
+    assert refused or terms is not None
 
 
 @pytest.mark.parametrize("terms", [5, 100, None], ids=["5", "100", "default"])

@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from rankinlab.exactalg import PoleError, RationalFunction2, rf_equal
+from rankinlab.exactalg import PoleError, Poly2, RationalFunction2, rf_equal
 from rankinlab.localdata import PlaceData, Shift, zeta_scalar
+from rankinlab.numerator import plain
 from rankinlab.scalars import Scalar
+from rankinlab.verify import PSI_GRID_PAIRS
 from rankinlab.whittaker import SatakeParams, rankin_selberg_self_l, satake_sum
 from rankinlab.zetaint import (BruhatPoint, correction_factor_rf, f_eval, ftilde_eval,
                                h_local, local_pole_factor, psi_closed, psi_oracle,
@@ -112,6 +114,20 @@ def test_rs_local_oracle_agreement():
         closed = rs_local_value(pi, pi0, place).to_complex()
         oracle = rs_local_oracle(pi, pi0, place, terms=10_000).to_complex()
         assert abs(closed - oracle) <= 1e-10 * max(1.0, abs(closed))
+
+
+def test_rs_local_oracle_refuses_an_overflowed_pi0_stream():
+    # pi0 non-tempered: its undecayed stream overflows at n = 9,329, where the
+    # decayed pi stream is subnormal, and inf * 5e-324 would make the sum NaN
+    pi0 = SatakeParams.unramified_unitary(Scalar.numeric(2 ** (7 / 64)))
+    pi = SatakeParams.unramified_unitary(Scalar.numeric(cmath.exp(0.7j)))
+    with pytest.raises(ValueError, match=r"the undecayed Hecke stream of pi0 \(alpha1 = \(1\.07"):
+        rs_local_oracle(pi, pi0, PLACE)
+    closed = rs_local_value(pi, pi0, PLACE).to_complex()
+    assert abs(closed - 2.8216) < 1e-4
+    # with the roles swapped the growing family is the decayed one
+    swapped = rs_local_oracle(pi0, pi, PLACE).to_complex()
+    assert abs(swapped - closed) <= 1e-10 * abs(closed)
 
 
 def test_reg_local_forms_agree_exactly():
@@ -284,6 +300,76 @@ def test_square_sum_refuses_a_square_root_satake_parameter():
         psi_oracle("i", PLACE, pi0)
 
 
+def _fraction_square_sum(pi0, place, a, b, cutoff=6):
+    """The Whittaker square sum as it was summed on Fraction (or complex)
+    values in X = p**(-1) T1**a T2**b, with X substituted once."""
+    p = place.p
+    m = max(3, cutoff)
+    a1, a2 = plain(pi0.alpha1), plain(pi0.alpha2)
+    t, delta = a1 + a2, a1 * a2
+    s_prev, s = 0, Fraction(1)
+    seq = []
+    for _ in range(m):
+        seq.append(s * s)
+        s_prev, s = s, t * s - delta * s_prev
+    e1 = t * t - delta
+    e2 = delta * t * t - delta * delta
+    e3 = delta ** 3
+    den = [Fraction(1), -e1, e2, -e3]
+    num = [0] * (m + 3)
+    for n, term in enumerate(seq):
+        for k, d in enumerate(den):
+            num[n + k] += term * d
+    num[m] += seq[m - 1] * e1 - seq[m - 2] * e2 + seq[m - 3] * e3
+    num[m + 1] += seq[m - 2] * e3 - seq[m - 1] * e2
+    num[m + 2] += seq[m - 1] * e3
+    for coeffs in (num, den):
+        while not coeffs[-1]:
+            coeffs.pop()
+
+    def at_x(coeffs):
+        top = len(coeffs) - 1
+        i0, j0 = max(0, -a) * top, max(0, -b) * top
+        return Poly2({(i0 + a * k, j0 + b * k): Scalar.wrap(c * Fraction(1, p ** k))
+                      for k, c in enumerate(coeffs) if c})
+
+    value = RationalFunction2.from_poly(at_x(num), p).with_factor(at_x(den))
+    shift = len(den) - len(num)
+    i, j = max(0, -a) * shift, max(0, -b) * shift
+    return value * RationalFunction2.monomial(i, j, 1, p) if i or j else value
+
+
+def _form(rf):
+    """What a RationalFunction2 holds, term order and zero signs included."""
+    factors = [(key, list(poly.terms.items()), poly.den, exp)
+               for key, (poly, exp) in rf.fac.items()]
+    scale = rf.scale
+    return repr((list(rf.num.terms.items()), rf.num.den, scale.a, scale.b, scale.z, factors))
+
+
+INTEGER_SUM_PI0 = (
+    *(SatakeParams.unramified_unitary(Scalar.exact(a1), Scalar.exact(a2))
+      for a1, a2 in PSI_GRID_PAIRS),
+    *EXACT_PI0,
+    *(SatakeParams.unramified_unitary(Scalar.numeric(z), Scalar.numeric(z.conjugate()))
+      for z in (0.6 + 0.8j, 0.28 + 0.96j)),
+    SatakeParams.unramified_unitary(Scalar.numeric(cmath.exp(0.3j))),
+    SatakeParams.unramified_unitary(Scalar.numeric(1.0 + 0j)),
+    # (-0-1j, -0+1j): a complex times 1 would flip some of these zero signs
+    SatakeParams.unramified_unitary(Scalar.numeric(-1j)),
+)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 9))
+def test_integer_square_sum_is_the_fraction_sum(p):
+    # rational parameters: the same rational function; complex ones: bit for bit
+    place = PlaceData(p, 1)
+    for pi0 in INTEGER_SUM_PI0:
+        for a, b in SIGNS:
+            got = _form(whittaker_square_sum(pi0, place, a, b))
+            assert got == _form(_fraction_square_sum(pi0, place, a, b)), (p, pi0, a, b)
+
+
 @pytest.mark.parametrize("r", (1, 2, 4))
 def test_kind_iv_oracle_builds_the_ftilde_pair_once_and_no_closed_form(r, monkeypatch):
     from rankinlab import zetaint
@@ -291,8 +377,7 @@ def test_kind_iv_oracle_builds_the_ftilde_pair_once_and_no_closed_form(r, monkey
     pair = zetaint._ftilde_pair
     monkeypatch.setattr(zetaint, "_ftilde_pair",
                         lambda place, val_c: calls.append(val_c) or pair(place, val_c))
-    for name in ("psi_closed", "local_pole_factor", "h_local", "rs_l_rf",
-                 "correction_factor_rf", "inv_binomial_rf"):
+    for name in ("psi_closed", "local_pole_factor", "h_local", "rs_l_rf", "correction_factor_rf"):
         monkeypatch.setattr(zetaint, name, lambda *args, _name=name: pytest.fail(_name))
     place = PlaceData(3, r)
     pi0 = SatakeParams.unramified_unitary(Scalar.exact(2), Scalar.exact(Fraction(1, 2)))
