@@ -15,16 +15,16 @@ import csv
 import json
 import math
 import sys
-from fractions import Fraction
 
 from .degenerate import GlobalZetaData, degenerate_limit
 from .exactalg import PoleError, power_of_p, rf_equal
 from .laurent import ls_from_rational
 from .localdata import IdealFactorization, PlaceData
 from .scalars import Scalar, format_scalar, parse_exact
-from .verify import DEFAULT_SEED, SUITES, run_suites, suite_residue_cancellation
+from .verify import (DEFAULT_SEED, SUITES, correction_expansion_holds, run_suites,
+                     suite_residue_cancellation)
 from .whittaker import SatakeParams
-from .zetaint import KINDS, correction_factor_rf, psi_closed, psi_oracle
+from .zetaint import KINDS, correction_factor_rf, correction_leading, psi_closed, psi_oracle
 
 USAGE_ERROR = 2
 VERIFY_ERROR = 1
@@ -63,10 +63,13 @@ def _flatten(obj, prefix: str = "") -> dict:
 
 
 def _parse_satake_entry(text: str) -> Scalar:
-    """Exact rational, decimal, or complex literal like ``0.6+0.8j``."""
+    """Exact rational, decimal, or complex literal like ``0.6+0.8j``; an entry
+    with a ``/`` is a fraction or an error."""
     try:
         return parse_exact(text)
     except ValueError:
+        if "/" in text:
+            raise
         return Scalar.numeric(complex(text.replace(" ", "")))
 
 
@@ -131,11 +134,12 @@ def _format_at(value: Scalar | None, text: str) -> str:
                          "sys.get_int_max_str_digits()") from None
 
 
-def _eval_or_pole(value, z: Scalar, w: Scalar, text: str) -> Scalar | None:
-    """The rational function at (z, w), or None at a pole.  A numeric
-    denominator that underflows to 0.0 there is a usage error."""
+def _eval_or_pole(value, t1: Scalar, t2: Scalar, text: str) -> Scalar | None:
+    """The rational function at T1 = t1, T2 = t2 (the point ``text``), or None
+    at a pole.  A numeric denominator that underflows to 0.0 there is a usage
+    error."""
     try:
-        return value.eval_zw(z, w)
+        return value.eval_t(t1, t2)
     except PoleError:
         return None
     except ZeroDivisionError:
@@ -143,13 +147,12 @@ def _eval_or_pole(value, z: Scalar, w: Scalar, text: str) -> Scalar | None:
                          "there underflows a double to 0.0") from None
 
 
-def _rounding_floor(value, z: Scalar, w: Scalar) -> float:
+def _rounding_floor(value, t1: Scalar, t2: Scalar) -> float:
     """Relative rounding error bound of the rational function ``value``
-    evaluated in doubles at (z, w): n * eps * kappa for the numerator and for
-    each denominator factor (counted with its exponent), where n is the
-    polynomial's number of terms and kappa its :meth:`Poly2.magnitude` over
-    the modulus of its value there."""
-    t1, t2 = power_of_p(value.p, z, -1), power_of_p(value.p, w, -1)
+    evaluated in doubles at T1 = t1, T2 = t2: n * eps * kappa for the
+    numerator and for each denominator factor (counted with its exponent),
+    where n is the polynomial's number of terms and kappa its
+    :meth:`Poly2.magnitude` over the modulus of its value there."""
     floor = 0.0
     for poly, exp in ((value.num, 1), *value.fac.values()):
         if poly.terms:
@@ -161,7 +164,10 @@ def _rounding_floor(value, z: Scalar, w: Scalar) -> float:
 
 def cmd_psi(args) -> int:
     place = PlaceData(args.p, args.r)
-    pi0 = parse_satake(args.pi0)
+    try:
+        pi0 = parse_satake(args.pi0)
+    except ValueError as exc:
+        raise ValueError(f"--pi0 {args.pi0!r}: {exc}") from None
     exact_mode = pi0.alpha1.is_exact and pi0.alpha2.is_exact
     kinds = KINDS if args.kind == "all" else (args.kind,)
     report = {
@@ -171,12 +177,13 @@ def cmd_psi(args) -> int:
     }
     z, w = parse_point(args.at)
     _check_point_size(args.p, z, w, args.at, exact_mode)
+    t1, t2 = power_of_p(args.p, z, -1), power_of_p(args.p, w, -1)
     all_match = True
     for kind in kinds:
         closed = psi_closed(kind, place, pi0)
         oracle = psi_oracle(kind, place, pi0, cutoff=args.cutoff)
-        cv = _eval_or_pole(closed.value, z, w, args.at)
-        ov = _eval_or_pole(oracle.value, z, w, args.at)
+        cv = _eval_or_pole(closed.value, t1, t2, args.at)
+        ov = _eval_or_pole(oracle.value, t1, t2, args.at)
         entry = {"closed_at": _format_at(cv, args.at), "oracle_at": _format_at(ov, args.at)}
         if exact_mode:
             # tolerance is ignored: the two rational functions must coincide
@@ -188,14 +195,20 @@ def cmd_psi(args) -> int:
             # relative only: an absolute floor would pass any two tiny values
             match = cv.close(ov, rel_tol=args.tolerance, abs_tol=0.0)
             # a verdict within rounding error of the doubles tested nothing
-            floor = (_rounding_floor(closed.value, z, w)
-                     + _rounding_floor(oracle.value, z, w))
+            floor = (_rounding_floor(closed.value, t1, t2)
+                     + _rounding_floor(oracle.value, t1, t2))
+            a, b = cv.to_complex(), ov.to_complex()
+            if not (cmath.isfinite(a) and cmath.isfinite(b) and math.isfinite(floor)):
+                raise ValueError(
+                    f"point {args.at!r}: kind {kind} is {a} (closed form) and {b} (oracle) "
+                    f"in doubles, with rounding floor {floor:.3g}: the Satake magnitudes of "
+                    f"--pi0 {args.pi0!r} overflow a double there; exact Satake parameters "
+                    "certify it")
             if not floor < args.tolerance:
                 raise ValueError(
                     f"point {args.at!r}: the rounding floor {floor:.3g} of kind {kind} in "
                     f"doubles reaches the tolerance {args.tolerance:g}, so the numeric "
                     "verdict certifies nothing there; exact Satake parameters certify it")
-            a, b = cv.to_complex(), ov.to_complex()
             entry["precision_floor"] = floor
             entry["margin"] = abs(a - b) / (args.tolerance * max(abs(a), abs(b)))
         all_match &= match
@@ -203,15 +216,15 @@ def cmd_psi(args) -> int:
         report[f"kind_{kind}"] = entry
     if args.expand:
         series = ls_from_rational(correction_factor_rf(place), args.depth, log_p="lambda")
-        lead = series.coeff(2, 1)
-        expect = Scalar.exact(8 * Fraction(args.p, args.p - 1) ** 3 / args.p ** (args.r + 1))
+        leads = correction_expansion_holds(series, place)
         report["correction_expansion"] = {
-            "lam3_coefficient_z2w": format_scalar(lead.coeff(3)),
+            "lam3_coefficient_z2w": format_scalar(series.coeff(2, 1).coeff(3)),
             "lam3_coefficient_zw2": format_scalar(series.coeff(1, 2).coeff(3)),
-            "expected": format_scalar(expect),
-            "leading_matches": lead.coeff(3) == expect,
+            "expected": format_scalar(Scalar.exact(correction_leading(place))),
+            "leading_matches": leads,
             "vanishing_order": min((i + j for i, j in series.num), default=-1),
         }
+        all_match &= leads
     emit(report, args.format)
     return 0 if all_match else VERIFY_ERROR
 
@@ -231,7 +244,13 @@ def cmd_degenerate(args) -> int:
                             for which, value in enumerate(rep.h_origin, 1)},
     }
     emit(report, args.format)
-    return 0 if rep.c3_residual <= args.tolerance else VERIFY_ERROR
+    failed = [(name, value) for name, value in (("c3_residual", rep.c3_residual),
+                                                ("lambda_excess", rep.lambda_excess))
+              if not value <= args.tolerance]
+    for name, value in failed:
+        print(f"[FAIL] {name} = {value:.3g} exceeds the tolerance {args.tolerance:g}",
+              file=sys.stderr)
+    return VERIFY_ERROR if failed else 0
 
 
 def cmd_verify(args) -> int:
@@ -248,12 +267,7 @@ def cmd_verify(args) -> int:
               file=sys.stderr)
         return 0 if detected else VERIFY_ERROR
     names = [args.suite] if args.suite else None
-    try:
-        results = run_suites(names, fuzz=500 if args.fuzz is None else args.fuzz,
-                             seed=args.seed)
-    except KeyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    results = run_suites(names, fuzz=500 if args.fuzz is None else args.fuzz, seed=args.seed)
     # runtimes go to stderr only; the JSON report stays deterministic per seed
     report = {"command": "verify", "seed": args.seed,
               "suites": {key: {"passed": res.passed, "correct": res.correct,
@@ -296,7 +310,8 @@ def tolerance(text: str) -> float:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv", "pretty"), default="json")
-    common.add_argument("--seed", type=int, default=DEFAULT_SEED,
+    seeded = argparse.ArgumentParser(add_help=False, parents=[common])
+    seeded.add_argument("--seed", type=int, default=DEFAULT_SEED,
                         help="seed for the randomized suites (embedded in reports)")
     parser = argparse.ArgumentParser(
         prog="rankin-local-lab",
@@ -305,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_psi = sub.add_parser("psi", parents=[common],
+    p_psi = sub.add_parser("psi", parents=[seeded],
                            help="local zeta integrals: closed form vs oracle")
     p_psi.add_argument("--kind", choices=KINDS + ("all",), default="all")
     p_psi.add_argument("--p", type=int, required=True, help="residue cardinality")
@@ -327,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_deg.add_argument("--tolerance", type=tolerance, default=1e-10)
     p_deg.set_defaults(func=cmd_degenerate)
 
-    p_ver = sub.add_parser("verify", parents=[common], help="run the acceptance suites")
+    p_ver = sub.add_parser("verify", parents=[seeded], help="run the acceptance suites")
     p_ver.add_argument("--suite", choices=sorted(SUITES), default=None)
     p_ver.add_argument("--fuzz", type=positive_int, default=None,
                        help="random draws to certify (default 500; 50 with --break-symmetry)")

@@ -53,16 +53,11 @@ class GlobalZetaData:
 
     def validate(self, rel_tol: float = 1e-9) -> None:
         expected = self.xi_residue * self.adjoint_l_value
-        if expected.is_exact and self.lambda_residue.is_exact:
-            if expected != self.lambda_residue:
-                raise ValueError(
-                    f"residue factorization failed: {self.lambda_residue} != "
-                    f"xi_residue*adjoint = {expected}"
-                )
-        elif not self.lambda_residue.close(expected, rel_tol=rel_tol):
+        if not self.lambda_residue.close(expected, rel_tol=rel_tol):
             raise ValueError(
-                f"residue factorization failed beyond tolerance {rel_tol}: "
-                f"{self.lambda_residue.to_complex()} vs {expected.to_complex()}"
+                f"residue factorization failed: {self.lambda_residue} != "
+                f"xi_residue*adjoint = {expected} (relative tolerance {rel_tol} "
+                "for numeric values)"
             )
         for name, value in (("xi_at_2", self.xi_at_2), ("xi_residue", self.xi_residue)):
             v = value.to_complex()

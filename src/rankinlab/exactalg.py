@@ -573,8 +573,6 @@ class RationalFunction2:
     __radd__ = __add__
 
     def __sub__(self, other) -> "RationalFunction2":
-        if isinstance(other, (int, Fraction, Scalar)):
-            other = RationalFunction2.const(other, self.p)
         return self + (-other)
 
     def __pow__(self, n: int) -> "RationalFunction2":

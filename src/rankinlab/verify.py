@@ -29,8 +29,9 @@ from .localdata import IdealFactorization, PlaceData, inv_volume_Kq, omega, volu
 from .scalars import Scalar
 from .specweight import jq_lower, local_weight_lower, plancherel_mass
 from .whittaker import SatakeParams, weighted_integral_closed, weighted_integral_oracle
-from .zetaint import (correction_factor_rf, psi_closed, psi_oracle, reg_local_bound,
-                      reg_local_closed, reg_local_closed_s_form, reg_local_oracle)
+from .zetaint import (KINDS, correction_factor_rf, correction_leading, psi_closed, psi_oracle,
+                      reg_local_bound, reg_local_closed, reg_local_closed_s_form,
+                      reg_local_oracle)
 
 DEFAULT_SEED = 20260809
 
@@ -128,7 +129,7 @@ def suite_psi_grid():
             place = PlaceData(p, r)
             for a1, a2 in PSI_GRID_PAIRS:
                 pi0 = SatakeParams.unramified_unitary(Scalar.exact(a1), Scalar.exact(a2))
-                for kind in ("i", "ii", "iii", "iv"):
+                for kind in KINDS:
                     points += 1
                     if not rf_equal(psi_closed(kind, place, pi0).value,
                                     psi_oracle(kind, place, pi0).value):
@@ -138,6 +139,18 @@ def suite_psi_grid():
     }
 
 
+def correction_expansion_holds(series, place: PlaceData) -> bool:
+    """Whether ``series``, the lam-symbolic expansion of the fourth integral's
+    excess factor at ``place``, is 8 z w (z+w) zeta(1)**3 lam**3 / p**(r+1)
+    plus higher order, exactly: no pole, no monomial below total degree 3,
+    and z**2 w and z w**2 (8 z w (z+w) = 8 z^2 w + 8 z w^2) each carry
+    exactly :func:`correction_leading` lam**3."""
+    expect = Scalar.exact(correction_leading(place))
+    lead_ok = all(lp.coeff(3) == expect and lp.degree() == 3
+                  for lp in (series.coeff(2, 1), series.coeff(1, 2)))
+    return lead_ok and all(i + j >= 3 for i, j in series.num) and not any(series.poles)
+
+
 @_timed
 def suite_psi_correction():
     """Leading behaviour of the fourth integral's excess factor, lam-symbolic."""
@@ -145,15 +158,7 @@ def suite_psi_correction():
     for p, r in ((2, 1), (2, 3), (3, 1), (3, 2), (5, 3), (9, 2)):
         place = PlaceData(p, r)
         series = ls_from_rational(correction_factor_rf(place), 8, log_p="lambda")
-        expect = Scalar.exact(8 * Fraction(p, p - 1) ** 3 / p ** (r + 1))
-        lead_ok = True
-        # 8 z w (z+w) = 8 z^2 w + 8 z w^2: both monomials carry expect * lam^3
-        for mono in ((2, 1), (1, 2)):
-            lp = series.coeff(*mono)
-            lead_ok &= lp.coeff(3) == expect and lp.degree() == 3
-        low = [m for m in series.num if m[0] + m[1] < 3]
-        vanish_ok = not low and all(e == 0 for e in series.poles)
-        if not (lead_ok and vanish_ok):
+        if not correction_expansion_holds(series, place):
             failures.append((p, r))
     return "psi-correction", not failures, {
         "cases": 6, "failures": failures,
@@ -343,7 +348,7 @@ def suite_cross_backend(seed: int = DEFAULT_SEED):
         place = PlaceData(p, r)
         pi_e = SatakeParams.unramified_unitary(Scalar.exact(a))
         pi_n = SatakeParams.unramified_unitary(Scalar.numeric(complex(float(a))))
-        kind = rng.choice(("i", "ii", "iii", "iv"))
+        kind = rng.choice(KINDS)
         rf_e = psi_closed(kind, place, pi_e).value
         rf_n = psi_closed(kind, place, pi_n).value
         track(rf_e.eval_zw(Scalar.exact(0), Scalar.exact(0)),

@@ -46,10 +46,7 @@ class SatakeParams:
         a1 = Scalar.wrap(alpha1)
         a2 = a1.inverse() if alpha2 is None else Scalar.wrap(alpha2)
         prod = a1 * a2
-        if prod.is_exact:
-            if prod != SC_ONE:
-                raise ValueError(f"alpha1*alpha2 = {prod}, expected 1")
-        elif not prod.close(SC_ONE, rel_tol=1e-9):
+        if not prod.close(SC_ONE, rel_tol=1e-9):
             raise ValueError(f"alpha1*alpha2 = {prod}, expected 1")
         return cls(a1, a2, False, theta)
 
@@ -76,17 +73,14 @@ class SatakeParams:
 
 
 def satake_sum(params: SatakeParams, n: int) -> Scalar:
-    """S(n) = (alpha1**n - alpha2**n)/(alpha1 - alpha2).
+    """S(n) = (alpha1**n - alpha2**n)/(alpha1 - alpha2), and n alpha**(n-1)
+    when alpha1 == alpha2.
 
-    Defined for all integers n; negative n uses the algebraic continuation
-    S(-n) = -S(n)/(alpha1*alpha2)**n, which requires alpha2 != 0.
+    Both formulas hold for every integer n: for n < 0 they give the algebraic
+    continuation S(-n) = -S(n)/(alpha1*alpha2)**n, and a zero parameter
+    (alpha2 = 0, the ramified case) raises ZeroDivisionError there.
     """
     a1, a2 = params.alpha1, params.alpha2
-    if n < 0:
-        delta = a1 * a2
-        if delta.is_zero():
-            raise ZeroDivisionError("S(n) with n < 0 needs nonzero alpha2")
-        return -satake_sum(params, -n) / delta ** (-n)
     if n == 0:
         return SC_ZERO
     if params.confluent():

@@ -1,10 +1,12 @@
 """Local zeta integrals on Bruhat coordinates at places dividing the ideal.
 
 Everything here is a rational function in T1 = p**(-z), T2 = p**(-w) (z and w
-are the two spectral parameters).  ``psi_closed`` returns the closed forms of
-the four integrals pairing the principal-series vector ``f`` and its
-intertwined partner ``ftilde`` against the square of the unramified Whittaker
-vector; every local factor in them, the Rankin-Selberg ones included, is a
+are the two spectral parameters).  ``psi_closed`` returns the closed forms
+G_v(sign_z z, sign_w w) h_v of the four integrals pairing the principal-series
+vector ``f`` (sign +1) or its intertwined partner ``ftilde`` (sign -1) at
+each parameter against the square of the unramified Whittaker vector; the
+table :data:`KIND_SIGNS` maps each kind to its (sign_z, sign_w).  Every local
+factor in them, the Rankin-Selberg ones included, is a
 :func:`rankinlab.localdata.zeta_local`.  ``psi_oracle`` recomputes them by
 exact summation over valuation strata of the Bruhat coordinates (the
 c-integrand is constant on each shell ``val(c) = -j`` of measure
@@ -29,7 +31,11 @@ from .numerator import plain
 from .scalars import SC_ONE, Scalar, ScalarLike
 from .whittaker import SatakeParams, hecke_stream, l_factor_product, satake_sum
 
-KINDS = ("i", "ii", "iii", "iv")
+KIND_SIGNS = {"i": (1, 1), "ii": (-1, 1), "iii": (1, -1), "iv": (-1, -1)}
+KINDS = tuple(KIND_SIGNS)
+
+HALF_Z = Shift.of(Fraction(1, 2), 1, 0)  # the section parameters 1/2 + z
+HALF_W = Shift.of(Fraction(1, 2), 0, 1)  # and 1/2 + w
 
 
 @dataclass(frozen=True)
@@ -140,23 +146,29 @@ def correction_factor_rf(place: PlaceData) -> RationalFunction2:
     return out / zeta_local(place, Shift.of(0, 2, 2))
 
 
+def correction_leading(place: PlaceData) -> Fraction:
+    """The lam**3 coefficient of z**2 w and of z w**2 in the expansion of
+    :func:`correction_factor_rf` (lam = log p): 8 zeta(1)**3 / p**(r+1), with
+    zeta(1) = p/(p-1)."""
+    return 8 * Fraction(place.p, place.p - 1) ** 3 / place.p ** (place.r + 1)
+
+
+def _kind_signs(kind: str) -> tuple[int, int]:
+    if kind not in KIND_SIGNS:
+        raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
+    return KIND_SIGNS[kind]
+
+
 def psi_closed(kind: str, place: PlaceData, pi0: SatakeParams) -> LocalZetaResult:
     """Closed form of the four local zeta integrals at a place dividing the ideal."""
     if place.r < 1:
         raise ValueError("psi is computed at places dividing the ideal (r >= 1)")
     if pi0.ramified:
         raise ValueError("the fixed representation must be unramified")
-    if kind == "i":
-        value = local_pole_factor(place, pi0, 1, 1) * h_local(1, place)
-    elif kind == "ii":
-        value = local_pole_factor(place, pi0, -1, 1) * h_local(2, place)
-    elif kind == "iii":
-        value = local_pole_factor(place, pi0, 1, -1) * h_local(3, place)
-    elif kind == "iv":
-        base = local_pole_factor(place, pi0, -1, -1) * h_local(4, place)
-        value = base * (RationalFunction2.const(1, place.p) - correction_factor_rf(place))
-    else:
-        raise ValueError(f"kind must be one of {KINDS}")
+    sz, sw = _kind_signs(kind)
+    value = local_pole_factor(place, pi0, sz, sw) * h_local(KINDS.index(kind) + 1, place)
+    if kind == "iv":
+        value = value * (RationalFunction2.const(1, place.p) - correction_factor_rf(place))
     return LocalZetaResult(value, "closed-form")
 
 
@@ -235,10 +247,8 @@ def _at_y(coeffs: list, a: int, b: int, y_den: int) -> Poly2:
 def _ftilde_pair(place: PlaceData, val_c: int | None) -> RationalFunction2:
     """conj(ftilde_{1/2+s1}) * ftilde_{1/2+s2} at y = 1 and the given c-valuation
     (z stands for conj(s1), w for s2)."""
-    s1 = Shift.of(Fraction(1, 2), 1, 0)
-    s2 = Shift.of(Fraction(1, 2), 0, 1)
     pt = BruhatPoint(0, val_c)
-    return ftilde_eval(place, pt, s1) * ftilde_eval(place, pt, s2)
+    return ftilde_eval(place, pt, HALF_Z) * ftilde_eval(place, pt, HALF_W)
 
 
 def psi_oracle(kind: str, place: PlaceData, pi0: SatakeParams,
@@ -256,53 +266,37 @@ def psi_oracle(kind: str, place: PlaceData, pi0: SatakeParams,
         raise ValueError("the fixed representation must be unramified")
     if place.r < 1:
         raise ValueError("psi is computed at places dividing the ideal (r >= 1)")
+    sz, sw = _kind_signs(kind)
     p, r = place.p, place.r
-    one = RationalFunction2.const(1, p)
-    s1 = Shift.of(Fraction(1, 2), 1, 0)
-    s2 = Shift.of(Fraction(1, 2), 0, 1)
-    origin = BruhatPoint(0, 0)
-
-    if kind == "i":
-        pref = RationalFunction2.monomial(-r, -r, 1, p)  # |X|**(z+w)
-        c_val = f_eval(place, origin, s1) * f_eval(place, origin, s2)
-        value = pref * c_val * whittaker_square_sum(pi0, place, 1, 1, cutoff)
-    elif kind == "ii":
-        pref = RationalFunction2.monomial(r, -r, 1, p)  # |X|**(-z+w)
-        c_val = ftilde_eval(place, origin, s1) * f_eval(place, origin, s2)
-        value = pref * c_val * whittaker_square_sum(pi0, place, -1, 1, cutoff)
-    elif kind == "iii":
-        pref = RationalFunction2.monomial(-r, r, 1, p)  # |X|**(z-w)
-        c_val = f_eval(place, origin, s1) * ftilde_eval(place, origin, s2)
-        value = pref * c_val * whittaker_square_sum(pi0, place, 1, -1, cutoff)
-    elif kind == "iv":
-        pref = RationalFunction2.monomial(r, r, 1, p)  # |X|**(-z-w)
-        y_inner = whittaker_square_sum(pi0, place, -1, -1, cutoff)
-        # shells val(c) = -j: the ftilde pair carries |c|**(2z+2w-2), so it is
-        # the pair at j = 1 times p**(-2(j-1)) (T1 T2)**(-2(j-1)); shells
-        # -1 >= val(c) >= -r (the K-invariance range) sum to that pair times
-        # sum_j (1-1/p) p**j p**(-2(j-1)) (T1 T2)**(-2(j-1)), put over (T1 T2)**(2r-2)
-        pair = _ftilde_pair(place, -1)
-        shells = Poly2({(2 * (r - j), 2 * (r - j)): Fraction((p - 1) * p ** j, p ** (2 * j - 1))
-                        for j in range(1, r + 1)})
-        shells_rf = RationalFunction2.from_poly(shells, p).with_factor(
-            Poly2.monomial(2 * r - 2, 2 * r - 2))
-        # c integral over the integers, then the shells
-        total_c = _ftilde_pair(place, 0) + pair * shells_rf
-        value = pref * total_c * y_inner
-        # shells val(c) = -j for j > r: the Whittaker argument is rescaled by
-        # (c/X)**(-2), contributing |c/X|**(-2(z+w)).  Against the ftilde pair
-        # |c|**(2z+2w-2) and the shell measure p**j (1-1/p) the j-dependence
-        # cancels to p**(-j), so the geometric tail is the exact scalar
-        # p**(-(r+1)).
-        pair_shape = pair * RationalFunction2.monomial(
-            2, 2, p * p, p
-        )  # divide out |c|**(2z+2w-2) at j=1 -> the j-free ftilde prefactor
-        xr = RationalFunction2.monomial(-2 * r, -2 * r, 1, p)  # j-free |c/X| part
-        outer = pair_shape * Scalar.exact(Fraction(1, p ** (r + 1))) * xr * y_inner
-        value = value + pref * outer
-    else:
-        raise ValueError(f"kind must be one of {KINDS}")
-    return LocalZetaResult(value, "oracle")
+    pref = RationalFunction2.monomial(-sz * r, -sw * r, 1, p)  # |X|**(sz z + sw w)
+    y_inner = whittaker_square_sum(pi0, place, sz, sw, cutoff)
+    if kind != "iv":
+        # c integral: f at a sign +1, ftilde at a sign -1, over the integers
+        origin = BruhatPoint(0, 0)
+        c_val = ((f_eval if sz > 0 else ftilde_eval)(place, origin, HALF_Z)
+                 * (f_eval if sw > 0 else ftilde_eval)(place, origin, HALF_W))
+        return LocalZetaResult(pref * c_val * y_inner, "oracle")
+    # shells val(c) = -j: the ftilde pair carries |c|**(2z+2w-2), so it is
+    # the pair at j = 1 times p**(-2(j-1)) (T1 T2)**(-2(j-1)); shells
+    # -1 >= val(c) >= -r (the K-invariance range) sum to that pair times
+    # sum_j (1-1/p) p**j p**(-2(j-1)) (T1 T2)**(-2(j-1)), put over (T1 T2)**(2r-2)
+    pair = _ftilde_pair(place, -1)
+    shells = Poly2({(2 * (r - j), 2 * (r - j)): Fraction((p - 1) * p ** j, p ** (2 * j - 1))
+                    for j in range(1, r + 1)})
+    shells_rf = RationalFunction2.from_poly(shells, p).with_factor(
+        Poly2.monomial(2 * r - 2, 2 * r - 2))
+    # c integral over the integers, then the shells
+    total_c = _ftilde_pair(place, 0) + pair * shells_rf
+    # shells val(c) = -j for j > r: the Whittaker argument is rescaled by
+    # (c/X)**(-2), contributing |c/X|**(-2(z+w)).  Against the ftilde pair
+    # |c|**(2z+2w-2) and the shell measure p**j (1-1/p) the j-dependence
+    # cancels to p**(-j), so the geometric tail is the exact scalar
+    # p**(-(r+1)).
+    # divide out |c|**(2z+2w-2) at j=1 -> the j-free ftilde prefactor
+    pair_shape = pair * RationalFunction2.monomial(2, 2, p * p, p)
+    xr = RationalFunction2.monomial(-2 * r, -2 * r, 1, p)  # j-free |c/X| part
+    outer = pair_shape * Scalar.exact(Fraction(1, p ** (r + 1))) * xr * y_inner
+    return LocalZetaResult(pref * total_c * y_inner + pref * outer, "oracle")
 
 
 # -- Rankin-Selberg value at the centre ---------------------------------------

@@ -1,10 +1,13 @@
+import dataclasses
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from rankinlab import cli, degenerate, verify
 from rankinlab.cli import canonical_json, main
+from rankinlab.exactalg import RationalFunction2
 from rankinlab.scalars import Scalar
 
 GOLDEN_PSI = Path(__file__).parent / "data" / "psi_golden.jsonl"
@@ -42,6 +45,19 @@ def test_psi_expand(capsys):
     assert report["correction_expansion"]["vanishing_order"] == 3
 
 
+def test_psi_expand_exit_code_judges_the_expansion(capsys, monkeypatch):
+    # a factor off by 1 + T1 T2 / 2 changes the lam**3 coefficient of z**2 w
+    # and z w**2 and leaves the closed form and the oracle matching
+    perturbed = cli.correction_factor_rf
+    monkeypatch.setattr(cli, "correction_factor_rf", lambda place: perturbed(place) * (
+        RationalFunction2.const(1, place.p) + RationalFunction2.monomial(1, 1, Fraction(1, 2),
+                                                                        place.p)))
+    assert main(["psi", "--kind", "iv", "--p", "3", "--r", "2", "--expand"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["kind_iv"]["verdict"] == "MATCH"
+    assert report["correction_expansion"]["leading_matches"] is False
+
+
 def test_psi_invalid_kind_usage_error():
     with pytest.raises(SystemExit) as err:
         main(["psi", "--kind", "v", "--p", "2", "--r", "1"])
@@ -50,6 +66,17 @@ def test_psi_invalid_kind_usage_error():
 
 def test_psi_bad_satake_is_usage_error():
     assert main(["psi", "--kind", "i", "--p", "2", "--r", "1", "--pi0", "2,3"]) == 2
+
+
+def test_pi0_with_a_zero_denominator_is_a_usage_error_naming_pi0(capsys):
+    assert main(["psi", "--p", "2", "--r", "1", "--pi0", "1/0,1"]) == 2
+    assert capsys.readouterr().err == "error: --pi0 '1/0,1': zero denominator in '1/0'\n"
+
+
+def test_pi0_overflowing_a_double_is_a_usage_error_naming_pi0(capsys):
+    assert main(["psi", "--p", "2", "--r", "1", "--pi0", "1e308,1e-308"]) == 2
+    err = capsys.readouterr().err
+    assert "Satake magnitudes of --pi0 '1e308,1e-308' overflow a double" in err
 
 
 def test_psi_zero_denominator_is_usage_error(capsys):
@@ -272,6 +299,36 @@ def test_tolerance_must_be_finite_and_nonnegative(command, tolerance, capsys):
         main([*command, "--tolerance", tolerance])
     assert err.value.code == 2
     assert "--tolerance" in capsys.readouterr().err
+
+
+def test_degenerate_names_a_residual_over_the_tolerance(capsys):
+    # c3_residual is 2.2e-16 here; stdout stays the report of a passing run
+    argv = ["degenerate", "--q", "2^1*3^1", "--data", str(RATIONAL_FIELD)]
+    assert main(argv) == 0
+    passing = capsys.readouterr()
+    assert passing.err == ""
+    assert main([*argv, "--tolerance", "1e-16"]) == 1
+    failing = capsys.readouterr()
+    assert failing.out == passing.out
+    assert failing.err == "[FAIL] c3_residual = 2.22e-16 exceeds the tolerance 1e-16\n"
+
+
+def test_degenerate_judges_lambda_excess(capsys, monkeypatch):
+    limit = cli.degenerate_limit
+    monkeypatch.setattr(cli, "degenerate_limit", lambda *args, **kwargs: dataclasses.replace(
+        limit(*args, **kwargs), lambda_excess=1.0))
+    assert main(["degenerate", "--q", "2^1*3^1", "--data", str(RATIONAL_FIELD)]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["lambda_excess"] == 1.0
+    assert captured.err == "[FAIL] lambda_excess = 1 exceeds the tolerance 1e-10\n"
+
+
+def test_degenerate_takes_no_seed(capsys):
+    # the limit draws nothing at random, and its report has no seed to echo
+    with pytest.raises(SystemExit) as err:
+        main(["degenerate", "--q", "2", "--data", str(RATIONAL_FIELD), "--seed", "1"])
+    assert err.value.code == 2
+    assert "--seed" in capsys.readouterr().err
 
 
 def test_zero_tolerance_is_a_tolerance(capsys):

@@ -69,10 +69,12 @@ def test_hecke_stream_is_whittaker_value(params, p):
 
 
 def test_negative_index_satake_continuation():
-    pi = unitary(Fraction(5, 3))
-    delta = pi.alpha1 * pi.alpha2
-    for n in (1, 2, 3):
-        assert satake_sum(pi, -n) == -satake_sum(pi, n) / delta ** n
+    # the confluent pair 1,1 takes n alpha**(n-1) at negative n too
+    for pi in (unitary(Fraction(5, 3)), unitary(1)):
+        delta = pi.alpha1 * pi.alpha2
+        for n in (1, 2, 3):
+            assert satake_sum(pi, -n) == -satake_sum(pi, n) / delta ** n
+    assert satake_sum(unitary(1), -3) == Scalar.exact(-3)
     ram = SatakeParams.make_ramified(Scalar.exact(2))
     with pytest.raises(ZeroDivisionError):
         satake_sum(ram, -1)

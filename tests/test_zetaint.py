@@ -47,6 +47,12 @@ def test_ftilde_branches():
     assert rf_equal(v2, v1 * factor)
 
 
+@pytest.mark.parametrize("psi", [psi_closed, psi_oracle])
+def test_psi_refuses_an_unknown_kind_naming_the_kinds(psi):
+    with pytest.raises(ValueError, match=r"one of \('i', 'ii', 'iii', 'iv'\), got 'v'"):
+        psi("v", PLACE, PI0_11)
+
+
 def test_psi_values_at_origin():
     # the first integral at the origin is L(1, pi0 x conj pi0)/zeta(2) = 12
     val = psi_closed("i", PLACE, PI0_11).value.eval_zw(0, 0)
