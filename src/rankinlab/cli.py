@@ -36,8 +36,8 @@ def canonical_json(obj) -> str:
                       allow_nan=False) + "\n"
 
 
-def emit(report: dict, fmt: str, out=None) -> None:
-    out = out or sys.stdout
+def emit(report: dict, fmt: str) -> None:
+    out = sys.stdout
     if fmt == "json":
         out.write(canonical_json(report))
     elif fmt == "csv":
@@ -74,15 +74,12 @@ def _parse_satake_entry(text: str) -> Scalar:
 
 
 def parse_satake(text: str) -> SatakeParams:
-    """``a,b`` (with a*b = 1; rational means exact mode) or ``ramified:a``."""
-    text = text.strip()
-    if text.startswith("ramified:"):
-        return SatakeParams.make_ramified(_parse_satake_entry(text.split(":", 1)[1]))
-    parts = text.split(",")
+    """``a,b`` (with a*b = 1; rational means exact mode) or ``a`` for ``a,1/a``."""
+    parts = text.strip().split(",")
     if len(parts) == 1:
         return SatakeParams.unramified_unitary(_parse_satake_entry(parts[0]))
     if len(parts) != 2:
-        raise ValueError(f"expected 'a,b' or 'ramified:a', got {text!r}")
+        raise ValueError(f"expected 'a,b' or 'a', got {text!r}")
     return SatakeParams.unramified_unitary(_parse_satake_entry(parts[0]),
                                            _parse_satake_entry(parts[1]))
 
@@ -136,8 +133,8 @@ def _format_at(value: Scalar | None, text: str) -> str:
 
 def _eval_or_pole(value, t1: Scalar, t2: Scalar, text: str) -> Scalar | None:
     """The rational function at T1 = t1, T2 = t2 (the point ``text``), or None
-    at a pole.  A numeric denominator that underflows to 0.0 there is a usage
-    error."""
+    at a pole.  A numeric denominator that underflows to 0.0 there, or a value
+    that overflows a double, is a usage error."""
     try:
         return value.eval_t(t1, t2)
     except PoleError:
@@ -145,19 +142,26 @@ def _eval_or_pole(value, t1: Scalar, t2: Scalar, text: str) -> Scalar | None:
     except ZeroDivisionError:
         raise ValueError(f"point {text!r} is too large: the denominator of psi "
                          "there underflows a double to 0.0") from None
+    except OverflowError:
+        raise ValueError(f"point {text!r} is too large: psi there overflows a double") from None
 
 
-def _rounding_floor(value, t1: Scalar, t2: Scalar) -> float:
+def _rounding_floor(value, t1: Scalar, t2: Scalar, text: str) -> float:
     """Relative rounding error bound of the rational function ``value``
     evaluated in doubles at T1 = t1, T2 = t2: n * eps * kappa for the
     numerator and for each denominator factor (counted with its exponent),
     where n is the polynomial's number of terms and kappa its
-    :meth:`Poly2.magnitude` over the modulus of its value there."""
+    :meth:`Poly2.magnitude` over the modulus of its value there.  A magnitude
+    that overflows a double at the point ``text`` is a usage error."""
     floor = 0.0
     for poly, exp in ((value.num, 1), *value.fac.values()):
         if poly.terms:
             size = abs(poly.eval(t1, t2).to_complex())
-            kappa = poly.magnitude(t1, t2) / size if size else math.inf
+            try:
+                kappa = poly.magnitude(t1, t2) / size if size else math.inf
+            except OverflowError:
+                raise ValueError(f"point {text!r} is too large: the rounding floor of psi "
+                                 "there overflows a double") from None
             floor += exp * len(poly.terms) * sys.float_info.epsilon * kappa
     return floor
 
@@ -181,7 +185,7 @@ def cmd_psi(args) -> int:
     all_match = True
     for kind in kinds:
         closed = psi_closed(kind, place, pi0)
-        oracle = psi_oracle(kind, place, pi0, cutoff=args.cutoff)
+        oracle = psi_oracle(kind, place, pi0)
         cv = _eval_or_pole(closed.value, t1, t2, args.at)
         ov = _eval_or_pole(oracle.value, t1, t2, args.at)
         entry = {"closed_at": _format_at(cv, args.at), "oracle_at": _format_at(ov, args.at)}
@@ -195,8 +199,8 @@ def cmd_psi(args) -> int:
             # relative only: an absolute floor would pass any two tiny values
             match = cv.close(ov, rel_tol=args.tolerance, abs_tol=0.0)
             # a verdict within rounding error of the doubles tested nothing
-            floor = (_rounding_floor(closed.value, t1, t2)
-                     + _rounding_floor(oracle.value, t1, t2))
+            floor = (_rounding_floor(closed.value, t1, t2, args.at)
+                     + _rounding_floor(oracle.value, t1, t2, args.at))
             a, b = cv.to_complex(), ov.to_complex()
             if not (cmath.isfinite(a) and cmath.isfinite(b) and math.isfinite(floor)):
                 raise ValueError(
@@ -204,6 +208,9 @@ def cmd_psi(args) -> int:
                     f"in doubles, with rounding floor {floor:.3g}: the Satake magnitudes of "
                     f"--pi0 {args.pi0!r} overflow a double there; exact Satake parameters "
                     "certify it")
+            if not (a or b):
+                raise ValueError(f"point {args.at!r} is too large: kind {kind} of psi there "
+                                 "underflows a double to 0.0 in both forms")
             if not floor < args.tolerance:
                 raise ValueError(
                     f"point {args.at!r}: the rounding floor {floor:.3g} of kind {kind} in "
@@ -215,7 +222,7 @@ def cmd_psi(args) -> int:
         entry["verdict"] = "MATCH" if match else "MISMATCH"
         report[f"kind_{kind}"] = entry
     if args.expand:
-        series = ls_from_rational(correction_factor_rf(place), args.depth, log_p="lambda")
+        series = ls_from_rational(correction_factor_rf(place), log_p="lambda")
         leads = correction_expansion_holds(series, place)
         report["correction_expansion"] = {
             "lam3_coefficient_z2w": format_scalar(series.coeff(2, 1).coeff(3)),
@@ -325,12 +332,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_psi.add_argument("--kind", choices=KINDS + ("all",), default="all")
     p_psi.add_argument("--p", type=int, required=True, help="residue cardinality")
     p_psi.add_argument("--r", type=int, required=True, help="ideal exponent at the place")
-    p_psi.add_argument("--pi0", default="1,1", help="Satake pair 'a,b' (a*b = 1)")
+    p_psi.add_argument("--pi0", default="1,1",
+                       help="Satake pair 'a,b' (a*b = 1), or 'a' for 'a,1/a'")
     p_psi.add_argument("--at", default="0,0", help="evaluation point 'z,w'")
-    p_psi.add_argument("--cutoff", type=int, default=6)
     p_psi.add_argument("--tolerance", type=tolerance, default=1e-10,
                        help="numeric-mode comparison tolerance (ignored in exact mode)")
-    p_psi.add_argument("--depth", type=int, default=8)
     p_psi.add_argument("--expand", action="store_true",
                        help="also expand the fourth integral's correction factor")
     p_psi.set_defaults(func=cmd_psi)

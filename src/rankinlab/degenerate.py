@@ -25,7 +25,7 @@ from pathlib import Path
 from .laurent import DEFAULT_DEPTH, CubicPolynomial, LambdaPoly, LaurentSeries2, ls_inverse_regular
 from .localdata import IdealFactorization, PlaceData, omega, zeta_q_scalar, zeta_scalar
 from .numerator import plain
-from .scalars import SC_ZERO, Scalar, _binary_power, parse_exact
+from .scalars import SC_ZERO, Scalar, _binary_power, format_scalar, parse_exact
 
 
 @dataclass(frozen=True)
@@ -346,7 +346,6 @@ class DegenerateReport:
     h_origin: tuple[Scalar, Scalar, Scalar, Scalar]
 
     def as_dict(self) -> dict:
-        from .scalars import format_scalar
         return {
             "q": str(self.q),
             "c3": format_scalar(self.coefficients.c3),

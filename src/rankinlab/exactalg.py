@@ -28,9 +28,10 @@ import math
 from fractions import Fraction
 
 from .numerator import plain
-from .scalars import SC_ONE, SC_ZERO, Scalar, ScalarLike, _binary_power, rational
+from .scalars import SC_ONE, SC_ZERO, Scalar, ScalarLike, _binary_power
 
 Monomial = tuple[int, int]
+POLE_TOL = 1e-12
 
 
 class PoleError(ZeroDivisionError):
@@ -63,7 +64,7 @@ class Poly2:
         den = self.den
         if den is None:
             return {m: Scalar.numeric(z) for m, z in self.terms.items()}
-        return {m: rational(Fraction(n, den)) for m, n in self.terms.items()}
+        return {m: Scalar.exact(Fraction(n, den)) for m, n in self.terms.items()}
 
     def _complex(self) -> dict[Monomial, complex]:
         d = self.den
@@ -510,7 +511,7 @@ class RationalFunction2:
             if poly.terms[lm] != poly.den:
                 lead = Fraction(poly.terms[lm], poly.den)
                 poly = poly._times(1 / lead)
-                scale = scale * rational(lead ** exp)
+                scale = scale * Scalar.exact(lead ** exp)
         else:
             lead = Scalar.numeric(poly.terms[lm])
             poly = poly.scale(lead.inverse())
@@ -609,11 +610,11 @@ class RationalFunction2:
 
     # -- evaluation ----------------------------------------------------------
 
-    def eval_t(self, t1: ScalarLike, t2: ScalarLike, tol: float = 1e-12) -> Scalar:
+    def eval_t(self, t1: ScalarLike, t2: ScalarLike) -> Scalar:
         """Evaluate at given T-values (on integers as the ring rule says, for a
         rational scale).  An exact factor zero is cancelled against the
         numerator, or raises :class:`PoleError`; so does a numeric factor value
-        at most ``tol`` times its :meth:`Poly2.magnitude`."""
+        at most ``POLE_TOL`` times its :meth:`Poly2.magnitude`."""
         t1, t2 = Scalar.wrap(t1), Scalar.wrap(t2)
         num = self.num
         if (_one_field(t1, t2) and self.scale.is_rational() and num.den is not None
@@ -638,14 +639,14 @@ class RationalFunction2:
             if val.is_exact and val.is_zero():
                 num = _cancel(num, poly, exp)
                 continue
-            if not val.is_exact and abs(val.to_complex()) <= tol * poly.magnitude(t1, t2):
+            if not val.is_exact and abs(val.to_complex()) <= POLE_TOL * poly.magnitude(t1, t2):
                 raise PoleError("denominator factor vanishes within tolerance")
             den_val = den_val * val ** exp
         return num.eval(t1, t2) / den_val
 
-    def eval_zw(self, z: ScalarLike, w: ScalarLike, tol: float = 1e-12) -> Scalar:
+    def eval_zw(self, z: ScalarLike, w: ScalarLike) -> Scalar:
         """Evaluate after substituting T1 = p**(-z), T2 = p**(-w)."""
-        return self.eval_t(power_of_p(self.p, z, -1), power_of_p(self.p, w, -1), tol)
+        return self.eval_t(power_of_p(self.p, z, -1), power_of_p(self.p, w, -1))
 
     def to_numeric(self) -> "RationalFunction2":
         out = RationalFunction2(self.num.to_numeric(),
@@ -681,7 +682,7 @@ def power_of_p(p: int, exponent: ScalarLike, sign: int = 1) -> Scalar:
     if d > 2:
         return Scalar.numeric(complex(p) ** (sign * complex(float(e))))
     k = q.numerator // d
-    whole = rational(Fraction(p ** k) if k >= 0 else Fraction(1, p ** -k))
+    whole = Scalar.exact(Fraction(p ** k) if k >= 0 else Fraction(1, p ** -k))
     return whole if d == 1 else whole * Scalar.root(p)
 
 

@@ -36,7 +36,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from . import numerator as nm
-from .exactalg import Poly2, RationalFunction2
+from .exactalg import Poly2, RationalFunction2, poly_div_exact
 from .numerator import LP_ZERO, Flat, LambdaPoly, Plain, SeriesNum, Terms  # noqa: F401
 from .scalars import Scalar, ScalarLike
 
@@ -265,8 +265,8 @@ class LaurentSeries2:
         result = LaurentSeries2._make(den, terms, tuple(poles), depth)
         return (result, singular, max_res)
 
-    def singular_part(self, tol: float = 0.0) -> "LaurentSeries2":
-        return self.split_singular(tol)[1]
+    def singular_part(self) -> "LaurentSeries2":
+        return self.split_singular()[1]
 
     def constant_term(self, tol: float = 0.0) -> LambdaPoly:
         """Value at the origin as a polynomial in lam; requires zero singular part."""
@@ -316,58 +316,35 @@ def ls_inverse_regular(a: LaurentSeries2) -> LaurentSeries2:
 
 # -- expansion of rational functions -----------------------------------------
 
-def _expand_poly(poly: Poly2, depth: int, log_p: dict[int, Plain]) -> Flat:
-    """Substitute T1 = exp(-z*log_p), T2 = exp(-w*log_p) into a polynomial."""
+def _expand_poly(poly: Poly2, depth: int, lp: dict[int, Plain]) -> Flat:
+    """Substitute T1 = exp(-z*log_p), T2 = exp(-w*log_p) into a polynomial:
+    T1**i * T2**j is exp(-i*log_p*z) * exp(-j*log_p*w)."""
     out: Flat = (1, {})
-    one: Flat = (1, {(0, 0): {0: 1}})
-    den = poly.den
     for (i, j), coeff in poly.terms.items():
-        # exp(-(i*z + j*w)*log_p) truncated by total degree
-        if den is None:
-            term = _lower_num({(0, 0): coeff})
-        else:
-            g = math.gcd(coeff, den)
-            term = (den // g, {(0, 0): {0: coeff // g}})
-        if i or j:
-            rate = {k: -v for k, v in log_p.items()}  # multiplied by (i*z + j*w)
-            lin = {}
-            if i:
-                lin[(1, 0)] = {k: v * Fraction(i) for k, v in rate.items()}
-            if j:
-                lin[(0, 1)] = {k: v * Fraction(j) for k, v in rate.items()}
-            lin = nm.lower(lin)
-            expf = power = one
-            for k in range(1, depth + 1):
-                power = nm.mul(power, lin, depth)
-                if not power[1]:
-                    break
-                expf = nm.num_add(expf, nm.scaled(power, Fraction(1, math.factorial(k))))
-            term = nm.mul(term, expf, depth)
+        term = _lower_num({(0, 0): coeff if poly.den is None else Fraction(coeff, poly.den)})
+        for direction, n in (("z", i), ("w", j)):
+            if n:
+                rate = {k: -n * v for k, v in lp.items()}
+                term = nm.mul(term, nm.along(direction, nm.exp_coeffs(rate, depth), depth), depth)
         out = nm.num_add(out, term)
     return out
 
 
-def _divisor_polys() -> list[Poly2]:
-    """Polynomial counterparts of the four divisors: z, w, z+w, z-w vanish on
-    T1 = 1, T2 = 1, T1*T2 = 1 and T1 = T2 respectively."""
-    one = Scalar.exact(1)
-    return [
-        Poly2({(0, 0): one, (1, 0): -one}),          # 1 - T1
-        Poly2({(0, 0): one, (0, 1): -one}),          # 1 - T2
-        Poly2({(0, 0): one, (1, 1): -one}),          # 1 - T1*T2
-        Poly2({(1, 0): one, (0, 1): -one}),          # T1 - T2
-    ]
+# Polynomial counterparts of the four divisors: z, w, z+w, z-w vanish on
+# T1 = 1, T2 = 1, T1*T2 = 1 and T1 = T2 respectively.
+_DIVISOR_POLYS = (
+    Poly2._make(1, {(0, 0): 1, (1, 0): -1}),          # 1 - T1
+    Poly2._make(1, {(0, 0): 1, (0, 1): -1}),          # 1 - T2
+    Poly2._make(1, {(0, 0): 1, (1, 1): -1}),          # 1 - T1*T2
+    Poly2._make(1, {(1, 0): 1, (0, 1): -1}),          # T1 - T2
+)
 
 
 def _peel_divisors(poly: Poly2) -> tuple[Poly2, list[int]]:
     """Exactly factor out the divisor polynomials; returns (reduced, counts)."""
-    from .exactalg import poly_div_exact
     counts = [0, 0, 0, 0]
-    for idx, dpoly in enumerate(_divisor_polys()):
-        while True:
-            q = poly_div_exact(poly, dpoly)
-            if q is None:
-                break
+    for idx, dpoly in enumerate(_DIVISOR_POLYS):
+        while (q := poly_div_exact(poly, dpoly)) is not None:
             poly = q
             counts[idx] += 1
     return poly, counts
@@ -377,21 +354,14 @@ def _peeled_unit_series(idx: int, lp: dict[int, Plain], depth: int) -> Flat:
     """Series of (divisor polynomial)/(divisor form), a unit at the origin:
 
     (1 - exp(-u*L))/u = L - L**2 u/2 + ...  along u = z, w or z+w, and
-    (T1-T2)/(z-w) = -exp(-w*L) * (1 - exp(-v*L))/v  along v = z-w.
+    (T1-T2)/(z-w) = -exp(-w*L) * (1 - exp(-v*L))/v  along v = z-w,
+    both read off the coefficients e_k of exp(-L*x): (1 - exp(-u*L))/u is
+    -sum_k e_(k+1) u**k.
     """
-    coeffs = []
-    sign = 1
-    power = lp
-    for k in range(depth + 1):
-        f = Fraction(sign, math.factorial(k + 1))
-        coeffs.append({kk: v * f for kk, v in power.items()})
-        power = nm.lam_mul(power, lp)
-        sign = -sign
+    e = nm.exp_coeffs({k: -v for k, v in lp.items()}, depth + 1)
     if idx < 3:
-        return nm.along(("z", "w", "zw_plus")[idx], coeffs, depth)
-    base_den, base = nm.along("zw_minus", coeffs, depth)
-    envelope = nm.along("w", nm.exp_coeffs({k: -v for k, v in lp.items()}, depth), depth)
-    return nm.mul((base_den, nm.negated(base)), envelope, depth)
+        return nm.along(DIVISORS[idx], [{k: -v for k, v in c.items()} for c in e[1:]], depth)
+    return nm.mul(nm.along("zw_minus", e[1:], depth), nm.along("w", e, depth), depth)
 
 
 def ls_from_rational(f: RationalFunction2, depth: int = DEFAULT_DEPTH,
@@ -405,7 +375,12 @@ def ls_from_rational(f: RationalFunction2, depth: int = DEFAULT_DEPTH,
     Vanishing of numerator and denominator along the four divisors is peeled
     off exactly at the polynomial level, so pole exponents are minimal by
     construction; a denominator vanishing at the origin in any other
-    direction raises.
+    direction raises.  Each divisor's peeled unit (its polynomial over its
+    linear form) enters once, raised to the numerator's count minus the
+    denominator's, and is inverted only when that count is negative: so
+    divisor factors that cancel expand in every mode, while a genuine divisor
+    pole in "lambda" mode raises ``ValueError``, the unit's constant term
+    being lam itself.
     """
     if isinstance(log_p, str):
         if log_p == "numeric":
@@ -442,20 +417,17 @@ def ls_from_rational(f: RationalFunction2, depth: int = DEFAULT_DEPTH,
     series = nm.mul(num, nm.inverse(denominator, depth), depth)
 
     poles = [0, 0, 0, 0]
-    for idx in range(4):
-        net = den_counts[idx] - num_counts[idx]
-        if num_counts[idx]:
-            upow = _peeled_unit_series(idx, lp, depth)
-            for _ in range(num_counts[idx]):
-                series = nm.mul(series, upow, depth)
-        if den_counts[idx]:
-            uinv = nm.inverse(_peeled_unit_series(idx, lp, depth), depth)
-            for _ in range(den_counts[idx]):
-                series = nm.mul(series, uinv, depth)
-        if net >= 0:
-            poles[idx] = net
-        else:
-            series = nm.mul(series, nm.direction_power(DIVISORS[idx], -net), depth)
+    for idx, direction in enumerate(DIVISORS):
+        net = num_counts[idx] - den_counts[idx]
+        if net:
+            unit = _peeled_unit_series(idx, lp, depth)
+            if net < 0:
+                unit = nm.inverse(unit, depth)
+            for _ in range(abs(net)):
+                series = nm.mul(series, unit, depth)
+        if net > 0:
+            series = nm.mul(series, nm.direction_power(direction, net), depth)
+        poles[idx] = max(0, -net)
     return LaurentSeries2._make(*series, tuple(poles), depth)
 
 

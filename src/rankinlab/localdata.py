@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .exactalg import Poly2, RationalFunction2, power_of_p
 from .numerator import plain
-from .scalars import SC_ONE, Scalar, ScalarLike, rational
+from .scalars import SC_ONE, Scalar, ScalarLike
 
 
 def is_prime_power(n: int) -> bool:
@@ -141,7 +141,8 @@ def zeta_local(place: PlaceData, shift: Shift, alpha: ScalarLike = 1) -> Rationa
     if lift > mono:
         factor, scale = Poly2._make(d, {lift: d, mono: -n}), SC_ONE
     else:
-        factor, scale = Poly2._make(abs(n), {lift: -d if n > 0 else d, mono: abs(n)}), rational(-c)
+        factor = Poly2._make(abs(n), {lift: -d if n > 0 else d, mono: abs(n)})
+        scale = Scalar.exact(-c)
     return RationalFunction2(num, scale, {factor.key(): (factor, 1)}, p)
 
 

@@ -43,7 +43,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .scalars import SC_ZERO, Scalar, ScalarLike, rational
+from .scalars import SC_ZERO, Scalar, ScalarLike
 
 
 class LambdaPoly:
@@ -190,7 +190,7 @@ def lower(terms: dict) -> Flat:
 
 def lifted(c: dict[int, Value], den: int) -> dict[int, Scalar]:
     """One monomial's kernel values as Scalars."""
-    return {k: rational(Fraction(v, den)) if v.__class__ is int else Scalar.numeric(v)
+    return {k: Scalar.exact(Fraction(v, den)) if v.__class__ is int else Scalar.numeric(v)
             for k, v in c.items()}
 
 

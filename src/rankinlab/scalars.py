@@ -26,7 +26,6 @@ RatLike = Union[int, Fraction]
 ScalarLike = Union["Scalar", int, Fraction, float, complex]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class Scalar:
@@ -48,7 +47,8 @@ class Scalar:
 
     @classmethod
     def exact(cls, value: RatLike) -> "Scalar":
-        return cls(Fraction(value), _ZERO, None, None)
+        """The exact rational value; a Fraction is taken as it is."""
+        return cls(value if value.__class__ is Fraction else Fraction(value), _ZERO, None, None)
 
     @classmethod
     def root(cls, base: RatLike, coeff: RatLike = 1) -> "Scalar":
@@ -246,12 +246,6 @@ def _binary_power(square, n: int, result):
         if n:
             square = square * square
     return result
-
-
-def rational(q: Fraction) -> Scalar:
-    """The exact Scalar ``q`` for a Fraction ``q``, without converting it again
-    as :meth:`Scalar.exact` does; the fast path of the integer kernels."""
-    return Scalar(q, _ZERO, None, None)
 
 
 def format_scalar(s: Scalar) -> str:

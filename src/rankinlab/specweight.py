@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .exactalg import power_of_p
 from .localdata import IdealFactorization, PlaceData, inv_volume_Kq, volume_K, zeta_scalar
 from .scalars import SC_ONE, SC_ZERO, Scalar
 from .whittaker import SatakeParams, rankin_selberg_self_l
@@ -33,7 +34,6 @@ def _floor(p: int, exponent: Fraction) -> Scalar:
     """(1 - p**exponent) / (1 - p**(-1)) evaluated numerically unless exact."""
     base = SC_ONE - Scalar.exact(Fraction(1, p))
     if exponent.denominator in (1, 2):
-        from .exactalg import power_of_p
         return (SC_ONE - power_of_p(p, exponent)) / base
     return (SC_ONE - Scalar.numeric(float(p) ** float(exponent))) / base
 

@@ -51,10 +51,9 @@ class SatakeParams:
         return cls(a1, a2, False, theta)
 
     @classmethod
-    def make_ramified(cls, alpha1: ScalarLike,
-                      theta: Fraction = Fraction(7, 64)) -> "SatakeParams":
+    def make_ramified(cls, alpha1: ScalarLike) -> "SatakeParams":
         """Ramified convention: the second parameter is 0."""
-        return cls(Scalar.wrap(alpha1), SC_ZERO, True, theta)
+        return cls(Scalar.wrap(alpha1), SC_ZERO, True)
 
     def __post_init__(self):
         if self.ramified and not self.alpha2.is_zero():

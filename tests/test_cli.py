@@ -138,6 +138,24 @@ def test_psi_numeric_denominator_underflow_is_usage_error(kind, at, capsys):
     assert f"point '{at}'" in captured.err and "underflows a double" in captured.err
 
 
+@pytest.mark.parametrize("p, r, pi0, at, kind, message", [
+    # the value of psi overflows a double at the point
+    ("2", "1", "0.6+0.8j,0.6-0.8j", "-100,0", "all", "psi there overflows a double"),
+    ("2", "1", "0.6+0.8j,0.6-0.8j", "-300,0", "all", "psi there overflows a double"),
+    ("5", "3", "1e-3,1e3", "-30,0", "all", "psi there overflows a double"),
+    # the magnitude of a denominator factor, which the pole test reads
+    ("2", "3", "1e150,1e-150", "-1e3,0", "iii", "psi there overflows a double"),
+    # the value is inf, and the numerator's magnitude in the rounding floor overflows
+    ("2", "1", "0.6+0.8j,0.6-0.8j", "-76.7,0", "all", "rounding floor of psi there overflows"),
+    # both forms underflow to 0.0, where the relative margin has no scale
+    ("2", "4", "0.6+0.8j,0.6-0.8j", "-77,-77", "all", "underflows a double to 0.0 in both forms"),
+])
+def test_psi_numeric_overflow_at_the_point_is_usage_error(p, r, pi0, at, kind, message, capsys):
+    assert main(["psi", "--p", p, "--r", r, "--pi0", pi0, f"--at={at}", "--kind", kind]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"point '{at}'" in captured.err and message in captured.err
+
+
 def test_psi_exact_point_where_doubles_underflow_still_matches(capsys):
     assert main(["psi", "--p", "2", "--r", "1", "--pi0", "1,1", "--at=500,0"]) == 0
     report = json.loads(capsys.readouterr().out)
@@ -165,7 +183,7 @@ def test_psi_pole_on_both_sides_matches(capsys, pi0, mode):
 def test_psi_pole_on_one_side_mismatches(capsys, monkeypatch):
     # an oracle without the pole of the closed form at (1/2, 1/2)
     monkeypatch.setattr(cli, "psi_oracle",
-                        lambda kind, place, pi0, cutoff: cli.psi_closed("i", place, pi0))
+                        lambda kind, place, pi0: cli.psi_closed("i", place, pi0))
     code = main(["psi", "--kind", "ii", "--p", "2", "--r", "1", "--at", "1/2,1/2",
                  "--pi0", "0.6+0.8j,0.6-0.8j"])
     entry = json.loads(capsys.readouterr().out)["kind_ii"]
@@ -376,6 +394,17 @@ def test_verify_fuzz_below_one_is_usage_error(fuzz, extra):
     with pytest.raises(SystemExit) as err:
         main(["verify", "--suite", "lemma44", "--fuzz", fuzz, *extra])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("at", ["0,0", "1/3,1/5", "1/2,1/2"])
+def test_single_entry_pi0_is_the_pair_with_its_inverse(at, capsys):
+    reports = []
+    for pi0 in ("2", "2,1/2"):
+        assert main(["psi", "--p", "3", "--r", "2", "--pi0", pi0, "--at", at, "--expand"]) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    single, pair = reports
+    assert (single.pop("pi0"), pair.pop("pi0")) == ("2", "2,1/2")
+    assert single == pair
 
 
 def test_verify_unknown_suite(capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 from fractions import Fraction
@@ -104,6 +105,23 @@ def test_degenerate_limit_model_exact():
     assert abs(rep.coefficients.c3.to_complex() - 1 / 3) < 1e-14
     assert rep.lambda_excess == 0.0
     assert rep.formula_c3.to_complex().real == pytest.approx(1 / 3)
+
+
+@pytest.mark.parametrize("load", [model_data, default_data], ids=["model", "rationalfield"])
+@pytest.mark.parametrize("spec", ["2^1*3^1", "7^2"])
+def test_norm_different_shifts_lam_and_scales_the_cubic(load, spec):
+    # N(d)**(1+2z+2w) = N(d) * exp(2 log N(d) (z+w)) enters as N(q)**(z+w) does:
+    # with N(d) = 5 the cubic is 5 * c(lam + 2 log 5) of the same data at N(d) = 1
+    data, q = load(), IdealFactorization.parse(spec)
+    c = degenerate_limit(data, q).coefficients
+    c3, c2, c1, c0 = (v.to_complex() for v in (c.c3, c.c2, c.c1, c.c0))
+    shifted = degenerate_limit(dataclasses.replace(data, norm_different=5), q).coefficients
+    s = 2 * math.log(5)
+    expected = [5 * c3, 5 * (c2 + 3 * c3 * s), 5 * (c1 + 2 * c2 * s + 3 * c3 * s ** 2),
+                5 * (c0 + c1 * s + c2 * s ** 2 + c3 * s ** 3)]
+    got = [v.to_complex() for v in (shifted.c3, shifted.c2, shifted.c1, shifted.c0)]
+    scale = max(abs(v) for v in expected)
+    assert max(abs(a - b) for a, b in zip(got, expected)) <= 1e-12 * scale
 
 
 def test_degenerate_limit_q_independent_c3():

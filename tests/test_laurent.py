@@ -11,14 +11,16 @@ from rankinlab import numerator
 from rankinlab.degenerate import build_h, degenerate_limit
 from rankinlab.exactalg import Poly2, RationalFunction2
 from rankinlab.laurent import (EXACT_DEPTH, SYMMETRY_BREAKERS, LambdaPoly, LaurentSeries2,
-                               _num_mul, _series_inverse, break_one_symmetry,
+                               _num_mul, _peel_divisors, _series_inverse, break_one_symmetry,
                                four_term_combination, ls_from_rational, ls_inverse_regular,
                                pole_factor_series, random_simple_pole_coeffs,
                                random_symmetric_quadruple)
 from rankinlab.localdata import IdealFactorization, PlaceData, Shift, zeta_local
 from rankinlab.scalars import Scalar
 from rankinlab.verify import model_data
-from rankinlab.zetaint import BruhatPoint, f_eval
+from rankinlab.whittaker import SatakeParams
+from rankinlab.zetaint import (BruhatPoint, correction_factor_rf, f_eval, h_local,
+                               local_pole_factor)
 
 
 def _poly_series(coeffs, poles=(0, 0, 0, 0)):
@@ -1036,3 +1038,153 @@ def test_quadruple_generator_matches_fraction_version(terms, max_deg):
         eps = Fraction(old_rng.randrange(1, 9), old_rng.randrange(1, 4))
         old_broken = _old_poly_add(want[target - 1], {m: eps * v for m, v in pattern.items()})
         assert list(broken[target - 1].items()) == list(old_broken.items())
+
+
+# -- ls_from_rational against the expansion loops it replaced ----------------------
+#
+# The reference below is the expansion as it was before every exponential came
+# from numerator.exp_coeffs: the power loop of the linear form per monomial,
+# the power-and-factorial loop of the peeled units, and each unit multiplied
+# in once per numerator count and its inverse once per denominator count.
+
+
+def _ref_expand_poly(poly, depth, lp):
+    out = (1, {})
+    one = (1, {(0, 0): {0: 1}})
+    for (i, j), coeff in poly.terms.items():
+        g = math.gcd(coeff, poly.den)
+        term = (poly.den // g, {(0, 0): {0: coeff // g}})
+        if i or j:
+            lin = {}
+            if i:
+                lin[(1, 0)] = {k: -v * Fraction(i) for k, v in lp.items()}
+            if j:
+                lin[(0, 1)] = {k: -v * Fraction(j) for k, v in lp.items()}
+            lin = numerator.lower(lin)
+            expf = power = one
+            for k in range(1, depth + 1):
+                power = numerator.mul(power, lin, depth)
+                if not power[1]:
+                    break
+                expf = numerator.num_add(
+                    expf, numerator.scaled(power, Fraction(1, math.factorial(k))))
+            term = numerator.mul(term, expf, depth)
+        out = numerator.num_add(out, term)
+    return out
+
+
+def _ref_peeled_unit_series(idx, lp, depth):
+    coeffs, sign, power = [], 1, lp
+    for k in range(depth + 1):
+        f = Fraction(sign, math.factorial(k + 1))
+        coeffs.append({kk: v * f for kk, v in power.items()})
+        power = numerator.lam_mul(power, lp)
+        sign = -sign
+    if idx < 3:
+        return numerator.along(("z", "w", "zw_plus")[idx], coeffs, depth)
+    base_den, base = numerator.along("zw_minus", coeffs, depth)
+    envelope = numerator.along(
+        "w", numerator.exp_coeffs({k: -v for k, v in lp.items()}, depth), depth)
+    return numerator.mul((base_den, numerator.negated(base)), envelope, depth)
+
+
+def _ref_ls_from_rational(f, depth, lp):
+    num_red, num_counts = _peel_divisors(f.num)
+    den_counts, den_units = [0, 0, 0, 0], []
+    for poly, exp in f.fac.values():
+        red, counts = _peel_divisors(poly)
+        den_counts = [a + c * exp for a, c in zip(den_counts, counts)]
+        den_units.append((red, exp))
+    num = _ref_expand_poly(num_red, depth, lp)
+    denominator = numerator.lower({(0, 0): numerator.plain_coeffs(f.scale)})
+    for red, exp in den_units:
+        factor = _ref_expand_poly(red, depth, lp)
+        for _ in range(exp):
+            denominator = numerator.mul(denominator, factor, depth)
+    series = numerator.mul(num, numerator.inverse(denominator, depth), depth)
+    poles = [0, 0, 0, 0]
+    for idx, direction in enumerate(("z", "w", "zw_plus", "zw_minus")):
+        net = den_counts[idx] - num_counts[idx]
+        for _ in range(num_counts[idx]):
+            series = numerator.mul(series, _ref_peeled_unit_series(idx, lp, depth), depth)
+        if den_counts[idx]:
+            uinv = numerator.inverse(_ref_peeled_unit_series(idx, lp, depth), depth)
+            for _ in range(den_counts[idx]):
+                series = numerator.mul(series, uinv, depth)
+        if net >= 0:
+            poles[idx] = net
+        else:
+            series = numerator.mul(series, numerator.direction_power(direction, -net), depth)
+    return series, tuple(poles)
+
+
+def _divisor_rf(idx, p):
+    """The divisor polynomial 1 - T1, 1 - T2, 1 - T1*T2 or T1 - T2 as a rational function."""
+    polys = (Poly2.const(1) - Poly2.monomial(1, 0), Poly2.const(1) - Poly2.monomial(0, 1),
+             Poly2.const(1) - Poly2.monomial(1, 1), Poly2.monomial(1, 0) - Poly2.monomial(0, 1))
+    return RationalFunction2.from_poly(polys[idx], p)
+
+
+# zeta_local(place, Shift.of(0, a, b)) has a simple pole along the divisor of that index
+_POLE_SHIFTS = {0: (0, 2, 0), 1: (0, 0, 2), 2: (0, 2, 2), 3: (0, 1, -1)}
+
+
+def _expansion_inputs(p, r):
+    place = PlaceData(p, r)
+    yield correction_factor_rf(place)
+    for which in (1, 2, 3, 4):
+        yield h_local(which, place)
+    pi0 = SatakeParams.unramified_unitary(Scalar.exact(2), Scalar.exact(Fraction(1, 2)))
+    yield local_pole_factor(place, pi0, 1, -1)
+    zeta_minus = zeta_local(place, Shift.of(0, 2, -2))
+    yield zeta_minus
+    yield zeta_minus.inverse()
+    for idx, shift in _POLE_SHIFTS.items():
+        # the divisor factor of the numerator cancels the one of the denominator
+        yield zeta_local(place, Shift.of(*shift)) * _divisor_rf(idx, p)
+    # a double pole, and a unit raised to the third power
+    yield zeta_local(place, Shift.of(0, 2, 2)) ** 2
+    yield correction_factor_rf(place) * _divisor_rf(2, p) ** 2
+
+
+_LAMBDA = {1: Fraction(1)}
+_SURROGATE = {0: Fraction(7, 10)}
+
+
+@pytest.mark.parametrize("p, r", [(2, 1), (3, 2), (4, 1), (9, 3)])
+def test_ls_from_rational_equals_the_replaced_loops(p, r):
+    compared = 0
+    for f in _expansion_inputs(p, r):
+        for depth in (6, 8):
+            for lp, log_p in ((_LAMBDA, "lambda"), (_SURROGATE, _LOG_SURROGATE)):
+                try:
+                    (den, terms), poles = _ref_ls_from_rational(f, depth, lp)
+                except ValueError:
+                    continue  # the replaced loops inverted every lam-mode unit
+                got = ls_from_rational(f, depth, log_p=log_p)
+                assert (got.den, got.terms, got.poles, got.depth) == (den, terms, poles, depth)
+                compared += 1
+    assert compared >= 30
+
+
+@pytest.mark.parametrize("idx", sorted(_POLE_SHIFTS))
+@pytest.mark.parametrize("p, r", [(2, 1), (5, 3)])
+def test_cancelling_divisor_factors_expand_in_lambda_mode(idx, p, r):
+    f = zeta_local(PlaceData(p, r), Shift.of(*_POLE_SHIFTS[idx])) * _divisor_rf(idx, p)
+    with pytest.raises(ValueError, match="constant term involves lam"):
+        _ref_ls_from_rational(f, 8, _LAMBDA)
+    lam = ls_from_rational(f, 8, log_p="lambda")
+    surrogate = ls_from_rational(f, 8, log_p=_LOG_SURROGATE)
+    assert lam.poles == surrogate.poles == (0, 0, 0, 0)
+    at = Scalar.exact(Fraction(7, 10))
+    values = {m: v for m, lp in lam.num.items() if not (v := lp.eval(at)).is_zero()}
+    assert values == {m: lp.coeff(0) for m, lp in surrogate.num.items()}
+    assert any(lp.degree() > 0 for lp in lam.num.values())
+
+
+@pytest.mark.parametrize("idx", sorted(_POLE_SHIFTS))
+def test_divisor_pole_in_lambda_mode_still_raises(idx):
+    f = zeta_local(PlaceData(3, 1), Shift.of(*_POLE_SHIFTS[idx]))
+    with pytest.raises(ValueError, match="cannot invert a unit whose constant term involves lam"):
+        ls_from_rational(f, 8, log_p="lambda")
+    assert ls_from_rational(f, 8, log_p=_LOG_SURROGATE).poles[idx] == 1
