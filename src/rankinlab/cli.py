@@ -77,7 +77,10 @@ def parse_satake(text: str) -> SatakeParams:
     """``a,b`` (with a*b = 1; rational means exact mode) or ``a`` for ``a,1/a``."""
     parts = text.strip().split(",")
     if len(parts) == 1:
-        return SatakeParams.unramified_unitary(_parse_satake_entry(parts[0]))
+        alpha = _parse_satake_entry(parts[0])
+        if alpha.is_zero():
+            raise ValueError("alpha = 0 has no inverse to pair it with")
+        return SatakeParams.unramified_unitary(alpha)
     if len(parts) != 2:
         raise ValueError(f"expected 'a,b' or 'a', got {text!r}")
     return SatakeParams.unramified_unitary(_parse_satake_entry(parts[0]),
@@ -240,6 +243,13 @@ def cmd_degenerate(args) -> int:
     data = GlobalZetaData.from_document(args.data)
     q = IdealFactorization.parse(args.q)
     rep = degenerate_limit(data, q, depth=args.depth)
+    # a residual of exact values is exact; a numeric one carries a few ulps
+    exact = rep.formula_c3.is_exact and rep.coefficients.c3.is_exact
+    floor = 0.0 if exact else 4 * math.ulp(abs(rep.formula_c3.to_complex()))
+    if args.tolerance < floor:
+        raise ValueError(f"--tolerance {args.tolerance:g} is under the rounding floor "
+                         f"{floor:.3g} of c3_residual (4 ulps of the formula value), so "
+                         "the verdict would certify nothing; exact zeta data certify it")
     corr = rep.correction_detail
     report = {
         "command": "degenerate", "data": str(args.data), "depth": args.depth,

@@ -11,9 +11,12 @@ with ``x = p**(-1-s)`` (the two-variable Cauchy identity for complete
 homogeneous sums); a truncated-sum oracle provides the independent check.
 Every truncated-sum oracle, here and in :mod:`zetaint`, reads the complex
 Hecke recursion through :func:`hecke_stream`.  Their ``terms`` is a cap: a sum
-ends earlier where every term it has left is an exact zero (the stream has
-reached two exact zeros, or the weight ``x**n`` has underflowed to 0), so the
-result is the full ``terms``-term sum.
+ends earlier where no term it has left can change it, so the result is the
+full ``terms``-term sum bit for bit.  Every oracle ends where each term left
+is an exact zero (the stream has reached two exact zeros, or the weight
+``x**n`` has underflowed to 0); the Rankin-Selberg oracle also ends where its
+decayed stream cycles and a bound shows every later addition rounds away
+(:func:`rankinlab.zetaint.rs_local_oracle`).
 """
 
 from __future__ import annotations

@@ -20,7 +20,10 @@ otherwise).  The two must agree exactly as rational functions.
 from __future__ import annotations
 
 import cmath
+import math
 import operator
+import struct
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -36,6 +39,12 @@ KINDS = tuple(KIND_SIGNS)
 
 HALF_Z = Shift.of(Fraction(1, 2), 1, 0)  # the section parameters 1/2 + z
 HALF_W = Shift.of(Fraction(1, 2), 0, 1)  # and 1/2 + w
+
+# the Rankin-Selberg oracle reads its streams in blocks, short ones once subnormal
+_BLOCK, _CHUNK = 256, 64
+_TINY = sys.float_info.min
+_STATE = struct.Struct("<4d")  # the bits of a recursion state (u_prev, u)
+_SUBNORMAL = math.ulp(0.0)
 
 
 @dataclass(frozen=True)
@@ -309,13 +318,86 @@ def rs_local_value(pi: SatakeParams, pi0: SatakeParams, place: PlaceData) -> Sca
     return num * l_factor_product(pi, pi0, power_of_p(p, Fraction(1, 2), -1))
 
 
+def _absorbs(c: float, addend: float, stays_zero: bool) -> bool:
+    """Whether adding any float of magnitude at most ``addend`` (or, where
+    ``stays_zero``, only signed zeros) returns the total component c unchanged."""
+    if c == 0:
+        return stays_zero and math.copysign(1.0, c) > 0
+    # round to nearest, strictly inside half the narrower neighbouring gap
+    return addend < math.ulp(c) / 4
+
+
 def rs_local_oracle(pi: SatakeParams, pi0: SatakeParams, place: PlaceData,
                     terms: int = 10_000) -> Scalar:
-    """Truncated sum over n of p**(-n/2) S_pi(n+1) S_pi0(n+1); it ends with
-    the first stream that ends.  A sum that is not finite is a ValueError: the
-    pi0 stream is summed undecayed, and a non-tempered pi0 overflows its terms."""
-    products = map(operator.mul, hecke_stream(pi, place.p ** -0.5), hecke_stream(pi0))
-    total = sum(islice(products, terms), 0j)
+    """Truncated sum over n of p**(-n/2) S_pi(n+1) S_pi0(n+1), the
+    ``terms``-term sum bit for bit.  It ends with the first stream that ends,
+    or earlier where no later term can move the total:
+
+    - The decayed pi stream is a deterministic float recursion, so once its
+      state (the last two values, compared on their bits) repeats, the values
+      read since it was last seen come round again and again.  One more such
+      period is read into a list, and its largest component M bounds every
+      later pi value.  States are recorded at block ends only: 256 values, 64
+      once the stream is subnormal, where its cycles start.
+    - For pi0 tempered up to rounding (max |alpha_i| <= 1 + 1e-12) and
+      terms <= 10**6, |S_pi0(n+1)| <= (n+1) max(1, |alpha|)**n, and the
+      computed stream stays within twice that (first-order rounding grows as
+      n**2 eps relative to it): B = 2 (terms+1) max(1, |alpha|)**terms.  So
+      every later product component is at most 2 M B, plus one subnormal of
+      rounding.
+    - Plain round-to-nearest addition (the blocks are summed by ``sum``, which
+      does not compensate complex sums) returns a component c != 0 unchanged
+      when the addend is strictly below ulp(c)/4 (half the narrower gap next
+      to c).  A +0.0 imaginary part stays +0.0 when alpha1 + alpha2 and
+      alpha1 alpha2 are real for both parameter pairs: both recursions then
+      have real constants, and every later product a signed-zero imaginary
+      part.
+    - Otherwise (a non-tempered pi0, terms > 10**6, a bound that does not
+      clear, fewer terms left than a period) the sum runs on.
+
+    A sum that is not finite is a ValueError: the pi0 stream is summed
+    undecayed, and a non-tempered pi0 overflows its terms."""
+    pi_stream, pi0_stream = hecke_stream(pi, place.p ** -0.5), hecke_stream(pi0)
+    products = map(operator.mul, pi_stream, pi0_stream)
+    a0 = (pi0.alpha1.to_complex(), pi0.alpha2.to_complex())
+    top = max(map(abs, a0))
+    real_constants = all((a1 + a2).imag == 0 and (a1 * a2).imag == 0
+                         for a1, a2 in ((pi.alpha1.to_complex(), pi.alpha2.to_complex()), a0))
+    # recursion state -> how many values had been read where it was last seen
+    seen = {} if top <= 1 + 1e-12 and terms <= 10 ** 6 else None
+    addend = None  # the bound on every later product component, once a state repeats
+    total, done = 0j, 0  # the sum of the first `done` products
+    span, listed = _BLOCK, 2  # a block, and the values at its end read into lists
+    while terms - done >= span:
+        total = sum(islice(products, span - listed), total)
+        us = list(islice(pi_stream, listed))
+        vs = list(islice(pi0_stream, len(us)))
+        total = sum(map(operator.mul, us, vs), total)
+        if len(vs) < listed:
+            break  # a stream has ended
+        done += span
+        if seen is None:
+            continue
+        if listed > 2:
+            # one whole period of the cycle: its largest component bounds the rest
+            m = max(max(abs(u.real), abs(u.imag)) for u in us)
+            stream_bound = 2 * (terms + 1) * max(1.0, top) ** terms
+            addend = 2 * m * stream_bound + _SUBNORMAL
+            listed = 2
+        elif addend is None:
+            state = _STATE.pack(us[0].real, us[0].imag, us[1].real, us[1].imag)
+            if state in seen:
+                # the next values repeat those read since the state was last seen
+                listed = done - seen[state]
+            seen[state] = done
+        if addend is not None and (_absorbs(total.real, addend, False)
+                                   and _absorbs(total.imag, addend, real_constants)):
+            break
+        # shorter blocks once the stream is subnormal, where cycles start
+        u = us[-1]
+        span = max(listed, _CHUNK if max(abs(u.real), abs(u.imag)) < _TINY else _BLOCK)
+    else:
+        total = sum(islice(products, terms - done), total)
     if not cmath.isfinite(total):
         raise ValueError(f"Rankin-Selberg oracle sum is {total}: its terms overflow a double "
                          f"on the undecayed Hecke stream of pi0 (alpha1 = {pi0.alpha1}, "

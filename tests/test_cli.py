@@ -1,9 +1,13 @@
+import contextlib
 import dataclasses
+import io
 import json
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankinlab import cli, degenerate, verify
 from rankinlab.cli import canonical_json, main
@@ -71,6 +75,14 @@ def test_psi_bad_satake_is_usage_error():
 def test_pi0_with_a_zero_denominator_is_a_usage_error_naming_pi0(capsys):
     assert main(["psi", "--p", "2", "--r", "1", "--pi0", "1/0,1"]) == 2
     assert capsys.readouterr().err == "error: --pi0 '1/0,1': zero denominator in '1/0'\n"
+
+
+@pytest.mark.parametrize("alpha", ["0", "0.0", "-0j"])
+def test_a_zero_pi0_without_its_partner_is_a_usage_error_naming_pi0(capsys, alpha):
+    # 'a' stands for 'a,1/a': a zero alpha raised ZeroDivisionError
+    assert main(["psi", "--p", "2", "--r", "1", f"--pi0={alpha}"]) == 2
+    assert capsys.readouterr().err == (f"error: --pi0 {alpha!r}: alpha = 0 has no inverse "
+                                       "to pair it with\n")
 
 
 def test_pi0_overflowing_a_double_is_a_usage_error_naming_pi0(capsys):
@@ -319,16 +331,31 @@ def test_tolerance_must_be_finite_and_nonnegative(command, tolerance, capsys):
     assert "--tolerance" in capsys.readouterr().err
 
 
-def test_degenerate_names_a_residual_over_the_tolerance(capsys):
-    # c3_residual is 2.2e-16 here; stdout stays the report of a passing run
+def test_degenerate_names_a_residual_over_the_tolerance(capsys, monkeypatch):
+    # stdout stays the report of a passing run
     argv = ["degenerate", "--q", "2^1*3^1", "--data", str(RATIONAL_FIELD)]
     assert main(argv) == 0
     passing = capsys.readouterr()
     assert passing.err == ""
-    assert main([*argv, "--tolerance", "1e-16"]) == 1
+    limit = cli.degenerate_limit
+    monkeypatch.setattr(cli, "degenerate_limit", lambda *args, **kwargs: dataclasses.replace(
+        limit(*args, **kwargs), c3_residual=1e-9))
+    assert main(argv) == 1
     failing = capsys.readouterr()
-    assert failing.out == passing.out
-    assert failing.err == "[FAIL] c3_residual = 2.22e-16 exceeds the tolerance 1e-16\n"
+    assert json.loads(failing.out) == {**json.loads(passing.out), "c3_residual": 1e-9}
+    assert failing.err == "[FAIL] c3_residual = 1e-09 exceeds the tolerance 1e-10\n"
+
+
+@pytest.mark.parametrize("tolerance", ["0", "1e-16"])
+def test_degenerate_refuses_a_tolerance_under_the_rounding_floor(capsys, tolerance):
+    # c3_residual is 2.2e-16 here, two ulps of c3 = 0.7958: no tolerance under
+    # the floor of 4 ulps can tell a wrong c3 from rounding
+    argv = ["degenerate", "--q", "2^1*3^1", "--data", str(RATIONAL_FIELD)]
+    assert main([*argv, "--tolerance", tolerance]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "c3_residual" in captured.err and "rounding floor 4.44e-16" in captured.err
+    assert main([*argv, "--tolerance", "1e-15"]) == 0
 
 
 def test_degenerate_judges_lambda_excess(capsys, monkeypatch):
@@ -350,8 +377,10 @@ def test_degenerate_takes_no_seed(capsys):
 
 
 def test_zero_tolerance_is_a_tolerance(capsys):
-    assert main(["degenerate", "--q", "2", "--data", str(RATIONAL_FIELD),
-                 "--tolerance", "0"]) in (0, 1)
+    # exact zeta data give an exact c3 and a rounding floor of 0
+    exact = Path(degenerate.__file__).parent / "data" / "model_exact.json"
+    assert main(["degenerate", "--q", "2", "--data", str(exact), "--tolerance", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["c3_residual"] == 0.0
 
 
 def test_verify_single_suite(capsys):
@@ -523,3 +552,64 @@ def test_degenerate_builds_G_once_and_each_h_once(capsys, model_doc, monkeypatch
     assert calls == {"G": 1, "h": 4}
     assert set(report["h_origin_values"]) == {"h1", "h2", "h3", "h4"}
     assert "correction_sum_factor" in report
+
+
+# -- every argv ends in a verdict or a usage error --------------------------------
+
+NUMBER = st.one_of(
+    st.sampled_from(["0", "1", "-1", "1/2", "-3/2", "2/3", "1/0", "0.6+0.8j", "0.6-0.8j",
+                     "1j", "1e308", "1e-308", "1e999", "nan", "inf", "-inf", "", "x", " 1"]),
+    st.integers(-10 ** 6, 10 ** 6).map(str),
+    st.fractions(max_denominator=50).map(str),
+    st.floats(-1e3, 1e3).map(repr),
+    st.complex_numbers(max_magnitude=10.0, allow_nan=False).map(repr))
+TOLERANCE = st.sampled_from(["0", "1e-16", "1e-15", "1e-10", "1e-3", "1", "nan", "-1", "x"])
+PSI_VALID = {"--p": ["2", "3", "5", "9"], "--r": ["1", "2", "3"],
+             "--pi0": ["1,1", "1/2,2", "0.6+0.8j,0.6-0.8j", "2", "1.07"],
+             "--at": ["0,0", "1/2,1/3", "0.1,-0.2", "-1,2"],
+             "--kind": ["i", "iv", "all"], "--tolerance": ["1e-10", "1e-3"]}
+PSI_FUZZ = {"--p": st.one_of(st.integers(-2, 12).map(str), st.sampled_from(["x", "99999989"])),
+            "--r": st.integers(-1, 6).map(str),
+            "--pi0": st.one_of(NUMBER, st.tuples(NUMBER, NUMBER).map(",".join)),
+            "--at": st.one_of(NUMBER, st.tuples(NUMBER, NUMBER).map(",".join)),
+            "--kind": st.sampled_from(["ii", "iii", "v", ""]), "--tolerance": TOLERANCE}
+DEGENERATE_VALID = {"--q": ["2", "2^1*3^1", "5^2", "7^3"],
+                    "--data": [str(RATIONAL_FIELD), str(RATIONAL_FIELD.parent / "model_exact.json")],
+                    "--depth": ["3", "8"], "--tolerance": ["1e-10", "1e-15"]}
+DEGENERATE_FUZZ = {
+    "--q": st.one_of(
+        st.sampled_from(["1", "2^0", "2^1*2^1", "4", "6", "x", "", "2^-1", "2^99999"]),
+        st.lists(st.tuples(st.sampled_from([2, 3, 4, 5, 7, 9]), st.integers(-1, 4)),
+                 min_size=1, max_size=3).map(lambda fs: "*".join(f"{b}^{e}" for b, e in fs))),
+    "--data": st.sampled_from(["/nonexistent.json", str(Path(__file__))]),
+    "--depth": st.integers(-2, 10).map(str), "--tolerance": TOLERANCE}
+
+
+@st.composite
+def _argv(draw, command, valid, fuzz):
+    """A valid ``command`` argv with up to two of its values fuzzed."""
+    values = {flag: draw(st.sampled_from(choices)) for flag, choices in valid.items()}
+    for flag in draw(st.lists(st.sampled_from(sorted(fuzz)), max_size=2, unique=True)):
+        values[flag] = draw(fuzz[flag])
+    return [command] + [f"{flag}={value}" for flag, value in values.items()]
+
+
+def _exit_code(argv: list) -> int:
+    """The exit code of ``argv``; an exception other than SystemExit propagates."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return main(argv)
+        except SystemExit as exc:
+            return exc.code
+
+
+@settings(max_examples=100, deadline=None)
+@given(argv=_argv("psi", PSI_VALID, PSI_FUZZ), expand=st.booleans())
+def test_psi_argv_ends_in_an_exit_code(argv, expand):
+    assert _exit_code(argv + ["--expand"] * expand) in (0, 1, 2)
+
+
+@settings(max_examples=50, deadline=None)
+@given(argv=_argv("degenerate", DEGENERATE_VALID, DEGENERATE_FUZZ))
+def test_degenerate_argv_ends_in_an_exit_code(argv):
+    assert _exit_code(argv) in (0, 1, 2)

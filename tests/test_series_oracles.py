@@ -1,14 +1,18 @@
-"""The series oracles stop where every term they have left is an exact zero.
+"""The series oracles stop where no term they have left can move the sum.
 
-Each oracle is checked against a copy of its full-length loop (``terms``
-terms, read from a Hecke stream that never ends): wherever that loop gives a
-finite value, the oracle gives the same value with the same ``repr``.  A
-counting stream shows that each oracle really does stop early somewhere on
-the grid, so the comparison covers the early exit.
+Every oracle stops where each term it has left is an exact zero; the
+Rankin-Selberg oracle also stops where its decayed pi stream has repeated a
+recursion state and a bound shows that every later addition returns the
+total unchanged.  Each oracle is checked against a copy of its full-length
+loop (``terms`` terms, read from a Hecke stream that never ends): wherever
+that loop gives a finite value, the oracle gives the same value with the same
+``repr``.  A counting stream shows that each oracle really does stop early
+somewhere on the grid, so the comparison covers the early exits.
 """
 
 import cmath
 import math
+import operator
 from fractions import Fraction
 from itertools import islice
 
@@ -33,8 +37,14 @@ PARAMS = {
     "non-tempered": SatakeParams.unramified_unitary(Scalar.numeric(2 ** (7 / 64))),
     "non-tempered-complex": SatakeParams.unramified_unitary(
         Scalar.numeric(1.05 * cmath.exp(0.4j))),
+    # theta near 0: |S(n)| reaches 1/sin(theta), and alpha1 + alpha2 is real
+    "near-real": SatakeParams.unramified_unitary(Scalar.numeric(cmath.exp(1e-3j))),
+    # the pi of the non-tempered pi0 repro in test_zetaint
+    "unitary-0.7": SatakeParams.unramified_unitary(Scalar.numeric(cmath.exp(0.7j))),
 }
-PI0S = ("unitary", "exact-real", "confluent", "non-tempered")
+# "unitary" has |alpha2| = 1 + 2.2e-16 after rounding; "exact-real" and
+# "non-tempered" are non-tempered
+PI0S = ("unitary", "exact-real", "confluent", "non-tempered", "near-real")
 
 
 # -- the full-length loops the oracles replace -----------------------------------
@@ -166,28 +176,73 @@ def test_weighted_oracle_is_the_full_sum(counting, terms):
     assert early or terms is not None
 
 
+def _top(params) -> float:
+    return max(abs(params.alpha1.to_complex()), abs(params.alpha2.to_complex()))
+
+
 @pytest.mark.parametrize("terms", [5, 100, None], ids=["5", "100", "default"])
 def test_rs_oracle_is_the_full_sum(counting, terms):
-    compared = early = refused = 0
+    compared = early = refused = cycled = cycled_real = 0
     for name, pi in PARAMS.items():
         for name0 in PI0S:
+            pi0 = PARAMS[name0]
             for p in PRIMES:
                 place = PlaceData(p, 1)
                 kwargs = _terms_kwargs(terms)
-                full = _full_rs(pi, PARAMS[name0], place, **kwargs)
+                full = _full_rs(pi, pi0, place, **kwargs)
                 case = (name, name0, p, terms)
                 try:
-                    new = rs_local_oracle(pi, PARAMS[name0], place, **kwargs).to_complex()
+                    new = rs_local_oracle(pi, pi0, place, **kwargs).to_complex()
                 except ValueError as exc:
                     # a refused sum is a prefix of the full one, so that is not finite either
                     assert "undecayed Hecke stream of pi0" in str(exc) and not _finite(full), case
                     refused += 1
                     continue
                 compared += _assert_same(new, full, case)
-                early += sum(counting.counts[-2:]) < 2 * kwargs.get("terms", 10_000)
-    assert compared >= 80
+                cap = kwargs.get("terms", 10_000)
+                early += sum(counting.counts[-2:]) < 2 * cap
+                # neither stream ended: the sum stopped at a repeated state
+                read_pi, read_pi0 = counting.counts[-2:]
+                if (read_pi < _stream_length(pi, p ** -0.5, cap)
+                        and read_pi0 < _stream_length(pi0, cap=cap)):
+                    assert _top(pi0) <= 1 + 1e-12 and read_pi == read_pi0, case
+                    cycled += 1
+                    cycled_real += new.imag == 0
+    assert compared >= 100
     assert early or terms is not None
     assert refused or terms is not None
+    # the stop fires on the default grid, with a +0.0 imaginary part too
+    assert (cycled >= 50 and cycled_real >= 10) or terms is not None
+    assert 1 < _top(PARAMS["unitary"]) <= 1 + 1e-12 < _top(PARAMS["non-tempered"])
+
+
+@pytest.mark.parametrize("p", [4, 9])
+def test_rs_oracle_reads_every_term_where_the_bound_does_not_clear(counting, p):
+    # step * alpha = 1: the decayed stream is 1, 1, 1, ... and repeats its
+    # state from its second block on, but its values stay at 1, so a later
+    # product can still move the total
+    pi = SatakeParams.make_ramified(Scalar.exact(math.isqrt(p)))
+    pi0 = PARAMS["unitary"]
+    new = rs_local_oracle(pi, pi0, PlaceData(p, 1)).to_complex()
+    assert counting.counts[-2:] == [10_000, 10_000]
+    _assert_same(new, _full_rs(pi, pi0, PlaceData(p, 1)), p)
+
+
+def test_complex_sums_add_plainly():
+    """rs_local_oracle stops where every later addend is below a quarter ulp of
+    the total, which holds only for plain round-to-nearest addition: a ``sum``
+    that compensated complex values (as 3.12 does for floats) would collect
+    the tiny addends this test feeds it, and the early stop would change the
+    total."""
+    assert sum([1 + 0j, 2 ** -53 + 0j, 2 ** -53 + 0j], 0j) == 1 + 0j
+    # summing in chunks, each chunk starting from the last total, is one sum
+    us = [complex(math.sin(k), math.cos(3 * k)) * 10.0 ** (k % 7 - 3) for k in range(300)]
+    vs = [complex(math.cos(k), -math.sin(5 * k)) for k in range(300)]
+    one = sum(map(operator.mul, us, vs), 0j)
+    chunked = 0j
+    for start in range(0, 300, 64):
+        chunked = sum(map(operator.mul, us[start:start + 64], vs[start:start + 64]), chunked)
+    assert repr(chunked) == repr(one)
 
 
 @pytest.mark.parametrize("terms", [5, 100, None], ids=["5", "100", "default"])
@@ -272,3 +327,20 @@ def test_reg_oracle_with_a_stream_shorter_than_r(p, r, counting):
             new = reg_local_oracle(zero, place, z, terms=terms).to_complex()
             assert counting.counts[-1] == 3
             assert repr(new) == repr(_full_reg(zero, place, z, terms=terms)) == "0j"
+
+
+@pytest.mark.parametrize("c", [1.0, -1.0, 1.5, math.nextafter(2.0, 0), 2.0 ** -1000, 1e300])
+def test_an_absorbed_addend_rounds_away(c):
+    # the quarter ulp is half the narrower gap next to c, which at a power of
+    # two is the gap below it
+    limit = math.ulp(c) / 4
+    below = math.nextafter(limit, 0)
+    assert zetaint._absorbs(c, below, False)
+    assert c + below == c and c - below == c
+    assert not zetaint._absorbs(c, limit, False)
+
+
+def test_only_a_positive_zero_with_real_constants_absorbs():
+    assert zetaint._absorbs(0.0, 0.0, True)
+    assert not zetaint._absorbs(0.0, 0.0, False)
+    assert not zetaint._absorbs(-0.0, 0.0, True)
