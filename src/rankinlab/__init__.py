@@ -8,9 +8,9 @@ counterexample controls, and the degenerate-term cubic against its coefficient
 formula.
 """
 
-from .degenerate import (CorrectionReport, DegenerateReport, GlobalZetaData, HFunction,
-                         build_G, build_h, correction_report, correction_sum_factor,
-                         degenerate_limit, symmetry_residuals, taylor_bound_report)
+from .degenerate import (CorrectionReport, DegenerateReport, GlobalZetaData, build_G, build_h,
+                         correction_report, correction_sum_factor, degenerate_limit,
+                         symmetry_residuals, taylor_bound_report)
 from .exactalg import (PoleError, Poly2, RationalFunction2, poly_div_exact, poly_gcd,
                        power_of_p, rf_equal)
 from .laurent import (CubicPolynomial, LambdaPoly, LaurentSeries2, ls_from_rational,

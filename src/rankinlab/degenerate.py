@@ -27,6 +27,8 @@ from .localdata import IdealFactorization, PlaceData, omega, zeta_q_scalar, zeta
 from .numerator import plain
 from .scalars import SC_ZERO, Scalar, _binary_power, format_scalar, parse_exact
 
+SPLIT_TOL = 1e-9  # split remainders within SPLIT_TOL * max(1, max |coefficient|) are 0
+
 
 @dataclass(frozen=True)
 class GlobalZetaData:
@@ -109,25 +111,13 @@ class GlobalZetaData:
             xi_at_2_regular=scals("xi_at_2_regular"),
         )
         tol = scal("residue_check_tolerance", doc.get("residue_check_tolerance", 1e-9))
-        data.validate(rel_tol=tol.to_complex().real)
+        if (rel_tol := tol.to_complex().real) < 0:
+            raise ValueError(f"zeta data key 'residue_check_tolerance' is negative: {rel_tol}")
+        data.validate(rel_tol=rel_tol)
         return data
 
 
 # -- the four inverse-zeta products -------------------------------------------
-
-
-@dataclass(frozen=True)
-class HFunction:
-    which: int
-    q: IdealFactorization
-    series: LaurentSeries2
-
-    def coeff(self, m: int, n: int) -> Scalar:
-        lp = self.series.coeff(m, n)
-        if lp.degree() > 0:
-            raise AssertionError("h-functions are lam-free")
-        return lp.coeff(0)
-
 
 LogMap = dict[int, Scalar] | None
 
@@ -170,8 +160,8 @@ def _local_zeta_inverse_series(place: PlaceData, direction: str, sign: int,
 
 
 def build_h(which: int, q: IdealFactorization, depth: int = DEFAULT_DEPTH,
-            log_map: LogMap = None) -> HFunction:
-    """Exact Taylor expansion of the product over places of q of:
+            log_map: LogMap = None) -> LaurentSeries2:
+    """Exact Taylor expansion, free of lam, of the product over places of q of:
 
     which=1: zeta**(-1)(1+2z) zeta**(-1)(1+2w)
     which=2: zeta**(-1)(1)    zeta**(-1)(1+2w)
@@ -200,13 +190,12 @@ def build_h(which: int, q: IdealFactorization, depth: int = DEFAULT_DEPTH,
         out = out * local
     if out.depth > depth:
         out = out.truncated(depth)
-    return HFunction(which, q, out)
+    return out
 
 
-def symmetry_residuals(h1: HFunction, h2: HFunction, h3: HFunction,
-                       h4: HFunction) -> dict[str, float]:
-    """Max |difference| for each of the six cancellation constraints."""
-    s1, s2, s3, s4 = (h.series for h in (h1, h2, h3, h4))
+def symmetry_residuals(s1: LaurentSeries2, s2: LaurentSeries2, s3: LaurentSeries2,
+                       s4: LaurentSeries2) -> dict[str, float]:
+    """Max |difference| for each of the six cancellation constraints on h1..h4."""
     depth = min(s.depth for s in (s1, s2, s3, s4))
 
     def residual(a: LaurentSeries2, b: LaurentSeries2, sz: int, sw: int) -> float:
@@ -232,21 +221,22 @@ class TaylorBoundReport:
     ratio: float
 
 
-def taylor_bound_report(h: HFunction, m: int, n: int) -> TaylorBoundReport:
-    """|a_{m,n}| against omega_F(q)**(m+n)."""
-    mag = abs(h.coeff(m, n).to_complex())
-    om = float(max(omega(h.q), 1)) ** (m + n) if (m + n) else 1.0
+def taylor_bound_report(h: LaurentSeries2, q: IdealFactorization, m: int,
+                        n: int) -> TaylorBoundReport:
+    """|a_{m,n}| of an h-function of q against omega_F(q)**(m+n)."""
+    mag = abs(h.coeff(m, n).coeff(0).to_complex())
+    om = float(max(omega(q), 1)) ** (m + n) if (m + n) else 1.0
     return TaylorBoundReport(m, n, mag, om, mag / om)
 
 
 # -- the pole factor -----------------------------------------------------------
 
-def build_G(data: GlobalZetaData, q: IdealFactorization, sign_z: int = 1,
-            sign_w: int = 1, depth: int = DEFAULT_DEPTH) -> LaurentSeries2:
-    """Laurent object for the pole factor; signs route through the flip map.
+def build_G(data: GlobalZetaData, q: IdealFactorization,
+            depth: int = DEFAULT_DEPTH) -> LaurentSeries2:
+    """Laurent object for the pole factor G(z, w); flips give G(-z, w) and the rest.
 
-    Pole exponents are (1,1,1,0) for signs (+,+): simple poles along z, w and
-    z+w coming from xi(1+2z), xi(1+2w) and Lambda(1+z+w).
+    Pole exponents are (1,1,1,0): simple poles along z, w and z+w coming
+    from xi(1+2z), xi(1+2w) and Lambda(1+z+w).
     """
     if data.depth() < depth:
         raise ValueError(f"ingested data depth {data.depth()} < requested {depth}")
@@ -272,10 +262,7 @@ def build_G(data: GlobalZetaData, q: IdealFactorization, sign_z: int = 1,
                    for k in range(min(depth, len(data.xi_at_2_regular)))]
     xi2 = LaurentSeries2.from_direction(xi2_coeffs, 0, "zw_plus", depth)
     g = g * ls_inverse_regular(xi2)
-    g = g.scale(Scalar.exact(nd))
-    if sign_z < 0 or sign_w < 0:
-        g = g.flip(sign_z < 0, sign_w < 0)
-    return g
+    return g.scale(Scalar.exact(nd))
 
 
 # -- the correction term and the limit ------------------------------------------
@@ -298,25 +285,24 @@ class CorrectionReport:
 
 
 def correction_report(data: GlobalZetaData, q: IdealFactorization,
-                      depth: int = DEFAULT_DEPTH, tol: float = 1e-9,
-                      log_map: LogMap = None) -> CorrectionReport:
+                      depth: int = DEFAULT_DEPTH, log_map: LogMap = None) -> CorrectionReport:
     """``value`` is the limit at the origin of G(-z,-w) h4(z,w) * 8zw(z+w) *
     sum-factor: 8zw(z+w) clears the triple pole of the flipped pole factor, so
     the limit is finite (and lam-free), and the proportionality constant comes
     out of the series arithmetic rather than a hard-coded formula."""
-    return _correction(data, q, build_G(data, q, -1, -1, depth)
-                       * build_h(4, q, depth, log_map).series, tol, log_map)
+    return _correction(data, q, build_G(data, q, depth).flip(True, True)
+                       * build_h(4, q, depth, log_map), log_map)
 
 
 def _correction(data: GlobalZetaData, q: IdealFactorization, g_mm_h4: LaurentSeries2,
-                tol: float, log_map: LogMap) -> CorrectionReport:
+                log_map: LogMap) -> CorrectionReport:
     """The correction limit from a given product G(-z,-w) h4(z,w)."""
     sum_factor = correction_sum_factor(q, log_map)
     if not q.places:
         return CorrectionReport(SC_ZERO, SC_ZERO, None)
     clearing = LaurentSeries2({(2, 1): Scalar.exact(8), (1, 2): Scalar.exact(8)})
     product = g_mm_h4 * clearing
-    abs_tol = tol * max(1.0, product.max_abs())
+    abs_tol = SPLIT_TOL * max(1.0, product.max_abs())
     const = product.constant_term(abs_tol)
     if const.degree() > 0:
         raise AssertionError("correction limit should be lam-free")
@@ -361,8 +347,7 @@ class DegenerateReport:
 
 
 def degenerate_limit(data: GlobalZetaData, q: IdealFactorization,
-                     depth: int = DEFAULT_DEPTH, tol: float = 1e-9,
-                     log_map: LogMap = None) -> DegenerateReport:
+                     depth: int = DEFAULT_DEPTH, log_map: LogMap = None) -> DegenerateReport:
     """The normalised limit of the degenerate term as a cubic in lam = log N(q).
 
     Forms the four sign-flipped products against h1..h4, subtracts the
@@ -372,14 +357,14 @@ def degenerate_limit(data: GlobalZetaData, q: IdealFactorization,
     N(q) zeta_q(1)/zeta_q(2), i.e. net zeta_q(1)**2) so the reported cubic
     matches the headline expansion.
     """
-    g = build_G(data, q, 1, 1, depth)
+    g = build_G(data, q, depth)
     hs = [build_h(which, q, depth, log_map) for which in (1, 2, 3, 4)]
-    g_mm_h4 = g.flip(True, True) * hs[3].series  # also the correction's input
-    combo = (g * hs[0].series
-             + g.flip(True, False) * hs[1].series
-             + g.flip(False, True) * hs[2].series
+    g_mm_h4 = g.flip(True, True) * hs[3]  # also the correction's input
+    combo = (g * hs[0]
+             + g.flip(True, False) * hs[1]
+             + g.flip(False, True) * hs[2]
              + g_mm_h4)
-    abs_tol = tol * max(1.0, combo.max_abs())
+    abs_tol = SPLIT_TOL * max(1.0, combo.max_abs())
     regular, singular, singular_mag = combo.split_singular(abs_tol)
     if not singular.is_zero():
         raise AssertionError(
@@ -387,7 +372,7 @@ def degenerate_limit(data: GlobalZetaData, q: IdealFactorization,
             f"(max coefficient {singular_mag:.3e}); this signals an implementation bug"
         )
     const = regular.coeff(0, 0)
-    corr = _correction(data, q, g_mm_h4, tol, log_map)
+    corr = _correction(data, q, g_mm_h4, log_map)
     const = const - LambdaPoly.const(corr.value)
     # degree > 3 must die by itself; record how close to zero it is
     lambda_excess = max((v.to_complex().__abs__() for k, v in const.c.items() if k > 3),
@@ -404,4 +389,4 @@ def degenerate_limit(data: GlobalZetaData, q: IdealFactorization,
     c3_res = abs(cubic.c3.to_complex() - formula_c3.to_complex())
     return DegenerateReport(q, cubic, formula_c3, c3_res, singular_mag,
                             lambda_excess, corr.value, corr,
-                            tuple(h.coeff(0, 0) for h in hs))
+                            tuple(h.coeff(0, 0).coeff(0) for h in hs))

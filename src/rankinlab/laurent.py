@@ -30,7 +30,6 @@ build only the coefficient asked for.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -365,13 +364,13 @@ def _peeled_unit_series(idx: int, lp: dict[int, Plain], depth: int) -> Flat:
 
 
 def ls_from_rational(f: RationalFunction2, depth: int = DEFAULT_DEPTH,
-                     log_p: ScalarLike | LambdaPoly | str = "numeric") -> LaurentSeries2:
+                     log_p: ScalarLike | LambdaPoly | str = "lambda") -> LaurentSeries2:
     """Laurent-expand a rational function in T1 = p**(-z), T2 = p**(-w).
 
-    ``log_p`` selects how log p enters: "numeric" (a float), "lambda" (the
-    formal symbol, for exact symbolic certificates), or a rational or numeric
-    Scalar surrogate.  A square-root surrogate, or a square-root coefficient
-    of ``f``, is refused with ``ValueError``.
+    ``log_p`` selects how log p enters: "lambda" (the formal symbol, for
+    exact symbolic certificates), or a value: a rational or numeric Scalar
+    surrogate, or a number such as ``math.log(p)``.  A square-root surrogate,
+    or a square-root coefficient of ``f``, is refused with ``ValueError``.
     Vanishing of numerator and denominator along the four divisors is peeled
     off exactly at the polynomial level, so pole exponents are minimal by
     construction; a denominator vanishing at the origin in any other
@@ -383,12 +382,9 @@ def ls_from_rational(f: RationalFunction2, depth: int = DEFAULT_DEPTH,
     being lam itself.
     """
     if isinstance(log_p, str):
-        if log_p == "numeric":
-            lp = nm.plain_coeffs(complex(math.log(f.p)))
-        elif log_p == "lambda":
-            lp = {1: Fraction(1)}
-        else:
+        if log_p != "lambda":
             raise ValueError(f"unknown log_p mode {log_p!r}")
+        lp = {1: Fraction(1)}
     else:
         lp = nm.plain_coeffs(log_p)
 

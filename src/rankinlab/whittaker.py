@@ -97,23 +97,27 @@ def whittaker_value(params: SatakeParams, place: PlaceData, n: int) -> Scalar:
     return power_of_p(place.p, Fraction(n, 2), -1) * satake_sum(params, n + 1)
 
 
-def hecke_stream(params: SatakeParams, step: complex = 1.0) -> Iterator[complex]:
-    """step**n * S(n+1) for n = 0, 1, 2, ... as complex numbers, from the
-    three-term recursion u(n+1) = step (a1+a2) u(n) - step**2 a1 a2 u(n-1).
-
-    The decay is folded into the recursion, so a step below one keeps the
-    terms of non-tempered parameters from overflowing; with step = p**(-1/2)
-    the stream is W(diag(pi**n)).  The stream ends after two consecutive
-    values that are exactly zero: the recursion makes every later value zero.
-    """
-    a1, a2 = params.alpha1.to_complex(), params.alpha2.to_complex()
-    t, delta = step * (a1 + a2), step * step * (a1 * a2)
-    u_prev, u = 0j, 1 + 0j  # S(0), S(1)
+def _hecke_recursion(t, delta) -> Iterator:
+    """u(1), u(2), ... of the Hecke recursion u(n+1) = t u(n) - delta u(n-1), u(0) = 0,
+    u(1) = 1, on integers or complex doubles.  It ends after two consecutive
+    exact zeros: the recursion makes every later value zero."""
+    u_prev, u = 0, 1
     while True:
         yield u
         if not (u or u_prev):
             return
         u_prev, u = u, t * u - delta * u_prev
+
+
+def hecke_stream(params: SatakeParams, step: complex = 1.0) -> Iterator[complex]:
+    """step**n * S(n+1) for n = 0, 1, 2, ..., complex after S(1) = 1: the Hecke
+    recursion at t = step (a1+a2), delta = step**2 a1 a2, which ends after two
+    consecutive exact zeros.  The decay is folded into the recursion, so a step
+    below one keeps the terms of non-tempered parameters from overflowing;
+    with step = p**(-1/2) the stream is W(diag(pi**n)).
+    """
+    a1, a2 = params.alpha1.to_complex(), params.alpha2.to_complex()
+    return _hecke_recursion(step * (a1 + a2), step * step * (a1 * a2))
 
 
 def l_factor_product(a: SatakeParams, b: SatakeParams, x: Scalar) -> Scalar:

@@ -32,7 +32,7 @@ from .exactalg import Poly2, RationalFunction2, nonzero_factor, power_of_p
 from .localdata import PlaceData, Shift, zeta_local, zeta_scalar
 from .numerator import plain
 from .scalars import SC_ONE, Scalar, ScalarLike
-from .whittaker import SatakeParams, hecke_stream, l_factor_product, satake_sum
+from .whittaker import SatakeParams, _hecke_recursion, hecke_stream, l_factor_product, satake_sum
 
 KIND_SIGNS = {"i": (1, 1), "ii": (-1, 1), "iii": (1, -1), "iv": (-1, -1)}
 KINDS = tuple(KIND_SIGNS)
@@ -162,7 +162,12 @@ def correction_leading(place: PlaceData) -> Fraction:
     return 8 * Fraction(place.p, place.p - 1) ** 3 / place.p ** (place.r + 1)
 
 
-def _kind_signs(kind: str) -> tuple[int, int]:
+def _psi_signs(kind: str, place: PlaceData, pi0: SatakeParams) -> tuple[int, int]:
+    """The (sign_z, sign_w) of a psi kind, once the inputs of both psi forms are checked."""
+    if place.r < 1:
+        raise ValueError("psi is computed at places dividing the ideal (r >= 1)")
+    if pi0.ramified:
+        raise ValueError("the fixed representation must be unramified")
     if kind not in KIND_SIGNS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
     return KIND_SIGNS[kind]
@@ -170,11 +175,7 @@ def _kind_signs(kind: str) -> tuple[int, int]:
 
 def psi_closed(kind: str, place: PlaceData, pi0: SatakeParams) -> LocalZetaResult:
     """Closed form of the four local zeta integrals at a place dividing the ideal."""
-    if place.r < 1:
-        raise ValueError("psi is computed at places dividing the ideal (r >= 1)")
-    if pi0.ramified:
-        raise ValueError("the fixed representation must be unramified")
-    sz, sw = _kind_signs(kind)
+    sz, sw = _psi_signs(kind, place, pi0)
     value = local_pole_factor(place, pi0, sz, sw) * h_local(KINDS.index(kind) + 1, place)
     if kind == "iv":
         value = value * (RationalFunction2.const(1, place.p) - correction_factor_rf(place))
@@ -188,8 +189,8 @@ def whittaker_square_sum(pi0: SatakeParams, place: PlaceData, a: int, b: int,
     """sum_{n>=0} |W|**2(pi**n) * |pi**n|**(a z + b w) as an exact rational function.
 
     In the one variable X = p**(-1) T1**a T2**b the sum is sum A_n X**n with
-    A_n = S(n+1)**2: ``cutoff`` explicit terms, S from its recursion
-    S(n+1) = t S(n) - delta S(n-1), and the tail resummed in closed form
+    A_n = S(n+1)**2: ``cutoff`` (at least 3) explicit terms, S from the Hecke
+    recursion S(n+1) = t S(n) - delta S(n-1), and the tail resummed in closed form
     through the three-term recursion of A_n (characteristic roots alpha1**2,
     alpha1*alpha2, alpha2**2).  For rational alpha_i = n_i/d_i the S(n) are
     integers over D**(n-1), D = d1*d2: s_n = S(n) D**(n-1) runs on integers,
@@ -199,8 +200,9 @@ def whittaker_square_sum(pi0: SatakeParams, place: PlaceData, a: int, b: int,
     the same lines with D = 1.  Y = T1**a T2**b / (p D**2) is substituted
     once, at the end.
     """
-    p = place.p
-    m = max(3, cutoff)
+    if cutoff < 3:
+        raise ValueError("cutoff too small to certify the Whittaker tail (need >= 3)")
+    p, m = place.p, cutoff
     for alpha in (pi0.alpha1, pi0.alpha2):
         if alpha.z is None and alpha.b:
             raise ValueError(f"Satake parameter {alpha} has a square-root part: the Whittaker "
@@ -214,11 +216,8 @@ def whittaker_square_sum(pi0: SatakeParams, place: PlaceData, a: int, b: int,
     # T and Delta; at D = 1 the unit factors stay out (a complex times 1 can
     # flip the sign of a zero part)
     t, delta = (n1 * d2 + n2 * d1, n1 * n2 * d) if d > 1 else (n1 + n2, n1 * n2)
-    s_prev, s = 0, 1  # s_0, s_1
-    seq = []
-    for _ in range(m):
-        seq.append(s * s)
-        s_prev, s = s, t * s - delta * s_prev
+    seq = [s * s for s in islice(_hecke_recursion(t, delta), m)]
+    seq += [0] * (m - len(seq))  # the recursion ended at two exact zeros
     # recursion of B_n = s_(n+1)**2 = A_n D**(2n): B_n = e1 B_{n-1} - e2 B_{n-2} + e3 B_{n-3}
     e1 = t * t - delta
     e2 = delta * t * t - delta * delta
@@ -269,13 +268,7 @@ def psi_oracle(kind: str, place: PlaceData, pi0: SatakeParams,
     shells beyond -r pick up the substituted Whittaker factor
     |c/X|**(2(z+w)) and their geometric sum is closed exactly.
     """
-    if cutoff < 3:
-        raise ValueError("cutoff too small to certify the Whittaker tail (need >= 3)")
-    if pi0.ramified:
-        raise ValueError("the fixed representation must be unramified")
-    if place.r < 1:
-        raise ValueError("psi is computed at places dividing the ideal (r >= 1)")
-    sz, sw = _kind_signs(kind)
+    sz, sw = _psi_signs(kind, place, pi0)
     p, r = place.p, place.r
     pref = RationalFunction2.monomial(-sz * r, -sw * r, 1, p)  # |X|**(sz z + sw w)
     y_inner = whittaker_square_sum(pi0, place, sz, sw, cutoff)

@@ -16,6 +16,7 @@ from rankinlab.scalars import Scalar
 
 GOLDEN_PSI = Path(__file__).parent / "data" / "psi_golden.jsonl"
 GOLDEN_DEGENERATE = Path(__file__).parent / "data" / "degenerate_golden.jsonl"
+GOLDEN_VERIFY = Path(__file__).parent / "data" / "verify_golden.json"
 
 
 @pytest.fixture()
@@ -287,6 +288,7 @@ def test_degenerate_malformed_document(tmp_path, capsys):
 
 
 RATIONAL_FIELD = Path(degenerate.__file__).parent / "data" / "q_rationalfield.json"
+MODEL_EXACT = RATIONAL_FIELD.with_name("model_exact.json")
 
 
 @pytest.mark.parametrize("key, value", [
@@ -296,7 +298,8 @@ RATIONAL_FIELD = Path(degenerate.__file__).parent / "data" / "q_rationalfield.js
     ("norm_different", "1.5"), ("norm_different", "0"), ("norm_different", 0),
     ("norm_different", -3), ("norm_different", True), ("residue_check_tolerance", [1e-9]),
     ("xi_at_2", "1e999"), ("lambda_pi0_regular", ["-1e999"]),
-    ("lambda_pi0_residue", float("nan")), ("residue_check_tolerance", "nan")])
+    ("lambda_pi0_residue", float("nan")), ("residue_check_tolerance", "nan"),
+    ("residue_check_tolerance", -1e-9), ("residue_check_tolerance", "-1")])
 def test_malformed_zeta_data_is_a_usage_error_naming_its_key(tmp_path, capsys, key, value):
     doc = json.loads(RATIONAL_FIELD.read_text())
     doc[key] = value
@@ -304,6 +307,16 @@ def test_malformed_zeta_data_is_a_usage_error_naming_its_key(tmp_path, capsys, k
     path.write_text(json.dumps(doc))
     assert main(["degenerate", "--q", "2", "--data", str(path)]) == 2
     assert f"zeta data key '{key}" in capsys.readouterr().err
+
+
+def test_a_negative_residue_tolerance_is_a_usage_error_on_the_exact_document(tmp_path, capsys):
+    # exact residues compare without a tolerance, so nothing else would catch it
+    doc = json.loads(MODEL_EXACT.read_text())
+    doc["residue_check_tolerance"] = "-1"
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main(["degenerate", "--q", "2", "--data", str(path)]) == 2
+    assert "zeta data key 'residue_check_tolerance'" in capsys.readouterr().err
 
 
 def test_zeta_data_takes_numbers_and_number_strings(tmp_path, capsys):
@@ -494,6 +507,13 @@ def test_degenerate_reports_match_golden(capsys, monkeypatch):
         if code != 0 or capsys.readouterr().out != line:
             differ.append(" ".join(argv))
     assert differ == []
+
+
+def test_verify_report_matches_golden(capsys):
+    # the default verify report, byte for byte (sha256 prefix a8e35d41d0b4d1c5):
+    # runtimes go to stderr, so stdout is the same on every run of the seed
+    assert main(["verify"]) == 0
+    assert capsys.readouterr().out == GOLDEN_VERIFY.read_text()
 
 
 def test_verify_degenerate_reports_envelope_margin(capsys):

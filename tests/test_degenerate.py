@@ -25,21 +25,31 @@ LOG_SURROGATES = {
 
 def test_h_origin_values():
     h1 = build_h(1, Q23)
-    assert abs(h1.coeff(0, 0).to_complex() - 1 / 9) < 1e-15
+    assert abs(h1.coeff(0, 0).coeff(0).to_complex() - 1 / 9) < 1e-15
     for which in (2, 3, 4):
         h = build_h(which, Q23)
-        assert abs(h.coeff(0, 0).to_complex() - 1 / 9) < 1e-15
+        assert abs(h.coeff(0, 0).coeff(0).to_complex() - 1 / 9) < 1e-15
 
 
 def test_h_first_coefficient():
     h1 = build_h(1, IdealFactorization.parse("2^1"))
-    assert abs(h1.coeff(1, 0).to_complex() - math.log(2) / 2) < 1e-15
+    assert abs(h1.coeff(1, 0).coeff(0).to_complex() - math.log(2) / 2) < 1e-15
 
 
 def test_h_empty_ideal_is_one():
     h = build_h(1, IdealFactorization.parse("1"))
-    assert h.coeff(0, 0) == Scalar.exact(1)
-    assert all(m == (0, 0) for m in h.series.num)
+    assert h.coeff(0, 0).coeff(0) == Scalar.exact(1)
+    assert all(m == (0, 0) for m in h.num)
+
+
+@pytest.mark.parametrize("log_map", [None, LOG_SURROGATES], ids=["numeric", "rational"])
+def test_h_functions_are_lam_free(log_map):
+    # degenerate_limit and taylor_bound_report read h1..h4 at lam power 0 only
+    for spec in ("1", "2^1", "2^1*3^1", "2^2*3^1*5^1"):
+        q = IdealFactorization.parse(spec)
+        for which in (1, 2, 3, 4):
+            h = build_h(which, q, log_map=log_map)
+            assert h.num and all(set(lp.c) == {0} for lp in h.num.values()), (spec, which)
 
 
 def test_symmetry_constraints_exact_with_rational_logs():
@@ -55,26 +65,27 @@ def test_symmetry_constraints_exact_with_rational_logs():
 def test_symmetry_constraints_float_pipeline():
     q = IdealFactorization.parse("2^2*3^1*5^1")
     hs = [build_h(k, q) for k in (1, 2, 3, 4)]
-    scale = max(h.series.max_abs() for h in hs)
+    scale = max(h.max_abs() for h in hs)
     assert max(symmetry_residuals(*hs).values()) <= 1e-13 * scale
 
 
 def test_taylor_report():
-    h = build_h(4, IdealFactorization.parse("13^1"))
-    rep = taylor_bound_report(h, 0, 0)
+    q = IdealFactorization.parse("13^1")
+    h = build_h(4, q)
+    rep = taylor_bound_report(h, q, 0, 0)
     assert rep.magnitude < 1.0 and rep.omega_power == 1.0
-    rep12 = taylor_bound_report(h, 1, 2)
+    rep12 = taylor_bound_report(h, q, 1, 2)
     assert rep12.ratio == rep12.magnitude  # omega = 1 for a single place
 
 
 def test_build_G_pole_structure():
     data = model_data()
-    g = build_G(data, IdealFactorization.parse("2^1"), 1, 1, 8)
+    g = build_G(data, IdealFactorization.parse("2^1"), 8)
     assert g.poles == (1, 1, 1, 0)
     # leading singular coefficient: xi*^2 * res(Lambda) * N(d) / (4 xi(2)) = 1/4
     lead = g.coeff(0, 0)
     assert lead.coeff(0) == Scalar.exact(Fraction(1, 4))
-    flipped = build_G(data, IdealFactorization.parse("2^1"), -1, -1, 8)
+    flipped = g.flip(True, True)
     assert flipped.poles == (1, 1, 1, 0)
     assert flipped.coeff(0, 0).coeff(0) == Scalar.exact(Fraction(-1, 4))
 
@@ -96,7 +107,7 @@ def test_data_validation():
 def test_depth_requirement():
     data = model_data()
     with pytest.raises(ValueError, match="depth"):
-        build_G(data, Q23, 1, 1, 40)
+        build_G(data, Q23, 40)
 
 
 def test_degenerate_limit_model_exact():
@@ -165,8 +176,8 @@ def test_degenerate_exact_log_surrogate_backend():
 
 
 def test_taylor_report_violation_flag():
-    h = build_h(4, IdealFactorization.parse("13^1"))
-    rep = taylor_bound_report(h, 1, 2)
+    q = IdealFactorization.parse("13^1")
+    rep = taylor_bound_report(build_h(4, q), q, 1, 2)
     assert rep.ratio > 1.0
     assert not rep.ratio > 6.5
 
@@ -297,8 +308,7 @@ def test_build_h_is_bitwise_the_scalar_local_factors(mode, monkeypatch):
     want = [build_h(which, q, depth, log_map) for q in ideals for depth in depths
             for which in (1, 2, 3, 4)]
     for h, ref in zip(got, want):
-        assert h.which == ref.which
-        _assert_same_series(h.series, ref.series)
+        _assert_same_series(h, ref)
 
 
 def test_degenerate_limit_flips_for_the_correction_once(monkeypatch):

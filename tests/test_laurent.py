@@ -39,11 +39,20 @@ def test_unit_series_from_rational():
     assert all(m == (0, 0) for m in one.num)
 
 
+def test_from_rational_expands_in_lam_by_default():
+    # a numeric log p is passed as a number, such as math.log(p); no string names it
+    f = zeta_local(PlaceData(2, 1), Shift.of(1, 2, 0)).inverse()
+    default, lam = ls_from_rational(f, 8), ls_from_rational(f, 8, log_p="lambda")
+    assert (default.den, default.terms, default.poles) == (lam.den, lam.terms, lam.poles)
+    with pytest.raises(ValueError, match="unknown log_p mode 'numeric'"):
+        ls_from_rational(f, 8, log_p="numeric")
+
+
 def test_simple_pole_along_diagonal_direction():
     # zeta_v(2z+2w) = (1 - exp(-2(z+w) log 2))**(-1) has a simple pole
     # along z+w with leading coefficient 1/(2 log 2)
     place = PlaceData(2, 1)
-    ser = ls_from_rational(zeta_local(place, Shift.of(0, 2, 2)), 8)
+    ser = ls_from_rational(zeta_local(place, Shift.of(0, 2, 2)), 8, log_p=math.log(2))
     assert ser.poles == (0, 0, 1, 0)
     lead = ser.coeff(0, 0).coeff(0).to_complex()
     assert abs(lead - 1 / (2 * math.log(2))) < 1e-14
@@ -51,7 +60,7 @@ def test_simple_pole_along_diagonal_direction():
 
 def test_regular_expansion_coefficients():
     place = PlaceData(2, 1)
-    ser = ls_from_rational(zeta_local(place, Shift.of(1, 2, 0)).inverse(), 8)
+    ser = ls_from_rational(zeta_local(place, Shift.of(1, 2, 0)).inverse(), 8, log_p=math.log(2))
     assert ser.poles == (0, 0, 0, 0)
     assert abs(ser.coeff(0, 0).coeff(0).to_complex() - 0.5) < 1e-15
     assert abs(ser.coeff(1, 0).coeff(0).to_complex() - math.log(2)) < 1e-14
@@ -64,7 +73,7 @@ def test_non_divisor_denominator_rejected():
     bad = RationalFunction2.from_poly(Poly2.const(1), 2).with_factor(
         Poly2.const(2) - Poly2.monomial(1, 0, 3) + Poly2.monomial(0, 2))
     with pytest.raises((ValueError, ZeroDivisionError)):
-        ls_from_rational(bad, 8)
+        ls_from_rational(bad, 8, log_p=math.log(2))
 
 
 def test_mul_and_add_pole_bookkeeping():
@@ -130,7 +139,7 @@ def test_depth_truncation_guards_certificates():
 def test_eval_matches_rational_function():
     place = PlaceData(3, 1)
     f = zeta_local(place, Shift.of(1, 2, 0)).inverse() * zeta_local(place, Shift.of(2, 2, 2))
-    ser = ls_from_rational(f, 8)
+    ser = ls_from_rational(f, 8, log_p=math.log(3))
     z, w = 1e-4, 2e-4
     lhs = ser.eval(z, w)
     rhs = f.eval_zw(Scalar.numeric(z), Scalar.numeric(w)).to_complex()
@@ -181,8 +190,8 @@ def test_from_rational_depth_guard():
     f = (zeta_local(place, Shift.of(0, 2, 0)) * zeta_local(place, Shift.of(0, 0, 2))
          * zeta_local(place, Shift.of(0, 2, 2)))
     with pytest.raises(ValueError, match="too shallow"):
-        ls_from_rational(f, 4)
-    ser = ls_from_rational(f, 6)
+        ls_from_rational(f, 4, log_p=math.log(2))
+    ser = ls_from_rational(f, 6, log_p=math.log(2))
     assert ser.poles == (1, 1, 1, 0)
 
 

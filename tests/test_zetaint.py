@@ -95,6 +95,14 @@ def test_psi_oracle_cutoff_validation():
     assert rf_equal(a.value, b.value)
 
 
+def test_square_sum_states_the_cutoff_rule_psi_oracle_raises():
+    with pytest.raises(ValueError, match="cutoff") as in_sum:
+        whittaker_square_sum(PI0_11, PLACE, 1, 1, cutoff=2)
+    with pytest.raises(ValueError) as in_oracle:
+        psi_oracle("i", PLACE, PI0_11, cutoff=2)
+    assert str(in_sum.value) == str(in_oracle.value)
+
+
 def test_psi_requires_dividing_place():
     with pytest.raises(ValueError):
         psi_closed("i", PlaceData(2, 0), PI0_11)
@@ -283,6 +291,17 @@ def test_square_sum_is_the_cauchy_closed_form():
     one = RationalFunction2.const(1, 3)
     closed = (one + x * 6) / ((one - x * 4) * (one - x * 6) * (one - x * 9))
     assert rf_equal(whittaker_square_sum(pi0, place, -1, 1), closed)
+
+
+def test_square_sum_of_zero_parameters_is_one():
+    # S(n+1) = 1, 0, 0, ...: the recursion ends at two exact zeros inside the cutoff
+    exact = SatakeParams(Scalar.exact(0), Scalar.exact(0))
+    numeric = SatakeParams(Scalar.numeric(0j), Scalar.numeric(0j))
+    for cutoff in (3, 6):
+        assert rf_equal(whittaker_square_sum(exact, PLACE, 1, 1, cutoff),
+                        RationalFunction2.const(1, PLACE.p))
+        value = whittaker_square_sum(numeric, PLACE, -1, 1, cutoff).eval_zw(0.25, 0.5)
+        assert value.to_complex() == 1
 
 
 @pytest.mark.parametrize("alpha", (0.6 + 0.8j, cmath.exp(0.3j), 1.0 + 0j))
