@@ -105,6 +105,14 @@ def parse_point(text: str) -> tuple[Scalar, Scalar]:
     return point
 
 
+def _parse_option(option: str, text: str, parse):
+    """parse(text), where a ValueError becomes one that names the option and its text."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ValueError(f"{option} {text!r}: {exc}") from None
+
+
 def _check_point_size(p: int, z: Scalar, w: Scalar, text: str, exact_mode: bool) -> None:
     """Refuse a point where p**(-z) or p**(-w) cannot be formed: in exact mode,
     exact (2z an integer) with more digits than Python converts to a string
@@ -171,10 +179,7 @@ def _rounding_floor(value, t1: Scalar, t2: Scalar, text: str) -> float:
 
 def cmd_psi(args) -> int:
     place = PlaceData(args.p, args.r)
-    try:
-        pi0 = parse_satake(args.pi0)
-    except ValueError as exc:
-        raise ValueError(f"--pi0 {args.pi0!r}: {exc}") from None
+    pi0 = _parse_option("--pi0", args.pi0, parse_satake)
     exact_mode = pi0.alpha1.is_exact and pi0.alpha2.is_exact
     kinds = KINDS if args.kind == "all" else (args.kind,)
     report = {
@@ -182,7 +187,7 @@ def cmd_psi(args) -> int:
         "kinds": list(kinds), "at": args.at, "seed": args.seed,
         "mode": "exact" if exact_mode else "numeric",
     }
-    z, w = parse_point(args.at)
+    z, w = _parse_option("--at", args.at, parse_point)
     _check_point_size(args.p, z, w, args.at, exact_mode)
     t1, t2 = power_of_p(args.p, z, -1), power_of_p(args.p, w, -1)
     all_match = True
@@ -241,7 +246,7 @@ def cmd_psi(args) -> int:
 
 def cmd_degenerate(args) -> int:
     data = GlobalZetaData.from_document(args.data)
-    q = IdealFactorization.parse(args.q)
+    q = _parse_option("--q", args.q, IdealFactorization.parse)
     rep = degenerate_limit(data, q, depth=args.depth)
     # a residual of exact values is exact; a numeric one carries a few ulps
     exact = rep.formula_c3.is_exact and rep.coefficients.c3.is_exact

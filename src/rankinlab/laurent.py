@@ -459,14 +459,15 @@ Coeffs = dict[tuple[int, int], Fraction]
 # dict without dropping a key whose sum passes through zero, and remove the
 # zero keys at the end.
 _RAND_DEN = 12
+_RAND_TERMS, _RAND_MAX_DEG = 5, 4  # random draws per polynomial, and their largest total degree
 
 
-def _rand_poly(rng, terms: int, max_deg: int) -> dict[tuple[int, int], int]:
-    """Numerators over _RAND_DEN of terms random coefficients num/den."""
+def _rand_poly(rng) -> dict[tuple[int, int], int]:
+    """Numerators over _RAND_DEN of _RAND_TERMS random coefficients num/den."""
     out: dict[tuple[int, int], int] = {}
-    for _ in range(terms):
-        i = rng.randrange(max_deg + 1)
-        j = rng.randrange(max_deg + 1 - i)
+    for _ in range(_RAND_TERMS):
+        i = rng.randrange(_RAND_MAX_DEG + 1)
+        j = rng.randrange(_RAND_MAX_DEG + 1 - i)
         num = rng.randrange(-9, 10)
         den = rng.randrange(1, 5)
         if num:
@@ -520,11 +521,10 @@ def _poly_mul(a: dict, b: dict) -> dict:
     return {m: v for m, v in out.items() if v}
 
 
-def random_symmetric_quadruple(rng, terms: int = 5, max_deg: int = 4
-                               ) -> tuple[Coeffs, Coeffs, Coeffs, Coeffs]:
+def random_symmetric_quadruple(rng) -> tuple[Coeffs, Coeffs, Coeffs, Coeffs]:
     """Random (h1,h2,h3,h4) satisfying all six cancellation constraints exactly."""
-    h1 = _poly_add({(0, 0): rng.randrange(1, 6) * _RAND_DEN}, _rand_poly(rng, terms, max_deg))
-    r2 = _rand_poly(rng, terms, max_deg)
+    h1 = _poly_add({(0, 0): rng.randrange(1, 6) * _RAND_DEN}, _rand_poly(rng))
+    r2 = _rand_poly(rng)
     h2 = _poly_add(_embed_in_w(_restrict_w_axis(h1)), _poly_shift(r2, 1, 0))
 
     # delta(t) = (h1(0,t) - h1(t,0)) / t
@@ -534,7 +534,7 @@ def random_symmetric_quadruple(rng, terms: int = 5, max_deg: int = 4
              for k in set(w_axis) | set(z_axis) if k >= 1}
     delta = {k: v for k, v in delta.items() if v}
     r3 = _poly_add(r2, _embed_in_w(delta),
-                   _poly_mul({(1, 0): 1, (0, 1): -1}, _rand_poly(rng, terms, max_deg)))
+                   _poly_mul({(1, 0): 1, (0, 1): -1}, _rand_poly(rng)))
     h3 = _poly_add(_embed_in_z(z_axis), _poly_shift(r3, 0, 1))
 
     base = _poly_add(_embed_in_z(_restrict_z_axis(h2)), _embed_in_w(_restrict_w_axis(h3)),
@@ -551,7 +551,7 @@ def random_symmetric_quadruple(rng, terms: int = 5, max_deg: int = 4
                    _poly_mul({(1, 1): 1},
                              _poly_add(_embed_in_w(eta),
                                        _poly_mul({(1, 0): 1, (0, 1): 1},
-                                                 _rand_poly(rng, terms, max_deg)))))
+                                                 _rand_poly(rng)))))
     return tuple({m: Fraction(n, _RAND_DEN) for m, n in h.items()} for h in (h1, h2, h3, h4))
 
 

@@ -11,9 +11,9 @@ factor in them, the Rankin-Selberg ones included, is a
 exact summation over valuation strata of the Bruhat coordinates (the
 c-integrand is constant on each shell ``val(c) = -j`` of measure
 ``p**j (1-1/p)``, and the y-sum is a Whittaker power series in one variable
-X = p**(-1) T1**a T2**b, summed from the recursion of S(n) with its tail
-resummed through the three-term recursion of S(n)**2: on integers over
-powers of D = d1*d2 for rational Satake parameters n_i/d_i, on complex values
+X = p**(-1) T1**a T2**b, summed in closed form through the three-term
+recursion of S(n)**2 from its first three terms: on integers over powers of
+D = d1*d2 for rational Satake parameters n_i/d_i, on complex values
 otherwise).  The two must agree exactly as rational functions.
 """
 
@@ -184,25 +184,23 @@ def psi_closed(kind: str, place: PlaceData, pi0: SatakeParams) -> LocalZetaResul
 
 # -- stratum-sum oracle --------------------------------------------------------
 
-def whittaker_square_sum(pi0: SatakeParams, place: PlaceData, a: int, b: int,
-                         cutoff: int = 6) -> RationalFunction2:
+def whittaker_square_sum(pi0: SatakeParams, place: PlaceData, a: int, b: int) -> RationalFunction2:
     """sum_{n>=0} |W|**2(pi**n) * |pi**n|**(a z + b w) as an exact rational function.
 
     In the one variable X = p**(-1) T1**a T2**b the sum is sum A_n X**n with
-    A_n = S(n+1)**2: ``cutoff`` (at least 3) explicit terms, S from the Hecke
-    recursion S(n+1) = t S(n) - delta S(n-1), and the tail resummed in closed form
-    through the three-term recursion of A_n (characteristic roots alpha1**2,
-    alpha1*alpha2, alpha2**2).  For rational alpha_i = n_i/d_i the S(n) are
-    integers over D**(n-1), D = d1*d2: s_n = S(n) D**(n-1) runs on integers,
-    s_(n+1) = T s_n - Delta s_(n-1) with T = n1 d2 + n2 d1 and
-    Delta = n1 n2 d1 d2, and so do the numerator and denominator lists of the
-    sum in Y = X / D**2 and their recursion constants.  Complex parameters run
-    the same lines with D = 1.  Y = T1**a T2**b / (p D**2) is substituted
-    once, at the end.
+    A_n = S(n+1)**2, S from the Hecke recursion S(n+1) = t S(n) - delta S(n-1).
+    The A_n follow a three-term recursion (characteristic roots alpha1**2,
+    alpha1*alpha2, alpha2**2), so the sum is num/den with
+    den = 1 - e1 X + e2 X**2 - e3 X**3 and num the terms of den times the
+    series below X**3, which A_0, A_1 and A_2 fix.  For rational
+    alpha_i = n_i/d_i the S(n) are integers over D**(n-1), D = d1*d2:
+    s_n = S(n) D**(n-1) runs on integers, s_(n+1) = T s_n - Delta s_(n-1)
+    with T = n1 d2 + n2 d1 and Delta = n1 n2 d1 d2, and so do the numerator
+    and denominator lists of the sum in Y = X / D**2 and their recursion
+    constants.  Complex parameters run the same lines with D = 1.
+    Y = T1**a T2**b / (p D**2) is substituted once, at the end.
     """
-    if cutoff < 3:
-        raise ValueError("cutoff too small to certify the Whittaker tail (need >= 3)")
-    p, m = place.p, cutoff
+    p = place.p
     for alpha in (pi0.alpha1, pi0.alpha2):
         if alpha.z is None and alpha.b:
             raise ValueError(f"Satake parameter {alpha} has a square-root part: the Whittaker "
@@ -216,21 +214,15 @@ def whittaker_square_sum(pi0: SatakeParams, place: PlaceData, a: int, b: int,
     # T and Delta; at D = 1 the unit factors stay out (a complex times 1 can
     # flip the sign of a zero part)
     t, delta = (n1 * d2 + n2 * d1, n1 * n2 * d) if d > 1 else (n1 + n2, n1 * n2)
-    seq = [s * s for s in islice(_hecke_recursion(t, delta), m)]
-    seq += [0] * (m - len(seq))  # the recursion ended at two exact zeros
-    # recursion of B_n = s_(n+1)**2 = A_n D**(2n): B_n = e1 B_{n-1} - e2 B_{n-2} + e3 B_{n-3}
+    # B_n = s_(n+1)**2 = A_n D**(2n): B_n = e1 B_{n-1} - e2 B_{n-2} + e3 B_{n-3}
+    b0, b1, b2 = (s * s for s in islice(_hecke_recursion(t, delta), 3))
     e1 = t * t - delta
     e2 = delta * t * t - delta * delta
     e3 = delta ** 3
     den = [1, -e1, e2, -e3]
-    num = [0] * (m + 3)
-    for n, term in enumerate(seq):
-        for k, c in enumerate(den):
-            num[n + k] += term * c
-    # rhs = den * tail: the recursion leaves three terms past the partial sum
-    num[m] += seq[m - 1] * e1 - seq[m - 2] * e2 + seq[m - 3] * e3
-    num[m + 1] += seq[m - 2] * e3 - seq[m - 1] * e2
-    num[m + 2] += seq[m - 1] * e3
+    # the X**0..X**2 terms of den * sum B_n X**n, summed from n = 0 up (from the
+    # top, alpha = -909.0 leaves 1.2e-6 at X**2); an int 0 start would flip a -0.0
+    num = [b0, b1 - b0 * e1, b0 * e2 - b1 * e1 + b2]
     for coeffs in (num, den):
         while not coeffs[-1]:
             coeffs.pop()
@@ -259,8 +251,7 @@ def _ftilde_pair(place: PlaceData, val_c: int | None) -> RationalFunction2:
     return ftilde_eval(place, pt, HALF_Z) * ftilde_eval(place, pt, HALF_W)
 
 
-def psi_oracle(kind: str, place: PlaceData, pi0: SatakeParams,
-               cutoff: int = 6) -> LocalZetaResult:
+def psi_oracle(kind: str, place: PlaceData, pi0: SatakeParams) -> LocalZetaResult:
     """Bruhat-strata evaluation of the four local zeta integrals.
 
     The c-integral is piecewise constant on valuation shells (measure of
@@ -271,7 +262,7 @@ def psi_oracle(kind: str, place: PlaceData, pi0: SatakeParams,
     sz, sw = _psi_signs(kind, place, pi0)
     p, r = place.p, place.r
     pref = RationalFunction2.monomial(-sz * r, -sw * r, 1, p)  # |X|**(sz z + sw w)
-    y_inner = whittaker_square_sum(pi0, place, sz, sw, cutoff)
+    y_inner = whittaker_square_sum(pi0, place, sz, sw)
     if kind != "iv":
         # c integral: f at a sign +1, ftilde at a sign -1, over the integers
         origin = BruhatPoint(0, 0)

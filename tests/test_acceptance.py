@@ -25,7 +25,8 @@ def _report(res, budget=None):
 
 def test_criterion_1_whittaker_integral_identity():
     """Closed weighted integral vs 10^4-term sums: 100 draws, 1e-10, < 5 s."""
-    res = suite_whittaker_integral(seed=DEFAULT_SEED, draws=100)
+    res = suite_whittaker_integral(seed=DEFAULT_SEED)
+    assert res.details["draws"] == 100
     assert res.details["worst_rel_error"] <= 1e-10
     assert res.details["exact_spot_ok"]  # p=2, alpha=(1,1), s=0 gives exactly 12
     _report(res, budget=5.0)

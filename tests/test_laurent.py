@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rankinlab import numerator
+from rankinlab import laurent, numerator
 from rankinlab.degenerate import build_h, degenerate_limit
 from rankinlab.exactalg import Poly2, RationalFunction2
 from rankinlab.laurent import (EXACT_DEPTH, SYMMETRY_BREAKERS, LambdaPoly, LaurentSeries2,
@@ -1031,12 +1031,16 @@ def _old_random_symmetric_quadruple(rng, terms=5, max_deg=4):
 
 
 @pytest.mark.parametrize("terms, max_deg", [(5, 4), (2, 1), (8, 6)])
-def test_quadruple_generator_matches_fraction_version(terms, max_deg):
+def test_quadruple_generator_matches_fraction_version(terms, max_deg, monkeypatch):
+    # (5, 4) is what every caller draws; the other sizes test the generator
+    # away from its constants
+    monkeypatch.setattr(laurent, "_RAND_TERMS", terms)
+    monkeypatch.setattr(laurent, "_RAND_MAX_DEG", max_deg)
     names = sorted(SYMMETRY_BREAKERS)
     for seed in range(400):
         old_rng, new_rng = random.Random(seed), random.Random(seed)
         want = _old_random_symmetric_quadruple(old_rng, terms, max_deg)
-        got = random_symmetric_quadruple(new_rng, terms, max_deg)
+        got = random_symmetric_quadruple(new_rng)
         # same values, same key order, Fractions only, and the same draws
         assert [list(h.items()) for h in got] == [list(h.items()) for h in want]
         assert all(type(v) is Fraction for h in got for v in h.values())

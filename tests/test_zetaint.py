@@ -86,23 +86,6 @@ def test_psi_oracle_equals_closed(kind, p, r):
         assert rf_equal(closed.value, oracle.value)
 
 
-def test_psi_oracle_cutoff_validation():
-    with pytest.raises(ValueError):
-        psi_oracle("i", PLACE, PI0_11, cutoff=2)
-    # any admissible cutoff reproduces the same rational function
-    a = psi_oracle("iv", PLACE, PI0_11, cutoff=3)
-    b = psi_oracle("iv", PLACE, PI0_11, cutoff=9)
-    assert rf_equal(a.value, b.value)
-
-
-def test_square_sum_states_the_cutoff_rule_psi_oracle_raises():
-    with pytest.raises(ValueError, match="cutoff") as in_sum:
-        whittaker_square_sum(PI0_11, PLACE, 1, 1, cutoff=2)
-    with pytest.raises(ValueError) as in_oracle:
-        psi_oracle("i", PLACE, PI0_11, cutoff=2)
-    assert str(in_sum.value) == str(in_oracle.value)
-
-
 def test_psi_requires_dividing_place():
     with pytest.raises(ValueError):
         psi_closed("i", PlaceData(2, 0), PI0_11)
@@ -277,8 +260,8 @@ def test_square_sum_matches_reference_exactly(p):
         place = PlaceData(p, r)
         for pi0 in EXACT_PI0:
             for a, b in SIGNS:
+                got = whittaker_square_sum(pi0, place, a, b)
                 for cutoff in range(3, 10):
-                    got = whittaker_square_sum(pi0, place, a, b, cutoff)
                     assert rf_equal(got, _reference_square_sum(pi0, place, a, b, cutoff)), \
                         (p, r, pi0, a, b, cutoff)
 
@@ -294,14 +277,12 @@ def test_square_sum_is_the_cauchy_closed_form():
 
 
 def test_square_sum_of_zero_parameters_is_one():
-    # S(n+1) = 1, 0, 0, ...: the recursion ends at two exact zeros inside the cutoff
+    # S(n+1) = 1, 0, 0: the recursion ends at two exact zeros after three values
     exact = SatakeParams(Scalar.exact(0), Scalar.exact(0))
     numeric = SatakeParams(Scalar.numeric(0j), Scalar.numeric(0j))
-    for cutoff in (3, 6):
-        assert rf_equal(whittaker_square_sum(exact, PLACE, 1, 1, cutoff),
-                        RationalFunction2.const(1, PLACE.p))
-        value = whittaker_square_sum(numeric, PLACE, -1, 1, cutoff).eval_zw(0.25, 0.5)
-        assert value.to_complex() == 1
+    assert rf_equal(whittaker_square_sum(exact, PLACE, 1, 1), RationalFunction2.const(1, PLACE.p))
+    value = whittaker_square_sum(numeric, PLACE, -1, 1).eval_zw(0.25, 0.5)
+    assert value.to_complex() == 1
 
 
 @pytest.mark.parametrize("alpha", (0.6 + 0.8j, cmath.exp(0.3j), 1.0 + 0j))
@@ -325,29 +306,23 @@ def test_square_sum_refuses_a_square_root_satake_parameter():
         psi_oracle("i", PLACE, pi0)
 
 
-def _fraction_square_sum(pi0, place, a, b, cutoff=6):
-    """The Whittaker square sum as it was summed on Fraction (or complex)
-    values in X = p**(-1) T1**a T2**b, with X substituted once."""
+def _fraction_square_sum(pi0, place, a, b):
+    """The Whittaker square sum summed on Fraction (or complex) values in
+    X = p**(-1) T1**a T2**b, with X substituted once: the denominator from the
+    recursion of S(n)**2 and the numerator from its first three terms."""
     p = place.p
-    m = max(3, cutoff)
     a1, a2 = plain(pi0.alpha1), plain(pi0.alpha2)
     t, delta = a1 + a2, a1 * a2
     s_prev, s = 0, Fraction(1)
     seq = []
-    for _ in range(m):
+    for _ in range(3):
         seq.append(s * s)
         s_prev, s = s, t * s - delta * s_prev
     e1 = t * t - delta
     e2 = delta * t * t - delta * delta
     e3 = delta ** 3
     den = [Fraction(1), -e1, e2, -e3]
-    num = [0] * (m + 3)
-    for n, term in enumerate(seq):
-        for k, d in enumerate(den):
-            num[n + k] += term * d
-    num[m] += seq[m - 1] * e1 - seq[m - 2] * e2 + seq[m - 3] * e3
-    num[m + 1] += seq[m - 2] * e3 - seq[m - 1] * e2
-    num[m + 2] += seq[m - 1] * e3
+    num = [seq[0], seq[1] - seq[0] * e1, seq[0] * e2 - seq[1] * e1 + seq[2]]
     for coeffs in (num, den):
         while not coeffs[-1]:
             coeffs.pop()
@@ -393,6 +368,26 @@ def test_integer_square_sum_is_the_fraction_sum(p):
         for a, b in SIGNS:
             got = _form(whittaker_square_sum(pi0, place, a, b))
             assert got == _form(_fraction_square_sum(pi0, place, a, b)), (p, pi0, a, b)
+
+
+NUMERIC_UNITARY_PI0 = tuple(
+    SatakeParams.unramified_unitary(Scalar.numeric(a1), Scalar.numeric(a2))
+    for a1, a2 in ((0.6 + 0.8j, 0.6 - 0.8j), (0.28 + 0.96j, 0.28 - 0.96j),
+                   (0.999 + 0.0447101778j, 0.999 - 0.0447101778j),
+                   (-909.0, -1 / 909.0), (1.5, 1 / 1.5)))
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 9))
+def test_square_sum_numerator_of_numeric_unitary_pairs_stops_at_y_squared(p):
+    # the numerator is the first three terms of den * series; a term past Y**2
+    # would be float residue of terms that cancel exactly, which T1 = p**(-z)
+    # lifts past any tolerance at negative z
+    for r in (1, 2):
+        place = PlaceData(p, r)
+        for pi0 in NUMERIC_UNITARY_PI0:
+            for a, b in SIGNS:
+                value = whittaker_square_sum(pi0, place, a, b)
+                assert len(value.num.terms) <= 3, (p, r, pi0, a, b, value.num.terms)
 
 
 @pytest.mark.parametrize("r", (1, 2, 4))
