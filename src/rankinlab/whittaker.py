@@ -10,27 +10,29 @@ form ``(1 - |alpha1*alpha2|**2 x**2) / prod_{i,j}(1 - alpha_i*conj(alpha_j)*x)``
 with ``x = p**(-1-s)`` (the two-variable Cauchy identity for complete
 homogeneous sums); a truncated-sum oracle provides the independent check.
 Every truncated-sum oracle, here and in :mod:`zetaint`, reads the complex
-Hecke recursion through :func:`hecke_stream`.  Their ``terms`` is a cap: a sum
-ends earlier where no term it has left can change it, so the result is the
-full ``terms``-term sum bit for bit.  Every oracle ends where each term left
-is an exact zero (the stream has reached two exact zeros, or the weight
-``x**n`` has underflowed to 0); the Rankin-Selberg oracle also ends where its
-decayed stream cycles and a bound shows every later addition rounds away
-(:func:`rankinlab.zetaint.rs_local_oracle`).
+Hecke recursion through :func:`hecke_stream` and adds its terms through one
+stop rule, :func:`decayed_sum`.  Their ``terms`` is a cap: a sum ends earlier
+where each term it has left is an exact zero (the stream has reached two
+exact zeros, or the weight ``x**n`` has underflowed to 0), or where an a-priori
+decay bound C (n+k+1)**2 q**n, q < 1, shows that no term left can move it.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+import math
+import operator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import accumulate, islice, repeat, takewhile
 
 from .exactalg import nonzero_factor, power_of_p
 from .localdata import PlaceData, zeta_scalar
 from .scalars import SC_ONE, SC_ZERO, Scalar, ScalarLike
 
 DEGENERACY_TOL = 1e-12
+
+_CHUNK = 32  # addends summed between two checks of the decay bound
 
 
 @dataclass(frozen=True)
@@ -120,6 +122,64 @@ def hecke_stream(params: SatakeParams, step: complex = 1.0) -> Iterator[complex]
     return _hecke_recursion(step * (a1 + a2), step * step * (a1 * a2))
 
 
+def _largest(params: SatakeParams) -> float:
+    """max |alpha_i|, which bounds |S(n+1)| by (n+1) max|alpha|**n."""
+    return max(abs(params.alpha1.to_complex()), abs(params.alpha2.to_complex()))
+
+
+def _absorbs(c: float, addend: float, stays_zero: bool) -> bool:
+    """Whether adding any float of magnitude at most ``addend`` (or, where
+    ``stays_zero``, only signed zeros) returns the total component c unchanged."""
+    if c == 0:
+        return stays_zero and math.copysign(1.0, c) > 0
+    # round to nearest, strictly inside half the narrower neighbouring gap
+    return addend < math.ulp(c) / 4
+
+
+def decayed_sum(addends: Iterable[complex], terms: int, q: float, a: float, k: int,
+                stays_zero: bool, total: complex = 0j) -> complex:
+    """``total`` plus the first ``terms`` addends, added in order by plain
+    complex addition, bit for bit; it ends where the addends end, or earlier
+    where the caller's bound |addend n| <= a (n+k+1)**2 q**n shows that no
+    addend left can change the total:
+
+    - Tempered bound.  S(n+1) sums alpha1**i alpha2**j over i + j = n, so
+      |step**n S(n+1)| <= (n+1) rho**n, rho = step max|alpha|.
+    - Factor 2.  First-order rounding in the recursion grows as n**2 eps
+      relative to that bound, so for n <= 10**6 the computed stream stays
+      within twice it (a = 4 for a product of two streams); the rounding of
+      the weights x**n and p**(-nz), taken by repeated products, and of the
+      bound stays inside that slack.
+    - Subnormal floor.  Below the normal range a rounding is off by up to
+      half a subnormal: a recursion step leaves at most two per component,
+      carried on with gain |u(i)| <= i + 1 (rho <= 1), so with the other
+      factor of an addend (at most 2 (terms+k+1)) and its own rounding, every
+      addend is within the bound plus 16 (terms+k+1)**3 subnormals.  A growing
+      factor (|p**(-z)| > 1, or max|alpha| > 1 against a decaying weight)
+      lifts its partner's remnants past this floor: the full-length loop then
+      adds rounding noise to a converged series, and NaN once the factor
+      overflows, where this sum returns the series.
+    - Absorption.  Round-to-nearest addition leaves a component c != 0
+      unchanged when the addend is strictly below ulp(c)/4, half the narrower
+      gap next to c; ``sum`` does not compensate complex sums.  A +0.0 part
+      stays +0.0 where ``stays_zero``: every addend's imaginary part is a zero.
+
+    After each chunk, ending at n, it stops once (n+k+1)**2 q**n decreases
+    from n on and both components absorb the bound at n plus the floor.
+    Where q >= 1 or terms > 10**6 it runs to ``terms``.
+    """
+    bounded = q < 1 and terms <= 10 ** 6
+    floor = 16 * (terms + k + 1) ** 3 * math.ulp(0.0)
+    addends, n = islice(addends, terms), 0
+    while part := list(islice(addends, _CHUNK)):
+        total, n = sum(part, total), n + len(part)
+        if bounded and (n + k + 2) ** 2 * q <= (n + k + 1) ** 2:
+            bound = a * (n + k + 1) ** 2 * q ** n + floor
+            if _absorbs(total.real, bound, False) and _absorbs(total.imag, bound, stays_zero):
+                break
+    return total
+
+
 def l_factor_product(a: SatakeParams, b: SatakeParams, x: Scalar) -> Scalar:
     """prod_{i,j} (1 - a_i * b_j * x)**(-1), skipping factors with a zero parameter."""
     value = SC_ONE
@@ -153,15 +213,14 @@ def weighted_integral_oracle(params: SatakeParams, place: PlaceData,
                              s: ScalarLike, terms: int = 10_000) -> Scalar:
     """Truncated sum over n of |S(n+1)|**2 * p**(-n(1+s)); numeric, independent
     of the closed form (Hecke recursion, no geometric resummation).  The sum
-    ends once x**n underflows to 0: every later term is a zero, or NaN where
-    |S(n+1)|**2 has overflowed."""
+    ends once x**n underflows to 0 (every later term is a zero, or NaN where
+    |S(n+1)|**2 has overflowed), or at the decay bound
+    4 (n+1)**2 (max|alpha|**2 |x|)**n of :func:`decayed_sum`."""
     x = complex(place.p) ** (-(1 + Scalar.wrap(s).to_complex()))
-    total, xn = 0j, 1 + 0j
-    for u in islice(hecke_stream(params), terms):
-        total += (u * u.conjugate()) * xn
-        xn *= x
-        if not xn:
-            break
+    weights = takewhile(bool, accumulate(repeat(x), operator.mul, initial=1 + 0j))
+    addends = ((u * u.conjugate()) * xn for xn, u in zip(weights, hecke_stream(params)))
+    # u conj(u) is real, so a real x gives every addend a zero imaginary part
+    total = decayed_sum(addends, terms, _largest(params) ** 2 * abs(x), 4.0, 0, x.imag == 0)
     return Scalar.numeric(total)
 
 
@@ -191,8 +250,11 @@ def whittaker_norm_sq(params: SatakeParams, place: PlaceData) -> Scalar:
 
 def whittaker_norm_sq_oracle(params: SatakeParams, place: PlaceData,
                              terms: int = 10_000) -> Scalar:
-    """Truncated-sum version of the normalised norm: sum of |W(diag(pi**n))|**2."""
-    stream = islice(hecke_stream(params, place.p ** -0.5), terms)
-    total = sum((w * w.conjugate() for w in stream), 0j)
+    """Truncated-sum version of the normalised norm: sum of |W(diag(pi**n))|**2,
+    up to the decay bound 4 (n+1)**2 (max|alpha|**2/p)**n of :func:`decayed_sum`
+    (each w conj(w) has a +0.0 imaginary part)."""
+    stream = hecke_stream(params, place.p ** -0.5)
+    total = decayed_sum((w * w.conjugate() for w in stream), terms,
+                        _largest(params) ** 2 / place.p, 4.0, 0, True)
     l_value = rankin_selberg_self_l(params, Scalar.exact(Fraction(1, place.p)))
     return zeta_scalar(place, 2) / l_value * Scalar.numeric(total)

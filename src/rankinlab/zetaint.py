@@ -22,29 +22,22 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-import struct
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import accumulate, chain, islice, repeat
 
 from .exactalg import Poly2, RationalFunction2, nonzero_factor, power_of_p
 from .localdata import PlaceData, Shift, zeta_local, zeta_scalar
 from .numerator import plain
 from .scalars import SC_ONE, Scalar, ScalarLike
-from .whittaker import SatakeParams, _hecke_recursion, hecke_stream, l_factor_product, satake_sum
+from .whittaker import (SatakeParams, _absorbs, _hecke_recursion, _largest, decayed_sum,
+                        hecke_stream, l_factor_product, satake_sum)
 
 KIND_SIGNS = {"i": (1, 1), "ii": (-1, 1), "iii": (1, -1), "iv": (-1, -1)}
 KINDS = tuple(KIND_SIGNS)
 
 HALF_Z = Shift.of(Fraction(1, 2), 1, 0)  # the section parameters 1/2 + z
 HALF_W = Shift.of(Fraction(1, 2), 0, 1)  # and 1/2 + w
-
-# the Rankin-Selberg oracle reads its streams in blocks, short ones once subnormal
-_BLOCK, _CHUNK = 256, 64
-_TINY = sys.float_info.min
-_STATE = struct.Struct("<4d")  # the bits of a recursion state (u_prev, u)
-_SUBNORMAL = math.ulp(0.0)
 
 
 @dataclass(frozen=True)
@@ -302,86 +295,30 @@ def rs_local_value(pi: SatakeParams, pi0: SatakeParams, place: PlaceData) -> Sca
     return num * l_factor_product(pi, pi0, power_of_p(p, Fraction(1, 2), -1))
 
 
-def _absorbs(c: float, addend: float, stays_zero: bool) -> bool:
-    """Whether adding any float of magnitude at most ``addend`` (or, where
-    ``stays_zero``, only signed zeros) returns the total component c unchanged."""
-    if c == 0:
-        return stays_zero and math.copysign(1.0, c) > 0
-    # round to nearest, strictly inside half the narrower neighbouring gap
-    return addend < math.ulp(c) / 4
+def _real_constants(params: SatakeParams) -> bool:
+    """Whether alpha1 + alpha2 and alpha1 alpha2 are real: every value of the
+    Hecke stream then has a signed-zero imaginary part."""
+    a1, a2 = params.alpha1.to_complex(), params.alpha2.to_complex()
+    return (a1 + a2).imag == 0 and (a1 * a2).imag == 0
 
 
 def rs_local_oracle(pi: SatakeParams, pi0: SatakeParams, place: PlaceData,
                     terms: int = 10_000) -> Scalar:
     """Truncated sum over n of p**(-n/2) S_pi(n+1) S_pi0(n+1), the
     ``terms``-term sum bit for bit.  It ends with the first stream that ends,
-    or earlier where no later term can move the total:
-
-    - The decayed pi stream is a deterministic float recursion, so once its
-      state (the last two values, compared on their bits) repeats, the values
-      read since it was last seen come round again and again.  One more such
-      period is read into a list, and its largest component M bounds every
-      later pi value.  States are recorded at block ends only: 256 values, 64
-      once the stream is subnormal, where its cycles start.
-    - For pi0 tempered up to rounding (max |alpha_i| <= 1 + 1e-12) and
-      terms <= 10**6, |S_pi0(n+1)| <= (n+1) max(1, |alpha|)**n, and the
-      computed stream stays within twice that (first-order rounding grows as
-      n**2 eps relative to it): B = 2 (terms+1) max(1, |alpha|)**terms.  So
-      every later product component is at most 2 M B, plus one subnormal of
-      rounding.
-    - Plain round-to-nearest addition (the blocks are summed by ``sum``, which
-      does not compensate complex sums) returns a component c != 0 unchanged
-      when the addend is strictly below ulp(c)/4 (half the narrower gap next
-      to c).  A +0.0 imaginary part stays +0.0 when alpha1 + alpha2 and
-      alpha1 alpha2 are real for both parameter pairs: both recursions then
-      have real constants, and every later product a signed-zero imaginary
-      part.
-    - Otherwise (a non-tempered pi0, terms > 10**6, a bound that does not
-      clear, fewer terms left than a period) the sum runs on.
+    or, for pi0 tempered up to rounding (max |alpha_i| <= 1 + 1e-12), at the
+    bound 4 (n+1)**2 q**n, q = max|alpha_pi| p**(-1/2) max(1, max|alpha_pi0|),
+    of :func:`rankinlab.whittaker.decayed_sum`; a +0.0 imaginary part stays
+    where both recursions have real constants.
 
     A sum that is not finite is a ValueError: the pi0 stream is summed
     undecayed, and a non-tempered pi0 overflows its terms."""
-    pi_stream, pi0_stream = hecke_stream(pi, place.p ** -0.5), hecke_stream(pi0)
-    products = map(operator.mul, pi_stream, pi0_stream)
-    a0 = (pi0.alpha1.to_complex(), pi0.alpha2.to_complex())
-    top = max(map(abs, a0))
-    real_constants = all((a1 + a2).imag == 0 and (a1 * a2).imag == 0
-                         for a1, a2 in ((pi.alpha1.to_complex(), pi.alpha2.to_complex()), a0))
-    # recursion state -> how many values had been read where it was last seen
-    seen = {} if top <= 1 + 1e-12 and terms <= 10 ** 6 else None
-    addend = None  # the bound on every later product component, once a state repeats
-    total, done = 0j, 0  # the sum of the first `done` products
-    span, listed = _BLOCK, 2  # a block, and the values at its end read into lists
-    while terms - done >= span:
-        total = sum(islice(products, span - listed), total)
-        us = list(islice(pi_stream, listed))
-        vs = list(islice(pi0_stream, len(us)))
-        total = sum(map(operator.mul, us, vs), total)
-        if len(vs) < listed:
-            break  # a stream has ended
-        done += span
-        if seen is None:
-            continue
-        if listed > 2:
-            # one whole period of the cycle: its largest component bounds the rest
-            m = max(max(abs(u.real), abs(u.imag)) for u in us)
-            stream_bound = 2 * (terms + 1) * max(1.0, top) ** terms
-            addend = 2 * m * stream_bound + _SUBNORMAL
-            listed = 2
-        elif addend is None:
-            state = _STATE.pack(us[0].real, us[0].imag, us[1].real, us[1].imag)
-            if state in seen:
-                # the next values repeat those read since the state was last seen
-                listed = done - seen[state]
-            seen[state] = done
-        if addend is not None and (_absorbs(total.real, addend, False)
-                                   and _absorbs(total.imag, addend, real_constants)):
-            break
-        # shorter blocks once the stream is subnormal, where cycles start
-        u = us[-1]
-        span = max(listed, _CHUNK if max(abs(u.real), abs(u.imag)) < _TINY else _BLOCK)
-    else:
-        total = sum(islice(products, terms - done), total)
+    step = place.p ** -0.5
+    products = map(operator.mul, hecke_stream(pi, step), hecke_stream(pi0))
+    top0 = _largest(pi0)
+    q = _largest(pi) * step * max(1.0, top0) if top0 <= 1 + 1e-12 else math.inf
+    total = decayed_sum(products, terms, q, 4.0, 0,
+                        _real_constants(pi) and _real_constants(pi0))
     if not cmath.isfinite(total):
         raise ValueError(f"Rankin-Selberg oracle sum is {total}: its terms overflow a double "
                          f"on the undecayed Hecke stream of pi0 (alpha1 = {pi0.alpha1}, "
@@ -460,24 +397,24 @@ def reg_local_oracle(pi: SatakeParams, place: PlaceData, z: ScalarLike,
                      terms: int = 2_000) -> Scalar:
     """Direct series: -p**(-1+z) W(pi**(r-1))
     + sum_n p**(-n z) (-1/p + (n+1)(1-1/p)) W(pi**(n+r)); plain complex sums,
-    up to ``terms`` terms or the end of the W stream."""
+    up to ``terms`` terms, the end of the W stream, or the decay bound of
+    :func:`rankinlab.whittaker.decayed_sum`: with rho = max|alpha| p**(-1/2),
+    term n is at most 4 rho**r (n+r+1)**2 (rho |p**(-z)|)**n."""
     z = Scalar.wrap(z).to_complex()
     p, r = place.p, place.r
     # W(pi**m) = p**(-m/2) S(m+1), decay folded into the Hecke recursion
     stream = hecke_stream(pi, p ** -0.5)
     head = list(islice(stream, r))  # W(pi**m) for m < r, fewer where the stream ended
     total = -(1.0 / p) * complex(p) ** z * (head[-1] if r >= 1 and len(head) == r else 0j)
-    unit = 1.0 - 1.0 / p
+    lead, unit = -1.0 / p, 1.0 - 1.0 / p
     pz_step = complex(p) ** (-z)
-    pzn = 1 + 0j
-    n = 0
-    for n, w in enumerate(islice(stream, terms), 1):
-        total += pzn * (-1.0 / p + n * unit) * w
-        pzn *= pz_step
-    if n < terms:
-        # the stream ended: every term left is a signed zero, and one 0j gives
-        # the total the zero signs of the full-length sum (tested bit for bit)
-        total += 0j
+    weights = accumulate(repeat(pz_step), operator.mul, initial=1 + 0j)
+    addends = (pzn * (lead + n * unit) * w for n, (pzn, w) in enumerate(zip(weights, stream), 1))
+    # where the stream ends, every term left is a signed zero, and one 0j gives
+    # the total the zero signs of the full-length sum (tested bit for bit)
+    rho = _largest(pi) * p ** -0.5
+    total = decayed_sum(chain(addends, (0j,)), terms, rho * abs(pz_step), 4.0 * rho ** r, r,
+                        pz_step.imag == 0 and _real_constants(pi), total)
     return Scalar.numeric(total)
 
 
