@@ -171,21 +171,22 @@ class LaurentSeries2:
         poles = tuple(x + y for x, y in zip(self.poles, other.poles))
         return LaurentSeries2._make(den, terms, poles, depth)
 
+    def raised(self, poles: tuple[int, int, int, int]) -> "LaurentSeries2":
+        """The same value over pole exponents at least its own: the numerator
+        times each divisor to the power gained, valid one degree further per
+        factor."""
+        a, depth = (self.den, self.terms), self.depth
+        for direction, e in zip(DIVISORS, (x - y for x, y in zip(poles, self.poles))):
+            if e:
+                a = nm.mul(a, nm.direction_power(direction, e), depth + e)
+                depth += e
+        return LaurentSeries2._make(*a, poles, depth)
+
     def __add__(self, other: "LaurentSeries2") -> "LaurentSeries2":
         poles = tuple(max(x, y) for x, y in zip(self.poles, other.poles))
-        a, d1 = (self.den, self.terms), self.depth
-        b, d2 = (other.den, other.terms), other.depth
-        for idx, direction in enumerate(DIVISORS):
-            e1 = poles[idx] - self.poles[idx]
-            e2 = poles[idx] - other.poles[idx]
-            if e1:
-                a = nm.mul(a, nm.direction_power(direction, e1), d1 + e1)
-                d1 += e1
-            if e2:
-                b = nm.mul(b, nm.direction_power(direction, e2), d2 + e2)
-                d2 += e2
-        den, terms = nm.num_add(a, b)
-        depth = min(d1, d2)
+        a, b = self.raised(poles), other.raised(poles)
+        den, terms = nm.num_add((a.den, a.terms), (b.den, b.terms))
+        depth = min(a.depth, b.depth)
         return LaurentSeries2._make(den, _truncated(terms, depth), poles, depth)
 
     def __sub__(self, other: "LaurentSeries2") -> "LaurentSeries2":
@@ -595,7 +596,21 @@ def pole_factor_series(h1_coeffs: list[Fraction], h2_coeffs: list[Fraction],
 
 def four_term_combination(g: LaurentSeries2, quadruple: Iterable[Coeffs],
                           depth: int) -> LaurentSeries2:
-    """G(z,w)h1 + G(-z,w)h2 + G(z,-w)h3 + G(-z,-w)h4."""
-    h1, h2, h3, h4 = [LaurentSeries2(h) for h in quadruple]
-    return (g * h1 + g.flip(True, False) * h2
-            + g.flip(False, True) * h3 + g.flip(True, True) * h4)
+    """G(z,w)h1 + G(-z,w)h2 + G(z,-w)h3 + G(-z,-w)h4.
+
+    G's poles are raised once, so that its z+w and z-w exponents are equal
+    (for the pole factor, (1,1,1,0) becomes (1,1,1,1): the numerator times
+    z-w).  Every flip of the raised G keeps those poles, so the four products
+    share one denominator and no sum raises anything: the numerator is one
+    :func:`~rankinlab.numerator.mul_sum` of the four pairs, one accumulator
+    and one gcd.  The value, poles and depth are those of the four products
+    of G added with ``+``, which raises each sum's poles."""
+    a, b, c, d = g.poles
+    hs = [LaurentSeries2(h) for h in quadruple]
+    valid = min(min(g.depth + _num_val(h.terms), h.depth + _num_val(g.terms)) for h in hs)
+    up = g.raised((a, b, max(c, d), max(c, d)))
+    valid += up.depth - g.depth
+    gs = (up, up.flip(True, False), up.flip(False, True), up.flip(True, True))
+    den, terms = nm.mul_sum([((x.den, x.terms), (h.den, h.terms)) for x, h in zip(gs, hs)],
+                            valid)
+    return LaurentSeries2._make(den, terms, up.poles, valid)

@@ -27,7 +27,10 @@ fraction: Python's integer true division rounds correctly.  A product sum
 turns complex at its first numeric product.  A ``lam`` coefficient whose sum
 reaches zero leaves its dict, and a monomial whose dict empties leaves the
 numerator, as :class:`LambdaPoly` sums drop them.  Products run in one of
-two loops: integers only, or int or complex per term.  The series inverse
+two loops, both in the product-sum kernel :func:`mul_sum` (of which
+:func:`mul` is the one-pair case): integers only, every pair rescaled to
+one common denominator and summed into one accumulator, or int or complex
+per term, pair by pair.  The series inverse
 and the ``lam`` polynomials of ``exp`` expansions run on
 ``Fraction``/``complex`` values.  So exact values,
 exactness, key order and every float bit are the ones :class:`Scalar`
@@ -42,6 +45,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Iterable
 
 from .scalars import SC_ZERO, Scalar, ScalarLike
 
@@ -274,26 +278,43 @@ def _by_degree(terms: Terms) -> list:
 
 
 def mul(a: Flat, b: Flat, depth: int) -> Flat:
-    """Product of two numerators up to total degree depth.  Each output term
-    receives its products in the order of a's terms, and the keys keep the
-    order in which they first appear."""
-    (da, ta), (db, tb) = a, b
-    if not ta or not tb:
-        return 1, {}
-    xa = [(i, j, k, v) for (i, j), c in ta.items() for k, v in c.items()]
-    xb = _by_degree(tb)
-    if any(t[3].__class__ is not int for t in xa) or any(t[4].__class__ is not int for t in xb):
-        return _collect(_per_term_mul(xa, da, xb, db, depth), da * db)
+    """Product of two numerators up to total degree depth: the one-pair case
+    of :func:`mul_sum`."""
+    return mul_sum(((a, b),), depth)
+
+
+def mul_sum(pairs: Iterable[tuple[Flat, Flat]], depth: int) -> Flat:
+    """Sum of the products a * b over the (a, b) pairs, up to total degree
+    depth.  Each output term receives its products pair by pair, in the order
+    of a's terms, and the keys keep the order in which they first appear.
+
+    Exact pairs run one integer loop: each pair's products are rescaled to
+    the lcm of the ``da * db``, summed into one accumulator and reduced by
+    one gcd.  If any value is numeric, each pair runs :func:`_per_term_mul`
+    over its own ``da * db`` and the products are joined by :func:`num_add`
+    in pair order."""
+    ops = [(da, [(i, j, k, v) for (i, j), c in ta.items() for k, v in c.items()],
+            db, _by_degree(tb)) for (da, ta), (db, tb) in pairs if ta and tb]
+    if any(t[3].__class__ is not int for _, xa, _, _ in ops for t in xa) or \
+            any(t[4].__class__ is not int for _, _, _, xb in ops for t in xb):
+        out: Flat = (1, {})
+        for da, xa, db, xb in ops:
+            out = num_add(out, _collect(_per_term_mul(xa, da, xb, db, depth), da * db))
+        return out
+    den = math.lcm(*[da * db for da, _, db, _ in ops])
     acc: dict[tuple[int, int, int], int] = {}
     get = acc.get
-    for i1, j1, k1, v1 in xa:
-        room = depth - i1 - j1
-        for d2, i2, j2, k2, v2 in xb:
-            if d2 > room:
-                break
-            key = (i1 + i2, j1 + j2, k1 + k2)
-            acc[key] = get(key, 0) + v1 * v2
-    return _collect(acc, da * db)
+    for da, xa, db, xb in ops:
+        f = den // (da * db)
+        for i1, j1, k1, v1 in xa:
+            room = depth - i1 - j1
+            v1 *= f
+            for d2, i2, j2, k2, v2 in xb:
+                if d2 > room:
+                    break
+                key = (i1 + i2, j1 + j2, k1 + k2)
+                acc[key] = get(key, 0) + v1 * v2
+    return _collect(acc, den)
 
 
 def _per_term_mul(xa: list, da: int, xb: list, db: int, depth: int) -> dict:

@@ -44,6 +44,13 @@ def local_weight_lower(pi: SatakeParams, cond_exp: int, place: PlaceData) -> Wei
     Zero when the conductor exponent exceeds r; otherwise
     vol(K) zeta(2)/zeta(1)**3 in the unramified case and
     vol(K) L(1, pi x conj pi)/zeta(1) (1 - |alpha1|**2/p) in the ramified case.
+
+    Neither bound depends on pi.  The ramified one has alpha2 = 0, so
+    L(1, pi x conj pi) = (1 - |alpha1|**2/p)**(-1) cancels the damping and
+    the bound is vol(K)/zeta(1) for every alpha1 (pinned in the tests); the
+    L-value is computed only to be cancelled.  No check compares these
+    bounds with an independent computation: the unramified check of
+    ``verify --suite spectral-weight`` compares this formula with itself.
     """
     if cond_exp < 0:
         raise ValueError("conductor exponent must be nonnegative")

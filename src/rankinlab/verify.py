@@ -307,7 +307,17 @@ def suite_regularized(seed: int = DEFAULT_SEED):
 
 @_timed
 def suite_spectral_weight():
-    """Weight lower bounds and the Plancherel-mass identity, exactly."""
+    """Weight lower bounds and the Plancherel-mass identity, exactly.
+
+    Only ``plancherel_mass`` certifies something: it ties ``psi_closed`` at
+    the origin and the Rankin-Selberg L-value, computed apart, to
+    vol(K_q)**(-1).  ``unramified_bound`` pins one hand-computed value.  The
+    other four restate what they check: ``unramified_closed_form`` compares
+    ``local_weight_lower`` with the expression it computes, and
+    ``tempered_floor_is_one``, ``conductor_exceeds_vanishes`` and
+    ``jq_tempered_product_one`` read a formula or a branch at the point
+    where it is 1 or 0 by definition.  The ramified bound, vol(K)/zeta(1)
+    for every alpha1, is not checked here."""
     checks: dict[str, bool] = {}
     place = PlaceData(2, 1)
     pi_t = SatakeParams.unramified_unitary(Scalar.exact(1), Scalar.exact(1),

@@ -185,7 +185,8 @@ def whittaker_square_sum(pi0: SatakeParams, place: PlaceData, a: int, b: int) ->
     The A_n follow a three-term recursion (characteristic roots alpha1**2,
     alpha1*alpha2, alpha2**2), so the sum is num/den with
     den = 1 - e1 X + e2 X**2 - e3 X**3 and num the terms of den times the
-    series below X**3, which A_0, A_1 and A_2 fix.  For rational
+    series below X**3, which A_0, A_1 and A_2 fix; the X**2 one is 0, so num
+    is A_0 + (A_1 - e1 A_0) X.  For rational
     alpha_i = n_i/d_i the S(n) are integers over D**(n-1), D = d1*d2:
     s_n = S(n) D**(n-1) runs on integers, s_(n+1) = T s_n - Delta s_(n-1)
     with T = n1 d2 + n2 d1 and Delta = n1 n2 d1 d2, and so do the numerator
@@ -199,10 +200,11 @@ def whittaker_square_sum(pi0: SatakeParams, place: PlaceData, a: int, b: int) ->
             raise ValueError(f"Satake parameter {alpha} has a square-root part: the Whittaker "
                              "square sum takes rational or numeric parameters only")
     a1, a2 = plain(pi0.alpha1), plain(pi0.alpha2)
-    if complex in (a1.__class__, a2.__class__):
-        n1, d1, n2, d2 = a1, 1, a2, 1
-    else:
+    exact = complex not in (a1.__class__, a2.__class__)
+    if exact:
         n1, d1, n2, d2 = a1.numerator, a1.denominator, a2.numerator, a2.denominator
+    else:
+        n1, d1, n2, d2 = a1, 1, a2, 1
     d = d1 * d2
     # T and Delta; at D = 1 the unit factors stay out (a complex times 1 can
     # flip the sign of a zero part)
@@ -213,9 +215,12 @@ def whittaker_square_sum(pi0: SatakeParams, place: PlaceData, a: int, b: int) ->
     e2 = delta * t * t - delta * delta
     e3 = delta ** 3
     den = [1, -e1, e2, -e3]
-    # the X**0..X**2 terms of den * sum B_n X**n, summed from n = 0 up (from the
-    # top, alpha = -909.0 leaves 1.2e-6 at X**2); an int 0 start would flip a -0.0
-    num = [b0, b1 - b0 * e1, b0 * e2 - b1 * e1 + b2]
+    # the X**0 and X**1 terms of den * sum B_n X**n, summed from n = 0 up (an
+    # int 0 start would flip a -0.0).  The X**2 term b0 e2 - b1 e1 + b2 is 0 as
+    # a polynomial in T and Delta: checked on integers, left out in doubles,
+    # where its rounding remnant grows past any tolerance as T1 = p**(-z) grows
+    assert not exact or b0 * e2 - b1 * e1 + b2 == 0, "square sum: nonzero X**2 term"
+    num = [b0, b1 - b0 * e1]
     for coeffs in (num, den):
         while not coeffs[-1]:
             coeffs.pop()

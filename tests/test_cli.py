@@ -257,12 +257,10 @@ def test_psi_numeric_oracle_without_residue_past_y_squared_matches(p, pi0, at, k
     assert all(report[f"kind_{k}"]["verdict"] == "MATCH" for k in report["kinds"])
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 2, the floor gap: the numeric rounding floor does not count "
-    "residue in the oracle's coefficients; the Y**2 coefficient of the square "
-    "sum is identically 0 but leaves about 1e-17 in doubles, which T1 = 2**40 "
-    "lifts past the tolerance in kinds i and iii"))
 def test_psi_numeric_oracle_matches_far_left_of_the_origin(capsys):
+    # the square sum's Y**2 coefficient is identically 0; kept in doubles, its
+    # rounding remnant (about 1e-17), lifted by T1 = 2**40, gave kinds i and
+    # iii a MISMATCH here
     code = main(["psi", "--p", "2", "--r", "1", "--pi0", "0.6+0.8j,0.6-0.8j", "--at=-40,0"])
     report = json.loads(capsys.readouterr().out)
     assert code == 0

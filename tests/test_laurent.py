@@ -184,6 +184,67 @@ def test_single_broken_constraint_is_detected(constraint):
     assert not four_term_combination(g, quadruple, 8).singular_part().is_zero()
 
 
+# -- the four-term combination against the sum of its four products --------------
+
+def _chain_combination(g, quadruple):
+    """Reference: the four products added with LaurentSeries2.__add__, each sum
+    raising its operands' poles."""
+    h1, h2, h3, h4 = [LaurentSeries2(h) for h in quadruple]
+    return (g * h1 + g.flip(True, False) * h2
+            + g.flip(False, True) * h3 + g.flip(True, True) * h4)
+
+
+def _flat_fractions(flat):
+    """A kernel-form numerator as {((i, j), k): value as a reduced Fraction}."""
+    den, terms = flat
+    return {(m, k): Fraction(v, den) for m, c in terms.items() for k, v in c.items()}
+
+
+def _assert_same_combination(g, quadruple):
+    got, want = four_term_combination(g, quadruple, 8), _chain_combination(g, quadruple)
+    assert got.poles == want.poles and got.depth == want.depth
+    assert _flat_fractions((got.den, got.terms)) == _flat_fractions((want.den, want.terms))
+
+
+def _combination_draw(rng, broken):
+    g = pole_factor_series(random_simple_pole_coeffs(rng, 8),
+                           random_simple_pole_coeffs(rng, 8), 8)
+    quadruple = random_symmetric_quadruple(rng)
+    if broken is not None:
+        quadruple = break_one_symmetry(quadruple, broken, rng)
+    return g, quadruple
+
+
+@pytest.mark.parametrize("seed", (20260809, 1017))
+def test_four_term_combination_is_the_sum_of_its_products(seed):
+    rng = random.Random(seed)
+    names = sorted(SYMMETRY_BREAKERS)
+    for k in range(260):
+        broken = names[k % 6] if k >= 200 else None
+        _assert_same_combination(*_combination_draw(rng, broken))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 32), st.one_of(st.none(), st.sampled_from(sorted(SYMMETRY_BREAKERS))))
+def test_four_term_combination_is_the_sum_of_its_products_on_any_draw(seed, broken):
+    _assert_same_combination(*_combination_draw(random.Random(seed), broken))
+
+
+@st.composite
+def _pole_series_and_quadruple(draw):
+    g = draw(_exact_series())
+    quadruple = tuple({m: draw(_rationals) for m in draw(st.sets(
+        st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=4))} for _ in range(4))
+    return g, quadruple
+
+
+@settings(max_examples=100, deadline=None)
+@given(_pole_series_and_quadruple())
+def test_four_term_combination_of_any_pole_pattern_is_the_sum_of_its_products(case):
+    # G with any poles and depth: raised once to equal z+w and z-w exponents
+    _assert_same_combination(*case)
+
+
 def test_from_rational_depth_guard():
     # three pole directions need depth >= 6
     place = PlaceData(2, 1)
@@ -390,6 +451,82 @@ _any_kind = st.sampled_from(sorted(_COEFF_KINDS)).flatmap(
 @given(_any_kind, _any_kind, st.one_of(st.integers(0, 6), st.just(EXACT_DEPTH)))
 def test_num_mul_is_bitwise_the_scalar_loop(a, b, depth):
     _assert_same_bits(_num_mul(a, b, depth), _scalar_loop_mul(a, b, depth))
+
+
+# -- the product-sum kernel -------------------------------------------------------
+
+def _integer_loop_mul(a, b, depth):
+    """Reference: the integer product loop as it ran before the product sum, over
+    da * db reduced by one gcd."""
+    (da, ta), (db, tb) = a, b
+    if not ta or not tb:
+        return 1, {}
+    xa = [(i, j, k, v) for (i, j), c in ta.items() for k, v in c.items()]
+    xb = sorted((i + j, i, j, k, v) for (i, j), c in tb.items() for k, v in c.items())
+    acc = {}
+    for i1, j1, k1, v1 in xa:
+        room = depth - i1 - j1
+        for d2, i2, j2, k2, v2 in xb:
+            if d2 > room:
+                break
+            key = (i1 + i2, j1 + j2, k1 + k2)
+            acc[key] = acc.get(key, 0) + v1 * v2
+    g = math.gcd(da * db, *acc.values())
+    terms = {}
+    for (i, j, k), v in acc.items():
+        if v:
+            terms.setdefault((i, j), {})[k] = v // g
+    return da * db // g, terms
+
+
+@st.composite
+def _flats(draw, values=st.integers(-40, 40).filter(bool)):
+    """A numerator in kernel form: a denominator and (i, j) -> {k: value}."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 6))):
+        m = (draw(st.integers(0, 3)), draw(st.integers(0, 3)))
+        terms[m] = {draw(st.integers(0, 2)): draw(values) for _ in range(draw(st.integers(1, 3)))}
+    return draw(st.integers(1, 36)), terms
+
+
+_product_depths = st.sampled_from((0, 2, 4, 6, EXACT_DEPTH))
+
+
+@settings(max_examples=250, deadline=None)
+@given(_flats(), _flats(), _product_depths)
+def test_one_pair_product_sum_is_bitwise_the_integer_loop(a, b, depth):
+    b = (a[0] + b[0], b[1])  # unequal denominators
+    got = numerator.mul_sum([(a, b)], depth)
+    want = _integer_loop_mul(a, b, depth)
+    assert got[0] == want[0] and repr(got[1]) == repr(want[1])
+    assert repr(numerator.mul(a, b, depth)) == repr(got)
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.lists(st.tuples(_flats(), _flats()), max_size=4), _product_depths)
+def test_exact_product_sum_is_the_sum_of_the_products(pairs, depth):
+    want = (1, {})
+    for a, b in pairs:
+        want = numerator.num_add(want, numerator.mul(a, b, depth))
+    assert _flat_fractions(numerator.mul_sum(pairs, depth)) == _flat_fractions(want)
+
+
+_complex_values = st.one_of(st.integers(-40, 40).filter(bool),
+                            st.builds(complex, _floats, _floats).filter(bool))
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.lists(st.tuples(_flats(), _flats()), max_size=3), _flats(_complex_values),
+       _flats(), st.integers(0, 3), _product_depths)
+def test_product_sum_with_a_numeric_pair_is_the_sum_of_per_pair_products(
+        pairs, a, b, at, depth):
+    a = (a[0], {**a[1], (4, 0): {0: 0.5j}})  # at least one complex value
+    b = (b[0], b[1] or {(1, 0): {0: 1}})
+    pairs.insert(min(at, len(pairs)), (a, b))
+    want = (1, {})
+    for x, y in pairs:
+        want = numerator.num_add(want, numerator.mul(x, y, depth))
+    assert repr(numerator.mul_sum(pairs, depth)) == repr(want)
 
 
 @st.composite

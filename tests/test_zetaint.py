@@ -309,7 +309,8 @@ def test_square_sum_refuses_a_square_root_satake_parameter():
 def _fraction_square_sum(pi0, place, a, b):
     """The Whittaker square sum summed on Fraction (or complex) values in
     X = p**(-1) T1**a T2**b, with X substituted once: the denominator from the
-    recursion of S(n)**2 and the numerator from its first three terms."""
+    recursion of S(n)**2 and the numerator from its first two terms (the
+    third, b0 e2 - b1 e1 + b2, is identically 0)."""
     p = place.p
     a1, a2 = plain(pi0.alpha1), plain(pi0.alpha2)
     t, delta = a1 + a2, a1 * a2
@@ -322,7 +323,7 @@ def _fraction_square_sum(pi0, place, a, b):
     e2 = delta * t * t - delta * delta
     e3 = delta ** 3
     den = [Fraction(1), -e1, e2, -e3]
-    num = [seq[0], seq[1] - seq[0] * e1, seq[0] * e2 - seq[1] * e1 + seq[2]]
+    num = [seq[0], seq[1] - seq[0] * e1]
     for coeffs in (num, den):
         while not coeffs[-1]:
             coeffs.pop()
@@ -378,16 +379,16 @@ NUMERIC_UNITARY_PI0 = tuple(
 
 
 @pytest.mark.parametrize("p", (2, 3, 5, 9))
-def test_square_sum_numerator_of_numeric_unitary_pairs_stops_at_y_squared(p):
-    # the numerator is the first three terms of den * series; a term past Y**2
-    # would be float residue of terms that cancel exactly, which T1 = p**(-z)
-    # lifts past any tolerance at negative z
+def test_square_sum_numerator_of_numeric_unitary_pairs_stops_at_y(p):
+    # the numerator is the first two terms of den * series; a Y**2 term would
+    # be float residue of terms that cancel exactly, which T1 = p**(-z) lifts
+    # past any tolerance at negative z
     for r in (1, 2):
         place = PlaceData(p, r)
         for pi0 in NUMERIC_UNITARY_PI0:
             for a, b in SIGNS:
                 value = whittaker_square_sum(pi0, place, a, b)
-                assert len(value.num.terms) <= 3, (p, r, pi0, a, b, value.num.terms)
+                assert len(value.num.terms) <= 2, (p, r, pi0, a, b, value.num.terms)
 
 
 @pytest.mark.parametrize("r", (1, 2, 4))
