@@ -16,10 +16,11 @@ Numeric polynomials compare only at a point: ``==`` raises ``ValueError``.
 At exact points of one field Q or Q(sqrt(s)), :meth:`Poly2.eval` and
 :meth:`RationalFunction2.eval_t` sum on integers and build one Scalar.
 
-A :class:`RationalFunction2` keeps a :class:`Scalar` ``scale`` and its
-denominator as a multiset of normalised factors, so arithmetic needs no gcd
-and equality cross-multiplies after cancelling shared factors;
-:meth:`RationalFunction2.canonical` reduces by exact bivariate gcd.
+A :class:`RationalFunction2` is a numerator over a multiset of monic
+factors, every one a :class:`Poly2` on the two rings: a factor's lead is
+divided into the numerator, so arithmetic needs no gcd and holds no
+denominator constant, and equality cross-multiplies after cancelling shared
+factors; :meth:`RationalFunction2.canonical` reduces by exact bivariate gcd.
 """
 
 from __future__ import annotations
@@ -166,7 +167,7 @@ class Poly2:
     def __pow__(self, n: int) -> "Poly2":
         if n < 0:
             raise ValueError("use RationalFunction2 for negative powers")
-        return _binary_power(self, n, Poly2._make(1, {(0, 0): 1}))
+        return _binary_power(self, n, _ONE)
 
     def eval(self, t1: Scalar, t2: Scalar) -> Scalar:
         """Sum of ``v * t1**i * t2**j`` in key order, each power computed once:
@@ -203,6 +204,9 @@ class Poly2:
         return " + ".join(f"({v})" + "".join(f"*T{k}^{e}" if e > 1 else f"*T{k}"
                                              for k, e in ((1, i), (2, j)) if e)
                           for (i, j), v in sorted(self.c.items(), reverse=True)) or "0"
+
+
+_ONE = Poly2._make(1, {(0, 0): 1})
 
 
 # -- the two rings ---------------------------------------------------------------
@@ -448,15 +452,13 @@ def monic_lex(f: Poly2) -> Poly2:
 
 
 class RationalFunction2:
-    """num / (scale * prod(factor**exp)) with the residue cardinality p attached."""
+    """num / prod(factor**exp), each factor monic, with the residue cardinality p attached."""
 
-    __slots__ = ("num", "scale", "fac", "p")
+    __slots__ = ("num", "fac", "p")
+    scale = SC_ONE  # always 1; certbench's tracer reads it
 
-    def __init__(self, num: Poly2, scale: Scalar, fac: dict[tuple, tuple[Poly2, int]], p: int):
-        if scale.is_zero():
-            raise ZeroDivisionError("zero denominator scale")
+    def __init__(self, num: Poly2, fac: dict[tuple, tuple[Poly2, int]], p: int):
         self.num = num
-        self.scale = scale
         self.fac = fac
         self.p = p
 
@@ -464,17 +466,17 @@ class RationalFunction2:
 
     @classmethod
     def const(cls, value: ScalarLike, p: int) -> "RationalFunction2":
-        return cls(Poly2.const(value), SC_ONE, {}, p)
+        return cls(Poly2.const(value), {}, p)
 
     @classmethod
     def from_poly(cls, poly: Poly2, p: int) -> "RationalFunction2":
-        return cls(poly, SC_ONE, {}, p)
+        return cls(poly, {}, p)
 
     @classmethod
     def monomial(cls, i: int, j: int, coeff: ScalarLike, p: int) -> "RationalFunction2":
         """coeff * T1**i * T2**j, with negative exponents going to the denominator."""
         num = Poly2.monomial(max(i, 0), max(j, 0), coeff)
-        rf = cls(num, SC_ONE, {}, p)
+        rf = cls(num, {}, p)
         if i < 0 or j < 0:
             den = Poly2.monomial(max(-i, 0), max(-j, 0))
             rf = rf / cls.from_poly(den, p)
@@ -486,9 +488,6 @@ class RationalFunction2:
         if self.p != other.p:
             raise ValueError(f"mixed residue cardinalities {self.p} and {other.p}")
 
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
     def _exponents(self, other: "RationalFunction2"):
         """(key, factor, exponent here, exponent in other) over both sides' factors."""
         for key in dict.fromkeys([*self.fac, *other.fac]):
@@ -496,71 +495,69 @@ class RationalFunction2:
             yield key, (p1 or p2)[0], p1[1] if p1 else 0, p2[1] if p2 else 0
 
     def den_expanded(self) -> Poly2:
-        den = Poly2.const(self.scale)
+        den = _ONE
         for poly, exp in self.fac.values():
             den = den * poly ** exp
         return den
 
     def with_factor(self, poly: Poly2, exp: int = 1) -> "RationalFunction2":
-        """Divide by poly**exp, keeping the denominator factored."""
+        """Divide by poly**exp, keeping the denominator factored: poly made
+        monic, its lead's power divided into the numerator."""
         if poly.is_zero():
             raise ZeroDivisionError("zero denominator factor")
-        scale = self.scale
+        num = self.num
         lm = poly.lead_monomial()
-        if poly.den is not None:
-            if poly.terms[lm] != poly.den:
-                lead = Fraction(poly.terms[lm], poly.den)
-                poly = poly._times(1 / lead)
-                scale = scale * Scalar.exact(lead ** exp)
-        else:
-            lead = Scalar.numeric(poly.terms[lm])
-            poly = poly.scale(lead.inverse())
-            scale = scale * lead ** exp
+        if poly.den is None:
+            lead = poly.terms[lm]
+            poly = poly.scale(1.0 / lead)
+            num = num.scale(1 / _binary_power(lead, exp, 1 + 0j))
+        elif poly.terms[lm] != poly.den:
+            lead = Fraction(poly.terms[lm], poly.den)
+            poly = poly._times(1 / lead)
+            num = num.scale(1 / lead ** exp)
         if len(poly.terms) == 1 and lm == (0, 0):
-            if poly.den is None:
-                scale = scale * Scalar.numeric(poly.terms[lm]) ** exp
-            return RationalFunction2(self.num, scale, dict(self.fac), self.p)
+            return RationalFunction2(num, dict(self.fac), self.p)
         key = poly.key()
         fac = dict(self.fac)
         cur = fac.get(key)
         fac[key] = (poly, exp if cur is None else cur[1] + exp)
-        return RationalFunction2(self.num, scale, fac, self.p)
+        return RationalFunction2(num, fac, self.p)
 
     # -- field operations ----------------------------------------------------
 
     def __mul__(self, other) -> "RationalFunction2":
         if isinstance(other, (int, Fraction, Scalar)):
-            return RationalFunction2(self.num.scale(other), self.scale, dict(self.fac), self.p)
+            return RationalFunction2(self.num.scale(other), dict(self.fac), self.p)
         self._check(other)
         fac = dict(self.fac)
         for key, (poly, exp) in other.fac.items():
             cur = fac.get(key)
             fac[key] = (poly, exp if cur is None else cur[1] + exp)
-        return RationalFunction2(self.num * other.num, self.scale * other.scale, fac, self.p)
+        return RationalFunction2(self.num * other.num, fac, self.p)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "RationalFunction2":
         if self.num.is_zero():
             raise ZeroDivisionError("inverse of the zero function")
-        return RationalFunction2(self.den_expanded(), SC_ONE, {}, self.p).with_factor(self.num)
+        return RationalFunction2(self.den_expanded(), {}, self.p).with_factor(self.num)
 
     def __truediv__(self, other) -> "RationalFunction2":
         if isinstance(other, (int, Fraction, Scalar)):
-            return RationalFunction2(self.num, self.scale * plain(other), dict(self.fac), self.p)
+            num = self.num.scale(Fraction(1) / plain(other))
+            return RationalFunction2(num, dict(self.fac), self.p)
         self._check(other)
-        res = RationalFunction2(self.num * other.den_expanded(), self.scale,
-                                dict(self.fac), self.p)
+        res = RationalFunction2(self.num * other.den_expanded(), dict(self.fac), self.p)
         return res.with_factor(other.num)
 
     def __neg__(self) -> "RationalFunction2":
-        return RationalFunction2(-self.num, self.scale, dict(self.fac), self.p)
+        return RationalFunction2(-self.num, dict(self.fac), self.p)
 
     def __add__(self, other) -> "RationalFunction2":
         if isinstance(other, (int, Fraction, Scalar)):
             other = RationalFunction2.const(other, self.p)
         self._check(other)
-        n1, n2 = self.num.scale(other.scale), other.num.scale(self.scale)
+        n1, n2 = self.num, other.num
         fac: dict[tuple, tuple[Poly2, int]] = {}
         for key, poly, e1, e2 in self._exponents(other):
             e = max(e1, e2)
@@ -569,7 +566,7 @@ class RationalFunction2:
                 n1 = n1 * poly ** (e - e1)
             if e > e2:
                 n2 = n2 * poly ** (e - e2)
-        return RationalFunction2(n1 + n2, self.scale * other.scale, fac, self.p)
+        return RationalFunction2(n1 + n2, fac, self.p)
 
     __radd__ = __add__
 
@@ -586,8 +583,7 @@ class RationalFunction2:
     def equals(self, other: "RationalFunction2") -> bool:
         """Exact equality: cross-multiplication after cancelling shared factors."""
         self._check(other)
-        extra1 = Poly2.const(other.scale)
-        extra2 = Poly2.const(self.scale)
+        extra1 = extra2 = _ONE
         for _, poly, e1, e2 in self._exponents(other):
             if e1 > e2:
                 extra2 = extra2 * poly ** (e1 - e2)
@@ -611,17 +607,17 @@ class RationalFunction2:
     # -- evaluation ----------------------------------------------------------
 
     def eval_t(self, t1: ScalarLike, t2: ScalarLike) -> Scalar:
-        """Evaluate at given T-values (on integers as the ring rule says, for a
-        rational scale).  An exact factor zero is cancelled against the
-        numerator, or raises :class:`PoleError`; so does a numeric factor value
-        at most ``POLE_TOL`` times its :meth:`Poly2.magnitude`."""
+        """Evaluate at given T-values (on integers as the ring rule says).  An
+        exact factor zero is cancelled against the numerator, or raises
+        :class:`PoleError`; so does a numeric factor value at most
+        ``POLE_TOL`` times its :meth:`Poly2.magnitude`."""
         t1, t2 = Scalar.wrap(t1), Scalar.wrap(t2)
         num = self.num
-        if (_one_field(t1, t2) and self.scale.is_rational() and num.den is not None
+        if (_one_field(t1, t2) and num.den is not None
                 and all(poly.den is not None for poly, _ in self.fac.values())):
             root = _root(t1, t2)
             base = int(root) if root is not None else 0
-            x, y, e = self.scale.a.numerator, 0, self.scale.a.denominator
+            x, y, e = 1, 0, 1
             for poly, exp in self.fac.values():
                 fx, fy, fe = _eval_exact(poly.den, poly.terms, t1, t2)
                 if not (fx or fy):
@@ -633,7 +629,7 @@ class RationalFunction2:
             # divided by (x + y*r)/e: times e*(x - y*r) over the norm
             return _scalar(e * (nx * x - base * ny * y), e * (ny * x - nx * y),
                            ne * (x * x - base * y * y), root)
-        den_val = self.scale
+        den_val = SC_ONE
         for poly, exp in self.fac.values():
             val = poly.eval(t1, t2)
             if val.is_exact and val.is_zero():
@@ -649,8 +645,7 @@ class RationalFunction2:
         return self.eval_t(power_of_p(self.p, z, -1), power_of_p(self.p, w, -1))
 
     def to_numeric(self) -> "RationalFunction2":
-        out = RationalFunction2(self.num.to_numeric(),
-                                Scalar.numeric(self.scale.to_complex()), {}, self.p)
+        out = RationalFunction2(self.num.to_numeric(), {}, self.p)
         for poly, exp in self.fac.values():
             out = out.with_factor(poly.to_numeric(), exp)
         return out

@@ -404,7 +404,7 @@ def ls_from_rational(f: RationalFunction2, depth: int = DEFAULT_DEPTH,
         )
 
     num = _expand_poly(num_red, depth, lp)
-    denominator = _lower_num({(0, 0): f.scale})
+    denominator = (1, {(0, 0): {0: 1}})
     for red, exp in den_units:
         factor = _expand_poly(red, depth, lp)
         for _ in range(exp):

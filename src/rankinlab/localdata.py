@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .exactalg import Poly2, RationalFunction2, power_of_p
 from .numerator import plain
-from .scalars import SC_ONE, Scalar, ScalarLike
+from .scalars import Scalar, ScalarLike
 
 
 def is_prime_power(n: int) -> bool:
@@ -126,8 +126,9 @@ def zeta_local(place: PlaceData, shift: Shift, alpha: ScalarLike = 1) -> Rationa
 
     For a nonzero rational c and (a, b) != (0, 0) the factor is built in the
     form :meth:`RationalFunction2.with_factor` gives it: monic in its
-    lex-leading monomial, the lift monomial first, and scale -c when mono
-    leads.  Otherwise the generic ``with_factor`` builds it.
+    lex-leading monomial, the lift monomial first, and the lift numerator
+    times -1/c when mono leads.  Otherwise the generic ``with_factor``
+    builds it.
     """
     p, a, b = place.p, shift.a, shift.b
     c = plain(power_of_p(p, shift.m, -1))
@@ -139,11 +140,12 @@ def zeta_local(place: PlaceData, shift: Shift, alpha: ScalarLike = 1) -> Rationa
         return RationalFunction2.from_poly(num, p).with_factor(num - Poly2.monomial(*mono, c))
     n, d = c.numerator, c.denominator
     if lift > mono:
-        factor, scale = Poly2._make(d, {lift: d, mono: -n}), SC_ONE
+        factor = Poly2._make(d, {lift: d, mono: -n})
     else:
-        factor = Poly2._make(abs(n), {lift: -d if n > 0 else d, mono: abs(n)})
-        scale = Scalar.exact(-c)
-    return RationalFunction2(num, scale, {factor.key(): (factor, 1)}, p)
+        coeff = -d if n > 0 else d  # the factor over -c is lift * (-1/c) + mono
+        num = Poly2._make(abs(n), {lift: coeff})
+        factor = Poly2._make(abs(n), {lift: coeff, mono: abs(n)})
+    return RationalFunction2(num, {factor.key(): (factor, 1)}, p)
 
 
 def zeta_q_scalar(q: IdealFactorization, s) -> Scalar:

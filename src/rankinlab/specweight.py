@@ -31,11 +31,8 @@ class WeightReport:
 
 
 def _floor(p: int, exponent: Fraction) -> Scalar:
-    """(1 - p**exponent) / (1 - p**(-1)) evaluated numerically unless exact."""
-    base = SC_ONE - Scalar.exact(Fraction(1, p))
-    if exponent.denominator in (1, 2):
-        return (SC_ONE - power_of_p(p, exponent)) / base
-    return (SC_ONE - Scalar.numeric(float(p) ** float(exponent))) / base
+    """(1 - p**exponent) / (1 - p**(-1)), exact where :func:`power_of_p` is."""
+    return (SC_ONE - power_of_p(p, exponent)) / (SC_ONE - Scalar.exact(Fraction(1, p)))
 
 
 def local_weight_lower(pi: SatakeParams, cond_exp: int, place: PlaceData) -> WeightReport:

@@ -107,6 +107,38 @@ def test_numeric_backend_agrees_with_exact():
     assert abs(exact.to_complex() - numeric.to_complex()) <= 1e-12 * abs(exact.to_complex())
 
 
+def test_a_rational_function_holds_no_denominator_constant():
+    assert RationalFunction2.__slots__ == ("num", "fac", "p")
+    f = zeta_local(PlaceData(3, 1), Shift.of(1, 2, 0))  # (1 - T1**2/3)**(-1)
+    assert list(f.fac.values())[0][0].key() == (1, ((0, 0), -3), ((2, 0), 1))
+    assert f.num.key() == (1, ((0, 0), -3))
+
+
+def test_division_by_a_constant_keeps_the_numerator_exact():
+    f = zeta_local(PlaceData(3, 1), Shift.of(1, 2, 0))
+    at = Scalar.exact(Fraction(1, 2)), Scalar.exact(1)
+    for c in (2, Scalar.exact(Fraction(2, 3))):
+        quotient = f / c
+        assert quotient.num.den is not None
+        assert quotient.eval_zw(*at) * Scalar.wrap(c) == f.eval_zw(*at)
+    for zero in (0, Scalar.exact(0)):
+        with pytest.raises(ZeroDivisionError):
+            f / zero
+
+
+@pytest.mark.parametrize("exp", (1, 2))
+@pytest.mark.parametrize("factor", (
+    Poly2({(1, 0): 0.6 + 0.8j, (0, 1): -2.5, (0, 0): 1}),
+    Poly2({(0, 0): 2.5 - 1j})))
+def test_with_factor_divides_a_numeric_lead_into_the_numerator(factor, exp):
+    f = RationalFunction2.from_poly(Poly2({(0, 1): 3, (0, 0): 1}), 2)
+    at = Scalar.exact(Fraction(1, 3)), Scalar.exact(Fraction(-2, 5))
+    divided = f.with_factor(factor, exp)
+    assert all(abs(poly.terms[max(poly.terms)] - 1) <= 1e-15 for poly, _ in divided.fac.values())
+    back = divided.eval_t(*at) * factor.eval(*at) ** exp
+    assert back.close(f.eval_t(*at), rel_tol=1e-14, abs_tol=0.0)
+
+
 def test_canonical_form_reduces():
     common = Poly2.const(1) - Poly2.monomial(1, 1)
     num = (Poly2.const(2) + Poly2.monomial(1, 0)) * common
@@ -432,12 +464,13 @@ def test_view_is_rebuilt_per_read_and_constructs_back():
 
 
 def _poly_arithmetic(frame) -> bool:
-    """True when the innermost exactalg frame on the stack is Poly2
-    arithmetic rather than RationalFunction2 bookkeeping."""
+    """True when the innermost exactalg frame on the stack is Poly2 or
+    RationalFunction2 arithmetic, which hold no Scalar, rather than
+    ``power_of_p`` building a point."""
     while frame is not None:
         code = frame.f_code
         if code.co_filename == exactalg.__file__:
-            return code.co_qualname.startswith("Poly2.") or code.co_qualname.startswith("_") \
+            return code.co_qualname.startswith(("Poly2.", "RationalFunction2.", "_")) \
                 or code.co_qualname == "poly_div_exact"
         frame = frame.f_back
     return False
@@ -577,7 +610,7 @@ def test_int_division_matches_the_fraction_loop(q, g, r, case):
 def _reference_eval_t(rf: RationalFunction2, t1: Scalar, t2: Scalar) -> Scalar:
     """eval_t's Scalar loop: Scalar factor values and products, the quotient
     by Scalar division, removable zeros cancelled by the reference division."""
-    num, den_val = rf.num, rf.scale
+    num, den_val = rf.num, Scalar.exact(1)
     for poly, exp in rf.fac.values():
         val = poly.eval(t1, t2)
         if val.is_zero():

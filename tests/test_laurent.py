@@ -1246,7 +1246,7 @@ def _ref_ls_from_rational(f, depth, lp):
         den_counts = [a + c * exp for a, c in zip(den_counts, counts)]
         den_units.append((red, exp))
     num = _ref_expand_poly(num_red, depth, lp)
-    denominator = numerator.lower({(0, 0): numerator.plain_coeffs(f.scale)})
+    denominator = numerator.lower({(0, 0): {0: Fraction(1)}})
     for red, exp in den_units:
         factor = _ref_expand_poly(red, depth, lp)
         for _ in range(exp):

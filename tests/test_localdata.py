@@ -50,9 +50,9 @@ def _generic_zeta_local(place, shift, alpha):
 
 
 def _form(rf):
-    """Numerator key, scale, and each factor's key, terms in order and exponent."""
-    return repr((rf.num.key(), rf.scale, [(key, list(poly.terms.items()), poly.den, exp)
-                                          for key, (poly, exp) in rf.fac.items()]))
+    """Numerator key, and each factor's key, terms in order and exponent."""
+    return repr((rf.num.key(), [(key, list(poly.terms.items()), poly.den, exp)
+                                for key, (poly, exp) in rf.fac.items()]))
 
 
 @pytest.mark.parametrize("p", (2, 3, 4, 5, 9))

@@ -23,7 +23,7 @@ S_HALF_Z = Shift.of(Fraction(1, 2), 1, 0)
 
 def test_f_eval_indicator():
     assert f_eval(PLACE, BruhatPoint(0, 0), S_HALF_Z).eval_zw(0, 0) == Scalar.exact(1)
-    assert f_eval(PLACE, BruhatPoint(0, -1), S_HALF_Z).is_zero()
+    assert f_eval(PLACE, BruhatPoint(0, -1), S_HALF_Z).num.is_zero()
     assert f_eval(PLACE, BruhatPoint(0, None), S_HALF_Z).eval_zw(0, 0) == Scalar.exact(1)
     # |pi**2|**(1/2+z) = (p**(-1/2-z))**2 = p**(-1) T1**2
     val = f_eval(PLACE, BruhatPoint(2, 0), S_HALF_Z)
@@ -344,8 +344,7 @@ def _form(rf):
     """What a RationalFunction2 holds, term order and zero signs included."""
     factors = [(key, list(poly.terms.items()), poly.den, exp)
                for key, (poly, exp) in rf.fac.items()]
-    scale = rf.scale
-    return repr((list(rf.num.terms.items()), rf.num.den, scale.a, scale.b, scale.z, factors))
+    return repr((list(rf.num.terms.items()), rf.num.den, factors))
 
 
 INTEGER_SUM_PI0 = (
