@@ -177,6 +177,12 @@ def _rounding_floor(value, t1: Scalar, t2: Scalar, text: str) -> float:
     return floor
 
 
+def _coefficients_overflow(value) -> bool:
+    """Whether a coefficient of the numerator or of a denominator factor is not finite."""
+    polys = (value.num, *(poly for poly, _ in value.fac.values()))
+    return not all(cmath.isfinite(c) for poly in polys for c in poly.terms.values())
+
+
 def cmd_psi(args) -> int:
     place = PlaceData(args.p, args.r)
     pi0 = _parse_option("--pi0", args.pi0, parse_satake)
@@ -211,11 +217,13 @@ def cmd_psi(args) -> int:
                      + _rounding_floor(oracle.value, t1, t2, args.at))
             a, b = cv.to_complex(), ov.to_complex()
             if not (cmath.isfinite(a) and cmath.isfinite(b) and math.isfinite(floor)):
-                raise ValueError(
-                    f"point {args.at!r}: kind {kind} is {a} (closed form) and {b} (oracle) "
-                    f"in doubles, with rounding floor {floor:.3g}: the Satake magnitudes of "
-                    f"--pi0 {args.pi0!r} overflow a double there; exact Satake parameters "
-                    "certify it")
+                if _coefficients_overflow(closed.value) or _coefficients_overflow(oracle.value):
+                    raise ValueError(
+                        f"point {args.at!r}: kind {kind} is {a} (closed form) and {b} "
+                        f"(oracle) in doubles, with rounding floor {floor:.3g}: the Satake "
+                        f"magnitudes of --pi0 {args.pi0!r} overflow a double there; exact "
+                        "Satake parameters certify it")
+                raise ValueError(f"point {args.at!r} is too large: psi there overflows a double")
             if not (a or b):
                 raise ValueError(f"point {args.at!r} is too large: kind {kind} of psi there "
                                  "underflows a double to 0.0 in both forms")

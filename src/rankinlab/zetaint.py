@@ -2,25 +2,24 @@
 
 Everything here is a rational function in T1 = p**(-z), T2 = p**(-w) (z and w
 are the two spectral parameters).  ``psi_closed`` returns the closed forms
-G_v(sign_z z, sign_w w) h_v of the four integrals pairing the principal-series
-vector ``f`` (sign +1) or its intertwined partner ``ftilde`` (sign -1) at
-each parameter against the square of the unramified Whittaker vector; the
-table :data:`KIND_SIGNS` maps each kind to its (sign_z, sign_w).  Every local
-factor in them, the Rankin-Selberg ones included, is a
-:func:`rankinlab.localdata.zeta_local`.  ``psi_oracle`` recomputes them by
-exact summation over valuation strata of the Bruhat coordinates (the
-c-integrand is constant on each shell ``val(c) = -j`` of measure
-``p**j (1-1/p)``, and the y-sum is a Whittaker power series in one variable
-X = p**(-1) T1**a T2**b, summed in closed form through the three-term
-recursion of S(n)**2 from its first three terms: on integers over powers of
-D = d1*d2 for rational Satake parameters n_i/d_i, on complex values
-otherwise).  The two must agree exactly as rational functions.
+G_v(sign_z z, sign_w w) h_v, from the factors that survive their cancellation,
+of the four integrals pairing the principal-series vector ``f`` (sign +1) or
+its intertwined partner ``ftilde`` (sign -1) at each parameter against the
+square of the unramified Whittaker vector; the table :data:`KIND_SIGNS` maps
+each kind to its (sign_z, sign_w).  Every local factor in them, the
+Rankin-Selberg ones included, is a :func:`rankinlab.localdata.zeta_local`.
+``psi_oracle`` recomputes them by exact summation over valuation strata of
+the Bruhat coordinates (the c-integrand is constant on each shell
+``val(c) = -j`` of measure ``p**j (1-1/p)``, and the y-sum is a Whittaker
+power series in one variable X = p**(-1) T1**a T2**b, summed in closed form
+through the three-term recursion of S(n)**2 from its first three terms: on
+integers over powers of D = d1*d2 for rational Satake parameters n_i/d_i, on
+complex values otherwise).  The two must agree exactly as rational functions.
 """
 
 from __future__ import annotations
 
 import cmath
-import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -101,37 +100,6 @@ def rs_l_rf(pi0: SatakeParams, place: PlaceData, shift: Shift) -> RationalFuncti
     return out
 
 
-def local_pole_factor(place: PlaceData, pi0: SatakeParams,
-                      sign_z: int, sign_w: int) -> RationalFunction2:
-    """G_v(sign_z * z, sign_w * w) for a place dividing the ideal:
-
-    N(p)**(r(sz*z+sw*w)) * zeta(1+2sz*z) zeta(1+2sw*w) / zeta(2+2sz*z+2sw*w)
-    times the Rankin-Selberg factor at 1 + sz*z + sw*w.
-    """
-    sz, sw = sign_z, sign_w
-    g = zeta_local(place, Shift.of(1, 2 * sz, 0)) * zeta_local(place, Shift.of(1, 0, 2 * sw))
-    g = g / zeta_local(place, Shift.of(2, 2 * sz, 2 * sw))
-    g = g * rs_l_rf(pi0, place, Shift.of(1, sz, sw))
-    return g * RationalFunction2.monomial(-sz * place.r, -sw * place.r, 1, place.p)
-
-
-def h_local(which: int, place: PlaceData) -> RationalFunction2:
-    """Local factor of the four inverse-zeta products multiplying the pole factor."""
-    one = RationalFunction2.const(1, place.p)
-    if which == 1:
-        return one / zeta_local(place, Shift.of(1, 2, 0)) / zeta_local(place, Shift.of(1, 0, 2))
-    if which == 2:
-        return (one / zeta_local(place, Shift.of(1, 0, 2))) / zeta_scalar(place, 1)
-    if which == 3:
-        return (one / zeta_local(place, Shift.of(1, 2, 0))) / zeta_scalar(place, 1)
-    if which == 4:
-        zm = zeta_local(place, Shift.of(1, -2, 0))
-        wm = zeta_local(place, Shift.of(1, 0, -2))
-        mix = zeta_local(place, Shift.of(1, -2, -2))
-        return (one / zm / wm) * mix / zeta_scalar(place, 1)
-    raise ValueError(f"which must be 1..4, got {which}")
-
-
 def correction_factor_rf(place: PlaceData) -> RationalFunction2:
     """The excess factor in the fourth integral:
 
@@ -167,11 +135,27 @@ def _psi_signs(kind: str, place: PlaceData, pi0: SatakeParams) -> tuple[int, int
 
 
 def psi_closed(kind: str, place: PlaceData, pi0: SatakeParams) -> LocalZetaResult:
-    """Closed form of the four local zeta integrals at a place dividing the ideal."""
+    """Closed form of the four local zeta integrals at a place dividing the ideal.
+
+    The paper's Psi_v is G_v(sz z, sw w) h_v, (sz, sw) = KIND_SIGNS[kind], times
+    1 - :func:`correction_factor_rf` for kind iv, with G_v(z, w) = N(p)**(r(z+w))
+    zeta(1+2z) zeta(1+2w) L(1+z+w, pi0 x pi0~) / zeta(2+2z+2w) and h_v, for kinds
+    i..iv, 1/(zeta(1+2z) zeta(1+2w)), 1/(zeta(1) zeta(1+2w)), 1/(zeta(1+2z) zeta(1))
+    and zeta(1-2z-2w)/(zeta(1-2z) zeta(1-2w) zeta(1)).  h_v cancels both zeta factors
+    of G_v in kinds i and iv and the one of sign +1 in kinds ii and iii, so this
+    builds only T1**(-sz r) T2**(-sw r) L(1+sz z+sw w) / zeta(2+2sz z+2sw w), times
+    zeta(1 - 2z[sz<0] - 2w[sw<0])/zeta(1) where a sign is -1.
+    """
     sz, sw = _psi_signs(kind, place, pi0)
-    value = local_pole_factor(place, pi0, sz, sw) * h_local(KINDS.index(kind) + 1, place)
+    p, r = place.p, place.r
+    value = rs_l_rf(pi0, place, Shift.of(1, sz, sw)) * RationalFunction2.monomial(
+        -sz * r, -sw * r, 1, p)
+    value = value / zeta_local(place, Shift.of(2, 2 * sz, 2 * sw))
+    if sz < 0 or sw < 0:
+        value = value * zeta_local(place, Shift.of(1, min(0, 2 * sz), min(0, 2 * sw)))
+        value = value / zeta_scalar(place, 1)
     if kind == "iv":
-        value = value * (RationalFunction2.const(1, place.p) - correction_factor_rf(place))
+        value = value * (RationalFunction2.const(1, p) - correction_factor_rf(place))
     return LocalZetaResult(value, "closed-form")
 
 
@@ -310,24 +294,27 @@ def _real_constants(params: SatakeParams) -> bool:
 def rs_local_oracle(pi: SatakeParams, pi0: SatakeParams, place: PlaceData,
                     terms: int = 10_000) -> Scalar:
     """Truncated sum over n of p**(-n/2) S_pi(n+1) S_pi0(n+1), the
-    ``terms``-term sum bit for bit.  It ends with the first stream that ends,
-    or, for pi0 tempered up to rounding (max |alpha_i| <= 1 + 1e-12), at the
-    bound 4 (n+1)**2 q**n, q = max|alpha_pi| p**(-1/2) max(1, max|alpha_pi0|),
-    of :func:`rankinlab.whittaker.decayed_sum`; a +0.0 imaginary part stays
-    where both recursions have real constants.
+    ``terms``-term sum bit for bit.  Term n is (lift p**(-1/2))**n S_pi(n+1)
+    times lift**(-n) S_pi0(n+1), with lift = max|alpha_pi0| for pi0 beyond
+    tempered (above 1 + 1e-12) and 1 otherwise, so the pi0 stream has
+    rho <= 1 + 1e-12 and the pi stream rho = q, q = max|alpha_pi| p**(-1/2)
+    max(1, max|alpha_pi0|).  The sum ends with the first stream that ends, or
+    at the bound 4 (n+1)**2 q**n of :func:`rankinlab.whittaker.decayed_sum`;
+    a +0.0 imaginary part stays where both recursions have real constants.
 
-    A sum that is not finite is a ValueError: the pi0 stream is summed
-    undecayed, and a non-tempered pi0 overflows its terms."""
+    A sum that is not finite is a ValueError; only where q >= 1, which no
+    decay bound covers, can the terms overflow a double."""
     step = place.p ** -0.5
-    products = map(operator.mul, hecke_stream(pi, step), hecke_stream(pi0))
     top0 = _largest(pi0)
-    q = _largest(pi) * step * max(1.0, top0) if top0 <= 1 + 1e-12 else math.inf
+    lift = top0 if top0 > 1 + 1e-12 else 1.0
+    products = map(operator.mul, hecke_stream(pi, step * lift), hecke_stream(pi0, 1 / lift))
+    q = _largest(pi) * step * max(1.0, top0)
     total = decayed_sum(products, terms, q, 4.0, 0,
                         _real_constants(pi) and _real_constants(pi0))
     if not cmath.isfinite(total):
         raise ValueError(f"Rankin-Selberg oracle sum is {total}: its terms overflow a double "
-                         f"on the undecayed Hecke stream of pi0 (alpha1 = {pi0.alpha1}, "
-                         f"alpha2 = {pi0.alpha2})")
+                         f"at q = {q:.6g} >= 1, where no decay bound holds (pi {pi.alpha1}, "
+                         f"{pi.alpha2}; pi0 {pi0.alpha1}, {pi0.alpha2})")
     return Scalar.numeric(total)
 
 

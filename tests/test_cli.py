@@ -178,6 +178,8 @@ def test_psi_numeric_denominator_underflow_is_usage_error(kind, at, capsys):
     # the value of psi overflows a double at the point
     ("2", "1", "0.6+0.8j,0.6-0.8j", "-100,0", "all", "psi there overflows a double"),
     ("2", "1", "0.6+0.8j,0.6-0.8j", "-300,0", "all", "psi there overflows a double"),
+    # |alpha| = 1: the point overflows, not --pi0, whose coefficients are finite
+    ("2", "1", "0.6+0.8j,0.6-0.8j", "-100,-77", "all", "psi there overflows a double"),
     ("5", "3", "1e-3,1e3", "-30,0", "all", "psi there overflows a double"),
     # the magnitude of a denominator factor, which the pole test reads
     ("2", "3", "1e150,1e-150", "-1e3,0", "iii", "psi there overflows a double"),

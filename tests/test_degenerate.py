@@ -11,9 +11,10 @@ from rankinlab import degenerate, laurent
 from rankinlab.degenerate import (GlobalZetaData, _local_zeta_inverse_series, build_G, build_h,
                                   correction_report, correction_sum_factor, degenerate_limit,
                                   symmetry_residuals, taylor_bound_report)
+from rankinlab.laurent import LaurentSeries2
 from rankinlab.localdata import IdealFactorization, PlaceData
 from rankinlab.scalars import Scalar
-from rankinlab.verify import default_data, model_data
+from rankinlab.verify import TAYLOR_IDEALS, default_data, model_data
 
 Q23 = IdealFactorization.parse("2^1*3^1")
 LOG_SURROGATES = {
@@ -67,6 +68,25 @@ def test_symmetry_constraints_float_pipeline():
     hs = [build_h(k, q) for k in (1, 2, 3, 4)]
     scale = max(h.max_abs() for h in hs)
     assert max(symmetry_residuals(*hs).values()) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("spec", TAYLOR_IDEALS)
+def test_symmetry_residuals_certify_build_h_over_the_taylor_ideals(spec):
+    q = IdealFactorization.parse(spec)
+    exact_logs = {place.p: Fraction(place.p + 1, 3) for place in q.places}
+    hs = [build_h(k, q, log_map=exact_logs) for k in (1, 2, 3, 4)]
+    residuals = symmetry_residuals(*hs)
+    assert len(residuals) == 6 and set(residuals.values()) == {0.0}
+    # float logs: up to 5.6e-12 over these ideals
+    assert max(symmetry_residuals(*[build_h(k, q) for k in (1, 2, 3, 4)]).values()) <= 1e-10
+    # h2 + eps w (z - w) moves h2(0, w) by -eps w**2 and h2 on the lines w = 0
+    # and z = w not at all, so exactly one residual reads it (eps z w would
+    # leave h2(0, w) unchanged)
+    eps = Fraction(1, 10 ** 6)
+    bump = LaurentSeries2({(1, 1): Scalar.exact(eps), (0, 2): Scalar.exact(-eps)}, (0, 0, 0, 0))
+    moved = symmetry_residuals(hs[0], hs[1] + bump, hs[2], hs[3])
+    assert {name for name, value in moved.items() if value} == {"h1(0,w)=h2(0,w)"}
+    assert moved["h1(0,w)=h2(0,w)"] == float(eps)
 
 
 def test_taylor_report():

@@ -6,6 +6,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_zetaint import h_reference, pole_factor_reference
 
 from rankinlab import laurent, numerator
 from rankinlab.degenerate import build_h, degenerate_limit
@@ -19,8 +20,7 @@ from rankinlab.localdata import IdealFactorization, PlaceData, Shift, zeta_local
 from rankinlab.scalars import Scalar
 from rankinlab.verify import model_data
 from rankinlab.whittaker import SatakeParams
-from rankinlab.zetaint import (BruhatPoint, correction_factor_rf, f_eval, h_local,
-                               local_pole_factor)
+from rankinlab.zetaint import BruhatPoint, correction_factor_rf, f_eval
 
 
 def _poly_series(coeffs, poles=(0, 0, 0, 0)):
@@ -1283,9 +1283,9 @@ def _expansion_inputs(p, r):
     place = PlaceData(p, r)
     yield correction_factor_rf(place)
     for which in (1, 2, 3, 4):
-        yield h_local(which, place)
+        yield h_reference(which, place)
     pi0 = SatakeParams.unramified_unitary(Scalar.exact(2), Scalar.exact(Fraction(1, 2)))
-    yield local_pole_factor(place, pi0, 1, -1)
+    yield pole_factor_reference(place, pi0, 1, -1)
     zeta_minus = zeta_local(place, Shift.of(0, 2, -2))
     yield zeta_minus
     yield zeta_minus.inverse()

@@ -17,9 +17,14 @@ def test_a_grid_slice_counts_verdicts_and_usage_errors():
     log = io.StringIO()
     counts = psi_grid.run_grid((3,), (1,), ("0.6+0.8j,0.6-0.8j", "-909.0"), ("-30", "0", "3"),
                                ("-10", "0"), log=log)
-    # 2 of the 12 runs are usage errors; the other 10 give four kind verdicts each
-    assert counts == Counter(runs=12, verdicts=40, usage_errors=2)
+    # every run gives four kind verdicts: none is a usage error
+    assert counts == Counter(runs=12, verdicts=48)
     assert log.getvalue() == ""
+
+
+def test_a_usage_error_blaming_pi0_is_counted():
+    counts = psi_grid.run_grid((2,), (1,), ("1e308,1e-308",), ("0",), ("0",))
+    assert counts == Counter(runs=1, usage_errors=1, pi0_blamed=1)
 
 
 def test_a_traceback_is_counted_and_its_command_logged(monkeypatch):

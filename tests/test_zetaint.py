@@ -1,20 +1,20 @@
 import cmath
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from rankinlab.exactalg import PoleError, Poly2, RationalFunction2, rf_equal
-from rankinlab.localdata import PlaceData, Shift, zeta_scalar
+from rankinlab.localdata import PlaceData, Shift, zeta_local, zeta_scalar
 from rankinlab.numerator import plain
 from rankinlab.scalars import Scalar
 from rankinlab.verify import PSI_GRID_PAIRS
 from rankinlab.whittaker import SatakeParams, rankin_selberg_self_l, satake_sum
-from rankinlab.zetaint import (BruhatPoint, correction_factor_rf, f_eval, ftilde_eval,
-                               h_local, local_pole_factor, psi_closed, psi_oracle,
-                               reg_local_bound, reg_local_closed, reg_local_closed_s_form,
-                               reg_local_oracle, rs_local_oracle, rs_local_value,
-                               whittaker_square_sum)
+from rankinlab.zetaint import (KIND_SIGNS, KINDS, BruhatPoint, correction_factor_rf, f_eval,
+                               ftilde_eval, psi_closed, psi_oracle, reg_local_bound,
+                               reg_local_closed, reg_local_closed_s_form, reg_local_oracle,
+                               rs_l_rf, rs_local_oracle, rs_local_value, whittaker_square_sum)
 
 PLACE = PlaceData(2, 1)
 PI0_11 = SatakeParams.unramified_unitary(Scalar.exact(1), Scalar.exact(1))
@@ -63,15 +63,51 @@ def test_psi_values_at_origin():
     assert val == l_over_zeta
 
 
+# -- the paper's literal product G_v h_v, a reference for psi_closed ---------------
+
+def pole_factor_reference(place, pi0, sz, sw):
+    """G_v(sz z, sw w) = N(p)**(r(sz z+sw w)) zeta(1+2sz z) zeta(1+2sw w)
+    L(1+sz z+sw w, pi0 x pi0~) / zeta(2+2sz z+2sw w), every factor built."""
+    g = zeta_local(place, Shift.of(1, 2 * sz, 0)) * zeta_local(place, Shift.of(1, 0, 2 * sw))
+    g = g / zeta_local(place, Shift.of(2, 2 * sz, 2 * sw))
+    g = g * rs_l_rf(pi0, place, Shift.of(1, sz, sw))
+    return g * RationalFunction2.monomial(-sz * place.r, -sw * place.r, 1, place.p)
+
+
+def h_reference(which, place):
+    """h_v of the kind numbered ``which`` (1..4), every factor built."""
+    one = RationalFunction2.const(1, place.p)
+    zeta_z, zeta_w = Shift.of(1, 2, 0), Shift.of(1, 0, 2)
+    if which == 1:
+        return one / zeta_local(place, zeta_z) / zeta_local(place, zeta_w)
+    if which == 2:
+        return one / zeta_local(place, zeta_w) / zeta_scalar(place, 1)
+    if which == 3:
+        return one / zeta_local(place, zeta_z) / zeta_scalar(place, 1)
+    mix = zeta_local(place, Shift.of(1, -2, -2))
+    return one / zeta_local(place, Shift.of(1, -2, 0)) / zeta_local(place, Shift.of(1, 0, -2)) \
+        * mix / zeta_scalar(place, 1)
+
+
+def psi_reference(kind, place, pi0):
+    """G_v(sz z, sw w) h_v, times 1 - correction for kind iv."""
+    value = pole_factor_reference(place, pi0, *KIND_SIGNS[kind]) \
+        * h_reference(KINDS.index(kind) + 1, place)
+    if kind == "iv":
+        value = value * (RationalFunction2.const(1, place.p) - correction_factor_rf(place))
+    return value
+
+
 def test_psi_closed_factors_structurally():
-    sign_map = {"i": (1, 1), "ii": (-1, 1), "iii": (1, -1)}
-    for kind, (sz, sw) in sign_map.items():
-        which = {"i": 1, "ii": 2, "iii": 3}[kind]
-        product = local_pole_factor(PLACE, PI0_11, sz, sw) * h_local(which, PLACE)
-        assert rf_equal(psi_closed(kind, PLACE, PI0_11).value, product)
-    base = local_pole_factor(PLACE, PI0_11, -1, -1) * h_local(4, PLACE)
-    corrected = base * (RationalFunction2.const(1, 2) - correction_factor_rf(PLACE))
-    assert rf_equal(psi_closed("iv", PLACE, PI0_11).value, corrected)
+    # psi_closed builds only the factors that survive G_v h_v: it is that
+    # product as a rational function
+    for p, r in itertools.product((2, 3, 5, 9), (1, 2, 3)):
+        place = PlaceData(p, r)
+        for a1, a2 in PSI_GRID_PAIRS:
+            pi0 = SatakeParams.unramified_unitary(Scalar.exact(a1), Scalar.exact(a2))
+            for kind in KINDS:
+                assert rf_equal(psi_closed(kind, place, pi0).value,
+                                psi_reference(kind, place, pi0)), (kind, p, r, a1)
 
 
 @pytest.mark.parametrize("kind", ("i", "ii", "iii", "iv"))
@@ -113,15 +149,16 @@ def test_rs_local_oracle_agreement():
         assert abs(closed - oracle) <= 1e-10 * max(1.0, abs(closed))
 
 
-def test_rs_local_oracle_refuses_an_overflowed_pi0_stream():
-    # pi0 non-tempered: its undecayed stream overflows at n = 9,329, where the
-    # decayed pi stream is subnormal, and inf * 5e-324 would make the sum NaN
+def test_rs_local_oracle_sums_a_non_tempered_pi0():
+    # pi0 non-tempered: its undecayed stream would overflow at n = 9,329, where
+    # the decayed pi stream is subnormal, and inf * 5e-324 is NaN; lifted by
+    # max|alpha_pi0| against pi's stream, neither overflows and the bound stops
     pi0 = SatakeParams.unramified_unitary(Scalar.numeric(2 ** (7 / 64)))
     pi = SatakeParams.unramified_unitary(Scalar.numeric(cmath.exp(0.7j)))
-    with pytest.raises(ValueError, match=r"the undecayed Hecke stream of pi0 \(alpha1 = \(1\.07"):
-        rs_local_oracle(pi, pi0, PLACE)
     closed = rs_local_value(pi, pi0, PLACE).to_complex()
     assert abs(closed - 2.8216) < 1e-4
+    oracle = rs_local_oracle(pi, pi0, PLACE).to_complex()
+    assert abs(oracle - closed) <= 1e-10 * abs(closed)
     # with the roles swapped the growing family is the decayed one
     swapped = rs_local_oracle(pi0, pi, PLACE).to_complex()
     assert abs(swapped - closed) <= 1e-10 * abs(closed)
@@ -397,7 +434,7 @@ def test_kind_iv_oracle_builds_the_ftilde_pair_once_and_no_closed_form(r, monkey
     pair = zetaint._ftilde_pair
     monkeypatch.setattr(zetaint, "_ftilde_pair",
                         lambda place, val_c: calls.append(val_c) or pair(place, val_c))
-    for name in ("psi_closed", "local_pole_factor", "h_local", "rs_l_rf", "correction_factor_rf"):
+    for name in ("psi_closed", "rs_l_rf", "correction_factor_rf"):
         monkeypatch.setattr(zetaint, name, lambda *args, _name=name: pytest.fail(_name))
     place = PlaceData(3, r)
     pi0 = SatakeParams.unramified_unitary(Scalar.exact(2), Scalar.exact(Fraction(1, 2)))
@@ -407,12 +444,17 @@ def test_kind_iv_oracle_builds_the_ftilde_pair_once_and_no_closed_form(r, monkey
     assert rf_equal(oracle, psi_closed("iv", place, pi0).value)
 
 
-@pytest.mark.parametrize("which, built", ((1, 2), (2, 1), (3, 1), (4, 3)))
-def test_h_local_builds_only_the_zeta_factors_it_uses(which, built, monkeypatch):
+@pytest.mark.parametrize("kind, built", (("i", 5), ("ii", 6), ("iii", 6), ("iv", 11)))
+def test_psi_closed_builds_only_the_zeta_factors_that_survive(kind, built, monkeypatch):
+    # four Rankin-Selberg factors and zeta(2 + ...); zeta(1 - ...) where a sign
+    # is -1; the five of the correction in kind iv (psi_reference builds 9, 8,
+    # 8 and 15)
     from rankinlab import zetaint
     shifts = []
     zeta = zetaint.zeta_local
     monkeypatch.setattr(zetaint, "zeta_local",
-                        lambda place, shift: shifts.append(shift) or zeta(place, shift))
-    h_local(which, PLACE)
+                        lambda place, shift, *alpha: shifts.append(shift)
+                        or zeta(place, shift, *alpha))
+    psi_closed(kind, PlaceData(3, 2), SatakeParams.unramified_unitary(
+        Scalar.exact(2), Scalar.exact(Fraction(1, 2))))
     assert len(shifts) == built
