@@ -11,8 +11,8 @@ formula.
 from .degenerate import (CorrectionReport, DegenerateReport, GlobalZetaData, build_G, build_h,
                          correction_report, correction_sum_factor, degenerate_limit,
                          symmetry_residuals, taylor_bound_report)
-from .exactalg import (PoleError, Poly2, RationalFunction2, poly_div_exact, poly_gcd,
-                       power_of_p, rf_equal)
+from .exactalg import (PoleError, Poly2, RationalFunction2, poly_div_exact, power_of_p,
+                       rf_equal)
 from .laurent import (CubicPolynomial, LambdaPoly, LaurentSeries2, ls_from_rational,
                       ls_inverse_regular)
 from .localdata import (IdealFactorization, PlaceData, Shift, inv_volume_Kq, is_prime_power,

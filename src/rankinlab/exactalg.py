@@ -20,7 +20,8 @@ A :class:`RationalFunction2` is a numerator over a multiset of monic
 factors, every one a :class:`Poly2` on the two rings: a factor's lead is
 divided into the numerator, so arithmetic needs no gcd and holds no
 denominator constant, and equality cross-multiplies after cancelling shared
-factors; :meth:`RationalFunction2.canonical` reduces by exact bivariate gcd.
+factors; :meth:`RationalFunction2.canonical` cancels the whole factors that
+divide the numerator.
 """
 
 from __future__ import annotations
@@ -90,15 +91,6 @@ class Poly2:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def is_exact(self) -> bool:
-        return self.den is not None
-
-    def deg1(self) -> int:
-        return max((i for i, _ in self.terms), default=-1)
-
-    def deg2(self) -> int:
-        return max((j for _, j in self.terms), default=-1)
 
     def lead_monomial(self) -> Monomial:
         """Lexicographically largest monomial (T1 first)."""
@@ -316,7 +308,7 @@ def _scalar(re: int, im: int, d: int, root: Fraction | None) -> Scalar:
     return Scalar(Fraction(re, d), b, root if b else None, None)
 
 
-# -- exact division and gcd -------------------------------------------------
+# -- exact division ---------------------------------------------------------
 
 def poly_div_exact(f: Poly2, g: Poly2) -> Poly2 | None:
     """Return q with f == q*g, or None when g does not divide f exactly."""
@@ -379,73 +371,6 @@ def _complex_div(f: Poly2, g: Poly2) -> Poly2 | None:
         coeff = q[(di, dj)] = rem.pop(rlead) * ginv
         _accumulate(rem, (((di + i, dj + j), -(v * coeff)) for i, j, v in gt), -0j)
     return Poly2._make(None, {m: v for m, v in q.items() if v})
-
-
-def _t1_coeffs(f: Poly2) -> dict[int, Poly2]:
-    """f as a polynomial in T1: {i: coefficient of T1**i, a polynomial in T2}."""
-    parts: dict[int, dict] = {}
-    for (i, j), v in f.terms.items():
-        parts.setdefault(i, {})[(0, j)] = v
-    return {i: _reduced(f.den, t) for i, t in parts.items()}
-
-
-def _t2_gcd(a: Poly2, b: Poly2) -> Poly2:
-    """Monic gcd of two polynomials in T2 alone, by Euclid."""
-    while not b.is_zero():
-        db = b.deg2()
-        inv = b.c[(0, db)].inverse()
-        while not a.is_zero() and a.deg2() >= db:
-            da = a.deg2()
-            a = a - b.shift(0, da - db).scale(a.c[(0, da)] * inv)
-        a, b = b, a
-    return monic_lex(a)
-
-
-def _content_primitive(f: Poly2) -> tuple[Poly2, Poly2]:
-    """Split f = content(T2) * primitive, content monic in T2."""
-    content = Poly2()
-    for coeff in _t1_coeffs(f).values():
-        content = _t2_gcd(content, coeff)
-        if content.deg2() == 0:
-            break
-    if content.is_zero():
-        return content, content
-    return content, poly_div_exact(f, content)
-
-
-def _pseudo_rem_t1(f: Poly2, g: Poly2) -> Poly2:
-    """Pseudo-remainder of f by g in T1, over the polynomials in T2."""
-    dg = g.deg1()
-    glead = _t1_coeffs(g)[dg]
-    while not f.is_zero() and f.deg1() >= dg:
-        df = f.deg1()
-        # multiply the remainder through by glead, then cancel its top term
-        f = f * glead - g.shift(df - dg, 0) * _t1_coeffs(f)[df]
-    return f
-
-
-def poly_gcd(f: Poly2, g: Poly2) -> Poly2:
-    """Exact bivariate gcd by content/primitive parts, lex-leading coefficient 1."""
-    if f.is_zero():
-        return monic_lex(g)
-    if g.is_zero():
-        return monic_lex(f)
-    if not (f.is_exact() and g.is_exact()):
-        raise ValueError("gcd is defined only for exact polynomials")
-    cf, pf = _content_primitive(f)
-    cg, pg = _content_primitive(g)
-    # Euclid on primitive parts, viewed in T1 over the rational functions of T2.
-    while not pg.is_zero():
-        pf, pg = pg, _content_primitive(_pseudo_rem_t1(pf, pg))[1]
-    return monic_lex(_t2_gcd(cf, cg) * pf)
-
-
-def monic_lex(f: Poly2) -> Poly2:
-    """Scale f so its lex-leading coefficient is one."""
-    if f.is_zero():
-        return f
-    lead = f.c[f.lead_monomial()]
-    return f.scale(lead.inverse())
 
 
 # -- rational functions ------------------------------------------------------
@@ -592,17 +517,17 @@ class RationalFunction2:
         return self.num * extra1 == other.num * extra2
 
     def canonical(self) -> tuple[Poly2, Poly2]:
-        """Reduced (num, den): common gcd removed, den monic in lex order."""
-        den = self.den_expanded()
-        num = self.num
-        if num.is_zero():
-            return Poly2(), Poly2.const(1)
-        g = poly_gcd(num, den)
-        if g.lead_monomial() != (0, 0):
-            num = poly_div_exact(num, g)
-            den = poly_div_exact(den, g)
-        lead = den.c[den.lead_monomial()].inverse()
-        return num.scale(lead), den.scale(lead)
+        """(num, den): each whole factor cancelled as often as it divides num,
+        den the product of the rest, monic in lex order as every factor is."""
+        num, den = self.num, _ONE
+        if not num.is_zero() and (num.den is None or any(
+                poly.den is None for poly, _ in self.fac.values())):
+            raise ValueError("canonical form is defined only for exact rational functions")
+        for poly, exp in self.fac.values():
+            while exp and (q := poly_div_exact(num, poly)) is not None:
+                num, exp = q, exp - 1
+            den = den * poly ** exp
+        return num, den
 
     # -- evaluation ----------------------------------------------------------
 

@@ -29,8 +29,8 @@ from .exactalg import Poly2, RationalFunction2, nonzero_factor, power_of_p
 from .localdata import PlaceData, Shift, zeta_local, zeta_scalar
 from .numerator import plain
 from .scalars import SC_ONE, Scalar, ScalarLike
-from .whittaker import (SatakeParams, _absorbs, _hecke_recursion, _largest, decayed_sum,
-                        hecke_stream, l_factor_product, satake_sum)
+from .whittaker import (SatakeParams, _hecke_recursion, _largest, decayed_sum, hecke_stream,
+                        l_factor_product, satake_sum)
 
 KIND_SIGNS = {"i": (1, 1), "ii": (-1, 1), "iii": (1, -1), "iv": (-1, -1)}
 KINDS = tuple(KIND_SIGNS)
@@ -203,7 +203,8 @@ def whittaker_square_sum(pi0: SatakeParams, place: PlaceData, a: int, b: int) ->
     # int 0 start would flip a -0.0).  The X**2 term b0 e2 - b1 e1 + b2 is 0 as
     # a polynomial in T and Delta: checked on integers, left out in doubles,
     # where its rounding remnant grows past any tolerance as T1 = p**(-z) grows
-    assert not exact or b0 * e2 - b1 * e1 + b2 == 0, "square sum: nonzero X**2 term"
+    if exact and b0 * e2 - b1 * e1 + b2:
+        raise AssertionError("square sum: nonzero X**2 term")
     num = [b0, b1 - b0 * e1]
     for coeffs in (num, den):
         while not coeffs[-1]:

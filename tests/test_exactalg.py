@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from rankinlab import exactalg, zetaint
 from rankinlab.exactalg import (PoleError, Poly2, RationalFunction2, poly_div_exact,
-                                poly_gcd, power_of_p, rf_equal)
+                                power_of_p, rf_equal)
 from rankinlab.localdata import PlaceData, Shift, zeta_local
 from rankinlab.scalars import Scalar, format_scalar
 from rankinlab.whittaker import SatakeParams
@@ -36,19 +36,6 @@ def test_ring_axioms(a, b, c):
     assert a * b == b * a
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
-
-
-@settings(max_examples=40, deadline=None)
-@given(sparse_polys(max_terms=3, max_deg=2), sparse_polys(max_terms=3, max_deg=2))
-def test_gcd_divides_and_is_idempotent(a, b):
-    g = poly_gcd(a, b)
-    if g.is_zero():
-        assert a.is_zero() and b.is_zero()
-        return
-    assert poly_div_exact(a, g) is not None
-    assert poly_div_exact(b, g) is not None
-    # canonical form: gcd with itself returns itself (monic-lex normalised)
-    assert poly_gcd(g, g) == g
 
 
 def test_inverse_pair_is_one():
@@ -147,6 +134,47 @@ def test_canonical_form_reduces():
     cnum, cden = f.canonical()
     assert poly_div_exact(cnum, common) is None  # the shared factor is gone
     assert rf_equal(f, RationalFunction2.from_poly(cnum, 2).with_factor(cden))
+
+
+def _rebuilt(f: RationalFunction2) -> RationalFunction2:
+    """f's canonical form as a rational function again."""
+    num, den = f.canonical()
+    return RationalFunction2.from_poly(num, f.p).with_factor(den)
+
+
+def test_canonical_form_keeps_a_partly_shared_factor_whole():
+    # 1 - T1**2 = (1 - T1)(1 + T1) shares 1 - T1 with the numerator, but
+    # no gcd is taken: the factor does not divide it, so it stays whole
+    one_minus = Poly2.const(1) - Poly2.monomial(1, 0)
+    square = Poly2.const(1) - Poly2.monomial(2, 0)
+    f = RationalFunction2.from_poly(one_minus, 2).with_factor(square)
+    # the factor is kept monic, T1**2 - 1, so the numerator takes its lead -1
+    assert f.canonical() == (-one_minus, -square)
+    assert rf_equal(_rebuilt(f), f)
+
+
+def test_canonical_form_cancels_a_squared_factor_once():
+    factor = Poly2.const(1) - Poly2.monomial(1, 1, Fraction(1, 3))
+    other = Poly2.const(1) + Poly2.monomial(0, 2)
+    num = (Poly2.const(2) - Poly2.monomial(0, 1)) * factor
+    f = RationalFunction2.from_poly(num, 3).with_factor(factor, 2).with_factor(other)
+    cnum, cden = f.canonical()
+    # the factor is kept monic, T1 T2 - 3, so the numerator takes its lead -3
+    assert cnum == (Poly2.const(2) - Poly2.monomial(0, 1)).scale(-3)
+    assert cden == factor.scale(-3) * other
+    assert rf_equal(_rebuilt(f), f)
+
+
+def test_canonical_form_refuses_a_numeric_function():
+    factor = Poly2.const(1) - Poly2.monomial(1, 0, 0.5 + 0j)
+    numeric = RationalFunction2.from_poly(Poly2.const(1), 2).with_factor(factor)
+    with pytest.raises(ValueError, match="exact"):
+        numeric.canonical()
+    with pytest.raises(ValueError, match="exact"):
+        RationalFunction2.const(0.25 + 0j, 2).canonical()
+    zero = RationalFunction2.from_poly(Poly2(), 2).with_factor(factor)
+    assert zero.canonical() == (Poly2(), Poly2.const(1))
+    assert rf_equal(_rebuilt(zero), zero)
 
 
 def test_rf_eval_homomorphism_on_rational_functions():
@@ -268,7 +296,7 @@ def test_key_is_none_free_and_equal_for_equal_polys(operands):
     a, b = operands
     for poly in (a, b, a * b):
         assert None not in _flat(poly.key())
-    if a.is_exact():
+    if a.den is not None:
         # the same polynomial built in reverse insertion order, coefficients rebuilt
         again = Poly2({m: v + Scalar.exact(0) for m, v in reversed(list(a.c.items()))})
         assert again == a and again.key() == a.key() and hash(again) == hash(a)
@@ -441,7 +469,7 @@ def test_flat_eval_matches_scalar_loop(operands, t1, t2):
 def test_flat_key_and_equality_match_scalar_keys(operands):
     a, b = operands
     polys = [a, b, a * b, b * a, a + b, b + a, (a + b) - b, -(-a)]
-    exact = a.is_exact() and b.is_exact()
+    exact = a.den is not None and b.den is not None
     for x in polys:
         assert None not in _flat(x.key())
         for y in polys:

@@ -1,8 +1,12 @@
-"""tools/reach.py on a tiny run list: what a run calls is not listed, the rest is."""
+"""tools/reach.py on a tiny run list: what a run calls or executes is not listed,
+the rest is."""
 
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
+
+from rankinlab import zetaint
 
 REACH = Path(__file__).resolve().parent.parent / "tools" / "reach.py"
 _spec = importlib.util.spec_from_file_location("reach", REACH)
@@ -22,3 +26,24 @@ def test_reach_lists_only_what_the_runs_never_call():
     assert {"cmd_verify", "symmetry_residuals", "symmetry_residuals.<locals>.residual"} <= names
     # class bodies run at import and are no candidates
     assert "Poly2" not in names and len(missed) < len(reach.candidates())
+
+
+def test_lines_lists_the_branches_a_run_never_takes():
+    tracer = sys.gettrace()
+    _, executed = reach.reached(["psi --p 2 --r 1 --kind i"], [], 1, lines=True)
+    assert sys.gettrace() is tracer
+    missed = set(reach.missed_lines(executed)["zetaint.py"])
+
+    def lines(fn, text):
+        source, first = inspect.getsourcelines(fn)
+        return [first + k for k, line in enumerate(source) if text in line]
+
+    # f_eval runs, but no Bruhat point of the oracle has a negative val_c
+    (test,) = lines(zetaint.f_eval, "val_c < 0")
+    assert test not in missed and test + 1 in missed
+    # psi_closed runs straight through for kind i; kind iv's factor is skipped
+    first, second, *_ = lines(zetaint.psi_closed, "value = ")
+    (end,) = lines(zetaint.psi_closed, "return ")
+    assert not missed & {first, second, end}
+    assert set(lines(zetaint.psi_closed, "correction_factor_rf(place))")) <= missed
+    assert reach._ranges([1, 2, 3, 7, 9, 10]) == "1-3, 7, 9-10"

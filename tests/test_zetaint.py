@@ -1,10 +1,15 @@
 import cmath
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import rankinlab
 from rankinlab.exactalg import PoleError, Poly2, RationalFunction2, rf_equal
 from rankinlab.localdata import PlaceData, Shift, zeta_local, zeta_scalar
 from rankinlab.numerator import plain
@@ -341,6 +346,37 @@ def test_square_sum_refuses_a_square_root_satake_parameter():
         whittaker_square_sum(pi0, PLACE, 1, 1)
     with pytest.raises(ValueError, match="Satake parameter"):
         psi_oracle("i", PLACE, pi0)
+
+
+_BROKEN_SQUARE_SUM = """
+from rankinlab import zetaint
+from rankinlab.localdata import PlaceData
+from rankinlab.scalars import Scalar
+from rankinlab.whittaker import SatakeParams
+
+recursion = zetaint._hecke_recursion
+
+def broken(t, delta):
+    # the third value one too large: the X**2 term of the square sum is 1, not 0
+    for n, u in enumerate(recursion(t, delta)):
+        yield u + 1 if n == 2 else u
+
+zetaint._hecke_recursion = broken
+try:
+    zetaint.whittaker_square_sum(SatakeParams.unramified_unitary(Scalar.exact(2)),
+                                 PlaceData(3, 1), 1, 1)
+except AssertionError as exc:
+    print(exc)
+"""
+
+
+def test_square_sum_check_survives_python_optimize():
+    # python -O strips assert statements; the integer X**2 certificate must still refuse
+    src = str(Path(rankinlab.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-O", "-c", _BROKEN_SQUARE_SUM],
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout == "square sum: nonzero X**2 term\n"
 
 
 def _fraction_square_sum(pi0, place, a, b):
