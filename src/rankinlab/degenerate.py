@@ -231,8 +231,7 @@ def taylor_bound_report(h: LaurentSeries2, q: IdealFactorization, m: int,
 
 # -- the pole factor -----------------------------------------------------------
 
-def build_G(data: GlobalZetaData, q: IdealFactorization,
-            depth: int = DEFAULT_DEPTH) -> LaurentSeries2:
+def build_G(data: GlobalZetaData, depth: int = DEFAULT_DEPTH) -> LaurentSeries2:
     """Laurent object for the pole factor G(z, w); flips give G(-z, w) and the rest.
 
     Pole exponents are (1,1,1,0): simple poles along z, w and z+w coming
@@ -290,7 +289,7 @@ def correction_report(data: GlobalZetaData, q: IdealFactorization,
     sum-factor: 8zw(z+w) clears the triple pole of the flipped pole factor, so
     the limit is finite (and lam-free), and the proportionality constant comes
     out of the series arithmetic rather than a hard-coded formula."""
-    return _correction(data, q, build_G(data, q, depth).flip(True, True)
+    return _correction(data, q, build_G(data, depth).flip(True, True)
                        * build_h(4, q, depth, log_map), log_map)
 
 
@@ -357,7 +356,7 @@ def degenerate_limit(data: GlobalZetaData, q: IdealFactorization,
     N(q) zeta_q(1)/zeta_q(2), i.e. net zeta_q(1)**2) so the reported cubic
     matches the headline expansion.
     """
-    g = build_G(data, q, depth)
+    g = build_G(data, depth)
     hs = [build_h(which, q, depth, log_map) for which in (1, 2, 3, 4)]
     g_mm_h4 = g.flip(True, True) * hs[3]  # also the correction's input
     combo = (g * hs[0]

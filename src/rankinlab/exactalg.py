@@ -15,6 +15,8 @@ not depend on the ring.  A sum whose numeric values all cancel stays integer.
 Numeric polynomials compare only at a point: ``==`` raises ``ValueError``.
 At exact points of one field Q or Q(sqrt(s)), :meth:`Poly2.eval` and
 :meth:`RationalFunction2.eval_t` sum on integers and build one Scalar.
+An integer product with a one-term operand shifts and scales the other
+operand, and :meth:`RationalFunction2.eval_t` builds one power table per point.
 
 A :class:`RationalFunction2` is a numerator over a multiset of monic
 factors, every one a :class:`Poly2` on the two rings: a factor's lead is
@@ -241,7 +243,16 @@ def _mul_terms(ta: dict, tb: dict, zero=0) -> dict:
 
 
 def _int_mul(da: int, ta: dict, db: int, tb: dict) -> Poly2:
-    return _reduced(da * db, _mul_terms(ta, tb))
+    """The integer product; a one-term operand shifts and scales the other,
+    in the other's key order, and the unit returns the other's form."""
+    if len(tb) == 1:
+        da, ta, db, tb = db, tb, da, ta
+    if len(ta) != 1:
+        return _reduced(da * db, _mul_terms(ta, tb))
+    ((i1, j1), v1), = ta.items()
+    if da == 1 and v1 == 1 and not (i1 or j1):
+        return Poly2._make(db, tb)
+    return _reduced(da * db, {(i1 + i2, j1 + j2): v1 * v2 for (i2, j2), v2 in tb.items()})
 
 
 def _complex_sum(a: Poly2, b: Poly2) -> Poly2:
@@ -273,6 +284,12 @@ def _powers(t: Scalar, top: int, base: int) -> tuple[list[tuple[int, int]], int]
     return out, f
 
 
+def _tables(t1: Scalar, t2: Scalar, forms, base: int) -> tuple:
+    """The :func:`_powers` of t1 and t2 up to the largest exponents in forms."""
+    return (_powers(t1, max((i for terms in forms for i, _ in terms), default=0), base),
+            _powers(t2, max((j for terms in forms for _, j in terms), default=0), base))
+
+
 def _one_field(t1: Scalar, t2: Scalar) -> bool:
     """Both points exact, in one quadratic field."""
     return t1.z is None and t2.z is None and not (t1.b and t2.b and t1.base != t2.base)
@@ -282,14 +299,14 @@ def _root(t1: Scalar, t2: Scalar) -> Fraction | None:
     return t1.base if t1.b else t2.base if t2.b else None
 
 
-def _eval_exact(den: int, terms: dict[Monomial, int], t1: Scalar,
-                t2: Scalar) -> tuple[int, int, int]:
+def _eval_exact(den: int, terms: dict[Monomial, int], t1: Scalar, t2: Scalar,
+                tables: tuple | None = None) -> tuple[int, int, int]:
     """The integer form at points of one field Q(sqrt(root)), summed on
-    integers: (re, im, d) for the value (re + im*sqrt(root)) / d."""
+    integers: (re, im, d) for the value (re + im*sqrt(root)) / d, read from
+    ``tables`` if given (:func:`_tables` over terms and more)."""
     root = _root(t1, t2)
     base = int(root) if root is not None else 0
-    p1, e1 = _powers(t1, max((i for i, _ in terms), default=0), base)
-    p2, e2 = _powers(t2, max((j for _, j in terms), default=0), base)
+    (p1, e1), (p2, e2) = tables or _tables(t1, t2, (terms,), base)
     re = im = 0
     if root is None:
         for (i, j), n in terms.items():
@@ -542,15 +559,17 @@ class RationalFunction2:
                 and all(poly.den is not None for poly, _ in self.fac.values())):
             root = _root(t1, t2)
             base = int(root) if root is not None else 0
+            tables = _tables(t1, t2, [num.terms, *(poly.terms for poly, _ in self.fac.values())],
+                             base)
             x, y, e = 1, 0, 1
             for poly, exp in self.fac.values():
-                fx, fy, fe = _eval_exact(poly.den, poly.terms, t1, t2)
+                fx, fy, fe = _eval_exact(poly.den, poly.terms, t1, t2, tables)
                 if not (fx or fy):
                     num = _cancel(num, poly, exp)
                     continue
                 for _ in range(exp):
                     x, y, e = x * fx + base * y * fy, x * fy + y * fx, e * fe
-            nx, ny, ne = _eval_exact(num.den, num.terms, t1, t2)
+            nx, ny, ne = _eval_exact(num.den, num.terms, t1, t2, tables)
             # divided by (x + y*r)/e: times e*(x - y*r) over the norm
             return _scalar(e * (nx * x - base * ny * y), e * (ny * x - nx * y),
                            ne * (x * x - base * y * y), root)
@@ -590,20 +609,20 @@ def _cancel(num: Poly2, poly: Poly2, exp: int) -> Poly2:
 
 
 def power_of_p(p: int, exponent: ScalarLike, sign: int = 1) -> Scalar:
-    """p**(sign*exponent); exact for integer and half-integer exponents."""
+    """p**(sign*exponent); exact for integer and half-integer exponents, built
+    on integers and ``Fraction`` with one ``Scalar.root`` for a half."""
     e = exponent
     if e.__class__ not in (int, Fraction):
         e = Scalar.wrap(e)
         if not e.is_rational():
             return Scalar.numeric(complex(p) ** (sign * e.to_complex()))
         e = e.a
-    q = e * sign
-    d = q.denominator
+    d = e.denominator
     if d > 2:
         return Scalar.numeric(complex(p) ** (sign * complex(float(e))))
-    k = q.numerator // d
-    whole = Scalar.exact(Fraction(p ** k) if k >= 0 else Fraction(1, p ** -k))
-    return whole if d == 1 else whole * Scalar.root(p)
+    k = e.numerator * sign // d
+    whole = Fraction(p ** k) if k >= 0 else Fraction(1, p ** -k)
+    return Scalar.exact(whole) if d == 1 else Scalar.root(p, whole)
 
 
 def nonzero_factor(factor: Scalar, what: str) -> Scalar:

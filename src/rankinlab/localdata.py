@@ -130,8 +130,12 @@ def zeta_local(place: PlaceData, shift: Shift, alpha: ScalarLike = 1) -> Rationa
     times -1/c when mono leads.  Otherwise the generic ``with_factor``
     builds it.
     """
-    p, a, b = place.p, shift.a, shift.b
-    c = plain(power_of_p(p, shift.m, -1))
+    p, a, b, m = place.p, shift.a, shift.b, shift.m
+    if m.denominator == 1:
+        k = m.numerator
+        c = Fraction(1, p ** k) if k >= 0 else Fraction(p ** -k)
+    else:
+        c = plain(power_of_p(p, m, -1))
     if not (alpha.__class__ is int and alpha == 1):  # zeta_v takes p**(-m) as it is
         c = plain(alpha) * c
     lift, mono = (max(0, -a), max(0, -b)), (max(0, a), max(0, b))

@@ -100,7 +100,7 @@ def test_taylor_report():
 
 def test_build_G_pole_structure():
     data = model_data()
-    g = build_G(data, IdealFactorization.parse("2^1"), 8)
+    g = build_G(data, 8)
     assert g.poles == (1, 1, 1, 0)
     # leading singular coefficient: xi*^2 * res(Lambda) * N(d) / (4 xi(2)) = 1/4
     lead = g.coeff(0, 0)
@@ -127,7 +127,7 @@ def test_data_validation():
 def test_depth_requirement():
     data = model_data()
     with pytest.raises(ValueError, match="depth"):
-        build_G(data, Q23, 40)
+        build_G(data, 40)
 
 
 def test_degenerate_limit_model_exact():

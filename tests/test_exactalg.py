@@ -681,6 +681,70 @@ def test_integer_eval_t_matches_the_scalar_loop(t1, t2, a, factors, k, exp, scal
     assert k >= exp or a.eval(t1, t2).is_zero()
 
 
+# -- one-term products and one power table per evaluation ----------------------------
+
+_one_term_polys = st.one_of(
+    st.just(Poly2.const(1)),
+    st.builds(Poly2.monomial, st.integers(0, 3), st.integers(0, 3), _div_coeffs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_one_term_polys, st.one_of(_one_term_polys, sparse_polys(), _exact_polys()),
+       st.booleans())
+def test_a_one_term_product_is_the_pair_loop_form(one, other, swap):
+    a, b = (other, one) if swap else (one, other)
+    before = [(p.den, list(p.terms.items())) for p in (a, b)]
+    got = a * b
+    want = exactalg._reduced(a.den * b.den, exactalg._mul_terms(a.terms, b.terms))
+    assert (got.den, list(got.terms.items())) == (want.den, list(want.terms.items()))
+    # the unit's product shares the other operand's dict: no later operation may write to it
+    rf = RationalFunction2.from_poly(got, 2).with_factor(one)
+    assert all(x is not None for x in (
+        got + a, got - b, -got, got * got, got ** 2, poly_div_exact(got, one),
+        rf + rf, rf * rf, rf.canonical(), rf.eval_t(Fraction(1, 3), 2)))
+    assert [(p.den, list(p.terms.items())) for p in (a, b)] == before
+
+
+def _quotient(rf, t1, t2):
+    return rf.num.eval(t1, t2) / rf.den_expanded().eval(t1, t2)
+
+
+def test_eval_t_is_the_quotient_of_the_separate_evaluations():
+    # factors of unequal degrees, one squared, so the one power table is wider than each
+    num = Poly2({(3, 1): Fraction(2, 3), (0, 0): -5, (1, 2): 1})
+    rf = (RationalFunction2.from_poly(num, 2)
+          .with_factor(Poly2({(2, 1): Fraction(-1, 4), (0, 0): 1}))
+          .with_factor(Poly2({(0, 3): 3, (1, 0): 1, (0, 0): 7}), 2)
+          .with_factor(Poly2({(0, 0): 1, (5, 0): Fraction(1, 9)})))
+    third = power_of_p(9, Fraction(1, 2), -1)
+    assert (third.a, third.b) == (Fraction(1, 3), 0)  # sqrt(9) folds back into Q
+    points = [(Scalar.exact(Fraction(2, 3)), Scalar.exact(Fraction(-1, 5))),
+              (power_of_p(2, Fraction(1, 2), -1), power_of_p(2, Fraction(3, 2), -1)),
+              (power_of_p(2, Fraction(-1, 2), -1), Scalar.exact(Fraction(3, 4))),
+              (third, power_of_p(9, Fraction(-3, 2), -1))]
+    for t1, t2 in points:
+        got, want = rf.eval_t(t1, t2), _quotient(rf, t1, t2)
+        assert got == want and got.base == want.base, (t1, t2)
+    assert rf.eval_t(*points[1]).b  # the Q(sqrt 2) point keeps its root part
+
+
+def test_eval_t_cancels_a_removable_zero_with_the_one_power_table():
+    vanishing = Poly2({(1, 0): 1, (0, 1): -2})  # T1 - 2*T2
+    g = Poly2({(0, 0): 1, (2, 3): Fraction(-7, 2)})
+    h = Poly2({(0, 4): 1, (1, 0): 5, (0, 0): -1})
+    rf = RationalFunction2.from_poly(vanishing ** 2 * g, 2).with_factor(vanishing, 2) \
+        .with_factor(h)
+    reduced = RationalFunction2.from_poly(g, 2).with_factor(h)
+    half_root = power_of_p(2, Fraction(1, 2), -1)
+    for t2 in (Scalar.exact(Fraction(3, 7)), half_root, Scalar.exact(0)):
+        t1 = t2 * 2
+        assert vanishing.eval(t1, t2).is_zero()
+        got, want = rf.eval_t(t1, t2), _quotient(reduced, t1, t2)
+        assert got == want and got.base == want.base, t2
+    with pytest.raises(PoleError):
+        rf.with_factor(vanishing).eval_t(Fraction(6, 7), Fraction(3, 7))
+
+
 # -- the complex ring: sums that cancel, division, equality ---------------------------
 
 def test_sum_stays_integer_when_every_numeric_value_cancels():

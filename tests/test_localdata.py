@@ -6,6 +6,7 @@ from rankinlab.exactalg import Poly2, RationalFunction2, power_of_p
 from rankinlab.localdata import (IdealFactorization, PlaceData, Shift, inv_volume_Kq,
                                  is_prime_power, norm, omega, volume_K, zeta_local,
                                  zeta_scalar)
+from rankinlab.numerator import plain
 from rankinlab.scalars import Scalar
 
 
@@ -69,6 +70,49 @@ def test_zeta_local_is_the_generic_with_factor_form(p):
                         continue
                     assert _form(zeta_local(place, shift, alpha)) == \
                         _form(_generic_zeta_local(place, shift, alpha)), (p, m, a, b, alpha)
+
+
+def _reference_zeta_local(place, shift, alpha):
+    """zeta_local with its constant as plain(power_of_p(p, m, -1)) for every m,
+    the Scalar route the integer-m constant replaced."""
+    p, a, b = place.p, shift.a, shift.b
+    c = plain(power_of_p(p, shift.m, -1))
+    if not (alpha.__class__ is int and alpha == 1):
+        c = plain(alpha) * c
+    lift, mono = (max(0, -a), max(0, -b)), (max(0, a), max(0, b))
+    num = Poly2._make(1, {lift: 1})
+    if c.__class__ is complex or not c or lift == mono:
+        return RationalFunction2.from_poly(num, p).with_factor(num - Poly2.monomial(*mono, c))
+    n, d = c.numerator, c.denominator
+    if lift > mono:
+        factor = Poly2._make(d, {lift: d, mono: -n})
+    else:
+        coeff = -d if n > 0 else d
+        num = Poly2._make(abs(n), {lift: coeff})
+        factor = Poly2._make(abs(n), {lift: coeff, mono: abs(n)})
+    return RationalFunction2(num, {factor.key(): (factor, 1)}, p)
+
+
+def test_zeta_local_constant_is_the_scalar_route():
+    checked = 0
+    for p in (2, 3, 9):
+        place = PlaceData(p, 1)
+        for m in (-2, -1, 0, 1, 2, 3, Fraction(-3, 2), Fraction(1, 2)):
+            for a, b in ((1, 0), (0, -2), (2, 2), (-1, 1)):
+                for alpha in (1, Fraction(3, 5)):
+                    shift = Shift.of(m, a, b)
+                    if m.__class__ is Fraction and p != 9:  # p**(-m) is irrational
+                        for build in (zeta_local, _reference_zeta_local):
+                            with pytest.raises(ValueError):
+                                build(place, shift, alpha)
+                        continue
+                    got, want = zeta_local(place, shift, alpha), _reference_zeta_local(
+                        place, shift, alpha)
+                    assert (got.num.den, list(got.num.terms.items())) == \
+                        (want.num.den, list(want.num.terms.items()))
+                    assert _form(got) == _form(want), (p, m, a, b, alpha)
+                    checked += 1
+    assert checked == 3 * 6 * 4 * 2 + 2 * 4 * 2
 
 
 def test_volumes():
