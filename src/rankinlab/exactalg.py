@@ -23,7 +23,8 @@ factors, every one a :class:`Poly2` on the two rings: a factor's lead is
 divided into the numerator, so arithmetic needs no gcd and holds no
 denominator constant, and equality cross-multiplies after cancelling shared
 factors; :meth:`RationalFunction2.canonical` cancels the whole factors that
-divide the numerator.
+divide the numerator.  :meth:`RationalFunction2.monomial` puts its negative
+exponents in one factor entry, the monomial T1**(-i) T2**(-j) with exponent 1.
 """
 
 from __future__ import annotations
@@ -161,7 +162,7 @@ class Poly2:
     def __pow__(self, n: int) -> "Poly2":
         if n < 0:
             raise ValueError("use RationalFunction2 for negative powers")
-        return _binary_power(self, n, _ONE)
+        return self if n == 1 else _binary_power(self, n, _ONE)
 
     def eval(self, t1: Scalar, t2: Scalar) -> Scalar:
         """Sum of ``v * t1**i * t2**j`` in key order, each power computed once:
@@ -416,13 +417,12 @@ class RationalFunction2:
 
     @classmethod
     def monomial(cls, i: int, j: int, coeff: ScalarLike, p: int) -> "RationalFunction2":
-        """coeff * T1**i * T2**j, with negative exponents going to the denominator."""
+        """coeff * T1**i * T2**j, negative exponents making one monic monomial factor."""
         num = Poly2.monomial(max(i, 0), max(j, 0), coeff)
-        rf = cls(num, {}, p)
-        if i < 0 or j < 0:
-            den = Poly2.monomial(max(-i, 0), max(-j, 0))
-            rf = rf / cls.from_poly(den, p)
-        return rf
+        if i >= 0 and j >= 0:
+            return cls(num, {}, p)
+        den = Poly2.monomial(max(-i, 0), max(-j, 0))
+        return cls(num, {den.key(): (den, 1)}, p)
 
     # -- helpers -----------------------------------------------------------
 

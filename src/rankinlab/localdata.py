@@ -115,7 +115,12 @@ def norm(q: IdealFactorization) -> int:
 
 
 def zeta_scalar(place: PlaceData, s) -> Scalar:
-    """zeta_v(s) for a constant (half-)integral argument, as an exact Scalar."""
+    """zeta_v(s) for a constant (half-)integral argument, as an exact Scalar:
+    p**s / (p**s - 1) on integers for an ``int`` s >= 1, otherwise
+    (1 - p**(-s))**(-1) in Scalar arithmetic."""
+    if s.__class__ is int and s >= 1:
+        q = place.p ** s
+        return Scalar.exact(Fraction(q, q - 1))
     return (Scalar.exact(1) - power_of_p(place.p, Fraction(s), -1)).inverse()
 
 

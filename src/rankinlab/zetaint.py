@@ -23,9 +23,10 @@ import cmath
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import accumulate, chain, islice, repeat
 
-from .exactalg import Poly2, RationalFunction2, nonzero_factor, power_of_p
+from .exactalg import Poly2, RationalFunction2, _reduced, nonzero_factor, power_of_p
 from .localdata import PlaceData, Shift, zeta_local, zeta_scalar
 from .numerator import plain
 from .scalars import SC_ONE, Scalar, ScalarLike
@@ -80,7 +81,9 @@ def ftilde_eval(place: PlaceData, pt: BruhatPoint, s: Shift) -> RationalFunction
     if place.r < 1:
         raise ValueError("ftilde_eval is defined at places dividing the ideal (r >= 1)")
     one_minus = s.times(-1).plus(1)
-    out = _abs_power(place, pt.val_y, one_minus) * zeta_local(place, one_minus.times(2))
+    out = zeta_local(place, one_minus.times(2))
+    if pt.val_y:  # |y|**(1-s) is 1 at val_y = 0
+        out = _abs_power(place, pt.val_y, one_minus) * out
     if pt.val_c is None or pt.val_c >= 0:
         return out / zeta_scalar(place, 1)
     out = out / zeta_local(place, s.times(2).plus(-1))
@@ -91,13 +94,13 @@ def ftilde_eval(place: PlaceData, pt: BruhatPoint, s: Shift) -> RationalFunction
 
 def rs_l_rf(pi0: SatakeParams, place: PlaceData, shift: Shift) -> RationalFunction2:
     """Rankin-Selberg factor of pi0 x contragredient(pi0) at the shifted
-    argument, from the Satake-parameter products alpha_i * alpha_j."""
-    alphas = (pi0.alpha1, pi0.alpha2)
-    out = RationalFunction2.const(1, place.p)
-    for ai in alphas:
-        for aj in alphas:
-            out = out * zeta_local(place, shift, ai * aj)
-    return out
+    argument, from the Satake-parameter products alpha_i * alpha_j: on plain
+    ``Fraction`` or ``complex`` values, or as Scalars where a parameter has a
+    square-root part (the products of sqrt(2) and 1/sqrt(2) are rational)."""
+    a1, a2 = pi0.alpha1, pi0.alpha2
+    alphas = (a1, a2) if a1.b or a2.b else (plain(a1), plain(a2))
+    return reduce(operator.mul, (zeta_local(place, shift, ai * aj)
+                                 for ai in alphas for aj in alphas))
 
 
 def correction_factor_rf(place: PlaceData) -> RationalFunction2:
@@ -220,9 +223,13 @@ def whittaker_square_sum(pi0: SatakeParams, place: PlaceData, a: int, b: int) ->
 
 def _at_y(coeffs: list, a: int, b: int, y_den: int) -> Poly2:
     """sum c_k Y**k at Y = T1**a T2**b / y_den, times the power of T1 and T2
-    that makes every exponent nonnegative."""
+    that makes every exponent nonnegative.  Integer c_k give the integer form
+    directly: c_k y_den**(top-k) over y_den**top, divided by their gcd."""
     top = len(coeffs) - 1
     i0, j0 = max(0, -a) * top, max(0, -b) * top
+    if all(c.__class__ is int for c in coeffs):
+        return _reduced(y_den ** top, {(i0 + a * k, j0 + b * k): c * y_den ** (top - k)
+                                       for k, c in enumerate(coeffs) if c})
     return Poly2({(i0 + a * k, j0 + b * k): c * Fraction(1, y_den ** k)
                   for k, c in enumerate(coeffs) if c})
 

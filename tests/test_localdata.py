@@ -42,6 +42,27 @@ def test_zeta_local_values():
     assert f.eval_zw(Fraction(1, 2), 0) == Scalar.exact(Fraction(4, 3))
 
 
+def _reference_zeta_scalar(place, s):
+    """zeta_scalar as it was for every s: 1 - p**(-s) in Scalar arithmetic, inverted."""
+    return (Scalar.exact(1) - power_of_p(place.p, Fraction(s), -1)).inverse()
+
+
+def _bits(s):
+    return tuple((type(v), v) for v in (s.a, s.b, s.base, s.z))
+
+
+def test_zeta_scalar_is_the_scalar_route():
+    for p in (2, 3, 4, 5, 9):
+        place = PlaceData(p, 1)
+        for s in (1, 2, 3, Fraction(1, 2), Fraction(3, 2), -1):
+            assert _bits(zeta_scalar(place, s)) == _bits(_reference_zeta_scalar(place, s)), (p, s)
+        for s in (0, Fraction(0)):
+            for build in (zeta_scalar, _reference_zeta_scalar):
+                with pytest.raises(ZeroDivisionError):
+                    build(place, s)
+    assert zeta_scalar(PlaceData(2, 1), Fraction(1, 2)).b  # 1/(1 - 2**(-1/2)) keeps its root
+
+
 def _generic_zeta_local(place, shift, alpha):
     """(1 - alpha p**(-m) T1**a T2**b)**(-1) as from_poly(lift).with_factor(den)."""
     lift = Poly2.monomial(max(0, -shift.a), max(0, -shift.b))

@@ -16,8 +16,8 @@ from rankinlab.numerator import plain
 from rankinlab.scalars import Scalar
 from rankinlab.verify import PSI_GRID_PAIRS
 from rankinlab.whittaker import SatakeParams, rankin_selberg_self_l, satake_sum
-from rankinlab.zetaint import (KIND_SIGNS, KINDS, BruhatPoint, correction_factor_rf, f_eval,
-                               ftilde_eval, psi_closed, psi_oracle, reg_local_bound,
+from rankinlab.zetaint import (KIND_SIGNS, KINDS, BruhatPoint, _abs_power, correction_factor_rf,
+                               f_eval, ftilde_eval, psi_closed, psi_oracle, reg_local_bound,
                                reg_local_closed, reg_local_closed_s_form, reg_local_oracle,
                                rs_l_rf, rs_local_oracle, rs_local_value, whittaker_square_sum)
 
@@ -494,3 +494,96 @@ def test_psi_closed_builds_only_the_zeta_factors_that_survive(kind, built, monke
     psi_closed(kind, PlaceData(3, 2), SatakeParams.unramified_unitary(
         Scalar.exact(2), Scalar.exact(Fraction(1, 2))))
     assert len(shifts) == built
+
+
+# -- the integer routes against the Scalar and Fraction routes they replaced ---------
+
+def _reference_at_y(coeffs, a, b, y_den):
+    """_at_y as it was for every coefficient: c_k / y_den**k as a Fraction."""
+    top = len(coeffs) - 1
+    i0, j0 = max(0, -a) * top, max(0, -b) * top
+    return Poly2({(i0 + a * k, j0 + b * k): c * Fraction(1, y_den ** k)
+                  for k, c in enumerate(coeffs) if c})
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 9))
+def test_integer_at_y_is_the_fraction_poly(p, monkeypatch):
+    from rankinlab import zetaint
+    calls = []
+    at_y = zetaint._at_y
+    monkeypatch.setattr(zetaint, "_at_y",
+                        lambda *args: calls.append(args) or at_y(*args))
+    rational = [*EXACT_PI0, *(SatakeParams.unramified_unitary(Scalar.exact(a1), Scalar.exact(a2))
+                              for a1, a2 in PSI_GRID_PAIRS)]
+    for pi0 in rational:
+        for a, b in SIGNS:
+            whittaker_square_sum(pi0, PlaceData(p, 1), a, b)
+    assert len(calls) == 2 * 4 * len(rational)
+    for args in calls:
+        assert all(c.__class__ is int for c in args[0])
+        got, want = at_y(*args), _reference_at_y(*args)
+        assert (got.den, list(got.terms.items())) == (want.den, list(want.terms.items())), args
+
+
+def _reference_rs_l_rf(pi0, place, shift):
+    """rs_l_rf as it was: Scalar products alpha_i * alpha_j, from the constant 1."""
+    alphas = (pi0.alpha1, pi0.alpha2)
+    out = RationalFunction2.const(1, place.p)
+    for ai in alphas:
+        for aj in alphas:
+            out = out * zeta_local(place, shift, ai * aj)
+    return out
+
+
+RS_PI0 = (
+    *EXACT_PI0,
+    SatakeParams.unramified_unitary(Scalar.numeric(0.6 + 0.8j), Scalar.numeric(0.6 - 0.8j)),
+    SatakeParams.unramified_unitary(Scalar.numeric(1.3 * cmath.exp(0.4j))),  # not tempered
+    SatakeParams.unramified_unitary(Scalar.numeric(-1j)),
+    SatakeParams(Scalar.exact(3), Scalar.numeric(0.5j)),  # exact times numeric
+    SatakeParams(Scalar.root(2), Scalar.root(Fraction(1, 2))),  # rational products
+)
+
+
+def test_rs_l_rf_is_the_scalar_product_route():
+    # complex values bit for bit: _form compares them by repr, zero signs included
+    for p in (2, 3, 9):
+        place = PlaceData(p, 2)
+        for pi0 in RS_PI0:
+            for m in (1, 2):
+                for sz, sw in SIGNS:
+                    shift = Shift.of(m, sz, sw)
+                    assert _form(rs_l_rf(pi0, place, shift)) == \
+                        _form(_reference_rs_l_rf(pi0, place, shift)), (p, pi0, shift)
+
+
+def _reference_ftilde_eval(place, pt, s):
+    """ftilde_eval as it was: the |y|**(1-s) factor built at every val_y."""
+    one_minus = s.times(-1).plus(1)
+    out = _abs_power(place, pt.val_y, one_minus) * zeta_local(place, one_minus.times(2))
+    if pt.val_c is None or pt.val_c >= 0:
+        return out / zeta_scalar(place, 1)
+    out = out / zeta_local(place, s.times(2).plus(-1))
+    return out * _abs_power(place, pt.val_c, one_minus.times(-2))
+
+
+def test_ftilde_eval_is_the_formula_with_the_y_power():
+    shifts = (S_HALF_Z, Shift.of(Fraction(1, 2), 0, 1), Shift.of(1, 1, 0), Shift.of(2, 1, -1))
+    checked = 0
+    for p in (2, 3, 4, 9):
+        place = PlaceData(p, 1)
+        for s in shifts:
+            for pt in (BruhatPoint(2, None), BruhatPoint(-1, -2)):
+                try:
+                    want = _reference_ftilde_eval(place, pt, s)
+                except ValueError:  # p**(1/2) is irrational: both refuse it
+                    with pytest.raises(ValueError):
+                        ftilde_eval(place, pt, s)
+                    continue
+                assert rf_equal(ftilde_eval(place, pt, s), want), (p, s, pt)
+                checked += 1
+            # at val_y = 0 the skipped factor is the constant 1: the same form
+            for pt in (BruhatPoint(0, 0), BruhatPoint(0, -1), BruhatPoint(0, None)):
+                assert _form(ftilde_eval(place, pt, s)) == \
+                    _form(_reference_ftilde_eval(place, pt, s)), (p, s, pt)
+    assert checked == 4 * 4 * 2 - 2 * 2  # p 2, 3: the half shifts at val_y = -1
