@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactalg import Poly2, RationalFunction2, power_of_p
+from .exactalg import Poly2, RationalFunction2
 from .numerator import plain
 from .scalars import Scalar, ScalarLike
 
@@ -32,7 +32,7 @@ def is_prime_power(n: int) -> bool:
 
 @dataclass(frozen=True)
 class Shift:
-    """Argument m + a*z + b*w of a local factor; m may be half-integral."""
+    """Argument m + a*z + b*w; m is half-integral only as a section parameter (|y|**s)."""
 
     m: Fraction
     a: int = 0
@@ -114,33 +114,30 @@ def norm(q: IdealFactorization) -> int:
     return n
 
 
-def zeta_scalar(place: PlaceData, s) -> Scalar:
-    """zeta_v(s) for a constant (half-)integral argument, as an exact Scalar:
-    p**s / (p**s - 1) on integers for an ``int`` s >= 1, otherwise
-    (1 - p**(-s))**(-1) in Scalar arithmetic."""
-    if s.__class__ is int and s >= 1:
-        q = place.p ** s
-        return Scalar.exact(Fraction(q, q - 1))
-    return (Scalar.exact(1) - power_of_p(place.p, Fraction(s), -1)).inverse()
+def zeta_scalar(place: PlaceData, s: int) -> Scalar:
+    """zeta_v(s) = p**s / (p**s - 1) as an exact Scalar, for an ``int`` s >= 1 only."""
+    if s.__class__ is not int or s < 1:
+        raise ValueError(f"zeta_scalar takes an int s >= 1, got {s!r}")
+    q = place.p ** s
+    return Scalar.exact(Fraction(q, q - 1))
 
 
 def zeta_local(place: PlaceData, shift: Shift, alpha: ScalarLike = 1) -> RationalFunction2:
     """(1 - alpha * p**(-m) T1**a T2**b)**(-1), so zeta_v(m + a*z + b*w) for
     alpha = 1, as lift / (lift - c*mono) with the lift monomial
-    T1**max(0,-a) T2**max(0,-b) making every exponent nonnegative.
+    T1**max(0,-a) T2**max(0,-b) making every exponent nonnegative.  m is an
+    integer (else a ValueError), so c = alpha p**(-m) stays on alpha's ring.
 
     For a nonzero rational c and (a, b) != (0, 0) the factor is built in the
     form :meth:`RationalFunction2.with_factor` gives it: monic in its
-    lex-leading monomial, the lift monomial first, and the lift numerator
-    times -1/c when mono leads.  Otherwise the generic ``with_factor``
-    builds it.
+    lex-leading monomial, the lift monomial first, the lift numerator times
+    -1/c when mono leads; otherwise the generic ``with_factor`` builds it.
     """
     p, a, b, m = place.p, shift.a, shift.b, shift.m
-    if m.denominator == 1:
-        k = m.numerator
-        c = Fraction(1, p ** k) if k >= 0 else Fraction(p ** -k)
-    else:
-        c = plain(power_of_p(p, m, -1))
+    if m.denominator != 1:
+        raise ValueError(f"zeta_local takes an integer constant m, got m = {m}")
+    k = m.numerator
+    c = Fraction(1, p ** k) if k >= 0 else Fraction(p ** -k)
     if not (alpha.__class__ is int and alpha == 1):  # zeta_v takes p**(-m) as it is
         c = plain(alpha) * c
     lift, mono = (max(0, -a), max(0, -b)), (max(0, a), max(0, b))

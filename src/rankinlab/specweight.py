@@ -43,9 +43,8 @@ def local_weight_lower(pi: SatakeParams, cond_exp: int, place: PlaceData) -> Wei
     vol(K) L(1, pi x conj pi)/zeta(1) (1 - |alpha1|**2/p) in the ramified case.
 
     Neither bound depends on pi.  The ramified one has alpha2 = 0, so
-    L(1, pi x conj pi) = (1 - |alpha1|**2/p)**(-1) cancels the damping and
-    the bound is vol(K)/zeta(1) for every alpha1 (pinned in the tests); the
-    L-value is computed only to be cancelled.  No check compares these
+    L(1, pi x conj pi) = (1 - |alpha1|**2/p)**(-1) cancels the damping, and
+    it is computed as vol(K)/zeta(1) for every alpha1.  No check compares these
     bounds with an independent computation: the unramified check of
     ``verify --suite spectral-weight`` compares this formula with itself.
     """
@@ -64,11 +63,9 @@ def local_weight_lower(pi: SatakeParams, cond_exp: int, place: PlaceData) -> Wei
         bound = vol * zeta_scalar(place, 2) / z1 ** 3
         trivial = bound
     else:
-        pinv = Scalar.exact(Fraction(1, p))
-        damping = SC_ONE - pi.alpha1.abs2() * pinv
-        l_value = rankin_selberg_self_l(pi, pinv)
-        bound = vol * l_value / z1 * damping
-        trivial = vol / z1 * damping  # L-value replaced by its trivial bound 1
+        bound = vol / z1
+        damping = SC_ONE - pi.alpha1.abs2() * Scalar.exact(Fraction(1, p))
+        trivial = bound * damping  # L-value replaced by its trivial bound 1
     normalized = bound / vol * z1 ** 2
     return WeightReport(place, "unramified" if not pi.ramified else "ramified",
                         bound, normalized, floor_body, floor_half, trivial)

@@ -94,11 +94,9 @@ def ftilde_eval(place: PlaceData, pt: BruhatPoint, s: Shift) -> RationalFunction
 
 def rs_l_rf(pi0: SatakeParams, place: PlaceData, shift: Shift) -> RationalFunction2:
     """Rankin-Selberg factor of pi0 x contragredient(pi0) at the shifted
-    argument, from the Satake-parameter products alpha_i * alpha_j: on plain
-    ``Fraction`` or ``complex`` values, or as Scalars where a parameter has a
-    square-root part (the products of sqrt(2) and 1/sqrt(2) are rational)."""
-    a1, a2 = pi0.alpha1, pi0.alpha2
-    alphas = (a1, a2) if a1.b or a2.b else (plain(a1), plain(a2))
+    argument, from the products alpha_i * alpha_j of plain ``Fraction`` or
+    ``complex`` parameters; ``plain`` refuses a square-root part."""
+    alphas = (plain(pi0.alpha1), plain(pi0.alpha2))
     return reduce(operator.mul, (zeta_local(place, shift, ai * aj)
                                  for ai in alphas for aj in alphas))
 
@@ -127,11 +125,15 @@ def correction_leading(place: PlaceData) -> Fraction:
 
 
 def _psi_signs(kind: str, place: PlaceData, pi0: SatakeParams) -> tuple[int, int]:
-    """The (sign_z, sign_w) of a psi kind, once the inputs of both psi forms are checked."""
+    """The (sign_z, sign_w) of a psi kind, once the inputs of both psi forms are
+    checked: rational or numeric Satake parameters, never one with a square root."""
     if place.r < 1:
         raise ValueError("psi is computed at places dividing the ideal (r >= 1)")
     if pi0.ramified:
         raise ValueError("the fixed representation must be unramified")
+    for alpha in (pi0.alpha1, pi0.alpha2):
+        if alpha.z is None and alpha.b:
+            raise ValueError(f"Satake parameter {alpha} has a square-root part")
     if kind not in KIND_SIGNS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
     return KIND_SIGNS[kind]
@@ -178,14 +180,10 @@ def whittaker_square_sum(pi0: SatakeParams, place: PlaceData, a: int, b: int) ->
     s_n = S(n) D**(n-1) runs on integers, s_(n+1) = T s_n - Delta s_(n-1)
     with T = n1 d2 + n2 d1 and Delta = n1 n2 d1 d2, and so do the numerator
     and denominator lists of the sum in Y = X / D**2 and their recursion
-    constants.  Complex parameters run the same lines with D = 1.
-    Y = T1**a T2**b / (p D**2) is substituted once, at the end.
+    constants.  Complex parameters run the same lines with D = 1; ``plain``
+    refuses a square root.  Y = T1**a T2**b / (p D**2) is substituted last.
     """
     p = place.p
-    for alpha in (pi0.alpha1, pi0.alpha2):
-        if alpha.z is None and alpha.b:
-            raise ValueError(f"Satake parameter {alpha} has a square-root part: the Whittaker "
-                             "square sum takes rational or numeric parameters only")
     a1, a2 = plain(pi0.alpha1), plain(pi0.alpha2)
     exact = complex not in (a1.__class__, a2.__class__)
     if exact:
@@ -278,7 +276,7 @@ def psi_oracle(kind: str, place: PlaceData, pi0: SatakeParams) -> LocalZetaResul
     # divide out |c|**(2z+2w-2) at j=1 -> the j-free ftilde prefactor
     pair_shape = pair * RationalFunction2.monomial(2, 2, p * p, p)
     xr = RationalFunction2.monomial(-2 * r, -2 * r, 1, p)  # j-free |c/X| part
-    outer = pair_shape * Scalar.exact(Fraction(1, p ** (r + 1))) * xr * y_inner
+    outer = pair_shape * Fraction(1, p ** (r + 1)) * xr * y_inner
     return LocalZetaResult(pref * total_c * y_inner + pref * outer, "oracle")
 
 

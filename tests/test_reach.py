@@ -1,12 +1,14 @@
 """tools/reach.py on a tiny run list: what a run calls or executes is not listed,
 the rest is."""
 
+import ast
 import importlib.util
 import inspect
+import textwrap
 import sys
 from pathlib import Path
 
-from rankinlab import zetaint
+from rankinlab import localdata, zetaint
 
 REACH = Path(__file__).resolve().parent.parent / "tools" / "reach.py"
 _spec = importlib.util.spec_from_file_location("reach", REACH)
@@ -47,3 +49,18 @@ def test_lines_lists_the_branches_a_run_never_takes():
     assert not missed & {first, second, end}
     assert set(lines(zetaint.psi_closed, "correction_factor_rf(place))")) <= missed
     assert reach._ranges([1, 2, 3, 7, 9, 10]) == "1-3, 7, 9-10"
+
+
+def test_psi_leaves_only_refusals_of_the_local_factors_unexecuted():
+    # an exact and a numeric pi0: complex constants take zeta_local's with_factor line
+    _, executed = reach.reached(["psi --p 9 --r 1 --pi0 1,1",
+                                 "psi --p 9 --r 1 --pi0 0.6+0.8j,0.6-0.8j"], [], 1, lines=True)
+    missed = reach.missed_lines(executed)
+    for fn in (localdata.zeta_local, localdata.zeta_scalar, zetaint.rs_l_rf):
+        source, first = inspect.getsourcelines(fn)
+        refusals = {first + k for node in ast.walk(ast.parse(textwrap.dedent("".join(source))))
+                    if isinstance(node, ast.Raise)
+                    for k in range(node.lineno - 1, node.end_lineno)}
+        name = Path(inspect.getsourcefile(fn)).name
+        unexecuted = {n for n in missed.get(name, []) if first <= n < first + len(source)}
+        assert unexecuted <= refusals, (fn.__name__, sorted(unexecuted - refusals))

@@ -60,13 +60,16 @@ def test_ramified_trivial_l_ordering():
     assert rep.trivial_l_bound.to_complex().real <= rep.lower_bound.to_complex().real
 
 
-@pytest.mark.parametrize("alpha1", [Fraction(5, 4), Fraction(-1, 2), Fraction(1, 3), Fraction(0)])
-@pytest.mark.parametrize("p, r", [(2, 1), (3, 2), (5, 3), (7, 1)])
+@pytest.mark.parametrize("alpha1", [Fraction(5, 4), Fraction(-1, 2), Fraction(1, 3), Fraction(0),
+                                    Fraction(2), 0.6 + 0.8j])
+@pytest.mark.parametrize("p, r", [(2, 1), (3, 2), (5, 3), (7, 1), (4, 1)])
 def test_ramified_bound_is_the_volume_over_zeta_one(p, r, alpha1):
     # L(1, pi x conj pi) = (1 - |alpha1|**2/p)**(-1) for alpha2 = 0 cancels the
-    # damping factor exactly, so the ramified bound does not depend on pi
+    # damping factor exactly, so the ramified bound does not depend on pi: a
+    # numeric alpha1 gives the exact bound, and so does |alpha1|**2 = p (alpha1
+    # = 2 at p = 4), where the L-value has a pole
     place = PlaceData(p, r)
-    rep = local_weight_lower(SatakeParams.make_ramified(Scalar.exact(alpha1)), 1, place)
+    rep = local_weight_lower(SatakeParams.make_ramified(Scalar.wrap(alpha1)), 1, place)
     assert rep.case == "ramified"
     assert rep.lower_bound.is_exact
     assert rep.lower_bound == volume_K(place) / zeta_scalar(place, 1)

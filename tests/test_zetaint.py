@@ -12,7 +12,7 @@ import pytest
 import rankinlab
 from rankinlab.exactalg import PoleError, Poly2, RationalFunction2, rf_equal
 from rankinlab.localdata import PlaceData, Shift, zeta_local, zeta_scalar
-from rankinlab.numerator import plain
+from rankinlab.numerator import ROOT_REFUSAL, plain
 from rankinlab.scalars import Scalar
 from rankinlab.verify import PSI_GRID_PAIRS
 from rankinlab.whittaker import SatakeParams, rankin_selberg_self_l, satake_sum
@@ -342,10 +342,24 @@ def test_square_sum_numeric_parameters_match_reference(alpha):
 
 def test_square_sum_refuses_a_square_root_satake_parameter():
     pi0 = SatakeParams(Scalar.root(2), Scalar.root(Fraction(1, 2)))
-    with pytest.raises(ValueError, match="Satake parameter sqrt\\(2\\) has a square-root part"):
+    with pytest.raises(ValueError) as refused:
         whittaker_square_sum(pi0, PLACE, 1, 1)
+    assert str(refused.value) == ROOT_REFUSAL
     with pytest.raises(ValueError, match="Satake parameter"):
         psi_oracle("i", PLACE, pi0)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_both_psi_forms_refuse_a_square_root_satake_pair(kind):
+    # the pair's products are rational, so only the one input check keeps the
+    # closed form from building a value the oracle cannot
+    pi0 = SatakeParams(Scalar.root(2), Scalar.root(Fraction(1, 2)))
+    messages = []
+    for form in (psi_closed, psi_oracle):
+        with pytest.raises(ValueError) as refused:
+            form(kind, PlaceData(3, 1), pi0)
+        messages.append(str(refused.value))
+    assert messages == ["Satake parameter sqrt(2) has a square-root part"] * 2
 
 
 _BROKEN_SQUARE_SUM = """
@@ -541,7 +555,6 @@ RS_PI0 = (
     SatakeParams.unramified_unitary(Scalar.numeric(1.3 * cmath.exp(0.4j))),  # not tempered
     SatakeParams.unramified_unitary(Scalar.numeric(-1j)),
     SatakeParams(Scalar.exact(3), Scalar.numeric(0.5j)),  # exact times numeric
-    SatakeParams(Scalar.root(2), Scalar.root(Fraction(1, 2))),  # rational products
 )
 
 
