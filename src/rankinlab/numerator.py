@@ -32,9 +32,21 @@ two loops, both in the product-sum kernel :func:`mul_sum` (of which
 one common denominator and summed into one accumulator, or int or complex
 per term, pair by pair.  The series inverse
 and the ``lam`` polynomials of ``exp`` expansions run on
-``Fraction``/``complex`` values.  So exact values,
+``Fraction``/``complex`` values.  A ``Fraction`` q meeting a ``complex``
+enters as ``complex(q)``, on either side: that is what ``Fraction``'s
+fallback computes, and a complex product commutes bit for bit, so the
+inverse multiplies complex coefficients by its outputs kept as
+``complex(q)``.  So exact values,
 exactness, key order and every float bit are the ones :class:`Scalar`
 arithmetic gives.
+
+**Flat keys.**  The int-or-complex product loop keys a term (i, j, k) by the
+one int ``(i*(D+1) + j)*L + k``, where D is the largest total degree and
+L - 1 the largest ``lam`` power the product reaches, both read off the
+operands: never off the depth, which is ``EXACT_DEPTH`` for an untruncated
+series.  A product's key is the sum of its factors' keys, its sum lives in
+one dense list of (D+1)**2 * L slots, and the keys go back to the nested
+form in the order they first appeared.
 
 **View rule.**  :func:`view` builds the ``dict[(i, j)] -> LambdaPoly`` of
 :class:`Scalar` values a caller reads, in the kernel's key order; nothing in
@@ -44,6 +56,7 @@ the arithmetic reads it.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from fractions import Fraction
 from typing import Iterable
 
@@ -299,7 +312,7 @@ def mul_sum(pairs: Iterable[tuple[Flat, Flat]], depth: int) -> Flat:
             any(t[4].__class__ is not int for _, _, _, xb in ops for t in xb):
         out: Flat = (1, {})
         for da, xa, db, xb in ops:
-            out = num_add(out, _collect(_per_term_mul(xa, da, xb, db, depth), da * db))
+            out = num_add(out, _per_term_mul(xa, da, xb, db, depth))
         return out
     den = math.lcm(*[da * db for da, _, db, _ in ops])
     acc: dict[tuple[int, int, int], int] = {}
@@ -317,34 +330,65 @@ def mul_sum(pairs: Iterable[tuple[Flat, Flat]], depth: int) -> Flat:
     return _collect(acc, den)
 
 
-def _per_term_mul(xa: list, da: int, xb: list, db: int, depth: int) -> dict:
-    """Product sums of int/complex terms as :class:`Scalar` forms them: an
-    exact factor of a numeric product enters as ``complex(n / den)``, a sum
-    turns complex at its first numeric product (``complex(acc / den) + p``),
-    later exact products add as ``complex(p / den)``, and a sum that starts
-    numeric starts as ``0j + p``."""
+def _per_term_mul(xa: list, da: int, xb: list, db: int, depth: int) -> Flat:
+    """a * b over ``da * db`` for int/complex terms, with the sums
+    :class:`Scalar` forms: an exact factor of a numeric product enters as
+    ``complex(n / den)``, a sum turns complex at its first numeric product
+    (``complex(acc / den) + p``), later exact products add as
+    ``complex(p / den)``, and a sum that starts numeric starts as ``0j + p``.
+    Sums are kept by flat key (see the module docstring), and b's terms come
+    cut per total degree of the a term, so the loop tests no degree.  A key
+    not yet seen holds None; at its first product it enters the order and
+    starts from 0j, or beside an exact a term from the exact 0, whose
+    ``complex(0 / den)`` is that same 0j."""
     den = da * db
-    # (..., integer numerator or None, complex value)
-    ya = [(i, j, k, x, complex(x / da)) if x.__class__ is int else (i, j, k, None, x)
-          for i, j, k, x in xa]
-    yb = [(d, i, j, k, x, complex(x / db)) if x.__class__ is int else (d, i, j, k, None, x)
-          for d, i, j, k, x in xb]
-    acc: dict[tuple[int, int, int], int | complex] = {}
-    get = acc.get
-    for i1, j1, k1, n1, c1 in ya:
-        room = depth - i1 - j1
-        for d2, i2, j2, k2, n2, c2 in yb:
-            if d2 > room:
-                break
-            key = (i1 + i2, j1 + j2, k1 + k2)
-            if n1 is None or n2 is None:
-                s = get(key, 0j)
+    top_a, top_b = max(i + j for i, j, _, _ in xa), xb[-1][0]
+    # the D + 1 and L of the flat key
+    radix = min(depth, top_a + top_b) + 1
+    nlam = max(t[2] for t in xa) + max(t[3] for t in xb) + 1
+    # b's terms as (key, integer numerator or None, complex value), and the
+    # ones that fit beside an a term of each total degree
+    yb = [((i * radix + j) * nlam + k, x, complex(x / db)) if x.__class__ is int
+          else ((i * radix + j) * nlam + k, None, x) for _, i, j, k, x in xb]
+    degrees = [t[0] for t in xb]
+    rooms = [yb[:bisect_right(degrees, depth - d)] for d in range(top_a + 1)]
+    acc: list = [None] * (radix * radix * nlam)
+    order = []
+    for i1, j1, k1, x1 in xa:
+        ka = (i1 * radix + j1) * nlam + k1
+        if x1.__class__ is complex:
+            for kb, _, c2 in rooms[i1 + j1]:
+                key = ka + kb
+                s = acc[key]
+                if s is None:
+                    order.append(key)
+                    s = 0j
+                acc[key] = (s if s.__class__ is complex else complex(s / den)) + x1 * c2
+            continue
+        c1 = complex(x1 / da)
+        for kb, n2, c2 in rooms[i1 + j1]:
+            key = ka + kb
+            s = acc[key]
+            if s is None:
+                order.append(key)
+                s = 0
+            if n2 is None:
                 acc[key] = (s if s.__class__ is complex else complex(s / den)) + c1 * c2
+            elif s.__class__ is int:
+                acc[key] = s + x1 * n2
             else:
-                s = get(key, 0)
-                acc[key] = (s + n1 * n2 if s.__class__ is int
-                            else s + complex(n1 * n2 / den))
-    return acc
+                acc[key] = s + complex(x1 * n2 / den)
+    g = math.gcd(den, *[v for key in order if (v := acc[key]).__class__ is int])
+    out: Terms = {}
+    for key in order:
+        v = acc[key]
+        if v:
+            m = divmod(key // nlam, radix)
+            c = out.get(m)
+            if c is None:
+                c = out[m] = {}
+            c[key % nlam] = v // g if g != 1 and v.__class__ is int else v
+    return den // g, out
 
 
 def _collect(acc: dict[tuple[int, int, int], int | complex], den: int) -> Flat:
@@ -558,25 +602,42 @@ def inverse(a: Flat, depth: int) -> Flat:
 def _lam_free_inverse(coeffs: dict[tuple[int, int], Plain], monomials: list,
                       inv0: Plain, depth: int) -> dict[tuple[int, int], Plain]:
     """The loop of :func:`inverse` for a lam-free unit, on one plain value per
-    monomial instead of a ``{0: value}`` dict."""
+    monomial instead of a ``{0: value}`` dict.
+
+    Each output (i, j) visits only the monomials (i1, j1) with i1 <= i and
+    j1 <= j, in the order of ``monomials``.  The outputs are kept in two
+    tables by flat index ``i*(depth+1) + j``: as computed, and with every
+    ``Fraction`` q as ``complex(q)``, the value ``Fraction``'s fallback gives
+    q against a ``complex``.  A complex coefficient reads the second table, a
+    ``Fraction`` one the first, so an exact product stays exact."""
     neg_inv0 = -inv0
+    neg_c = complex(neg_inv0)
+    n = depth + 1
+    exact: list = [None] * (n * n)
+    promoted: list = [None] * (n * n)
+    exact[0], promoted[0] = inv0, complex(inv0)
+    terms = []
+    for i1, j1 in monomials:
+        c = coeffs[(i1, j1)]
+        terms.append((i1, j1, i1 * n + j1, c, promoted if c.__class__ is complex else exact))
+    degrees = [i1 + j1 for i1, j1 in monomials]
     out: dict[tuple[int, int], Plain] = {(0, 0): inv0}
-    for d in range(1, depth + 1):
+    for d in range(1, n):
+        below = terms[:bisect_right(degrees, d)]
         for i in range(d + 1):
+            j, at = d - i, i * n + d - i
             acc = None
-            for i1, j1 in monomials:
-                if i1 + j1 > d:
-                    break
-                if i1 > i or j1 > d - i:
-                    continue
-                prev = out.get((i - i1, d - i - j1))
+            for _, _, off, c, table in [t for t in below if t[0] <= i and t[1] <= j]:
+                prev = table[at - off]
                 if prev is None:
                     continue
-                v = coeffs[(i1, j1)] * prev
+                v = c * prev
                 if v:
                     acc = v if acc is None else acc + v
                     if not acc:
                         acc = None
             if acc is not None:
-                out[(i, d - i)] = acc * neg_inv0
+                v = acc * (neg_c if acc.__class__ is complex else neg_inv0)
+                out[(i, j)] = exact[at] = v
+                promoted[at] = complex(v) if v.__class__ is Fraction else v
     return out

@@ -5,13 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from test_laurent import _assert_same_bits
+from test_laurent import _assert_same_bits, _lambda_poly_inverse, _scalar_loop_mul
 
-from rankinlab import degenerate, laurent
+from rankinlab import degenerate, laurent, numerator
 from rankinlab.degenerate import (GlobalZetaData, _local_zeta_inverse_series, build_G, build_h,
                                   correction_report, correction_sum_factor, degenerate_limit,
                                   symmetry_residuals, taylor_bound_report)
-from rankinlab.laurent import LaurentSeries2
+from rankinlab.laurent import LaurentSeries2, ls_inverse_regular
 from rankinlab.localdata import IdealFactorization, PlaceData
 from rankinlab.scalars import Scalar
 from rankinlab.verify import TAYLOR_IDEALS, default_data, model_data
@@ -353,3 +353,33 @@ def test_correction_report_is_bitwise_the_limit_correction(spec, log_map):
     for data in (default_data(), model_data()):
         assert (repr(correction_report(data, q, log_map=log_map))
                 == repr(degenerate_limit(data, q, log_map=log_map).correction_detail))
+
+
+# -- the numeric kernels on the operands degenerate_limit gives them ---------------
+#    (the Hypothesis operands of test_laurent stop at depth 6 on a 4x4 grid)
+
+_FLIP_PAIRS = ((False, False), (True, False), (False, True), (True, True))
+
+
+@pytest.mark.parametrize("depth", (8, 10))
+@pytest.mark.parametrize("load", (default_data, model_data))
+def test_limit_products_are_bitwise_the_scalar_loop(load, depth):
+    g = build_G(load(), depth)
+    hs = [build_h(which, IdealFactorization.parse("2^1*3^2*7^1"), depth) for which in (1, 2, 3, 4)]
+    for flips in _FLIP_PAIRS:
+        x = g.flip(*flips)
+        for h in hs:
+            for a, b in ((x, h), (h, x)):
+                prod = a * b
+                _assert_same_bits(prod.num, _scalar_loop_mul(a.num, b.num, prod.depth))
+
+
+@pytest.mark.parametrize("p", (2, 9, 19))
+def test_build_h_inverse_is_bitwise_the_lambda_poly_loop(p, monkeypatch):
+    series = _local_zeta_inverse_series(PlaceData(p, 1), "zw_plus", -1, 10)
+    calls = []
+    branch = numerator._lam_free_inverse
+    monkeypatch.setattr(numerator, "_lam_free_inverse",
+                        lambda *args: calls.append(args) or branch(*args))
+    _assert_same_bits(ls_inverse_regular(series).num, _lambda_poly_inverse(series.num, 10))
+    assert len(calls) == 1

@@ -1,6 +1,10 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -454,6 +458,37 @@ def test_num_mul_is_bitwise_the_scalar_loop(a, b, depth):
     _assert_same_bits(_num_mul(a, b, depth), _scalar_loop_mul(a, b, depth))
 
 
+def _untruncated_numeric_product():
+    a = LaurentSeries2({(0, 0): 0.5j, (3, 0): Fraction(3, 2),
+                        (1, 2): LambdaPoly({0: Scalar.exact(Fraction(-1, 3)),
+                                            2: Scalar.numeric(complex(-0.25, -0.0))})})
+    b = LaurentSeries2({(1, 0): complex(2, -0.0), (0, 2): Fraction(-2, 7),
+                        (2, 2): LambdaPoly({1: Scalar.exact(3)})})
+    prod = a * b
+    assert a.depth == b.depth == prod.depth == EXACT_DEPTH
+    _assert_same_bits(prod.num, _scalar_loop_mul(a.num, b.num, EXACT_DEPTH))
+
+
+# under a 1 GiB address-space cap, a product whose work followed its depth
+# (EXACT_DEPTH is 10**9) stops with MemoryError in this test
+_CAPPED_PRODUCT = """
+import resource
+soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+cap = 1 << 30 if hard == resource.RLIM_INFINITY else min(hard, 1 << 30)
+resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+from test_laurent import _untruncated_numeric_product
+_untruncated_numeric_product()
+"""
+
+
+def test_an_untruncated_numeric_product_is_sized_by_its_operands():
+    path = (Path(laurent.__file__).resolve().parent.parent, Path(__file__).resolve().parent)
+    done = subprocess.run([sys.executable, "-c", _CAPPED_PRODUCT],
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(map(str, path))},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+
+
 # -- the product-sum kernel -------------------------------------------------------
 
 def _integer_loop_mul(a, b, depth):
@@ -552,20 +587,28 @@ def test_series_inverse_is_bitwise_the_lambda_poly_loop(num, depth):
 # imaginary parts of either sign of zero, so a sum's signed zeros show
 _signed_zero_numeric = st.builds(complex, _floats, st.sampled_from((0.0, -0.0))) \
     .filter(bool).map(Scalar.numeric)
+_numeric_kind = st.one_of(_numeric, _signed_zero_numeric)
+_units_kind = st.one_of(_signs.map(Scalar.exact), _signs.map(lambda s: Scalar.numeric(float(s))))
+_mixed_kind = st.one_of(_any_exact, _any_numeric, _signed_zero_numeric)
+# (constant term, other coefficients); the last kind is the shape build_h
+# inverts: an exact (p-1)/p constant with numeric coefficients, so that a
+# Fraction meets a complex in every product with the constant's inverse
 _LAM_FREE_KINDS = {
-    "exact": _exact,
-    "wide exact": _wide_exact,
-    "units": st.one_of(_signs.map(Scalar.exact), _signs.map(lambda s: Scalar.numeric(float(s)))),
-    "numeric": st.one_of(_numeric, _signed_zero_numeric),
-    "mixed": st.one_of(_any_exact, _any_numeric, _signed_zero_numeric),
+    "exact": (_exact, _exact),
+    "wide exact": (_wide_exact, _wide_exact),
+    "units": (_units_kind, _units_kind),
+    "numeric": (_numeric_kind, _numeric_kind),
+    "mixed": (_mixed_kind, _mixed_kind),
+    "exact constant, numeric rest": (_any_exact,
+                                     st.one_of(_any_numeric, _signed_zero_numeric)),
 }
 
 
 @st.composite
 def _lam_free_units(draw):
     """A unit numerator whose every coefficient has lam power 0 only."""
-    coeffs = _LAM_FREE_KINDS[draw(st.sampled_from(sorted(_LAM_FREE_KINDS)))]
-    num = {(0, 0): LambdaPoly.const(draw(coeffs))}
+    constant, coeffs = _LAM_FREE_KINDS[draw(st.sampled_from(sorted(_LAM_FREE_KINDS)))]
+    num = {(0, 0): LambdaPoly.const(draw(constant))}
     for _ in range(draw(st.integers(0, 6))):
         m = (draw(st.integers(0, 3)), draw(st.integers(0, 3)))
         if m != (0, 0):
