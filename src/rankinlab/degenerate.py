@@ -28,6 +28,7 @@ from .numerator import plain
 from .scalars import SC_ZERO, Scalar, _binary_power, format_scalar, parse_exact
 
 SPLIT_TOL = 1e-9  # split remainders within SPLIT_TOL * max(1, max |coefficient|) are 0
+MIN_DEPTH = 3  # G's three simple poles put the limit at numerator degree 3
 
 
 @dataclass(frozen=True)
@@ -159,38 +160,32 @@ def _local_zeta_inverse_series(place: PlaceData, direction: str, sign: int,
     return LaurentSeries2.from_direction(coeffs, 0, direction, depth)
 
 
-def build_h(which: int, q: IdealFactorization, depth: int = DEFAULT_DEPTH,
-            log_map: LogMap = None) -> LaurentSeries2:
-    """Exact Taylor expansion, free of lam, of the product over places of q of:
+def build_h(q: IdealFactorization, depth: int = DEFAULT_DEPTH,
+            log_map: LogMap = None) -> tuple[LaurentSeries2, ...]:
+    """Exact Taylor expansions, free of lam, of h1..h4: the products over the
+    places of q of
 
-    which=1: zeta**(-1)(1+2z) zeta**(-1)(1+2w)
-    which=2: zeta**(-1)(1)    zeta**(-1)(1+2w)
-    which=3: zeta**(-1)(1+2z) zeta**(-1)(1)
-    which=4: zeta**(-1)(1-2z) zeta**(-1)(1-2w) zeta(1-2z-2w)/zeta(1)
+    h1: zeta**(-1)(1+2z) zeta**(-1)(1+2w)
+    h2: zeta**(-1)(1)    zeta**(-1)(1+2w)
+    h3: zeta**(-1)(1+2z) zeta**(-1)(1)
+    h4: zeta**(-1)(1-2z) zeta**(-1)(1-2w) zeta(1-2z-2w)/zeta(1)
+
+    One loop over the places builds each place's five distinct series once:
+    zeta**(-1)(1 +- 2z), zeta**(-1)(1 +- 2w) and the inverted z+w ratio.
     """
-    if which not in (1, 2, 3, 4):
-        raise ValueError("which must be 1..4")
-    out = LaurentSeries2.one()
+    hs = [LaurentSeries2.one()] * 4
     for place in q.places:
         unit = Scalar.exact(Fraction(place.p - 1, place.p))  # zeta_v(1)**(-1)
-        if which == 1:
-            local = (_local_zeta_inverse_series(place, "z", 1, depth, log_map)
-                     * _local_zeta_inverse_series(place, "w", 1, depth, log_map))
-        elif which == 2:
-            local = _local_zeta_inverse_series(place, "w", 1, depth, log_map).scale(unit)
-        elif which == 3:
-            local = _local_zeta_inverse_series(place, "z", 1, depth, log_map).scale(unit)
-        else:
-            # zeta_v(1-2z-2w)/zeta_v(1): the inverse of the z+w factor, times unit
-            ratio = ls_inverse_regular(
-                _local_zeta_inverse_series(place, "zw_plus", -1, depth, log_map)).scale(unit)
-            local = (_local_zeta_inverse_series(place, "z", -1, depth, log_map)
-                     * _local_zeta_inverse_series(place, "w", -1, depth, log_map)
-                     * ratio)
-        out = out * local
-    if out.depth > depth:
-        out = out.truncated(depth)
-    return out
+        z_plus, w_plus, z_minus, w_minus = (
+            _local_zeta_inverse_series(place, direction, sign, depth, log_map)
+            for sign in (1, -1) for direction in ("z", "w"))
+        # zeta_v(1-2z-2w)/zeta_v(1): the inverse of the z+w factor, times unit
+        ratio = ls_inverse_regular(
+            _local_zeta_inverse_series(place, "zw_plus", -1, depth, log_map)).scale(unit)
+        local = (z_plus * w_plus, w_plus.scale(unit), z_plus.scale(unit),
+                 z_minus * w_minus * ratio)
+        hs = [h * loc for h, loc in zip(hs, local)]
+    return tuple(h.truncated(depth) if h.depth > depth else h for h in hs)
 
 
 def symmetry_residuals(s1: LaurentSeries2, s2: LaurentSeries2, s3: LaurentSeries2,
@@ -290,7 +285,7 @@ def correction_report(data: GlobalZetaData, q: IdealFactorization,
     the limit is finite (and lam-free), and the proportionality constant comes
     out of the series arithmetic rather than a hard-coded formula."""
     return _correction(data, q, build_G(data, depth).flip(True, True)
-                       * build_h(4, q, depth, log_map), log_map)
+                       * build_h(q, depth, log_map)[3], log_map)
 
 
 def _correction(data: GlobalZetaData, q: IdealFactorization, g_mm_h4: LaurentSeries2,
@@ -355,9 +350,18 @@ def degenerate_limit(data: GlobalZetaData, q: IdealFactorization,
     (multiply by N(q) zeta_q(1)**3/zeta_q(2), divide by the inverse volume
     N(q) zeta_q(1)/zeta_q(2), i.e. net zeta_q(1)**2) so the reported cubic
     matches the headline expansion.
+
+    ``depth`` sets how many degrees of the numerators the singular split
+    certifies.  The constant term sits at numerator degree 3, G's three
+    simple poles, so depth 3 is the least that works (a smaller one is a
+    ``ValueError`` naming ``--depth``); on both shipped documents depths 3,
+    8 and 10 give the same cubic and correction.
     """
+    if depth < MIN_DEPTH:
+        raise ValueError(f"--depth {depth} is too shallow: the constant term of the "
+                         f"four-term combination needs depth {MIN_DEPTH} or more")
     g = build_G(data, depth)
-    hs = [build_h(which, q, depth, log_map) for which in (1, 2, 3, 4)]
+    hs = build_h(q, depth, log_map)
     g_mm_h4 = g.flip(True, True) * hs[3]  # also the correction's input
     combo = (g * hs[0]
              + g.flip(True, False) * hs[1]

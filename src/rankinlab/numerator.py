@@ -30,15 +30,16 @@ numerator, as :class:`LambdaPoly` sums drop them.  Products run in one of
 two loops, both in the product-sum kernel :func:`mul_sum` (of which
 :func:`mul` is the one-pair case): integers only, every pair rescaled to
 one common denominator and summed into one accumulator, or int or complex
-per term, pair by pair.  The series inverse
-and the ``lam`` polynomials of ``exp`` expansions run on
+per term, pair by pair.  The inverse of an all-exact unit is an exact
+inverse on integers, each output's recursion scaled by a power of the
+constant term.  Other inverses and the ``lam`` polynomials of ``exp``
+expansions (bar a one-power exact rate, in closed form) run on
 ``Fraction``/``complex`` values.  A ``Fraction`` q meeting a ``complex``
 enters as ``complex(q)``, on either side: that is what ``Fraction``'s
 fallback computes, and a complex product commutes bit for bit, so the
 inverse multiplies complex coefficients by its outputs kept as
-``complex(q)``.  So exact values,
-exactness, key order and every float bit are the ones :class:`Scalar`
-arithmetic gives.
+``complex(q)``.  So exact values, exactness, key order and every float bit
+are the ones :class:`Scalar` arithmetic gives.
 
 **Flat keys.**  The int-or-complex product loop keys a term (i, j, k) by the
 one int ``(i*(D+1) + j)*L + k``, where D is the largest total degree and
@@ -483,13 +484,29 @@ def along(direction: str, coeffs: list[dict[int, Plain]], depth: int) -> Flat:
 
 def exp_coeffs(rate: dict[int, Plain], depth: int) -> list[dict[int, Plain]]:
     """rate**k / k! for k = 0..depth as lam coefficient dicts, each from the
-    last by one LambdaPoly product with rate / k."""
+    last by one LambdaPoly product with rate / k (a complex rate's float order
+    is pinned); a one-power exact rate runs :func:`_one_power_exp`."""
+    if len(rate) == 1:
+        (e, v), = rate.items()
+        if v and v.__class__ in (int, Fraction):
+            return _one_power_exp(e, v, depth)
     coeffs = []
     term: dict[int, Plain] = {0: Fraction(1)}
     for k in range(depth + 1):
         if k:
             term = lam_mul(term, {kk: v * Fraction(1, k) for kk, v in rate.items()})
         coeffs.append(term)
+    return coeffs
+
+
+def _one_power_exp(e: int, v: Fraction | int, depth: int) -> list[dict[int, Plain]]:
+    """Term k of the exact nonzero rate ``{e: v}`` is ``{k*e: v**k / k!}``:
+    one ``Fraction`` per k from a running integer numerator and denominator."""
+    coeffs, num, den = [], 1, 1
+    for k in range(depth + 1):
+        if k:
+            num, den = num * v.numerator, den * v.denominator * k
+        coeffs.append({k * e: Fraction(num, den)})
     return coeffs
 
 
@@ -557,46 +574,78 @@ def div_linear(den: int, terms: Terms, direction: str,
 def inverse(a: Flat, depth: int) -> Flat:
     """Inverse of a unit numerator up to total degree depth.
 
-    Runs on the coefficients as plain numbers (see :func:`plain`), in the
-    pair order and with the pop-on-zero of :class:`LambdaPoly` products and
-    sums, so every value equals the one :class:`Scalar` arithmetic gives:
-    Python promotes a ``Fraction`` meeting a ``complex`` through
-    ``complex(float(q))``, as :class:`Scalar` does.  A lam-free unit (every
-    coefficient at lam power 0 only) runs :func:`_lam_free_inverse`, one
-    value per monomial in the same order: a zero product adds nothing, a sum
-    reaching zero is dropped and the next product restarts it, and each
-    nonzero sum is multiplied by ``-inv0`` last."""
+    An all-exact unit runs :func:`_exact_inverse`.  Otherwise the loop runs
+    on plain numbers (see :func:`plain`) with the pair order and pop-on-zero
+    of :class:`LambdaPoly` products and sums, so every value is the one
+    :class:`Scalar` arithmetic gives.  A lam-free unit (every coefficient at
+    lam power 0 only) runs :func:`_lam_free_inverse`, one value per monomial
+    in the same order: a zero product adds nothing, a sum reaching zero is
+    dropped and the next product restarts it, and each nonzero sum is
+    multiplied by ``-inv0`` last."""
     den, terms = a
     u0 = terms.get((0, 0))
     if not u0:
         raise ZeroDivisionError("series inverse of a non-unit")
     if max(u0) > 0:
         raise ValueError("cannot invert a unit whose constant term involves lam")
+    monomials = sorted((m for m in terms if m != (0, 0)), key=lambda m: m[0] + m[1])
+    if all(v.__class__ is int for c in terms.values() for v in c.values()):
+        return _exact_inverse(den, terms, monomials, depth)
     coeffs = {m: plain_values(c, den) for m, c in terms.items()}
     u = coeffs[(0, 0)][0]
     inv0 = 1 / u if u.__class__ is Fraction else 1.0 / u
-    monomials = sorted((m for m in terms if m != (0, 0)), key=lambda m: m[0] + m[1])
     if not any(max(c) for c in terms.values()):
         values = _lam_free_inverse({m: c[0] for m, c in coeffs.items()}, monomials, inv0, depth)
         return lower({m: {0: v} for m, v in values.items()})
-    neg_inv0 = -inv0
-    out: dict[tuple[int, int], dict[int, Plain]] = {(0, 0): {0: inv0}}
+    return lower(_lam_loop([(i1, j1, coeffs[(i1, j1)]) for i1, j1 in monomials],
+                           inv0, -inv0, depth))
+
+
+def _lam_loop(scaled: list, first: Plain, last: Plain,
+              depth: int) -> dict[tuple[int, int], dict[int, Plain]]:
+    """The series inverse recursion on lam coefficient dicts: output (0, 0)
+    is ``{0: first}``, and output (i, j) is the sum of the :func:`lam_mul`
+    products ``c * out[(i - i1, j - j1)]`` over the ``(i1, j1, c)`` of
+    ``scaled`` (in their order, led by total degree), times ``last``."""
+    out: dict[tuple[int, int], dict[int, Plain]] = {(0, 0): {0: first}}
     for d in range(1, depth + 1):
         for i in range(d + 1):
             acc: dict[int, Plain] = {}
-            for i1, j1 in monomials:
+            for i1, j1, c in scaled:
                 if i1 + j1 > d:
                     break
                 if i1 > i or j1 > d - i:
                     continue
                 prev = out.get((i - i1, d - i - j1))
-                if prev is None:
-                    continue
-                for k, v in lam_mul(coeffs[(i1, j1)], prev).items():
-                    _add_term(acc, k, v)
+                if prev is not None:
+                    for k, v in lam_mul(c, prev).items():
+                        _add_term(acc, k, v)
             if acc:
-                out[(i, d - i)] = {k: v * neg_inv0 for k, v in acc.items()}
-    return lower(out)
+                out[(i, d - i)] = {k: v * last for k, v in acc.items()}
+    return out
+
+
+def _exact_inverse(den: int, terms: Terms, monomials: list, depth: int) -> Flat:
+    """The inverse of an all-exact unit on integers.  With the constant term
+    U0/den and C(m) the integer numerators, O(0, 0) = 1 and O(m) =
+    -sum C(m1) * U0**(deg m1 - 1) * O(m - m1) (:func:`_lam_loop`), and output
+    m is O(m) * den / U0**(deg m + 1).  Each partial sum of O(m) is the
+    ``Fraction`` loop's times U0**(deg m): the same zero tests, dropped lam
+    powers and key order.  One gcd (:func:`_reduced`) gives :func:`lower`'s
+    denominator.  The U0 powers reach the unit's largest monomial degree,
+    which may exceed the depth."""
+    u0 = terms[(0, 0)][0]
+    power = [1]
+    for _ in range(max(max(i + j for i, j in terms), depth + 1)):
+        power.append(power[-1] * u0)
+    out = _lam_loop([(i1, j1, {k: v * power[i1 + j1 - 1] for k, v in terms[(i1, j1)].items()})
+                     for i1, j1 in monomials], 1, -1, depth)
+    top = max(i + j for i, j in out)
+    sign = -1 if power[top + 1] < 0 else 1
+    f = sign * den
+    return _reduced(sign * power[top + 1],
+                    {(i, j): {k: v * f * power[top - i - j] for k, v in c.items()}
+                     for (i, j), c in out.items()})
 
 
 def _lam_free_inverse(coeffs: dict[tuple[int, int], Plain], monomials: list,
@@ -605,7 +654,9 @@ def _lam_free_inverse(coeffs: dict[tuple[int, int], Plain], monomials: list,
     monomial instead of a ``{0: value}`` dict.
 
     Each output (i, j) visits only the monomials (i1, j1) with i1 <= i and
-    j1 <= j, in the order of ``monomials``.  The outputs are kept in two
+    j1 <= j, in the order of ``monomials``: it reads row i, the list of the
+    monomials with i1 <= i that is built once per call, up to total degree
+    i + j, and skips those with j1 > j.  The outputs are kept in two
     tables by flat index ``i*(depth+1) + j``: as computed, and with every
     ``Fraction`` q as ``complex(q)``, the value ``Fraction``'s fallback gives
     q against a ``complex``.  A complex coefficient reads the second table, a
@@ -619,15 +670,19 @@ def _lam_free_inverse(coeffs: dict[tuple[int, int], Plain], monomials: list,
     terms = []
     for i1, j1 in monomials:
         c = coeffs[(i1, j1)]
-        terms.append((i1, j1, i1 * n + j1, c, promoted if c.__class__ is complex else exact))
-    degrees = [i1 + j1 for i1, j1 in monomials]
+        terms.append((i1, i1 + j1, j1, i1 * n + j1, c,
+                      promoted if c.__class__ is complex else exact))
+    rows = [[t[1:] for t in terms if t[0] <= i] for i in range(n)]
     out: dict[tuple[int, int], Plain] = {(0, 0): inv0}
     for d in range(1, n):
-        below = terms[:bisect_right(degrees, d)]
         for i in range(d + 1):
             j, at = d - i, i * n + d - i
             acc = None
-            for _, _, off, c, table in [t for t in below if t[0] <= i and t[1] <= j]:
+            for d1, j1, off, c, table in rows[i]:
+                if d1 > d:
+                    break
+                if j1 > j:
+                    continue
                 prev = table[at - off]
                 if prev is None:
                     continue

@@ -243,8 +243,7 @@ def suite_taylor_bounds():
     origin_ok = True
     for spec in TAYLOR_IDEALS:
         q = IdealFactorization.parse(spec)
-        for which in (1, 2, 3, 4):
-            h = build_h(which, q)
+        for which, h in enumerate(build_h(q), 1):
             if which == 1:
                 origin_ok &= abs(h.coeff(0, 0).coeff(0).to_complex()) < 1
             for m in range(4):

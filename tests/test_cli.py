@@ -449,6 +449,30 @@ def test_degenerate_takes_no_seed(capsys):
     assert "--seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("depth", ["0", "2", "-1"])
+def test_degenerate_names_the_least_depth(capsys, depth):
+    # G's three simple poles put the limit at numerator degree 3
+    assert main(["degenerate", "--q", "2^1*3^1", "--data", str(MODEL_EXACT),
+                 "--depth", depth]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--depth {depth} " in captured.err and "depth 3 or more" in captured.err
+    assert main(["degenerate", "--q", "2^1*3^1", "--data", str(MODEL_EXACT), "--depth", "3"]) == 0
+
+
+@pytest.mark.parametrize("q", ["2^1*3^1", "2^1*3^1*5^1*7^1*11^1*13^2"])
+@pytest.mark.parametrize("doc", [RATIONAL_FIELD, MODEL_EXACT], ids=["rational", "model"])
+def test_depth_does_not_move_the_degenerate_report(capsys, doc, q):
+    # depth sets how many degrees the singular split certifies, not the cubic
+    reports = []
+    for depth in ("3", "8", "10"):
+        assert main(["degenerate", "--q", q, "--data", str(doc), "--depth", depth]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report.pop("depth") == int(depth)
+        reports.append(canonical_json(report))
+    assert reports[0] == reports[1] == reports[2]
+
+
 def test_zero_tolerance_is_a_tolerance(capsys):
     # exact zeta data give an exact c3 and a rounding floor of 0
     exact = Path(degenerate.__file__).parent / "data" / "model_exact.json"
@@ -629,7 +653,7 @@ def test_degenerate_builds_G_once_and_each_h_once(capsys, model_doc, monkeypatch
     monkeypatch.setattr(degenerate, "build_h", counted("h", degenerate.build_h))
     assert main(["degenerate", "--q", "2^1*3^1", "--data", model_doc]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert calls == {"G": 1, "h": 4}
+    assert calls == {"G": 1, "h": 1}  # one build_h call builds all four
     assert set(report["h_origin_values"]) == {"h1", "h2", "h3", "h4"}
     assert "correction_sum_factor" in report
 

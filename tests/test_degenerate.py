@@ -25,20 +25,20 @@ LOG_SURROGATES = {
 
 
 def test_h_origin_values():
-    h1 = build_h(1, Q23)
+    h1 = build_h(Q23)[0]
     assert abs(h1.coeff(0, 0).coeff(0).to_complex() - 1 / 9) < 1e-15
     for which in (2, 3, 4):
-        h = build_h(which, Q23)
+        h = build_h(Q23)[which - 1]
         assert abs(h.coeff(0, 0).coeff(0).to_complex() - 1 / 9) < 1e-15
 
 
 def test_h_first_coefficient():
-    h1 = build_h(1, IdealFactorization.parse("2^1"))
+    h1 = build_h(IdealFactorization.parse("2^1"))[0]
     assert abs(h1.coeff(1, 0).coeff(0).to_complex() - math.log(2) / 2) < 1e-15
 
 
 def test_h_empty_ideal_is_one():
-    h = build_h(1, IdealFactorization.parse("1"))
+    h = build_h(IdealFactorization.parse("1"))[0]
     assert h.coeff(0, 0).coeff(0) == Scalar.exact(1)
     assert all(m == (0, 0) for m in h.num)
 
@@ -49,12 +49,12 @@ def test_h_functions_are_lam_free(log_map):
     for spec in ("1", "2^1", "2^1*3^1", "2^2*3^1*5^1"):
         q = IdealFactorization.parse(spec)
         for which in (1, 2, 3, 4):
-            h = build_h(which, q, log_map=log_map)
+            h = build_h(q, log_map=log_map)[which - 1]
             assert h.num and all(set(lp.c) == {0} for lp in h.num.values()), (spec, which)
 
 
 def test_symmetry_constraints_exact_with_rational_logs():
-    hs = [build_h(k, Q23, log_map=LOG_SURROGATES) for k in (1, 2, 3, 4)]
+    hs = [build_h(Q23, log_map=LOG_SURROGATES)[k - 1] for k in (1, 2, 3, 4)]
     residuals = symmetry_residuals(*hs)
     assert set(residuals) == {
         "h1(z,0)=h3(z,0)", "h2(z,0)=h4(z,0)", "h1(0,w)=h2(0,w)",
@@ -65,7 +65,7 @@ def test_symmetry_constraints_exact_with_rational_logs():
 
 def test_symmetry_constraints_float_pipeline():
     q = IdealFactorization.parse("2^2*3^1*5^1")
-    hs = [build_h(k, q) for k in (1, 2, 3, 4)]
+    hs = [build_h(q)[k - 1] for k in (1, 2, 3, 4)]
     scale = max(h.max_abs() for h in hs)
     assert max(symmetry_residuals(*hs).values()) <= 1e-13 * scale
 
@@ -74,11 +74,11 @@ def test_symmetry_constraints_float_pipeline():
 def test_symmetry_residuals_certify_build_h_over_the_taylor_ideals(spec):
     q = IdealFactorization.parse(spec)
     exact_logs = {place.p: Fraction(place.p + 1, 3) for place in q.places}
-    hs = [build_h(k, q, log_map=exact_logs) for k in (1, 2, 3, 4)]
+    hs = [build_h(q, log_map=exact_logs)[k - 1] for k in (1, 2, 3, 4)]
     residuals = symmetry_residuals(*hs)
     assert len(residuals) == 6 and set(residuals.values()) == {0.0}
     # float logs: up to 5.6e-12 over these ideals
-    assert max(symmetry_residuals(*[build_h(k, q) for k in (1, 2, 3, 4)]).values()) <= 1e-10
+    assert max(symmetry_residuals(*[build_h(q)[k - 1] for k in (1, 2, 3, 4)]).values()) <= 1e-10
     # h2 + eps w (z - w) moves h2(0, w) by -eps w**2 and h2 on the lines w = 0
     # and z = w not at all, so exactly one residual reads it (eps z w would
     # leave h2(0, w) unchanged)
@@ -91,7 +91,7 @@ def test_symmetry_residuals_certify_build_h_over_the_taylor_ideals(spec):
 
 def test_taylor_report():
     q = IdealFactorization.parse("13^1")
-    h = build_h(4, q)
+    h = build_h(q)[3]
     rep = taylor_bound_report(h, q, 0, 0)
     assert rep.magnitude < 1.0 and rep.omega_power == 1.0
     rep12 = taylor_bound_report(h, q, 1, 2)
@@ -197,7 +197,7 @@ def test_degenerate_exact_log_surrogate_backend():
 
 def test_taylor_report_violation_flag():
     q = IdealFactorization.parse("13^1")
-    rep = taylor_bound_report(build_h(4, q), q, 1, 2)
+    rep = taylor_bound_report(build_h(q)[3], q, 1, 2)
     assert rep.ratio > 1.0
     assert not rep.ratio > 6.5
 
@@ -321,14 +321,49 @@ def test_build_h_is_bitwise_the_scalar_local_factors(mode, monkeypatch):
     log_map = LOG_MODES[mode]
     depths = (0, 4, 8)
     ideals = [IdealFactorization.parse(spec) for spec in ("2^1", "3^2*5^1", "7^1*11^1*13^1")]
-    got = [build_h(which, q, depth, log_map) for q in ideals for depth in depths
+    got = [build_h(q, depth, log_map)[which - 1] for q in ideals for depth in depths
            for which in (1, 2, 3, 4)]
     monkeypatch.setattr(degenerate, "_local_zeta_inverse_series",
                         _scalar_local_zeta_inverse_series)
-    want = [build_h(which, q, depth, log_map) for q in ideals for depth in depths
+    want = [build_h(q, depth, log_map)[which - 1] for q in ideals for depth in depths
             for which in (1, 2, 3, 4)]
     for h, ref in zip(got, want):
         _assert_same_series(h, ref)
+
+
+def _build_h_per_kind(which, q, depth, log_map=None):
+    """Reference: h_which as build_h built it one kind per call, each place's
+    local series built again for each kind."""
+    series = _local_zeta_inverse_series
+    out = LaurentSeries2.one()
+    for place in q.places:
+        unit = Scalar.exact(Fraction(place.p - 1, place.p))
+        if which == 1:
+            local = series(place, "z", 1, depth, log_map) * series(place, "w", 1, depth, log_map)
+        elif which == 2:
+            local = series(place, "w", 1, depth, log_map).scale(unit)
+        elif which == 3:
+            local = series(place, "z", 1, depth, log_map).scale(unit)
+        else:
+            ratio = ls_inverse_regular(series(place, "zw_plus", -1, depth, log_map)).scale(unit)
+            local = (series(place, "z", -1, depth, log_map) * series(place, "w", -1, depth, log_map)
+                     * ratio)
+        out = out * local
+    return out.truncated(depth) if out.depth > depth else out
+
+
+@pytest.mark.parametrize("logs", ["numeric", "rational"])
+@pytest.mark.parametrize("depth", (8, 10))
+def test_build_h_is_bitwise_the_per_kind_construction(depth, logs):
+    for spec in TAYLOR_IDEALS:
+        q = IdealFactorization.parse(spec)
+        log_map = {pl.p: Fraction(pl.p + 1, 3) for pl in q.places} if logs == "rational" else None
+        hs = build_h(q, depth, log_map)
+        assert len(hs) == 4
+        for which, h in enumerate(hs, 1):
+            want = _build_h_per_kind(which, q, depth, log_map)
+            assert (repr((h.den, h.terms, h.poles, h.depth))
+                    == repr((want.den, want.terms, want.poles, want.depth))), (spec, which)
 
 
 def test_degenerate_limit_flips_for_the_correction_once(monkeypatch):
@@ -365,7 +400,8 @@ _FLIP_PAIRS = ((False, False), (True, False), (False, True), (True, True))
 @pytest.mark.parametrize("load", (default_data, model_data))
 def test_limit_products_are_bitwise_the_scalar_loop(load, depth):
     g = build_G(load(), depth)
-    hs = [build_h(which, IdealFactorization.parse("2^1*3^2*7^1"), depth) for which in (1, 2, 3, 4)]
+    hs = [build_h(IdealFactorization.parse("2^1*3^2*7^1"), depth)[which - 1]
+          for which in (1, 2, 3, 4)]
     for flips in _FLIP_PAIRS:
         x = g.flip(*flips)
         for h in hs:

@@ -619,14 +619,18 @@ def _lam_free_units(draw):
 @settings(max_examples=250, deadline=None)
 @given(_lam_free_units(), st.integers(0, 8))
 def test_lam_free_series_inverse_is_bitwise_the_lambda_poly_loop(num, depth):
+    # an all-exact unit takes the integer inverse, one with a numeric value
+    # the one-value-per-monomial loop
     calls = []
-    branch = numerator._lam_free_inverse
+    exact = all(v.is_exact for lp in num.values() for v in lp.c.values())
+    route = "_exact_inverse" if exact else "_lam_free_inverse"
+    branch = getattr(numerator, route)
 
     def spy(*args):
         calls.append(args)
         return branch(*args)
 
-    with mock.patch.object(numerator, "_lam_free_inverse", spy):
+    with mock.patch.object(numerator, route, spy):
         got = _series_inverse(num, depth)
     assert len(calls) == 1
     _assert_same_bits(got, _lambda_poly_inverse(num, depth))
@@ -760,7 +764,7 @@ _ROOT_ENTRIES = {
         zeta_local(PlaceData(3, 1), Shift.of(1, 2, 0)), 8, log_p=_ROOT),
     "ls_from_rational coefficient": lambda: ls_from_rational(
         RationalFunction2.from_poly(Poly2.const(_ROOT), 3), 8, log_p=_LOG_SURROGATE),
-    "build_h log_map": lambda: build_h(1, IdealFactorization.parse("3^1"), 4, {3: _ROOT}),
+    "build_h log_map": lambda: build_h(IdealFactorization.parse("3^1"), 4, {3: _ROOT})[0],
     "degenerate_limit log_map": lambda: degenerate_limit(
         model_data(), IdealFactorization.parse("2^1*3^1"), log_map={2: _ROOT}),
     "Poly2": lambda: Poly2({(1, 0): 2, (0, 1): _ROOT}),
@@ -1382,3 +1386,94 @@ def test_divisor_pole_in_lambda_mode_still_raises(idx):
     with pytest.raises(ValueError, match="cannot invert a unit whose constant term involves lam"):
         ls_from_rational(f, 8, log_p="lambda")
     assert ls_from_rational(f, 8, log_p=_LOG_SURROGATE).poles[idx] == 1
+
+
+# -- the integer inverse and the one-power exp route, against the loops they replaced --
+
+def _expansion_units(p, r):
+    """(unit, depth) of every inverse the lam-mode expansion of the correction
+    factor at p^r takes."""
+    units = []
+    inverse = numerator.inverse
+    with mock.patch.object(numerator, "inverse",
+                           lambda a, depth: units.append((a, depth)) or inverse(a, depth)):
+        ls_from_rational(correction_factor_rf(PlaceData(p, r)), 8, log_p="lambda")
+    return units
+
+
+@pytest.mark.parametrize("r", (1, 2, 3, 4))
+@pytest.mark.parametrize("p", (2, 3, 4, 5, 7, 9))
+def test_integer_inverse_is_bitwise_the_lambda_poly_loop_on_the_expansion_units(p, r):
+    units = _expansion_units(p, r)
+    assert units and all(any(max(c) for c in a[1].values()) for a, _ in units)
+    calls = []
+    route = numerator._exact_inverse
+    with mock.patch.object(numerator, "_exact_inverse",
+                           lambda *args: calls.append(args) or route(*args)):
+        for a, depth in units:
+            want = _lambda_poly_inverse(numerator.view(*a), depth)
+            got = numerator.inverse(a, depth)
+            _assert_same_bits(numerator.view(*got), want)
+            # the denominator and numerators lower() gives the Fraction loop's values
+            assert got == laurent._lower_num(want)
+    assert len(calls) == len(units)
+
+
+# exact units whose monomials reach past the depth, and one whose sums cancel:
+# 3 (1 + x + x**2) with x = lam z has the inverse (1 - x + x**3 - x**4 ...) / 3,
+# so the z**2 and z**5 sums reach zero and must leave the output
+_EXACT_UNITS = (
+    {(0, 0): LambdaPoly.const(-1), (0, 2): LambdaPoly.lam()},
+    {(0, 0): LambdaPoly.const(3), (0, 1): LambdaPoly.const(5), (1, 3): LambdaPoly.lam(2, 2)},
+    {(0, 0): LambdaPoly.const(3), (1, 0): LambdaPoly.lam(3), (2, 0): LambdaPoly.lam(3, 2)},
+    {(0, 0): LambdaPoly.const(Fraction(-4, 7)), (1, 1): LambdaPoly.const(Fraction(2, 9)),
+     (0, 1): LambdaPoly({0: Scalar.exact(1), 1: Scalar.exact(Fraction(-1, 2))})},
+)
+
+
+@pytest.mark.parametrize("depth", (0, 1, 2, 3, 6))
+@pytest.mark.parametrize("index", range(len(_EXACT_UNITS)))
+def test_integer_inverse_of_units_past_the_depth_and_with_cancelling_sums(index, depth):
+    num = _EXACT_UNITS[index]
+    _assert_same_bits(_series_inverse(num, depth), _lambda_poly_inverse(num, depth))
+    assert numerator.inverse(laurent._lower_num(num), depth) == laurent._lower_num(
+        _lambda_poly_inverse(num, depth))
+
+
+def _lam_mul_exp_coeffs(rate, depth):
+    """Reference: rate**k / k! as the loop of lam products with rate / k."""
+    coeffs, term = [], {0: Fraction(1)}
+    for k in range(depth + 1):
+        if k:
+            term = numerator.lam_mul(term, {kk: v * Fraction(1, k) for kk, v in rate.items()})
+        coeffs.append(term)
+    return coeffs
+
+
+_EXACT_RATES = (1, -1, 2, -3, 12, Fraction(1, 2), Fraction(-2, 3), Fraction(7, 10),
+                Fraction(-5, 4), Fraction(6931, 10000))
+
+
+@pytest.mark.parametrize("e", (0, 1, 2))
+def test_one_power_exact_exp_is_the_lam_product_loop(e, monkeypatch):
+    cases = [({e: v}, depth) for v in _EXACT_RATES for depth in (-1, 0, 1, 4, 9)]
+    want = [repr(_lam_mul_exp_coeffs(*case)) for case in cases]
+    calls = []
+    mul = numerator.lam_mul
+    monkeypatch.setattr(numerator, "lam_mul", lambda x, y: calls.append(1) or mul(x, y))
+    # repr tells a Fraction from an int
+    assert [repr(numerator.exp_coeffs(*case)) for case in cases] == want
+    assert not calls
+
+
+@pytest.mark.parametrize("rate", [{1: 0.5 + 0.25j}, {0: complex(-0.6931471805599453)},
+                                  {0: Fraction(1, 2), 1: Fraction(-1)}, {2: 0j}, {1: Fraction(0)}],
+                         ids=["complex lam", "complex constant", "two powers", "complex zero",
+                              "exact zero"])
+def test_complex_and_several_power_rates_keep_the_lam_product_loop(rate, monkeypatch):
+    want = _lam_mul_exp_coeffs(rate, 6)
+    calls = []
+    mul = numerator.lam_mul
+    monkeypatch.setattr(numerator, "lam_mul", lambda x, y: calls.append(1) or mul(x, y))
+    assert repr(numerator.exp_coeffs(rate, 6)) == repr(want)
+    assert len(calls) == 6

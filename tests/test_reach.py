@@ -8,7 +8,7 @@ import textwrap
 import sys
 from pathlib import Path
 
-from rankinlab import localdata, zetaint
+from rankinlab import localdata, numerator, zetaint
 
 REACH = Path(__file__).resolve().parent.parent / "tools" / "reach.py"
 _spec = importlib.util.spec_from_file_location("reach", REACH)
@@ -51,12 +51,11 @@ def test_lines_lists_the_branches_a_run_never_takes():
     assert reach._ranges([1, 2, 3, 7, 9, 10]) == "1-3, 7, 9-10"
 
 
-def test_psi_leaves_only_refusals_of_the_local_factors_unexecuted():
-    # an exact and a numeric pi0: complex constants take zeta_local's with_factor line
-    _, executed = reach.reached(["psi --p 9 --r 1 --pi0 1,1",
-                                 "psi --p 9 --r 1 --pi0 0.6+0.8j,0.6-0.8j"], [], 1, lines=True)
+def _assert_only_refusals_unexecuted(commands, functions):
+    """Every line of each function that the commands leave unexecuted is inside a raise."""
+    _, executed = reach.reached(commands, [], 1, lines=True)
     missed = reach.missed_lines(executed)
-    for fn in (localdata.zeta_local, localdata.zeta_scalar, zetaint.rs_l_rf):
+    for fn in functions:
         source, first = inspect.getsourcelines(fn)
         refusals = {first + k for node in ast.walk(ast.parse(textwrap.dedent("".join(source))))
                     if isinstance(node, ast.Raise)
@@ -64,3 +63,18 @@ def test_psi_leaves_only_refusals_of_the_local_factors_unexecuted():
         name = Path(inspect.getsourcefile(fn)).name
         unexecuted = {n for n in missed.get(name, []) if first <= n < first + len(source)}
         assert unexecuted <= refusals, (fn.__name__, sorted(unexecuted - refusals))
+
+
+def test_psi_leaves_only_refusals_of_the_local_factors_unexecuted():
+    # an exact and a numeric pi0: complex constants take zeta_local's with_factor line
+    _assert_only_refusals_unexecuted(["psi --p 9 --r 1 --pi0 1,1",
+                                      "psi --p 9 --r 1 --pi0 0.6+0.8j,0.6-0.8j"],
+                                     (localdata.zeta_local, localdata.zeta_scalar, zetaint.rs_l_rf))
+
+
+def test_psi_expand_runs_every_line_of_the_integer_inverse_and_exact_exp_routes():
+    # the lam-mode expansion inverts an all-exact unit and raises one-power
+    # exact rates: the new routes are what the command runs, not a fork beside it
+    _assert_only_refusals_unexecuted(["psi --p 3 --r 2 --expand"],
+                                     (numerator._exact_inverse, numerator._lam_loop,
+                                      numerator._one_power_exp))
