@@ -16,7 +16,7 @@ import json
 import math
 import sys
 
-from .degenerate import GlobalZetaData, degenerate_limit
+from .degenerate import GlobalZetaData, ZetaDataOverflow, degenerate_limit
 from .exactalg import PoleError, power_of_p, rf_equal
 from .laurent import ls_from_rational
 from .localdata import IdealFactorization, PlaceData
@@ -255,7 +255,10 @@ def cmd_psi(args) -> int:
 def cmd_degenerate(args) -> int:
     data = GlobalZetaData.from_document(args.data)
     q = _parse_option("--q", args.q, IdealFactorization.parse)
-    rep = degenerate_limit(data, q, depth=args.depth)
+    try:
+        rep = degenerate_limit(data, q, depth=args.depth)
+    except ZetaDataOverflow as exc:
+        raise ValueError(f"--data {args.data}: {exc}") from None
     # a residual of exact values is exact; a numeric one carries a few ulps
     exact = rep.formula_c3.is_exact and rep.coefficients.c3.is_exact
     floor = 0.0 if exact else 4 * math.ulp(abs(rep.formula_c3.to_complex()))

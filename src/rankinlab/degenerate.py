@@ -31,6 +31,11 @@ SPLIT_TOL = 1e-9  # split remainders within SPLIT_TOL * max(1, max |coefficient|
 MIN_DEPTH = 3  # G's three simple poles put the limit at numerator degree 3
 
 
+class ZetaDataOverflow(ValueError):
+    """Ingested zeta data whose products overflow a double: a usage error, not a
+    failed cancellation."""
+
+
 @dataclass(frozen=True)
 class GlobalZetaData:
     """Ingested Laurent data of the completed zeta functions.
@@ -309,6 +314,21 @@ def _correction(data: GlobalZetaData, q: IdealFactorization, g_mm_h4: LaurentSer
     return CorrectionReport(value, sum_factor, implied)
 
 
+def _refuse_overflow(values, what: str) -> None:
+    """:class:`ZetaDataOverflow` where one of ``values`` (Scalars, or the
+    coefficients of a series) is not finite; its magnitude shows a NaN."""
+    if isinstance(values, LaurentSeries2):
+        values = [v for c in values.terms.values() for v in c.values()]
+    mags = [abs(v) for v in (v.z if isinstance(v, Scalar) else v for v in values)
+            if v.__class__ is complex]  # exact values are finite
+    bad = sum(not math.isfinite(m) for m in mags)
+    if bad:
+        peak = math.nan if any(map(math.isnan, mags)) else max(mags)
+        raise ZetaDataOverflow(f"the zeta data overflow a double: {bad} of {len(mags)} numeric "
+                               f"{what} are not finite (largest magnitude {peak}); smaller or "
+                               "exact values avoid it")
+
+
 @dataclass(frozen=True)
 class DegenerateReport:
     """The limit and the pieces it was built from.  ``correction_detail`` and
@@ -370,6 +390,8 @@ def degenerate_limit(data: GlobalZetaData, q: IdealFactorization,
     abs_tol = SPLIT_TOL * max(1.0, combo.max_abs())
     regular, singular, singular_mag = combo.split_singular(abs_tol)
     if not singular.is_zero():
+        for series in (combo, singular):
+            _refuse_overflow(series, "coefficients of the four-term combination")
         raise AssertionError(
             f"four-term combination has a nonzero singular part "
             f"(max coefficient {singular_mag:.3e}); this signals an implementation bug"
@@ -387,6 +409,8 @@ def degenerate_limit(data: GlobalZetaData, q: IdealFactorization,
         const.coeff(1) * normalization,
         const.coeff(0) * normalization,
     )
+    _refuse_overflow((cubic.c3, cubic.c2, cubic.c1, cubic.c0, corr.value),
+                     "values of c3, c2, c1, c0 and the correction")
     formula_c3 = (data.xi_residue ** 3 * Scalar.exact(data.norm_different)
                   * data.adjoint_l_value / (Scalar.exact(3) * data.xi_at_2))
     c3_res = abs(cubic.c3.to_complex() - formula_c3.to_complex())

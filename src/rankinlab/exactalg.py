@@ -625,10 +625,15 @@ def power_of_p(p: int, exponent: ScalarLike, sign: int = 1) -> Scalar:
     return Scalar.exact(whole) if d == 1 else Scalar.root(p, whole)
 
 
-def nonzero_factor(factor: Scalar, what: str) -> Scalar:
-    """``factor``, or :class:`PoleError` naming ``what`` at an exact zero or a
-    numeric modulus below 1e-13."""
-    if factor.is_zero() if factor.is_exact else abs(factor.to_complex()) < 1e-13:
+def nonzero_factor(factor, what: str):
+    """``factor``, a Scalar or a plain ``Fraction`` or ``complex``, or
+    :class:`PoleError` naming ``what`` at an exact zero or a numeric modulus
+    below 1e-13."""
+    if factor.__class__ is Scalar:
+        tiny = factor.is_zero() if factor.is_exact else abs(factor.to_complex()) < 1e-13
+    else:
+        tiny = abs(factor) < 1e-13 if factor.__class__ is complex else not factor
+    if tiny:
         raise PoleError(f"{what} pole")
     return factor
 

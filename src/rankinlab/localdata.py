@@ -114,12 +114,17 @@ def norm(q: IdealFactorization) -> int:
     return n
 
 
-def zeta_scalar(place: PlaceData, s: int) -> Scalar:
-    """zeta_v(s) = p**s / (p**s - 1) as an exact Scalar, for an ``int`` s >= 1 only."""
+def zeta_value(place: PlaceData, s: int) -> Fraction:
+    """zeta_v(s) = p**s / (p**s - 1), for an ``int`` s >= 1 only."""
     if s.__class__ is not int or s < 1:
-        raise ValueError(f"zeta_scalar takes an int s >= 1, got {s!r}")
+        raise ValueError(f"zeta_v(s) takes an int s >= 1, got {s!r}")
     q = place.p ** s
-    return Scalar.exact(Fraction(q, q - 1))
+    return Fraction(q, q - 1)
+
+
+def zeta_scalar(place: PlaceData, s: int) -> Scalar:
+    """:func:`zeta_value` as an exact Scalar."""
+    return Scalar.exact(zeta_value(place, s))
 
 
 def zeta_local(place: PlaceData, shift: Shift, alpha: ScalarLike = 1) -> RationalFunction2:

@@ -103,7 +103,6 @@ def plancherel_mass(pi0: SatakeParams, q: IdealFactorization) -> Scalar:
     total = inv_volume_Kq(q)
     for place in q.places:
         psi_at_origin = psi_closed("i", place, pi0).value.eval_zw(0, 0)
-        prefactor = zeta_scalar(place, 2) / rankin_selberg_self_l(
-            pi0, Scalar.exact(Fraction(1, place.p)))
+        prefactor = zeta_scalar(place, 2) / rankin_selberg_self_l(pi0, Fraction(1, place.p))
         total = total * prefactor * psi_at_origin
     return total

@@ -2,8 +2,17 @@
 
 Values on the diagonal are ``W(diag(pi_v**n)) = p**(-n/2) * S(n+1)`` with
 ``S(n) = (alpha1**n - alpha2**n)/(alpha1 - alpha2)``; the ``alpha1 == alpha2``
-degeneracy is resolved by the limit ``S(n) = n*alpha**(n-1)``.  Half-integer
-powers of p stay exact through the quadratic extension in :class:`Scalar`.
+degeneracy is resolved by the limit ``S(n) = n*alpha**(n-1)``.
+
+The closed forms here and in :mod:`zetaint` run on the ring of their inputs
+and return one :class:`Scalar`.  An input enters as a ``complex`` where it is
+numeric, a ``Fraction`` where it is rational and a :class:`Scalar` only where
+it has a square root: ``Q(sqrt p)`` holds the half-integer powers of p of
+all-exact inputs, and only :class:`Scalar` holds it.  Each operation runs on
+the ring of its operands, in the order and with the float operations of the
+numeric :class:`Scalar` arithmetic, bit for bit: ``a - b`` as ``a + (-b)``,
+``a / b`` as ``a * (1 / b)``, ``x**n`` by :func:`_binary_power` from 1+0j, and
+an exact value, formed exactly, enters a numeric one as its ``to_complex()``.
 
 The weighted integral ``integral of |W|**2(y) |y|**s  d*y`` has the closed
 form ``(1 - |alpha1*alpha2|**2 x**2) / prod_{i,j}(1 - alpha_i*conj(alpha_j)*x)``
@@ -27,8 +36,8 @@ from fractions import Fraction
 from itertools import accumulate, islice, repeat, takewhile
 
 from .exactalg import nonzero_factor, power_of_p
-from .localdata import PlaceData, zeta_scalar
-from .scalars import SC_ONE, SC_ZERO, Scalar, ScalarLike
+from .localdata import PlaceData, zeta_value
+from .scalars import SC_ONE, SC_ZERO, Scalar, ScalarLike, _binary_power
 
 DEGENERACY_TOL = 1e-12
 
@@ -64,16 +73,13 @@ class SatakeParams:
         if self.ramified and not self.alpha2.is_zero():
             raise ValueError("ramified parameters require alpha2 = 0")
 
-    def conjugate(self) -> "SatakeParams":
-        return SatakeParams(self.alpha1.conjugate(), self.alpha2.conjugate(),
-                            self.ramified, self.theta)
-
     def confluent(self) -> bool:
         """alpha1 == alpha2: exactly, or within DEGENERACY_TOL relative to alpha1."""
-        diff = self.alpha1 - self.alpha2
-        if diff.is_exact:
-            return diff.is_zero()
-        return abs(diff.to_complex()) <= DEGENERACY_TOL * max(1.0, abs(self.alpha1.to_complex()))
+        a1, a2 = self.alpha1, self.alpha2
+        if a1.is_exact and a2.is_exact:
+            return a1 == a2
+        c1 = a1.to_complex()
+        return abs(c1 - a2.to_complex()) <= DEGENERACY_TOL * max(1.0, abs(c1))
 
 
 def satake_sum(params: SatakeParams, n: int) -> Scalar:
@@ -180,33 +186,104 @@ def decayed_sum(addends: Iterable[complex], terms: int, q: float, a: float, k: i
     return total
 
 
-def l_factor_product(a: SatakeParams, b: SatakeParams, x: Scalar) -> Scalar:
-    """prod_{i,j} (1 - a_i * b_j * x)**(-1), skipping factors with a zero parameter."""
-    value = SC_ONE
-    for ai in (a.alpha1, a.alpha2):
-        if ai.is_zero():
+# -- the ring of a closed form's inputs ------------------------------------------
+
+def _ring(v):
+    """v as a value of its ring: a ``complex`` if numeric, a ``Fraction`` if
+    rational, else its ``Q(sqrt p)`` :class:`Scalar`."""
+    if v.__class__ is not Scalar:
+        if v.__class__ is complex or v.__class__ is Fraction:
+            return v
+        v = Scalar.wrap(v)
+    if v.z is not None:
+        return v.z
+    return v if v.b else v.a
+
+
+def _alphas(params: SatakeParams) -> tuple:
+    return _ring(params.alpha1), _ring(params.alpha2)
+
+
+def _as_scalar(v) -> Scalar:
+    """The one Scalar a closed form returns."""
+    if v.__class__ is complex:
+        return Scalar.numeric(v)
+    return v if v.__class__ is Scalar else Scalar.exact(v)
+
+
+def _complex(v) -> complex:
+    return v if v.__class__ is complex else v.to_complex() if v.__class__ is Scalar else complex(v)
+
+
+def _inv(v):
+    """1/v on the ring of v: 1.0/v for a complex, exact otherwise."""
+    if v.__class__ is Scalar:
+        return v.inverse()
+    return 1 / v if v.__class__ is complex else Fraction(1) / v
+
+
+def _pow(x, n: int):
+    """x**n on the ring of x, as Scalar raises it: a complex x by
+    :func:`_binary_power` from 1+0j, of 1/x for n < 0, and x**0 the exact 1."""
+    if x.__class__ is not complex:
+        return x ** n
+    if not n:
+        return Fraction(1)
+    return _binary_power(1 / x if n < 0 else x, abs(n), 1 + 0j)
+
+
+def _root(p: int, coeff: Fraction, lift: bool):
+    """coeff * sqrt(p) as ``Scalar.root`` gives it; where ``lift``, that Scalar's
+    ``to_complex()``, built without it: p = square**2 * free, free squarefree."""
+    if not lift:
+        return _ring(Scalar.root(p, coeff))
+    square = next(s for s in range(math.isqrt(p), 0, -1) if p % (s * s) == 0)
+    coeff, free = coeff * square, p // (square * square)
+    return complex(0.0 + float(coeff) * math.sqrt(free) if free > 1 else float(coeff))
+
+
+def _p_power(p: int, e, sign: int = 1):
+    """:func:`power_of_p` ``(p, e, sign)`` on the ring of its value; a numeric
+    exponent takes its numeric branch without a Scalar."""
+    if e.__class__ is complex:
+        return complex(p) ** (sign * e)
+    return _ring(power_of_p(p, e, sign))
+
+
+# -- closed forms ------------------------------------------------------------------
+
+def l_factor_product(a: tuple, b: tuple, x):
+    """prod_{i,j} (1 - a_i * b_j * x)**(-1) on the ring of the inputs, skipping
+    factors with a zero parameter."""
+    value = 1
+    for ai in a:
+        if not ai:
             continue
-        for bj in (b.alpha1, b.alpha2):
-            if bj.is_zero():
-                continue
-            value = value / nonzero_factor(SC_ONE - ai * bj * x, "local L-factor")
+        for bj in b:
+            if bj:
+                value = value * _inv(nonzero_factor(1 + -(ai * bj * x), "local L-factor"))
     return value
 
 
-def rankin_selberg_self_l(params: SatakeParams, x: Scalar) -> Scalar:
-    """L-factor of pi tensor its conjugate at x = p**(-s)."""
-    return l_factor_product(params, params.conjugate(), x)
+def rankin_selberg_self_l(params: SatakeParams, x: ScalarLike):
+    """L-factor of pi tensor its conjugate at x = p**(-s), on the ring of the inputs."""
+    a = _alphas(params)
+    return l_factor_product(a, [v.conjugate() for v in a], _ring(x))
+
+
+def _weighted(params: SatakeParams, x):
+    a1, a2 = _alphas(params)
+    delta = a1 * a2
+    numerator = 1 + -(delta * delta.conjugate() * _pow(x, 2))
+    return numerator * rankin_selberg_self_l(params, x)
 
 
 def weighted_integral_closed(params: SatakeParams, place: PlaceData,
                              s: ScalarLike) -> Scalar:
     """Closed form of the weighted square integral:
-    (1 - |alpha1*alpha2|**2 x**2) * L-product at x = p**(-1-s)."""
-    s = Scalar.wrap(s)
-    x = power_of_p(place.p, SC_ONE + s, -1)
-    delta2 = (params.alpha1 * params.alpha2).abs2()
-    numerator = SC_ONE - delta2 * x ** 2
-    return numerator * rankin_selberg_self_l(params, x)
+    (1 - |alpha1*alpha2|**2 x**2) * L-product at x = p**(-1-s), on the ring of
+    the inputs (see the module docstring)."""
+    return _as_scalar(_weighted(params, _p_power(place.p, 1 + _ring(s), -1)))
 
 
 def weighted_integral_oracle(params: SatakeParams, place: PlaceData,
@@ -225,27 +302,26 @@ def weighted_integral_oracle(params: SatakeParams, place: PlaceData,
 
 
 def whittaker_norm_sq(params: SatakeParams, place: PlaceData) -> Scalar:
-    """Normalised norm ||W||**2 = zeta_v(2)/L_v(1, pi x conj(pi)) * <W, W>.
+    """Normalised norm ||W||**2 = zeta_v(2)/L_v(1, pi x conj(pi)) * <W, W>, on
+    the ring of the inputs (see the module docstring).
 
     Evaluates to 1 for unramified unitary parameters; in the ramified case the
     inner product is the single geometric series (1 - |alpha1|**2/p)**(-1).
     """
     p = place.p
-    pinv = Scalar.exact(Fraction(1, p))
-    a1_sq = params.alpha1.abs2()
-    growth = a1_sq * pinv
-    growth_c = growth.to_complex()
-    if abs(growth_c) >= 1:
+    pinv = Fraction(1, p)
+    a1, a2 = _alphas(params)
+    growth = a1 * a1.conjugate() * pinv
+    if abs(_complex(growth)) >= 1:
         raise ValueError("norm series diverges: |alpha1|**2 >= p")
     l_value = rankin_selberg_self_l(params, pinv)
     if params.ramified:
-        inner = (SC_ONE - growth).inverse()
+        inner = _inv(1 + -growth)
     else:
-        a2_sq = params.alpha2.abs2()
-        if abs((a2_sq * pinv).to_complex()) >= 1:
+        if abs(_complex(a2 * a2.conjugate() * pinv)) >= 1:
             raise ValueError("norm series diverges: |alpha2|**2 >= p")
-        inner = weighted_integral_closed(params, place, 0)
-    return zeta_scalar(place, 2) / l_value * inner
+        inner = _weighted(params, pinv)  # x = p**(-1-s) at s = 0
+    return _as_scalar(zeta_value(place, 2) * _inv(l_value) * inner)
 
 
 def whittaker_norm_sq_oracle(params: SatakeParams, place: PlaceData,
@@ -256,5 +332,5 @@ def whittaker_norm_sq_oracle(params: SatakeParams, place: PlaceData,
     stream = hecke_stream(params, place.p ** -0.5)
     total = decayed_sum((w * w.conjugate() for w in stream), terms,
                         _largest(params) ** 2 / place.p, 4.0, 0, True)
-    l_value = rankin_selberg_self_l(params, Scalar.exact(Fraction(1, place.p)))
-    return zeta_scalar(place, 2) / l_value * Scalar.numeric(total)
+    l_value = rankin_selberg_self_l(params, Fraction(1, place.p))
+    return _as_scalar(zeta_value(place, 2) * _inv(l_value) * total)

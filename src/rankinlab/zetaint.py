@@ -30,7 +30,8 @@ from .exactalg import Poly2, RationalFunction2, _reduced, nonzero_factor, power_
 from .localdata import PlaceData, Shift, zeta_local, zeta_scalar
 from .numerator import plain
 from .scalars import SC_ONE, Scalar, ScalarLike
-from .whittaker import (SatakeParams, _hecke_recursion, _largest, decayed_sum, hecke_stream,
+from .whittaker import (SatakeParams, _alphas, _as_scalar, _complex, _hecke_recursion, _inv,
+                        _largest, _p_power, _pow, _ring, _root, decayed_sum, hecke_stream,
                         l_factor_product, satake_sum)
 
 KIND_SIGNS = {"i": (1, 1), "ii": (-1, 1), "iii": (1, -1), "iv": (-1, -1)}
@@ -38,6 +39,7 @@ KINDS = tuple(KIND_SIGNS)
 
 HALF_Z = Shift.of(Fraction(1, 2), 1, 0)  # the section parameters 1/2 + z
 HALF_W = Shift.of(Fraction(1, 2), 0, 1)  # and 1/2 + w
+_MINUS_HALF = Fraction(-1, 2)
 
 
 @dataclass(frozen=True)
@@ -284,10 +286,14 @@ def psi_oracle(kind: str, place: PlaceData, pi0: SatakeParams) -> LocalZetaResul
 
 def rs_local_value(pi: SatakeParams, pi0: SatakeParams, place: PlaceData) -> Scalar:
     """(1 - p**(-1) a1 a2 b1 b2) / prod_{i,j}(1 - p**(-1/2) a_i b_j)
-    for parameter families a (of the varying contragredient) and b (fixed)."""
+    for parameter families a (of the varying contragredient) and b (fixed), on
+    the ring of the inputs (see :mod:`rankinlab.whittaker`).  p**(-1/2) enters
+    numeric where no product a_i b_j of nonzero parameters is exact."""
     p = place.p
-    num = SC_ONE - (pi.alpha1 * pi.alpha2 * pi0.alpha1 * pi0.alpha2) * Fraction(1, p)
-    return num * l_factor_product(pi, pi0, power_of_p(p, Fraction(1, 2), -1))
+    (a1, a2), (b1, b2) = a, b = _alphas(pi), _alphas(pi0)
+    num = 1 + -(a1 * a2 * b1 * b2 * Fraction(1, p))
+    lift = any(all(v.__class__ is complex for v in side if v) for side in (a, b))
+    return _as_scalar(num * l_factor_product(a, b, _root(p, Fraction(1, p), lift)))
 
 
 def _real_constants(params: SatakeParams) -> bool:
@@ -344,27 +350,34 @@ def reg_local_closed(pi: SatakeParams, place: PlaceData, z: ScalarLike) -> Scala
     """Closed form of the weighted newvector sum in the regularised term:
 
     -p**(-r/2)/(a1-a2) * [ (p**(-1/2+z)-a1) a1**r / (1-a1 p**(-1/2-z))**2
-                           - (same with a2) ].
+                           - (same with a2) ],
+
+    on the ring of the inputs (see :mod:`rankinlab.whittaker`); -p**(-r/2)
+    enters numeric where the bracket is numeric.
     """
-    z = Scalar.wrap(z)
+    z = _ring(z)
     p, r = place.p, place.r
-    beta, gamma = power_of_p(p, z - Fraction(1, 2)), power_of_p(p, -z - Fraction(1, 2))
-    a1, a2 = pi.alpha1, pi.alpha2
+    beta, gamma = _p_power(p, z + _MINUS_HALF), _p_power(p, -z + _MINUS_HALF)
+    a1, a2 = _alphas(pi)
     for ai in (a1, a2):
-        nonzero_factor(SC_ONE - ai * gamma, "regularised local integral")
-    pref = power_of_p(p, Fraction(r, 2), -1)
-    if not pi.confluent():
-        f1 = (beta - a1) * a1 ** r / (SC_ONE - gamma * a1) ** 2
-        f2 = (beta - a2) * a2 ** r / (SC_ONE - gamma * a2) ** 2
-        return -pref * (f1 - f2) / (a1 - a2)
-    # confluent case: derivative of f(a) = (beta-a) a**r (1-gamma*a)**(-2)
-    a = a1
-    inv2 = (SC_ONE - gamma * a) ** (-2)
-    inv3 = (SC_ONE - gamma * a) ** (-3)
-    fprime = -(a ** r) * inv2 + (gamma * 2) * (beta - a) * a ** r * inv3
-    if r > 0:
-        fprime = fprime + Scalar.exact(r) * (beta - a) * a ** (r - 1) * inv2
-    return -pref * fprime
+        nonzero_factor(1 + -(ai * gamma), "regularised local integral")
+    confluent = pi.confluent()
+    if not confluent:
+        f1, f2 = ((beta + -a) * _pow(a, r) * _inv(_pow(1 + -(gamma * a), 2)) for a in (a1, a2))
+        bracket = f1 + -f2
+    else:
+        # confluent case: derivative of f(a) = (beta-a) a**r (1-gamma*a)**(-2)
+        a = a1
+        inv2, inv3 = (_pow(1 + -(gamma * a), -k) for k in (2, 3))
+        bracket = -_pow(a, r) * inv2 + gamma * 2 * (beta + -a) * _pow(a, r) * inv3
+        if r > 0:
+            bracket = bracket + r * (beta + -a) * _pow(a, r - 1) * inv2
+    # -p**(-r/2) = -p**(-(r+1)//2), times sqrt(p) for odd r
+    lead = Fraction(-1, p ** ((r + 1) // 2))
+    if r % 2:
+        lead = _root(p, lead, bracket.__class__ is complex)
+    value = lead * bracket
+    return _as_scalar(value if confluent else value * _inv(a1 + -a2))
 
 
 def reg_local_closed_s_form(pi: SatakeParams, place: PlaceData, z: ScalarLike) -> Scalar:
@@ -419,7 +432,7 @@ def reg_local_oracle(pi: SatakeParams, place: PlaceData, z: ScalarLike,
 def reg_local_bound(pi: SatakeParams, place: PlaceData, z: ScalarLike) -> float:
     """|p**(-r/2) L**2(1/2+z)| (r+1) max(|alpha_i|**r), the comparison envelope."""
     p, r = place.p, place.r
-    gamma = power_of_p(p, -Scalar.wrap(z) - Fraction(1, 2)).to_complex()
+    gamma = _complex(_p_power(p, -_ring(z) + _MINUS_HALF))
     a1, a2 = pi.alpha1.to_complex(), pi.alpha2.to_complex()
     l_sq = 1.0 / abs((1 - a1 * gamma) * (1 - a2 * gamma)) ** 2
     return p ** (-r / 2) * l_sq * (r + 1) * max(abs(a1), abs(a2)) ** r

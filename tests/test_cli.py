@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
@@ -449,6 +450,27 @@ def test_degenerate_takes_no_seed(capsys):
     assert "--seed" in capsys.readouterr().err
 
 
+def _with_every_entry(key: str, value: str) -> dict:
+    """model_exact.json with every entry of the list ``key`` set to ``value``."""
+    doc = json.loads(MODEL_EXACT.read_text())
+    return {**doc, key: [value] * len(doc[key])}
+
+
+@pytest.mark.parametrize("key, value", [("xi_regular", "1e200"), ("xi_regular", "1e308"),
+                                        ("xi_at_2_regular", "1e300")])
+def test_degenerate_names_a_document_that_overflows_a_double(tmp_path, capsys, key, value):
+    # the four-term combination holds inf and NaN there: a usage error naming the
+    # document, with the NaN shown, not a failed cancellation
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(_with_every_entry(key, value)))
+    assert main(["degenerate", "--q", "2", "--data", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: --data {path}: the zeta data overflow a double: ")
+    assert "coefficients of the four-term combination are not finite (largest magnitude nan)" \
+        in captured.err
+
+
 @pytest.mark.parametrize("depth", ["0", "2", "-1"])
 def test_degenerate_names_the_least_depth(capsys, depth):
     # G's three simple poles put the limit at numerator degree 3
@@ -680,12 +702,20 @@ PSI_FUZZ = {"--p": st.one_of(st.integers(-2, 12).map(str), st.sampled_from(["x",
 DEGENERATE_VALID = {"--q": ["2", "2^1*3^1", "5^2", "7^3"],
                     "--data": [str(RATIONAL_FIELD), str(RATIONAL_FIELD.parent / "model_exact.json")],
                     "--depth": ["3", "8"], "--tolerance": ["1e-10", "1e-15"]}
+MAGNITUDE = st.builds("{}1e{}".format, st.sampled_from("+-"), st.integers(0, 308))
+# model_exact.json with lists of magnitudes 1e0..1e308 of both signs, short of the
+# depth or not, as a JSON text that _written puts in a temporary file
+ZETA_DOCUMENT = st.dictionaries(
+    st.sampled_from(["xi_regular", "lambda_pi0_regular", "xi_at_2_regular"]),
+    st.one_of(st.lists(MAGNITUDE, max_size=3), st.lists(MAGNITUDE, min_size=8, max_size=12)),
+    min_size=1).map(lambda lists: json.dumps({**json.loads(MODEL_EXACT.read_text()), **lists}))
 DEGENERATE_FUZZ = {
     "--q": st.one_of(
         st.sampled_from(["1", "2^0", "2^1*2^1", "4", "6", "x", "", "2^-1", "2^99999"]),
         st.lists(st.tuples(st.sampled_from([2, 3, 4, 5, 7, 9]), st.integers(-1, 4)),
                  min_size=1, max_size=3).map(lambda fs: "*".join(f"{b}^{e}" for b, e in fs))),
-    "--data": st.sampled_from(["/nonexistent.json", str(Path(__file__))]),
+    "--data": st.one_of(st.sampled_from(["/nonexistent.json", str(Path(__file__))]),
+                        ZETA_DOCUMENT),
     "--depth": st.integers(-2, 10).map(str), "--tolerance": TOLERANCE}
 
 
@@ -713,7 +743,27 @@ def test_psi_argv_ends_in_an_exit_code(argv, expand):
     assert _exit_code(argv + ["--expand"] * expand) in (0, 1, 2)
 
 
+def _written(argv: list, tmp: str) -> list:
+    """argv with a drawn ``--data`` document written to a file under ``tmp``."""
+    document = Path(tmp) / "zeta.json"
+    for k, arg in enumerate(argv):
+        if arg.startswith("--data={"):
+            document.write_text(arg.removeprefix("--data="))
+            argv[k] = f"--data={document}"
+    return argv
+
+
 @settings(max_examples=50, deadline=None)
 @given(argv=_argv("degenerate", DEGENERATE_VALID, DEGENERATE_FUZZ))
 def test_degenerate_argv_ends_in_an_exit_code(argv):
-    assert _exit_code(argv) in (0, 1, 2)
+    with tempfile.TemporaryDirectory() as tmp:
+        assert _exit_code(_written(argv, tmp)) in (0, 1, 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(document=ZETA_DOCUMENT, q=st.sampled_from(DEGENERATE_VALID["--q"]),
+       depth=st.sampled_from(DEGENERATE_VALID["--depth"]))
+def test_degenerate_document_ends_in_an_exit_code(document, q, depth):
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = _written(["degenerate", f"--q={q}", f"--data={document}", f"--depth={depth}"], tmp)
+        assert _exit_code(argv) in (0, 1, 2)

@@ -271,6 +271,29 @@ def test_degenerate_limit_builds_scalars_only_for_read_coefficients(monkeypatch)
     assert calls[0] == 7
 
 
+def test_a_finite_non_cancellation_stays_an_assertion(monkeypatch):
+    # h4 doubled: finite values whose singular part does not cancel signal a bug
+    hs = build_h(Q23)
+    monkeypatch.setattr(degenerate, "build_h",
+                        lambda *args: (*hs[:3], hs[3].scale(Scalar.exact(2))))
+    with pytest.raises(AssertionError, match=r"nonzero singular part \(max coefficient \d"):
+        degenerate_limit(default_data(), Q23)
+
+
+@pytest.mark.parametrize("values", [(1.0, math.nan), (math.nan, 1.0), (math.inf, math.nan, 2.0)])
+def test_an_overflow_shows_a_nan_wherever_it_sits(values):
+    with pytest.raises(degenerate.ZetaDataOverflow, match=r"\(largest magnitude nan\)"):
+        degenerate._refuse_overflow([Scalar.numeric(v) for v in values], "values")
+
+
+def test_a_cubic_that_overflows_names_the_overflow(monkeypatch):
+    # the four-term combination is finite, the normalisation zeta_q(1)**2 is not
+    monkeypatch.setattr(degenerate, "zeta_q_scalar", lambda q, s: Scalar.numeric(1e200))
+    with pytest.raises(degenerate.ZetaDataOverflow,
+                       match="values of c3, c2, c1, c0 and the correction are not finite"):
+        degenerate_limit(model_data(), Q23)
+
+
 # -- the local factors and the flipped product, against the Scalar forms ---------
 
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)

@@ -36,6 +36,19 @@ def test_central_character_enforced():
         SatakeParams(Scalar.exact(1), Scalar.exact(1), ramified=True)
 
 
+@pytest.mark.parametrize("a1, a2, confluent", [
+    (Scalar.exact(Fraction(1, 2)), Scalar.exact(Fraction(1, 2)), True),
+    (Scalar.exact(Fraction(1, 2)), Scalar.exact(Fraction(1, 3)), False),
+    (Scalar.numeric(0.5), Scalar.numeric(0.5 * (1 + 1e-13)), True),
+    (Scalar.numeric(0.5), Scalar.numeric(0.5 * (1 + 1e-11)), False),
+    (Scalar.numeric(3e3), Scalar.numeric(3e3 + 1e-10), True),  # relative to |alpha1|
+    (Scalar.exact(Fraction(1, 2)), Scalar.numeric(0.5 + 1e-13j), True),
+    (Scalar.exact(Fraction(1, 3)), Scalar.numeric(1 / 3), True),
+])
+def test_confluence_is_exact_equality_or_a_relative_tolerance(a1, a2, confluent):
+    assert SatakeParams(a1, a2).confluent() is confluent
+
+
 def test_hecke_recursion_exact():
     rng = random.Random(5)
     for _ in range(20):
