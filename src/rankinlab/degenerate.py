@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -243,6 +244,9 @@ def build_G(data: GlobalZetaData, depth: int = DEFAULT_DEPTH) -> LaurentSeries2:
     g = LaurentSeries2.exp_direction(LambdaPoly.lam(), "zw_plus", depth)
     # N(d)**(1+2z+2w)
     nd = data.norm_different
+    if nd > sys.float_info.max:  # G is numeric for nd != 1, and nd scales it
+        raise ZetaDataOverflow(f"the zeta data overflow a double: norm_different, an integer "
+                               f"of {nd.bit_length()} bits, is past the largest double")
     if nd != 1:
         g = g * LaurentSeries2.exp_direction(
             LambdaPoly.const(Scalar.numeric(2 * math.log(nd))), "zw_plus", depth)

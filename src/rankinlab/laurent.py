@@ -19,7 +19,8 @@ integer denominator and a nested dict ``(i, j) -> {lam power: value}`` of
 coefficient is refused with ``ValueError`` wherever one would enter: the
 constructors, :meth:`~LaurentSeries2.scale` and :func:`ls_from_rational`.
 Every operation here (product, sum with pole raising, negation, flip,
-scaling, divisor peeling, inverse, expansion of rational functions) runs on
+scaling, divisor peeling, inverse, expansion of rational functions, and the
+four-term combination as one product per sign-parity class of G) runs on
 that form and gives the values, exactness, key order and float bits of
 :class:`Scalar` arithmetic (the ring rule of that module).
 :attr:`LaurentSeries2.num` is a read-only view, built on each read:
@@ -30,6 +31,7 @@ build only the coefficient asked for.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -596,21 +598,34 @@ def pole_factor_series(h1_coeffs: list[Fraction], h2_coeffs: list[Fraction],
 
 def four_term_combination(g: LaurentSeries2, quadruple: Iterable[Coeffs],
                           depth: int) -> LaurentSeries2:
-    """G(z,w)h1 + G(-z,w)h2 + G(z,-w)h3 + G(-z,-w)h4.
+    """G(z,w)h1 + G(-z,w)h2 + G(z,-w)h3 + G(-z,-w)h4, G exact, the h_i rational.
 
-    G's poles are raised once, so that its z+w and z-w exponents are equal
-    (for the pole factor, (1,1,1,0) becomes (1,1,1,1): the numerator times
-    z-w).  Every flip of the raised G keeps those poles, so the four products
-    share one denominator and no sum raises anything: the numerator is one
-    :func:`~rankinlab.numerator.mul_sum` of the four pairs, one accumulator
-    and one gcd.  The value, poles and depth are those of the four products
-    of G added with ``+``, which raises each sum's poles."""
+    G's poles are raised once to (a, b, c, c), its z+w and z-w exponents
+    equal (the pole factor's (1,1,1,0) becomes (1,1,1,1): the numerator
+    times z-w).  A flip then keeps the poles and only negates terms: term
+    (i, j) of G(-z,w) has sign (-1)**(i+a), of G(z,-w) (-1)**(j+b), of
+    G(-z,-w) both.  So each parity class of (i+a, j+b) of G's terms
+    multiplies one H = h1 + s*h2 + t*h3 + s*t*h4, s and t the class's signs,
+    formed on integers over the h_i's lcm denominator: the numerator is one
+    :func:`~rankinlab.numerator.mul_sum` of at most four pairs.  Value, poles
+    and depth are those of the four products added with ``+``; only the key
+    order may differ."""
     a, b, c, d = g.poles
-    hs = [LaurentSeries2(h) for h in quadruple]
-    valid = min(min(g.depth + _num_val(h.terms), h.depth + _num_val(g.terms)) for h in hs)
     up = g.raised((a, b, max(c, d), max(c, d)))
-    valid += up.depth - g.depth
-    gs = (up, up.flip(True, False), up.flip(False, True), up.flip(True, True))
-    den, terms = nm.mul_sum([((x.den, x.terms), (h.den, h.terms)) for x, h in zip(gs, hs)],
-                            valid)
+    hs = [{m: v for m, v in h.items() if v} for h in quadruple]
+    valid = min(g.depth + min(_num_val(h) for h in hs),  # each h is untruncated
+                EXACT_DEPTH + _num_val(g.terms)) + up.depth - g.depth
+    den = math.lcm(*[v.denominator for h in hs for v in h.values()])
+    n = [{m: v.numerator * (den // v.denominator) for m, v in h.items()} for h in hs]
+    sums: tuple[Terms, ...] = ({}, {}, {}, {})  # the H of class (i+a)%2 + 2*((j+b)%2)
+    for m in {m: 0 for h in n for m in h}:
+        x1, x2, x3, x4 = [h.get(m, 0) for h in n]
+        for s, v in zip(sums, (x1 + x2 + x3 + x4, x1 - x2 + x3 - x4,
+                               x1 + x2 - x3 - x4, x1 - x2 - x3 + x4)):
+            if v:
+                s[m] = {0: v}
+    parts: tuple[Terms, ...] = ({}, {}, {}, {})
+    for (i, j), cc in up.terms.items():
+        parts[(i + a) % 2 + (j + b) % 2 * 2][(i, j)] = cc
+    den, terms = nm.mul_sum([((up.den, p), (den, s)) for p, s in zip(parts, sums)], valid)
     return LaurentSeries2._make(den, terms, up.poles, valid)

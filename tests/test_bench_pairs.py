@@ -1,11 +1,14 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
 _spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
 bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
 metric_verdict, claim_rule = bench_pairs.metric_verdict, bench_pairs.claim_rule
+verify_summary = bench_pairs.verify_summary
 
 
 def test_metric_verdict_reads_each_metric_against_its_bound():
@@ -43,3 +46,41 @@ def test_claim_rule_needs_nine_tenths_of_ten_pairs_and_a_gap_past_the_spread():
     close = [p + 1.0 for p in parent]
     rule = claim_rule([{"parent": p, "change": c} for p, c in zip(parent, close)], parent, close)
     assert rule["pairs_rule_met"] and not rule["gap_rule_met"] and not rule["met"]
+
+
+def _verify_runs(command, parent, change):
+    """Alternating runs of one command with the given wall times per side."""
+    runs = []
+    for p, c in zip(parent, change):
+        runs += [{"command": command, "side": "parent", "wall_s": p},
+                 {"command": command, "side": "change", "wall_s": c}]
+    return runs
+
+
+def test_verify_summary_reads_each_command_per_side():
+    parent = [0.95, 0.97, 0.99, 0.96]
+    slower = [1.36, 1.38, 1.35, 1.40]
+    runs = _verify_runs("verify", parent, slower) + _verify_runs(
+        "verify --suite lemma44", [0.7, 0.72, 0.71, 0.73], [0.71, 0.7, 0.72, 0.73])
+    summary = verify_summary(runs)
+    assert list(summary) == ["verify", "verify --suite lemma44"]
+    full = summary["verify"]
+    assert full["parent"]["n"] == full["change"]["n"] == 4
+    assert full["parent"]["median"] == pytest.approx(0.965)
+    assert full["change"]["median"] == pytest.approx(1.37)
+    assert (full["parent"]["q1"], full["parent"]["q3"]) == pytest.approx((0.9575, 0.975))
+    # a 0.4 s regression on four rounds a side reads worse; equal times unchanged
+    assert full["verdict"] == "worse"
+    assert summary["verify --suite lemma44"]["verdict"] == "unchanged"
+
+
+def test_verify_summary_is_unresolved_under_four_rounds_a_side():
+    # three rounds of the same 0.4 s regression are too few to read
+    summary = verify_summary(_verify_runs("verify", [0.95, 0.97, 0.99], [1.36, 1.38, 1.35]))
+    assert summary["verify"]["verdict"] == "unresolved"
+    assert summary["verify"]["change"]["n"] == 3
+    # a side with no runs yet is left out, and reads unresolved
+    lone = [{"command": "verify", "side": "parent", "wall_s": 1.0}]
+    assert verify_summary(lone)["verify"]["verdict"] == "unresolved"
+    assert "change" not in verify_summary(lone)["verify"]
+

@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -471,6 +472,21 @@ def test_degenerate_names_a_document_that_overflows_a_double(tmp_path, capsys, k
         in captured.err
 
 
+@pytest.mark.parametrize("exponent", [309, 400])
+def test_degenerate_names_a_norm_different_past_the_largest_double(tmp_path, capsys, exponent):
+    # N(d) scales the numeric G; past the largest double it is a usage error
+    # naming the document, not an OverflowError traceback
+    path = tmp_path / "norm.json"
+    path.write_text(json.dumps({**json.loads(MODEL_EXACT.read_text()),
+                                "norm_different": 10 ** exponent}))
+    assert main(["degenerate", "--q", "2", "--data", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: --data {path}: the zeta data overflow a double: "
+                            f"norm_different, an integer of {(10 ** exponent).bit_length()} "
+                            "bits, is past the largest double\n")
+
+
 @pytest.mark.parametrize("depth", ["0", "2", "-1"])
 def test_degenerate_names_the_least_depth(capsys, depth):
     # G's three simple poles put the limit at numerator degree 3
@@ -703,12 +719,22 @@ DEGENERATE_VALID = {"--q": ["2", "2^1*3^1", "5^2", "7^3"],
                     "--data": [str(RATIONAL_FIELD), str(RATIONAL_FIELD.parent / "model_exact.json")],
                     "--depth": ["3", "8"], "--tolerance": ["1e-10", "1e-15"]}
 MAGNITUDE = st.builds("{}1e{}".format, st.sampled_from("+-"), st.integers(0, 308))
+# norm_different 1..1e400, around the largest double too, and xi_at_2 down to the
+# least positive double, as a JSON number or a decimal string
+NORM_DIFFERENT = st.one_of(st.integers(1, 10 ** 400), st.integers(0, 400).map(lambda e: 10 ** e),
+                           st.sampled_from([int(sys.float_info.max), int(sys.float_info.max) + 1]))
+TINY = st.floats(min_value=5e-324, max_value=1.0)
+TINY_XI_AT_2 = st.one_of(TINY, TINY.map(repr))
 # model_exact.json with lists of magnitudes 1e0..1e308 of both signs, short of the
-# depth or not, as a JSON text that _written puts in a temporary file
-ZETA_DOCUMENT = st.dictionaries(
-    st.sampled_from(["xi_regular", "lambda_pi0_regular", "xi_at_2_regular"]),
-    st.one_of(st.lists(MAGNITUDE, max_size=3), st.lists(MAGNITUDE, min_size=8, max_size=12)),
-    min_size=1).map(lambda lists: json.dumps({**json.loads(MODEL_EXACT.read_text()), **lists}))
+# depth or not, and the two scalars above, as a JSON text that _written puts in a
+# temporary file
+ZETA_DOCUMENT = st.builds(
+    lambda lists, scalars: json.dumps({**json.loads(MODEL_EXACT.read_text()), **lists, **scalars}),
+    st.dictionaries(
+        st.sampled_from(["xi_regular", "lambda_pi0_regular", "xi_at_2_regular"]),
+        st.one_of(st.lists(MAGNITUDE, max_size=3), st.lists(MAGNITUDE, min_size=8, max_size=12))),
+    st.fixed_dictionaries({}, optional={"norm_different": NORM_DIFFERENT,
+                                        "xi_at_2": TINY_XI_AT_2}))
 DEGENERATE_FUZZ = {
     "--q": st.one_of(
         st.sampled_from(["1", "2^0", "2^1*2^1", "4", "6", "x", "", "2^-1", "2^99999"]),

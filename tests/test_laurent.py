@@ -237,9 +237,15 @@ def test_four_term_combination_is_the_sum_of_its_products_on_any_draw(seed, brok
 
 @st.composite
 def _pole_series_and_quadruple(draw):
+    """A G with lam powers and any poles, a and b odd or even, and a quadruple
+    whose h may be empty or hold int or zero values; or four equal h, whose
+    three signed parity sums vanish."""
     g = draw(_exact_series())
-    quadruple = tuple({m: draw(_rationals) for m in draw(st.sets(
+    values = st.one_of(_rationals, st.integers(-3, 3))
+    quadruple = tuple({m: draw(values) for m in draw(st.sets(
         st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=4))} for _ in range(4))
+    if draw(st.booleans()):
+        quadruple = (quadruple[0],) * 4
     return g, quadruple
 
 
@@ -248,6 +254,52 @@ def _pole_series_and_quadruple(draw):
 def test_four_term_combination_of_any_pole_pattern_is_the_sum_of_its_products(case):
     # G with any poles and depth: raised once to equal z+w and z-w exponents
     _assert_same_combination(*case)
+
+
+_LAM_G = {(0, 0): LambdaPoly({0: Scalar.exact(1), 2: Scalar.exact(Fraction(1, 3))}),
+          (1, 0): LambdaPoly({1: Scalar.exact(-2)}), (0, 1): Scalar.exact(Fraction(5, 2)),
+          (2, 1): LambdaPoly({0: Scalar.exact(3), 3: Scalar.exact(Fraction(-1, 4))})}
+_H = {(0, 0): Fraction(1, 2), (1, 0): Fraction(-3), (0, 2): Fraction(2, 3)}
+_QUADRUPLES = {
+    "free": (_H, {(0, 1): Fraction(1, 6)}, {(1, 1): Fraction(-5, 4), (0, 0): 2}, {(2, 0): 1}),
+    "empty h": (_H, {}, {(1, 0): Fraction(7, 3)}, {}),
+    "equal h": (_H, _H, _H, _H),
+    "all empty": ({}, {}, {}, {}),
+    # an untruncated G keeps depth EXACT_DEPTH + 1 here, not that plus the h's order
+    "no constant term": ({(1, 0): 1}, {(0, 1): Fraction(1, 2)}, {(1, 1): 2}, {(2, 0): -1}),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_QUADRUPLES))
+@pytest.mark.parametrize("a, b", [(0, 0), (1, 0), (0, 1), (1, 1), (2, 3)])
+def test_four_term_combination_on_each_parity_of_the_poles(a, b, shape):
+    # every parity class of (i + a, j + b) meets its own signed sum of the h
+    for depth in (6, EXACT_DEPTH):
+        g = LaurentSeries2(_LAM_G, (a, b, 1, 0), depth)
+        _assert_same_combination(g, _QUADRUPLES[shape])
+    if shape == "all empty":
+        assert four_term_combination(g, _QUADRUPLES[shape], 8).is_zero()
+
+
+@pytest.mark.parametrize("seed", (20260809, 1017))
+def test_four_term_combination_is_one_mul_sum_of_at_most_four_pairs(monkeypatch, seed):
+    # the four products are one kernel call of one (class, H) pair per parity
+    # class of G's terms, and G is never flipped
+    g, quadruple = _combination_draw(random.Random(seed), None)
+    want = _chain_combination(g, quadruple)
+    mul_sum, calls = numerator.mul_sum, []
+
+    def spy(pairs, depth):
+        calls.append(pairs := list(pairs))
+        return mul_sum(pairs, depth)
+
+    monkeypatch.setattr(numerator, "mul", lambda a, b, depth: mul_sum(((a, b),), depth))
+    monkeypatch.setattr(numerator, "mul_sum", spy)
+    monkeypatch.setattr(LaurentSeries2, "flip", lambda *args: pytest.fail("G was flipped"))
+    got = four_term_combination(g, quadruple, 8)
+    assert len(calls) == 1 and 1 <= len(calls[0]) <= 4
+    assert got.poles == want.poles and got.depth == want.depth
+    assert _flat_fractions((got.den, got.terms)) == _flat_fractions((want.den, want.terms))
 
 
 def test_from_rational_depth_guard():

@@ -13,8 +13,9 @@ while the campaign runs do not reach it.  Each pair runs the unmodified
 and odd ones with the change.  ``--traced SEED`` adds one
 traced pair (``--trace 1``) per workload, and ``--verify-rounds N`` times ``N``
 alternating fresh-process runs of ``verify`` and ``verify --suite lemma44``
-per side.  The output file is rewritten after every run, in the layout of
-``BENCH_6.json``: every run in run order, then per-workload quartiles.  Each
+per side, summarised per command by :func:`verify_summary`.  The output file
+is rewritten after every run, in the layout of ``BENCH_6.json``: every run in
+run order, then per-workload quartiles.  Each
 workload's summary also holds ``claim_rule`` (``certs_per_s`` pairs won by the
 change out of pairs run, at least 9/10 of at least 10, and the median gap
 against the parent's quartile spread) and ``verdicts``: every end-to-end
@@ -43,6 +44,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 VERIFY_COMMANDS = (["verify"], ["verify", "--suite", "lemma44"])
+VERIFY_BOUND = 0.1  # relative bound on a verify wall-time difference
+MIN_VERIFY_ROUNDS = 4  # runs per side before a verify difference is read
 
 
 def seed_list(text: str) -> list[int]:
@@ -152,6 +155,23 @@ def claim_rule(pairs: list[dict], parent: list[float], change: list[float]) -> d
             "gap_rule_met": gap > spread, "met": pairs_ok and gap > spread}
 
 
+def verify_summary(verify_runs: list[dict]) -> dict:
+    """Per ``verify`` command: each side's wall-time quartiles and the
+    difference read by :func:`metric_verdict` (lower is better, bound
+    ``VERIFY_BOUND``).  With fewer than ``MIN_VERIFY_ROUNDS`` runs on either
+    side the verdict is ``unresolved``: two rounds a side once showed a 0.4 s
+    regression that four rounds did not."""
+    summary: dict = {}
+    for command in dict.fromkeys(r["command"] for r in verify_runs):
+        mine = [r for r in verify_runs if r["command"] == command]
+        walls = [[r["wall_s"] for r in mine if r["side"] == side] for side in SIDES]
+        entry: dict = {side: quartiles(w) for side, w in zip(SIDES, walls) if w}
+        entry["verdict"] = (metric_verdict(*walls, "lower", VERIFY_BOUND)
+                            if min(map(len, walls)) >= MIN_VERIFY_ROUNDS else "unresolved")
+        summary[command] = entry
+    return summary
+
+
 def summarize(runs: list[dict], end_to_end: list[dict]) -> tuple[dict, dict]:
     summary: dict = {}
     traced: dict = {}
@@ -255,6 +275,7 @@ def main(argv=None) -> int:
                     verify_runs = report["verify_wall_s"]["runs"]
                     verify_runs.append({"order": len(verify_runs), "side": side,
                                         **verify_run(trees[side], command)})
+                    report["verify_wall_s"]["summary"] = verify_summary(verify_runs)
                     args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0
 
