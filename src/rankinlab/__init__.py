@@ -16,7 +16,7 @@ from .exactalg import (PoleError, Poly2, RationalFunction2, poly_div_exact, powe
 from .laurent import (CubicPolynomial, LambdaPoly, LaurentSeries2, ls_from_rational,
                       ls_inverse_regular)
 from .localdata import (IdealFactorization, PlaceData, Shift, inv_volume_Kq, is_prime_power,
-                        norm, omega, volume_K, zeta_local, zeta_scalar)
+                        norm, omega, volume_K, zeta_local, zeta_value)
 from .scalars import Scalar, format_scalar, parse_exact
 from .specweight import JqLowerReport, WeightReport, jq_lower, local_weight_lower, plancherel_mass
 from .whittaker import (SatakeParams, satake_sum, weighted_integral_closed,

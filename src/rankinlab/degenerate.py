@@ -12,6 +12,11 @@ Rankin-Selberg L-function of the fixed representation with its contragredient.
 Their Laurent data at the relevant points is *ingested*, never computed here.
 ``N(q)**(z+w)`` is expanded as ``exp(lam*(z+w))`` with lam kept formal, so the
 final limit is extracted coefficient-by-coefficient as a polynomial in lam.
+
+From the document to the report every value is a ``Fraction`` or a
+``complex``, computed in the float order of :class:`Scalar` arithmetic (the
+ring rule of :mod:`rankinlab.whittaker`); :class:`Scalar` enters only in
+:class:`DegenerateReport` and :class:`CorrectionReport`.
 """
 
 from __future__ import annotations
@@ -24,9 +29,10 @@ from fractions import Fraction
 from pathlib import Path
 
 from .laurent import DEFAULT_DEPTH, CubicPolynomial, LambdaPoly, LaurentSeries2, ls_inverse_regular
-from .localdata import IdealFactorization, PlaceData, omega, zeta_q_scalar, zeta_scalar
-from .numerator import plain
-from .scalars import SC_ZERO, Scalar, _binary_power, format_scalar, parse_exact
+from .localdata import IdealFactorization, PlaceData, omega, zeta_value
+from .numerator import Plain, _add_term, plain, plain_coeffs
+from .scalars import SC_ZERO, Scalar, format_scalar, parse_exact
+from .whittaker import _inv, _pow
 
 SPLIT_TOL = 1e-9  # split remainders within SPLIT_TOL * max(1, max |coefficient|) are 0
 MIN_DEPTH = 3  # G's three simple poles put the limit at numerator degree 3
@@ -48,28 +54,28 @@ class GlobalZetaData:
     leaves the leading cubic coefficient untouched).
     """
 
-    xi_residue: Scalar
-    xi_regular: tuple[Scalar, ...]
-    xi_at_2: Scalar
-    lambda_residue: Scalar
-    lambda_regular: tuple[Scalar, ...]
-    adjoint_l_value: Scalar
+    xi_residue: Plain
+    xi_regular: tuple[Plain, ...]
+    xi_at_2: Plain
+    lambda_residue: Plain
+    lambda_regular: tuple[Plain, ...]
+    adjoint_l_value: Plain
     norm_different: int
-    xi_at_2_regular: tuple[Scalar, ...] = ()
+    xi_at_2_regular: tuple[Plain, ...] = ()
 
     def depth(self) -> int:
         return min(len(self.xi_regular), len(self.lambda_regular))
 
     def validate(self, rel_tol: float = 1e-9) -> None:
         expected = self.xi_residue * self.adjoint_l_value
-        if not self.lambda_residue.close(expected, rel_tol=rel_tol):
+        if not Scalar.wrap(self.lambda_residue).close(expected, rel_tol=rel_tol):
             raise ValueError(
                 f"residue factorization failed: {self.lambda_residue} != "
                 f"xi_residue*adjoint = {expected} (relative tolerance {rel_tol} "
                 "for numeric values)"
             )
         for name, value in (("xi_at_2", self.xi_at_2), ("xi_residue", self.xi_residue)):
-            v = value.to_complex()
+            v = complex(value)
             if v.imag == 0 and v.real <= 0:
                 raise ValueError(f"{name} must be positive, got {v}")
 
@@ -89,18 +95,18 @@ class GlobalZetaData:
         if missing:
             raise ValueError(f"zeta data document is missing keys: {missing}")
 
-        def scal(key: str, v) -> Scalar:
+        def scal(key: str, v) -> Plain:
             try:
                 if type(v) not in (str, int, float):  # a bool is no number
                     raise ValueError(f"must be a number or a number string, got {v!r}")
-                value = parse_exact(v) if isinstance(v, str) else Scalar.wrap(v)
-                if value.is_exact or math.isfinite(abs(value.z)):
+                value = plain(parse_exact(v) if isinstance(v, str) else Scalar.wrap(v))
+                if value.__class__ is not complex or math.isfinite(abs(value)):
                     return value
                 raise ValueError(f"must be finite, got {v!r}")
             except ValueError as exc:
                 raise ValueError(f"zeta data key {key!r}: {exc}") from None
 
-        def scals(key: str) -> tuple[Scalar, ...]:
+        def scals(key: str) -> tuple[Plain, ...]:
             if not isinstance(values := doc.get(key, []), list):
                 raise ValueError(f"zeta data key {key!r} must be a list, got {values!r}")
             return tuple(scal(f"{key}[{k}]", v) for k, v in enumerate(values))
@@ -118,7 +124,7 @@ class GlobalZetaData:
             xi_at_2_regular=scals("xi_at_2_regular"),
         )
         tol = scal("residue_check_tolerance", doc.get("residue_check_tolerance", 1e-9))
-        if (rel_tol := tol.to_complex().real) < 0:
+        if (rel_tol := complex(tol).real) < 0:
             raise ValueError(f"zeta data key 'residue_check_tolerance' is negative: {rel_tol}")
         data.validate(rel_tol=rel_tol)
         return data
@@ -126,16 +132,17 @@ class GlobalZetaData:
 
 # -- the four inverse-zeta products -------------------------------------------
 
-LogMap = dict[int, Scalar] | None
+LogMap = dict[int, Scalar | Plain] | None
 
 
-def _log_scalar(p: int, log_map: LogMap = None) -> Scalar:
-    """log p as a Scalar; a log_map entry (an exact rational surrogate, under
-    which every structural identity still holds, or a numeric value) takes
-    precedence.  A square-root entry is refused where a series is built."""
+def _log(p: int, log_map: LogMap = None) -> Plain:
+    """log p as a plain number; a log_map entry (an exact rational surrogate,
+    under which every structural identity still holds, or a numeric value)
+    takes precedence, and :func:`~rankinlab.numerator.plain` refuses a
+    square-root one."""
     if log_map and p in log_map:
-        return log_map[p]
-    return Scalar.numeric(math.log(p))
+        return plain(log_map[p])
+    return complex(math.log(p))
 
 
 def _local_zeta_inverse_series(place: PlaceData, direction: str, sign: int,
@@ -144,19 +151,19 @@ def _local_zeta_inverse_series(place: PlaceData, direction: str, sign: int,
     (u is z, w or z+w for the directions "z", "w", "zw_plus").
 
     The k-th coefficient is what ``Scalar(-1/p) * (Scalar(-2*sign) * log p)**k
-    / Scalar(k!)``, plus 1 at k = 0, gives, formed without :class:`Scalar`
-    where it can be.  An exact log p (a rational surrogate, as a ``Fraction``)
+    / Scalar(k!)``, plus 1 at k = 0, gives, formed without :class:`Scalar`.
+    An exact log p (a rational surrogate, as a ``Fraction``)
     runs ``term * rate / k`` from ``-1/p``: exact arithmetic gives the same
     value in any order.  A numeric log p (a ``complex``) takes the
     order Scalar performs the operations in: the exact ``(p-1)/p`` at k = 0,
     then ``complex(-1/p) * x**k * complex(1/k!)`` with ``x = complex(-2*sign)
-    * log p`` raised by :func:`_binary_power` from 1+0j, as Scalar raises it."""
+    * log p`` raised by :func:`~rankinlab.whittaker._pow`, as Scalar raises it."""
     p = place.p
-    logp = plain(_log_scalar(p, log_map))
+    logp = _log(p, log_map)
     coeffs: list = [Fraction(p - 1, p)]
     if logp.__class__ is complex:
         rate = complex(-2 * sign) * logp
-        coeffs += [complex(-1 / p) * _binary_power(rate, k, 1 + 0j) * complex(1 / math.factorial(k))
+        coeffs += [complex(-1 / p) * _pow(rate, k) * complex(1 / math.factorial(k))
                    for k in range(1, depth + 1)]
     else:
         rate, term = logp * (-2 * sign), Fraction(-1, p)
@@ -181,7 +188,7 @@ def build_h(q: IdealFactorization, depth: int = DEFAULT_DEPTH,
     """
     hs = [LaurentSeries2.one()] * 4
     for place in q.places:
-        unit = Scalar.exact(Fraction(place.p - 1, place.p))  # zeta_v(1)**(-1)
+        unit = Fraction(place.p - 1, place.p)  # zeta_v(1)**(-1)
         z_plus, w_plus, z_minus, w_minus = (
             _local_zeta_inverse_series(place, direction, sign, depth, log_map)
             for sign in (1, -1) for direction in ("z", "w"))
@@ -248,12 +255,11 @@ def build_G(data: GlobalZetaData, depth: int = DEFAULT_DEPTH) -> LaurentSeries2:
         raise ZetaDataOverflow(f"the zeta data overflow a double: norm_different, an integer "
                                f"of {nd.bit_length()} bits, is past the largest double")
     if nd != 1:
-        g = g * LaurentSeries2.exp_direction(
-            LambdaPoly.const(Scalar.numeric(2 * math.log(nd))), "zw_plus", depth)
+        g = g * LaurentSeries2.exp_direction(complex(2 * math.log(nd)), "zw_plus", depth)
     # xi(1+2z), xi(1+2w)
     for direction in ("z", "w"):
-        coeffs: list = [data.xi_residue / 2]
-        coeffs += [data.xi_regular[k] * Scalar.exact(2 ** k) for k in range(depth)]
+        coeffs: list = [data.xi_residue * Fraction(1, 2)]
+        coeffs += [data.xi_regular[k] * 2 ** k for k in range(depth)]
         g = g * LaurentSeries2.from_direction(coeffs, 1, direction, depth)
     # Lambda(1 + z + w)
     lam_coeffs: list = [data.lambda_residue]
@@ -261,22 +267,21 @@ def build_G(data: GlobalZetaData, depth: int = DEFAULT_DEPTH) -> LaurentSeries2:
     g = g * LaurentSeries2.from_direction(lam_coeffs, 1, "zw_plus", depth)
     # 1 / xi(2 + 2z + 2w)
     xi2_coeffs: list = [data.xi_at_2]
-    xi2_coeffs += [data.xi_at_2_regular[k] * Scalar.exact(2 ** (k + 1))
+    xi2_coeffs += [data.xi_at_2_regular[k] * 2 ** (k + 1)
                    for k in range(min(depth, len(data.xi_at_2_regular)))]
     xi2 = LaurentSeries2.from_direction(xi2_coeffs, 0, "zw_plus", depth)
     g = g * ls_inverse_regular(xi2)
-    return g.scale(Scalar.exact(nd))
+    return g.scale(nd)
 
 
 # -- the correction term and the limit ------------------------------------------
 
-def correction_sum_factor(q: IdealFactorization, log_map: LogMap = None) -> Scalar:
+def correction_sum_factor(q: IdealFactorization, log_map: LogMap = None) -> Plain:
     """sum over places of zeta_v(1)**3 log**3 N(p_v) / N(p_v)**(r_v+1)."""
-    total = SC_ZERO
+    total = Fraction(0)
     for pl in q.places:
-        total = total + (zeta_scalar(pl, 1) ** 3
-                         * _log_scalar(pl.p, log_map) ** 3
-                         / Scalar.exact(pl.p ** (pl.r + 1)))
+        total = total + (zeta_value(pl, 1) ** 3 * _pow(_log(pl.p, log_map), 3)
+                         * Fraction(1, pl.p ** (pl.r + 1)))
     return total
 
 
@@ -297,34 +302,37 @@ def correction_report(data: GlobalZetaData, q: IdealFactorization,
                        * build_h(q, depth, log_map)[3], log_map)
 
 
+def _zeta_q1(q: IdealFactorization) -> Fraction | int:
+    """zeta_q(1), the product of zeta_v(1) over the places of q."""
+    return math.prod(zeta_value(pl, 1) for pl in q.places)
+
+
 def _correction(data: GlobalZetaData, q: IdealFactorization, g_mm_h4: LaurentSeries2,
                 log_map: LogMap) -> CorrectionReport:
     """The correction limit from a given product G(-z,-w) h4(z,w)."""
     sum_factor = correction_sum_factor(q, log_map)
     if not q.places:
         return CorrectionReport(SC_ZERO, SC_ZERO, None)
-    clearing = LaurentSeries2({(2, 1): Scalar.exact(8), (1, 2): Scalar.exact(8)})
-    product = g_mm_h4 * clearing
+    product = g_mm_h4 * LaurentSeries2({(2, 1): 8, (1, 2): 8})
     abs_tol = SPLIT_TOL * max(1.0, product.max_abs())
-    const = product.constant_term(abs_tol)
-    if const.degree() > 0:
+    const = plain_coeffs(product.constant_term(abs_tol))
+    if max(const, default=0) > 0:
         raise AssertionError("correction limit should be lam-free")
-    value = const.coeff(0) * sum_factor
+    c0 = const.get(0, Fraction(0))
     # comparison target: the same limit written as
     # -2 c**3 Lambda_Ad N(d) / (xi(2) zeta_q(1)) * sum-factor with c unidentified
-    denom = Scalar.exact(-2) * data.adjoint_l_value * Scalar.exact(data.norm_different) \
-        / data.xi_at_2 / zeta_q_scalar(q, 1)
-    implied = (const.coeff(0) / denom) if not denom.is_zero() else None
-    return CorrectionReport(value, sum_factor, implied)
+    denom = (-2 * data.adjoint_l_value * data.norm_different
+             * _inv(data.xi_at_2) * _inv(_zeta_q1(q)))
+    implied = Scalar.wrap(c0 * _inv(denom)) if denom else None
+    return CorrectionReport(Scalar.wrap(c0 * sum_factor), Scalar.wrap(sum_factor), implied)
 
 
 def _refuse_overflow(values, what: str) -> None:
-    """:class:`ZetaDataOverflow` where one of ``values`` (Scalars, or the
+    """:class:`ZetaDataOverflow` where one of ``values`` (plain numbers, or the
     coefficients of a series) is not finite; its magnitude shows a NaN."""
     if isinstance(values, LaurentSeries2):
         values = [v for c in values.terms.values() for v in c.values()]
-    mags = [abs(v) for v in (v.z if isinstance(v, Scalar) else v for v in values)
-            if v.__class__ is complex]  # exact values are finite
+    mags = [abs(v) for v in values if v.__class__ is complex]  # exact values are finite
     bad = sum(not math.isfinite(m) for m in mags)
     if bad:
         peak = math.nan if any(map(math.isnan, mags)) else max(mags)
@@ -400,24 +408,18 @@ def degenerate_limit(data: GlobalZetaData, q: IdealFactorization,
             f"four-term combination has a nonzero singular part "
             f"(max coefficient {singular_mag:.3e}); this signals an implementation bug"
         )
-    const = regular.coeff(0, 0)
+    const = plain_coeffs(regular.coeff(0, 0))
     corr = _correction(data, q, g_mm_h4, log_map)
-    const = const - LambdaPoly.const(corr.value)
+    if value := plain(corr.value):  # a zero correction subtracts nothing
+        _add_term(const, 0, -value)
     # degree > 3 must die by itself; record how close to zero it is
-    lambda_excess = max((v.to_complex().__abs__() for k, v in const.c.items() if k > 3),
-                        default=0.0)
-    normalization = zeta_q_scalar(q, 1) ** 2
-    cubic = CubicPolynomial(
-        const.coeff(3) * normalization,
-        const.coeff(2) * normalization,
-        const.coeff(1) * normalization,
-        const.coeff(0) * normalization,
-    )
-    _refuse_overflow((cubic.c3, cubic.c2, cubic.c1, cubic.c0, corr.value),
-                     "values of c3, c2, c1, c0 and the correction")
-    formula_c3 = (data.xi_residue ** 3 * Scalar.exact(data.norm_different)
-                  * data.adjoint_l_value / (Scalar.exact(3) * data.xi_at_2))
-    c3_res = abs(cubic.c3.to_complex() - formula_c3.to_complex())
-    return DegenerateReport(q, cubic, formula_c3, c3_res, singular_mag,
-                            lambda_excess, corr.value, corr,
+    lambda_excess = max((abs(complex(v)) for k, v in const.items() if k > 3), default=0.0)
+    normalization = _pow(_zeta_q1(q), 2)
+    cubic = [const.get(k, Fraction(0)) * normalization for k in (3, 2, 1, 0)]
+    _refuse_overflow((*cubic, value), "values of c3, c2, c1, c0 and the correction")
+    formula_c3 = (_pow(data.xi_residue, 3) * data.norm_different
+                  * data.adjoint_l_value * _inv(3 * data.xi_at_2))
+    c3_res = abs(complex(cubic[0]) - complex(formula_c3))
+    return DegenerateReport(q, CubicPolynomial(*map(Scalar.wrap, cubic)), Scalar.wrap(formula_c3),
+                            c3_res, singular_mag, lambda_excess, corr.value, corr,
                             tuple(h.coeff(0, 0).coeff(0) for h in hs))

@@ -600,16 +600,16 @@ def four_term_combination(g: LaurentSeries2, quadruple: Iterable[Coeffs],
                           depth: int) -> LaurentSeries2:
     """G(z,w)h1 + G(-z,w)h2 + G(z,-w)h3 + G(-z,-w)h4, G exact, the h_i rational.
 
-    G's poles are raised once to (a, b, c, c), its z+w and z-w exponents
-    equal (the pole factor's (1,1,1,0) becomes (1,1,1,1): the numerator
-    times z-w).  A flip then keeps the poles and only negates terms: term
-    (i, j) of G(-z,w) has sign (-1)**(i+a), of G(z,-w) (-1)**(j+b), of
-    G(-z,-w) both.  So each parity class of (i+a, j+b) of G's terms
-    multiplies one H = h1 + s*h2 + t*h3 + s*t*h4, s and t the class's signs,
-    formed on integers over the h_i's lcm denominator: the numerator is one
+    G's poles are raised once to (a, b, c, c) ((1,1,1,0) becomes (1,1,1,1):
+    the numerator times z-w).  A flip then keeps the poles and only negates
+    terms: term (i, j) of G(-z,w) has sign (-1)**(i+a), of G(z,-w)
+    (-1)**(j+b), of G(-z,-w) both.  So each parity class of (i+a, j+b) of G's
+    terms multiplies one H = h1 + s*h2 + t*h3 + s*t*h4 (s, t its signs) on
+    integers over the h_i's lcm: one
     :func:`~rankinlab.numerator.mul_sum` of at most four pairs.  Value, poles
     and depth are those of the four products added with ``+``; only the key
-    order may differ."""
+    order may differ.  ``depth`` is never read: G and the h_i set it.  It
+    stays: certbench passes it positionally."""
     a, b, c, d = g.poles
     up = g.raised((a, b, max(c, d), max(c, d)))
     hs = [{m: v for m, v in h.items() if v} for h in quadruple]

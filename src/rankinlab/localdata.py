@@ -122,11 +122,6 @@ def zeta_value(place: PlaceData, s: int) -> Fraction:
     return Fraction(q, q - 1)
 
 
-def zeta_scalar(place: PlaceData, s: int) -> Scalar:
-    """:func:`zeta_value` as an exact Scalar."""
-    return Scalar.exact(zeta_value(place, s))
-
-
 def zeta_local(place: PlaceData, shift: Shift, alpha: ScalarLike = 1) -> RationalFunction2:
     """(1 - alpha * p**(-m) T1**a T2**b)**(-1), so zeta_v(m + a*z + b*w) for
     alpha = 1, as lift / (lift - c*mono) with the lift monomial
@@ -159,13 +154,6 @@ def zeta_local(place: PlaceData, shift: Shift, alpha: ScalarLike = 1) -> Rationa
     return RationalFunction2(num, {factor.key(): (factor, 1)}, p)
 
 
-def zeta_q_scalar(q: IdealFactorization, s) -> Scalar:
-    value = Scalar.exact(1)
-    for pl in q.places:
-        value = value * zeta_scalar(pl, s)
-    return value
-
-
 def volume_K(place: PlaceData) -> Scalar:
     """vol(K_{p**r}) = p**(-r) * zeta_v(2)/zeta_v(1) for r >= 1."""
     if place.r < 1:
@@ -176,7 +164,7 @@ def volume_K(place: PlaceData) -> Scalar:
 
 def inv_volume_Kq(q: IdealFactorization) -> Scalar:
     """vol**(-1)(K_q) = N(q) * zeta_q(1)/zeta_q(2)."""
-    value = Scalar.exact(norm(q))
+    value = Fraction(norm(q))
     for pl in q.places:
-        value = value * zeta_scalar(pl, 1) / zeta_scalar(pl, 2)
-    return value
+        value = value * zeta_value(pl, 1) / zeta_value(pl, 2)
+    return Scalar.exact(value)

@@ -91,10 +91,11 @@ class Scalar:
     def wrap(cls, value: ScalarLike) -> "Scalar":
         if isinstance(value, Scalar):
             return value
-        if isinstance(value, (int, Fraction)):
-            return cls.exact(value)
+        # float/complex first: isinstance(z, Fraction) runs ABCMeta's Python hook
         if isinstance(value, (float, complex)):
             return cls.numeric(value)
+        if isinstance(value, (int, Fraction)):
+            return cls.exact(value)
         raise TypeError(f"cannot build Scalar from {type(value).__name__}")
 
     # -- predicates --------------------------------------------------------

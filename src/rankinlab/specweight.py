@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactalg import power_of_p
-from .localdata import IdealFactorization, PlaceData, inv_volume_Kq, volume_K, zeta_scalar
+from .localdata import IdealFactorization, PlaceData, inv_volume_Kq, volume_K, zeta_value
 from .scalars import SC_ONE, SC_ZERO, Scalar
 from .whittaker import SatakeParams, rankin_selberg_self_l
 from .zetaint import psi_closed
@@ -58,9 +58,9 @@ def local_weight_lower(pi: SatakeParams, cond_exp: int, place: PlaceData) -> Wei
         return WeightReport(place, "conductor-exceeds", SC_ZERO, SC_ZERO,
                             floor_body, floor_half, SC_ZERO)
     vol = volume_K(place)
-    z1 = zeta_scalar(place, 1)
+    z1 = zeta_value(place, 1)
     if not pi.ramified:
-        bound = vol * zeta_scalar(place, 2) / z1 ** 3
+        bound = vol * zeta_value(place, 2) / z1 ** 3
         trivial = bound
     else:
         bound = vol / z1
@@ -103,6 +103,7 @@ def plancherel_mass(pi0: SatakeParams, q: IdealFactorization) -> Scalar:
     total = inv_volume_Kq(q)
     for place in q.places:
         psi_at_origin = psi_closed("i", place, pi0).value.eval_zw(0, 0)
-        prefactor = zeta_scalar(place, 2) / rankin_selberg_self_l(pi0, Fraction(1, place.p))
+        prefactor = (Scalar.exact(zeta_value(place, 2))
+                     / rankin_selberg_self_l(pi0, Fraction(1, place.p)))
         total = total * prefactor * psi_at_origin
     return total

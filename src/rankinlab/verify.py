@@ -25,7 +25,7 @@ from .exactalg import PoleError, rf_equal
 from .laurent import (break_one_symmetry, four_term_combination, ls_from_rational,
                       pole_factor_series, random_simple_pole_coeffs,
                       random_symmetric_quadruple, SYMMETRY_BREAKERS)
-from .localdata import IdealFactorization, PlaceData, inv_volume_Kq, omega, volume_K, zeta_scalar
+from .localdata import IdealFactorization, PlaceData, inv_volume_Kq, omega, volume_K, zeta_value
 from .scalars import Scalar
 from .specweight import jq_lower, local_weight_lower, plancherel_mass
 from .whittaker import SatakeParams, weighted_integral_closed, weighted_integral_oracle
@@ -325,8 +325,8 @@ def suite_spectral_weight():
     checks["unramified_bound"] = rep.lower_bound == Scalar.exact(Fraction(1, 18))
     checks["unramified_closed_form"] = all(
         local_weight_lower(pi_t, 0, PlaceData(p, r)).lower_bound
-        == volume_K(PlaceData(p, r)) * zeta_scalar(PlaceData(p, r), 2)
-        / zeta_scalar(PlaceData(p, r), 1) ** 3
+        == volume_K(PlaceData(p, r)) * zeta_value(PlaceData(p, r), 2)
+        / zeta_value(PlaceData(p, r), 1) ** 3
         for p in (2, 3, 5) for r in (1, 2, 3)
     )
     checks["tempered_floor_is_one"] = rep.floor_body == Scalar.exact(1)
@@ -383,8 +383,8 @@ def suite_cross_backend(seed: int = DEFAULT_SEED):
     # degenerate pipeline: exact model document vs the same values as doubles
     exact_doc = model_data()
     float_doc = GlobalZetaData(*(
-        tuple(Scalar.numeric(v.to_complex()) for v in value) if isinstance(value, tuple)
-        else Scalar.numeric(value.to_complex()) if isinstance(value, Scalar) else value
+        tuple(map(complex, value)) if isinstance(value, tuple)
+        else value if isinstance(value, int) else complex(value)
         for value in (getattr(exact_doc, f.name) for f in fields(exact_doc))))
     q = IdealFactorization.parse("2^1*3^1")
     track(degenerate_limit(exact_doc, q).coefficients.c3,

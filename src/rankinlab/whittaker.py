@@ -204,13 +204,6 @@ def _alphas(params: SatakeParams) -> tuple:
     return _ring(params.alpha1), _ring(params.alpha2)
 
 
-def _as_scalar(v) -> Scalar:
-    """The one Scalar a closed form returns."""
-    if v.__class__ is complex:
-        return Scalar.numeric(v)
-    return v if v.__class__ is Scalar else Scalar.exact(v)
-
-
 def _complex(v) -> complex:
     return v if v.__class__ is complex else v.to_complex() if v.__class__ is Scalar else complex(v)
 
@@ -283,7 +276,7 @@ def weighted_integral_closed(params: SatakeParams, place: PlaceData,
     """Closed form of the weighted square integral:
     (1 - |alpha1*alpha2|**2 x**2) * L-product at x = p**(-1-s), on the ring of
     the inputs (see the module docstring)."""
-    return _as_scalar(_weighted(params, _p_power(place.p, 1 + _ring(s), -1)))
+    return Scalar.wrap(_weighted(params, _p_power(place.p, 1 + _ring(s), -1)))
 
 
 def weighted_integral_oracle(params: SatakeParams, place: PlaceData,
@@ -321,7 +314,7 @@ def whittaker_norm_sq(params: SatakeParams, place: PlaceData) -> Scalar:
         if abs(_complex(a2 * a2.conjugate() * pinv)) >= 1:
             raise ValueError("norm series diverges: |alpha2|**2 >= p")
         inner = _weighted(params, pinv)  # x = p**(-1-s) at s = 0
-    return _as_scalar(zeta_value(place, 2) * _inv(l_value) * inner)
+    return Scalar.wrap(zeta_value(place, 2) * _inv(l_value) * inner)
 
 
 def whittaker_norm_sq_oracle(params: SatakeParams, place: PlaceData,
@@ -333,4 +326,4 @@ def whittaker_norm_sq_oracle(params: SatakeParams, place: PlaceData,
     total = decayed_sum((w * w.conjugate() for w in stream), terms,
                         _largest(params) ** 2 / place.p, 4.0, 0, True)
     l_value = rankin_selberg_self_l(params, Fraction(1, place.p))
-    return _as_scalar(zeta_value(place, 2) * _inv(l_value) * total)
+    return Scalar.wrap(zeta_value(place, 2) * _inv(l_value) * total)

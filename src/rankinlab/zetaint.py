@@ -27,10 +27,10 @@ from functools import reduce
 from itertools import accumulate, chain, islice, repeat
 
 from .exactalg import Poly2, RationalFunction2, _reduced, nonzero_factor, power_of_p
-from .localdata import PlaceData, Shift, zeta_local, zeta_scalar
+from .localdata import PlaceData, Shift, zeta_local, zeta_value
 from .numerator import plain
 from .scalars import SC_ONE, Scalar, ScalarLike
-from .whittaker import (SatakeParams, _alphas, _as_scalar, _complex, _hecke_recursion, _inv,
+from .whittaker import (SatakeParams, _alphas, _complex, _hecke_recursion, _inv,
                         _largest, _p_power, _pow, _ring, _root, decayed_sum, hecke_stream,
                         l_factor_product, satake_sum)
 
@@ -87,7 +87,7 @@ def ftilde_eval(place: PlaceData, pt: BruhatPoint, s: Shift) -> RationalFunction
     if pt.val_y:  # |y|**(1-s) is 1 at val_y = 0
         out = _abs_power(place, pt.val_y, one_minus) * out
     if pt.val_c is None or pt.val_c >= 0:
-        return out / zeta_scalar(place, 1)
+        return out / zeta_value(place, 1)
     out = out / zeta_local(place, s.times(2).plus(-1))
     return out * _abs_power(place, pt.val_c, one_minus.times(-2))
 
@@ -114,7 +114,7 @@ def correction_factor_rf(place: PlaceData) -> RationalFunction2:
     r1 = place.r + 1
     lead = RationalFunction2.monomial(-2 * r1, -2 * r1, Fraction(1, place.p ** r1), place.p)
     out = lead * zeta_local(place, Shift.of(1, -2, 0)) * zeta_local(place, Shift.of(1, 0, -2))
-    out = out * zeta_scalar(place, 1)
+    out = out * zeta_value(place, 1)
     out = out / zeta_local(place, Shift.of(0, 2, 0)) / zeta_local(place, Shift.of(0, 0, 2))
     return out / zeta_local(place, Shift.of(0, 2, 2))
 
@@ -160,7 +160,7 @@ def psi_closed(kind: str, place: PlaceData, pi0: SatakeParams) -> LocalZetaResul
     value = value / zeta_local(place, Shift.of(2, 2 * sz, 2 * sw))
     if sz < 0 or sw < 0:
         value = value * zeta_local(place, Shift.of(1, min(0, 2 * sz), min(0, 2 * sw)))
-        value = value / zeta_scalar(place, 1)
+        value = value / zeta_value(place, 1)
     if kind == "iv":
         value = value * (RationalFunction2.const(1, p) - correction_factor_rf(place))
     return LocalZetaResult(value, "closed-form")
@@ -293,7 +293,7 @@ def rs_local_value(pi: SatakeParams, pi0: SatakeParams, place: PlaceData) -> Sca
     (a1, a2), (b1, b2) = a, b = _alphas(pi), _alphas(pi0)
     num = 1 + -(a1 * a2 * b1 * b2 * Fraction(1, p))
     lift = any(all(v.__class__ is complex for v in side if v) for side in (a, b))
-    return _as_scalar(num * l_factor_product(a, b, _root(p, Fraction(1, p), lift)))
+    return Scalar.wrap(num * l_factor_product(a, b, _root(p, Fraction(1, p), lift)))
 
 
 def _real_constants(params: SatakeParams) -> bool:
@@ -377,7 +377,7 @@ def reg_local_closed(pi: SatakeParams, place: PlaceData, z: ScalarLike) -> Scala
     if r % 2:
         lead = _root(p, lead, bracket.__class__ is complex)
     value = lead * bracket
-    return _as_scalar(value if confluent else value * _inv(a1 + -a2))
+    return Scalar.wrap(value if confluent else value * _inv(a1 + -a2))
 
 
 def reg_local_closed_s_form(pi: SatakeParams, place: PlaceData, z: ScalarLike) -> Scalar:

@@ -14,19 +14,33 @@ verify_summary = bench_pairs.verify_summary
 def test_metric_verdict_reads_each_metric_against_its_bound():
     parent = [100.0, 101.0, 99.0, 100.5, 99.5]
     # within the bound and inside the parent's spread
-    assert metric_verdict(parent, [100.2, 99.8, 100.1], "higher", 0.25) == "unchanged"
+    assert metric_verdict(parent, [100.2, 99.8, 100.1, 100.0], "higher", 0.25) == "unchanged"
     # every change run higher and the median gap beyond the parent's quartiles
-    assert metric_verdict(parent, [110.0, 111.0, 109.0], "higher", 0.25) == "better"
+    higher = [110.0, 111.0, 109.0, 110.5]
+    assert metric_verdict(parent, higher, "higher", 0.25) == "better"
     # the same numbers for a lower-is-better metric
-    assert metric_verdict(parent, [110.0, 111.0, 109.0], "lower", 0.25) == "unchanged"
-    assert metric_verdict(parent, [110.0, 111.0, 109.0], "lower", 0.05) == "worse"
+    assert metric_verdict(parent, higher, "lower", 0.25) == "unchanged"
+    assert metric_verdict(parent, higher, "lower", 0.05) == "worse"
     # beyond the bound either way
-    assert metric_verdict(parent, [140.0, 138.0, 135.0], "higher", 0.25) == "better"
-    assert metric_verdict(parent, [70.0, 72.0, 71.0], "higher", 0.25) == "worse"
+    assert metric_verdict(parent, [140.0, 138.0, 135.0, 137.0], "higher", 0.25) == "better"
+    assert metric_verdict(parent, [70.0, 72.0, 71.0, 71.5], "higher", 0.25) == "worse"
     # a change spread wider than the bound cannot tell
     assert metric_verdict(parent, [60.0, 100.0, 120.0, 150.0], "higher", 0.25) == "unresolved"
     # a wide spread still reads better when every change run beats every parent run
-    assert metric_verdict([10.0, 20.0, 30.0], [40.0, 60.0, 80.0], "higher", 0.25) == "better"
+    assert metric_verdict([10.0, 20.0, 30.0, 25.0], [40.0, 60.0, 80.0, 70.0],
+                          "higher", 0.25) == "better"
+
+
+def test_metric_verdict_reads_nothing_under_four_runs_a_side():
+    # the same clear gain: two runs a side are too few, four a side read it
+    parent, change = [100.0, 101.0, 99.0, 100.5], [140.0, 138.0, 135.0, 137.0]
+    assert metric_verdict(parent[:2], change[:2], "higher", 0.25) == "unresolved"
+    assert metric_verdict(parent[:2], change, "higher", 0.25) == "unresolved"
+    assert metric_verdict(parent, change[:3], "higher", 0.25) == "unresolved"
+    assert metric_verdict(parent, change, "higher", 0.25) == "better"
+    # and a clear loss the same way
+    assert metric_verdict(change[:2], parent[:2], "higher", 0.25) == "unresolved"
+    assert metric_verdict(change, parent, "higher", 0.25) == "worse"
 
 
 def test_claim_rule_needs_nine_tenths_of_ten_pairs_and_a_gap_past_the_spread():

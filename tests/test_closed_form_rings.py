@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankinlab.exactalg import PoleError, nonzero_factor, power_of_p
-from rankinlab.localdata import PlaceData, zeta_scalar
+from rankinlab.localdata import PlaceData, zeta_value
 from rankinlab.scalars import SC_ONE, Scalar
 from rankinlab.whittaker import (SatakeParams, rankin_selberg_self_l, weighted_integral_closed,
                                  whittaker_norm_sq, whittaker_norm_sq_oracle)
@@ -67,7 +67,7 @@ def _reference_norm(params, place):
         if abs((params.alpha2.abs2() * pinv).to_complex()) >= 1:
             raise ValueError("norm series diverges: |alpha2|**2 >= p")
         inner = _reference_weighted(params, place, 0)
-    return zeta_scalar(place, 2) / l_value * inner
+    return Scalar.exact(zeta_value(place, 2)) / l_value * inner
 
 
 def _reference_rs(pi, pi0, place):

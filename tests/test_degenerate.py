@@ -1,7 +1,9 @@
 import dataclasses
+import json
 import math
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -171,7 +173,8 @@ def test_correction_term_values():
     data = default_data()
     assert correction_report(data, IdealFactorization.parse("1")).value.is_zero()
     sum_factor = correction_sum_factor(IdealFactorization.parse("2^1"))
-    assert abs(sum_factor.to_complex() - 2 * math.log(2) ** 3) < 1e-14
+    assert sum_factor.__class__ is complex  # a plain number: Scalars are for the report
+    assert abs(sum_factor - 2 * math.log(2) ** 3) < 1e-14
     report = correction_report(data, IdealFactorization.parse("2^1"))
     # the limit equals -2 c^3 L_Ad N(d)/(xi(2) zeta_q(1)^2) * sum-factor with
     # c = xi*(1); solving the zeta_q(1)^1-normalised shape for c^3 therefore
@@ -250,7 +253,8 @@ def test_degenerate_limit_builds_scalars_only_for_read_coefficients(monkeypatch)
     # Scalar.numeric calls made with laurent or numerator code on the stack:
     # only the coefficients degenerate_limit reads (the constant term, h1..h4
     # at the origin, the correction limit) become Scalars.  With numerators
-    # kept as dict[(i, j)] -> LambdaPoly this run made 8,842.
+    # kept as dict[(i, j)] -> LambdaPoly this run made 8,842, and 7 while the
+    # constant term and the correction were subtracted as LambdaPolys.
     from rankinlab import numerator
     files = {laurent.__file__, numerator.__file__}
     numeric = Scalar.numeric.__func__
@@ -268,7 +272,29 @@ def test_degenerate_limit_builds_scalars_only_for_read_coefficients(monkeypatch)
     monkeypatch.setattr(Scalar, "numeric", classmethod(counted))
     rep = degenerate_limit(default_data(), Q23, depth=8)
     assert rep.singular_residual == 0.0
-    assert calls[0] == 7
+    assert calls[0] == 5
+
+
+SCALAR_ARITHMETIC = ("__add__", "__radd__", "__neg__", "__sub__", "__rsub__", "__mul__",
+                     "__rmul__", "inverse", "__truediv__", "__rtruediv__", "__pow__",
+                     "conjugate", "abs2", "close")
+
+
+@pytest.mark.parametrize("log_map", [None, LOG_SURROGATES], ids=["numeric", "rational"])
+@pytest.mark.parametrize("nd", [1, 5])
+@pytest.mark.parametrize("load", [model_data, default_data], ids=["model", "rationalfield"])
+def test_degenerate_limit_makes_no_scalar_arithmetic(load, nd, log_map, monkeypatch):
+    # from the document to the report the degenerate layer runs on Fraction and
+    # complex values; a Scalar enters only as a value the report holds
+    data = dataclasses.replace(load(), norm_different=nd)
+    want = repr(degenerate_limit(data, Q23, 8, log_map))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Scalar arithmetic inside degenerate_limit")
+
+    for name in SCALAR_ARITHMETIC:
+        monkeypatch.setattr(Scalar, name, refuse)
+    assert repr(degenerate_limit(data, Q23, 8, log_map)) == want
 
 
 def test_a_finite_non_cancellation_stays_an_assertion(monkeypatch):
@@ -283,12 +309,12 @@ def test_a_finite_non_cancellation_stays_an_assertion(monkeypatch):
 @pytest.mark.parametrize("values", [(1.0, math.nan), (math.nan, 1.0), (math.inf, math.nan, 2.0)])
 def test_an_overflow_shows_a_nan_wherever_it_sits(values):
     with pytest.raises(degenerate.ZetaDataOverflow, match=r"\(largest magnitude nan\)"):
-        degenerate._refuse_overflow([Scalar.numeric(v) for v in values], "values")
+        degenerate._refuse_overflow([complex(v) for v in values], "values")
 
 
 def test_a_cubic_that_overflows_names_the_overflow(monkeypatch):
     # the four-term combination is finite, the normalisation zeta_q(1)**2 is not
-    monkeypatch.setattr(degenerate, "zeta_q_scalar", lambda q, s: Scalar.numeric(1e200))
+    monkeypatch.setattr(degenerate, "_zeta_q1", lambda q: complex(1e200))
     with pytest.raises(degenerate.ZetaDataOverflow,
                        match="values of c3, c2, c1, c0 and the correction are not finite"):
         degenerate_limit(model_data(), Q23)
@@ -442,3 +468,48 @@ def test_build_h_inverse_is_bitwise_the_lambda_poly_loop(p, monkeypatch):
                         lambda *args: calls.append(args) or branch(*args))
     _assert_same_bits(ls_inverse_regular(series).num, _lambda_poly_inverse(series.num, 10))
     assert len(calls) == 1
+
+
+# -- parent-recorded reprs of the branches no golden report covers ----------------
+#    (rational and numeric log_map, N(d) != 1, a short or missing xi_at_2_regular,
+#    depth 3 and the ideal 1); tests/data/degenerate_limit_reprs.json was written
+#    by the Scalar-arithmetic degenerate layer that the plain-number one replaced
+
+REPRS = Path(__file__).parent / "data" / "degenerate_limit_reprs.json"
+RATIONAL_LOGS = {p: Fraction(p + 1, 3) for p in PRIMES}
+NUMERIC_LOGS = LOG_MODES["numeric map"]
+
+
+def _pinned_cases():
+    """(name, data, q, depth, log_map) of every pinned degenerate_limit call."""
+    model, field = model_data(), default_data()
+    docs = {
+        "model": model,
+        "field": field,
+        "model-nd5": dataclasses.replace(model, norm_different=5),
+        "field-nd5": dataclasses.replace(field, norm_different=5),
+        "field-nd12": dataclasses.replace(field, norm_different=12),
+        "model-no-xi2": dataclasses.replace(model, xi_at_2_regular=()),
+        "field-short-xi2": dataclasses.replace(field, xi_at_2_regular=field.xi_at_2_regular[:3]),
+    }
+    logs = {"default": None, "rational": RATIONAL_LOGS, "numeric": NUMERIC_LOGS}
+    grid = [("model", "2^1*3^1", 8, "default"), ("model", "2^1*3^1", 8, "rational"),
+            ("model", "2^1*3^1", 8, "numeric"), ("field", "2^1*3^1", 8, "rational"),
+            ("field", "2^2*5^1", 10, "numeric"), ("field", "2^1*3^2*7^1", 3, "default"),
+            ("model", "7^2", 3, "rational"), ("model", "1", 8, "default"),
+            ("field", "1", 3, "rational"), ("model-nd5", "5^2", 8, "default"),
+            ("model-nd5", "2^1*3^1", 8, "rational"), ("field-nd5", "2^1*3^1", 8, "default"),
+            ("field-nd5", "3^1", 3, "numeric"), ("field-nd12", "2^1", 10, "rational"),
+            ("model-no-xi2", "2^1*3^1", 8, "rational"), ("field-short-xi2", "7^1", 8, "default")]
+    for doc, spec, depth, log in grid:
+        yield (f"{doc}|{spec}|{depth}|{log}", docs[doc], IdealFactorization.parse(spec),
+               depth, logs[log])
+
+
+def test_degenerate_limit_reprs_match_the_recorded_ones():
+    recorded = json.loads(REPRS.read_text())
+    got = {name: repr(degenerate_limit(data, q, depth, log_map))
+           for name, data, q, depth, log_map in _pinned_cases()}
+    assert list(got) == list(recorded)
+    for name, text in got.items():
+        assert text == recorded[name], name

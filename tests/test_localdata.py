@@ -6,7 +6,7 @@ import pytest
 from rankinlab.exactalg import Poly2, RationalFunction2, power_of_p
 from rankinlab.localdata import (IdealFactorization, PlaceData, Shift, inv_volume_Kq,
                                  is_prime_power, norm, omega, volume_K, zeta_local,
-                                 zeta_scalar)
+                                 zeta_value)
 from rankinlab.numerator import plain
 from rankinlab.scalars import Scalar
 
@@ -35,8 +35,8 @@ def test_parse_and_invariants():
 
 
 def test_zeta_local_values():
-    assert zeta_scalar(PlaceData(2, 1), 1) == Scalar.exact(2)
-    assert zeta_scalar(PlaceData(3, 1), 2) == Scalar.exact(Fraction(9, 8))
+    assert zeta_value(PlaceData(2, 1), 1) == 2
+    assert zeta_value(PlaceData(3, 1), 2) == Fraction(9, 8)
     f = zeta_local(PlaceData(2, 1), Shift.of(1, 2, 0))
     # definition transcription: 1/(1 - T1^2/2)
     assert f.eval_zw(0, 0) == Scalar.exact(2)
@@ -44,7 +44,8 @@ def test_zeta_local_values():
 
 
 def _reference_zeta_scalar(place, s):
-    """zeta_scalar as it was for every s: 1 - p**(-s) in Scalar arithmetic, inverted."""
+    """zeta_v(s) as a Scalar was once formed for every s: 1 - p**(-s) in Scalar
+    arithmetic, inverted."""
     return (Scalar.exact(1) - power_of_p(place.p, Fraction(s), -1)).inverse()
 
 
@@ -53,16 +54,20 @@ def _bits(s):
 
 
 def test_zeta_scalar_is_the_scalar_route():
+    # zeta_value, the one definition of zeta_v, is a Fraction whose exact Scalar
+    # is bit for bit the Scalar route
     for p in (2, 3, 4, 5, 9):
         place = PlaceData(p, 1)
         for s in (1, 2, 3):
-            assert _bits(zeta_scalar(place, s)) == _bits(_reference_zeta_scalar(place, s)), (p, s)
+            value = zeta_value(place, s)
+            assert value.__class__ is Fraction
+            assert _bits(Scalar.exact(value)) == _bits(_reference_zeta_scalar(place, s)), (p, s)
 
 
 @pytest.mark.parametrize("s", (0, Fraction(0), -1, Fraction(1, 2), Fraction(3, 2), 2.0))
 def test_zeta_scalar_refuses_all_but_an_int_of_at_least_one(s):
     with pytest.raises(ValueError, match=re.escape(f"got {s!r}") + "$"):
-        zeta_scalar(PlaceData(2, 1), s)
+        zeta_value(PlaceData(2, 1), s)
 
 
 def _generic_zeta_local(place, shift, alpha):

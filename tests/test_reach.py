@@ -69,7 +69,7 @@ def test_psi_leaves_only_refusals_of_the_local_factors_unexecuted():
     # an exact and a numeric pi0: complex constants take zeta_local's with_factor line
     _assert_only_refusals_unexecuted(["psi --p 9 --r 1 --pi0 1,1",
                                       "psi --p 9 --r 1 --pi0 0.6+0.8j,0.6-0.8j"],
-                                     (localdata.zeta_local, localdata.zeta_scalar, zetaint.rs_l_rf))
+                                     (localdata.zeta_local, localdata.zeta_value, zetaint.rs_l_rf))
 
 
 def test_psi_expand_runs_every_line_of_the_integer_inverse_and_exact_exp_routes():

@@ -21,7 +21,7 @@ from itertools import islice
 import pytest
 
 from rankinlab import whittaker, zetaint
-from rankinlab.localdata import PlaceData, zeta_scalar
+from rankinlab.localdata import PlaceData, zeta_value
 from rankinlab.scalars import Scalar
 from rankinlab.whittaker import (SatakeParams, hecke_stream, rankin_selberg_self_l,
                                  weighted_integral_closed, weighted_integral_oracle,
@@ -100,7 +100,7 @@ def _full_norm(params, place, terms=10_000):
     stream = islice(_endless_stream(params, place.p ** -0.5), terms)
     total = sum((w * w.conjugate() for w in stream), 0j)
     l_value = rankin_selberg_self_l(params, Scalar.exact(Fraction(1, place.p)))
-    return (zeta_scalar(place, 2) / l_value * Scalar.numeric(total)).to_complex()
+    return (Scalar.exact(zeta_value(place, 2)) / l_value * Scalar.numeric(total)).to_complex()
 
 
 # -- helpers ---------------------------------------------------------------------

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from rankinlab.localdata import IdealFactorization, PlaceData, inv_volume_Kq, volume_K, zeta_scalar
+from rankinlab.localdata import IdealFactorization, PlaceData, inv_volume_Kq, volume_K, zeta_value
 from rankinlab.scalars import Scalar
 from rankinlab.specweight import jq_lower, local_weight_lower, plancherel_mass
 from rankinlab.whittaker import SatakeParams
@@ -20,7 +20,8 @@ def test_unramified_weight_exact():
     assert rep.case == "unramified"
     assert rep.lower_bound == Scalar.exact(Fraction(1, 18))
     # normalised bound equals zeta(2)/zeta(1)
-    assert rep.normalized_lower_bound == zeta_scalar(PlaceData(2, 1), 2) / Scalar.exact(2)
+    assert (rep.normalized_lower_bound
+            == Scalar.exact(zeta_value(PlaceData(2, 1), 2)) / Scalar.exact(2))
 
 
 def test_unramified_matches_volume_formula():
@@ -28,7 +29,8 @@ def test_unramified_matches_volume_formula():
         for r in (1, 2, 3):
             place = PlaceData(p, r)
             rep = local_weight_lower(tempered(), r, place)
-            expected = volume_K(place) * zeta_scalar(place, 2) / zeta_scalar(place, 1) ** 3
+            expected = (volume_K(place) * Scalar.exact(zeta_value(place, 2))
+                        / Scalar.exact(zeta_value(place, 1)) ** 3)
             assert rep.lower_bound == expected
 
 
@@ -72,7 +74,7 @@ def test_ramified_bound_is_the_volume_over_zeta_one(p, r, alpha1):
     rep = local_weight_lower(SatakeParams.make_ramified(Scalar.wrap(alpha1)), 1, place)
     assert rep.case == "ramified"
     assert rep.lower_bound.is_exact
-    assert rep.lower_bound == volume_K(place) / zeta_scalar(place, 1)
+    assert rep.lower_bound == volume_K(place) / Scalar.exact(zeta_value(place, 1))
 
 
 def test_floor_monotone_in_p_and_eventually_near_one():

@@ -152,9 +152,9 @@ def test_norm_is_weighted_integral_prefactor():
     # the s=0 weighted integral against the zeta(2)/L(1) prefactor gives the norm
     pi = unitary(Fraction(3, 2))
     place = PlaceData(5, 1)
-    from rankinlab.localdata import zeta_scalar
+    from rankinlab.localdata import zeta_value
     from rankinlab.whittaker import rankin_selberg_self_l
-    prefactor = zeta_scalar(place, 2) / rankin_selberg_self_l(
+    prefactor = Scalar.exact(zeta_value(place, 2)) / rankin_selberg_self_l(
         pi, Scalar.exact(Fraction(1, 5)))
     integral = weighted_integral_closed(pi, place, 0)
     assert prefactor * integral == whittaker_norm_sq(pi, place)

@@ -11,7 +11,7 @@ import pytest
 
 import rankinlab
 from rankinlab.exactalg import PoleError, Poly2, RationalFunction2, rf_equal
-from rankinlab.localdata import PlaceData, Shift, zeta_local, zeta_scalar
+from rankinlab.localdata import PlaceData, Shift, zeta_local, zeta_value
 from rankinlab.numerator import ROOT_REFUSAL, plain
 from rankinlab.scalars import Scalar
 from rankinlab.verify import PSI_GRID_PAIRS
@@ -64,7 +64,7 @@ def test_psi_values_at_origin():
     assert val == Scalar.exact(12)
     assert psi_closed("ii", PLACE, PI0_11).value.eval_zw(0, 0) == Scalar.exact(12)
     l_over_zeta = rankin_selberg_self_l(PI0_11, Scalar.exact(Fraction(1, 2))) \
-        / zeta_scalar(PLACE, 2)
+        / Scalar.exact(zeta_value(PLACE, 2))
     assert val == l_over_zeta
 
 
@@ -86,12 +86,12 @@ def h_reference(which, place):
     if which == 1:
         return one / zeta_local(place, zeta_z) / zeta_local(place, zeta_w)
     if which == 2:
-        return one / zeta_local(place, zeta_w) / zeta_scalar(place, 1)
+        return one / zeta_local(place, zeta_w) / Scalar.exact(zeta_value(place, 1))
     if which == 3:
-        return one / zeta_local(place, zeta_z) / zeta_scalar(place, 1)
+        return one / zeta_local(place, zeta_z) / Scalar.exact(zeta_value(place, 1))
     mix = zeta_local(place, Shift.of(1, -2, -2))
     return one / zeta_local(place, Shift.of(1, -2, 0)) / zeta_local(place, Shift.of(1, 0, -2)) \
-        * mix / zeta_scalar(place, 1)
+        * mix / Scalar.exact(zeta_value(place, 1))
 
 
 def psi_reference(kind, place, pi0):
@@ -575,7 +575,7 @@ def _reference_ftilde_eval(place, pt, s):
     one_minus = s.times(-1).plus(1)
     out = _abs_power(place, pt.val_y, one_minus) * zeta_local(place, one_minus.times(2))
     if pt.val_c is None or pt.val_c >= 0:
-        return out / zeta_scalar(place, 1)
+        return out / Scalar.exact(zeta_value(place, 1))
     out = out / zeta_local(place, s.times(2).plus(-1))
     return out * _abs_power(place, pt.val_c, one_minus.times(-2))
 

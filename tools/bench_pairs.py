@@ -45,7 +45,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 VERIFY_COMMANDS = (["verify"], ["verify", "--suite", "lemma44"])
 VERIFY_BOUND = 0.1  # relative bound on a verify wall-time difference
-MIN_VERIFY_ROUNDS = 4  # runs per side before a verify difference is read
+MIN_RUNS = 4  # runs per side before any difference is read
 
 
 def seed_list(text: str) -> list[int]:
@@ -120,13 +120,18 @@ def metric_verdict(parent: list[float], change: list[float], better: str,
                    bound: float) -> str:
     """One end-to-end metric of one workload against its relative ``bound``.
 
-    ``worse``: the change's median is worse than the parent's by more than
-    the bound.  ``unresolved``: otherwise, either side's quartile spread
-    exceeds the bound (relative to its median), unless every change run is
-    better than every parent run.  ``better``: the median gain exceeds the
-    bound, or every change run is better than every parent run and the median
-    gain exceeds the parent's quartile spread.  ``unchanged``: the rest.
+    ``unresolved`` first where either side has fewer than ``MIN_RUNS`` runs:
+    two rounds a side once showed a 0.4 s ``verify`` regression that four
+    rounds did not.  Otherwise ``worse``: the change's median is worse than
+    the parent's by more than the bound.  ``unresolved``: otherwise, either
+    side's quartile spread exceeds the bound (relative to its median), unless
+    every change run is better than every parent run.  ``better``: the median
+    gain exceeds the bound, or every change run is better than every parent
+    run and the median gain exceeds the parent's quartile spread.
+    ``unchanged``: the rest.
     """
+    if min(len(parent), len(change)) < MIN_RUNS:
+        return "unresolved"
     sign = 1 if better == "higher" else -1
     p, c = quartiles(parent), quartiles(change)
     base = abs(p["median"]) or 1.0
@@ -158,16 +163,13 @@ def claim_rule(pairs: list[dict], parent: list[float], change: list[float]) -> d
 def verify_summary(verify_runs: list[dict]) -> dict:
     """Per ``verify`` command: each side's wall-time quartiles and the
     difference read by :func:`metric_verdict` (lower is better, bound
-    ``VERIFY_BOUND``).  With fewer than ``MIN_VERIFY_ROUNDS`` runs on either
-    side the verdict is ``unresolved``: two rounds a side once showed a 0.4 s
-    regression that four rounds did not."""
+    ``VERIFY_BOUND``)."""
     summary: dict = {}
     for command in dict.fromkeys(r["command"] for r in verify_runs):
         mine = [r for r in verify_runs if r["command"] == command]
         walls = [[r["wall_s"] for r in mine if r["side"] == side] for side in SIDES]
         entry: dict = {side: quartiles(w) for side, w in zip(SIDES, walls) if w}
-        entry["verdict"] = (metric_verdict(*walls, "lower", VERIFY_BOUND)
-                            if min(map(len, walls)) >= MIN_VERIFY_ROUNDS else "unresolved")
+        entry["verdict"] = metric_verdict(*walls, "lower", VERIFY_BOUND)
         summary[command] = entry
     return summary
 
