@@ -30,7 +30,7 @@ from pathlib import Path
 
 from .laurent import DEFAULT_DEPTH, CubicPolynomial, LambdaPoly, LaurentSeries2, ls_inverse_regular
 from .localdata import IdealFactorization, PlaceData, omega, zeta_value
-from .numerator import Plain, _add_term, plain, plain_coeffs
+from .numerator import Plain, _add_term, plain, plain_coeffs, unit_mul
 from .scalars import SC_ZERO, Scalar, format_scalar, parse_exact
 from .whittaker import _inv, _pow
 
@@ -145,10 +145,9 @@ def _log(p: int, log_map: LogMap = None) -> Plain:
     return complex(math.log(p))
 
 
-def _local_zeta_inverse_series(place: PlaceData, direction: str, sign: int,
-                               depth: int, log_map: LogMap = None) -> LaurentSeries2:
-    """zeta_v**(-1)(1 + 2*sign*u) = 1 - p**(-1) exp(-2*sign*u*log p) along u
-    (u is z, w or z+w for the directions "z", "w", "zw_plus").
+def _local_zeta_inverse_coeffs(p: int, sign: int, depth: int, log_map: LogMap = None) -> list:
+    """The coefficients, k = 0..depth, of zeta_v**(-1)(1 + 2*sign*u) =
+    1 - p**(-1) exp(-2*sign*u*log p) in u: one list serves every direction.
 
     The k-th coefficient is what ``Scalar(-1/p) * (Scalar(-2*sign) * log p)**k
     / Scalar(k!)``, plus 1 at k = 0, gives, formed without :class:`Scalar`.
@@ -158,7 +157,6 @@ def _local_zeta_inverse_series(place: PlaceData, direction: str, sign: int,
     order Scalar performs the operations in: the exact ``(p-1)/p`` at k = 0,
     then ``complex(-1/p) * x**k * complex(1/k!)`` with ``x = complex(-2*sign)
     * log p`` raised by :func:`~rankinlab.whittaker._pow`, as Scalar raises it."""
-    p = place.p
     logp = _log(p, log_map)
     coeffs: list = [Fraction(p - 1, p)]
     if logp.__class__ is complex:
@@ -170,7 +168,7 @@ def _local_zeta_inverse_series(place: PlaceData, direction: str, sign: int,
         for k in range(1, depth + 1):
             term = term * rate / k
             coeffs.append(term)
-    return LaurentSeries2.from_direction(coeffs, 0, direction, depth)
+    return coeffs
 
 
 def build_h(q: IdealFactorization, depth: int = DEFAULT_DEPTH,
@@ -183,21 +181,33 @@ def build_h(q: IdealFactorization, depth: int = DEFAULT_DEPTH,
     h3: zeta**(-1)(1+2z) zeta**(-1)(1)
     h4: zeta**(-1)(1-2z) zeta**(-1)(1-2w) zeta(1-2z-2w)/zeta(1)
 
-    One loop over the places builds each place's five distinct series once:
-    zeta**(-1)(1 +- 2z), zeta**(-1)(1 +- 2w) and the inverted z+w ratio.
+    One loop over the places computes each place's coefficients once per
+    sign (:func:`_local_zeta_inverse_coeffs`).  The same float operations run
+    in the same order as five series built each from its own list: the w
+    series is the z series with its keys swapped, since ``along`` multiplies
+    every value by the same ``complex(1)`` in both directions.  h1..h4 start
+    from the first place's factors as
+    :func:`~rankinlab.numerator.unit_mul` maps them: the values, exactness
+    and key order a product by ``LaurentSeries2.one()`` gives.
     """
-    hs = [LaurentSeries2.one()] * 4
+    hs: list[LaurentSeries2] = []
     for place in q.places:
         unit = Fraction(place.p - 1, place.p)  # zeta_v(1)**(-1)
-        z_plus, w_plus, z_minus, w_minus = (
-            _local_zeta_inverse_series(place, direction, sign, depth, log_map)
-            for sign in (1, -1) for direction in ("z", "w"))
+        plus, minus = (_local_zeta_inverse_coeffs(place.p, sign, depth, log_map)
+                       for sign in (1, -1))
+        z_plus, z_minus = (LaurentSeries2.from_direction(c, 0, "z", depth) for c in (plus, minus))
+        w_plus, w_minus = (LaurentSeries2._make(z.den, {(0, i): c for (i, _), c in
+                                                        z.terms.items()}, z.poles, depth)
+                           for z in (z_plus, z_minus))
         # zeta_v(1-2z-2w)/zeta_v(1): the inverse of the z+w factor, times unit
-        ratio = ls_inverse_regular(
-            _local_zeta_inverse_series(place, "zw_plus", -1, depth, log_map)).scale(unit)
+        ratio = ls_inverse_regular(LaurentSeries2.from_direction(minus, 0, "zw_plus",
+                                                                 depth)).scale(unit)
         local = (z_plus * w_plus, w_plus.scale(unit), z_plus.scale(unit),
                  z_minus * w_minus * ratio)
-        hs = [h * loc for h, loc in zip(hs, local)]
+        hs = ([h * loc for h, loc in zip(hs, local)] if hs else
+              [LaurentSeries2._make(*unit_mul((loc.den, loc.terms)), loc.poles, loc.depth)
+               for loc in local])
+    hs = hs or [LaurentSeries2.one()] * 4
     return tuple(h.truncated(depth) if h.depth > depth else h for h in hs)
 
 
@@ -388,6 +398,13 @@ def degenerate_limit(data: GlobalZetaData, q: IdealFactorization,
     simple poles, so depth 3 is the least that works (a smaller one is a
     ``ValueError`` naming ``--depth``); on both shipped documents depths 3,
     8 and 10 give the same cubic and correction.
+
+    The ``+`` chain raises each product to the common poles by
+    :meth:`LaurentSeries2.raised`, whose gain of one z+w or z-w on a numeric
+    numerator runs :func:`~rankinlab.numerator.times_linear`: the float
+    operations of the kernel product on the same operands in the same order,
+    and its exact values and key order, so the combination is unchanged bit
+    for bit.
     """
     if depth < MIN_DEPTH:
         raise ValueError(f"--depth {depth} is too shallow: the constant term of the "

@@ -38,13 +38,14 @@ from typing import Iterable
 
 from . import numerator as nm
 from .exactalg import Poly2, RationalFunction2, poly_div_exact
-from .numerator import LP_ZERO, Flat, LambdaPoly, Plain, SeriesNum, Terms  # noqa: F401
-from .scalars import Scalar, ScalarLike
+from .numerator import Flat, Plain, SeriesNum, Terms
+from .scalars import LP_ZERO, LambdaPoly, Scalar, ScalarLike  # noqa: F401
 
 EXACT_DEPTH = 10 ** 9  # sentinel depth for untruncated numerators
 DEFAULT_DEPTH = 8
 
 DIVISORS = ("z", "w", "zw_plus", "zw_minus")
+_SIGNS = {"zw_plus": 1, "zw_minus": -1}
 
 
 def _truncated(terms: Terms, depth: int) -> Terms:
@@ -57,7 +58,7 @@ def _truncated(terms: Terms, depth: int) -> Terms:
 
 def _num_val(terms: Terms) -> int:
     """Lowest total degree present (0 for the zero numerator)."""
-    return min((i + j for i, j in terms), default=0)
+    return 0 if (0, 0) in terms else min((i + j for i, j in terms), default=0)
 
 
 # -- the LambdaPoly-dict entry points of the kernels ------------------------------
@@ -176,12 +177,16 @@ class LaurentSeries2:
     def raised(self, poles: tuple[int, int, int, int]) -> "LaurentSeries2":
         """The same value over pole exponents at least its own: the numerator
         times each divisor to the power gained, valid one degree further per
-        factor."""
+        factor.  A numeric numerator gaining one z+w or z-w runs
+        :func:`~rankinlab.numerator.times_linear`, the kernel product's sums."""
         a, depth = (self.den, self.terms), self.depth
         for direction, e in zip(DIVISORS, (x - y for x, y in zip(poles, self.poles))):
-            if e:
+            if e == 1 and direction in _SIGNS and any(
+                    v.__class__ is complex for c in a[1].values() for v in c.values()):
+                a = nm.times_linear(a, _SIGNS[direction], depth + 1)
+            elif e:
                 a = nm.mul(a, nm.direction_power(direction, e), depth + e)
-                depth += e
+            depth += e
         return LaurentSeries2._make(*a, poles, depth)
 
     def __add__(self, other: "LaurentSeries2") -> "LaurentSeries2":
@@ -320,9 +325,19 @@ def ls_inverse_regular(a: LaurentSeries2) -> LaurentSeries2:
 
 def _expand_poly(poly: Poly2, depth: int, lp: dict[int, Plain]) -> Flat:
     """Substitute T1 = exp(-z*log_p), T2 = exp(-w*log_p) into a polynomial:
-    T1**i * T2**j is exp(-i*log_p*z) * exp(-j*log_p*w)."""
+    T1**i * T2**j is exp(-i*log_p*z) * exp(-j*log_p*w), and the monomials'
+    series are joined by ``num_add`` in the polynomial's order.  An exact
+    polynomial and a one-power nonzero exact log p (lam mode, a rational
+    surrogate) run :func:`~rankinlab.numerator.exp_monomial`: the exact
+    values and key order of the two products, which a numeric one runs, its
+    float order being pinned."""
+    e, v = next(iter(lp.items())) if len(lp) == 1 else (0, None)
+    closed = poly.den is not None and v.__class__ in (int, Fraction) and v != 0
     out: Flat = (1, {})
     for (i, j), coeff in poly.terms.items():
+        if closed:
+            out = nm.num_add(out, nm.exp_monomial(Fraction(coeff, poly.den), i, j, e, v, depth))
+            continue
         term = _lower_num({(0, 0): coeff if poly.den is None else Fraction(coeff, poly.den)})
         for direction, n in (("z", i), ("w", j)):
             if n:

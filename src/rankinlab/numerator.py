@@ -30,7 +30,10 @@ numerator, as :class:`LambdaPoly` sums drop them.  Products run in one of
 two loops, both in the product-sum kernel :func:`mul_sum` (of which
 :func:`mul` is the one-pair case): integers only, every pair rescaled to
 one common denominator and summed into one accumulator, or int or complex
-per term, pair by pair.  The inverse of an all-exact unit is an exact
+per term, pair by pair.  Three products give the loop's values and key
+order without it: by the unit (:func:`unit_mul`), of a numeric numerator
+and z+-w (:func:`times_linear`), of an exact monomial and its exponential
+(:func:`exp_monomial`).  The inverse of an all-exact unit is an exact
 inverse on integers, each output's recursion scaled by a power of the
 constant term.  Other inverses and the ``lam`` polynomials of ``exp``
 expansions (bar a one-power exact rate, in closed form) run on
@@ -49,9 +52,8 @@ series.  A product's key is the sum of its factors' keys, its sum lives in
 one dense list of (D+1)**2 * L slots, and the keys go back to the nested
 form in the order they first appeared.
 
-**View rule.**  :func:`view` builds the ``dict[(i, j)] -> LambdaPoly`` of
-:class:`Scalar` values a caller reads, in the kernel's key order; nothing in
-the arithmetic reads it.
+**View rule.**  :func:`view` builds the ``dict[(i, j)] -> LambdaPoly`` a
+caller reads, in the kernel's key order; no arithmetic reads it.
 """
 
 from __future__ import annotations
@@ -61,97 +63,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from typing import Iterable
 
-from .scalars import SC_ZERO, Scalar, ScalarLike
-
-
-class LambdaPoly:
-    """Polynomial in the formal symbol lam with Scalar coefficients."""
-
-    __slots__ = ("c",)
-
-    def __init__(self, coeffs: dict[int, Scalar] | None = None):
-        self.c = coeffs if coeffs is not None else {}
-
-    @classmethod
-    def const(cls, value: ScalarLike) -> "LambdaPoly":
-        v = Scalar.wrap(value)
-        return cls({} if v.is_zero() else {0: v})
-
-    @classmethod
-    def lam(cls, coeff: ScalarLike = 1, power: int = 1) -> "LambdaPoly":
-        v = Scalar.wrap(coeff)
-        return cls({} if v.is_zero() else {power: v})
-
-    def is_zero(self) -> bool:
-        return not self.c
-
-    def degree(self) -> int:
-        return max(self.c, default=-1)
-
-    def __add__(self, other: "LambdaPoly") -> "LambdaPoly":
-        out = dict(self.c)
-        for k, v in other.c.items():
-            cur = out.get(k)
-            s = v if cur is None else cur + v
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return LambdaPoly(out)
-
-    def __neg__(self) -> "LambdaPoly":
-        return LambdaPoly({k: -v for k, v in self.c.items()})
-
-    def __sub__(self, other: "LambdaPoly") -> "LambdaPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "LambdaPoly") -> "LambdaPoly":
-        if not self.c or not other.c:
-            return LambdaPoly()
-        out: dict[int, Scalar] = {}
-        for k1, v1 in self.c.items():
-            for k2, v2 in other.c.items():
-                k = k1 + k2
-                prod = v1 * v2
-                cur = out.get(k)
-                s = prod if cur is None else cur + prod
-                if s.is_zero():
-                    out.pop(k, None)
-                else:
-                    out[k] = s
-        return LambdaPoly(out)
-
-    def scale(self, factor: ScalarLike) -> "LambdaPoly":
-        f = Scalar.wrap(factor)
-        if f.is_zero():
-            return LambdaPoly()
-        return LambdaPoly({k: v * f for k, v in self.c.items()})
-
-    def coeff(self, k: int) -> Scalar:
-        return self.c.get(k, SC_ZERO)
-
-    def eval(self, lam: ScalarLike) -> Scalar:
-        lam = Scalar.wrap(lam)
-        total = SC_ZERO
-        for k, v in self.c.items():
-            total = total + v * lam ** k
-        return total
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LambdaPoly):
-            return NotImplemented
-        return set(self.c) == set(other.c) and all(self.c[k] == other.c[k] for k in self.c)
-
-    def __repr__(self):
-        if not self.c:
-            return "0"
-        return " + ".join(
-            f"({v})" + ("" if k == 0 else f"*lam^{k}" if k > 1 else "*lam")
-            for k, v in sorted(self.c.items())
-        )
-
-
-LP_ZERO = LambdaPoly()
+from .scalars import LambdaPoly, Scalar, ScalarLike
 
 SeriesNum = dict[tuple[int, int], LambdaPoly]
 Value = int | complex                              # a kernel-form coefficient
@@ -163,6 +75,7 @@ ROOT_REFUSAL = ("polynomials and series hold rational or numeric coefficients on
                 "square roots enter only as evaluation points")
 
 _C_MINUS_ONE = complex(-1.0)
+_C_ONE = complex(1)
 _EMPTY: dict = {}
 
 
@@ -414,6 +327,74 @@ def _reduced(den: int, terms: Terms) -> Flat:
                       for m, c in terms.items()}
 
 
+def unit_mul(a: Flat) -> Flat:
+    """The product of the unit and a truncated a: a's terms in
+    :func:`_by_degree` order, a complex c as ``0j + (1+0j)*c``, one gcd."""
+    den, terms = a
+    return _reduced(den, {m: {k: 0j + _C_ONE * v if v.__class__ is complex else v
+                              for k, v in sorted(terms[m].items())}
+                          for m in sorted(terms, key=lambda m: (m[0] + m[1], m))})
+
+
+def times_linear(a: Flat, sign: int, depth: int) -> Flat:
+    """a * (z + sign*w) to total degree depth for an a holding a complex
+    value, without flat keys: term (i, j, k) of a goes, in order, to
+    (i, j+1, k) times sign, then to (i+1, j, k), with :func:`_per_term_mul`'s
+    sums, each monomial's two targets looked up once.  A zero sum leaves its
+    target, an empty target the numerator, and a target whose first key
+    cancelled moves to where its first surviving key appeared.  One gcd;
+    with no exact value, den is 1."""
+    den, terms = a
+    cb, exact = complex(sign), False
+    out: Terms = {}
+    born: dict = {}  # target -> (visit, 0, side) of its first product
+    moved: dict = {}
+    for v, ((i, j), c) in enumerate(terms.items()):
+        if i + j >= depth:
+            continue
+        merged = []
+        if (tw := out.get(mw := (i, j + 1))) is None:
+            tw = out[mw] = {}
+            born[mw] = (v, 0, 0)
+        else:
+            merged.append((mw, tw, next(iter(tw)), 0))
+        if (tz := out.get(mz := (i + 1, j))) is None:
+            tz = out[mz] = {}
+            born[mz] = (v, 0, 1)
+        else:
+            merged.append((mz, tz, next(iter(tz)), 1))
+        for k, x in c.items():
+            s, t = tw.get(k), tz.get(k)
+            if x.__class__ is complex:
+                s = 0j if s is None else s if s.__class__ is complex else complex(s / den)
+                t = 0j if t is None else t if t.__class__ is complex else complex(t / den)
+                vw, vz = s + x * cb, t + x * _C_ONE
+            else:
+                exact = True
+                vw = (x * sign if s is None else s + x * sign if s.__class__ is int
+                      else s + complex(x * sign / den))
+                vz = x if t is None else t + x if t.__class__ is int else t + complex(x / den)
+            if vw:
+                tw[k] = vw
+            else:
+                del tw[k]
+            if vz:
+                tz[k] = vz
+            else:
+                del tz[k]
+        for m, t, head, side in merged:
+            if not t:
+                del out[m]
+            elif head not in t:
+                k, (v1, _, side1) = next(iter(t)), born[m]
+                first = list(terms[(m[0] - side1, m[1] - 1 + side1)])
+                moved[m] = ((v1, first.index(k), side1) if k in first
+                            else (v, list(c).index(k), side))
+    if moved:
+        out = {m: out[m] for m in sorted(out, key=lambda m: moved.get(m) or born[m])}
+    return _reduced(den, out) if exact else (1, out)
+
+
 def scaled(a: Flat, f: Plain) -> Flat:
     """Every value times the nonzero constant f, as ``value * f`` in Scalar
     arithmetic; nothing is dropped."""
@@ -508,6 +489,20 @@ def _one_power_exp(e: int, v: Fraction | int, depth: int) -> list[dict[int, Plai
             num, den = num * v.numerator, den * v.denominator * k
         coeffs.append({k * e: Fraction(num, den)})
     return coeffs
+
+
+def exp_monomial(c: Fraction, i: int, j: int, e: int, v: Fraction | int, depth: int) -> Flat:
+    """c * exp(-(i*z + j*w) * v * lam**e) to total degree depth, in the (a, b)
+    key order of its products along z and w: at z**a w**b, c * (-i*v)**a *
+    (-j*v)**b / (a! b!) times lam**((a+b)*e), each an integer over
+    den(c) * den(v)**n * n! (n = max a + b), reduced by one gcd."""
+    n = depth if i or j else 0
+    fact = [math.factorial(k) for k in range(n + 1)]
+    vn, vd, top = v.numerator, v.denominator, c.numerator * fact[n]
+    terms = {(a, b): {(a + b) * e: top // (fact[a] * fact[b]) * (-i * vn) ** a * (-j * vn) ** b
+                      * vd ** (n - a - b)}
+             for a in (range(n + 1) if i else (0,)) for b in (range(n + 1 - a) if j else (0,))}
+    return _reduced(c.denominator * vd ** n * fact[n], terms)
 
 
 def _carried(c: dict[int, Value], sign: int) -> dict[int, Value]:

@@ -8,7 +8,7 @@ _spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
 bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
 metric_verdict, claim_rule = bench_pairs.metric_verdict, bench_pairs.claim_rule
-verify_summary = bench_pairs.verify_summary
+verify_summary, summarize = bench_pairs.verify_summary, bench_pairs.summarize
 
 
 def test_metric_verdict_reads_each_metric_against_its_bound():
@@ -98,3 +98,36 @@ def test_verify_summary_is_unresolved_under_four_rounds_a_side():
     assert verify_summary(lone)["verify"]["verdict"] == "unresolved"
     assert "change" not in verify_summary(lone)["verify"]
 
+
+def _timed_run(side, pair, scaled, raw):
+    context = (f"# workload=degenerate-limit seed={pair} seconds=20 trace=0 rounds=24 "
+               f"wall_s=5.5 raw_certs_per_s={raw} raw_p50_ms=11.1")
+    metrics = {"certs_per_s": {"value": scaled}, "cert_p50_ms": {"value": 1000 / scaled}}
+    return {"pair": f"degenerate-limit/{pair}/0/{pair}", "side": side,
+            "workload": "degenerate-limit", "trace": 0, "context": context,
+            "result": {"metrics": metrics, "failed": 0, "attempted": 100}}
+
+
+def test_summary_reads_raw_throughput_beside_the_scaled_verdicts():
+    # scaled throughput up 10%, raw throughput down 20%: the summary shows both
+    scaled = {"parent": [100.0, 102.0, 98.0, 101.0], "change": [110.0, 112.0, 108.0, 111.0]}
+    raw = {"parent": [80.0, 82.0, 79.0, 81.0], "change": [64.0, 65.6, 63.2, 64.8]}
+    runs = [_timed_run(side, k, scaled[side][k], raw[side][k])
+            for k in range(4) for side in ("parent", "change")]
+    end_to_end = [{"name": "certs_per_s", "better": "higher", "bound": 0.05}]
+    summary, traced = summarize(runs, end_to_end)
+    entry = summary["degenerate-limit"]
+    assert traced == {} and entry["verdicts"] == {"certs_per_s": "better"}
+    assert entry["raw_certs_per_s"]["parent"]["median"] == pytest.approx(80.5)
+    assert entry["raw_certs_per_s"]["change"]["median"] == pytest.approx(64.4)
+    assert entry["raw_certs_per_s"]["change_over_parent"] == pytest.approx(0.8)
+    assert entry["raw_certs_per_s"]["verdict"] == "worse"
+    assert bench_pairs.context_value(runs[0]["context"], "raw_p50_ms") == 11.1
+    # a side whose context lines lack the field gives no raw entry
+    for run in runs[::2]:
+        run["context"] = "# workload=degenerate-limit seed=0"
+    assert bench_pairs.context_value(runs[0]["context"], "raw_certs_per_s") is None
+    assert "raw_certs_per_s" not in summarize(runs, end_to_end)[0]["degenerate-limit"]
+    # the raw verdict reads the certs_per_s bound of BENCHMARK.json, with no default
+    with pytest.raises(KeyError, match="certs_per_s"):
+        summarize(runs, [{"name": "cert_p50_ms", "better": "lower", "bound": 0.05}])

@@ -8,7 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rankinlab import cli, degenerate, verify
@@ -786,9 +786,16 @@ def test_degenerate_argv_ends_in_an_exit_code(argv):
         assert _exit_code(_written(argv, tmp)) in (0, 1, 2)
 
 
+def _with_norm_different(nd: int) -> str:
+    return json.dumps({**json.loads(MODEL_EXACT.read_text()), "norm_different": nd})
+
+
 @settings(max_examples=40, deadline=None)
 @given(document=ZETA_DOCUMENT, q=st.sampled_from(DEGENERATE_VALID["--q"]),
        depth=st.sampled_from(DEGENERATE_VALID["--depth"]))
+# the default profile's draws never reach a norm_different past the largest double
+@example(document=_with_norm_different(2 ** 1024), q="2", depth="8")
+@example(document=_with_norm_different(10 ** 400), q="2^1*3^1", depth="3")
 def test_degenerate_document_ends_in_an_exit_code(document, q, depth):
     with tempfile.TemporaryDirectory() as tmp:
         argv = _written(["degenerate", f"--q={q}", f"--data={document}", f"--depth={depth}"], tmp)

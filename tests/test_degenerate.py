@@ -4,19 +4,22 @@ import math
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
-
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from test_laurent import _assert_same_bits, _lambda_poly_inverse, _scalar_loop_mul
 
 from rankinlab import degenerate, laurent, numerator
-from rankinlab.degenerate import (GlobalZetaData, _local_zeta_inverse_series, build_G, build_h,
+from rankinlab.degenerate import (GlobalZetaData, _local_zeta_inverse_coeffs, build_G, build_h,
                                   correction_report, correction_sum_factor, degenerate_limit,
                                   symmetry_residuals, taylor_bound_report)
 from rankinlab.laurent import LaurentSeries2, ls_inverse_regular
 from rankinlab.localdata import IdealFactorization, PlaceData
 from rankinlab.scalars import Scalar
 from rankinlab.verify import TAYLOR_IDEALS, default_data, model_data
+from rankinlab.whittaker import _pow
 
 Q23 = IdealFactorization.parse("2^1*3^1")
 LOG_SURROGATES = {
@@ -332,10 +335,9 @@ LOG_MODES = {
 }
 
 
-def _scalar_local_zeta_inverse_series(place, direction, sign, depth, log_map=None):
+def _scalar_local_zeta_inverse_coeffs(p, sign, depth, log_map=None):
     """Reference: each coefficient as the Scalar expression
     -p**-1 (-2*sign*log p)**k / k!, plus 1 at k = 0."""
-    p = place.p
     logp = log_map[p] if log_map and p in log_map else Scalar.numeric(math.log(p))
     coeffs = []
     for k in range(depth + 1):
@@ -344,7 +346,30 @@ def _scalar_local_zeta_inverse_series(place, direction, sign, depth, log_map=Non
         if k == 0:
             term = term + Scalar.exact(1)
         coeffs.append(term)
+    return coeffs
+
+
+def _scalar_local_zeta_inverse_series(place, direction, sign, depth, log_map=None):
+    coeffs = _scalar_local_zeta_inverse_coeffs(place.p, sign, depth, log_map)
     return laurent.LaurentSeries2.from_direction(coeffs, 0, direction, depth)
+
+
+def _local_zeta_inverse_series(place, direction, sign, depth, log_map=None):
+    """Reference: the local series as build_h built each of its five per place,
+    every one from its own coefficient list (plain numbers in Scalar's order)."""
+    p = place.p
+    logp = degenerate._log(p, log_map)
+    coeffs = [Fraction(p - 1, p)]
+    if logp.__class__ is complex:
+        rate = complex(-2 * sign) * logp
+        coeffs += [complex(-1 / p) * _pow(rate, k) * complex(1 / math.factorial(k))
+                   for k in range(1, depth + 1)]
+    else:
+        rate, term = logp * (-2 * sign), Fraction(-1, p)
+        for k in range(1, depth + 1):
+            term = term * rate / k
+            coeffs.append(term)
+    return LaurentSeries2.from_direction(coeffs, 0, direction, depth)
 
 
 def _assert_same_series(got, want):
@@ -359,9 +384,10 @@ def test_local_zeta_factors_are_bitwise_the_scalar_expression(mode):
         place = PlaceData(p, 1)
         for sign in (1, -1):
             for depth in range(13):
+                coeffs = _local_zeta_inverse_coeffs(p, sign, depth, log_map)
                 for direction in ("z", "w", "zw_plus"):
                     args = (place, direction, sign, depth, log_map)
-                    _assert_same_series(_local_zeta_inverse_series(*args),
+                    _assert_same_series(LaurentSeries2.from_direction(coeffs, 0, direction, depth),
                                         _scalar_local_zeta_inverse_series(*args))
 
 
@@ -372,8 +398,8 @@ def test_build_h_is_bitwise_the_scalar_local_factors(mode, monkeypatch):
     ideals = [IdealFactorization.parse(spec) for spec in ("2^1", "3^2*5^1", "7^1*11^1*13^1")]
     got = [build_h(q, depth, log_map)[which - 1] for q in ideals for depth in depths
            for which in (1, 2, 3, 4)]
-    monkeypatch.setattr(degenerate, "_local_zeta_inverse_series",
-                        _scalar_local_zeta_inverse_series)
+    monkeypatch.setattr(degenerate, "_local_zeta_inverse_coeffs",
+                        _scalar_local_zeta_inverse_coeffs)
     want = [build_h(q, depth, log_map)[which - 1] for q in ideals for depth in depths
             for which in (1, 2, 3, 4)]
     for h, ref in zip(got, want):
@@ -461,7 +487,7 @@ def test_limit_products_are_bitwise_the_scalar_loop(load, depth):
 
 @pytest.mark.parametrize("p", (2, 9, 19))
 def test_build_h_inverse_is_bitwise_the_lambda_poly_loop(p, monkeypatch):
-    series = _local_zeta_inverse_series(PlaceData(p, 1), "zw_plus", -1, 10)
+    series = LaurentSeries2.from_direction(_local_zeta_inverse_coeffs(p, -1, 10), 0, "zw_plus", 10)
     calls = []
     branch = numerator._lam_free_inverse
     monkeypatch.setattr(numerator, "_lam_free_inverse",
@@ -513,3 +539,189 @@ def test_degenerate_limit_reprs_match_the_recorded_ones():
     assert list(got) == list(recorded)
     for name, text in got.items():
         assert text == recorded[name], name
+
+
+# -- the loop-free routes of build_h and the pole raise against the routes they
+#    replaced: five local series per place, products by one(), kernel raises
+
+def _reference_build_h(q, depth, log_map=None):
+    """Reference: build_h with five local series per place, each from its own
+    list, and h1..h4 started from LaurentSeries2.one()."""
+    hs = [LaurentSeries2.one()] * 4
+    for place in q.places:
+        unit = Fraction(place.p - 1, place.p)
+        z_plus, w_plus, z_minus, w_minus = (
+            _local_zeta_inverse_series(place, direction, sign, depth, log_map)
+            for sign in (1, -1) for direction in ("z", "w"))
+        ratio = ls_inverse_regular(
+            _local_zeta_inverse_series(place, "zw_plus", -1, depth, log_map)).scale(unit)
+        local = (z_plus * w_plus, w_plus.scale(unit), z_plus.scale(unit),
+                 z_minus * w_minus * ratio)
+        hs = [h * loc for h, loc in zip(hs, local)]
+    return tuple(h.truncated(depth) if h.depth > depth else h for h in hs)
+
+
+def _bits(s):
+    return repr((s.den, s.terms, s.poles, s.depth))
+
+
+SMALL_P = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19)
+LOG_MAPS = {
+    "default": lambda ps: None,
+    "fraction": lambda ps: {p: Fraction(p + 1, 3) if p % 2 else Fraction(-2, 7) for p in ps},
+    "complex": lambda ps: {p: complex(math.log(p), (-1) ** p * 0.25) if p % 3
+                           else complex(-math.log(p), -0.0) for p in ps},
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(SMALL_P), st.integers(1, 3)), min_size=1, max_size=3,
+                unique_by=lambda t: t[0]),
+       st.integers(3, 12), st.sampled_from(sorted(LOG_MAPS)))
+def test_build_h_is_bitwise_the_five_series_route(places, depth, logs):
+    q = IdealFactorization(tuple(PlaceData(p, r) for p, r in places))
+    log_map = LOG_MAPS[logs]([p for p, _ in places])
+    got, want = build_h(q, depth, log_map), _reference_build_h(q, depth, log_map)
+    assert [_bits(h) for h in got] == [_bits(h) for h in want]
+    for p, _ in places:
+        for sign in (1, -1):
+            # one list per sign, and the w series is the z series mirrored
+            coeffs = _local_zeta_inverse_coeffs(p, sign, depth, log_map)
+            for direction in ("z", "w", "zw_plus"):
+                assert (_bits(LaurentSeries2.from_direction(coeffs, 0, direction, depth))
+                        == _bits(_local_zeta_inverse_series(PlaceData(p, 1), direction, sign,
+                                                            depth, log_map)))
+
+
+_SPECIAL = st.sampled_from((0.0, -0.0, math.inf, -math.inf, math.nan, 0.5, -1.0, 2.5, 1e308))
+_COMPLEX = st.builds(complex, _SPECIAL, _SPECIAL).filter(bool)
+_INT = st.integers(-6, 6).filter(bool)
+_VALUES = {"exact": _INT, "numeric": _COMPLEX, "mixed": st.one_of(_INT, _COMPLEX)}
+
+
+@st.composite
+def _kernel_series(draw, poles=None, kind=None, depth=None):
+    """A series in kernel form: int or complex values (signed zeros, infinities
+    and NaN parts among them), lam powers, any key order, values mirrored
+    across the diagonal or negated there so that sums cancel exactly, and a
+    denominator that may share a factor with every value."""
+    values = _VALUES[kind or draw(st.sampled_from(sorted(_VALUES)))]
+    depth = draw(st.integers(0, 5)) if depth is None else depth
+    monomials = draw(st.permutations([(i, d - i) for d in range(depth + 1) for i in range(d + 1)]))
+    terms = {m: {k: draw(values) for k in draw(st.lists(st.integers(0, 3), min_size=1,
+                                                        max_size=3, unique=True))}
+             for m in monomials[:draw(st.integers(0, len(monomials)))]}
+    if draw(st.booleans()):
+        sign = draw(st.sampled_from((1, -1)))
+        for (i, j), c in list(terms.items()):
+            if i < j:
+                terms[(j, i)] = mirror = {k: sign * v for k, v in c.items()}
+                if draw(st.booleans()):  # only the first keys cancel
+                    mirror[draw(st.integers(0, 4))] = draw(values)
+    den = draw(st.sampled_from((1, 2, 6, 12, 35)))
+    if poles is None:
+        poles = draw(st.sampled_from(((1, 1, 1, 0), (1, 1, 0, 1), (0, 0, 0, 0), (1, 0, 1, 1))))
+    return LaurentSeries2._make(den, terms, poles, depth)
+
+
+@st.composite
+def _four_products(draw):
+    kind = draw(st.sampled_from(sorted(_VALUES)))
+    depth = draw(st.one_of(st.none(), st.integers(0, 5)))
+    layouts = draw(st.sampled_from((((1, 1, 1, 0), (1, 1, 0, 1), (1, 1, 0, 1), (1, 1, 1, 0)),
+                                    ((1, 1, 0, 1), (1, 1, 1, 0), (1, 1, 1, 0), (1, 1, 0, 1)),
+                                    (None,) * 4)))
+    return [draw(_kernel_series(poles, kind, depth)) for poles in layouts]
+
+
+def _kernel_raised(s, poles):
+    """Reference: the pole raise as one kernel product per divisor gained."""
+    a, depth = (s.den, s.terms), s.depth
+    for direction, e in zip(laurent.DIVISORS, (x - y for x, y in zip(poles, s.poles))):
+        if e:
+            a = numerator.mul(a, numerator.direction_power(direction, e), depth + e)
+            depth += e
+    return LaurentSeries2._make(*a, poles, depth)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_four_products())
+def test_add_chain_is_bitwise_the_kernel_raise(series):
+    # values, int/complex types, signed zeros, NaN parts, key order, den, depth
+    a, b, c, d = series
+    got = _bits(a + b + c + d)
+    for s in series:
+        top = tuple(map(max, *(t.poles for t in series)))
+        assert _bits(s.raised(top)) == _bits(_kernel_raised(s, top))
+    with mock.patch.object(LaurentSeries2, "raised", _kernel_raised):
+        assert got == _bits(a + b + c + d)
+
+
+@pytest.mark.parametrize("log_map", [None, RATIONAL_LOGS], ids=["numeric", "rational"])
+@pytest.mark.parametrize("spec, depth", [("2^1*3^2*7^1*11^1", 10), ("5^2*13^1", 8)])
+@pytest.mark.parametrize("load", [model_data, default_data], ids=["model", "rationalfield"])
+def test_add_chain_is_bitwise_the_kernel_raise_on_the_limit_products(load, spec, depth, log_map,
+                                                                     monkeypatch):
+    # G(+-z, +-w) h_i are symmetric in z and w up to rounding, so raising them
+    # by z - w cancels the first keys of some monomials and not the rest
+    g, hs = build_G(load(), depth), build_h(IdealFactorization.parse(spec), depth, log_map)
+    a, b, c, d = [g.flip(*flips) * h for flips, h in zip(_FLIP_PAIRS, hs)]
+    got = _bits(a + b + c + d)
+    monkeypatch.setattr(LaurentSeries2, "raised", _kernel_raised)
+    assert got == _bits(a + b + c + d)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_kernel_series(kind="mixed"), st.sampled_from(("zw_plus", "zw_minus")),
+       st.integers(0, 7))
+def test_times_linear_is_bitwise_the_kernel_product(s, direction, depth):
+    if all(v.__class__ is int for c in s.terms.values() for v in c.values()):
+        return  # an all-exact numerator keeps the integer product loop
+    got = numerator.times_linear((s.den, s.terms), 1 if direction == "zw_plus" else -1, depth)
+    want = numerator.mul((s.den, s.terms), numerator.direction_power(direction, 1), depth)
+    assert repr(got) == repr(want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_kernel_series(poles=(0, 0, 0, 0)), st.integers(1, 7))
+@example(LaurentSeries2._make(6, {(1, 0): {0: complex(-0.0, 1.0)}, (0, 0): {0: 4, 2: -2}},
+                              (0, 0, 0, 0), 2), 1)
+def test_unit_mul_is_bitwise_the_product_by_one(s, factor):
+    # the (0, 0) entry of the example is not reduced by its gcd with den 6
+    s = LaurentSeries2._make(s.den * factor, s.terms, s.poles, s.depth)
+    got = LaurentSeries2._make(*numerator.unit_mul((s.den, s.terms)), s.poles, s.depth)
+    assert _bits(got) == _bits(LaurentSeries2.one() * s)
+
+
+@pytest.mark.parametrize("log_map", [None, RATIONAL_LOGS, NUMERIC_LOGS],
+                         ids=["default", "rational", "numeric"])
+@pytest.mark.parametrize("load", [model_data, default_data], ids=["model", "rationalfield"])
+def test_degenerate_limit_raises_by_the_linear_route_and_multiplies_none_by_one(
+        load, log_map, monkeypatch):
+    # h1..h4 start from the first place's factors: no product by
+    # LaurentSeries2.one(); the + chain's z+w and z-w raises skip the kernel
+    q = IdealFactorization.parse("2^1*3^2*7^1")
+    want = repr(degenerate_limit(load(), q, 8, log_map))
+    one, mul, linear, raises = LaurentSeries2.one(), LaurentSeries2.__mul__, [], []
+    linear_factors = [numerator.direction_power(d, 1) for d in ("zw_plus", "zw_minus")]
+
+    def no_unit(a, b):
+        for x in (a, b):
+            assert _bits(x) != _bits(one), "a product by LaurentSeries2.one()"
+        return mul(a, b)
+
+    def kernel(a, b, depth):
+        if b in linear_factors and any(v.__class__ is complex
+                                       for c in a[1].values() for v in c.values()):
+            raises.append(b)
+        return numerator.mul_sum(((a, b),), depth)
+
+    times_linear = numerator.times_linear
+    monkeypatch.setattr(LaurentSeries2, "__mul__", no_unit)
+    monkeypatch.setattr(numerator, "mul", kernel)
+    monkeypatch.setattr(numerator, "times_linear",
+                        lambda *args: linear.append(1) or times_linear(*args))
+    assert repr(degenerate_limit(load(), q, 8, log_map)) == want
+    assert not raises
+    # the model document with rational logs is exact end to end: no numeric raise
+    assert bool(linear) == (load is not model_data or log_map is not RATIONAL_LOGS)

@@ -1417,6 +1417,67 @@ def test_ls_from_rational_equals_the_replaced_loops(p, r):
     assert compared >= 30
 
 
+# -- the closed-form monomial exponentials against the two products they replaced --
+
+def _product_expand_poly(poly, depth, lp):
+    """Reference: each monomial's exp(-(i*z + j*w)*log_p) as two kernel products
+    of exp series along z and w, joined by num_add."""
+    out = (1, {})
+    for (i, j), coeff in poly.terms.items():
+        term = laurent._lower_num({(0, 0): Fraction(coeff, poly.den)})
+        for direction, n in (("z", i), ("w", j)):
+            if n:
+                rate = {k: -n * v for k, v in lp.items()}
+                term = numerator.mul(term, numerator.along(
+                    direction, numerator.exp_coeffs(rate, depth), depth), depth)
+        out = numerator.num_add(out, term)
+    return out
+
+
+_EXACT_LOGS = st.one_of(st.just({1: Fraction(1)}), st.just({1: 1}),
+                        st.builds(lambda n: {0: n}, st.integers(-5, 5).filter(bool)),
+                        st.builds(lambda q: {0: q}, _rationals),
+                        st.builds(lambda q: {2: q}, _rationals))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                       st.fractions(min_value=-9, max_value=9, max_denominator=12).filter(bool),
+                       min_size=1, max_size=6),
+       _EXACT_LOGS, st.integers(0, 10))
+def test_expand_poly_closed_form_is_the_product_route(coeffs, lp, depth):
+    # lam mode, int and Fraction surrogates, a polynomial over a denominator:
+    # the same den, keys, key order and exact values
+    poly = Poly2(coeffs)
+    got, want = laurent._expand_poly(poly, depth, lp), _product_expand_poly(poly, depth, lp)
+    assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("p, r", [(2, 1), (9, 3)])
+def test_lambda_mode_expands_its_polynomials_without_products(p, r, monkeypatch):
+    # a lam-mode expansion writes each monomial's exponential in closed form:
+    # no numerator.mul runs inside _expand_poly
+    f = correction_factor_rf(PlaceData(p, r))
+    want = ls_from_rational(f, 8, log_p="lambda")
+    expand, mul, inside = laurent._expand_poly, numerator.mul, [0]
+
+    def expanding(*args):
+        inside[0] += 1
+        try:
+            return expand(*args)
+        finally:
+            inside[0] -= 1
+
+    def no_product(*args):
+        assert not inside[0], "a kernel product inside the polynomial expansion"
+        return mul(*args)
+
+    monkeypatch.setattr(laurent, "_expand_poly", expanding)
+    monkeypatch.setattr(numerator, "mul", no_product)
+    got = ls_from_rational(f, 8, log_p="lambda")
+    assert (got.den, got.terms, got.poles) == (want.den, want.terms, want.poles)
+
+
 @pytest.mark.parametrize("idx", sorted(_POLE_SHIFTS))
 @pytest.mark.parametrize("p, r", [(2, 1), (5, 3)])
 def test_cancelling_divisor_factors_expand_in_lambda_mode(idx, p, r):

@@ -20,7 +20,8 @@ workload's summary also holds ``claim_rule`` (``certs_per_s`` pairs won by the
 change out of pairs run, at least 9/10 of at least 10, and the median gap
 against the parent's quartile spread) and ``verdicts``: every end-to-end
 metric of ``BENCHMARK.json`` read as better, unchanged, worse or unresolved
-against its bound (:func:`metric_verdict`).
+against its bound (:func:`metric_verdict`); beside them ``raw_certs_per_s``,
+the unscaled throughput of each run's context line (:func:`raw_summary`).
 """
 
 from __future__ import annotations
@@ -160,6 +161,32 @@ def claim_rule(pairs: list[dict], parent: list[float], change: list[float]) -> d
             "gap_rule_met": gap > spread, "met": pairs_ok and gap > spread}
 
 
+def context_value(context: str, key: str) -> float | None:
+    """The number ``key=`` gives in a run's ``# ...`` context line, or None."""
+    for field in context.split():
+        name, sep, value = field.partition("=")
+        if sep and name == key:
+            return float(value)
+    return None
+
+
+def raw_summary(runs: list[dict], bound: float) -> dict | None:
+    """``raw_certs_per_s`` of the context lines, unscaled by certbench's
+    calibration: each side's quartiles, the ratio of the medians and the
+    verdict of :func:`metric_verdict` against ``bound``.  Raw and scaled
+    medians can disagree in sign when the host's speed moves between runs.
+    None while a side has no run that reports it."""
+    raw = [[v for r in runs if r["side"] == side
+            and (v := context_value(r["context"], "raw_certs_per_s")) is not None]
+           for side in SIDES]
+    if not all(raw):
+        return None
+    entry: dict = {side: quartiles(v) for side, v in zip(SIDES, raw)}
+    entry["change_over_parent"] = entry["change"]["median"] / entry["parent"]["median"]
+    entry["verdict"] = metric_verdict(*raw, "higher", bound)
+    return entry
+
+
 def verify_summary(verify_runs: list[dict]) -> dict:
     """Per ``verify`` command: each side's wall-time quartiles and the
     difference read by :func:`metric_verdict` (lower is better, bound
@@ -177,6 +204,7 @@ def verify_summary(verify_runs: list[dict]) -> dict:
 def summarize(runs: list[dict], end_to_end: list[dict]) -> tuple[dict, dict]:
     summary: dict = {}
     traced: dict = {}
+    bounds = {m["name"]: m["bound"] for m in end_to_end}  # the raw figure reads certs_per_s's
     for run in runs:
         if run["trace"]:
             metrics = {k: v["value"] for k, v in run["result"]["metrics"].items()}
@@ -205,6 +233,8 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> tuple[dict, dict]:
         entry["verdicts"] = {m["name"]: metric_verdict(*values[m["name"]], m["better"],
                                                        m["bound"])
                              for m in end_to_end if m["name"] in values}
+        if raw := raw_summary(mine, bounds["certs_per_s"]):
+            entry["raw_certs_per_s"] = raw
         for key in ("failed", "attempted"):
             entry[key] = {side: sum(r["result"][key] for r in mine if r["side"] == side)
                           for side in SIDES}
