@@ -14,9 +14,8 @@ Their Laurent data at the relevant points is *ingested*, never computed here.
 final limit is extracted coefficient-by-coefficient as a polynomial in lam.
 
 From the document to the report every value is a ``Fraction`` or a
-``complex``, computed in the float order of :class:`Scalar` arithmetic (the
-ring rule of :mod:`rankinlab.whittaker`); :class:`Scalar` enters only in
-:class:`DegenerateReport` and :class:`CorrectionReport`.
+``complex``, under the ring rule of :mod:`rankinlab.scalars`; :class:`Scalar`
+enters only in :class:`DegenerateReport` and :class:`CorrectionReport`.
 """
 
 from __future__ import annotations
@@ -30,9 +29,9 @@ from pathlib import Path
 
 from .laurent import DEFAULT_DEPTH, CubicPolynomial, LambdaPoly, LaurentSeries2, ls_inverse_regular
 from .localdata import IdealFactorization, PlaceData, omega, zeta_value
-from .numerator import Plain, _add_term, plain, plain_coeffs, unit_mul
-from .scalars import SC_ZERO, Scalar, format_scalar, parse_exact
-from .whittaker import _inv, _pow
+from .numerator import _add_term, unit_mul
+from .scalars import (SC_ZERO, Plain, Scalar, _inv, _plain, _plain_coeffs, _pow, format_scalar,
+                      parse_exact)
 
 SPLIT_TOL = 1e-9  # split remainders within SPLIT_TOL * max(1, max |coefficient|) are 0
 MIN_DEPTH = 3  # G's three simple poles put the limit at numerator degree 3
@@ -99,7 +98,7 @@ class GlobalZetaData:
             try:
                 if type(v) not in (str, int, float):  # a bool is no number
                     raise ValueError(f"must be a number or a number string, got {v!r}")
-                value = plain(parse_exact(v) if isinstance(v, str) else Scalar.wrap(v))
+                value = _plain(parse_exact(v) if isinstance(v, str) else Scalar.wrap(v))
                 if value.__class__ is not complex or math.isfinite(abs(value)):
                     return value
                 raise ValueError(f"must be finite, got {v!r}")
@@ -138,10 +137,9 @@ LogMap = dict[int, Scalar | Plain] | None
 def _log(p: int, log_map: LogMap = None) -> Plain:
     """log p as a plain number; a log_map entry (an exact rational surrogate,
     under which every structural identity still holds, or a numeric value)
-    takes precedence, and :func:`~rankinlab.numerator.plain` refuses a
-    square-root one."""
+    takes precedence, and ``scalars._plain`` refuses a square-root one."""
     if log_map and p in log_map:
-        return plain(log_map[p])
+        return _plain(log_map[p])
     return complex(math.log(p))
 
 
@@ -156,7 +154,7 @@ def _local_zeta_inverse_coeffs(p: int, sign: int, depth: int, log_map: LogMap = 
     value in any order.  A numeric log p (a ``complex``) takes the
     order Scalar performs the operations in: the exact ``(p-1)/p`` at k = 0,
     then ``complex(-1/p) * x**k * complex(1/k!)`` with ``x = complex(-2*sign)
-    * log p`` raised by :func:`~rankinlab.whittaker._pow`, as Scalar raises it."""
+    * log p`` raised by ``scalars._pow``, as Scalar raises it."""
     logp = _log(p, log_map)
     coeffs: list = [Fraction(p - 1, p)]
     if logp.__class__ is complex:
@@ -302,16 +300,6 @@ class CorrectionReport:
     implied_c_cubed: Scalar | None
 
 
-def correction_report(data: GlobalZetaData, q: IdealFactorization,
-                      depth: int = DEFAULT_DEPTH, log_map: LogMap = None) -> CorrectionReport:
-    """``value`` is the limit at the origin of G(-z,-w) h4(z,w) * 8zw(z+w) *
-    sum-factor: 8zw(z+w) clears the triple pole of the flipped pole factor, so
-    the limit is finite (and lam-free), and the proportionality constant comes
-    out of the series arithmetic rather than a hard-coded formula."""
-    return _correction(data, q, build_G(data, depth).flip(True, True)
-                       * build_h(q, depth, log_map)[3], log_map)
-
-
 def _zeta_q1(q: IdealFactorization) -> Fraction | int:
     """zeta_q(1), the product of zeta_v(1) over the places of q."""
     return math.prod(zeta_value(pl, 1) for pl in q.places)
@@ -319,13 +307,17 @@ def _zeta_q1(q: IdealFactorization) -> Fraction | int:
 
 def _correction(data: GlobalZetaData, q: IdealFactorization, g_mm_h4: LaurentSeries2,
                 log_map: LogMap) -> CorrectionReport:
-    """The correction limit from a given product G(-z,-w) h4(z,w)."""
+    """The correction from a given product G(-z,-w) h4(z,w): ``value`` is the
+    limit at the origin of G(-z,-w) h4(z,w) * 8zw(z+w) * sum-factor.  8zw(z+w)
+    clears the triple pole of the flipped pole factor, so the limit is finite
+    (and lam-free), and the proportionality constant comes out of the series
+    arithmetic rather than a hard-coded formula."""
     sum_factor = correction_sum_factor(q, log_map)
     if not q.places:
         return CorrectionReport(SC_ZERO, SC_ZERO, None)
     product = g_mm_h4 * LaurentSeries2({(2, 1): 8, (1, 2): 8})
     abs_tol = SPLIT_TOL * max(1.0, product.max_abs())
-    const = plain_coeffs(product.constant_term(abs_tol))
+    const = _plain_coeffs(product.constant_term(abs_tol))
     if max(const, default=0) > 0:
         raise AssertionError("correction limit should be lam-free")
     c0 = const.get(0, Fraction(0))
@@ -425,9 +417,9 @@ def degenerate_limit(data: GlobalZetaData, q: IdealFactorization,
             f"four-term combination has a nonzero singular part "
             f"(max coefficient {singular_mag:.3e}); this signals an implementation bug"
         )
-    const = plain_coeffs(regular.coeff(0, 0))
+    const = _plain_coeffs(regular.coeff(0, 0))
     corr = _correction(data, q, g_mm_h4, log_map)
-    if value := plain(corr.value):  # a zero correction subtracts nothing
+    if value := _plain(corr.value):  # a zero correction subtracts nothing
         _add_term(const, 0, -value)
     # degree > 3 must die by itself; record how close to zero it is
     lambda_excess = max((abs(complex(v)) for k, v in const.items() if k > 3), default=0.0)

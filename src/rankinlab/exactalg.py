@@ -3,15 +3,15 @@
 A :class:`Poly2` lives in one of two rings: ``int`` numerators ``terms: (i, j)
 -> int`` over one positive ``den``, reduced so equal polynomials have equal
 forms, or, with any numeric coefficient, ``den = None`` and ``complex`` values.
-Coefficients enter through :func:`rankinlab.numerator.plain`: square roots
-enter only as evaluation points.  Zero coefficients are never stored, and
-:attr:`Poly2.c` is a ``Scalar`` view built per read.
+Coefficients enter through ``scalars._plain``: square roots enter only as
+evaluation points.  Zero coefficients are never stored, and :attr:`Poly2.c`
+is a ``Scalar`` view built per read.
 
-**Ring rule.**  Integer forms add, multiply, divide and compare on the
-integers, anything else on complex values as ``Scalar`` forms them: an
-exact value enters as ``complex(n / den)``, products are complex times
-complex, and a monomial whose sum reaches zero is dropped, so key order does
-not depend on the ring.  A sum whose numeric values all cancel stays integer.
+**Rings.**  Integer forms add, multiply, divide and compare on the integers,
+anything else on complex values under the ring rule of
+:mod:`rankinlab.scalars`, and a monomial whose sum reaches zero is dropped,
+so key order does not depend on the ring.  A sum whose numeric values all
+cancel stays integer.
 Numeric polynomials compare only at a point: ``==`` raises ``ValueError``.
 At exact points of one field Q or Q(sqrt(s)), :meth:`Poly2.eval` and
 :meth:`RationalFunction2.eval_t` sum on integers and build one Scalar.
@@ -32,8 +32,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .numerator import plain
-from .scalars import SC_ONE, SC_ZERO, Scalar, ScalarLike, _binary_power
+from .scalars import (SC_ONE, SC_ZERO, Scalar, ScalarLike, _binary_power, _inv, _lifted, _plain,
+                      _pow, _ring)
 
 Monomial = tuple[int, int]
 POLE_TOL = 1e-12
@@ -49,7 +49,7 @@ class Poly2:
     __slots__ = ("den", "terms")
 
     def __init__(self, coeffs: dict[Monomial, ScalarLike] | None = None):
-        values = {m: q for m, v in (coeffs or {}).items() if (q := plain(v))}
+        values = {m: q for m, v in (coeffs or {}).items() if (q := _plain(v))}
         if any(q.__class__ is complex for q in values.values()):
             self.den, self.terms = None, {m: complex(q) for m, q in values.items()}
         else:
@@ -66,10 +66,7 @@ class Poly2:
     @property
     def c(self) -> dict[Monomial, Scalar]:
         """The coefficients as exact or numeric Scalars, built on each read."""
-        den = self.den
-        if den is None:
-            return {m: Scalar.numeric(z) for m, z in self.terms.items()}
-        return {m: Scalar.exact(Fraction(n, den)) for m, n in self.terms.items()}
+        return _lifted(self.terms, self.den)
 
     def _complex(self) -> dict[Monomial, complex]:
         d = self.den
@@ -85,7 +82,7 @@ class Poly2:
     def monomial(cls, i: int, j: int, coeff: ScalarLike = 1) -> "Poly2":
         if i < 0 or j < 0:
             raise ValueError("Poly2 exponents must be nonnegative")
-        q = plain(coeff)
+        q = _plain(coeff)
         if q.__class__ is complex:
             return cls._make(None, {(i, j): q} if q else {})
         return cls._make(q.denominator, {(i, j): q.numerator} if q else {})
@@ -138,7 +135,7 @@ class Poly2:
         return _int_mul(self.den, self.terms, other.den, other.terms)
 
     def scale(self, factor: ScalarLike) -> "Poly2":
-        f = plain(factor)
+        f = _plain(factor)
         if not f:
             return Poly2._make(1, {})
         if self.den is not None and f.__class__ is not complex:
@@ -451,12 +448,12 @@ class RationalFunction2:
         lm = poly.lead_monomial()
         if poly.den is None:
             lead = poly.terms[lm]
-            poly = poly.scale(1.0 / lead)
-            num = num.scale(1 / _binary_power(lead, exp, 1 + 0j))
+            poly = poly.scale(_inv(lead))
+            num = num.scale(_inv(_pow(lead, exp)))
         elif poly.terms[lm] != poly.den:
             lead = Fraction(poly.terms[lm], poly.den)
-            poly = poly._times(1 / lead)
-            num = num.scale(1 / lead ** exp)
+            poly = poly._times(_inv(lead))
+            num = num.scale(_inv(_pow(lead, exp)))
         if len(poly.terms) == 1 and lm == (0, 0):
             return RationalFunction2(num, dict(self.fac), self.p)
         key = poly.key()
@@ -486,7 +483,7 @@ class RationalFunction2:
 
     def __truediv__(self, other) -> "RationalFunction2":
         if isinstance(other, (int, Fraction, Scalar)):
-            num = self.num.scale(Fraction(1) / plain(other))
+            num = self.num.scale(_inv(_plain(other)))
             return RationalFunction2(num, dict(self.fac), self.p)
         self._check(other)
         res = RationalFunction2(self.num * other.den_expanded(), dict(self.fac), self.p)
@@ -623,6 +620,14 @@ def power_of_p(p: int, exponent: ScalarLike, sign: int = 1) -> Scalar:
     k = e.numerator * sign // d
     whole = Fraction(p ** k) if k >= 0 else Fraction(1, p ** -k)
     return Scalar.exact(whole) if d == 1 else Scalar.root(p, whole)
+
+
+def _p_power(p: int, e, sign: int = 1):
+    """:func:`power_of_p` ``(p, e, sign)`` on the ring of its value; a numeric
+    exponent takes its numeric branch without a Scalar."""
+    if e.__class__ is complex:
+        return complex(p) ** (sign * e)
+    return _ring(power_of_p(p, e, sign))
 
 
 def nonzero_factor(factor, what: str):

@@ -22,7 +22,7 @@ Every operation here (product, sum with pole raising, negation, flip,
 scaling, divisor peeling, inverse, expansion of rational functions, and the
 four-term combination as one product per sign-parity class of G) runs on
 that form and gives the values, exactness, key order and float bits of
-:class:`Scalar` arithmetic (the ring rule of that module).
+:class:`Scalar` arithmetic (the ring rule of :mod:`rankinlab.scalars`).
 :attr:`LaurentSeries2.num` is a read-only view, built on each read:
 ``dict[(i, j)] -> LambdaPoly`` of :class:`Scalar` values in the kernel's key
 order.  :meth:`~LaurentSeries2.coeff` and :meth:`~LaurentSeries2.constant_term`
@@ -38,8 +38,9 @@ from typing import Iterable
 
 from . import numerator as nm
 from .exactalg import Poly2, RationalFunction2, poly_div_exact
-from .numerator import Flat, Plain, SeriesNum, Terms
-from .scalars import LP_ZERO, LambdaPoly, Scalar, ScalarLike  # noqa: F401
+from .numerator import Flat, Terms
+from .scalars import (LP_ZERO, LambdaPoly, Plain, Scalar, ScalarLike, SeriesNum,  # noqa: F401
+                      _lifted, _plain_coeffs, _view)
 
 EXACT_DEPTH = 10 ** 9  # sentinel depth for untruncated numerators
 DEFAULT_DEPTH = 8
@@ -66,19 +67,19 @@ def _num_val(terms: Terms) -> int:
 def _lower_num(num: dict) -> Flat:
     """Kernel form of a numerator given as (i, j) -> LambdaPoly, Scalar or
     Python number; zero entries are left out."""
-    return nm.lower({m: c for m, v in num.items() if (c := nm.plain_coeffs(v))})
+    return nm.lower({m: c for m, v in num.items() if (c := _plain_coeffs(v))})
 
 
 def _num_mul(a: SeriesNum, b: SeriesNum, depth: int) -> SeriesNum:
     """Product of two ``dict[(i, j)] -> LambdaPoly`` numerators up to total
     degree depth, through the kernel form."""
-    return nm.view(*nm.mul(_lower_num(a), _lower_num(b), depth))
+    return _view(*nm.mul(_lower_num(a), _lower_num(b), depth))
 
 
 def _series_inverse(num: SeriesNum, depth: int) -> SeriesNum:
     """Inverse of a unit ``dict[(i, j)] -> LambdaPoly`` numerator up to total
     degree depth, through the kernel form."""
-    return nm.view(*nm.inverse(_lower_num(num), depth))
+    return _view(*nm.inverse(_lower_num(num), depth))
 
 
 class LaurentSeries2:
@@ -113,7 +114,7 @@ class LaurentSeries2:
     @property
     def num(self) -> SeriesNum:
         """The numerator as ``dict[(i, j)] -> LambdaPoly``, built on each read."""
-        return nm.view(self.den, self.terms)
+        return _view(self.den, self.terms)
 
     # -- constructors ------------------------------------------------------
 
@@ -134,7 +135,7 @@ class LaurentSeries2:
         poles = [0, 0, 0, 0]
         if pole_order:
             poles[DIVISORS.index(direction)] = pole_order
-        den, terms = nm.along(direction, [nm.plain_coeffs(x) for x in coeffs], depth)
+        den, terms = nm.along(direction, [_plain_coeffs(x) for x in coeffs], depth)
         return cls._make(den, terms, tuple(poles), depth)
 
     @classmethod
@@ -142,7 +143,7 @@ class LaurentSeries2:
         """exp(rate * dir) truncated to the requested depth."""
         if direction not in DIVISORS:
             raise ValueError(f"unknown direction {direction}")
-        den, terms = nm.along(direction, nm.exp_coeffs(nm.plain_coeffs(rate), depth), depth)
+        den, terms = nm.along(direction, nm.exp_coeffs(_plain_coeffs(rate), depth), depth)
         return cls._make(den, terms, (0, 0, 0, 0), depth)
 
     # -- basic operations ----------------------------------------------------
@@ -155,7 +156,7 @@ class LaurentSeries2:
         return LaurentSeries2._make(self.den, _truncated(self.terms, depth), self.poles, depth)
 
     def scale(self, factor) -> "LaurentSeries2":
-        f = nm.plain_coeffs(factor)
+        f = _plain_coeffs(factor)
         if not f:
             return LaurentSeries2._make(1, {}, self.poles, self.depth)
         if max(f) == 0:
@@ -296,7 +297,7 @@ class LaurentSeries2:
 
     def coeff(self, i: int, j: int) -> LambdaPoly:
         c = self.terms.get((i, j))
-        return LambdaPoly(nm.lifted(c, self.den)) if c else LambdaPoly()
+        return LambdaPoly(_lifted(c, self.den)) if c else LambdaPoly()
 
     def max_abs(self) -> float:
         return max((nm.max_abs(c, self.den) for c in self.terms.values()), default=0.0)
@@ -404,7 +405,7 @@ def ls_from_rational(f: RationalFunction2, depth: int = DEFAULT_DEPTH,
             raise ValueError(f"unknown log_p mode {log_p!r}")
         lp = {1: Fraction(1)}
     else:
-        lp = nm.plain_coeffs(log_p)
+        lp = _plain_coeffs(log_p)
 
     num_red, num_counts = _peel_divisors(f.num)
     den_counts = [0, 0, 0, 0]

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactalg import Poly2, RationalFunction2
-from .numerator import plain
-from .scalars import Scalar, ScalarLike
+from .scalars import Scalar, ScalarLike, _plain
 
 
 def is_prime_power(n: int) -> bool:
@@ -139,7 +138,7 @@ def zeta_local(place: PlaceData, shift: Shift, alpha: ScalarLike = 1) -> Rationa
     k = m.numerator
     c = Fraction(1, p ** k) if k >= 0 else Fraction(p ** -k)
     if not (alpha.__class__ is int and alpha == 1):  # zeta_v takes p**(-m) as it is
-        c = plain(alpha) * c
+        c = _plain(alpha) * c
     lift, mono = (max(0, -a), max(0, -b)), (max(0, a), max(0, b))
     num = Poly2._make(1, {lift: 1})
     if c.__class__ is complex or not c or lift == mono:

@@ -9,40 +9,35 @@ nested dict ``terms: (i, j) -> {k: value}``, ``k`` being the power of
 * an ``int``, an exact rational: the numerator over ``den``;
 * a ``complex``, a numeric coefficient.
 
-Those are the two rings a series (and a ``Poly2``) lives in.  A square-root
-value of :class:`Scalar` has no kernel form: :func:`plain`, where every
-coefficient of either enters, refuses it with ``ValueError`` (:data:`ROOT_REFUSAL`).
+Those are the two rings a series (and a ``Poly2``) lives in; a square-root
+value has no kernel form, and ``scalars._plain`` refuses it where a
+coefficient enters.  This module computes on plain numbers only, under the
+ring rule of :mod:`rankinlab.scalars`.
 
 The dict is nested rather than keyed by ``(i, j, k)``: a monomial keeps its
 place while one of its ``lam`` powers cancels and comes back, so later float
 sums run in the same order.  No dict of the form is ever empty, and none is
 mutated once built.
 
-**Ring rule.**  Every operation computes what :class:`Scalar` arithmetic on
-the coefficients computes.  Exact values add as integers over the lcm of the
-two denominators, and multiply as integers over the product of the two,
-reduced by one gcd per result.  An exact value meeting a numeric one enters
-as ``complex(n / den)``, which is :meth:`Scalar.to_complex` of the reduced
-fraction: Python's integer true division rounds correctly.  A product sum
-turns complex at its first numeric product.  A ``lam`` coefficient whose sum
-reaches zero leaves its dict, and a monomial whose dict empties leaves the
-numerator, as :class:`LambdaPoly` sums drop them.  Products run in one of
-two loops, both in the product-sum kernel :func:`mul_sum` (of which
-:func:`mul` is the one-pair case): integers only, every pair rescaled to
-one common denominator and summed into one accumulator, or int or complex
-per term, pair by pair.  Three products give the loop's values and key
-order without it: by the unit (:func:`unit_mul`), of a numeric numerator
-and z+-w (:func:`times_linear`), of an exact monomial and its exponential
-(:func:`exp_monomial`).  The inverse of an all-exact unit is an exact
-inverse on integers, each output's recursion scaled by a power of the
-constant term.  Other inverses and the ``lam`` polynomials of ``exp``
+**Kernel rules.**  Exact values add as integers over the lcm of the two
+denominators, and multiply as integers over the product of the two, reduced
+by one gcd per result.  A product sum turns complex at its first numeric
+product.  A ``lam`` coefficient whose sum reaches zero leaves its dict, and a
+monomial whose dict empties leaves the numerator, as ``LambdaPoly`` sums drop
+them.  Products run in one of two loops, both in the product-sum kernel
+:func:`mul_sum` (of which :func:`mul` is the one-pair case): integers only,
+every pair rescaled to one common denominator and summed into one
+accumulator, or int or complex per term, pair by pair.  Three products give
+the loop's values and key order without it: by the unit (:func:`unit_mul`),
+of a numeric numerator and z+-w (:func:`times_linear`), of an exact monomial
+and its exponential (:func:`exp_monomial`).  The inverse of an all-exact unit
+is an exact inverse on integers, each output's recursion scaled by a power of
+the constant term.  Other inverses and the ``lam`` polynomials of ``exp``
 expansions (bar a one-power exact rate, in closed form) run on
-``Fraction``/``complex`` values.  A ``Fraction`` q meeting a ``complex``
-enters as ``complex(q)``, on either side: that is what ``Fraction``'s
-fallback computes, and a complex product commutes bit for bit, so the
-inverse multiplies complex coefficients by its outputs kept as
-``complex(q)``.  So exact values, exactness, key order and every float bit
-are the ones :class:`Scalar` arithmetic gives.
+``Fraction``/``complex`` values.  A ``Fraction`` q meets a ``complex`` as
+``complex(q)``, its ``to_complex()``, which is also what ``Fraction``'s
+fallback computes; as a complex product commutes bit for bit, the inverse
+multiplies complex coefficients by its outputs kept as ``complex(q)``.
 
 **Flat keys.**  The int-or-complex product loop keys a term (i, j, k) by the
 one int ``(i*(D+1) + j)*L + k``, where D is the largest total degree and
@@ -51,9 +46,6 @@ operands: never off the depth, which is ``EXACT_DEPTH`` for an untruncated
 series.  A product's key is the sum of its factors' keys, its sum lives in
 one dense list of (D+1)**2 * L slots, and the keys go back to the nested
 form in the order they first appeared.
-
-**View rule.**  :func:`view` builds the ``dict[(i, j)] -> LambdaPoly`` a
-caller reads, in the kernel's key order; no arithmetic reads it.
 """
 
 from __future__ import annotations
@@ -63,48 +55,18 @@ from bisect import bisect_right
 from fractions import Fraction
 from typing import Iterable
 
-from .scalars import LambdaPoly, Scalar, ScalarLike
+from .scalars import Plain, _inv
 
-SeriesNum = dict[tuple[int, int], LambdaPoly]
 Value = int | complex                              # a kernel-form coefficient
 Terms = dict[tuple[int, int], dict[int, Value]]    # (i, j) -> {k: value}
 Flat = tuple[int, Terms]                           # (den, terms)
-Plain = Fraction | int | complex                   # a coefficient as a Python number
-
-ROOT_REFUSAL = ("polynomials and series hold rational or numeric coefficients only: "
-                "square roots enter only as evaluation points")
 
 _C_MINUS_ONE = complex(-1.0)
 _C_ONE = complex(1)
 _EMPTY: dict = {}
 
 
-# -- between Scalar values and the kernel form ---------------------------------
-
-def plain(v: ScalarLike) -> Plain:
-    """A coefficient as a plain Python number: an int, Fraction or complex as
-    it is, else a ``Fraction`` for a rational, a ``complex`` for a numeric
-    value; a root-extension value is refused."""
-    if v.__class__ in (int, Fraction, complex):
-        return v
-    v = Scalar.wrap(v)
-    if v.z is not None:
-        return v.z
-    if v.b:
-        raise ValueError(ROOT_REFUSAL)
-    return v.a
-
-
-def plain_coeffs(x) -> dict[int, Plain]:
-    """The lam coefficients of a LambdaPoly, or of a constant given as a
-    Scalar or a Python number, as plain numbers; zero constants give {}."""
-    if isinstance(x, LambdaPoly):
-        return {k: plain(v) for k, v in x.c.items()}
-    if isinstance(x, (int, Fraction, complex)):
-        return {0: x} if x else {}
-    v = Scalar.wrap(x)
-    return {} if v.is_zero() else {0: plain(v)}
-
+# -- between plain numbers and the kernel form ------------------------------------
 
 def plain_values(c: dict[int, Value], den: int) -> dict[int, Plain]:
     """One monomial's kernel values as plain numbers."""
@@ -117,16 +79,6 @@ def lower(terms: dict) -> Flat:
                      if x.__class__ is not complex})
     return den, {m: {k: x if x.__class__ is complex else x.numerator * (den // x.denominator)
                      for k, x in c.items()} for m, c in terms.items()}
-
-
-def lifted(c: dict[int, Value], den: int) -> dict[int, Scalar]:
-    """One monomial's kernel values as Scalars."""
-    return {k: Scalar.exact(Fraction(v, den)) if v.__class__ is int else Scalar.numeric(v)
-            for k, v in c.items()}
-
-
-def view(den: int, terms: Terms) -> SeriesNum:
-    return {m: LambdaPoly(lifted(c, den)) for m, c in terms.items()}
 
 
 def max_abs(c: dict[int, Value], den: int) -> float:
@@ -570,9 +522,8 @@ def inverse(a: Flat, depth: int) -> Flat:
     """Inverse of a unit numerator up to total degree depth.
 
     An all-exact unit runs :func:`_exact_inverse`.  Otherwise the loop runs
-    on plain numbers (see :func:`plain`) with the pair order and pop-on-zero
-    of :class:`LambdaPoly` products and sums, so every value is the one
-    :class:`Scalar` arithmetic gives.  A lam-free unit (every coefficient at
+    on plain numbers with the pair order and pop-on-zero of ``LambdaPoly``
+    products and sums, and 1/u0 by ``scalars._inv``.  A lam-free unit (every coefficient at
     lam power 0 only) runs :func:`_lam_free_inverse`, one value per monomial
     in the same order: a zero product adds nothing, a sum reaching zero is
     dropped and the next product restarts it, and each nonzero sum is
@@ -587,8 +538,7 @@ def inverse(a: Flat, depth: int) -> Flat:
     if all(v.__class__ is int for c in terms.values() for v in c.values()):
         return _exact_inverse(den, terms, monomials, depth)
     coeffs = {m: plain_values(c, den) for m, c in terms.items()}
-    u = coeffs[(0, 0)][0]
-    inv0 = 1 / u if u.__class__ is Fraction else 1.0 / u
+    inv0 = _inv(coeffs[(0, 0)][0])
     if not any(max(c) for c in terms.values()):
         values = _lam_free_inverse({m: c[0] for m, c in coeffs.items()}, monomials, inv0, depth)
         return lower({m: {0: v} for m, v in values.items()})

@@ -14,6 +14,23 @@ Mixed operations promote exact to numeric.  Equality of numeric scalars is
 deliberately not defined through ``==``; use :meth:`Scalar.close` with an
 explicit tolerance.
 
+**Ring rule.**  Below the reports, values are plain numbers: a ``Fraction``
+(or ``int`` numerators over one denominator) where exact, a ``complex`` where
+numeric.  Every computation on them gives the values, exactness and float
+bits of :class:`Scalar` arithmetic on the same inputs:
+
+* an exact value is formed exactly, and meets a numeric one as its
+  :meth:`Scalar.to_complex` (``complex(n / den)`` of the reduced fraction,
+  since integer true division rounds correctly);
+* ``a - b`` is ``a + (-b)``;
+* ``a / b`` is ``a * (1/b)``, the inverse by :func:`_inv`;
+* powers come from :func:`_binary_power`, starting at ``1+0j`` (:func:`_pow`).
+
+The boundary is here too: :func:`_ring` and :func:`_plain` (which refuses a
+square root) take a value to its ring, :func:`_lifted` and :func:`_view` back
+to Scalars.  They are private, so the benchmark's tracer, which wraps this
+module's public functions, opens no span for them.
+
 :class:`LambdaPoly` is a polynomial in the formal symbol ``lam`` with Scalar
 coefficients: the view of a series coefficient that
 :mod:`rankinlab.laurent` hands out (the kernel arithmetic of
@@ -29,6 +46,7 @@ from typing import Union
 
 RatLike = Union[int, Fraction]
 ScalarLike = Union["Scalar", int, Fraction, float, complex]
+Plain = Fraction | int | complex  # a coefficient as a Python number
 
 _ZERO = Fraction(0)
 
@@ -71,18 +89,7 @@ class Scalar:
             return cls(_ZERO, _ZERO, None, None)
         # sqrt(num/den) = sqrt(num*den)/den
         coeff = coeff / base.denominator
-        n = base.numerator * base.denominator
-        square, free = 1, 1
-        d = 2
-        while d * d <= n:
-            while n % (d * d) == 0:
-                square *= d
-                n //= d * d
-            if n % d == 0:
-                free *= d
-                n //= d
-            d += 1
-        free *= n
+        square, free = _square_split(base.numerator * base.denominator)
         coeff = coeff * square
         if free == 1:
             return cls(coeff, _ZERO, None, None)
@@ -254,6 +261,21 @@ def _binary_power(square, n: int, result):
     return result
 
 
+def _square_split(n: int) -> tuple[int, int]:
+    """(square, free) with n = square**2 * free, free squarefree, for n >= 1:
+    the one square split of :meth:`Scalar.root` and :func:`_root`."""
+    square, free, d = 1, 1, 2
+    while d * d <= n:
+        while n % (d * d) == 0:
+            square *= d
+            n //= d * d
+        if n % d == 0:
+            free *= d
+            n //= d
+        d += 1
+    return square, free * n
+
+
 def format_scalar(s: Scalar) -> str:
     """Serialise a scalar: exact values as ``num/den`` (with an explicit
     ``num/den*sqrt(m)`` part in the root extension), numeric values as
@@ -289,6 +311,74 @@ def parse_exact(text: str) -> Scalar:
 
 SC_ZERO = Scalar.exact(0)
 SC_ONE = Scalar.exact(1)
+
+
+# -- between Scalar values and plain numbers ----------------------------------------
+
+ROOT_REFUSAL = ("polynomials and series hold rational or numeric coefficients only: "
+                "square roots enter only as evaluation points")
+
+
+def _ring(v):
+    """v as a value of its ring: a ``complex`` if numeric, a ``Fraction`` if
+    rational, else its ``Q(sqrt p)`` :class:`Scalar`."""
+    if v.__class__ is not Scalar:
+        if v.__class__ is complex or v.__class__ is Fraction:
+            return v
+        v = Scalar.wrap(v)
+    if v.z is not None:
+        return v.z
+    return v if v.b else v.a
+
+
+def _plain(v: ScalarLike) -> Plain:
+    """v as a plain Python number: an int, Fraction or complex as it is, else
+    its :func:`_ring` value; a root-extension value is refused with
+    ``ValueError`` (:data:`ROOT_REFUSAL`)."""
+    if v.__class__ in (int, Fraction, complex):
+        return v
+    v = _ring(v)
+    if v.__class__ is Scalar:
+        raise ValueError(ROOT_REFUSAL)
+    return v
+
+
+def _lifted(c: dict, den: int | None) -> dict:
+    """The values of a dict in kernel form as Scalars: an int, a numerator
+    over den, exact; a complex numeric (every value when den is None)."""
+    return {k: Scalar.exact(Fraction(v, den)) if v.__class__ is int else Scalar.numeric(v)
+            for k, v in c.items()}
+
+
+def _complex(v) -> complex:
+    return v if v.__class__ is complex else v.to_complex() if v.__class__ is Scalar else complex(v)
+
+
+def _inv(v):
+    """1/v on the ring of v: 1.0/v for a complex, exact otherwise."""
+    if v.__class__ is Scalar:
+        return v.inverse()
+    return 1 / v if v.__class__ is complex or v.__class__ is Fraction else Fraction(1) / v
+
+
+def _pow(x, n: int):
+    """x**n on the ring of x, as Scalar raises it: a complex x by
+    :func:`_binary_power` from 1+0j, of 1/x for n < 0, and x**0 the exact 1."""
+    if x.__class__ is not complex:
+        return x ** n
+    if not n:
+        return Fraction(1)
+    return _binary_power(1 / x if n < 0 else x, abs(n), 1 + 0j)
+
+
+def _root(p: int, coeff: Fraction, lift: bool):
+    """coeff * sqrt(p) as ``Scalar.root`` gives it; where ``lift``, that Scalar's
+    ``to_complex()``, built without it."""
+    if not lift:
+        return _ring(Scalar.root(p, coeff))
+    square, free = _square_split(p)
+    coeff = coeff * square
+    return complex(0.0 + float(coeff) * math.sqrt(free) if free > 1 else float(coeff))
 
 
 class LambdaPoly:
@@ -379,3 +469,19 @@ class LambdaPoly:
 
 
 LP_ZERO = LambdaPoly()
+
+SeriesNum = dict[tuple[int, int], LambdaPoly]
+
+
+def _view(den: int, terms: dict) -> SeriesNum:
+    """A kernel-form numerator as ``dict[(i, j)] -> LambdaPoly``, in its key order."""
+    return {m: LambdaPoly(_lifted(c, den)) for m, c in terms.items()}
+
+
+def _plain_coeffs(x) -> dict[int, Plain]:
+    """The lam coefficients of a LambdaPoly, or of a constant given as a
+    Scalar or a Python number, as plain numbers; zero constants give {}."""
+    if isinstance(x, LambdaPoly):
+        return {k: _plain(v) for k, v in x.c.items()}
+    v = _plain(x)
+    return {0: v} if v else {}

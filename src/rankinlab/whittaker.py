@@ -5,14 +5,12 @@ Values on the diagonal are ``W(diag(pi_v**n)) = p**(-n/2) * S(n+1)`` with
 degeneracy is resolved by the limit ``S(n) = n*alpha**(n-1)``.
 
 The closed forms here and in :mod:`zetaint` run on the ring of their inputs
-and return one :class:`Scalar`.  An input enters as a ``complex`` where it is
-numeric, a ``Fraction`` where it is rational and a :class:`Scalar` only where
-it has a square root: ``Q(sqrt p)`` holds the half-integer powers of p of
-all-exact inputs, and only :class:`Scalar` holds it.  Each operation runs on
-the ring of its operands, in the order and with the float operations of the
-numeric :class:`Scalar` arithmetic, bit for bit: ``a - b`` as ``a + (-b)``,
-``a / b`` as ``a * (1 / b)``, ``x**n`` by :func:`_binary_power` from 1+0j, and
-an exact value, formed exactly, enters a numeric one as its ``to_complex()``.
+and return one :class:`Scalar`.  An input enters through ``scalars._ring``: a
+``complex`` where it is numeric, a ``Fraction`` where it is rational and a
+:class:`Scalar` only where it has a square root (``Q(sqrt p)`` holds the
+half-integer powers of p of all-exact inputs, and only :class:`Scalar` holds
+it).  Every operation follows the ring rule of :mod:`rankinlab.scalars`, bit
+for bit.
 
 The weighted integral ``integral of |W|**2(y) |y|**s  d*y`` has the closed
 form ``(1 - |alpha1*alpha2|**2 x**2) / prod_{i,j}(1 - alpha_i*conj(alpha_j)*x)``
@@ -35,9 +33,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, islice, repeat, takewhile
 
-from .exactalg import nonzero_factor, power_of_p
+from .exactalg import _p_power, nonzero_factor, power_of_p
 from .localdata import PlaceData, zeta_value
-from .scalars import SC_ONE, SC_ZERO, Scalar, ScalarLike, _binary_power
+from .scalars import SC_ONE, SC_ZERO, Scalar, ScalarLike, _complex, _inv, _pow, _ring
 
 DEGENERACY_TOL = 1e-12
 
@@ -186,64 +184,11 @@ def decayed_sum(addends: Iterable[complex], terms: int, q: float, a: float, k: i
     return total
 
 
-# -- the ring of a closed form's inputs ------------------------------------------
-
-def _ring(v):
-    """v as a value of its ring: a ``complex`` if numeric, a ``Fraction`` if
-    rational, else its ``Q(sqrt p)`` :class:`Scalar`."""
-    if v.__class__ is not Scalar:
-        if v.__class__ is complex or v.__class__ is Fraction:
-            return v
-        v = Scalar.wrap(v)
-    if v.z is not None:
-        return v.z
-    return v if v.b else v.a
-
+# -- closed forms ------------------------------------------------------------------
 
 def _alphas(params: SatakeParams) -> tuple:
     return _ring(params.alpha1), _ring(params.alpha2)
 
-
-def _complex(v) -> complex:
-    return v if v.__class__ is complex else v.to_complex() if v.__class__ is Scalar else complex(v)
-
-
-def _inv(v):
-    """1/v on the ring of v: 1.0/v for a complex, exact otherwise."""
-    if v.__class__ is Scalar:
-        return v.inverse()
-    return 1 / v if v.__class__ is complex else Fraction(1) / v
-
-
-def _pow(x, n: int):
-    """x**n on the ring of x, as Scalar raises it: a complex x by
-    :func:`_binary_power` from 1+0j, of 1/x for n < 0, and x**0 the exact 1."""
-    if x.__class__ is not complex:
-        return x ** n
-    if not n:
-        return Fraction(1)
-    return _binary_power(1 / x if n < 0 else x, abs(n), 1 + 0j)
-
-
-def _root(p: int, coeff: Fraction, lift: bool):
-    """coeff * sqrt(p) as ``Scalar.root`` gives it; where ``lift``, that Scalar's
-    ``to_complex()``, built without it: p = square**2 * free, free squarefree."""
-    if not lift:
-        return _ring(Scalar.root(p, coeff))
-    square = next(s for s in range(math.isqrt(p), 0, -1) if p % (s * s) == 0)
-    coeff, free = coeff * square, p // (square * square)
-    return complex(0.0 + float(coeff) * math.sqrt(free) if free > 1 else float(coeff))
-
-
-def _p_power(p: int, e, sign: int = 1):
-    """:func:`power_of_p` ``(p, e, sign)`` on the ring of its value; a numeric
-    exponent takes its numeric branch without a Scalar."""
-    if e.__class__ is complex:
-        return complex(p) ** (sign * e)
-    return _ring(power_of_p(p, e, sign))
-
-
-# -- closed forms ------------------------------------------------------------------
 
 def l_factor_product(a: tuple, b: tuple, x):
     """prod_{i,j} (1 - a_i * b_j * x)**(-1) on the ring of the inputs, skipping

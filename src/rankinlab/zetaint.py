@@ -26,13 +26,11 @@ from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, chain, islice, repeat
 
-from .exactalg import Poly2, RationalFunction2, _reduced, nonzero_factor, power_of_p
+from .exactalg import Poly2, RationalFunction2, _p_power, _reduced, nonzero_factor, power_of_p
 from .localdata import PlaceData, Shift, zeta_local, zeta_value
-from .numerator import plain
-from .scalars import SC_ONE, Scalar, ScalarLike
-from .whittaker import (SatakeParams, _alphas, _complex, _hecke_recursion, _inv,
-                        _largest, _p_power, _pow, _ring, _root, decayed_sum, hecke_stream,
-                        l_factor_product, satake_sum)
+from .scalars import SC_ONE, Scalar, ScalarLike, _complex, _inv, _plain, _pow, _ring, _root
+from .whittaker import (SatakeParams, _alphas, _hecke_recursion, _largest, decayed_sum,
+                        hecke_stream, l_factor_product, satake_sum)
 
 KIND_SIGNS = {"i": (1, 1), "ii": (-1, 1), "iii": (1, -1), "iv": (-1, -1)}
 KINDS = tuple(KIND_SIGNS)
@@ -97,8 +95,8 @@ def ftilde_eval(place: PlaceData, pt: BruhatPoint, s: Shift) -> RationalFunction
 def rs_l_rf(pi0: SatakeParams, place: PlaceData, shift: Shift) -> RationalFunction2:
     """Rankin-Selberg factor of pi0 x contragredient(pi0) at the shifted
     argument, from the products alpha_i * alpha_j of plain ``Fraction`` or
-    ``complex`` parameters; ``plain`` refuses a square-root part."""
-    alphas = (plain(pi0.alpha1), plain(pi0.alpha2))
+    ``complex`` parameters; ``_plain`` refuses a square-root part."""
+    alphas = (_plain(pi0.alpha1), _plain(pi0.alpha2))
     return reduce(operator.mul, (zeta_local(place, shift, ai * aj)
                                  for ai in alphas for aj in alphas))
 
@@ -182,11 +180,11 @@ def whittaker_square_sum(pi0: SatakeParams, place: PlaceData, a: int, b: int) ->
     s_n = S(n) D**(n-1) runs on integers, s_(n+1) = T s_n - Delta s_(n-1)
     with T = n1 d2 + n2 d1 and Delta = n1 n2 d1 d2, and so do the numerator
     and denominator lists of the sum in Y = X / D**2 and their recursion
-    constants.  Complex parameters run the same lines with D = 1; ``plain``
+    constants.  Complex parameters run the same lines with D = 1; ``_plain``
     refuses a square root.  Y = T1**a T2**b / (p D**2) is substituted last.
     """
     p = place.p
-    a1, a2 = plain(pi0.alpha1), plain(pi0.alpha2)
+    a1, a2 = _plain(pi0.alpha1), _plain(pi0.alpha2)
     exact = complex not in (a1.__class__, a2.__class__)
     if exact:
         n1, d1, n2, d2 = a1.numerator, a1.denominator, a2.numerator, a2.denominator

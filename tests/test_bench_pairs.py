@@ -9,6 +9,7 @@ bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
 metric_verdict, claim_rule = bench_pairs.metric_verdict, bench_pairs.claim_rule
 verify_summary, summarize = bench_pairs.verify_summary, bench_pairs.summarize
+src_sizes = bench_pairs.src_sizes
 
 
 def test_metric_verdict_reads_each_metric_against_its_bound():
@@ -131,3 +132,13 @@ def test_summary_reads_raw_throughput_beside_the_scaled_verdicts():
     # the raw verdict reads the certs_per_s bound of BENCHMARK.json, with no default
     with pytest.raises(KeyError, match="certs_per_s"):
         summarize(runs, [{"name": "cert_p50_ms", "better": "lower", "bound": 0.05}])
+
+
+def test_src_sizes_reads_the_total_and_the_largest_module(tmp_path):
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "small.py").write_bytes(b"x" * 10)
+    (package / "large.py").write_bytes(b"y" * 30)
+    (package / "data.json").write_bytes(b"z" * 100)  # not a module: not counted
+    assert src_sizes(tmp_path) == {"total_bytes": 40, "largest_module": "pkg/large.py",
+                                   "largest_bytes": 30}

@@ -12,14 +12,13 @@ from hypothesis import strategies as st
 from test_laurent import _assert_same_bits, _lambda_poly_inverse, _scalar_loop_mul
 
 from rankinlab import degenerate, laurent, numerator
-from rankinlab.degenerate import (GlobalZetaData, _local_zeta_inverse_coeffs, build_G, build_h,
-                                  correction_report, correction_sum_factor, degenerate_limit,
+from rankinlab.degenerate import (GlobalZetaData, _correction, _local_zeta_inverse_coeffs, build_G,
+                                  build_h, correction_sum_factor, degenerate_limit,
                                   symmetry_residuals, taylor_bound_report)
 from rankinlab.laurent import LaurentSeries2, ls_inverse_regular
 from rankinlab.localdata import IdealFactorization, PlaceData
-from rankinlab.scalars import Scalar
+from rankinlab.scalars import Scalar, _pow
 from rankinlab.verify import TAYLOR_IDEALS, default_data, model_data
-from rankinlab.whittaker import _pow
 
 Q23 = IdealFactorization.parse("2^1*3^1")
 LOG_SURROGATES = {
@@ -174,11 +173,11 @@ def test_degenerate_limit_q_independent_c3():
 
 def test_correction_term_values():
     data = default_data()
-    assert correction_report(data, IdealFactorization.parse("1")).value.is_zero()
+    assert degenerate_limit(data, IdealFactorization.parse("1")).correction_detail.value.is_zero()
     sum_factor = correction_sum_factor(IdealFactorization.parse("2^1"))
     assert sum_factor.__class__ is complex  # a plain number: Scalars are for the report
     assert abs(sum_factor - 2 * math.log(2) ** 3) < 1e-14
-    report = correction_report(data, IdealFactorization.parse("2^1"))
+    report = degenerate_limit(data, IdealFactorization.parse("2^1")).correction_detail
     # the limit equals -2 c^3 L_Ad N(d)/(xi(2) zeta_q(1)^2) * sum-factor with
     # c = xi*(1); solving the zeta_q(1)^1-normalised shape for c^3 therefore
     # returns xi*(1)^3/zeta_q(1) = 1/2 here
@@ -187,8 +186,8 @@ def test_correction_term_values():
 
 def test_correction_term_bounded_as_q_grows():
     data = default_data()
-    values = [abs(correction_report(data, IdealFactorization.parse(f"2^{k}")).value.to_complex())
-              for k in range(1, 7)]
+    values = [abs(degenerate_limit(data, IdealFactorization.parse(f"2^{k}"))
+                  .correction_detail.value.to_complex()) for k in range(1, 7)]
     assert max(values) <= 2.0  # stays O(1) while N(q) grows by 2**6
     assert values[-1] <= values[0]
 
@@ -209,11 +208,14 @@ def test_taylor_report_violation_flag():
 
 
 def test_limit_correction_is_correction_term():
-    # degenerate_limit reuses its own G(-z,-w) and h4 for the correction
+    # degenerate_limit reuses its own G(-z,-w) and h4 for the correction: the
+    # same value as the correction of a G(-z,-w) h4 built afresh
     data = model_data()
     rep = degenerate_limit(data, Q23, log_map=LOG_SURROGATES)
     assert rep.correction.is_exact
-    assert rep.correction == correction_report(data, Q23, log_map=LOG_SURROGATES).value
+    assert rep.correction == rep.correction_detail.value
+    fresh = build_G(data).flip(True, True) * build_h(Q23, log_map=LOG_SURROGATES)[3]
+    assert rep.correction == _correction(data, Q23, fresh, LOG_SURROGATES).value
 
 
 def test_laurent_kernels_make_no_scalar_arithmetic(monkeypatch):
@@ -454,15 +456,6 @@ def test_degenerate_limit_flips_for_the_correction_once(monkeypatch):
     monkeypatch.setattr(laurent.LaurentSeries2, "flip", counted)
     degenerate_limit(default_data(), Q23)
     assert calls.count((True, True)) == 1
-
-
-@pytest.mark.parametrize("log_map", [None, LOG_SURROGATES])
-@pytest.mark.parametrize("spec", ["1", "2^1", "2^1*3^1", "5^2"])
-def test_correction_report_is_bitwise_the_limit_correction(spec, log_map):
-    q = IdealFactorization.parse(spec)
-    for data in (default_data(), model_data()):
-        assert (repr(correction_report(data, q, log_map=log_map))
-                == repr(degenerate_limit(data, q, log_map=log_map).correction_detail))
 
 
 # -- the numeric kernels on the operands degenerate_limit gives them ---------------

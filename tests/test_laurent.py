@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_zetaint import h_reference, pole_factor_reference
 
-from rankinlab import laurent, numerator
+from rankinlab import laurent, numerator, scalars
 from rankinlab.degenerate import build_h, degenerate_limit
 from rankinlab.exactalg import Poly2, RationalFunction2
 from rankinlab.laurent import (EXACT_DEPTH, SYMMETRY_BREAKERS, LambdaPoly, LaurentSeries2,
@@ -834,7 +834,7 @@ _ROOT_ENTRIES = {
 def test_square_root_coefficients_are_refused(entry):
     with pytest.raises(ValueError) as refused:
         _ROOT_ENTRIES[entry]()
-    assert str(refused.value) == numerator.ROOT_REFUSAL
+    assert str(refused.value) == scalars.ROOT_REFUSAL
 
 
 # -- the kernel-form series operations against the LambdaPoly-dict code they replace
@@ -1524,9 +1524,9 @@ def test_integer_inverse_is_bitwise_the_lambda_poly_loop_on_the_expansion_units(
     with mock.patch.object(numerator, "_exact_inverse",
                            lambda *args: calls.append(args) or route(*args)):
         for a, depth in units:
-            want = _lambda_poly_inverse(numerator.view(*a), depth)
+            want = _lambda_poly_inverse(scalars._view(*a), depth)
             got = numerator.inverse(a, depth)
-            _assert_same_bits(numerator.view(*got), want)
+            _assert_same_bits(scalars._view(*got), want)
             # the denominator and numerators lower() gives the Fraction loop's values
             assert got == laurent._lower_num(want)
     assert len(calls) == len(units)

@@ -7,8 +7,7 @@ from rankinlab.exactalg import Poly2, RationalFunction2, power_of_p
 from rankinlab.localdata import (IdealFactorization, PlaceData, Shift, inv_volume_Kq,
                                  is_prime_power, norm, omega, volume_K, zeta_local,
                                  zeta_value)
-from rankinlab.numerator import plain
-from rankinlab.scalars import Scalar
+from rankinlab.scalars import Scalar, _plain
 
 
 def test_prime_power_detection():
@@ -101,12 +100,12 @@ def test_zeta_local_is_the_generic_with_factor_form(p):
 
 
 def _reference_zeta_local(place, shift, alpha):
-    """zeta_local with its constant as plain(power_of_p(p, m, -1)) for every m,
+    """zeta_local with its constant as _plain(power_of_p(p, m, -1)) for every m,
     the Scalar route the integer-m constant replaced."""
     p, a, b = place.p, shift.a, shift.b
-    c = plain(power_of_p(p, shift.m, -1))
+    c = _plain(power_of_p(p, shift.m, -1))
     if not (alpha.__class__ is int and alpha == 1):
-        c = plain(alpha) * c
+        c = _plain(alpha) * c
     lift, mono = (max(0, -a), max(0, -b)), (max(0, a), max(0, b))
     num = Poly2._make(1, {lift: 1})
     if c.__class__ is complex or not c or lift == mono:

@@ -12,8 +12,7 @@ import pytest
 import rankinlab
 from rankinlab.exactalg import PoleError, Poly2, RationalFunction2, rf_equal
 from rankinlab.localdata import PlaceData, Shift, zeta_local, zeta_value
-from rankinlab.numerator import ROOT_REFUSAL, plain
-from rankinlab.scalars import Scalar
+from rankinlab.scalars import ROOT_REFUSAL, Scalar, _plain
 from rankinlab.verify import PSI_GRID_PAIRS
 from rankinlab.whittaker import SatakeParams, rankin_selberg_self_l, satake_sum
 from rankinlab.zetaint import (KIND_SIGNS, KINDS, BruhatPoint, _abs_power, correction_factor_rf,
@@ -399,7 +398,7 @@ def _fraction_square_sum(pi0, place, a, b):
     recursion of S(n)**2 and the numerator from its first two terms (the
     third, b0 e2 - b1 e1 + b2, is identically 0)."""
     p = place.p
-    a1, a2 = plain(pi0.alpha1), plain(pi0.alpha2)
+    a1, a2 = _plain(pi0.alpha1), _plain(pi0.alpha2)
     t, delta = a1 + a2, a1 * a2
     s_prev, s = 0, Fraction(1)
     seq = []

@@ -74,6 +74,18 @@ def src_digest(tree: Path) -> str:
     return h.hexdigest()[:16]
 
 
+def src_sizes(tree: Path) -> dict:
+    """Total bytes of the ``src/**/*.py`` files, and the largest of them with
+    its size: with ``PYTHONDONTWRITEBYTECODE=1`` every run compiles the
+    source, so ``setup_s`` follows the total and ``peak_rss_mb`` the largest
+    module."""
+    sizes = {path.relative_to(tree / "src").as_posix(): path.stat().st_size
+             for path in sorted((tree / "src").rglob("*.py"))}
+    largest = max(sizes, key=sizes.get)
+    return {"total_bytes": sum(sizes.values()), "largest_module": largest,
+            "largest_bytes": sizes[largest]}
+
+
 def unpack_trees(parent_rev: str, base: Path) -> dict[str, Path]:
     trees = {side: base / side for side in SIDES}
     archive = subprocess.run(["git", "-C", str(ROOT), "archive", parent_rev],
@@ -274,7 +286,8 @@ def main(argv=None) -> int:
                              f"{os.environ.get('PYTHONDONTWRITEBYTECODE', '')!s} in the environment"},
             "revisions": {"parent": parent_sha,
                           "change": "the working tree on top of the parent (src_sha256_16 below)",
-                          "src_sha256_16": {side: src_digest(trees[side]) for side in SIDES}},
+                          "src_sha256_16": {side: src_digest(trees[side]) for side in SIDES},
+                          "src_sizes": {side: src_sizes(trees[side]) for side in SIDES}},
             "runs": [],
         }
         runs = report["runs"]
