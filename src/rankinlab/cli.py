@@ -186,7 +186,7 @@ def _coefficients_overflow(value) -> bool:
 def cmd_psi(args) -> int:
     place = PlaceData(args.p, args.r)
     pi0 = _parse_option("--pi0", args.pi0, parse_satake)
-    exact_mode = pi0.alpha1.is_exact and pi0.alpha2.is_exact
+    exact_mode = complex not in (pi0.alpha1.__class__, pi0.alpha2.__class__)
     kinds = KINDS if args.kind == "all" else (args.kind,)
     report = {
         "command": "psi", "p": args.p, "r": args.r, "pi0": args.pi0,
@@ -195,7 +195,7 @@ def cmd_psi(args) -> int:
     }
     z, w = _parse_option("--at", args.at, parse_point)
     _check_point_size(args.p, z, w, args.at, exact_mode)
-    t1, t2 = power_of_p(args.p, z, -1), power_of_p(args.p, w, -1)
+    t1, t2 = (Scalar.wrap(power_of_p(args.p, v, -1)) for v in (z, w))
     all_match = True
     for kind in kinds:
         closed = psi_closed(kind, place, pi0)

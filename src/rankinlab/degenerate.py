@@ -28,7 +28,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .laurent import DEFAULT_DEPTH, CubicPolynomial, LambdaPoly, LaurentSeries2, ls_inverse_regular
-from .localdata import IdealFactorization, PlaceData, omega, zeta_value
+from .localdata import IdealFactorization, omega, zeta_value
 from .numerator import _add_term, unit_mul
 from .scalars import (SC_ZERO, Plain, Scalar, _inv, _plain, _plain_coeffs, _pow, format_scalar,
                       parse_exact)
@@ -321,10 +321,10 @@ def _correction(data: GlobalZetaData, q: IdealFactorization, g_mm_h4: LaurentSer
     if max(const, default=0) > 0:
         raise AssertionError("correction limit should be lam-free")
     c0 = const.get(0, Fraction(0))
-    # comparison target: the same limit written as
-    # -2 c**3 Lambda_Ad N(d) / (xi(2) zeta_q(1)) * sum-factor with c unidentified
+    # comparison target: the same limit written as -2 c**3 Lambda_Ad N(d) /
+    # (xi(2) zeta_q(1)**2) * sum-factor (h4 is zeta_q(1)**(-2) at the origin), c = xi_res
     denom = (-2 * data.adjoint_l_value * data.norm_different
-             * _inv(data.xi_at_2) * _inv(_zeta_q1(q)))
+             * _inv(data.xi_at_2) * _inv(_pow(_zeta_q1(q), 2)))
     implied = Scalar.wrap(c0 * _inv(denom)) if denom else None
     return CorrectionReport(Scalar.wrap(c0 * sum_factor), Scalar.wrap(sum_factor), implied)
 

@@ -32,8 +32,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .scalars import (SC_ONE, SC_ZERO, Scalar, ScalarLike, _binary_power, _inv, _lifted, _plain,
-                      _pow, _ring)
+from .scalars import (SC_ONE, SC_ZERO, Scalar, ScalarLike, _binary_power, _complex, _inv, _lifted,
+                      _plain, _pow, _ring)
 
 Monomial = tuple[int, int]
 POLE_TOL = 1e-12
@@ -605,29 +605,19 @@ def _cancel(num: Poly2, poly: Poly2, exp: int) -> Poly2:
     return num
 
 
-def power_of_p(p: int, exponent: ScalarLike, sign: int = 1) -> Scalar:
-    """p**(sign*exponent); exact for integer and half-integer exponents, built
-    on integers and ``Fraction`` with one ``Scalar.root`` for a half."""
-    e = exponent
-    if e.__class__ not in (int, Fraction):
-        e = Scalar.wrap(e)
-        if not e.is_rational():
-            return Scalar.numeric(complex(p) ** (sign * e.to_complex()))
-        e = e.a
-    d = e.denominator
-    if d > 2:
-        return Scalar.numeric(complex(p) ** (sign * complex(float(e))))
-    k = e.numerator * sign // d
-    whole = Fraction(p ** k) if k >= 0 else Fraction(1, p ** -k)
-    return Scalar.exact(whole) if d == 1 else Scalar.root(p, whole)
-
-
-def _p_power(p: int, e, sign: int = 1):
-    """:func:`power_of_p` ``(p, e, sign)`` on the ring of its value; a numeric
-    exponent takes its numeric branch without a Scalar."""
+def power_of_p(p: int, exponent: ScalarLike, sign: int = 1):
+    """p**(sign*exponent) on the ring of its value (``scalars._ring``): a
+    ``Fraction`` for an integer exponent, a ``Q(sqrt p)`` value for a half-integer
+    one, built on integers with one ``Scalar.root``, else a ``complex``."""
+    e = exponent if exponent.__class__ in (int, Fraction, complex) else _ring(exponent)
+    if e.__class__ is Scalar or (e.__class__ is not complex and e.denominator > 2):
+        e = _complex(e)
     if e.__class__ is complex:
         return complex(p) ** (sign * e)
-    return _ring(power_of_p(p, e, sign))
+    d = e.denominator
+    k = e.numerator * sign // d
+    whole = Fraction(p ** k) if k >= 0 else Fraction(1, p ** -k)
+    return whole if d == 1 else _ring(Scalar.root(p, whole))
 
 
 def nonzero_factor(factor, what: str):

@@ -122,9 +122,6 @@ class Scalar:
             return self.a == 0 and self.b == 0
         return self.z == 0
 
-    def is_rational(self) -> bool:
-        return self.z is None and self.b == 0
-
     # -- conversions -------------------------------------------------------
 
     def to_complex(self) -> complex:

@@ -64,7 +64,7 @@ def local_weight_lower(pi: SatakeParams, cond_exp: int, place: PlaceData) -> Wei
         trivial = bound
     else:
         bound = vol / z1
-        damping = SC_ONE - pi.alpha1.abs2() * Scalar.exact(Fraction(1, p))
+        damping = 1 + -(pi.alpha1 * pi.alpha1.conjugate() * Fraction(1, p))
         trivial = bound * damping  # L-value replaced by its trivial bound 1
     normalized = bound / vol * z1 ** 2
     return WeightReport(place, "unramified" if not pi.ramified else "ramified",

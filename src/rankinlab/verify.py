@@ -99,8 +99,7 @@ def model_data() -> GlobalZetaData:
 
 def _unitary(rng: random.Random) -> SatakeParams:
     """Unramified unitary parameters (e**(i phi), e**(-i phi)), phi uniform in [0, 2 pi)."""
-    return SatakeParams.unramified_unitary(
-        Scalar.numeric(cmath.exp(1j * rng.uniform(0.0, 2 * cmath.pi))))
+    return SatakeParams.unramified_unitary(cmath.exp(1j * rng.uniform(0.0, 2 * cmath.pi)))
 
 
 @_timed
@@ -116,9 +115,8 @@ def suite_whittaker_integral(seed: int = DEFAULT_SEED):
         closed = weighted_integral_closed(pi, place, s).to_complex()
         oracle = weighted_integral_oracle(pi, place, s, terms=10_000).to_complex()
         worst = max(worst, abs(closed - oracle) / abs(closed))
-    spot = weighted_integral_closed(
-        SatakeParams.unramified_unitary(Scalar.exact(1), Scalar.exact(1)),
-        PlaceData(2, 1), Scalar.exact(0))
+    spot = weighted_integral_closed(SatakeParams.unramified_unitary(1, 1), PlaceData(2, 1),
+                                    Scalar.exact(0))
     spot_ok = spot == Scalar.exact(12)
     passed = worst <= 1e-10 and spot_ok
     return "whittaker-integral", passed, {
@@ -136,7 +134,7 @@ def suite_psi_grid():
         for r in (1, 2, 3):
             place = PlaceData(p, r)
             for a1, a2 in PSI_GRID_PAIRS:
-                pi0 = SatakeParams.unramified_unitary(Scalar.exact(a1), Scalar.exact(a2))
+                pi0 = SatakeParams.unramified_unitary(a1, a2)
                 for kind in KINDS:
                     points += 1
                     if not rf_equal(psi_closed(kind, place, pi0).value,
@@ -274,7 +272,7 @@ def suite_regularized(seed: int = DEFAULT_SEED):
         if max(a, 1 / a) ** 2 >= Fraction(p) ** (1 + 2 * zf):
             continue
         trials += 1
-        pi = SatakeParams.unramified_unitary(Scalar.exact(a))
+        pi = SatakeParams.unramified_unitary(a)
         place = PlaceData(p, r)
         if reg_local_closed(pi, place, Scalar.exact(zf)) != \
                 reg_local_closed_s_form(pi, place, Scalar.exact(zf)):
@@ -319,8 +317,7 @@ def suite_spectral_weight():
     for every alpha1, is not checked here."""
     checks: dict[str, bool] = {}
     place = PlaceData(2, 1)
-    pi_t = SatakeParams.unramified_unitary(Scalar.exact(1), Scalar.exact(1),
-                                           theta=Fraction(0))
+    pi_t = SatakeParams.unramified_unitary(1, 1, theta=Fraction(0))
     rep = local_weight_lower(pi_t, 0, place)
     checks["unramified_bound"] = rep.lower_bound == Scalar.exact(Fraction(1, 18))
     checks["unramified_closed_form"] = all(
@@ -332,13 +329,13 @@ def suite_spectral_weight():
     checks["tempered_floor_is_one"] = rep.floor_body == Scalar.exact(1)
     checks["conductor_exceeds_vanishes"] = \
         local_weight_lower(pi_t, 2, place).lower_bound == Scalar.exact(0)
-    pi0 = SatakeParams.unramified_unitary(Scalar.exact(1), Scalar.exact(1))
+    pi0 = SatakeParams.unramified_unitary(1, 1)
     checks["plancherel_mass"] = all(
         plancherel_mass(pi0, IdealFactorization.parse(spec))
         == inv_volume_Kq(IdealFactorization.parse(spec))
         for spec in ("2^1", "2^1*3^1", "2^2*3^1*5^1")
     )
-    entries = [(SatakeParams.unramified_unitary(Scalar.exact(1), theta=Fraction(0)), 0)] * 3
+    entries = [(SatakeParams.unramified_unitary(1, theta=Fraction(0)), 0)] * 3
     checks["jq_tempered_product_one"] = jq_lower(
         entries, IdealFactorization.parse("2^1*3^1*5^1")).product == Scalar.exact(1)
     return "spectral-weight", all(checks.values()), checks
@@ -360,8 +357,8 @@ def suite_cross_backend(seed: int = DEFAULT_SEED):
         p = rng.choice((2, 3, 5))
         r = rng.randrange(1, 4)
         place = PlaceData(p, r)
-        pi_e = SatakeParams.unramified_unitary(Scalar.exact(a))
-        pi_n = SatakeParams.unramified_unitary(Scalar.numeric(complex(float(a))))
+        pi_e = SatakeParams.unramified_unitary(a)
+        pi_n = SatakeParams.unramified_unitary(complex(float(a)))
         kind = rng.choice(KINDS)
         rf_e = psi_closed(kind, place, pi_e).value
         rf_n = psi_closed(kind, place, pi_n).value

@@ -4,13 +4,13 @@ Values on the diagonal are ``W(diag(pi_v**n)) = p**(-n/2) * S(n+1)`` with
 ``S(n) = (alpha1**n - alpha2**n)/(alpha1 - alpha2)``; the ``alpha1 == alpha2``
 degeneracy is resolved by the limit ``S(n) = n*alpha**(n-1)``.
 
-The closed forms here and in :mod:`zetaint` run on the ring of their inputs
-and return one :class:`Scalar`.  An input enters through ``scalars._ring``: a
-``complex`` where it is numeric, a ``Fraction`` where it is rational and a
-:class:`Scalar` only where it has a square root (``Q(sqrt p)`` holds the
-half-integer powers of p of all-exact inputs, and only :class:`Scalar` holds
-it).  Every operation follows the ring rule of :mod:`rankinlab.scalars`, bit
-for bit.
+The closed forms and Satake sums here and in :mod:`zetaint` run on the ring
+of their inputs and return one :class:`Scalar`.  :class:`SatakeParams` stores
+its parameters, and a point enters, through ``scalars._ring``: a ``complex``
+where numeric, a ``Fraction`` where rational and a :class:`Scalar` only where
+a square root is live (``Q(sqrt p)`` holds the half-integer powers of p of
+all-exact inputs), as :func:`rankinlab.exactalg.power_of_p` returns p**x.
+Every operation follows the ring rule of :mod:`rankinlab.scalars`, bit for bit.
 
 The weighted integral ``integral of |W|**2(y) |y|**s  d*y`` has the closed
 form ``(1 - |alpha1*alpha2|**2 x**2) / prod_{i,j}(1 - alpha_i*conj(alpha_j)*x)``
@@ -26,6 +26,7 @@ decay bound C (n+k+1)**2 q**n, q < 1, shows that no term left can move it.
 
 from __future__ import annotations
 
+import cmath
 import math
 import operator
 from collections.abc import Iterable, Iterator
@@ -33,9 +34,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, islice, repeat, takewhile
 
-from .exactalg import _p_power, nonzero_factor, power_of_p
+from .exactalg import nonzero_factor, power_of_p
 from .localdata import PlaceData, zeta_value
-from .scalars import SC_ONE, SC_ZERO, Scalar, ScalarLike, _complex, _inv, _pow, _ring
+from .scalars import SC_ZERO, Scalar, ScalarLike, _complex, _inv, _pow, _ring
 
 DEGENERACY_TOL = 1e-12
 
@@ -44,10 +45,11 @@ _CHUNK = 32  # addends summed between two checks of the decay bound
 
 @dataclass(frozen=True)
 class SatakeParams:
-    """Local Satake data (alpha1, alpha2), ramified flag, temperedness bound."""
+    """Local Satake data (alpha1, alpha2), ramified flag, temperedness bound;
+    alpha1 and alpha2 are stored on their ring (``scalars._ring``)."""
 
-    alpha1: Scalar
-    alpha2: Scalar
+    alpha1: Fraction | complex | Scalar
+    alpha2: Fraction | complex | Scalar
     ramified: bool = False
     theta: Fraction = Fraction(7, 64)
 
@@ -55,34 +57,37 @@ class SatakeParams:
     def unramified_unitary(cls, alpha1: ScalarLike, alpha2: ScalarLike | None = None,
                            theta: Fraction = Fraction(7, 64)) -> "SatakeParams":
         """Unramified with trivial central character: alpha1*alpha2 = 1 enforced."""
-        a1 = Scalar.wrap(alpha1)
-        a2 = a1.inverse() if alpha2 is None else Scalar.wrap(alpha2)
-        prod = a1 * a2
-        if not prod.close(SC_ONE, rel_tol=1e-9):
+        a1 = _ring(alpha1)
+        a2 = _inv(a1) if alpha2 is None else _ring(alpha2)
+        prod = _ring(a1 * a2)  # a numeric Scalar where a root meets a complex
+        if not (cmath.isclose(prod, 1, rel_tol=1e-9, abs_tol=1e-15)
+                if prod.__class__ is complex else prod == 1):
             raise ValueError(f"alpha1*alpha2 = {prod}, expected 1")
         return cls(a1, a2, False, theta)
 
     @classmethod
     def make_ramified(cls, alpha1: ScalarLike) -> "SatakeParams":
         """Ramified convention: the second parameter is 0."""
-        return cls(Scalar.wrap(alpha1), SC_ZERO, True)
+        return cls(alpha1, Fraction(0), True)
 
     def __post_init__(self):
-        if self.ramified and not self.alpha2.is_zero():
+        object.__setattr__(self, "alpha1", _ring(self.alpha1))
+        object.__setattr__(self, "alpha2", _ring(self.alpha2))
+        if self.ramified and self.alpha2:
             raise ValueError("ramified parameters require alpha2 = 0")
 
     def confluent(self) -> bool:
         """alpha1 == alpha2: exactly, or within DEGENERACY_TOL relative to alpha1."""
         a1, a2 = self.alpha1, self.alpha2
-        if a1.is_exact and a2.is_exact:
+        if complex not in (a1.__class__, a2.__class__):
             return a1 == a2
-        c1 = a1.to_complex()
-        return abs(c1 - a2.to_complex()) <= DEGENERACY_TOL * max(1.0, abs(c1))
+        c1 = _complex(a1)
+        return abs(c1 - _complex(a2)) <= DEGENERACY_TOL * max(1.0, abs(c1))
 
 
 def satake_sum(params: SatakeParams, n: int) -> Scalar:
     """S(n) = (alpha1**n - alpha2**n)/(alpha1 - alpha2), and n alpha**(n-1)
-    when alpha1 == alpha2.
+    when alpha1 == alpha2, on the ring of the parameters.
 
     Both formulas hold for every integer n: for n < 0 they give the algebraic
     continuation S(-n) = -S(n)/(alpha1*alpha2)**n, and a zero parameter
@@ -92,8 +97,8 @@ def satake_sum(params: SatakeParams, n: int) -> Scalar:
     if n == 0:
         return SC_ZERO
     if params.confluent():
-        return Scalar.wrap(n) * a1 ** (n - 1)
-    return (a1 ** n - a2 ** n) / (a1 - a2)
+        return Scalar.wrap(n * _pow(a1, n - 1))
+    return Scalar.wrap((_pow(a1, n) + -_pow(a2, n)) * _inv(a1 + -a2))
 
 
 def whittaker_value(params: SatakeParams, place: PlaceData, n: int) -> Scalar:
@@ -122,13 +127,13 @@ def hecke_stream(params: SatakeParams, step: complex = 1.0) -> Iterator[complex]
     below one keeps the terms of non-tempered parameters from overflowing;
     with step = p**(-1/2) the stream is W(diag(pi**n)).
     """
-    a1, a2 = params.alpha1.to_complex(), params.alpha2.to_complex()
+    a1, a2 = _complex(params.alpha1), _complex(params.alpha2)
     return _hecke_recursion(step * (a1 + a2), step * step * (a1 * a2))
 
 
 def _largest(params: SatakeParams) -> float:
     """max |alpha_i|, which bounds |S(n+1)| by (n+1) max|alpha|**n."""
-    return max(abs(params.alpha1.to_complex()), abs(params.alpha2.to_complex()))
+    return max(abs(_complex(params.alpha1)), abs(_complex(params.alpha2)))
 
 
 def _absorbs(c: float, addend: float, stays_zero: bool) -> bool:
@@ -186,10 +191,6 @@ def decayed_sum(addends: Iterable[complex], terms: int, q: float, a: float, k: i
 
 # -- closed forms ------------------------------------------------------------------
 
-def _alphas(params: SatakeParams) -> tuple:
-    return _ring(params.alpha1), _ring(params.alpha2)
-
-
 def l_factor_product(a: tuple, b: tuple, x):
     """prod_{i,j} (1 - a_i * b_j * x)**(-1) on the ring of the inputs, skipping
     factors with a zero parameter."""
@@ -205,13 +206,12 @@ def l_factor_product(a: tuple, b: tuple, x):
 
 def rankin_selberg_self_l(params: SatakeParams, x: ScalarLike):
     """L-factor of pi tensor its conjugate at x = p**(-s), on the ring of the inputs."""
-    a = _alphas(params)
+    a = params.alpha1, params.alpha2
     return l_factor_product(a, [v.conjugate() for v in a], _ring(x))
 
 
 def _weighted(params: SatakeParams, x):
-    a1, a2 = _alphas(params)
-    delta = a1 * a2
+    delta = params.alpha1 * params.alpha2
     numerator = 1 + -(delta * delta.conjugate() * _pow(x, 2))
     return numerator * rankin_selberg_self_l(params, x)
 
@@ -221,7 +221,7 @@ def weighted_integral_closed(params: SatakeParams, place: PlaceData,
     """Closed form of the weighted square integral:
     (1 - |alpha1*alpha2|**2 x**2) * L-product at x = p**(-1-s), on the ring of
     the inputs (see the module docstring)."""
-    return Scalar.wrap(_weighted(params, _p_power(place.p, 1 + _ring(s), -1)))
+    return Scalar.wrap(_weighted(params, power_of_p(place.p, 1 + _ring(s), -1)))
 
 
 def weighted_integral_oracle(params: SatakeParams, place: PlaceData,
@@ -231,7 +231,7 @@ def weighted_integral_oracle(params: SatakeParams, place: PlaceData,
     ends once x**n underflows to 0 (every later term is a zero, or NaN where
     |S(n+1)|**2 has overflowed), or at the decay bound
     4 (n+1)**2 (max|alpha|**2 |x|)**n of :func:`decayed_sum`."""
-    x = complex(place.p) ** (-(1 + Scalar.wrap(s).to_complex()))
+    x = complex(place.p) ** (-(1 + _complex(s)))
     weights = takewhile(bool, accumulate(repeat(x), operator.mul, initial=1 + 0j))
     addends = ((u * u.conjugate()) * xn for xn, u in zip(weights, hecke_stream(params)))
     # u conj(u) is real, so a real x gives every addend a zero imaginary part
@@ -248,7 +248,7 @@ def whittaker_norm_sq(params: SatakeParams, place: PlaceData) -> Scalar:
     """
     p = place.p
     pinv = Fraction(1, p)
-    a1, a2 = _alphas(params)
+    a1, a2 = params.alpha1, params.alpha2
     growth = a1 * a1.conjugate() * pinv
     if abs(_complex(growth)) >= 1:
         raise ValueError("norm series diverges: |alpha1|**2 >= p")

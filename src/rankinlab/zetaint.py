@@ -26,11 +26,11 @@ from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, chain, islice, repeat
 
-from .exactalg import Poly2, RationalFunction2, _p_power, _reduced, nonzero_factor, power_of_p
+from .exactalg import Poly2, RationalFunction2, _reduced, nonzero_factor, power_of_p
 from .localdata import PlaceData, Shift, zeta_local, zeta_value
-from .scalars import SC_ONE, Scalar, ScalarLike, _complex, _inv, _plain, _pow, _ring, _root
-from .whittaker import (SatakeParams, _alphas, _hecke_recursion, _largest, decayed_sum,
-                        hecke_stream, l_factor_product, satake_sum)
+from .scalars import Scalar, ScalarLike, _complex, _inv, _plain, _pow, _ring, _root
+from .whittaker import (SatakeParams, _hecke_recursion, _largest, decayed_sum, hecke_stream,
+                        l_factor_product, satake_sum)
 
 KIND_SIGNS = {"i": (1, 1), "ii": (-1, 1), "iii": (1, -1), "iv": (-1, -1)}
 KINDS = tuple(KIND_SIGNS)
@@ -94,9 +94,9 @@ def ftilde_eval(place: PlaceData, pt: BruhatPoint, s: Shift) -> RationalFunction
 
 def rs_l_rf(pi0: SatakeParams, place: PlaceData, shift: Shift) -> RationalFunction2:
     """Rankin-Selberg factor of pi0 x contragredient(pi0) at the shifted
-    argument, from the products alpha_i * alpha_j of plain ``Fraction`` or
-    ``complex`` parameters; ``_plain`` refuses a square-root part."""
-    alphas = (_plain(pi0.alpha1), _plain(pi0.alpha2))
+    argument, from the products alpha_i * alpha_j of ``Fraction`` or
+    ``complex`` parameters (:func:`_psi_signs` refuses a square-root part)."""
+    alphas = (pi0.alpha1, pi0.alpha2)
     return reduce(operator.mul, (zeta_local(place, shift, ai * aj)
                                  for ai in alphas for aj in alphas))
 
@@ -132,7 +132,7 @@ def _psi_signs(kind: str, place: PlaceData, pi0: SatakeParams) -> tuple[int, int
     if pi0.ramified:
         raise ValueError("the fixed representation must be unramified")
     for alpha in (pi0.alpha1, pi0.alpha2):
-        if alpha.z is None and alpha.b:
+        if alpha.__class__ is Scalar:
             raise ValueError(f"Satake parameter {alpha} has a square-root part")
     if kind not in KIND_SIGNS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
@@ -288,7 +288,7 @@ def rs_local_value(pi: SatakeParams, pi0: SatakeParams, place: PlaceData) -> Sca
     the ring of the inputs (see :mod:`rankinlab.whittaker`).  p**(-1/2) enters
     numeric where no product a_i b_j of nonzero parameters is exact."""
     p = place.p
-    (a1, a2), (b1, b2) = a, b = _alphas(pi), _alphas(pi0)
+    (a1, a2), (b1, b2) = a, b = (pi.alpha1, pi.alpha2), (pi0.alpha1, pi0.alpha2)
     num = 1 + -(a1 * a2 * b1 * b2 * Fraction(1, p))
     lift = any(all(v.__class__ is complex for v in side if v) for side in (a, b))
     return Scalar.wrap(num * l_factor_product(a, b, _root(p, Fraction(1, p), lift)))
@@ -297,7 +297,7 @@ def rs_local_value(pi: SatakeParams, pi0: SatakeParams, place: PlaceData) -> Sca
 def _real_constants(params: SatakeParams) -> bool:
     """Whether alpha1 + alpha2 and alpha1 alpha2 are real: every value of the
     Hecke stream then has a signed-zero imaginary part."""
-    a1, a2 = params.alpha1.to_complex(), params.alpha2.to_complex()
+    a1, a2 = _complex(params.alpha1), _complex(params.alpha2)
     return (a1 + a2).imag == 0 and (a1 * a2).imag == 0
 
 
@@ -330,18 +330,18 @@ def rs_local_oracle(pi: SatakeParams, pi0: SatakeParams, place: PlaceData,
 
 # -- the regularised-term local integral ---------------------------------------
 
-def _delta_weighted_s(pi: SatakeParams, k: int, m: int) -> Scalar:
-    """delta**k * S(m) where delta = alpha1*alpha2, valid for m possibly negative.
+def _delta_weighted_s(pi: SatakeParams, k: int, m: int):
+    """delta**k * S(m), delta = alpha1*alpha2, on the ring of the parameters.
 
     For m < 0 uses delta**k S(m) = -delta**(k+m) S(-m), a polynomial identity
     whenever k + m >= 0 (so it also covers the ramified delta = 0 case).
     """
     delta = pi.alpha1 * pi.alpha2
     if m >= 0:
-        return delta ** k * satake_sum(pi, m)
+        return _pow(delta, k) * _ring(satake_sum(pi, m))
     if k + m < 0:
         raise ValueError("negative-index Satake sum with insufficient delta weight")
-    return -(delta ** (k + m)) * satake_sum(pi, -m)
+    return -_pow(delta, k + m) * _ring(satake_sum(pi, -m))
 
 
 def reg_local_closed(pi: SatakeParams, place: PlaceData, z: ScalarLike) -> Scalar:
@@ -355,8 +355,8 @@ def reg_local_closed(pi: SatakeParams, place: PlaceData, z: ScalarLike) -> Scala
     """
     z = _ring(z)
     p, r = place.p, place.r
-    beta, gamma = _p_power(p, z + _MINUS_HALF), _p_power(p, -z + _MINUS_HALF)
-    a1, a2 = _alphas(pi)
+    beta, gamma = power_of_p(p, z + _MINUS_HALF), power_of_p(p, -z + _MINUS_HALF)
+    a1, a2 = pi.alpha1, pi.alpha2
     for ai in (a1, a2):
         nonzero_factor(1 + -(ai * gamma), "regularised local integral")
     confluent = pi.confluent()
@@ -384,22 +384,23 @@ def reg_local_closed_s_form(pi: SatakeParams, place: PlaceData, z: ScalarLike) -
     p**(-r/2) L**2(1/2+z) [ S(r+1) - (beta+2 gamma delta) S(r)
         + (2 beta gamma delta + gamma**2 delta**2) S(r-1)
         - beta gamma**2 delta**2 S(r-2) ]
-    with beta = p**(-1/2+z), gamma = p**(-1/2-z), delta = alpha1*alpha2.
+    with beta = p**(-1/2+z), gamma = p**(-1/2-z), delta = alpha1*alpha2, on the
+    ring of the inputs (see :mod:`rankinlab.whittaker`).
     """
-    z = Scalar.wrap(z)
+    z = _ring(z)
     p, r = place.p, place.r
-    beta, gamma = power_of_p(p, z - Fraction(1, 2)), power_of_p(p, -z - Fraction(1, 2))
-    l_sq = SC_ONE
+    beta, gamma = power_of_p(p, z + _MINUS_HALF), power_of_p(p, -z + _MINUS_HALF)
+    l_sq = 1
     for ai in (pi.alpha1, pi.alpha2):
-        factor = nonzero_factor(SC_ONE - ai * gamma, "regularised local integral")
-        l_sq = l_sq / (factor * factor)
+        factor = nonzero_factor(1 + -(ai * gamma), "regularised local integral")
+        l_sq = l_sq * _inv(factor * factor)
     bracket = (_delta_weighted_s(pi, 0, r + 1)
-               - beta * _delta_weighted_s(pi, 0, r)
-               - gamma * 2 * _delta_weighted_s(pi, 1, r)
+               + -(beta * _delta_weighted_s(pi, 0, r))
+               + -(gamma * 2 * _delta_weighted_s(pi, 1, r))
                + beta * gamma * 2 * _delta_weighted_s(pi, 1, r - 1)
                + gamma * gamma * _delta_weighted_s(pi, 2, r - 1)
-               - beta * gamma * gamma * _delta_weighted_s(pi, 2, r - 2))
-    return power_of_p(p, Fraction(r, 2), -1) * l_sq * bracket
+               + -(beta * gamma * gamma * _delta_weighted_s(pi, 2, r - 2)))
+    return Scalar.wrap(power_of_p(p, Fraction(r, 2), -1) * l_sq * bracket)
 
 
 def reg_local_oracle(pi: SatakeParams, place: PlaceData, z: ScalarLike,
@@ -409,7 +410,7 @@ def reg_local_oracle(pi: SatakeParams, place: PlaceData, z: ScalarLike,
     up to ``terms`` terms, the end of the W stream, or the decay bound of
     :func:`rankinlab.whittaker.decayed_sum`: with rho = max|alpha| p**(-1/2),
     term n is at most 4 rho**r (n+r+1)**2 (rho |p**(-z)|)**n."""
-    z = Scalar.wrap(z).to_complex()
+    z = _complex(z)
     p, r = place.p, place.r
     # W(pi**m) = p**(-m/2) S(m+1), decay folded into the Hecke recursion
     stream = hecke_stream(pi, p ** -0.5)
@@ -430,7 +431,7 @@ def reg_local_oracle(pi: SatakeParams, place: PlaceData, z: ScalarLike,
 def reg_local_bound(pi: SatakeParams, place: PlaceData, z: ScalarLike) -> float:
     """|p**(-r/2) L**2(1/2+z)| (r+1) max(|alpha_i|**r), the comparison envelope."""
     p, r = place.p, place.r
-    gamma = _complex(_p_power(p, -_ring(z) + _MINUS_HALF))
-    a1, a2 = pi.alpha1.to_complex(), pi.alpha2.to_complex()
+    gamma = _complex(power_of_p(p, -_ring(z) + _MINUS_HALF))
+    a1, a2 = _complex(pi.alpha1), _complex(pi.alpha2)
     l_sq = 1.0 / abs((1 - a1 * gamma) * (1 - a2 * gamma)) ** 2
     return p ** (-r / 2) * l_sq * (r + 1) * max(abs(a1), abs(a2)) ** r

@@ -179,9 +179,20 @@ def test_correction_term_values():
     assert abs(sum_factor - 2 * math.log(2) ** 3) < 1e-14
     report = degenerate_limit(data, IdealFactorization.parse("2^1")).correction_detail
     # the limit equals -2 c^3 L_Ad N(d)/(xi(2) zeta_q(1)^2) * sum-factor with
-    # c = xi*(1); solving the zeta_q(1)^1-normalised shape for c^3 therefore
-    # returns xi*(1)^3/zeta_q(1) = 1/2 here
-    assert report.implied_c_cubed.to_complex().real == pytest.approx(0.5)
+    # c = xi*(1), so c^3 = xi*(1)^3 = 1 here
+    assert report.implied_c_cubed.to_complex().real == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("spec", ["2^1", "3^1", "2^1*3^1", "7^2", "2^2*3^1*5^1",
+                                  "2^1*3^2*5^1*7^1*11^1*13^2"])
+def test_correction_implies_c_cubed_is_xi_residue_cubed(spec):
+    # h4 is prod zeta_v(1)**(-2) at the origin: the implied c**3 is xi_res**3 = 1
+    # on both shipped documents, for every q, not 1/zeta_q(1)
+    q = IdealFactorization.parse(spec)
+    model = degenerate_limit(model_data(), q).correction_detail.implied_c_cubed
+    assert model.is_exact and model == Scalar.exact(1)
+    field = degenerate_limit(default_data(), q).correction_detail.implied_c_cubed
+    assert abs(field.to_complex() - 1) <= 1e-12
 
 
 def test_correction_term_bounded_as_q_grows():

@@ -11,7 +11,7 @@ from rankinlab import exactalg, zetaint
 from rankinlab.exactalg import (PoleError, Poly2, RationalFunction2, poly_div_exact,
                                 power_of_p, rf_equal)
 from rankinlab.localdata import PlaceData, Shift, zeta_local
-from rankinlab.scalars import Scalar, format_scalar
+from rankinlab.scalars import Scalar, _ring, format_scalar
 from rankinlab.whittaker import SatakeParams
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
@@ -257,7 +257,7 @@ def _same_coeffs(got: dict, want: dict) -> bool:
         g = got[m]
         if g.is_exact != w.is_exact:
             return False
-        if g.is_exact and not (g == w and g.is_rational() == w.is_rational()):
+        if g.is_exact and not (g == w and bool(g.b) == bool(w.b)):
             return False
         if not g.is_exact and g.z != w.z:
             return False
@@ -379,7 +379,7 @@ def _well_formed(p: Poly2) -> bool:
     """The integer form exactly when every coefficient is a plain rational,
     with int numerators and a positive denominator that share no factor;
     else complex values only."""
-    rational = all(v.is_rational() for v in p.c.values())
+    rational = all(v.is_exact and not v.b for v in p.c.values())
     if p.den is None:
         return not rational and all(v.__class__ is complex for v in p.terms.values())
     return (rational and all(v.__class__ is int for v in p.terms.values()) and p.den > 0
@@ -541,7 +541,7 @@ def test_exact_psi_makes_no_scalar_arithmetic_inside_poly2(monkeypatch):
 def _reference_power_of_p(p, exponent, sign=1):
     """power_of_p as it was: every exponent through Scalar.wrap and Fraction powers."""
     e = Scalar.wrap(exponent)
-    if e.is_rational():
+    if e.is_exact and not e.b:
         q = e.a * sign
         if q.denominator == 1:
             return Scalar.exact(Fraction(p) ** q.numerator)
@@ -570,7 +570,9 @@ def test_power_of_p_is_bitwise_the_reference():
                     for sign in (1, -1):
                         got = power_of_p(p, exponent, sign)
                         want = _reference_power_of_p(p, exponent, sign)
-                        assert _bits(got) == _bits(want), (p, exponent, sign)
+                        # the value on its ring: a Scalar only where a root is live
+                        assert got.__class__ is _ring(want).__class__, (p, exponent, sign)
+                        assert _bits(Scalar.wrap(got)) == _bits(want), (p, exponent, sign)
                         checked += 1
     assert checked == 6 * 25 * (3 * 4 + 1) * 2
 
@@ -749,11 +751,12 @@ def test_eval_t_is_the_quotient_of_the_separate_evaluations():
           .with_factor(Poly2({(0, 3): 3, (1, 0): 1, (0, 0): 7}), 2)
           .with_factor(Poly2({(0, 0): 1, (5, 0): Fraction(1, 9)})))
     third = power_of_p(9, Fraction(1, 2), -1)
-    assert (third.a, third.b) == (Fraction(1, 3), 0)  # sqrt(9) folds back into Q
+    assert third.__class__ is Fraction and third == Fraction(1, 3)  # sqrt(9) folds into Q
     points = [(Scalar.exact(Fraction(2, 3)), Scalar.exact(Fraction(-1, 5))),
               (power_of_p(2, Fraction(1, 2), -1), power_of_p(2, Fraction(3, 2), -1)),
               (power_of_p(2, Fraction(-1, 2), -1), Scalar.exact(Fraction(3, 4))),
               (third, power_of_p(9, Fraction(-3, 2), -1))]
+    points = [(Scalar.wrap(t1), Scalar.wrap(t2)) for t1, t2 in points]
     for t1, t2 in points:
         got, want = rf.eval_t(t1, t2), _quotient(rf, t1, t2)
         assert got == want and got.base == want.base, (t1, t2)

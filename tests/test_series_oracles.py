@@ -52,7 +52,7 @@ PI0S = ("unitary", "exact-real", "confluent", "non-tempered", "near-real")
 # -- the full-length loops the oracles replace -----------------------------------
 
 def _endless_stream(params, step=1.0):
-    a1, a2 = params.alpha1.to_complex(), params.alpha2.to_complex()
+    a1, a2 = (Scalar.wrap(a).to_complex() for a in (params.alpha1, params.alpha2))
     t, delta = step * (a1 + a2), step * step * (a1 * a2)
     u_prev, u = 0j, 1 + 0j
     while True:
@@ -199,7 +199,7 @@ def test_weighted_oracle_is_the_full_sum(counting, terms):
 
 
 def _top(params) -> float:
-    return max(abs(params.alpha1.to_complex()), abs(params.alpha2.to_complex()))
+    return max(abs(Scalar.wrap(a).to_complex()) for a in (params.alpha1, params.alpha2))
 
 
 @pytest.mark.parametrize("terms", [5, 100, None], ids=["5", "100", "default"])

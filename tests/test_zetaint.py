@@ -272,8 +272,9 @@ def _reference_square_sum(pi0, place, a, b, cutoff=6):
         xpows.append(xpow)
         partial = partial + xpow * a_seq[n]
         xpow = xpow * x
-    t = pi0.alpha1 + pi0.alpha2
-    delta = pi0.alpha1 * pi0.alpha2
+    a1, a2 = Scalar.wrap(pi0.alpha1), Scalar.wrap(pi0.alpha2)
+    t = a1 + a2
+    delta = a1 * a2
     e1 = t * t - delta
     e2 = delta * t * t - delta * delta
     e3 = delta ** 3
@@ -540,7 +541,7 @@ def test_integer_at_y_is_the_fraction_poly(p, monkeypatch):
 
 def _reference_rs_l_rf(pi0, place, shift):
     """rs_l_rf as it was: Scalar products alpha_i * alpha_j, from the constant 1."""
-    alphas = (pi0.alpha1, pi0.alpha2)
+    alphas = (Scalar.wrap(pi0.alpha1), Scalar.wrap(pi0.alpha2))
     out = RationalFunction2.const(1, place.p)
     for ai in alphas:
         for aj in alphas:
