@@ -29,9 +29,8 @@ from pathlib import Path
 
 from .laurent import DEFAULT_DEPTH, CubicPolynomial, LambdaPoly, LaurentSeries2, ls_inverse_regular
 from .localdata import IdealFactorization, omega, zeta_value
-from .numerator import _add_term, unit_mul
-from .scalars import (SC_ZERO, Plain, Scalar, _inv, _plain, _plain_coeffs, _pow, format_scalar,
-                      parse_exact)
+from .numerator import _add_term, plain_values
+from .scalars import SC_ZERO, Plain, Scalar, _inv, _plain, _pow, format_scalar, parse_exact
 
 SPLIT_TOL = 1e-9  # split remainders within SPLIT_TOL * max(1, max |coefficient|) are 0
 MIN_DEPTH = 3  # G's three simple poles put the limit at numerator degree 3
@@ -180,32 +179,23 @@ def build_h(q: IdealFactorization, depth: int = DEFAULT_DEPTH,
     h4: zeta**(-1)(1-2z) zeta**(-1)(1-2w) zeta(1-2z-2w)/zeta(1)
 
     One loop over the places computes each place's coefficients once per
-    sign (:func:`_local_zeta_inverse_coeffs`).  The same float operations run
-    in the same order as five series built each from its own list: the w
-    series is the z series with its keys swapped, since ``along`` multiplies
-    every value by the same ``complex(1)`` in both directions.  h1..h4 start
-    from the first place's factors as
-    :func:`~rankinlab.numerator.unit_mul` maps them: the values, exactness
-    and key order a product by ``LaurentSeries2.one()`` gives.
+    sign (:func:`_local_zeta_inverse_coeffs`), lays each list along z and w,
+    and multiplies the four local factors into h1..h4, which start from
+    ``LaurentSeries2.one()``.
     """
-    hs: list[LaurentSeries2] = []
+    hs = [LaurentSeries2.one()] * 4
     for place in q.places:
         unit = Fraction(place.p - 1, place.p)  # zeta_v(1)**(-1)
         plus, minus = (_local_zeta_inverse_coeffs(place.p, sign, depth, log_map)
                        for sign in (1, -1))
-        z_plus, z_minus = (LaurentSeries2.from_direction(c, 0, "z", depth) for c in (plus, minus))
-        w_plus, w_minus = (LaurentSeries2._make(z.den, {(0, i): c for (i, _), c in
-                                                        z.terms.items()}, z.poles, depth)
-                           for z in (z_plus, z_minus))
+        z_plus, w_plus, z_minus, w_minus = (LaurentSeries2.from_direction(c, 0, direction, depth)
+                                            for c in (plus, minus) for direction in ("z", "w"))
         # zeta_v(1-2z-2w)/zeta_v(1): the inverse of the z+w factor, times unit
         ratio = ls_inverse_regular(LaurentSeries2.from_direction(minus, 0, "zw_plus",
                                                                  depth)).scale(unit)
         local = (z_plus * w_plus, w_plus.scale(unit), z_plus.scale(unit),
                  z_minus * w_minus * ratio)
-        hs = ([h * loc for h, loc in zip(hs, local)] if hs else
-              [LaurentSeries2._make(*unit_mul((loc.den, loc.terms)), loc.poles, loc.depth)
-               for loc in local])
-    hs = hs or [LaurentSeries2.one()] * 4
+        hs = [h * loc for h, loc in zip(hs, local)]
     return tuple(h.truncated(depth) if h.depth > depth else h for h in hs)
 
 
@@ -307,20 +297,24 @@ def _zeta_q1(q: IdealFactorization) -> Fraction | int:
 
 def _correction(data: GlobalZetaData, q: IdealFactorization, g_mm_h4: LaurentSeries2,
                 log_map: LogMap) -> CorrectionReport:
-    """The correction from a given product G(-z,-w) h4(z,w): ``value`` is the
-    limit at the origin of G(-z,-w) h4(z,w) * 8zw(z+w) * sum-factor.  8zw(z+w)
-    clears the triple pole of the flipped pole factor, so the limit is finite
-    (and lam-free), and the proportionality constant comes out of the series
-    arithmetic rather than a hard-coded formula."""
+    """The correction from a given product G(-z,-w) h4(z,w) = N/(zw(z+w)):
+    ``value`` is the limit at the origin of G(-z,-w) h4(z,w) * 8zw(z+w) *
+    sum-factor.  8zw(z+w) clears the triple pole of the flipped pole factor,
+    so the limit is 8 N(0, 0) * sum-factor, read off the numerator: the
+    proportionality constant comes out of the series arithmetic rather than a
+    hard-coded formula.  A kernel product leaves no -0.0 part, so a numeric
+    ``8 * N(0, 0)`` has the bits of the product route's ``0j + N(0, 0) *
+    (8+0j)``.  Poles other than (1, 1, 1, 0), or a lam power in N(0, 0), are
+    an ``AssertionError``."""
     sum_factor = correction_sum_factor(q, log_map)
     if not q.places:
         return CorrectionReport(SC_ZERO, SC_ZERO, None)
-    product = g_mm_h4 * LaurentSeries2({(2, 1): 8, (1, 2): 8})
-    abs_tol = SPLIT_TOL * max(1.0, product.max_abs())
-    const = _plain_coeffs(product.constant_term(abs_tol))
-    if max(const, default=0) > 0:
+    if g_mm_h4.poles != (1, 1, 1, 0):
+        raise AssertionError(f"G(-z,-w) h4 should have poles (1, 1, 1, 0), not {g_mm_h4.poles}")
+    n00 = plain_values(g_mm_h4.terms.get((0, 0), {}), g_mm_h4.den)
+    if max(n00, default=0) > 0:
         raise AssertionError("correction limit should be lam-free")
-    c0 = const.get(0, Fraction(0))
+    c0 = 8 * n00.get(0, Fraction(0))
     # comparison target: the same limit written as -2 c**3 Lambda_Ad N(d) /
     # (xi(2) zeta_q(1)**2) * sum-factor (h4 is zeta_q(1)**(-2) at the origin), c = xi_res
     denom = (-2 * data.adjoint_l_value * data.norm_different
@@ -417,7 +411,7 @@ def degenerate_limit(data: GlobalZetaData, q: IdealFactorization,
             f"four-term combination has a nonzero singular part "
             f"(max coefficient {singular_mag:.3e}); this signals an implementation bug"
         )
-    const = _plain_coeffs(regular.coeff(0, 0))
+    const = plain_values(regular.terms.get((0, 0), {}), regular.den)
     corr = _correction(data, q, g_mm_h4, log_map)
     if value := _plain(corr.value):  # a zero correction subtracts nothing
         _add_term(const, 0, -value)

@@ -163,26 +163,23 @@ class Poly2:
 
     def eval(self, t1: Scalar, t2: Scalar) -> Scalar:
         """Sum of ``v * t1**i * t2**j`` in key order, each power computed once:
-        on integers at exact points of one field, else in complex or Scalar values."""
+        on integers at exact points of one field, else on the points' rings."""
         if not self.terms:
             return SC_ZERO
         den = self.den
         if den is not None and _one_field(t1, t2):
             return _scalar(*_eval_exact(den, self.terms, t1, t2), _root(t1, t2))
-        if den is None:
-            items, total, power = self.terms.items(), 0j, lambda t, k: (t ** k).to_complex()
-        else:
-            items, total, power = self.c.items(), SC_ZERO, pow
-        pow1, pow2 = {}, {}
-        for (i, j), v in items:
+        x, y = _ring(t1), _ring(t2)
+        total, pow1, pow2 = Fraction(0), {}, {}
+        for (i, j), v in self.terms.items():
             x1 = pow1.get(i)
             if x1 is None:
-                x1 = pow1[i] = power(t1, i)
+                x1 = pow1[i] = _pow(x, i)
             x2 = pow2.get(j)
             if x2 is None:
-                x2 = pow2[j] = power(t2, j)
-            total = total + v * x1 * x2
-        return total if den is not None else Scalar.numeric(total)
+                x2 = pow2[j] = _pow(y, j)
+            total = total + (v if den is None else Fraction(v, den)) * x1 * x2
+        return Scalar.wrap(total)
 
     def magnitude(self, t1: Scalar, t2: Scalar) -> float:
         """Sum of ``|v * t1**i * t2**j|``: the size a numeric value is zero against."""
@@ -570,16 +567,16 @@ class RationalFunction2:
             # divided by (x + y*r)/e: times e*(x - y*r) over the norm
             return _scalar(e * (nx * x - base * ny * y), e * (ny * x - nx * y),
                            ne * (x * x - base * y * y), root)
-        den_val = SC_ONE
+        den_val = Fraction(1)
         for poly, exp in self.fac.values():
-            val = poly.eval(t1, t2)
-            if val.is_exact and val.is_zero():
+            val = _ring(poly.eval(t1, t2))
+            if val.__class__ is not complex and not val:  # a root value is never 0
                 num = _cancel(num, poly, exp)
                 continue
-            if not val.is_exact and abs(val.to_complex()) <= POLE_TOL * poly.magnitude(t1, t2):
+            if val.__class__ is complex and abs(val) <= POLE_TOL * poly.magnitude(t1, t2):
                 raise PoleError("denominator factor vanishes within tolerance")
-            den_val = den_val * val ** exp
-        return num.eval(t1, t2) / den_val
+            den_val = den_val * _pow(val, exp)
+        return Scalar.wrap(_ring(num.eval(t1, t2)) * _inv(den_val))
 
     def eval_zw(self, z: ScalarLike, w: ScalarLike) -> Scalar:
         """Evaluate after substituting T1 = p**(-z), T2 = p**(-w)."""

@@ -27,10 +27,10 @@ monomial whose dict empties leaves the numerator, as ``LambdaPoly`` sums drop
 them.  Products run in one of two loops, both in the product-sum kernel
 :func:`mul_sum` (of which :func:`mul` is the one-pair case): integers only,
 every pair rescaled to one common denominator and summed into one
-accumulator, or int or complex per term, pair by pair.  Three products give
-the loop's values and key order without it: by the unit (:func:`unit_mul`),
-of a numeric numerator and z+-w (:func:`times_linear`), of an exact monomial
-and its exponential (:func:`exp_monomial`).  The inverse of an all-exact unit
+accumulator, or int or complex per term, pair by pair.  Two products give
+the loop's values and key order without it: of a numeric numerator and z+-w
+(:func:`times_linear`), and of an exact monomial and its exponential
+(:func:`exp_monomial`).  The inverse of an all-exact unit
 is an exact inverse on integers, each output's recursion scaled by a power of
 the constant term.  Other inverses and the ``lam`` polynomials of ``exp``
 expansions (bar a one-power exact rate, in closed form) run on
@@ -277,15 +277,6 @@ def _reduced(den: int, terms: Terms) -> Flat:
         return den, terms
     return den // g, {m: {k: v // g if v.__class__ is int else v for k, v in c.items()}
                       for m, c in terms.items()}
-
-
-def unit_mul(a: Flat) -> Flat:
-    """The product of the unit and a truncated a: a's terms in
-    :func:`_by_degree` order, a complex c as ``0j + (1+0j)*c``, one gcd."""
-    den, terms = a
-    return _reduced(den, {m: {k: 0j + _C_ONE * v if v.__class__ is complex else v
-                              for k, v in sorted(terms[m].items())}
-                          for m in sorted(terms, key=lambda m: (m[0] + m[1], m))})
 
 
 def times_linear(a: Flat, sign: int, depth: int) -> Flat:

@@ -272,12 +272,19 @@ def test_psi_numeric_oracle_matches_far_left_of_the_origin(capsys):
 
 
 @pytest.mark.xfail(strict=True, reason="the rounding floor does not count the rounding of "
-                   "the square sum's Y coefficient b1 - b0*e1, which cancels T**2 ~ 2e31 "
-                   "down to Delta = 1 at |alpha| ~ 4.5e15")
-def test_psi_numeric_tiny_alpha_is_no_false_mismatch(capsys):
-    # today every kind reads MISMATCH with margin ~3.5e9 against a floor of
-    # ~3.5e-14; a MATCH or a usage error naming the precision limit both pass
-    code = main(["psi", "--p", "2", "--r", "1", "--pi0=2.220446049250313e-16", "--at=0.1,-0.2"])
+                   "the square sum's Y coefficient b1 - b0*e1, which loses Delta once "
+                   "T**2 = (alpha1 + alpha2)**2 passes 2**53 |Delta|: from |alpha| ~ 1e8 on")
+@pytest.mark.parametrize("argv", [
+    ["--p", "2", "--r", "1", "--pi0=2.220446049250313e-16", "--at=0.1,-0.2"],
+    ["--p", "3", "--r", "2", "--pi0=1e8", "--at=0,0"],
+    ["--p", "2", "--r", "1", "--pi0=1e8", "--at=0,0"],
+    ["--p", "5", "--r", "1", "--pi0=1e8", "--at=0,0"],
+], ids=["p2-r1-eps", "p3-r2-1e8", "p2-r1-1e8", "p5-r1-1e8"])
+def test_psi_numeric_tiny_alpha_is_no_false_mismatch(argv, capsys):
+    # today every kind reads MISMATCH (at pi0 = eps with margin ~3.5e9 against
+    # a floor of ~3.5e-14); a MATCH or a usage error naming the precision
+    # limit both pass
+    code = main(["psi", *argv])
     capsys.readouterr()
     assert code in (0, 2)
 

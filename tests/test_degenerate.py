@@ -7,17 +7,18 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_laurent import _assert_same_bits, _lambda_poly_inverse, _scalar_loop_mul
 
 from rankinlab import degenerate, laurent, numerator
-from rankinlab.degenerate import (GlobalZetaData, _correction, _local_zeta_inverse_coeffs, build_G,
-                                  build_h, correction_sum_factor, degenerate_limit,
-                                  symmetry_residuals, taylor_bound_report)
+from rankinlab.degenerate import (CorrectionReport, GlobalZetaData, _correction,
+                                  _local_zeta_inverse_coeffs, build_G, build_h,
+                                  correction_sum_factor, degenerate_limit, symmetry_residuals,
+                                  taylor_bound_report)
 from rankinlab.laurent import LaurentSeries2, ls_inverse_regular
 from rankinlab.localdata import IdealFactorization, PlaceData
-from rankinlab.scalars import Scalar, _pow
+from rankinlab.scalars import SC_ZERO, LambdaPoly, Scalar, _inv, _plain_coeffs, _pow
 from rankinlab.verify import TAYLOR_IDEALS, default_data, model_data
 
 Q23 = IdealFactorization.parse("2^1*3^1")
@@ -267,10 +268,12 @@ def test_laurent_kernels_make_no_scalar_arithmetic(monkeypatch):
 
 def test_degenerate_limit_builds_scalars_only_for_read_coefficients(monkeypatch):
     # Scalar.numeric calls made with laurent or numerator code on the stack:
-    # only the coefficients degenerate_limit reads (the constant term, h1..h4
-    # at the origin, the correction limit) become Scalars.  With numerators
-    # kept as dict[(i, j)] -> LambdaPoly this run made 8,842, and 7 while the
-    # constant term and the correction were subtracted as LambdaPolys.
+    # only the coefficients degenerate_limit reads become Scalars, and it
+    # reads the constant term and the correction limit as plain values off
+    # the numerators (h1..h4 are exact at the origin).  With numerators kept
+    # as dict[(i, j)] -> LambdaPoly this run made 8,842; 7 while the constant
+    # term and the correction were subtracted as LambdaPolys, and 5 while both
+    # were read through LaurentSeries2.coeff.
     from rankinlab import numerator
     files = {laurent.__file__, numerator.__file__}
     numeric = Scalar.numeric.__func__
@@ -288,12 +291,12 @@ def test_degenerate_limit_builds_scalars_only_for_read_coefficients(monkeypatch)
     monkeypatch.setattr(Scalar, "numeric", classmethod(counted))
     rep = degenerate_limit(default_data(), Q23, depth=8)
     assert rep.singular_residual == 0.0
-    assert calls[0] == 5
+    assert calls[0] == 0
 
 
 SCALAR_ARITHMETIC = ("__add__", "__radd__", "__neg__", "__sub__", "__rsub__", "__mul__",
                      "__rmul__", "inverse", "__truediv__", "__rtruediv__", "__pow__",
-                     "conjugate", "abs2", "close")
+                     "conjugate", "abs2", "__eq__", "close")
 
 
 @pytest.mark.parametrize("log_map", [None, LOG_SURROGATES], ids=["numeric", "rational"])
@@ -545,8 +548,72 @@ def test_degenerate_limit_reprs_match_the_recorded_ones():
         assert text == recorded[name], name
 
 
-# -- the loop-free routes of build_h and the pole raise against the routes they
-#    replaced: five local series per place, products by one(), kernel raises
+# -- the correction read off the numerator, against the series route it replaced
+
+def _reference_correction(data, q, g_mm_h4, log_map):
+    """Reference: the correction as the product by 8zw(z+w), whose constant
+    term the singular split reads."""
+    sum_factor = correction_sum_factor(q, log_map)
+    if not q.places:
+        return CorrectionReport(SC_ZERO, SC_ZERO, None)
+    product = g_mm_h4 * LaurentSeries2({(2, 1): 8, (1, 2): 8})
+    abs_tol = degenerate.SPLIT_TOL * max(1.0, product.max_abs())
+    const = _plain_coeffs(product.constant_term(abs_tol))
+    if max(const, default=0) > 0:
+        raise AssertionError("correction limit should be lam-free")
+    c0 = const.get(0, Fraction(0))
+    denom = (-2 * data.adjoint_l_value * data.norm_different
+             * _inv(data.xi_at_2) * _inv(_pow(degenerate._zeta_q1(q), 2)))
+    implied = Scalar.wrap(c0 * _inv(denom)) if denom else None
+    return CorrectionReport(Scalar.wrap(c0 * sum_factor), Scalar.wrap(sum_factor), implied)
+
+
+@pytest.mark.parametrize("log_map", [None, RATIONAL_LOGS, NUMERIC_LOGS],
+                         ids=["default", "rational", "numeric"])
+@pytest.mark.parametrize("nd", [None, 5])
+@pytest.mark.parametrize("load", [model_data, default_data], ids=["model", "rationalfield"])
+def test_correction_is_bitwise_the_series_route(load, nd, log_map, monkeypatch):
+    data = load() if nd is None else dataclasses.replace(load(), norm_different=nd)
+    ideals = [IdealFactorization.parse(spec)
+              for spec in ("1", "2^1*3^1", "7^2", "2^2*5^1*11^1")]
+    for depth in (3, 8, 10):
+        g = build_G(data, depth).flip(True, True)
+        for q in ideals:
+            g_mm_h4 = g * build_h(q, depth, log_map)[3]
+            assert (repr(_correction(data, q, g_mm_h4, log_map))
+                    == repr(_reference_correction(data, q, g_mm_h4, log_map))), (depth, str(q))
+    got = [repr(degenerate_limit(data, q, depth, log_map)) for depth in (3, 8, 10) for q in ideals]
+    monkeypatch.setattr(degenerate, "_correction", _reference_correction)
+    assert got == [repr(degenerate_limit(data, q, depth, log_map))
+                   for depth in (3, 8, 10) for q in ideals]
+
+
+def test_correction_builds_no_series(monkeypatch):
+    # the correction reads 8 N(0, 0) off the numerator: no product, no split
+    data = default_data()
+    g_mm_h4 = build_G(data).flip(True, True) * build_h(Q23)[3]
+    want = repr(_reference_correction(data, Q23, g_mm_h4, None))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a series operation inside _correction")
+
+    for name in ("__init__", "_make", "__mul__", "split_singular", "constant_term"):
+        monkeypatch.setattr(LaurentSeries2, name, refuse)
+    assert repr(_correction(data, Q23, g_mm_h4, None)) == want
+
+
+def test_correction_refuses_other_poles_and_a_lam_power():
+    data = model_data()
+    g_mm_h4 = build_G(data).flip(True, True) * build_h(Q23, log_map=LOG_SURROGATES)[3]
+    moved = LaurentSeries2._make(g_mm_h4.den, g_mm_h4.terms, (1, 1, 0, 1), g_mm_h4.depth)
+    with pytest.raises(AssertionError, match=r"poles \(1, 1, 1, 0\)"):
+        _correction(data, Q23, moved, LOG_SURROGATES)
+    with pytest.raises(AssertionError, match="lam-free"):
+        _correction(data, Q23, g_mm_h4.scale(LambdaPoly.lam()), LOG_SURROGATES)
+
+
+# -- build_h and the pole raise against the routes they replaced: five local
+#    series per place, and kernel raises
 
 def _reference_build_h(q, depth, log_map=None):
     """Reference: build_h with five local series per place, each from its own
@@ -589,7 +656,7 @@ def test_build_h_is_bitwise_the_five_series_route(places, depth, logs):
     assert [_bits(h) for h in got] == [_bits(h) for h in want]
     for p, _ in places:
         for sign in (1, -1):
-            # one list per sign, and the w series is the z series mirrored
+            # one list per sign lays the z, w and z+w series
             coeffs = _local_zeta_inverse_coeffs(p, sign, depth, log_map)
             for direction in ("z", "w", "zw_plus"):
                 assert (_bits(LaurentSeries2.from_direction(coeffs, 0, direction, depth))
@@ -686,33 +753,15 @@ def test_times_linear_is_bitwise_the_kernel_product(s, direction, depth):
     assert repr(got) == repr(want)
 
 
-@settings(max_examples=200, deadline=None)
-@given(_kernel_series(poles=(0, 0, 0, 0)), st.integers(1, 7))
-@example(LaurentSeries2._make(6, {(1, 0): {0: complex(-0.0, 1.0)}, (0, 0): {0: 4, 2: -2}},
-                              (0, 0, 0, 0), 2), 1)
-def test_unit_mul_is_bitwise_the_product_by_one(s, factor):
-    # the (0, 0) entry of the example is not reduced by its gcd with den 6
-    s = LaurentSeries2._make(s.den * factor, s.terms, s.poles, s.depth)
-    got = LaurentSeries2._make(*numerator.unit_mul((s.den, s.terms)), s.poles, s.depth)
-    assert _bits(got) == _bits(LaurentSeries2.one() * s)
-
-
 @pytest.mark.parametrize("log_map", [None, RATIONAL_LOGS, NUMERIC_LOGS],
                          ids=["default", "rational", "numeric"])
 @pytest.mark.parametrize("load", [model_data, default_data], ids=["model", "rationalfield"])
-def test_degenerate_limit_raises_by_the_linear_route_and_multiplies_none_by_one(
-        load, log_map, monkeypatch):
-    # h1..h4 start from the first place's factors: no product by
-    # LaurentSeries2.one(); the + chain's z+w and z-w raises skip the kernel
+def test_degenerate_limit_raises_by_the_linear_route(load, log_map, monkeypatch):
+    # the + chain's z+w and z-w raises of a numeric numerator skip the kernel
     q = IdealFactorization.parse("2^1*3^2*7^1")
     want = repr(degenerate_limit(load(), q, 8, log_map))
-    one, mul, linear, raises = LaurentSeries2.one(), LaurentSeries2.__mul__, [], []
+    linear, raises = [], []
     linear_factors = [numerator.direction_power(d, 1) for d in ("zw_plus", "zw_minus")]
-
-    def no_unit(a, b):
-        for x in (a, b):
-            assert _bits(x) != _bits(one), "a product by LaurentSeries2.one()"
-        return mul(a, b)
 
     def kernel(a, b, depth):
         if b in linear_factors and any(v.__class__ is complex
@@ -721,7 +770,6 @@ def test_degenerate_limit_raises_by_the_linear_route_and_multiplies_none_by_one(
         return numerator.mul_sum(((a, b),), depth)
 
     times_linear = numerator.times_linear
-    monkeypatch.setattr(LaurentSeries2, "__mul__", no_unit)
     monkeypatch.setattr(numerator, "mul", kernel)
     monkeypatch.setattr(numerator, "times_linear",
                         lambda *args: linear.append(1) or times_linear(*args))

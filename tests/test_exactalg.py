@@ -464,6 +464,44 @@ def test_flat_eval_matches_scalar_loop(operands, t1, t2):
         assert format_scalar(got) == format_scalar(want)
 
 
+def _scalar_route_eval_t(rf: RationalFunction2, t1: Scalar, t2: Scalar) -> Scalar:
+    """Reference: eval_t as Scalar arithmetic: factor values by the Scalar
+    loop, an exact zero cancelled, a numeric one refused within POLE_TOL, and
+    the numerator's value divided by the product of the powers."""
+    num, den_val = rf.num, Scalar.exact(1)
+    for poly, exp in rf.fac.values():
+        val = _ref_eval(poly.c, t1, t2)
+        if val.is_exact and val.is_zero():
+            num = exactalg._cancel(num, poly, exp)
+            continue
+        if not val.is_exact and abs(val.to_complex()) <= exactalg.POLE_TOL * poly.magnitude(t1, t2):
+            raise PoleError("denominator factor vanishes within tolerance")
+        den_val = den_val * val ** exp
+    return _ref_eval(num.c, t1, t2) / den_val
+
+
+def _eval_outcome(fn, *args):
+    try:
+        v = fn(*args)
+    except (ZeroDivisionError, ValueError) as exc:
+        return type(exc)
+    return (v.a, v.b, v.base, repr(v.z))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_flat_operands(), _points, _points, st.integers(1, 3))
+def test_eval_t_is_bitwise_the_scalar_route(operands, t1, t2, exp):
+    # numeric or mixed points and numeric factors take eval_t's plain-value route
+    a, b = operands
+    rf = RationalFunction2.from_poly(a, 2)
+    if not b.is_zero():
+        try:
+            rf = rf.with_factor(b, exp)
+        except ZeroDivisionError:  # a numeric lead whose power underflows
+            return
+    assert _eval_outcome(rf.eval_t, t1, t2) == _eval_outcome(_scalar_route_eval_t, rf, t1, t2)
+
+
 @settings(max_examples=200, deadline=None)
 @given(_flat_operands())
 def test_flat_key_and_equality_match_scalar_keys(operands):

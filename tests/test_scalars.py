@@ -1,14 +1,18 @@
 import math
 import struct
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_degenerate import SCALAR_ARITHMETIC
 
 from rankinlab.exactalg import Poly2
 from rankinlab.scalars import (ROOT_REFUSAL, Scalar, _inv, _plain, _pow, _ring, _root,
                                _square_split, format_scalar, parse_exact)
+from rankinlab.verify import run_suites
 
 
 def test_exact_arithmetic_closed():
@@ -181,3 +185,35 @@ def test_poly2_c_is_the_per_term_map_it_replaces(coeffs):
         assert all(v.__class__ is complex for v in poly.terms.values())
     for m, w in want.items():
         assert _outcome(lambda: got[m]) == _outcome(lambda: w), m
+
+
+# Scalar arithmetic outside Scalar itself: where a root is live, and at the
+# report and parse boundaries
+SCALAR_CALLERS = {("rankinlab.zetaint", "reg_local_closed"),
+                  ("rankinlab.zetaint", "reg_local_closed_s_form"),
+                  ("rankinlab.degenerate", "GlobalZetaData.validate")}
+SCALAR_MODULES = {"rankinlab.scalars", "rankinlab.specweight", "rankinlab.verify"}
+
+
+def test_scalar_arithmetic_below_the_reports_only_where_a_root_is_live(monkeypatch):
+    # every Scalar arithmetic call of an in-process verify, by its caller: the
+    # exact reg forms (and their generator expressions), whose square roots
+    # are live, and the boundaries; exactalg, the kernels and the Satake sums
+    # compute on plain values
+    callers = Counter()
+
+    def recorded(fn):
+        def wrapper(*args, **kwargs):
+            frame = sys._getframe(1)
+            callers[(frame.f_globals["__name__"], frame.f_code.co_qualname)] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in SCALAR_ARITHMETIC:
+        monkeypatch.setattr(Scalar, name, recorded(getattr(Scalar, name)))
+    assert all(res.correct for _, res in run_suites())
+    assert callers
+    stray = {(module, name): n for (module, name), n in callers.items()
+             if module not in SCALAR_MODULES
+             and (module, name.removesuffix(".<locals>.<genexpr>")) not in SCALAR_CALLERS}
+    assert not stray
