@@ -32,8 +32,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .scalars import (SC_ONE, SC_ZERO, Scalar, ScalarLike, _binary_power, _complex, _inv, _lifted,
-                      _plain, _pow, _ring)
+from .scalars import (SC_ONE, SC_ZERO, Scalar, ScalarLike, _ZERO, _binary_power, _complex, _inv,
+                      _lifted, _plain, _pow, _ring, _square_split)
 
 Monomial = tuple[int, int]
 POLE_TOL = 1e-12
@@ -445,8 +445,11 @@ class RationalFunction2:
         lm = poly.lead_monomial()
         if poly.den is None:
             lead = poly.terms[lm]
+            power = _pow(lead, exp)
+            if not power:
+                raise PoleError(f"factor lead {lead!r} to the power {exp} underflows to zero")
             poly = poly.scale(_inv(lead))
-            num = num.scale(_inv(_pow(lead, exp)))
+            num = num.scale(_inv(power))
         elif poly.terms[lm] != poly.den:
             lead = Fraction(poly.terms[lm], poly.den)
             poly = poly._times(_inv(lead))
@@ -605,7 +608,8 @@ def _cancel(num: Poly2, poly: Poly2, exp: int) -> Poly2:
 def power_of_p(p: int, exponent: ScalarLike, sign: int = 1):
     """p**(sign*exponent) on the ring of its value (``scalars._ring``): a
     ``Fraction`` for an integer exponent, a ``Q(sqrt p)`` value for a half-integer
-    one, built on integers with one ``Scalar.root``, else a ``complex``."""
+    one, built on integers from one square split of p as ``Scalar.root`` builds
+    it, else a ``complex``."""
     e = exponent if exponent.__class__ in (int, Fraction, complex) else _ring(exponent)
     if e.__class__ is Scalar or (e.__class__ is not complex and e.denominator > 2):
         e = _complex(e)
@@ -613,8 +617,11 @@ def power_of_p(p: int, exponent: ScalarLike, sign: int = 1):
         return complex(p) ** (sign * e)
     d = e.denominator
     k = e.numerator * sign // d
-    whole = Fraction(p ** k) if k >= 0 else Fraction(1, p ** -k)
-    return whole if d == 1 else _ring(Scalar.root(p, whole))
+    if d == 1:
+        return Fraction(p ** k) if k >= 0 else Fraction(1, p ** -k)
+    square, free = _square_split(p)  # p**k sqrt(p) = p**k square sqrt(free)
+    coeff = Fraction(p ** k * square) if k >= 0 else Fraction(square, p ** -k)
+    return coeff if free == 1 else Scalar(_ZERO, coeff, Fraction(free), None)
 
 
 def nonzero_factor(factor, what: str):

@@ -9,6 +9,7 @@ represented by :class:`Shift` and produce rational functions in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -31,21 +32,28 @@ def is_prime_power(n: int) -> bool:
 
 @dataclass(frozen=True)
 class Shift:
-    """Argument m + a*z + b*w; m is half-integral only as a section parameter (|y|**s)."""
+    """Argument m + a*z + b*w; m is half-integral only as a section parameter
+    (|y|**s), and an ``int`` wherever it is integral."""
 
-    m: Fraction
+    m: int | Fraction
     a: int = 0
     b: int = 0
 
     @classmethod
     def of(cls, m, a: int = 0, b: int = 0) -> "Shift":
-        return cls(Fraction(m), a, b)
+        return cls(_integral(m if m.__class__ is int else Fraction(m)), a, b)
 
     def times(self, k: int) -> "Shift":
-        return Shift(self.m * k, self.a * k, self.b * k)
+        return Shift(_integral(self.m * k), self.a * k, self.b * k)
 
     def plus(self, c) -> "Shift":
-        return Shift(self.m + Fraction(c), self.a, self.b)
+        m = self.m + (c if c.__class__ is int else Fraction(c))
+        return Shift(_integral(m), self.a, self.b)
+
+
+def _integral(m: int | Fraction) -> int | Fraction:
+    """m as an ``int`` where it is integral."""
+    return m if m.__class__ is int or m.denominator != 1 else m.numerator
 
 
 @dataclass(frozen=True)
@@ -121,36 +129,67 @@ def zeta_value(place: PlaceData, s: int) -> Fraction:
     return Fraction(q, q - 1)
 
 
+def _zeta_parts(place: PlaceData, shift: Shift, alpha: ScalarLike) -> tuple:
+    """(n, d, lift, mono) with 1 - c T1**a T2**b = (lift - c*mono) / lift:
+    the exponents lift = (max(0,-a), max(0,-b)) and mono = (max(0,a),
+    max(0,b)), and c = alpha p**(-m) = n/d, coprime ints with d > 0 for a
+    rational alpha, a complex n over d = 1 for a numeric one.  m is an
+    integer (else a ValueError), so c stays on alpha's ring."""
+    p, a, b, m = place.p, shift.a, shift.b, shift.m
+    if m.denominator != 1:
+        raise ValueError(f"zeta_local takes an integer constant m, got m = {m}")
+    k = m.numerator
+    n, d = (1, p ** k) if k >= 0 else (p ** -k, 1)
+    if not (alpha.__class__ is int and alpha == 1):  # zeta_v takes p**(-m) as it is
+        q = _plain(alpha)
+        if q.__class__ is complex:
+            n, d = q * complex(n / d), 1  # as q * Fraction(n, d) rounds it
+        else:
+            n, d = q.numerator * n, q.denominator * d
+            g = math.gcd(n, d)
+            n, d = n // g, d // g
+    return n, d, (max(0, -a), max(0, -b)), (max(0, a), max(0, b))
+
+
 def zeta_local(place: PlaceData, shift: Shift, alpha: ScalarLike = 1) -> RationalFunction2:
     """(1 - alpha * p**(-m) T1**a T2**b)**(-1), so zeta_v(m + a*z + b*w) for
-    alpha = 1, as lift / (lift - c*mono) with the lift monomial
-    T1**max(0,-a) T2**max(0,-b) making every exponent nonnegative.  m is an
-    integer (else a ValueError), so c = alpha p**(-m) stays on alpha's ring.
+    alpha = 1, as lift / (lift - c*mono) (see :func:`_zeta_parts`).
 
     For a nonzero rational c and (a, b) != (0, 0) the factor is built in the
     form :meth:`RationalFunction2.with_factor` gives it: monic in its
     lex-leading monomial, the lift monomial first, the lift numerator times
     -1/c when mono leads; otherwise the generic ``with_factor`` builds it.
     """
-    p, a, b, m = place.p, shift.a, shift.b, shift.m
-    if m.denominator != 1:
-        raise ValueError(f"zeta_local takes an integer constant m, got m = {m}")
-    k = m.numerator
-    c = Fraction(1, p ** k) if k >= 0 else Fraction(p ** -k)
-    if not (alpha.__class__ is int and alpha == 1):  # zeta_v takes p**(-m) as it is
-        c = _plain(alpha) * c
-    lift, mono = (max(0, -a), max(0, -b)), (max(0, a), max(0, b))
+    n, d, lift, mono = _zeta_parts(place, shift, alpha)
     num = Poly2._make(1, {lift: 1})
-    if c.__class__ is complex or not c or lift == mono:
-        return RationalFunction2.from_poly(num, p).with_factor(num - Poly2.monomial(*mono, c))
-    n, d = c.numerator, c.denominator
+    if n.__class__ is complex or not n or lift == mono:
+        c = n if d == 1 else Fraction(n, d)
+        return RationalFunction2.from_poly(num, place.p).with_factor(
+            num - Poly2.monomial(*mono, c))
     if lift > mono:
         factor = Poly2._make(d, {lift: d, mono: -n})
     else:
         coeff = -d if n > 0 else d  # the factor over -c is lift * (-1/c) + mono
         num = Poly2._make(abs(n), {lift: coeff})
         factor = Poly2._make(abs(n), {lift: coeff, mono: abs(n)})
-    return RationalFunction2(num, {factor.key(): (factor, 1)}, p)
+    return RationalFunction2(num, {factor.key(): (factor, 1)}, place.p)
+
+
+def zeta_local_inverse(place: PlaceData, shift: Shift, alpha: ScalarLike = 1) -> RationalFunction2:
+    """1 - alpha * p**(-m) T1**a T2**b, the reciprocal of :func:`zeta_local`,
+    as (lift - c*mono) / lift, the lift monomial its one factor.  Its
+    numerator is the factor of ``zeta_local`` times that factor's lead, terms
+    in the same order, so for an exact operand and a rational alpha a product
+    by it builds the form of the division by ``zeta_local``."""
+    n, d, lift, mono = _zeta_parts(place, shift, alpha)
+    if n.__class__ is complex or not n or lift == mono:
+        num = Poly2._make(1, {lift: 1}) - Poly2.monomial(*mono, n if d == 1 else Fraction(n, d))
+    else:
+        num = Poly2._make(d, {lift: d, mono: -n})
+    if lift == (0, 0):
+        return RationalFunction2(num, {}, place.p)
+    den = Poly2._make(1, {lift: 1})
+    return RationalFunction2(num, {den.key(): (den, 1)}, place.p)
 
 
 def volume_K(place: PlaceData) -> Scalar:

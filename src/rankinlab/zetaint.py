@@ -7,7 +7,9 @@ of the four integrals pairing the principal-series vector ``f`` (sign +1) or
 its intertwined partner ``ftilde`` (sign -1) at each parameter against the
 square of the unramified Whittaker vector; the table :data:`KIND_SIGNS` maps
 each kind to its (sign_z, sign_w).  Every local factor in them, the
-Rankin-Selberg ones included, is a :func:`rankinlab.localdata.zeta_local`.
+Rankin-Selberg ones included, is a :func:`rankinlab.localdata.zeta_local`,
+and an exact operand divides by one as a product by its
+:func:`rankinlab.localdata.zeta_local_inverse`.
 ``psi_oracle`` recomputes them by exact summation over valuation strata of
 the Bruhat coordinates (the c-integrand is constant on each shell
 ``val(c) = -j`` of measure ``p**j (1-1/p)``, and the y-sum is a Whittaker
@@ -23,11 +25,10 @@ import cmath
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from itertools import accumulate, chain, islice, repeat
 
 from .exactalg import Poly2, RationalFunction2, _reduced, nonzero_factor, power_of_p
-from .localdata import PlaceData, Shift, zeta_local, zeta_value
+from .localdata import PlaceData, Shift, zeta_local, zeta_local_inverse, zeta_value
 from .scalars import Scalar, ScalarLike, _complex, _inv, _plain, _pow, _ring, _root
 from .whittaker import (SatakeParams, _hecke_recursion, _largest, decayed_sum, hecke_stream,
                         l_factor_product, satake_sum)
@@ -84,10 +85,17 @@ def ftilde_eval(place: PlaceData, pt: BruhatPoint, s: Shift) -> RationalFunction
     out = zeta_local(place, one_minus.times(2))
     if pt.val_y:  # |y|**(1-s) is 1 at val_y = 0
         out = _abs_power(place, pt.val_y, one_minus) * out
-    if pt.val_c is None or pt.val_c >= 0:
+    return _ftilde_c(place, s, out, pt.val_c)
+
+
+def _ftilde_c(place: PlaceData, s: Shift, out: RationalFunction2,
+              val_c: int | None) -> RationalFunction2:
+    """ftilde_s from out = |y|**(1-s) zeta_v(2(1-s)): its factor at the
+    c-valuation, 1/zeta_v(1) for c integral, else |c|**(-2(1-s))/zeta_v(2s-1)."""
+    if val_c is None or val_c >= 0:
         return out / zeta_value(place, 1)
-    out = out / zeta_local(place, s.times(2).plus(-1))
-    return out * _abs_power(place, pt.val_c, one_minus.times(-2))
+    out = out * zeta_local_inverse(place, s.times(2).plus(-1))
+    return out * _abs_power(place, val_c, s.times(2).plus(-2))
 
 
 # -- closed forms -------------------------------------------------------------
@@ -95,10 +103,11 @@ def ftilde_eval(place: PlaceData, pt: BruhatPoint, s: Shift) -> RationalFunction
 def rs_l_rf(pi0: SatakeParams, place: PlaceData, shift: Shift) -> RationalFunction2:
     """Rankin-Selberg factor of pi0 x contragredient(pi0) at the shifted
     argument, from the products alpha_i * alpha_j of ``Fraction`` or
-    ``complex`` parameters (:func:`_psi_signs` refuses a square-root part)."""
-    alphas = (pi0.alpha1, pi0.alpha2)
-    return reduce(operator.mul, (zeta_local(place, shift, ai * aj)
-                                 for ai in alphas for aj in alphas))
+    ``complex`` parameters (:func:`_psi_signs` refuses a square-root part);
+    alpha1 alpha2 = alpha2 alpha1 bit for bit, so its factor is built once."""
+    a1, a2 = pi0.alpha1, pi0.alpha2
+    mixed = zeta_local(place, shift, a1 * a2)
+    return zeta_local(place, shift, a1 * a1) * mixed * mixed * zeta_local(place, shift, a2 * a2)
 
 
 def correction_factor_rf(place: PlaceData) -> RationalFunction2:
@@ -113,8 +122,9 @@ def correction_factor_rf(place: PlaceData) -> RationalFunction2:
     lead = RationalFunction2.monomial(-2 * r1, -2 * r1, Fraction(1, place.p ** r1), place.p)
     out = lead * zeta_local(place, Shift.of(1, -2, 0)) * zeta_local(place, Shift.of(1, 0, -2))
     out = out * zeta_value(place, 1)
-    out = out / zeta_local(place, Shift.of(0, 2, 0)) / zeta_local(place, Shift.of(0, 0, 2))
-    return out / zeta_local(place, Shift.of(0, 2, 2))
+    out = out * zeta_local_inverse(place, Shift.of(0, 2, 0))
+    out = out * zeta_local_inverse(place, Shift.of(0, 0, 2))
+    return out * zeta_local_inverse(place, Shift.of(0, 2, 2))
 
 
 def correction_leading(place: PlaceData) -> Fraction:
@@ -155,7 +165,10 @@ def psi_closed(kind: str, place: PlaceData, pi0: SatakeParams) -> LocalZetaResul
     p, r = place.p, place.r
     value = rs_l_rf(pi0, place, Shift.of(1, sz, sw)) * RationalFunction2.monomial(
         -sz * r, -sw * r, 1, p)
-    value = value / zeta_local(place, Shift.of(2, 2 * sz, 2 * sw))
+    arg = Shift.of(2, 2 * sz, 2 * sw)
+    # a complex numerator keeps the division: the product rounds differently
+    value = (value * zeta_local_inverse(place, arg) if value.num.den is not None
+             else value / zeta_local(place, arg))
     if sz < 0 or sw < 0:
         value = value * zeta_local(place, Shift.of(1, min(0, 2 * sz), min(0, 2 * sw)))
         value = value / zeta_value(place, 1)
@@ -232,11 +245,10 @@ def _at_y(coeffs: list, a: int, b: int, y_den: int) -> Poly2:
                   for k, c in enumerate(coeffs) if c})
 
 
-def _ftilde_pair(place: PlaceData, val_c: int | None) -> RationalFunction2:
-    """conj(ftilde_{1/2+s1}) * ftilde_{1/2+s2} at y = 1 and the given c-valuation
-    (z stands for conj(s1), w for s2)."""
-    pt = BruhatPoint(0, val_c)
-    return ftilde_eval(place, pt, HALF_Z) * ftilde_eval(place, pt, HALF_W)
+def _ftilde_section(place: PlaceData, s: Shift) -> tuple[RationalFunction2, RationalFunction2]:
+    """ftilde_s at y = 1 and val(c) = 0 and -1, from one zeta_v(2(1-s))."""
+    zeta = zeta_local(place, s.times(-2).plus(2))
+    return _ftilde_c(place, s, zeta, 0), _ftilde_c(place, s, zeta, -1)
 
 
 def psi_oracle(kind: str, place: PlaceData, pi0: SatakeParams) -> LocalZetaResult:
@@ -261,13 +273,16 @@ def psi_oracle(kind: str, place: PlaceData, pi0: SatakeParams) -> LocalZetaResul
     # the pair at j = 1 times p**(-2(j-1)) (T1 T2)**(-2(j-1)); shells
     # -1 >= val(c) >= -r (the K-invariance range) sum to that pair times
     # sum_j (1-1/p) p**j p**(-2(j-1)) (T1 T2)**(-2(j-1)), put over (T1 T2)**(2r-2)
-    pair = _ftilde_pair(place, -1)
+    # conj(ftilde_{1/2+s1}) * ftilde_{1/2+s2} at y = 1 (z stands for conj(s1),
+    # w for s2): at val(c) = -1 the pair, at val(c) = 0 the integral part
+    (z0, z1), (w0, w1) = _ftilde_section(place, HALF_Z), _ftilde_section(place, HALF_W)
+    pair = z1 * w1
     shells = Poly2({(2 * (r - j), 2 * (r - j)): Fraction((p - 1) * p ** j, p ** (2 * j - 1))
                     for j in range(1, r + 1)})
     shells_rf = RationalFunction2.from_poly(shells, p).with_factor(
         Poly2.monomial(2 * r - 2, 2 * r - 2))
     # c integral over the integers, then the shells
-    total_c = _ftilde_pair(place, 0) + pair * shells_rf
+    total_c = z0 * w0 + pair * shells_rf
     # shells val(c) = -j for j > r: the Whittaker argument is rescaled by
     # (c/X)**(-2), contributing |c/X|**(-2(z+w)).  Against the ftilde pair
     # |c|**(2z+2w-2) and the shell measure p**j (1-1/p) the j-dependence

@@ -72,13 +72,22 @@ def _verify_runs(command, parent, change):
     return runs
 
 
+def test_verify_commands_time_the_full_run_and_two_suites():
+    from rankinlab.verify import SUITES
+    assert [" ".join(argv) for argv in bench_pairs.VERIFY_COMMANDS] == [
+        "verify", "verify --suite lemma44", "verify --suite psi"]
+    assert all(argv[2] in SUITES for argv in bench_pairs.VERIFY_COMMANDS[1:])
+
+
 def test_verify_summary_reads_each_command_per_side():
     parent = [0.95, 0.97, 0.99, 0.96]
     slower = [1.36, 1.38, 1.35, 1.40]
+    faster = [0.61, 0.6, 0.62, 0.6]
     runs = _verify_runs("verify", parent, slower) + _verify_runs(
-        "verify --suite lemma44", [0.7, 0.72, 0.71, 0.73], [0.71, 0.7, 0.72, 0.73])
+        "verify --suite lemma44", [0.7, 0.72, 0.71, 0.73], [0.71, 0.7, 0.72, 0.73]) \
+        + _verify_runs("verify --suite psi", [0.74, 0.75, 0.73, 0.76], faster)
     summary = verify_summary(runs)
-    assert list(summary) == ["verify", "verify --suite lemma44"]
+    assert list(summary) == ["verify", "verify --suite lemma44", "verify --suite psi"]
     full = summary["verify"]
     assert full["parent"]["n"] == full["change"]["n"] == 4
     assert full["parent"]["median"] == pytest.approx(0.965)
@@ -87,6 +96,7 @@ def test_verify_summary_reads_each_command_per_side():
     # a 0.4 s regression on four rounds a side reads worse; equal times unchanged
     assert full["verdict"] == "worse"
     assert summary["verify --suite lemma44"]["verdict"] == "unchanged"
+    assert summary["verify --suite psi"]["verdict"] == "better"
 
 
 def test_verify_summary_is_unresolved_under_four_rounds_a_side():

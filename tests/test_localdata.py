@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from rankinlab.exactalg import Poly2, RationalFunction2, power_of_p
+from rankinlab.exactalg import Poly2, RationalFunction2, power_of_p, rf_equal
 from rankinlab.localdata import (IdealFactorization, PlaceData, Shift, inv_volume_Kq,
                                  is_prime_power, norm, omega, volume_K, zeta_local,
-                                 zeta_value)
+                                 zeta_local_inverse, zeta_value)
 from rankinlab.scalars import Scalar, _plain
 
 
@@ -144,6 +144,43 @@ def test_zeta_local_refuses_a_non_integer_constant(p, m):
     for alpha in (1, Fraction(3, 5), 0.6 + 0.8j):
         with pytest.raises(ValueError, match=f"integer constant m, got m = {m}$"):
             zeta_local(PlaceData(p, 1), Shift.of(m, 1, 0), alpha)
+
+
+@pytest.mark.parametrize("p", (2, 3, 9))
+def test_zeta_local_inverse_is_the_reciprocal_and_the_division_form(p):
+    place = PlaceData(p, 2)
+    x = zeta_local(place, Shift.of(1, -2, 1)) * RationalFunction2.monomial(1, -1, Fraction(3, 5), p)
+    point = (Scalar.exact(Fraction(1, 3)), Scalar.exact(Fraction(2, 5)))
+    checked = 0
+    for m in (-1, 0, 1, 2):
+        for a in range(-2, 3):
+            for b in range(-2, 3):
+                for alpha in (1, Fraction(3, 5), -2, 0, 0.6 + 0.8j):
+                    if m == a == b == 0 and alpha == 1:  # zeta_v(0) is a pole
+                        continue
+                    shift = Shift.of(m, a, b)
+                    zeta, inverse = zeta_local(place, shift, alpha), zeta_local_inverse(
+                        place, shift, alpha)
+                    if alpha.__class__ is complex:
+                        value = (zeta * inverse).eval_t(*point).to_complex()
+                        assert abs(value - 1) < 1e-12, (p, shift, alpha)
+                        continue
+                    assert rf_equal(zeta * inverse, RationalFunction2.const(1, p)), (p, shift, alpha)
+                    assert _form(x * inverse) == _form(x / zeta), (p, shift, alpha)
+                    checked += 1
+    assert checked == 4 * 25 * 4 - 1
+
+
+def test_shift_keeps_an_integral_m_an_int_equal_to_the_fraction_shift():
+    half = Shift.of(Fraction(1, 2), 1, 0)
+    cases = ((Shift.of(2, 1, -1), Fraction(2)), (Shift.of(Fraction(4, 2), 0, 1), Fraction(2)),
+             (half, Fraction(1, 2)), (half.times(2), Fraction(1)), (half.times(3), Fraction(3, 2)),
+             (half.times(-1).plus(1), Fraction(1, 2)), (half.times(-2).plus(2), Fraction(1)),
+             (half.plus(Fraction(1, 2)), Fraction(1)), (Shift.of(1).plus(-1), Fraction(0)))
+    for shift, m in cases:
+        assert shift.m.__class__ is (int if m.denominator == 1 else Fraction), shift
+        fraction_form = Shift(m, shift.a, shift.b)
+        assert shift == fraction_form and hash(shift) == hash(fraction_form), shift
 
 
 def test_volumes():

@@ -15,8 +15,9 @@ from rankinlab.localdata import PlaceData, Shift, zeta_local, zeta_value
 from rankinlab.scalars import ROOT_REFUSAL, Scalar, _plain
 from rankinlab.verify import PSI_GRID_PAIRS
 from rankinlab.whittaker import SatakeParams, rankin_selberg_self_l, satake_sum
-from rankinlab.zetaint import (KIND_SIGNS, KINDS, BruhatPoint, _abs_power, correction_factor_rf,
-                               f_eval, ftilde_eval, psi_closed, psi_oracle, reg_local_bound,
+from rankinlab.zetaint import (HALF_W, HALF_Z, KIND_SIGNS, KINDS, BruhatPoint, LocalZetaResult,
+                               _abs_power, correction_factor_rf, f_eval, ftilde_eval,
+                               psi_closed, psi_oracle, reg_local_bound,
                                reg_local_closed, reg_local_closed_s_form, reg_local_oracle,
                                rs_l_rf, rs_local_oracle, rs_local_value, whittaker_square_sum)
 
@@ -479,32 +480,34 @@ def test_square_sum_numerator_of_numeric_unitary_pairs_stops_at_y(p):
 
 @pytest.mark.parametrize("r", (1, 2, 4))
 def test_kind_iv_oracle_builds_the_ftilde_pair_once_and_no_closed_form(r, monkeypatch):
+    # one zeta(2 - 2s) per ftilde section, s = 1/2 + z and 1/2 + w, gives its
+    # values at val(c) = 0 and -1; the latter divide by zeta(2s - 1) once each
     from rankinlab import zetaint
-    calls = []
-    pair = zetaint._ftilde_pair
-    monkeypatch.setattr(zetaint, "_ftilde_pair",
-                        lambda place, val_c: calls.append(val_c) or pair(place, val_c))
+    built = {"zeta_local": [], "zeta_local_inverse": []}
+    for name, calls in built.items():
+        monkeypatch.setattr(zetaint, name, lambda place, shift, *alpha, _f=getattr(zetaint, name),
+                            _calls=calls: _calls.append(shift) or _f(place, shift, *alpha))
     for name in ("psi_closed", "rs_l_rf", "correction_factor_rf"):
         monkeypatch.setattr(zetaint, name, lambda *args, _name=name: pytest.fail(_name))
     place = PlaceData(3, r)
     pi0 = SatakeParams.unramified_unitary(Scalar.exact(2), Scalar.exact(Fraction(1, 2)))
     oracle = psi_oracle("iv", place, pi0).value
-    assert sorted(calls) == [-1, 0]
+    assert built == {"zeta_local": [Shift.of(1, -2, 0), Shift.of(1, 0, -2)],
+                     "zeta_local_inverse": [Shift.of(0, 2, 0), Shift.of(0, 0, 2)]}
     monkeypatch.undo()
     assert rf_equal(oracle, psi_closed("iv", place, pi0).value)
 
 
-@pytest.mark.parametrize("kind, built", (("i", 5), ("ii", 6), ("iii", 6), ("iv", 11)))
+@pytest.mark.parametrize("kind, built", (("i", 4), ("ii", 5), ("iii", 5), ("iv", 10)))
 def test_psi_closed_builds_only_the_zeta_factors_that_survive(kind, built, monkeypatch):
-    # four Rankin-Selberg factors and zeta(2 + ...); zeta(1 - ...) where a sign
-    # is -1; the five of the correction in kind iv (psi_reference builds 9, 8,
-    # 8 and 15)
+    # three Rankin-Selberg factors (alpha1 alpha2 = alpha2 alpha1 is built
+    # once) and 1/zeta(2 + ...); zeta(1 - ...) where a sign is -1; the five of
+    # the correction in kind iv (psi_reference builds 9, 8, 8 and 15)
     from rankinlab import zetaint
     shifts = []
-    zeta = zetaint.zeta_local
-    monkeypatch.setattr(zetaint, "zeta_local",
-                        lambda place, shift, *alpha: shifts.append(shift)
-                        or zeta(place, shift, *alpha))
+    for name in ("zeta_local", "zeta_local_inverse"):
+        monkeypatch.setattr(zetaint, name, lambda place, shift, *alpha, _f=getattr(zetaint, name):
+                            shifts.append(shift) or _f(place, shift, *alpha))
     psi_closed(kind, PlaceData(3, 2), SatakeParams.unramified_unitary(
         Scalar.exact(2), Scalar.exact(Fraction(1, 2))))
     assert len(shifts) == built
@@ -600,3 +603,121 @@ def test_ftilde_eval_is_the_formula_with_the_y_power():
                 assert _form(ftilde_eval(place, pt, s)) == \
                     _form(_reference_ftilde_eval(place, pt, s)), (p, s, pt)
     assert checked == 4 * 4 * 2 - 2 * 2  # p 2, 3: the half shifts at val_y = -1
+
+
+# -- the products by zeta_local_inverse against the division route they replaced -----
+
+def _division_correction(place):
+    """correction_factor_rf as it was: divided by three zeta_local."""
+    r1 = place.r + 1
+    lead = RationalFunction2.monomial(-2 * r1, -2 * r1, Fraction(1, place.p ** r1), place.p)
+    out = lead * zeta_local(place, Shift.of(1, -2, 0)) * zeta_local(place, Shift.of(1, 0, -2))
+    out = out * zeta_value(place, 1)
+    out = out / zeta_local(place, Shift.of(0, 2, 0)) / zeta_local(place, Shift.of(0, 0, 2))
+    return out / zeta_local(place, Shift.of(0, 2, 2))
+
+
+def _division_ftilde(place, val_c, s):
+    """ftilde_eval at y = 1 as it was: one zeta(2 - 2s) per value, divided by
+    zeta_local(2s - 1) off the integers."""
+    one_minus = s.times(-1).plus(1)
+    out = zeta_local(place, one_minus.times(2))
+    if val_c >= 0:
+        return out / zeta_value(place, 1)
+    out = out / zeta_local(place, s.times(2).plus(-1))
+    return out * _abs_power(place, val_c, one_minus.times(-2))
+
+
+def _division_psi_closed(kind, place, pi0):
+    """psi_closed as it was: four Rankin-Selberg factors, divided by zeta(2 + ...)."""
+    sz, sw = KIND_SIGNS[kind]
+    p, r = place.p, place.r
+    value = _reference_rs_l_rf(pi0, place, Shift.of(1, sz, sw)) * RationalFunction2.monomial(
+        -sz * r, -sw * r, 1, p)
+    value = value / zeta_local(place, Shift.of(2, 2 * sz, 2 * sw))
+    if sz < 0 or sw < 0:
+        value = value * zeta_local(place, Shift.of(1, min(0, 2 * sz), min(0, 2 * sw)))
+        value = value / zeta_value(place, 1)
+    if kind == "iv":
+        value = value * (RationalFunction2.const(1, p) - _division_correction(place))
+    return value
+
+
+def _division_psi_oracle(kind, place, pi0):
+    """psi_oracle as it was: every ftilde value from :func:`_division_ftilde`."""
+    sz, sw = KIND_SIGNS[kind]
+    p, r = place.p, place.r
+    pref = RationalFunction2.monomial(-sz * r, -sw * r, 1, p)
+    y_inner = whittaker_square_sum(pi0, place, sz, sw)
+    if kind != "iv":
+        origin = BruhatPoint(0, 0)
+        c_val = ((f_eval(place, origin, HALF_Z) if sz > 0 else _division_ftilde(place, 0, HALF_Z))
+                 * (f_eval(place, origin, HALF_W) if sw > 0 else _division_ftilde(place, 0, HALF_W)))
+        return pref * c_val * y_inner
+    pair = _division_ftilde(place, -1, HALF_Z) * _division_ftilde(place, -1, HALF_W)
+    shells = Poly2({(2 * (r - j), 2 * (r - j)): Fraction((p - 1) * p ** j, p ** (2 * j - 1))
+                    for j in range(1, r + 1)})
+    shells_rf = RationalFunction2.from_poly(shells, p).with_factor(
+        Poly2.monomial(2 * r - 2, 2 * r - 2))
+    total_c = _division_ftilde(place, 0, HALF_Z) * _division_ftilde(place, 0, HALF_W) \
+        + pair * shells_rf
+    pair_shape = pair * RationalFunction2.monomial(2, 2, p * p, p)
+    xr = RationalFunction2.monomial(-2 * r, -2 * r, 1, p)
+    outer = pair_shape * Fraction(1, p ** (r + 1)) * xr * y_inner
+    return pref * total_c * y_inner + pref * outer
+
+
+def _full_form(rf):
+    """The numerator's den and terms in order, and the factors in order."""
+    return repr((rf.num.den, list(rf.num.terms.items()),
+                 [(key, poly.den, list(poly.terms.items()), exp)
+                  for key, (poly, exp) in rf.fac.items()]))
+
+
+GRID_PI0 = tuple(SatakeParams.unramified_unitary(Scalar.exact(a1), Scalar.exact(a2))
+                 for a1, a2 in PSI_GRID_PAIRS)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 9))
+def test_psi_forms_are_the_division_route_forms(p):
+    checked = 0
+    for r in (1, 2, 3, 4):
+        place = PlaceData(p, r)
+        assert _full_form(correction_factor_rf(place)) == _full_form(_division_correction(place))
+        for pi0 in (*GRID_PI0, *RS_PI0):
+            for kind in KINDS:
+                assert _full_form(psi_closed(kind, place, pi0).value) == \
+                    _full_form(_division_psi_closed(kind, place, pi0)), (p, r, pi0, kind)
+                assert _full_form(psi_oracle(kind, place, pi0).value) == \
+                    _full_form(_division_psi_oracle(kind, place, pi0)), (p, r, pi0, kind)
+                checked += 1
+    assert checked == 4 * (len(GRID_PI0) + len(RS_PI0)) * 4
+
+
+PSI_ARGVS = (
+    ["--p", "9", "--r", "1", "--pi0=2.5", "--at=0.1,0.2"],
+    ["--p", "9", "--r", "3", "--pi0=1.7-0.2j", "--at=-0.3,0.25"],
+    ["--p", "9", "--r", "2", "--pi0=1e3", "--at=1.5,-0.7", "--expand"],
+    ["--p", "2", "--r", "3", "--pi0=0.6+0.8j", "--at=0.5,0.5"],
+    ["--p", "3", "--r", "2", "--pi0=0.3", "--at=0,0", "--expand"],
+    ["--p", "5", "--r", "1", "--pi0=2.5", "--at=-0.3,0.25"],
+)
+
+
+@pytest.mark.parametrize("argv", PSI_ARGVS, ids=" ".join)
+def test_numeric_psi_stdout_is_the_division_route_stdout(argv, capsys, monkeypatch):
+    # a complex numerator keeps psi_closed's division by zeta(2 + ...): a
+    # product by the exact inverse rounds the p = 9 reports differently
+    from rankinlab import cli
+    reports = []
+    for route in ("product", "division"):
+        if route == "division":
+            monkeypatch.setattr(cli, "psi_closed", lambda kind, place, pi0: LocalZetaResult(
+                _division_psi_closed(kind, place, pi0), "closed-form"))
+            monkeypatch.setattr(cli, "psi_oracle", lambda kind, place, pi0: LocalZetaResult(
+                _division_psi_oracle(kind, place, pi0), "oracle"))
+            monkeypatch.setattr(cli, "correction_factor_rf", _division_correction)
+        code = cli.main(["psi", *argv])
+        reports.append((code, capsys.readouterr().out))
+    assert reports[0] == reports[1]
+    assert reports[0][0] in (0, 1) and '"mode":"numeric"' in reports[0][1]

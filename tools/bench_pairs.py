@@ -12,8 +12,9 @@ while the campaign runs do not reach it.  Each pair runs the unmodified
 ``run_seconds`` that ``BENCHMARK.json`` sets; even pairs start with the parent
 and odd ones with the change.  ``--traced SEED`` adds one
 traced pair (``--trace 1``) per workload, and ``--verify-rounds N`` times ``N``
-alternating fresh-process runs of ``verify`` and ``verify --suite lemma44``
-per side, summarised per command by :func:`verify_summary`.  The output file
+alternating fresh-process runs of ``verify``, ``verify --suite lemma44`` and
+``verify --suite psi`` (the psi grid suite, an L4 reading of the local zeta
+integrals) per side, summarised per command by :func:`verify_summary`.  The output file
 is rewritten after every run, in the layout of ``BENCH_6.json``: every run in
 run order, then per-workload quartiles.  Each
 workload's summary also holds ``claim_rule`` (``certs_per_s`` pairs won by the
@@ -44,7 +45,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
-VERIFY_COMMANDS = (["verify"], ["verify", "--suite", "lemma44"])
+VERIFY_COMMANDS = (["verify"], ["verify", "--suite", "lemma44"], ["verify", "--suite", "psi"])
 VERIFY_BOUND = 0.1  # relative bound on a verify wall-time difference
 MIN_RUNS = 4  # runs per side before any difference is read
 
