@@ -185,7 +185,7 @@ def build_h(q: IdealFactorization, depth: int = DEFAULT_DEPTH,
     """
     hs = [LaurentSeries2.one()] * 4
     for place in q.places:
-        unit = Fraction(place.p - 1, place.p)  # zeta_v(1)**(-1)
+        unit = 1 / zeta_value(place, 1)
         plus, minus = (_local_zeta_inverse_coeffs(place.p, sign, depth, log_map)
                        for sign in (1, -1))
         z_plus, w_plus, z_minus, w_minus = (LaurentSeries2.from_direction(c, 0, direction, depth)

@@ -19,13 +19,16 @@ integer denominator and a nested dict ``(i, j) -> {lam power: value}`` of
 coefficient is refused with ``ValueError`` wherever one would enter: the
 constructors, :meth:`~LaurentSeries2.scale` and :func:`ls_from_rational`.
 Every operation here (product, sum with pole raising, negation, flip,
-scaling, divisor peeling, inverse, expansion of rational functions, and the
-four-term combination as one product per sign-parity class of G) runs on
-that form and gives the values, exactness, key order and float bits of
-:class:`Scalar` arithmetic (the ring rule of :mod:`rankinlab.scalars`).
-:attr:`LaurentSeries2.num` is a read-only view, built on each read:
-``dict[(i, j)] -> LambdaPoly`` of :class:`Scalar` values in the kernel's key
-order.  :meth:`~LaurentSeries2.coeff` and :meth:`~LaurentSeries2.constant_term`
+scaling by a constant, divisor peeling, inverse, expansion of rational
+functions, and the four-term combination as one product per sign-parity
+class of G) runs on that form, with the lam arithmetic of
+:mod:`rankinlab.numerator`, the only one, and gives the values, exactness,
+key order and float bits of :class:`Scalar` arithmetic (the ring rule of
+:mod:`rankinlab.scalars`).  :attr:`LaurentSeries2.num` is a read-only view,
+built on each read: ``dict[(i, j)] -> LambdaPoly`` of :class:`Scalar`
+values in the kernel's key order, a ``LambdaPoly`` being a view without
+arithmetic (``c``, ``coeff``, ``degree``, ``lam``).
+:meth:`~LaurentSeries2.coeff` and :meth:`~LaurentSeries2.constant_term`
 build only the coefficient asked for.
 """
 
@@ -39,8 +42,9 @@ from typing import Iterable
 from . import numerator as nm
 from .exactalg import Poly2, RationalFunction2, poly_div_exact
 from .numerator import Flat, Terms
-from .scalars import (LP_ZERO, LambdaPoly, Plain, Scalar, ScalarLike, SeriesNum,  # noqa: F401
-                      _lifted, _plain_coeffs, _view)
+from .scalars import LP_ZERO  # noqa: F401  (certbench reads laurent.LP_ZERO)
+from .scalars import (LambdaPoly, Plain, Scalar, ScalarLike, SeriesNum, _lifted, _plain,
+                      _plain_coeffs, _view)
 
 EXACT_DEPTH = 10 ** 9  # sentinel depth for untruncated numerators
 DEFAULT_DEPTH = 8
@@ -62,24 +66,10 @@ def _num_val(terms: Terms) -> int:
     return 0 if (0, 0) in terms else min((i + j for i, j in terms), default=0)
 
 
-# -- the LambdaPoly-dict entry points of the kernels ------------------------------
-
 def _lower_num(num: dict) -> Flat:
     """Kernel form of a numerator given as (i, j) -> LambdaPoly, Scalar or
     Python number; zero entries are left out."""
     return nm.lower({m: c for m, v in num.items() if (c := _plain_coeffs(v))})
-
-
-def _num_mul(a: SeriesNum, b: SeriesNum, depth: int) -> SeriesNum:
-    """Product of two ``dict[(i, j)] -> LambdaPoly`` numerators up to total
-    degree depth, through the kernel form."""
-    return _view(*nm.mul(_lower_num(a), _lower_num(b), depth))
-
-
-def _series_inverse(num: SeriesNum, depth: int) -> SeriesNum:
-    """Inverse of a unit ``dict[(i, j)] -> LambdaPoly`` numerator up to total
-    degree depth, through the kernel form."""
-    return _view(*nm.inverse(_lower_num(num), depth))
 
 
 class LaurentSeries2:
@@ -155,19 +145,17 @@ class LaurentSeries2:
         """The same value with its numerator valid to total degree depth."""
         return LaurentSeries2._make(self.den, _truncated(self.terms, depth), self.poles, depth)
 
-    def scale(self, factor) -> "LaurentSeries2":
-        f = _plain_coeffs(factor)
+    def scale(self, factor: ScalarLike) -> "LaurentSeries2":
+        """The series times a constant, read by ``scalars._plain``, which
+        refuses a square root (``ValueError``) and a LambdaPoly (``TypeError``)."""
+        f = _plain(factor)
         if not f:
             return LaurentSeries2._make(1, {}, self.poles, self.depth)
-        if max(f) == 0:
-            den, terms = nm.scaled((self.den, self.terms), f[0])
-        else:
-            den, terms = nm.lower({m: p for m, c in self.terms.items()
-                                   if (p := nm.lam_mul(nm.plain_values(c, self.den), f))})
-        return LaurentSeries2._make(den, terms, self.poles, self.depth)
+        return LaurentSeries2._make(*nm.scaled((self.den, self.terms), f), self.poles, self.depth)
 
     def __neg__(self) -> "LaurentSeries2":
-        return LaurentSeries2._make(self.den, nm.negated(self.terms), self.poles, self.depth)
+        terms = {m: {k: -v for k, v in c.items()} for m, c in self.terms.items()}
+        return LaurentSeries2._make(self.den, terms, self.poles, self.depth)
 
     def __mul__(self, other: "LaurentSeries2") -> "LaurentSeries2":
         depth = min(self.depth + _num_val(other.terms), other.depth + _num_val(self.terms))
@@ -286,14 +274,7 @@ class LaurentSeries2:
             )
         return regular.coeff(0, 0)
 
-    # -- evaluation ----------------------------------------------------------
-
-    def eval(self, z: complex, w: complex, lam: complex = 0.0) -> complex:
-        total = 0j
-        for (i, j), v in self.num.items():
-            total += v.eval(Scalar.numeric(lam)).to_complex() * z ** i * w ** j
-        a, b, c, d = self.poles
-        return total / (z ** a * w ** b * (z + w) ** c * (z - w) ** d)
+    # -- coefficients --------------------------------------------------------
 
     def coeff(self, i: int, j: int) -> LambdaPoly:
         c = self.terms.get((i, j))

@@ -23,16 +23,18 @@ mutated once built.
 denominators, and multiply as integers over the product of the two, reduced
 by one gcd per result.  A product sum turns complex at its first numeric
 product.  A ``lam`` coefficient whose sum reaches zero leaves its dict, and a
-monomial whose dict empties leaves the numerator, as ``LambdaPoly`` sums drop
-them.  Products run in one of two loops, both in the product-sum kernel
-:func:`mul_sum` (of which :func:`mul` is the one-pair case): integers only,
-every pair rescaled to one common denominator and summed into one
-accumulator, or int or complex per term, pair by pair.  Two products give
-the loop's values and key order without it: of a numeric numerator and z+-w
-(:func:`times_linear`), and of an exact monomial and its exponential
-(:func:`exp_monomial`).  The inverse of an all-exact unit
-is an exact inverse on integers, each output's recursion scaled by a power of
-the constant term.  Other inverses and the ``lam`` polynomials of ``exp``
+monomial whose dict empties leaves the numerator.  This is the one lam
+arithmetic (``scalars.LambdaPoly`` is a view without any); the tests pin it
+bit for bit against the ``Scalar``-valued one it replaced, kept in
+``tests/lambda_poly_reference.py``.  Products run in one of two loops, both
+in the product-sum kernel :func:`mul_sum` (of which :func:`mul` is the
+one-pair case): integers only, every pair rescaled to one common denominator
+and summed into one accumulator, or int or complex per term, pair by pair.
+Two products give the loop's values and key order without it: of a numeric
+numerator and z+-w (:func:`times_linear`), and of an exact monomial and its
+exponential (:func:`exp_monomial`).  The inverse of an all-exact unit is an
+exact inverse on integers, each output's recursion scaled by a power of the
+constant term.  Other inverses and the ``lam`` polynomials of ``exp``
 expansions (bar a one-power exact rate, in closed form) run on
 ``Fraction``/``complex`` values.  A ``Fraction`` q meets a ``complex`` as
 ``complex(q)``, its ``to_complex()``, which is also what ``Fraction``'s
@@ -89,10 +91,6 @@ def max_abs(c: dict[int, Value], den: int) -> float:
 
 def _negligible(c: dict[int, Value], den: int, tol: float) -> bool:
     return not c if tol == 0.0 else max_abs(c, den) <= tol
-
-
-def negated(terms: Terms) -> Terms:
-    return {m: {k: -v for k, v in c.items()} for m, c in terms.items()}
 
 
 # -- sums ---------------------------------------------------------------------
@@ -352,7 +350,7 @@ def scaled(a: Flat, f: Plain) -> Flat:
 
 
 def _add_term(coeffs: dict[int, Plain], k: int, v: Plain) -> None:
-    """coeffs[k] += v, dropping k when the sum is zero, as LambdaPoly sums do."""
+    """coeffs[k] += v, dropping k when the sum is zero."""
     cur = coeffs.get(k)
     s = v if cur is None else cur + v
     if not s:
@@ -362,9 +360,10 @@ def _add_term(coeffs: dict[int, Plain], k: int, v: Plain) -> None:
 
 
 def lam_mul(x: dict[int, Plain], y: dict[int, Plain]) -> dict[int, Plain]:
-    """The LambdaPoly product of two plain-valued lam coefficient dicts: Python
-    promotes a ``Fraction`` meeting a ``complex`` through ``complex(float(q))``,
-    as :class:`Scalar` does."""
+    """The product of two plain-valued lam coefficient dicts, pair by pair in
+    x's order, then y's, each sum by :func:`_add_term`: Python promotes a
+    ``Fraction`` meeting a ``complex`` through ``complex(float(q))``, as
+    :class:`Scalar` does (the reference ``LambdaPoly`` product pins it)."""
     out: dict[int, Plain] = {}
     for k1, v1 in x.items():
         for k2, v2 in y.items():
@@ -408,7 +407,7 @@ def along(direction: str, coeffs: list[dict[int, Plain]], depth: int) -> Flat:
 
 def exp_coeffs(rate: dict[int, Plain], depth: int) -> list[dict[int, Plain]]:
     """rate**k / k! for k = 0..depth as lam coefficient dicts, each from the
-    last by one LambdaPoly product with rate / k (a complex rate's float order
+    last by one :func:`lam_mul` with rate / k (a complex rate's float order
     is pinned); a one-power exact rate runs :func:`_one_power_exp`."""
     if len(rate) == 1:
         (e, v), = rate.items()
@@ -450,8 +449,9 @@ def exp_monomial(c: Fraction, i: int, j: int, e: int, v: Fraction | int, depth: 
 
 def _carried(c: dict[int, Value], sign: int) -> dict[int, Value]:
     """What synthetic division subtracts from the next coefficient, negated:
-    ``-carry`` for z+w and ``-(carry * -1)`` for z-w (numeric values are
-    multiplied by ``-1+0j``, as LambdaPoly.scale does)."""
+    ``-carry`` for z+w and ``-(carry * -1)`` for z-w, a numeric value
+    multiplied by ``-1+0j``, so its signed zeros are those of a product by
+    the exact -1 (the reference ``LambdaPoly.scale`` pins them)."""
     if sign == 1:
         return {k: -v for k, v in c.items()}
     return {k: v if v.__class__ is int else -(v * _C_MINUS_ONE) for k, v in c.items()}
@@ -513,12 +513,12 @@ def inverse(a: Flat, depth: int) -> Flat:
     """Inverse of a unit numerator up to total degree depth.
 
     An all-exact unit runs :func:`_exact_inverse`.  Otherwise the loop runs
-    on plain numbers with the pair order and pop-on-zero of ``LambdaPoly``
-    products and sums, and 1/u0 by ``scalars._inv``.  A lam-free unit (every coefficient at
-    lam power 0 only) runs :func:`_lam_free_inverse`, one value per monomial
-    in the same order: a zero product adds nothing, a sum reaching zero is
-    dropped and the next product restarts it, and each nonzero sum is
-    multiplied by ``-inv0`` last."""
+    on plain numbers with the pair order of :func:`lam_mul`, the pop-on-zero
+    of :func:`_add_term`, and 1/u0 by ``scalars._inv``.  A lam-free unit
+    (every coefficient at lam power 0 only) runs :func:`_lam_free_inverse`,
+    one value per monomial in the same order: a zero product adds nothing, a
+    sum reaching zero is dropped and the next product restarts it, and each
+    nonzero sum is multiplied by ``-inv0`` last."""
     den, terms = a
     u0 = terms.get((0, 0))
     if not u0:

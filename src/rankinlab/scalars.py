@@ -31,10 +31,11 @@ square root) take a value to its ring, :func:`_lifted` and :func:`_view` back
 to Scalars.  They are private, so the benchmark's tracer, which wraps this
 module's public functions, opens no span for them.
 
-:class:`LambdaPoly` is a polynomial in the formal symbol ``lam`` with Scalar
-coefficients: the view of a series coefficient that
-:mod:`rankinlab.laurent` hands out (the kernel arithmetic of
-:mod:`rankinlab.numerator` runs on plain numbers).
+:class:`LambdaPoly` is the read-only view of a series coefficient that
+:mod:`rankinlab.laurent` hands out: a polynomial in the formal symbol ``lam``
+as ``c``, with ``coeff``, ``degree`` and the constructor ``lam``.  It has no
+arithmetic; :mod:`rankinlab.numerator` is the one lam arithmetic, on plain
+numbers.
 """
 
 from __future__ import annotations
@@ -379,7 +380,8 @@ def _root(p: int, coeff: Fraction, lift: bool):
 
 
 class LambdaPoly:
-    """Polynomial in the formal symbol lam with Scalar coefficients."""
+    """Read-only view of a series coefficient: ``c`` maps each power of lam to
+    its Scalar coefficient."""
 
     __slots__ = ("c",)
 
@@ -387,74 +389,15 @@ class LambdaPoly:
         self.c = coeffs if coeffs is not None else {}
 
     @classmethod
-    def const(cls, value: ScalarLike) -> "LambdaPoly":
-        v = Scalar.wrap(value)
-        return cls({} if v.is_zero() else {0: v})
-
-    @classmethod
     def lam(cls, coeff: ScalarLike = 1, power: int = 1) -> "LambdaPoly":
         v = Scalar.wrap(coeff)
         return cls({} if v.is_zero() else {power: v})
 
-    def is_zero(self) -> bool:
-        return not self.c
-
     def degree(self) -> int:
         return max(self.c, default=-1)
 
-    def __add__(self, other: "LambdaPoly") -> "LambdaPoly":
-        out = dict(self.c)
-        for k, v in other.c.items():
-            cur = out.get(k)
-            s = v if cur is None else cur + v
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return LambdaPoly(out)
-
-    def __neg__(self) -> "LambdaPoly":
-        return LambdaPoly({k: -v for k, v in self.c.items()})
-
-    def __sub__(self, other: "LambdaPoly") -> "LambdaPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "LambdaPoly") -> "LambdaPoly":
-        if not self.c or not other.c:
-            return LambdaPoly()
-        out: dict[int, Scalar] = {}
-        for k1, v1 in self.c.items():
-            for k2, v2 in other.c.items():
-                k = k1 + k2
-                prod = v1 * v2
-                cur = out.get(k)
-                s = prod if cur is None else cur + prod
-                if s.is_zero():
-                    out.pop(k, None)
-                else:
-                    out[k] = s
-        return LambdaPoly(out)
-
-    def scale(self, factor: ScalarLike) -> "LambdaPoly":
-        f = Scalar.wrap(factor)
-        if f.is_zero():
-            return LambdaPoly()
-        return LambdaPoly({k: v * f for k, v in self.c.items()})
-
     def coeff(self, k: int) -> Scalar:
         return self.c.get(k, SC_ZERO)
-
-    def eval(self, lam: ScalarLike) -> Scalar:
-        lam = Scalar.wrap(lam)
-        total = SC_ZERO
-        for k, v in self.c.items():
-            total = total + v * lam ** k
-        return total
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LambdaPoly):
-            return NotImplemented
-        return set(self.c) == set(other.c) and all(self.c[k] == other.c[k] for k in self.c)
 
     def __repr__(self):
         if not self.c:

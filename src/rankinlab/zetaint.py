@@ -129,9 +129,8 @@ def correction_factor_rf(place: PlaceData) -> RationalFunction2:
 
 def correction_leading(place: PlaceData) -> Fraction:
     """The lam**3 coefficient of z**2 w and of z w**2 in the expansion of
-    :func:`correction_factor_rf` (lam = log p): 8 zeta(1)**3 / p**(r+1), with
-    zeta(1) = p/(p-1)."""
-    return 8 * Fraction(place.p, place.p - 1) ** 3 / place.p ** (place.r + 1)
+    :func:`correction_factor_rf` (lam = log p): 8 zeta(1)**3 / p**(r+1)."""
+    return 8 * zeta_value(place, 1) ** 3 / place.p ** (place.r + 1)
 
 
 def _psi_signs(kind: str, place: PlaceData, pi0: SatakeParams) -> tuple[int, int]:

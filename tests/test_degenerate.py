@@ -609,7 +609,8 @@ def test_correction_refuses_other_poles_and_a_lam_power():
     with pytest.raises(AssertionError, match=r"poles \(1, 1, 1, 0\)"):
         _correction(data, Q23, moved, LOG_SURROGATES)
     with pytest.raises(AssertionError, match="lam-free"):
-        _correction(data, Q23, g_mm_h4.scale(LambdaPoly.lam()), LOG_SURROGATES)
+        _correction(data, Q23, g_mm_h4 * LaurentSeries2({(0, 0): LambdaPoly.lam()}),
+                    LOG_SURROGATES)
 
 
 # -- build_h and the pole raise against the routes they replaced: five local
