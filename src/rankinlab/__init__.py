@@ -22,9 +22,8 @@ from .specweight import JqLowerReport, WeightReport, jq_lower, local_weight_lowe
 from .whittaker import (SatakeParams, satake_sum, weighted_integral_closed,
                         weighted_integral_oracle, whittaker_norm_sq,
                         whittaker_norm_sq_oracle, whittaker_value)
-from .zetaint import (BruhatPoint, LocalZetaResult, correction_factor_rf, f_eval, ftilde_eval,
-                      psi_closed, psi_oracle, reg_local_bound, reg_local_closed,
-                      reg_local_closed_s_form, reg_local_oracle, rs_local_oracle,
-                      rs_local_value)
+from .zetaint import (LocalZetaResult, correction_factor_rf, psi_closed, psi_oracle,
+                      reg_local_bound, reg_local_closed, reg_local_closed_s_form,
+                      reg_local_oracle, rs_local_oracle, rs_local_value)
 
 __version__ = "0.1.0"

@@ -28,7 +28,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .laurent import DEFAULT_DEPTH, CubicPolynomial, LambdaPoly, LaurentSeries2, ls_inverse_regular
-from .localdata import IdealFactorization, omega, zeta_value
+from .localdata import IdealFactorization, PlaceData, omega, zeta_value
 from .numerator import _add_term, plain_values
 from .scalars import SC_ZERO, Plain, Scalar, _inv, _plain, _pow, format_scalar, parse_exact
 
@@ -142,7 +142,8 @@ def _log(p: int, log_map: LogMap = None) -> Plain:
     return complex(math.log(p))
 
 
-def _local_zeta_inverse_coeffs(p: int, sign: int, depth: int, log_map: LogMap = None) -> list:
+def _local_zeta_inverse_coeffs(place: PlaceData, sign: int, depth: int,
+                               log_map: LogMap = None) -> list:
     """The coefficients, k = 0..depth, of zeta_v**(-1)(1 + 2*sign*u) =
     1 - p**(-1) exp(-2*sign*u*log p) in u: one list serves every direction.
 
@@ -151,17 +152,17 @@ def _local_zeta_inverse_coeffs(p: int, sign: int, depth: int, log_map: LogMap = 
     An exact log p (a rational surrogate, as a ``Fraction``)
     runs ``term * rate / k`` from ``-1/p``: exact arithmetic gives the same
     value in any order.  A numeric log p (a ``complex``) takes the
-    order Scalar performs the operations in: the exact ``(p-1)/p`` at k = 0,
+    order Scalar performs the operations in: the exact 1/zeta_v(1) at k = 0,
     then ``complex(-1/p) * x**k * complex(1/k!)`` with ``x = complex(-2*sign)
     * log p`` raised by ``scalars._pow``, as Scalar raises it."""
-    logp = _log(p, log_map)
-    coeffs: list = [Fraction(p - 1, p)]
+    logp = _log(place.p, log_map)
+    coeffs: list = [1 / zeta_value(place, 1)]
     if logp.__class__ is complex:
         rate = complex(-2 * sign) * logp
-        coeffs += [complex(-1 / p) * _pow(rate, k) * complex(1 / math.factorial(k))
+        coeffs += [complex(-1 / place.p) * _pow(rate, k) * complex(1 / math.factorial(k))
                    for k in range(1, depth + 1)]
     else:
-        rate, term = logp * (-2 * sign), Fraction(-1, p)
+        rate, term = logp * (-2 * sign), Fraction(-1, place.p)
         for k in range(1, depth + 1):
             term = term * rate / k
             coeffs.append(term)
@@ -186,7 +187,7 @@ def build_h(q: IdealFactorization, depth: int = DEFAULT_DEPTH,
     hs = [LaurentSeries2.one()] * 4
     for place in q.places:
         unit = 1 / zeta_value(place, 1)
-        plus, minus = (_local_zeta_inverse_coeffs(place.p, sign, depth, log_map)
+        plus, minus = (_local_zeta_inverse_coeffs(place, sign, depth, log_map)
                        for sign in (1, -1))
         z_plus, w_plus, z_minus, w_minus = (LaurentSeries2.from_direction(c, 0, direction, depth)
                                             for c in (plus, minus) for direction in ("z", "w"))

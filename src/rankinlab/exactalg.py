@@ -239,14 +239,12 @@ def _mul_terms(ta: dict, tb: dict, zero=0) -> dict:
 
 def _int_mul(da: int, ta: dict, db: int, tb: dict) -> Poly2:
     """The integer product; a one-term operand shifts and scales the other,
-    in the other's key order, and the unit returns the other's form."""
+    in the other's key order."""
     if len(tb) == 1:
         da, ta, db, tb = db, tb, da, ta
     if len(ta) != 1:
         return _reduced(da * db, _mul_terms(ta, tb))
     ((i1, j1), v1), = ta.items()
-    if da == 1 and v1 == 1 and not (i1 or j1):
-        return Poly2._make(db, tb)
     return _reduced(da * db, {(i1 + i2, j1 + j2): v1 * v2 for (i2, j2), v2 in tb.items()})
 
 

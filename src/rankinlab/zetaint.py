@@ -11,12 +11,14 @@ Rankin-Selberg ones included, is a :func:`rankinlab.localdata.zeta_local`,
 and an exact operand divides by one as a product by its
 :func:`rankinlab.localdata.zeta_local_inverse`.
 ``psi_oracle`` recomputes them by exact summation over valuation strata of
-the Bruhat coordinates (the c-integrand is constant on each shell
-``val(c) = -j`` of measure ``p**j (1-1/p)``, and the y-sum is a Whittaker
-power series in one variable X = p**(-1) T1**a T2**b, summed in closed form
+the Bruhat coordinates.  It evaluates the sections only at y = 1: f = 1 on
+the integers (and 0 off them), ``ftilde`` at val(c) = 0 and -1; the deeper
+shells and the y-sum come in closed form.  The c-integrand is constant on
+each shell ``val(c) = -j`` of measure ``p**j (1-1/p)``, and the y-sum is a
+Whittaker power series in one variable X = p**(-1) T1**a T2**b, summed
 through the three-term recursion of S(n)**2 from its first three terms: on
 integers over powers of D = d1*d2 for rational Satake parameters n_i/d_i, on
-complex values otherwise).  The two must agree exactly as rational functions.
+complex values otherwise.  The two must agree exactly as rational functions.
 """
 
 from __future__ import annotations
@@ -42,14 +44,6 @@ _MINUS_HALF = Fraction(-1, 2)
 
 
 @dataclass(frozen=True)
-class BruhatPoint:
-    """Valuations of the Bruhat coordinates (y, c); val_c None means c = 0."""
-
-    val_y: int
-    val_c: int | None
-
-
-@dataclass(frozen=True)
 class LocalZetaResult:
     value: RationalFunction2
     provenance: str  # "closed-form" | "oracle"
@@ -59,43 +53,6 @@ def _abs_power(place: PlaceData, val: int, shift: Shift) -> RationalFunction2:
     """|pi**val| ** (m + a z + b w) = p**(-val*m) T1**(val*a) T2**(val*b)."""
     coeff = power_of_p(place.p, shift.m * val, -1)
     return RationalFunction2.monomial(val * shift.a, val * shift.b, coeff, place.p)
-
-
-# -- principal-series vectors on lower-triangular Bruhat coordinates ---------
-
-def f_eval(place: PlaceData, pt: BruhatPoint, s: Shift) -> RationalFunction2:
-    """f_s(y; c) = |y|**s * [c integral], for the section attached to
-    the indicator pair (integers, units) at a place dividing the ideal."""
-    if place.r < 1:
-        raise ValueError("f_eval is defined at places dividing the ideal (r >= 1)")
-    if pt.val_c is not None and pt.val_c < 0:
-        return RationalFunction2.const(0, place.p)
-    return _abs_power(place, pt.val_y, s)
-
-
-def ftilde_eval(place: PlaceData, pt: BruhatPoint, s: Shift) -> RationalFunction2:
-    """Intertwined partner on Bruhat coordinates:
-
-    |y|**(1-s) * zeta_v(2(1-s))/zeta_v(1)                      for c integral,
-    |y|**(1-s) * zeta_v(2(1-s))/zeta_v(2s-1) * |c|**(-2(1-s))  otherwise.
-    """
-    if place.r < 1:
-        raise ValueError("ftilde_eval is defined at places dividing the ideal (r >= 1)")
-    one_minus = s.times(-1).plus(1)
-    out = zeta_local(place, one_minus.times(2))
-    if pt.val_y:  # |y|**(1-s) is 1 at val_y = 0
-        out = _abs_power(place, pt.val_y, one_minus) * out
-    return _ftilde_c(place, s, out, pt.val_c)
-
-
-def _ftilde_c(place: PlaceData, s: Shift, out: RationalFunction2,
-              val_c: int | None) -> RationalFunction2:
-    """ftilde_s from out = |y|**(1-s) zeta_v(2(1-s)): its factor at the
-    c-valuation, 1/zeta_v(1) for c integral, else |c|**(-2(1-s))/zeta_v(2s-1)."""
-    if val_c is None or val_c >= 0:
-        return out / zeta_value(place, 1)
-    out = out * zeta_local_inverse(place, s.times(2).plus(-1))
-    return out * _abs_power(place, val_c, s.times(2).plus(-2))
 
 
 # -- closed forms -------------------------------------------------------------
@@ -244,10 +201,17 @@ def _at_y(coeffs: list, a: int, b: int, y_den: int) -> Poly2:
                   for k, c in enumerate(coeffs) if c})
 
 
-def _ftilde_section(place: PlaceData, s: Shift) -> tuple[RationalFunction2, RationalFunction2]:
-    """ftilde_s at y = 1 and val(c) = 0 and -1, from one zeta_v(2(1-s))."""
+def _ftilde_section(place: PlaceData, s: Shift, *val_cs: int) -> tuple[RationalFunction2, ...]:
+    """The intertwined partner of the section f_s on Bruhat coordinates,
+
+    |y|**(1-s) * zeta_v(2(1-s))/zeta_v(1)                      for c integral,
+    |y|**(1-s) * zeta_v(2(1-s))/zeta_v(2s-1) * |c|**(-2(1-s))  otherwise,
+
+    at y = 1 and each c-valuation of val_cs, from one zeta_v(2(1-s))."""
     zeta = zeta_local(place, s.times(-2).plus(2))
-    return _ftilde_c(place, s, zeta, 0), _ftilde_c(place, s, zeta, -1)
+    return tuple(zeta / zeta_value(place, 1) if val_c >= 0
+                 else zeta * zeta_local_inverse(place, s.times(2).plus(-1))
+                 * _abs_power(place, val_c, s.times(2).plus(-2)) for val_c in val_cs)
 
 
 def psi_oracle(kind: str, place: PlaceData, pi0: SatakeParams) -> LocalZetaResult:
@@ -263,18 +227,19 @@ def psi_oracle(kind: str, place: PlaceData, pi0: SatakeParams) -> LocalZetaResul
     pref = RationalFunction2.monomial(-sz * r, -sw * r, 1, p)  # |X|**(sz z + sw w)
     y_inner = whittaker_square_sum(pi0, place, sz, sw)
     if kind != "iv":
-        # c integral: f at a sign +1, ftilde at a sign -1, over the integers
-        origin = BruhatPoint(0, 0)
-        c_val = ((f_eval if sz > 0 else ftilde_eval)(place, origin, HALF_Z)
-                 * (f_eval if sw > 0 else ftilde_eval)(place, origin, HALF_W))
-        return LocalZetaResult(pref * c_val * y_inner, "oracle")
+        # c integral: f = 1 at a sign +1, ftilde at a sign -1, over the integers
+        value = pref
+        for sign, s in ((sz, HALF_Z), (sw, HALF_W)):
+            if sign < 0:
+                value = value * _ftilde_section(place, s, 0)[0]
+        return LocalZetaResult(value * y_inner, "oracle")
     # shells val(c) = -j: the ftilde pair carries |c|**(2z+2w-2), so it is
     # the pair at j = 1 times p**(-2(j-1)) (T1 T2)**(-2(j-1)); shells
     # -1 >= val(c) >= -r (the K-invariance range) sum to that pair times
     # sum_j (1-1/p) p**j p**(-2(j-1)) (T1 T2)**(-2(j-1)), put over (T1 T2)**(2r-2)
     # conj(ftilde_{1/2+s1}) * ftilde_{1/2+s2} at y = 1 (z stands for conj(s1),
     # w for s2): at val(c) = -1 the pair, at val(c) = 0 the integral part
-    (z0, z1), (w0, w1) = _ftilde_section(place, HALF_Z), _ftilde_section(place, HALF_W)
+    (z0, z1), (w0, w1) = (_ftilde_section(place, s, 0, -1) for s in (HALF_Z, HALF_W))
     pair = z1 * w1
     shells = Poly2({(2 * (r - j), 2 * (r - j)): Fraction((p - 1) * p ** j, p ** (2 * j - 1))
                     for j in range(1, r + 1)})

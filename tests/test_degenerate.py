@@ -351,9 +351,10 @@ LOG_MODES = {
 }
 
 
-def _scalar_local_zeta_inverse_coeffs(p, sign, depth, log_map=None):
+def _scalar_local_zeta_inverse_coeffs(place, sign, depth, log_map=None):
     """Reference: each coefficient as the Scalar expression
     -p**-1 (-2*sign*log p)**k / k!, plus 1 at k = 0."""
+    p = place.p
     logp = log_map[p] if log_map and p in log_map else Scalar.numeric(math.log(p))
     coeffs = []
     for k in range(depth + 1):
@@ -366,7 +367,7 @@ def _scalar_local_zeta_inverse_coeffs(p, sign, depth, log_map=None):
 
 
 def _scalar_local_zeta_inverse_series(place, direction, sign, depth, log_map=None):
-    coeffs = _scalar_local_zeta_inverse_coeffs(place.p, sign, depth, log_map)
+    coeffs = _scalar_local_zeta_inverse_coeffs(place, sign, depth, log_map)
     return laurent.LaurentSeries2.from_direction(coeffs, 0, direction, depth)
 
 
@@ -400,7 +401,7 @@ def test_local_zeta_factors_are_bitwise_the_scalar_expression(mode):
         place = PlaceData(p, 1)
         for sign in (1, -1):
             for depth in range(13):
-                coeffs = _local_zeta_inverse_coeffs(p, sign, depth, log_map)
+                coeffs = _local_zeta_inverse_coeffs(place, sign, depth, log_map)
                 for direction in ("z", "w", "zw_plus"):
                     args = (place, direction, sign, depth, log_map)
                     _assert_same_series(LaurentSeries2.from_direction(coeffs, 0, direction, depth),
@@ -494,7 +495,8 @@ def test_limit_products_are_bitwise_the_scalar_loop(load, depth):
 
 @pytest.mark.parametrize("p", (2, 9, 19))
 def test_build_h_inverse_is_bitwise_the_lambda_poly_loop(p, monkeypatch):
-    series = LaurentSeries2.from_direction(_local_zeta_inverse_coeffs(p, -1, 10), 0, "zw_plus", 10)
+    coeffs = _local_zeta_inverse_coeffs(PlaceData(p, 1), -1, 10)
+    series = LaurentSeries2.from_direction(coeffs, 0, "zw_plus", 10)
     calls = []
     branch = numerator._lam_free_inverse
     monkeypatch.setattr(numerator, "_lam_free_inverse",
@@ -658,7 +660,7 @@ def test_build_h_is_bitwise_the_five_series_route(places, depth, logs):
     for p, _ in places:
         for sign in (1, -1):
             # one list per sign lays the z, w and z+w series
-            coeffs = _local_zeta_inverse_coeffs(p, sign, depth, log_map)
+            coeffs = _local_zeta_inverse_coeffs(PlaceData(p, 1), sign, depth, log_map)
             for direction in ("z", "w", "zw_plus"):
                 assert (_bits(LaurentSeries2.from_direction(coeffs, 0, direction, depth))
                         == _bits(_local_zeta_inverse_series(PlaceData(p, 1), direction, sign,

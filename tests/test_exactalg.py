@@ -779,7 +779,7 @@ def test_a_one_term_product_is_the_pair_loop_form(one, other, swap):
     got = a * b
     want = exactalg._reduced(a.den * b.den, exactalg._mul_terms(a.terms, b.terms))
     assert (got.den, list(got.terms.items())) == (want.den, list(want.terms.items()))
-    # the unit's product shares the other operand's dict: no later operation may write to it
+    # no later operation on the product may write to an operand's dict
     rf = RationalFunction2.from_poly(got, 2).with_factor(one)
     assert all(x is not None for x in (
         got + a, got - b, -got, got * got, got ** 2, poly_div_exact(got, one),

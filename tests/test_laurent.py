@@ -24,7 +24,7 @@ from rankinlab.localdata import IdealFactorization, PlaceData, Shift, zeta_local
 from rankinlab.scalars import Scalar
 from rankinlab.verify import model_data
 from rankinlab.whittaker import SatakeParams
-from rankinlab.zetaint import BruhatPoint, correction_factor_rf, f_eval
+from rankinlab.zetaint import _abs_power, correction_factor_rf
 
 
 def _poly_series(coeffs, poles=(0, 0, 0, 0)):
@@ -838,8 +838,8 @@ _ROOT_ENTRIES = {
     "RationalFunction2.const": lambda: RationalFunction2.const(_ROOT, 3),
     "RationalFunction2 * root": lambda: RationalFunction2.const(2, 3) * Scalar.root(3),
     "RationalFunction2 / root": lambda: RationalFunction2.const(2, 3) / Scalar.root(3),
-    # p**(-1/2) * T1: |y|**s at val_y = 1 for a half-integer constant shift
-    "f_eval": lambda: f_eval(PlaceData(3, 1), BruhatPoint(1, 0), Shift.of(Fraction(1, 2), 1, 0)),
+    # p**(-1/2) * T1: |pi|**s for a half-integer constant shift
+    "_abs_power": lambda: _abs_power(PlaceData(3, 1), 1, Shift.of(Fraction(1, 2), 1, 0)),
 }
 
 

@@ -42,9 +42,10 @@ def test_lines_lists_the_branches_a_run_never_takes():
         source, first = inspect.getsourcelines(fn)
         return [first + k for k, line in enumerate(source) if text in line]
 
-    # f_eval runs, but no Bruhat point of the oracle has a negative val_c
-    (test,) = lines(zetaint.f_eval, "val_c < 0")
-    assert test not in missed and test + 1 in missed
+    # psi_oracle runs, but kind i returns before the kind-iv shell sum
+    (test,) = lines(zetaint.psi_oracle, 'if kind != "iv"')
+    (shells,) = lines(zetaint.psi_oracle, "shells = Poly2(")
+    assert test not in missed and shells in missed
     # psi_closed runs straight through for kind i; kind iv's factor is skipped
     first, second, *_ = lines(zetaint.psi_closed, "value = ")
     (end,) = lines(zetaint.psi_closed, "return ")

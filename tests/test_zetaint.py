@@ -15,8 +15,8 @@ from rankinlab.localdata import PlaceData, Shift, zeta_local, zeta_value
 from rankinlab.scalars import ROOT_REFUSAL, Scalar, _plain
 from rankinlab.verify import PSI_GRID_PAIRS
 from rankinlab.whittaker import SatakeParams, rankin_selberg_self_l, satake_sum
-from rankinlab.zetaint import (HALF_W, HALF_Z, KIND_SIGNS, KINDS, BruhatPoint, LocalZetaResult,
-                               _abs_power, correction_factor_rf, f_eval, ftilde_eval,
+from rankinlab.zetaint import (HALF_W, HALF_Z, KIND_SIGNS, KINDS, LocalZetaResult, _abs_power,
+                               _ftilde_section, correction_factor_rf,
                                psi_closed, psi_oracle, reg_local_bound,
                                reg_local_closed, reg_local_closed_s_form, reg_local_oracle,
                                rs_l_rf, rs_local_oracle, rs_local_value, whittaker_square_sum)
@@ -26,30 +26,31 @@ PI0_11 = SatakeParams.unramified_unitary(Scalar.exact(1), Scalar.exact(1))
 S_HALF_Z = Shift.of(Fraction(1, 2), 1, 0)
 
 
-def test_f_eval_indicator():
-    assert f_eval(PLACE, BruhatPoint(0, 0), S_HALF_Z).eval_zw(0, 0) == Scalar.exact(1)
-    assert f_eval(PLACE, BruhatPoint(0, -1), S_HALF_Z).num.is_zero()
-    assert f_eval(PLACE, BruhatPoint(0, None), S_HALF_Z).eval_zw(0, 0) == Scalar.exact(1)
-    # |pi**2|**(1/2+z) = (p**(-1/2-z))**2 = p**(-1) T1**2
-    val = f_eval(PLACE, BruhatPoint(2, 0), S_HALF_Z)
-    expected = RationalFunction2.monomial(2, 0, Fraction(1, 2), 2)
-    assert rf_equal(val, expected)
-
-
 def test_ftilde_branches():
     # integral c at the symmetric point: zeta(2(1-s))/zeta(1) = 1 at s = 1/2
-    flat = ftilde_eval(PLACE, BruhatPoint(0, 0), Shift.of(Fraction(1, 2)))
+    (flat,) = _ftilde_section(PLACE, Shift.of(Fraction(1, 2)), 0)
     assert flat.eval_zw(0, 0) == Scalar.exact(1)
-    # c = 0 falls into the integral branch
-    assert rf_equal(ftilde_eval(PLACE, BruhatPoint(0, None), S_HALF_Z),
-                    ftilde_eval(PLACE, BruhatPoint(0, 7), S_HALF_Z))
-    # the non-integral branch carries |c|**(-2(1-s)) = p**(-2*2*(1-s)) at val_c = -2,
-    # i.e. the generic-shift identity ratio against val_c = -1 is p**(-2(1-s))
-    v1 = ftilde_eval(PLACE, BruhatPoint(0, -1), S_HALF_Z)
-    v2 = ftilde_eval(PLACE, BruhatPoint(0, -2), S_HALF_Z)
-    # (1-s) = 1/2 - z, so p**(-2(1-s)) = p**(-1) * T1**(-2)
-    factor = RationalFunction2.monomial(-2, 0, Fraction(1, 2), 2)
-    assert rf_equal(v2, v1 * factor)
+    # every integral c is the one branch
+    at_0, at_7 = _ftilde_section(PLACE, S_HALF_Z, 0, 7)
+    assert _full_form(at_0) == _full_form(at_7)
+    # the two branches are the formula zeta(2-2s)/zeta(1), and
+    # zeta(2-2s)/zeta(2s-1) |c|**(2s-2) off the integers, at other shifts too
+    for p in (2, 3, 4, 9):
+        place = PlaceData(p, 1)
+        for s in (S_HALF_Z, HALF_W, Shift.of(1, 1, 0), Shift.of(2, 1, -1)):
+            got = _ftilde_section(place, s, 0, -1, -3)
+            assert all(rf_equal(v, _division_ftilde(place, val_c, s))
+                       for v, val_c in zip(got, (0, -1, -3))), (p, s)
+    # the kind-iv oracle sums the shells val(c) = -j, j >= 1, as the pair at
+    # j = 1 times a geometric factor: each step from val(c) to val(c) - 1 is
+    # exactly p**(2s-2), p**(-1) T1**(-2) at s = 1/2 + z, p**(-1) T2**(-2) at 1/2 + w
+    for p in (2, 3, 4, 5, 9):
+        place = PlaceData(p, 1)
+        for s, step in ((HALF_Z, RationalFunction2.monomial(-2, 0, Fraction(1, p), p)),
+                        (HALF_W, RationalFunction2.monomial(0, -2, Fraction(1, p), p))):
+            shells = _ftilde_section(place, s, -1, -2, -3, -4)
+            assert all(rf_equal(inner, outer * step)
+                       for outer, inner in zip(shells, shells[1:])), (p, s)
 
 
 @pytest.mark.parametrize("psi", [psi_closed, psi_oracle])
@@ -573,38 +574,6 @@ def test_rs_l_rf_is_the_scalar_product_route():
                         _form(_reference_rs_l_rf(pi0, place, shift)), (p, pi0, shift)
 
 
-def _reference_ftilde_eval(place, pt, s):
-    """ftilde_eval as it was: the |y|**(1-s) factor built at every val_y."""
-    one_minus = s.times(-1).plus(1)
-    out = _abs_power(place, pt.val_y, one_minus) * zeta_local(place, one_minus.times(2))
-    if pt.val_c is None or pt.val_c >= 0:
-        return out / Scalar.exact(zeta_value(place, 1))
-    out = out / zeta_local(place, s.times(2).plus(-1))
-    return out * _abs_power(place, pt.val_c, one_minus.times(-2))
-
-
-def test_ftilde_eval_is_the_formula_with_the_y_power():
-    shifts = (S_HALF_Z, Shift.of(Fraction(1, 2), 0, 1), Shift.of(1, 1, 0), Shift.of(2, 1, -1))
-    checked = 0
-    for p in (2, 3, 4, 9):
-        place = PlaceData(p, 1)
-        for s in shifts:
-            for pt in (BruhatPoint(2, None), BruhatPoint(-1, -2)):
-                try:
-                    want = _reference_ftilde_eval(place, pt, s)
-                except ValueError:  # p**(1/2) is irrational: both refuse it
-                    with pytest.raises(ValueError):
-                        ftilde_eval(place, pt, s)
-                    continue
-                assert rf_equal(ftilde_eval(place, pt, s), want), (p, s, pt)
-                checked += 1
-            # at val_y = 0 the skipped factor is the constant 1: the same form
-            for pt in (BruhatPoint(0, 0), BruhatPoint(0, -1), BruhatPoint(0, None)):
-                assert _form(ftilde_eval(place, pt, s)) == \
-                    _form(_reference_ftilde_eval(place, pt, s)), (p, s, pt)
-    assert checked == 4 * 4 * 2 - 2 * 2  # p 2, 3: the half shifts at val_y = -1
-
-
 # -- the products by zeta_local_inverse against the division route they replaced -----
 
 def _division_correction(place):
@@ -618,7 +587,7 @@ def _division_correction(place):
 
 
 def _division_ftilde(place, val_c, s):
-    """ftilde_eval at y = 1 as it was: one zeta(2 - 2s) per value, divided by
+    """ftilde_s at y = 1 as it was built: one zeta(2 - 2s) per value, divided by
     zeta_local(2s - 1) off the integers."""
     one_minus = s.times(-1).plus(1)
     out = zeta_local(place, one_minus.times(2))
@@ -650,9 +619,10 @@ def _division_psi_oracle(kind, place, pi0):
     pref = RationalFunction2.monomial(-sz * r, -sw * r, 1, p)
     y_inner = whittaker_square_sum(pi0, place, sz, sw)
     if kind != "iv":
-        origin = BruhatPoint(0, 0)
-        c_val = ((f_eval(place, origin, HALF_Z) if sz > 0 else _division_ftilde(place, 0, HALF_Z))
-                 * (f_eval(place, origin, HALF_W) if sw > 0 else _division_ftilde(place, 0, HALF_W)))
+        # f = 1 at integral c, as the unit rational function it was built as
+        unit = RationalFunction2.monomial(0, 0, 1, p)
+        c_val = ((unit if sz > 0 else _division_ftilde(place, 0, HALF_Z))
+                 * (unit if sw > 0 else _division_ftilde(place, 0, HALF_W)))
         return pref * c_val * y_inner
     pair = _division_ftilde(place, -1, HALF_Z) * _division_ftilde(place, -1, HALF_W)
     shells = Poly2({(2 * (r - j), 2 * (r - j)): Fraction((p - 1) * p ** j, p ** (2 * j - 1))
